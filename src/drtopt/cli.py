@@ -322,14 +322,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="scenario-optimize each configured lag")
     p.add_argument("--config", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--threads", type=int, help="cap worker parallelism (overrides config)")
+    p.add_argument("--threads", type=int, help="kept for compatibility; has no effect")
     p.add_argument("--dump-samples", action="store_true", help="write per-lag sample CSVs for audit")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("pipeline", help="full comparison: sampling vs point estimates vs ground truth")
     p.add_argument("--config", required=True)
     p.add_argument("--model", action="append", required=True, help="trained model JSON (repeatable)")
-    p.add_argument("--threads", type=int, help="cap worker parallelism (overrides config)")
+    p.add_argument("--threads", type=int, help="kept for compatibility; has no effect")
     p.set_defaults(func=cmd_pipeline)
     return parser
 

@@ -34,7 +34,7 @@ class PipelineConfig:
     k: int
     lags: list[str]  # ISO hour strings; empty = all unmasked test lags
     output_dir: Path
-    threads: int = 1
+    threads: int = 1  # kept for compatibility; has no effect
     copula_min_lags: int = 30
     gboost_grid: tuple[GBoostHyper, ...] = ()  # non-empty: tune before training
 

@@ -48,44 +48,32 @@ class EmpiricalCDF:
             idx = np.searchsorted(self.values, x, side="right")
             out = np.where(idx == 0, 0.0, self.levels[np.minimum(idx, len(self.levels)) - 1])
             return out if out.ndim else float(out)
+        v, q = self.values, self.levels
         flat_x = np.atleast_1d(x)
-        flat = np.empty(len(flat_x))
-        for i, xi in enumerate(flat_x):
-            if xi < self.values[0]:
-                flat[i] = 0.0
-            elif xi >= self.values[-1]:
-                flat[i] = 1.0
-            else:
-                # last knot with value <= xi: the highest level at a repeated
-                # value, making jumps right-continuous
-                j = int(np.searchsorted(self.values, xi, side="right")) - 1
-                if self.values[j] == xi:
-                    flat[i] = self.levels[j]
-                else:
-                    dv = self.values[j + 1] - self.values[j]
-                    dq = self.levels[j + 1] - self.levels[j]
-                    flat[i] = self.levels[j] + (xi - self.values[j]) / dv * dq
+        # last knot with value <= x: the highest level at a repeated value,
+        # making jumps right-continuous; the clip only guards lanes outside
+        # the knots, which the outer branches overwrite
+        j = np.clip(np.searchsorted(v, flat_x, side="right") - 1, 0, len(v) - 1)
+        nxt = np.minimum(j + 1, len(v) - 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = q[j] + (flat_x - v[j]) / (v[nxt] - v[j]) * (q[nxt] - q[j])
+        inner = np.where(v[j] == flat_x, q[j], inner)
+        flat = np.where(flat_x < v[0], 0.0, np.where(flat_x >= v[-1], 1.0, inner))
         return float(flat[0]) if np.ndim(x) == 0 else flat
 
     def inverse(self, u):
         """Generalized inverse; a level range inside a jump maps to the jump value."""
         u = np.asarray(u, dtype=np.float64)
+        v, q = self.values, self.levels
         flat_u = np.atleast_1d(u)
-        flat = np.empty(len(flat_u))
-        for i, ui in enumerate(flat_u):
-            if ui <= self.levels[0]:
-                flat[i] = self.values[0]
-                continue
-            if ui >= self.levels[-1]:
-                flat[i] = self.values[-1]
-                continue
-            j = int(np.searchsorted(self.levels, ui, side="left"))
-            if self.kind == "step":
-                flat[i] = self.values[j]
-                continue
-            dq = self.levels[j] - self.levels[j - 1]
-            dv = self.values[j] - self.values[j - 1]  # zero width: stays at the jump
-            flat[i] = self.values[j - 1] + (ui - self.levels[j - 1]) / dq * dv
+        j = np.clip(np.searchsorted(q, flat_u, side="left"), 1, len(q) - 1)
+        if self.kind == "step":
+            inner = v[j]
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                # zero width (v[j] == v[j - 1]): stays at the jump
+                inner = v[j - 1] + (flat_u - q[j - 1]) / (q[j] - q[j - 1]) * (v[j] - v[j - 1])
+        flat = np.where(flat_u <= q[0], v[0], np.where(flat_u >= q[-1], v[-1], inner))
         return float(flat[0]) if np.ndim(u) == 0 else flat
 
 

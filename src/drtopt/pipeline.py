@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,21 +73,17 @@ def optimize_lag(
     prepared: _Prepared | None = None,
     lag: np.datetime64 | None = None,
 ) -> ScenarioResult:
-    """Sample k joint demands, solve each, and operate the modal allocation."""
+    """Sample k joint demands, solve each, and operate the modal allocation.
+
+    `threads` is kept for compatibility and has no effect: the scenario
+    solves hold the interpreter lock, so a thread pool only slowed them.
+    """
     if k < 1:
         raise ValueError("need at least one sample")
     prep = prepared if prepared is not None else prepare_instance(instance)
     samples = sample_joint(copula_model, forecasts, k, seed)
     pairs = copula_model.pair_order
-
-    def solve_row(row) -> RouteDesign:
-        return solve_instance(instance, _demand_from_row(pairs, row), prep)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            designs = list(pool.map(solve_row, samples))
-    else:
-        designs = [solve_row(row) for row in samples]
+    designs = [solve_instance(instance, _demand_from_row(pairs, row), prep) for row in samples]
 
     keys = [d.key() for d in designs]
     objectives = np.array([d.objective for d in designs])
@@ -177,6 +172,7 @@ def compare_strategies(
     seed: int = 0,
     threads: int = 1,
 ) -> list[ComparisonRow]:
+    """Hindsight vs sampling/median/upper-quantile designs; `threads` has no effect."""
     prep = prepare_instance(instance)
     rows = []
     model_names = sorted(model_forecasts)

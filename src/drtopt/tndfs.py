@@ -8,10 +8,11 @@ per-passenger ride savings minus passenger-weighted average waiting, with
 hourly route capacity limiting assigned flow and a walking alternative
 absorbing the rest.
 
-The discrete part (route set + bus counts) is enumerated exhaustively; for a
-fixed allocation the remaining flow assignment is a small transportation
-problem.  Assigning every pair to its best positive-utility route is optimal
-whenever no capacity binds; otherwise the assignment LP is solved exactly.
+The discrete part (route set + bus counts) is enumerated exhaustively, once
+per instance into a table; for a fixed allocation the remaining flow
+assignment is a small transportation problem.  Assigning every pair to its
+best positive-utility route is optimal whenever no capacity binds; otherwise
+the assignment LP is solved exactly.
 """
 
 from __future__ import annotations
@@ -30,7 +31,12 @@ from .data import Location, ODPair
 log = logging.getLogger(__name__)
 
 WALK_ROUTE = -1  # route id of the always-available walking alternative
-_TIE_TOL = 1e-12
+_TIE_TOL = 1e-12  # relative: objectives within _TIE_TOL * max(1, |incumbent|) tie
+
+
+def _tie_tol(incumbent: float) -> float:
+    """Tie tolerance around an incumbent objective (none before the first)."""
+    return _TIE_TOL * max(1.0, abs(incumbent)) if np.isfinite(incumbent) else 0.0
 
 
 def walk_time(a: Location, b: Location, speed: float) -> float:
@@ -135,12 +141,14 @@ class NetworkInstance:
 
 @dataclass
 class DemandVector:
-    """Non-negative demand per OD pair; absent pairs mean zero."""
+    """Non-negative finite demand per OD pair; absent pairs mean zero."""
 
     rates: dict[ODPair, float]
 
     def __post_init__(self):
         for pair, v in self.rates.items():
+            if not np.isfinite(v):
+                raise ValueError(f"non-finite demand {v} for {pair}")
             if v < 0:
                 raise ValueError(f"negative demand {v} for {pair}")
 
@@ -317,19 +325,30 @@ def assign_flows(weights: np.ndarray, demands: np.ndarray, caps: np.ndarray) -> 
     return x, float(np.sum(weights * x))
 
 
-def _unconstrained_bound(weights: np.ndarray, demands: np.ndarray) -> float:
-    return float(np.sum(demands * np.maximum(weights.max(axis=1), 0.0)))
+_CHUNK_CELLS = 1 << 16  # (pair, row, slot) cells per table chunk; bounds the transient arrays
+_TABLE_BYTES = 64 << 20  # above this the table is not cached but rebuilt per scenario
+_CELL_BYTES = 17  # per (pair, row): float64 gain, float64 rider flag, int8 slot
 
 
 @dataclass
 class _Prepared:
-    """Per-instance precomputation shared across demand vectors."""
+    """Per-instance precomputation shared across demand vectors.
+
+    The allocation table: one row per feasible allocation in canonical-key
+    order, routes ascending by candidate id, padded to nu slots by route -1
+    (nobody rides it, it never fills); see `_table_chunk` and `_price_chunk`.
+    """
 
     instance: NetworkInstance
     pairs: list[ODPair]
     beta1: np.ndarray  # (n_pairs, C)
     beta2: np.ndarray  # (C, K) stage-2 utilities, k = col + 1
     caps: np.ndarray  # (C, K)
+    row_routes: np.ndarray  # (R, nu) candidate ids, -1 on pads
+    row_buses: np.ndarray  # (R, nu) bus counts, 1 on pads
+    row_caps: np.ndarray  # (R, nu) hourly capacities, inf on pads
+    chunk_rows: list[slice]  # the table's chunks, _CHUNK_CELLS cells each
+    table: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None  # None above _TABLE_BYTES
 
 
 def prepare_instance(instance: NetworkInstance) -> _Prepared:
@@ -338,13 +357,22 @@ def prepare_instance(instance: NetworkInstance) -> _Prepared:
         raise ValueError("empty candidate route set")
     pairs = instance.od_pairs()
     beta1 = np.array([[stage1_utility(p, r, instance) for r in routes] for p in pairs])
+    beta1 = beta1.reshape(len(pairs), len(routes))
     ks = np.arange(1, instance.fleet_size + 1)
     taus = np.array([r.cycle_time for r in routes])
     beta2 = -taus[:, None] / ks[None, :]
     if instance.half_headway:
         beta2 = beta2 / 2.0
     caps = 60.0 * ks[None, :] / taus[:, None] * instance.capacity
-    return _Prepared(instance, pairs, beta1, beta2, caps)
+
+    row_routes, row_buses = _allocation_rows(instance)
+    row_caps = np.where(row_routes >= 0, caps[row_routes, row_buses - 1], np.inf)
+    step = max(1, _CHUNK_CELLS // max(1, len(pairs) * instance.max_routes))
+    chunk_rows = [slice(lo, lo + step) for lo in range(0, len(row_routes), step)]
+    prep = _Prepared(instance, pairs, beta1, beta2, caps, row_routes, row_buses, row_caps, chunk_rows, None)
+    if len(pairs) * len(row_routes) * _CELL_BYTES <= _TABLE_BYTES:
+        prep.table = [_table_chunk(prep, rows) for rows in chunk_rows]
+    return prep
 
 
 def _allocation_sizes(instance: NetworkInstance) -> range:
@@ -364,149 +392,124 @@ def _bus_splits(r: int, fleet: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _combinations(n: int, size: int) -> np.ndarray:
+    """All ascending `size`-subsets of range(n), one row each, in lexicographic order."""
+    out = np.zeros((1, 0), dtype=np.intp)
+    for _ in range(size):
+        first = out[:, -1] + 1 if out.shape[1] else np.zeros(len(out), dtype=np.intp)
+        counts = n - first
+        parent = np.repeat(np.arange(len(out)), counts)
+        offset = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+        out = np.column_stack([out[parent], first[parent] + offset])
+    return out
+
+
+def _allocation_rows(instance: NetworkInstance) -> tuple[np.ndarray, np.ndarray]:
+    """Route ids and bus counts of every feasible allocation, in canonical-key order.
+
+    Keys compare as sorted (stops, buses) tuples, a key before its extensions.
+    A slot codes as rank-by-stops * K + buses and a pad as 0, so sorting each
+    row's codes (pads last) and then the rows lexicographically is that order.
+    """
+    routes = instance.candidate_routes
+    C, K, nu = len(routes), instance.fleet_size, instance.max_routes
+    ids = [np.empty((0, nu), dtype=np.intp)]
+    buses = [np.empty((0, nu), dtype=np.intp)]
+    for size in _allocation_sizes(instance):
+        if size > C:
+            continue
+        combos = _combinations(C, size)
+        splits = _bus_splits(size, K)
+        splits = np.array(splits, dtype=np.intp).reshape(len(splits), size)
+        pad = ((0, 0), (0, nu - size))
+        ids.append(np.pad(np.repeat(combos, len(splits), axis=0), pad, constant_values=-1))
+        buses.append(np.pad(np.tile(splits, (len(combos), 1)), pad, constant_values=1))
+    ids, buses = np.concatenate(ids), np.concatenate(buses)
+
+    rank = np.empty(C, dtype=np.intp)
+    rank[sorted(range(C), key=lambda cid: routes[cid].stops)] = np.arange(C)
+    last = C * K + 1
+    code = np.sort(np.where(ids >= 0, rank[ids] * K + buses, last), axis=1)
+    code[code == last] = 0
+    order = np.lexsort(code.T[::-1])
+    return ids[order], buses[order]
+
+
+def _table_chunk(prep: _Prepared, rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per (pair, row) of a chunk: the best slot's net utility clipped at 0
+    (walking), whether it beats walking, and that slot (-1: walk; ties go to
+    the first slot, the lowest candidate id).  Demand plays no part here.
+    """
+    ids, buses = prep.row_routes[rows], prep.row_buses[rows]
+    best = np.full((len(prep.pairs), len(ids)), -np.inf)
+    slot = np.zeros(best.shape, dtype=np.int8)
+    for j in range(ids.shape[1]):
+        net = prep.beta1[:, ids[:, j]] + prep.beta2[ids[:, j], buses[:, j] - 1]  # pads read route -1
+        net[:, ids[:, j] < 0] = -np.inf
+        better = net > best  # strict: ties stay with the earlier slot
+        slot[better] = j
+        best = np.maximum(best, net)
+    rides = best > 0
+    return np.maximum(best, 0.0), rides.astype(np.float64), np.where(rides, slot, -1).astype(np.int8)
+
+
+def _price_chunk(lam: np.ndarray, chunk, caps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Uncapacitated bound and capacity feasibility of every row of a chunk."""
+    gain, rides, slot = chunk
+    bound = lam @ gain
+    # no slot carries more than all riders: only rows failing that get the per-slot sums
+    feasible = lam @ rides <= caps.min(axis=1)
+    check = np.flatnonzero(~feasible)
+    if len(check):
+        taken = slot[:, check]
+        inflow = np.column_stack([lam @ (taken == j) for j in range(caps.shape[1])])
+        feasible[check] = np.all(inflow <= caps[check], axis=1)
+    return bound, feasible
+
+
+def _row_allocation(prep: _Prepared, row: int) -> tuple[tuple[int, int], ...]:
+    return tuple(
+        (int(cid), int(k)) for cid, k in zip(prep.row_routes[row], prep.row_buses[row]) if cid >= 0
+    )
+
+
+def _allocation_arcs(prep: _Prepared, alloc, pairs=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """Net utilities (pairs x routes) and hourly capacities of an allocation."""
+    w = np.column_stack([prep.beta1[pairs, cid] + prep.beta2[cid, k - 1] for cid, k in alloc])
+    return w, np.array([prep.caps[cid, k - 1] for cid, k in alloc])
+
+
 def solve_instance(instance: NetworkInstance, demand: DemandVector, prepared: _Prepared | None = None) -> RouteDesign:
     """Exact optimum over all feasible allocations and flow assignments.
 
-    Ties in objective (within 1e-12) break toward the lexicographically
-    smallest allocation key, so zero-flow routes are never reported unless
-    the exact-route-count mode forces them.
+    Every row of the allocation table is priced at once: a capacity-feasible
+    row is worth its uncapacitated bound, and each capacity-bound row whose
+    bound can still beat the incumbent gets the exact flow assignment, best
+    bound first.  Objectives within a relative 1e-12 tie and break toward the
+    lowest row, the lexicographically smallest allocation key, so zero-flow
+    routes are never reported unless the exact-route-count mode forces them.
     """
     prep = prepared if prepared is not None else prepare_instance(instance)
-    routes = instance.candidate_routes
-    C = len(routes)
-    K = instance.fleet_size
-
-    all_pairs = prep.pairs
-    lam_all = np.array([demand.get(p) for p in all_pairs])
-    active = lam_all > 0
-    lam = lam_all[active]
-    beta1 = prep.beta1[active]
-
-    best_obj = -np.inf
-    best_key = None
-    best_alloc: tuple[tuple[int, int], ...] | None = None  # ((route_id, k), ...)
-
-    def consider(obj: float, alloc: tuple[tuple[int, int], ...]):
-        nonlocal best_obj, best_key, best_alloc
-        key = _assignment_key([(routes[rid].stops, k) for rid, k in alloc])
-        if obj > best_obj + _TIE_TOL or (abs(obj - best_obj) <= _TIE_TOL and (best_key is None or key < best_key)):
-            best_obj, best_key, best_alloc = obj, key, alloc
-
-    sizes = _allocation_sizes(instance)
-
-    if len(lam) == 0:
-        # every allocation carries zero flow: the canonical tie-break picks
-        # the smallest key, which is all-walking or (in exact mode) the
-        # stops-minimal routes with one bus each
-        if 0 in sizes:
-            return _design_for_allocation(prep, all_pairs, lam_all, (), routes)
-        size = instance.max_routes
-        if size > C:
-            raise ValueError("no feasible allocation (check max_routes vs candidate count)")
-        by_stops = sorted(range(C), key=lambda cid: routes[cid].stops)
-        alloc = tuple((cid, 1) for cid in sorted(by_stops[:size]))
-        return _design_for_allocation(prep, all_pairs, lam_all, alloc, routes)
-
-    if 1 in sizes and C > 0:
-        # (n_active, C, K) net utilities, vectorized over single-route allocations
-        W = beta1[:, :, None] + prep.beta2[None, :, :]
-        pos = np.maximum(W, 0.0)
-        obj_uncap = np.einsum("i,ick->ck", lam, pos)
-        inflow = np.einsum("i,ick->ck", lam, (W > 0).astype(np.float64))
-        feasible = inflow <= prep.caps
-        for cid in range(C):
-            for kk in range(1, K + 1):
-                alloc = ((cid, kk),)
-                if feasible[cid, kk - 1]:
-                    consider(float(obj_uncap[cid, kk - 1]), alloc)
-                else:
-                    if obj_uncap[cid, kk - 1] < best_obj - _TIE_TOL:
-                        continue  # capped objective is below this bound already
-                    w = (beta1[:, cid] + prep.beta2[cid, kk - 1])[:, None]
-                    _, obj = assign_flows(w, lam, prep.caps[cid : cid + 1, kk - 1])
-                    consider(float(obj), alloc)
-
-    if 0 in sizes:
-        consider(0.0, ())
-
-    for size in sizes:
-        if size < 2 or size > C:
-            continue
-        splits = _bus_splits(size, K)
-        if not splits:
-            continue
-        if size == 2:
-            _scan_route_pairs(prep, lam, beta1, splits, consider, lambda: best_obj)
-            continue
-        for combo in itertools.combinations(range(C), size):
-            cols = beta1[:, combo]
-            for split in splits:
-                alloc = tuple(zip(combo, split))
-                w = cols + np.array([prep.beta2[cid, k - 1] for cid, k in alloc])[None, :]
-                ub = _unconstrained_bound(w, lam)
-                if ub < best_obj - _TIE_TOL:
-                    continue
-                caps = np.array([prep.caps[cid, k - 1] for cid, k in alloc])
-                take = np.argmax(w, axis=1)
-                take_w = w[np.arange(len(lam)), take]
-                inflow = np.zeros(size)
-                np.add.at(inflow, take[take_w > 0], lam[take_w > 0])
-                if np.all(inflow <= caps):
-                    consider(ub, alloc)
-                else:
-                    _, obj = assign_flows(w, lam, caps)
-                    consider(float(obj), alloc)
-
-    if best_alloc is None:
+    if not len(prep.row_routes):
         raise ValueError("no feasible allocation (check max_routes vs candidate count)")
+    lam = np.array([demand.get(p) for p in prep.pairs])
+    chunks = prep.table if prep.table is not None else (_table_chunk(prep, rows) for rows in prep.chunk_rows)
+    priced = [_price_chunk(lam, chunk, prep.row_caps[rows]) for rows, chunk in zip(prep.chunk_rows, chunks)]
+    bound = np.concatenate([b for b, _ in priced])
+    feasible = np.concatenate([f for _, f in priced])
 
-    return _design_for_allocation(prep, all_pairs, lam_all, best_alloc, routes)
-
-
-_PAIR_CHUNK = 50_000
-
-
-def _scan_route_pairs(prep: _Prepared, lam, beta1, splits, consider, current_best):
-    """Vectorized sweep of all two-route allocations.
-
-    Per chunk of route pairs and bus split, the best-route assignment and
-    capacity check run as array ops.  Only allocations that can tie or beat
-    the incumbent drop to scalar handling: for capacity-feasible ones that is
-    the chunk maximum and its ties; capacity-bound ones are solved exactly in
-    decreasing upper-bound order so the incumbent prunes fast.
-    """
-    C = beta1.shape[1]
-    combos = np.array(list(itertools.combinations(range(C), 2)))
-    for start in range(0, len(combos), _PAIR_CHUNK):
-        chunk = combos[start : start + _PAIR_CHUNK]
-        i_idx, j_idx = chunk[:, 0], chunk[:, 1]
-        for k1, k2 in splits:
-            w1 = beta1[:, i_idx] + prep.beta2[i_idx, k1 - 1][None, :]
-            w2 = beta1[:, j_idx] + prep.beta2[j_idx, k2 - 1][None, :]
-            best_w = np.maximum(w1, w2)
-            ub = lam @ np.maximum(best_w, 0.0)
-            take1 = (w1 >= w2) & (w1 > 0)  # ties go to the first route
-            take2 = (w2 > w1) & (w2 > 0)
-            feasible = (lam @ take1 <= prep.caps[i_idx, k1 - 1]) & (
-                lam @ take2 <= prep.caps[j_idx, k2 - 1]
-            )
-
-            cand = np.flatnonzero(feasible)
-            if len(cand):
-                # anything below both the chunk maximum and the incumbent can
-                # neither win nor tie the final optimum
-                bar = max(float(ub[cand].max()), current_best()) - _TIE_TOL
-                for pos in cand[ub[cand] >= bar]:
-                    consider(float(ub[pos]), ((int(i_idx[pos]), k1), (int(j_idx[pos]), k2)))
-            blocked = np.flatnonzero(~feasible & (ub >= current_best() - _TIE_TOL))
-            for pos in blocked[np.argsort(-ub[blocked], kind="stable")]:
-                if ub[pos] < current_best() - _TIE_TOL:
-                    continue
-                cid_i, cid_j = int(i_idx[pos]), int(j_idx[pos])
-                w = np.column_stack([w1[:, pos], w2[:, pos]])
-                caps = np.array([prep.caps[cid_i, k1 - 1], prep.caps[cid_j, k2 - 1]])
-                _, obj = assign_flows(w, lam, caps)
-                consider(float(obj), ((cid_i, k1), (cid_j, k2)))
+    value = np.where(feasible, bound, -np.inf)
+    best = value.max()
+    active = lam > 0
+    blocked = np.flatnonzero(~feasible & (bound >= best - _tie_tol(best)))
+    for row in blocked[np.argsort(-bound[blocked], kind="stable")]:
+        if bound[row] < best - _tie_tol(best):
+            break  # no later row's bound reaches the incumbent either
+        w, caps = _allocation_arcs(prep, _row_allocation(prep, row), active)
+        _, value[row] = assign_flows(w, lam[active], caps)
+        best = max(best, value[row])
+    row = int(np.argmax(value >= best - _tie_tol(best)))
+    return _design_for_allocation(prep, prep.pairs, lam, _row_allocation(prep, row), instance.candidate_routes)
 
 
 def _design_for_allocation(
@@ -525,8 +528,7 @@ def _design_for_allocation(
             flows1[(pair, WALK_ROUTE)] = float(lam)
         return RouteDesign((), flows1, flows2, 0.0)
 
-    w = np.column_stack([prep.beta1[:, cid] + prep.beta2[cid, k - 1] for cid, k in alloc])
-    caps = np.array([prep.caps[cid, k - 1] for cid, k in alloc])
+    w, caps = _allocation_arcs(prep, alloc)
     x, obj = assign_flows(w, lam_all, caps)
     for i, pair in enumerate(all_pairs):
         routed = 0.0

@@ -1,0 +1,165 @@
+"""The three-branch exact search that `tndfs.solve_instance` replaced.
+
+Kept as a test reference: single routes are priced with one einsum, route
+pairs with a chunked array sweep, and larger route sets in a Python loop.
+Ties within the relative tolerance break toward the smallest allocation key,
+exactly as in the table sweep, so both must return the same design.
+"""
+
+import itertools
+
+import numpy as np
+
+from drtopt.tndfs import (
+    _allocation_sizes,
+    _assignment_key,
+    _bus_splits,
+    _design_for_allocation,
+    _tie_tol,
+    assign_flows,
+    prepare_instance,
+)
+
+_PAIR_CHUNK = 50_000
+
+
+def _unconstrained_bound(weights, demands):
+    return float(np.sum(demands * np.maximum(weights.max(axis=1), 0.0)))
+
+
+def reference_solve(instance, demand, prepared=None):
+    prep = prepared if prepared is not None else prepare_instance(instance)
+    routes = instance.candidate_routes
+    C = len(routes)
+    K = instance.fleet_size
+
+    all_pairs = prep.pairs
+    lam_all = np.array([demand.get(p) for p in all_pairs])
+    active = lam_all > 0
+    lam = lam_all[active]
+    beta1 = prep.beta1[active]
+
+    best_obj = -np.inf
+    best_key = None
+    best_alloc = None  # ((route_id, k), ...)
+
+    def consider(obj, alloc):
+        nonlocal best_obj, best_key, best_alloc
+        key = _assignment_key([(routes[rid].stops, k) for rid, k in alloc])
+        tol = _tie_tol(best_obj)
+        if obj > best_obj + tol or (abs(obj - best_obj) <= tol and (best_key is None or key < best_key)):
+            best_obj, best_key, best_alloc = obj, key, alloc
+
+    sizes = _allocation_sizes(instance)
+
+    if len(lam) == 0:
+        # every allocation carries zero flow: the canonical tie-break picks
+        # the smallest key, which is all-walking or (in exact mode) the
+        # stops-minimal routes with one bus each
+        if 0 in sizes:
+            return _design_for_allocation(prep, all_pairs, lam_all, (), routes)
+        size = instance.max_routes
+        if size > C:
+            raise ValueError("no feasible allocation (check max_routes vs candidate count)")
+        by_stops = sorted(range(C), key=lambda cid: routes[cid].stops)
+        alloc = tuple((cid, 1) for cid in sorted(by_stops[:size]))
+        return _design_for_allocation(prep, all_pairs, lam_all, alloc, routes)
+
+    if 1 in sizes and C > 0:
+        # (n_active, C, K) net utilities, vectorized over single-route allocations
+        W = beta1[:, :, None] + prep.beta2[None, :, :]
+        pos = np.maximum(W, 0.0)
+        obj_uncap = np.einsum("i,ick->ck", lam, pos)
+        inflow = np.einsum("i,ick->ck", lam, (W > 0).astype(np.float64))
+        feasible = inflow <= prep.caps
+        for cid in range(C):
+            for kk in range(1, K + 1):
+                alloc = ((cid, kk),)
+                if feasible[cid, kk - 1]:
+                    consider(float(obj_uncap[cid, kk - 1]), alloc)
+                else:
+                    if obj_uncap[cid, kk - 1] < best_obj - _tie_tol(best_obj):
+                        continue  # capped objective is below this bound already
+                    w = (beta1[:, cid] + prep.beta2[cid, kk - 1])[:, None]
+                    _, obj = assign_flows(w, lam, prep.caps[cid : cid + 1, kk - 1])
+                    consider(float(obj), alloc)
+
+    if 0 in sizes:
+        consider(0.0, ())
+
+    for size in sizes:
+        if size < 2 or size > C:
+            continue
+        splits = _bus_splits(size, K)
+        if not splits:
+            continue
+        if size == 2:
+            _scan_route_pairs(prep, lam, beta1, splits, consider, lambda: best_obj)
+            continue
+        for combo in itertools.combinations(range(C), size):
+            cols = beta1[:, combo]
+            for split in splits:
+                alloc = tuple(zip(combo, split))
+                w = cols + np.array([prep.beta2[cid, k - 1] for cid, k in alloc])[None, :]
+                ub = _unconstrained_bound(w, lam)
+                if ub < best_obj - _tie_tol(best_obj):
+                    continue
+                caps = np.array([prep.caps[cid, k - 1] for cid, k in alloc])
+                take = np.argmax(w, axis=1)
+                take_w = w[np.arange(len(lam)), take]
+                inflow = np.zeros(size)
+                np.add.at(inflow, take[take_w > 0], lam[take_w > 0])
+                if np.all(inflow <= caps):
+                    consider(ub, alloc)
+                else:
+                    _, obj = assign_flows(w, lam, caps)
+                    consider(float(obj), alloc)
+
+    if best_alloc is None:
+        raise ValueError("no feasible allocation (check max_routes vs candidate count)")
+
+    return _design_for_allocation(prep, all_pairs, lam_all, best_alloc, routes)
+
+
+def _scan_route_pairs(prep, lam, beta1, splits, consider, current_best):
+    """Vectorized sweep of all two-route allocations.
+
+    Per chunk of route pairs and bus split, the best-route assignment and
+    capacity check run as array ops.  Only allocations that can tie or beat
+    the incumbent drop to scalar handling: for capacity-feasible ones that is
+    the chunk maximum and its ties; capacity-bound ones are solved exactly in
+    decreasing upper-bound order so the incumbent prunes fast.
+    """
+    C = beta1.shape[1]
+    combos = np.array(list(itertools.combinations(range(C), 2)))
+    for start in range(0, len(combos), _PAIR_CHUNK):
+        chunk = combos[start : start + _PAIR_CHUNK]
+        i_idx, j_idx = chunk[:, 0], chunk[:, 1]
+        for k1, k2 in splits:
+            w1 = beta1[:, i_idx] + prep.beta2[i_idx, k1 - 1][None, :]
+            w2 = beta1[:, j_idx] + prep.beta2[j_idx, k2 - 1][None, :]
+            best_w = np.maximum(w1, w2)
+            ub = lam @ np.maximum(best_w, 0.0)
+            take1 = (w1 >= w2) & (w1 > 0)  # ties go to the first route
+            take2 = (w2 > w1) & (w2 > 0)
+            feasible = (lam @ take1 <= prep.caps[i_idx, k1 - 1]) & (
+                lam @ take2 <= prep.caps[j_idx, k2 - 1]
+            )
+
+            cand = np.flatnonzero(feasible)
+            if len(cand):
+                # anything below both the chunk maximum and the incumbent can
+                # neither win nor tie the final optimum
+                bar = max(float(ub[cand].max()), current_best())
+                bar -= _tie_tol(bar)
+                for pos in cand[ub[cand] >= bar]:
+                    consider(float(ub[pos]), ((int(i_idx[pos]), k1), (int(j_idx[pos]), k2)))
+            blocked = np.flatnonzero(~feasible & (ub >= current_best() - _tie_tol(current_best())))
+            for pos in blocked[np.argsort(-ub[blocked], kind="stable")]:
+                if ub[pos] < current_best() - _tie_tol(current_best()):
+                    continue
+                cid_i, cid_j = int(i_idx[pos]), int(j_idx[pos])
+                w = np.column_stack([w1[:, pos], w2[:, pos]])
+                caps = np.array([prep.caps[cid_i, k1 - 1], prep.caps[cid_j, k2 - 1]])
+                _, obj = assign_flows(w, lam, caps)
+                consider(float(obj), ((cid_i, k1), (cid_j, k2)))

@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 
 from drtopt.copula import (
+    EmpiricalCDF,
     ecdf_from_forecast,
     ecdf_from_history,
     export_correlation,
@@ -28,6 +29,71 @@ def make_fc(values, pair):
 # ---------------------------------------------------------------------------
 # empirical CDFs
 # ---------------------------------------------------------------------------
+
+
+def loop_cdf(F, x):
+    """Element-by-element reference for EmpiricalCDF.cdf (linear kind)."""
+    out = []
+    for xi in np.atleast_1d(np.asarray(x, dtype=np.float64)):
+        if xi < F.values[0]:
+            out.append(0.0)
+        elif xi >= F.values[-1]:
+            out.append(1.0)
+        else:
+            j = int(np.searchsorted(F.values, xi, side="right")) - 1
+            if F.values[j] == xi:
+                out.append(F.levels[j])
+            else:
+                dv = F.values[j + 1] - F.values[j]
+                dq = F.levels[j + 1] - F.levels[j]
+                out.append(F.levels[j] + (xi - F.values[j]) / dv * dq)
+    return np.array(out)
+
+
+def loop_inverse(F, u):
+    """Element-by-element reference for EmpiricalCDF.inverse."""
+    out = []
+    for ui in np.atleast_1d(np.asarray(u, dtype=np.float64)):
+        if ui <= F.levels[0]:
+            out.append(F.values[0])
+        elif ui >= F.levels[-1]:
+            out.append(F.values[-1])
+        else:
+            j = int(np.searchsorted(F.levels, ui, side="left"))
+            if F.kind == "step":
+                out.append(F.values[j])
+            else:
+                dq = F.levels[j] - F.levels[j - 1]
+                dv = F.values[j] - F.values[j - 1]
+                out.append(F.values[j - 1] + (ui - F.levels[j - 1]) / dq * dv)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("kind", ["linear", "step"])
+def test_vectorized_cdf_and_inverse_equal_loop_reference(kind):
+    rng = np.random.default_rng(606)
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        # a coarse grid makes repeated values (jumps) common
+        values = np.sort(rng.choice(np.round(rng.uniform(0.0, 40.0, size=5), 3), size=n))
+        levels = np.sort(rng.choice(np.arange(1, 100), size=n, replace=False)) / 100.0
+        levels[-1] = 1.0
+        F = EmpiricalCDF(values, levels, kind=kind)
+        xs = np.concatenate(
+            [values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf),
+             [values[0] - 1.0, values[-1] + 1.0], rng.uniform(values[0] - 2.0, values[-1] + 2.0, size=20)]
+        )
+        us = np.concatenate(
+            [levels, np.nextafter(levels, -np.inf), np.nextafter(levels, np.inf),
+             [0.0, 1.0, -0.5, 1.5], rng.uniform(0.0, 1.0, size=20)]
+        )
+        assert np.array_equal(F.inverse(us), loop_inverse(F, us))
+        if kind == "linear":
+            assert np.array_equal(F.cdf(xs), loop_cdf(F, xs))
+        for x in xs[:4]:
+            assert F.cdf(float(x)) == F.cdf(np.array([x]))[0]
+        for u in us[:4]:
+            assert F.inverse(float(u)) == loop_inverse(F, u)[0]
 
 
 def test_forecast_cdf_degenerate_point_mass():

@@ -7,6 +7,9 @@ from conftest import (
     random_tiny_instance,
     two_node_instance,
 )
+from math import comb
+
+from drtopt import tndfs
 from drtopt.data import Location, ODPair
 from drtopt.tndfs import (
     WALK_ROUTE,
@@ -26,6 +29,7 @@ from drtopt.tndfs import (
     stage2_utility,
     walk_time,
 )
+from reference_solver import reference_solve
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +266,39 @@ def test_solver_zero_flow_routes_never_reported_in_max_mode(rng):
             assert design.flows_stage2[(r.id, k)] > 0.0
 
 
+def _two_cluster_instance(rng, per_cluster=8):
+    """Two far-apart node clusters served by one loop, demand near 1e4 per pair.
+
+    In exact-route-count mode (two routes, two buses) every allocation that
+    pairs the loop with an unused second route ties exactly; their bounds
+    come from different columns of one matrix product, so they may differ in
+    the last bits.
+    """
+    stops = [Location(0, "s0", (0.0, 0.0)), Location(1, "s1", (3000.0, 0.0)), Location(2, "s2", (0.0, 3000.0))]
+    nodes = [
+        Location(c * per_cluster + i, f"n{c}{i}", (cx + 10.0 * i, 5.0 * i))
+        for c, cx in enumerate((0.0, 3000.0))
+        for i in range(per_cluster)
+    ]
+    ride = np.full((3, 3), 5.0)
+    np.fill_diagonal(ride, 1.0)
+    inst = NetworkInstance(
+        nodes, stops, 50.0, ride, fleet_size=2, capacity=1e9, max_routes=2,
+        max_route_stops=2, exact_route_count=True,
+    )
+    return inst, DemandVector({p: float(rng.uniform(5e3, 2e4)) for p in inst.od_pairs()})
+
+
+def test_solver_large_demand_tie_breaks_to_smallest_key():
+    rng = np.random.default_rng(0)
+    for _ in range(6):
+        inst, demand = _two_cluster_instance(rng)
+        design = solve_instance(inst, demand)
+        assert design.objective > 1e7
+        # the loop plus the least canonical unused route
+        assert design.key() == (((0,), 1), ((0, 1), 1))
+
+
 def test_solver_empty_candidate_set():
     inst = two_node_instance()
     inst._candidates = []
@@ -286,6 +323,69 @@ def test_solver_matches_oracle_on_seeded_tiny_instances():
             demand.rates,
         )
         checked += 1
+
+
+def _random_sweep_instance(rng):
+    """nu = 1..3 and K <= 3, capacity binding or not, either route-count mode."""
+    n_sites = int(rng.integers(3, 5))
+    coords = rng.uniform(0.0, 1500.0, size=(n_sites, 2))
+    sites = [Location(i, f"s{i}", (float(x), float(y))) for i, (x, y) in enumerate(coords)]
+    ride = rng.uniform(2.0, 20.0, size=(n_sites, n_sites))
+    np.fill_diagonal(ride, rng.uniform(1.0, 5.0))
+    K = int(rng.integers(1, 4))
+    instance = NetworkInstance(
+        demand_nodes=sites,
+        bus_stops=sites,
+        walk_speed=float(rng.uniform(30.0, 90.0)),
+        ride_time=ride,
+        fleet_size=K,
+        capacity=float(rng.uniform(0.3, 3.0)) if rng.random() < 0.5 else 1e6,
+        max_routes=int(rng.integers(1, K + 1)),
+        max_route_stops=int(rng.integers(1, 4)),
+        half_headway=bool(rng.integers(0, 2)),
+        exact_route_count=bool(rng.integers(0, 2)),
+    )
+    if rng.random() < 0.15:
+        return instance, DemandVector({})
+    rates = {p: float(rng.uniform(0.0, 30.0)) for p in instance.od_pairs() if rng.random() < 0.7}
+    return instance, DemandVector(rates)
+
+
+@pytest.mark.parametrize("cached", [True, False])
+def test_table_sweep_matches_reference_search(cached, monkeypatch):
+    if not cached:
+        # rebuild every chunk per scenario, in uneven chunks
+        monkeypatch.setattr(tndfs, "_TABLE_BYTES", 0)
+        monkeypatch.setattr(tndfs, "_CHUNK_CELLS", 97)
+    rng = np.random.default_rng(2024)
+    seen = set()
+    for _ in range(70):
+        inst, demand = _random_sweep_instance(rng)
+        prep = tndfs.prepare_instance(inst)
+        assert (prep.table is not None) == cached
+        design = solve_instance(inst, demand, prep)
+        reference = reference_solve(inst, demand, prep)
+        assert design.key() == reference.key(), (inst, demand.rates)
+        assert design.objective == pytest.approx(reference.objective, rel=1e-9, abs=1e-9)
+        check_design_invariants(inst, demand, design)
+        seen.add((inst.max_routes, inst.exact_route_count, not demand.rates))
+    assert {nu for nu, _, _ in seen} == {1, 2, 3}
+    assert any(exact for _, exact, _ in seen) and any(zero for _, _, zero in seen)
+
+
+def test_allocation_table_lists_every_allocation_in_key_order():
+    rng = np.random.default_rng(8)
+    for _ in range(12):
+        inst, _ = _random_sweep_instance(rng)
+        prep = tndfs.prepare_instance(inst)
+        routes = inst.candidate_routes
+        allocs = [tndfs._row_allocation(prep, row) for row in range(len(prep.row_routes))]
+        keys = [tndfs._assignment_key([(routes[cid].stops, k) for cid, k in a]) for a in allocs]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert all([cid for cid, _ in a] == sorted(cid for cid, _ in a) for a in allocs)
+        sizes = tndfs._allocation_sizes(inst)
+        assert len(allocs) == sum(comb(len(routes), s) * len(tndfs._bus_splits(s, inst.fleet_size)) for s in sizes)
+        assert {len(a) for a in allocs} <= set(sizes)
 
 
 def test_solver_matches_oracle_under_mode_switches():
@@ -377,6 +477,12 @@ def test_solve_repeatable_bitwise():
 def test_demand_vector_rejects_negative():
     with pytest.raises(ValueError, match="negative"):
         DemandVector({ODPair(0, 1): -1.0})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_demand_vector_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match=r"non-finite demand .* for ODPair\(origin=0, destination=1\)"):
+        DemandVector({ODPair(1, 0): 2.0, ODPair(0, 1): bad})
 
 
 def test_oracle_guards():
