@@ -19,7 +19,7 @@ import numpy as np
 from drtopt import forecasting, metrics, pipeline, synth
 from drtopt.boosting import GBoostHyper
 from drtopt.copula import export_correlation, fit_correlation
-from drtopt.data import campus_2017_split, CAMPUS_2017_EXAMS, save_od_counts
+from drtopt.data import CAMPUS_2017_EXAMS, campus_2017_split, counts_at, save_od_counts, train_series
 from drtopt.forecasting import ModelSpec
 from drtopt.tndfs import save_instance
 
@@ -66,22 +66,15 @@ def main(argv=None) -> int:
         [np.datetime64(f"2018-01-08T{h:02d}", "h") for h in range(args.hours[0], args.hours[1] + 1)]
     )
 
+    eval_lags = forecasting.evaluation_lags(dataset, split)
     model_forecasts = {}
     for name, mspec in model_specs(args.quick).items():
         t0 = time.time()
         model = forecasting.train_model(dataset, split, mspec)
         forecasting.save_model(model, out / f"model_{name}.json")
 
-        eval_lags = forecasting.evaluation_lags(dataset, split)
         forecasts = forecasting.predict_forecasts(model, dataset, split, eval_lags)
-        by_pair = {p: [] for p in dataset.pairs}
-        truths = {p: [] for p in dataset.pairs}
-        for lag in eval_lags:
-            for p in dataset.pairs:
-                by_pair[p].append(forecasts[np.datetime64(lag, "h")][p])
-                s = dataset.series[p]
-                truths[p].append(float(s.counts[np.searchsorted(s.timestamps, lag)]))
-        report = metrics.evaluate(by_pair, {p: np.array(v) for p, v in truths.items()}, model.levels)
+        report = metrics.evaluate_at(forecasts, dataset, model.pair_order, eval_lags, model.levels)
         metrics.report_csv(report, out / f"evaluation_{name}.csv", model.labels)
         print(metrics.report_table(report, name=name))
         print(f"  ({time.time() - t0:.1f}s to fit + score)")
@@ -90,21 +83,11 @@ def main(argv=None) -> int:
             np.datetime64(t, "h"): forecasts[np.datetime64(t, "h")] for t in lags
         }
 
-    history = {}
-    for p in dataset.pairs:
-        s = dataset.series[p]
-        keep = split.in_train(s.timestamps) & ~split.mask_array(s.timestamps)
-        history[p] = s.counts[keep].astype(float)
-    copula_model = fit_correlation(history)
+    copula_model = fit_correlation({p: train_series(dataset.series[p], split).values for p in dataset.pairs})
     export_correlation(copula_model, out / "correlation.csv", [l.label for l in dataset.locations])
 
-    truths_at = {}
-    for lag in lags:
-        per = {}
-        for p in dataset.pairs:
-            s = dataset.series[p]
-            per[p] = float(s.counts[np.searchsorted(s.timestamps, lag)])
-        truths_at[np.datetime64(lag, "h")] = per
+    observed = {p: counts_at(dataset.series[p], lags) for p in dataset.pairs}
+    truths_at = {lag: {p: float(c[i]) for p, c in observed.items()} for i, lag in enumerate(lags)}
 
     print(f"\ncomparing strategies over {len(lags)} lags with k={k} samples")
     t0 = time.time()

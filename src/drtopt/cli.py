@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__, config as config_mod, forecasting, metrics, pipeline, synth
 from .config import CONFIG_SCHEMA_VERSION, PipelineConfig, load_config
 from .copula import export_correlation, export_samples, fit_correlation, sample_joint
-from .data import ODPair, format_hour, load_od_counts, parse_hour, save_od_counts
+from .data import ODPair, counts_at, format_hour, load_od_counts, parse_hour, save_od_counts, train_series
 from .forecasting import MODEL_SCHEMA_VERSION
 from .tndfs import INSTANCE_SCHEMA_VERSION, load_instance, save_instance
 
@@ -45,20 +45,6 @@ def _version_text() -> str:
 # ---------------------------------------------------------------------------
 # Shared pipeline plumbing
 # ---------------------------------------------------------------------------
-
-
-def _load_everything(cfg: PipelineConfig):
-    dataset = load_od_counts(cfg.counts_csv)
-    return dataset
-
-
-def _fit_copula(cfg: PipelineConfig, dataset):
-    history = {}
-    for pair in dataset.pairs:
-        s = dataset.series[pair]
-        keep = cfg.split.in_train(s.timestamps) & ~cfg.split.mask_array(s.timestamps)
-        history[pair] = s.counts[keep].astype(float)
-    return fit_correlation(history, cfg.copula_min_lags)
 
 
 def _instance_pair_map(dataset, instance):
@@ -92,18 +78,9 @@ def _optimization_lags(cfg: PipelineConfig, dataset) -> np.ndarray:
     return forecasting.evaluation_lags(dataset, cfg.split)
 
 
-def _truths_at(dataset, lags, mapping):
-    truths = {}
-    for lag in lags:
-        per = {}
-        for data_pair, inst_pair in mapping.items():
-            s = dataset.series[data_pair]
-            idx = np.searchsorted(s.timestamps, lag)
-            if idx >= len(s) or s.timestamps[idx] != lag:
-                raise ValueError(f"no observation for {data_pair} at {format_hour(lag)}")
-            per[inst_pair] = float(s.counts[idx])
-        truths[np.datetime64(lag, "h")] = per
-    return truths
+def _fit_copula_mapped(cfg: PipelineConfig, dataset, mapping):
+    history = {inst: train_series(dataset.series[p], cfg.split).values for p, inst in mapping.items()}
+    return fit_correlation(history, cfg.copula_min_lags)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +117,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    dataset = _load_everything(cfg)
+    dataset = load_od_counts(cfg.counts_csv)
     spec = cfg.model
     if cfg.gboost_grid:
         best, scores = forecasting.gboost_grid_search(
@@ -161,7 +138,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     cfg = load_config(args.config)
-    dataset = _load_everything(cfg)
+    dataset = load_od_counts(cfg.counts_csv)
     model = forecasting.load_model(args.model)
     lags = _optimization_lags(cfg, dataset)
     forecasts = forecasting.predict_forecasts(model, dataset, cfg.split, lags)
@@ -174,22 +151,11 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
-    dataset = _load_everything(cfg)
+    dataset = load_od_counts(cfg.counts_csv)
     model = forecasting.load_model(args.model)
     lags = forecasting.evaluation_lags(dataset, cfg.split)
     forecasts = forecasting.predict_forecasts(model, dataset, cfg.split, lags)
-
-    by_pair: dict[ODPair, list] = {p: [] for p in model.pair_order}
-    truths: dict[ODPair, list] = {p: [] for p in model.pair_order}
-    for lag in lags:
-        for pair in model.pair_order:
-            by_pair[pair].append(forecasts[np.datetime64(lag, "h")][pair])
-            s = dataset.series[pair]
-            idx = np.searchsorted(s.timestamps, lag)
-            if idx >= len(s) or s.timestamps[idx] != lag:
-                raise ValueError(f"no observation for pair {pair} at {format_hour(lag)}")
-            truths[pair].append(float(s.counts[idx]))
-    report = metrics.evaluate(by_pair, {p: np.array(v) for p, v in truths.items()}, cfg.quantiles)
+    report = metrics.evaluate_at(forecasts, dataset, model.pair_order, lags, cfg.quantiles)
     out = Path(args.out) if args.out else cfg.output_dir / "evaluation.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     metrics.report_csv(report, out, model.labels)
@@ -201,8 +167,7 @@ def cmd_optimize(args) -> int:
     cfg = load_config(args.config)
     if cfg.network is None:
         raise ValueError("config.network: required for optimization")
-    threads = args.threads or cfg.threads
-    dataset = _load_everything(cfg)
+    dataset = load_od_counts(cfg.counts_csv)
     model = forecasting.load_model(args.model)
     instance = load_instance(cfg.network)
     mapping = _instance_pair_map(dataset, instance)
@@ -217,7 +182,7 @@ def cmd_optimize(args) -> int:
     for i, lag in enumerate(lags):
         seed = int(np.random.SeedSequence(cfg.seed, spawn_key=(i, 0)).generate_state(1)[0])
         result = pipeline.optimize_lag(
-            copula_model, forecasts[np.datetime64(lag, "h")], instance, cfg.k, seed, threads
+            copula_model, forecasts[np.datetime64(lag, "h")], instance, cfg.k, seed
         )
         if args.dump_samples:
             samples = sample_joint(copula_model, forecasts[np.datetime64(lag, "h")], cfg.k, seed)
@@ -234,20 +199,11 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def _fit_copula_mapped(cfg, dataset, mapping):
-    history = {}
-    for data_pair, inst_pair in sorted(mapping.items()):
-        s = dataset.series[data_pair]
-        keep = cfg.split.in_train(s.timestamps) & ~cfg.split.mask_array(s.timestamps)
-        history[inst_pair] = s.counts[keep].astype(float)
-    return fit_correlation(history, cfg.copula_min_lags)
-
-
 def cmd_pipeline(args) -> int:
     cfg = load_config(args.config)
     if cfg.network is None:
         raise ValueError("config.network: required for the comparison pipeline")
-    dataset = _load_everything(cfg)
+    dataset = load_od_counts(cfg.counts_csv)
     instance = load_instance(cfg.network)
     mapping = _instance_pair_map(dataset, instance)
     lags = _optimization_lags(cfg, dataset)
@@ -263,11 +219,9 @@ def cmd_pipeline(args) -> int:
             forecasting.predict_forecasts(model, dataset, cfg.split, lags), mapping
         )
 
-    truths = _truths_at(dataset, lags, mapping)
-    rows = pipeline.compare_strategies(
-        lags, model_forecasts, truths, instance, copula_model, cfg.k, cfg.seed,
-        args.threads or cfg.threads,
-    )
+    observed = {inst: counts_at(dataset.series[p], lags) for p, inst in mapping.items()}
+    truths = {lag: {p: float(c[i]) for p, c in observed.items()} for i, lag in enumerate(lags)}
+    rows = pipeline.compare_strategies(lags, model_forecasts, truths, instance, copula_model, cfg.k, cfg.seed)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     pipeline.comparison_to_csv(rows, cfg.output_dir / "comparison.csv")
     table = pipeline.comparison_table(rows)

@@ -87,15 +87,7 @@ def _parse_model(doc, path: str) -> ModelSpec:
         if not (isinstance(exam, list) and len(exam) == 2):
             raise ConfigError(f"{path}.exam_period", 'expected [start, end], null, or "campus-2017"')
         exam_period = tuple(_parse_date(d, f"{path}.exam_period") for d in exam)
-    gb = doc.get("gboost", {})
-    try:
-        hyper = GBoostHyper(
-            learning_rate=float(gb.get("learning_rate", 0.1)),
-            max_depth=int(gb.get("max_depth", 3)),
-            n_trees=int(gb.get("n_trees", 50)),
-        ).validate()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}.gboost", str(exc)) from None
+    hyper = _parse_hyper(doc.get("gboost", {}), f"{path}.gboost")
     try:
         return ModelSpec(
             family=doc.get("family", "linear"),
@@ -112,23 +104,22 @@ def _parse_model(doc, path: str) -> ModelSpec:
         raise ConfigError(path, str(exc)) from None
 
 
+def _parse_hyper(doc, path: str) -> GBoostHyper:
+    try:
+        return GBoostHyper(
+            learning_rate=float(doc.get("learning_rate", 0.1)),
+            max_depth=int(doc.get("max_depth", 3)),
+            n_trees=int(doc.get("n_trees", 50)),
+        ).validate()
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
 def _parse_grid(doc, path: str) -> tuple[GBoostHyper, ...]:
     points = doc.get("gboost_grid", [])
     if not isinstance(points, list):
         raise ConfigError(f"{path}.gboost_grid", "expected a list of hyperparameter objects")
-    grid = []
-    for i, point in enumerate(points):
-        try:
-            grid.append(
-                GBoostHyper(
-                    learning_rate=float(point.get("learning_rate", 0.1)),
-                    max_depth=int(point.get("max_depth", 3)),
-                    n_trees=int(point.get("n_trees", 50)),
-                ).validate()
-            )
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}.gboost_grid[{i}]", str(exc)) from None
-    return tuple(grid)
+    return tuple(_parse_hyper(point, f"{path}.gboost_grid[{i}]") for i, point in enumerate(points))
 
 
 def config_from_json_dict(doc: dict, base_dir: Path) -> PipelineConfig:

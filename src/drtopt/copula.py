@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .data import ODPair
+from .data import ODPair, pair_name
 from .qr import QuantileForecast
 
 log = logging.getLogger(__name__)
@@ -36,6 +36,8 @@ class EmpiricalCDF:
         self.levels = np.asarray(self.levels, dtype=np.float64)
         if len(self.values) != len(self.levels) or len(self.values) == 0:
             raise ValueError("values and levels must be non-empty and aligned")
+        if not (np.all(np.isfinite(self.values)) and np.all(np.isfinite(self.levels))):
+            raise ValueError(f"knots must be finite, got values {self.values.tolist()}")
         if np.any(np.diff(self.values) < 0):
             raise ValueError("knot values must be non-decreasing")
         if np.any(np.diff(self.levels) <= 0):
@@ -205,49 +207,28 @@ def sample_joint(
     u = stats.norm.cdf(z)
     out = np.empty((k, model.dim))
     for j, pair in enumerate(model.pair_order):
-        out[:, j] = ecdf_from_forecast(forecasts[pair]).inverse(u[:, j])
+        try:
+            marginal = ecdf_from_forecast(forecasts[pair])
+        except ValueError as exc:
+            raise ValueError(f"forecast for {pair}: {exc}") from None
+        out[:, j] = marginal.inverse(u[:, j])
     return out
-
-
-def update_correlation(
-    model: GaussianCopulaModel, history: dict[ODPair, np.ndarray], min_lags: int = 30
-) -> GaussianCopulaModel:
-    """Refresh the copula as new history accumulates.
-
-    The dependence structure is treated as time-invariant, so the supported
-    update path is a full refit on the extended history; the hook exists so
-    callers keep a single entry point.
-    """
-    if tuple(sorted(history)) != model.pair_order:
-        raise ValueError("updated history must cover exactly the fitted pairs")
-    return fit_correlation(history, min_lags)
 
 
 def export_samples(samples: np.ndarray, pair_order, path, labels=None) -> None:
     """Audit CSV of joint demand samples, one row per sample."""
-
-    def name(pair: ODPair) -> str:
-        if labels is None:
-            return f"{pair.origin}>{pair.destination}"
-        return f"{labels[pair.origin]}>{labels[pair.destination]}"
-
     samples = np.atleast_2d(samples)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["sample"] + [name(p) for p in pair_order])
+        writer.writerow(["sample"] + [pair_name(p, labels) for p in pair_order])
         for i, row in enumerate(samples):
             writer.writerow([i] + [f"{v:.10g}" for v in row])
 
 
 def export_correlation(model: GaussianCopulaModel, path, labels=None) -> None:
-    def name(pair: ODPair) -> str:
-        if labels is None:
-            return f"{pair.origin}>{pair.destination}"
-        return f"{labels[pair.origin]}>{labels[pair.destination]}"
-
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow([name(p) for p in model.pair_order])
+        writer.writerow([pair_name(p, labels) for p in model.pair_order])
         for row in model.corr:
             writer.writerow([f"{v:.12g}" for v in row])
 

@@ -73,6 +73,13 @@ class ODPair:
             raise ValueError(f"self-loop OD pair {self.origin}->{self.destination}")
 
 
+def pair_name(pair: ODPair, labels=None) -> str:
+    """`origin>destination` by location id, or by label when labels are given."""
+    if labels is None:
+        return f"{pair.origin}>{pair.destination}"
+    return f"{labels[pair.origin]}>{labels[pair.destination]}"
+
+
 @dataclass
 class ODCountSeries:
     """Observed hourly movement counts for one OD pair."""
@@ -262,12 +269,6 @@ class SplitSpec:
         if self.train_range[1] >= self.test_range[0]:
             raise ValueError("train range must precede test range")
 
-    def is_masked(self, ts: np.datetime64) -> bool:
-        if int(hour_of(ts)) in self.masked_hours:
-            return True
-        d = date_of(ts)
-        return any(a <= d <= b for a, b in self.masked_dates)
-
     def mask_array(self, timestamps: np.ndarray) -> np.ndarray:
         """Boolean array, True where the lag is masked out."""
         masked = np.isin(hour_of(timestamps), list(self.masked_hours))
@@ -306,6 +307,25 @@ def mask_lags(series, spec: SplitSpec):
     if isinstance(series, ODCountSeries):
         return ODCountSeries(series.pair, series.timestamps[keep], series.counts[keep])
     return HourlySeries(series.pair, series.timestamps[keep], series.values[keep])
+
+
+def train_series(series: ODCountSeries, spec: SplitSpec) -> ODCountSeries:
+    """The unmasked train-range lags of a count series; ordering preserved."""
+    keep = spec.in_train(series.timestamps) & ~spec.mask_array(series.timestamps)
+    return ODCountSeries(series.pair, series.timestamps[keep], series.counts[keep])
+
+
+def counts_at(series: ODCountSeries, lags) -> np.ndarray:
+    """Observed counts at the given hours, as float64.
+
+    Raises naming the pair and the first hour with no observation, so a gap
+    in the record is never read as the next hour's count.
+    """
+    lags = np.asarray(lags, dtype="datetime64[h]")
+    found = np.isin(lags, series.timestamps)
+    if not found.all():
+        raise ValueError(f"no observation for pair {series.pair} at {format_hour(lags[~found][0])}")
+    return series.counts[np.searchsorted(series.timestamps, lags)].astype(np.float64)
 
 
 # ---------------------------------------------------------------------------

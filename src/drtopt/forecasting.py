@@ -19,7 +19,6 @@ from .data import (
     HOUR,
     FeatureConfig,
     HourlySeries,
-    ODCountSeries,
     ODDataset,
     ODPair,
     SplitSpec,
@@ -29,6 +28,7 @@ from .data import (
     format_hour,
     mask_lags,
     parse_hour,
+    train_series,
 )
 
 log = logging.getLogger(__name__)
@@ -139,10 +139,7 @@ def train_model(
     if spec.family == "hp":
         models = {}
         for pair in pair_order:
-            raw = mask_lags(dataset.series[pair], split)
-            keep = split.in_train(raw.timestamps)
-            train = ODCountSeries(pair, raw.timestamps[keep], raw.counts[keep])
-            models[pair] = qr.fit_hp(train, levels)
+            models[pair] = qr.fit_hp(train_series(dataset.series[pair], split), levels)
         return TrainedDemandModel(spec, tuple(levels), labels, pair_order, None, models)
 
     histories = working_series(dataset, split, check_unit_root=True)

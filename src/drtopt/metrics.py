@@ -8,7 +8,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .data import ODPair
+from .data import ODDataset, ODPair, counts_at, pair_name
 from .qr import QuantileForecast, tilted_loss
 
 
@@ -107,17 +107,18 @@ def evaluate(
     )
 
 
-def report_csv(report: EvalReport, path, labels=None) -> None:
-    def name(pair: ODPair) -> str:
-        if labels is None:
-            return f"{pair.origin}>{pair.destination}"
-        return f"{labels[pair.origin]}>{labels[pair.destination]}"
+def evaluate_at(forecasts, dataset: ODDataset, pairs, lags, levels) -> EvalReport:
+    """Score per-lag forecasts of `pairs` against the counts observed at `lags`."""
+    by_pair = {p: [forecasts[np.datetime64(t, "h")][p] for t in lags] for p in pairs}
+    return evaluate(by_pair, {p: counts_at(dataset.series[p], lags) for p in pairs}, levels)
 
+
+def report_csv(report: EvalReport, path, labels=None) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["pair", "mtl", "icp", "mil", "crossings"])
         for pair, m in sorted(report.per_pair.items()):
-            writer.writerow([name(pair), f"{m.mtl:.6f}", f"{m.icp:.6f}", f"{m.mil:.6f}", m.crossings])
+            writer.writerow([pair_name(pair, labels), f"{m.mtl:.6f}", f"{m.icp:.6f}", f"{m.mil:.6f}", m.crossings])
         writer.writerow(["TOTAL_MTL", f"{report.total_mtl:.6f}", "", "", ""])
 
 

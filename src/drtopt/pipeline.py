@@ -170,9 +170,8 @@ def compare_strategies(
     copula_model: GaussianCopulaModel,
     k: int = 100,
     seed: int = 0,
-    threads: int = 1,
 ) -> list[ComparisonRow]:
-    """Hindsight vs sampling/median/upper-quantile designs; `threads` has no effect."""
+    """Hindsight vs sampling/median/upper-quantile designs, one row per (lag, model)."""
     prep = prepare_instance(instance)
     rows = []
     model_names = sorted(model_forecasts)
@@ -184,9 +183,7 @@ def compare_strategies(
             lag_seed = int(
                 np.random.SeedSequence(seed, spawn_key=(lag_idx, model_idx)).generate_state(1)[0]
             )
-            scenario = optimize_lag(
-                copula_model, forecasts, instance, k, lag_seed, threads, prep, lag
-            )
+            scenario = optimize_lag(copula_model, forecasts, instance, k, lag_seed, prepared=prep, lag=lag)
             median = optimize_point(forecasts, MEDIAN_LEVEL, instance, prep)
             robust = optimize_point(forecasts, ROBUST_LEVEL, instance, prep)
             keys = {"P": scenario.chosen_key, "M": median.key(), "R": robust.key()}

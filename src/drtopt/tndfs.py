@@ -226,18 +226,12 @@ class RouteDesign:
 
     def key(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """Canonical identity: the allocation only (flows vary per sample)."""
-        return tuple(sorted((r.stops, k) for r, k in self.allocation))
-
-    def indicators(self) -> dict[tuple[int, int], int]:
-        return {(rid, k): int(flow > 0) for (rid, k), flow in self.flows_stage2.items()}
+        return _assignment_key((r.stops, k) for r, k in self.allocation)
 
     def itinerary(self) -> str:
         if not self.allocation:
             return "(walking only)"
         return ", ".join(r.itinerary() for r, _ in self.allocation)
-
-    def buses_used(self) -> int:
-        return sum(k for _, k in self.allocation)
 
     def to_json_dict(self) -> dict:
         return {
@@ -262,7 +256,8 @@ class RouteDesign:
         }
 
 
-def _assignment_key(stops_k: list[tuple[tuple[int, ...], int]]):
+def _assignment_key(stops_k) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Allocation key from (stops, buses) pairs: sorted, so route order plays no part."""
     return tuple(sorted(stops_k))
 
 
@@ -509,28 +504,21 @@ def solve_instance(instance: NetworkInstance, demand: DemandVector, prepared: _P
         _, value[row] = assign_flows(w, lam[active], caps)
         best = max(best, value[row])
     row = int(np.argmax(value >= best - _tie_tol(best)))
-    return _design_for_allocation(prep, prep.pairs, lam, _row_allocation(prep, row), instance.candidate_routes)
+    return _design_for_allocation(prep, lam, _row_allocation(prep, row))
 
 
-def _design_for_allocation(
-    prep: _Prepared,
-    all_pairs: list[ODPair],
-    lam_all: np.ndarray,
-    alloc: tuple[tuple[int, int], ...],
-    routes: list[CandidateRoute],
-) -> RouteDesign:
+def _design_for_allocation(prep: _Prepared, lam_all: np.ndarray, alloc: tuple[tuple[int, int], ...]) -> RouteDesign:
     """Re-derive flows and the objective for a chosen allocation."""
-    r = len(alloc)
     flows1: dict[tuple[ODPair, int], float] = {}
     flows2: dict[tuple[int, int], float] = {}
-    if r == 0:
-        for pair, lam in zip(all_pairs, lam_all):
+    if not alloc:
+        for pair, lam in zip(prep.pairs, lam_all):
             flows1[(pair, WALK_ROUTE)] = float(lam)
         return RouteDesign((), flows1, flows2, 0.0)
 
     w, caps = _allocation_arcs(prep, alloc)
     x, obj = assign_flows(w, lam_all, caps)
-    for i, pair in enumerate(all_pairs):
+    for i, pair in enumerate(prep.pairs):
         routed = 0.0
         for j, (cid, _) in enumerate(alloc):
             if x[i, j] > 0:
@@ -539,6 +527,7 @@ def _design_for_allocation(
         flows1[(pair, WALK_ROUTE)] = float(max(lam_all[i] - routed, 0.0))
     for j, (cid, k) in enumerate(alloc):
         flows2[(cid, k)] = float(x[:, j].sum())
+    routes = prep.instance.candidate_routes
     ordered = tuple(sorted(((routes[cid], k) for cid, k in alloc), key=lambda rk: rk[0].stops))
     return RouteDesign(ordered, flows1, flows2, float(obj))
 
@@ -550,89 +539,7 @@ def evaluate_allocation(instance: NetworkInstance, allocation, demand: DemandVec
     by_stops = {r.stops: r.id for r in routes}
     alloc = tuple((by_stops[r.stops] if isinstance(r, CandidateRoute) else by_stops[tuple(r)], k) for r, k in allocation)
     lam_all = np.array([demand.get(p) for p in prep.pairs])
-    return _design_for_allocation(prep, prep.pairs, lam_all, alloc, routes)
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive oracle for tiny instances (test-only reference)
-# ---------------------------------------------------------------------------
-
-
-def _integer_splits(total: int, parts: int, step: int):
-    """All ways to split `total` into `parts` non-negative multiples of step."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(0, total + 1, step):
-        for rest in _integer_splits(total - first, parts - 1, step):
-            yield (first,) + rest
-
-
-def oracle_solve(instance: NetworkInstance, demand: DemandVector, grid_step: int = 1) -> RouteDesign:
-    """Brute force over allocations and integer-grid flow splits.
-
-    Guarded to tiny instances; demands must be integers.  Flow assignments are
-    enumerated directly, so this shares no search logic with solve_instance.
-    """
-    if len(instance.bus_stops) > 3 or instance.fleet_size > 2:
-        raise ValueError("oracle_solve is guarded to <= 3 stops and K <= 2")
-    nonzero = [(p, v) for p, v in sorted(demand.rates.items()) if v > 0]
-    if len(nonzero) > 2:
-        raise ValueError("oracle_solve is guarded to <= 2 OD pairs with demand")
-    if any(abs(v - round(v)) > 1e-9 for _, v in nonzero):
-        raise ValueError("oracle_solve needs integer demands")
-
-    routes = instance.candidate_routes
-    prep = prepare_instance(instance)
-    pair_index = {p: i for i, p in enumerate(prep.pairs)}
-
-    best_obj = -np.inf
-    best_key = None
-    best = None
-
-    sizes = _allocation_sizes(instance)
-    for size in sizes:
-        if size > len(routes):
-            continue
-        for combo in itertools.combinations(range(len(routes)), size):
-            for split in _bus_splits(size, instance.fleet_size):
-                caps = [prep.caps[cid, k - 1] for cid, k in zip(combo, split)]
-                ws = {
-                    p: [prep.beta1[pair_index[p], cid] + prep.beta2[cid, k - 1] for cid, k in zip(combo, split)]
-                    for p, _ in nonzero
-                }
-                per_pair_options = [
-                    list(_integer_splits(int(round(v)), size + 1, grid_step)) for _, v in nonzero
-                ]
-                for assignment in itertools.product(*per_pair_options):
-                    inflow = [0.0] * size
-                    obj = 0.0
-                    for (p, _), flows in zip(nonzero, assignment):
-                        for j in range(size):
-                            inflow[j] += flows[j]
-                            obj += ws[p][j] * flows[j]
-                    if any(inflow[j] > caps[j] + 1e-9 for j in range(size)):
-                        continue
-                    key = _assignment_key([(routes[cid].stops, k) for cid, k in zip(combo, split)])
-                    if obj > best_obj + 1e-9 or (abs(obj - best_obj) <= 1e-9 and (best_key is None or key < best_key)):
-                        best_obj = obj
-                        best_key = key
-                        best = (tuple(zip(combo, split)), assignment)
-
-    if best is None:
-        raise ValueError("oracle found no feasible allocation")
-    alloc, assignment = best
-    flows1: dict[tuple[ODPair, int], float] = {}
-    flows2: dict[tuple[int, int], float] = {}
-    for (p, v), flows in zip(nonzero, assignment):
-        for j, (cid, _) in enumerate(alloc):
-            if flows[j] > 0:
-                flows1[(p, cid)] = float(flows[j])
-        flows1[(p, WALK_ROUTE)] = float(flows[-1])
-    for j, (cid, k) in enumerate(alloc):
-        flows2[(cid, k)] = float(sum(flows[j] for flows in assignment))
-    ordered = tuple(sorted(((routes[cid], k) for cid, k in alloc), key=lambda rk: rk[0].stops))
-    return RouteDesign(ordered, flows1, flows2, float(best_obj))
+    return _design_for_allocation(prep, lam_all, alloc)
 
 
 # ---------------------------------------------------------------------------

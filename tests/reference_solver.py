@@ -1,9 +1,13 @@
-"""The three-branch exact search that `tndfs.solve_instance` replaced.
+"""Slow references for `tndfs.solve_instance`.
 
-Kept as a test reference: single routes are priced with one einsum, route
-pairs with a chunked array sweep, and larger route sets in a Python loop.
-Ties within the relative tolerance break toward the smallest allocation key,
-exactly as in the table sweep, so both must return the same design.
+`reference_solve` is the three-branch exact search that the table sweep
+replaced: single routes are priced with one einsum, route pairs with a
+chunked array sweep, and larger route sets in a Python loop.  Ties within the
+relative tolerance break toward the smallest allocation key, exactly as in
+the table sweep, so both must return the same design.
+
+`oracle_solve` brute-forces tiny instances over integer-grid flow splits and
+shares no search logic with either.
 """
 
 import itertools
@@ -11,6 +15,8 @@ import itertools
 import numpy as np
 
 from drtopt.tndfs import (
+    WALK_ROUTE,
+    RouteDesign,
     _allocation_sizes,
     _assignment_key,
     _bus_splits,
@@ -57,13 +63,13 @@ def reference_solve(instance, demand, prepared=None):
         # the smallest key, which is all-walking or (in exact mode) the
         # stops-minimal routes with one bus each
         if 0 in sizes:
-            return _design_for_allocation(prep, all_pairs, lam_all, (), routes)
+            return _design_for_allocation(prep, lam_all, ())
         size = instance.max_routes
         if size > C:
             raise ValueError("no feasible allocation (check max_routes vs candidate count)")
         by_stops = sorted(range(C), key=lambda cid: routes[cid].stops)
         alloc = tuple((cid, 1) for cid in sorted(by_stops[:size]))
-        return _design_for_allocation(prep, all_pairs, lam_all, alloc, routes)
+        return _design_for_allocation(prep, lam_all, alloc)
 
     if 1 in sizes and C > 0:
         # (n_active, C, K) net utilities, vectorized over single-route allocations
@@ -118,7 +124,7 @@ def reference_solve(instance, demand, prepared=None):
     if best_alloc is None:
         raise ValueError("no feasible allocation (check max_routes vs candidate count)")
 
-    return _design_for_allocation(prep, all_pairs, lam_all, best_alloc, routes)
+    return _design_for_allocation(prep, lam_all, best_alloc)
 
 
 def _scan_route_pairs(prep, lam, beta1, splits, consider, current_best):
@@ -163,3 +169,79 @@ def _scan_route_pairs(prep, lam, beta1, splits, consider, current_best):
                 caps = np.array([prep.caps[cid_i, k1 - 1], prep.caps[cid_j, k2 - 1]])
                 _, obj = assign_flows(w, lam, caps)
                 consider(float(obj), ((cid_i, k1), (cid_j, k2)))
+
+
+def _integer_splits(total: int, parts: int, step: int):
+    """All ways to split `total` into `parts` non-negative multiples of step."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(0, total + 1, step):
+        for rest in _integer_splits(total - first, parts - 1, step):
+            yield (first,) + rest
+
+
+def oracle_solve(instance, demand, grid_step=1) -> RouteDesign:
+    """Brute force over allocations and integer-grid flow splits.
+
+    Guarded to tiny instances; demands must be integers.  Flow assignments are
+    enumerated directly, so this shares no search logic with solve_instance.
+    """
+    if len(instance.bus_stops) > 3 or instance.fleet_size > 2:
+        raise ValueError("oracle_solve is guarded to <= 3 stops and K <= 2")
+    nonzero = [(p, v) for p, v in sorted(demand.rates.items()) if v > 0]
+    if len(nonzero) > 2:
+        raise ValueError("oracle_solve is guarded to <= 2 OD pairs with demand")
+    if any(abs(v - round(v)) > 1e-9 for _, v in nonzero):
+        raise ValueError("oracle_solve needs integer demands")
+
+    routes = instance.candidate_routes
+    prep = prepare_instance(instance)
+    pair_index = {p: i for i, p in enumerate(prep.pairs)}
+
+    best_obj = -np.inf
+    best_key = None
+    best = None
+
+    sizes = _allocation_sizes(instance)
+    for size in sizes:
+        if size > len(routes):
+            continue
+        for combo in itertools.combinations(range(len(routes)), size):
+            for split in _bus_splits(size, instance.fleet_size):
+                caps = [prep.caps[cid, k - 1] for cid, k in zip(combo, split)]
+                ws = {
+                    p: [prep.beta1[pair_index[p], cid] + prep.beta2[cid, k - 1] for cid, k in zip(combo, split)]
+                    for p, _ in nonzero
+                }
+                per_pair_options = [
+                    list(_integer_splits(int(round(v)), size + 1, grid_step)) for _, v in nonzero
+                ]
+                for assignment in itertools.product(*per_pair_options):
+                    inflow = [0.0] * size
+                    obj = 0.0
+                    for (p, _), flows in zip(nonzero, assignment):
+                        for j in range(size):
+                            inflow[j] += flows[j]
+                            obj += ws[p][j] * flows[j]
+                    if any(inflow[j] > caps[j] + 1e-9 for j in range(size)):
+                        continue
+                    key = _assignment_key([(routes[cid].stops, k) for cid, k in zip(combo, split)])
+                    if obj > best_obj + 1e-9 or (abs(obj - best_obj) <= 1e-9 and (best_key is None or key < best_key)):
+                        best_obj = obj
+                        best_key = key
+                        best = (tuple(zip(combo, split)), assignment)
+
+    if best is None:
+        raise ValueError("oracle found no feasible allocation")
+    alloc, assignment = best
+    flows1, flows2 = {}, {}
+    for (p, v), flows in zip(nonzero, assignment):
+        for j, (cid, _) in enumerate(alloc):
+            if flows[j] > 0:
+                flows1[(p, cid)] = float(flows[j])
+        flows1[(p, WALK_ROUTE)] = float(flows[-1])
+    for j, (cid, k) in enumerate(alloc):
+        flows2[(cid, k)] = float(sum(flows[j] for flows in assignment))
+    ordered = tuple(sorted(((routes[cid], k) for cid, k in alloc), key=lambda rk: rk[0].stops))
+    return RouteDesign(ordered, flows1, flows2, float(best_obj))

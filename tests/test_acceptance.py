@@ -31,10 +31,10 @@ from drtopt.tndfs import (
     NetworkInstance,
     enumerate_routes,
     evaluate_allocation,
-    oracle_solve,
     prepare_instance,
     solve_instance,
 )
+from reference_solver import oracle_solve
 
 T0 = parse_hour("2018-01-08T08")
 

@@ -90,6 +90,15 @@ def test_config_validation_paths(tmp_path):
     bad.write_text(json.dumps({"seed": 1, "data": {"counts_csv": "x"}, "model": {"family": "magic"}}))
     with pytest.raises(ConfigError, match="config.model"):
         load_config(bad)
+    for model, path in (
+        ({"family": "gboost", "gboost": {"max_depth": 9}}, r"config\.model\.gboost:"),
+        ({"family": "gboost", "gboost": [3]}, r"config\.model\.gboost:"),
+        ({"family": "gboost", "gboost_grid": [{"n_trees": 5}, {"learning_rate": 2}]}, r"config\.model\.gboost_grid\[1\]"),
+        ({"family": "gboost", "gboost_grid": [{"n_trees": 5}, "fast"]}, r"config\.model\.gboost_grid\[1\]"),
+    ):
+        bad.write_text(json.dumps({"seed": 1, "data": {"counts_csv": "x"}, "model": model}))
+        with pytest.raises(ConfigError, match=path):
+            load_config(bad)
     bad.write_text(json.dumps({"seed": 1, "data": {"counts_csv": "x"}, "optimize": {"k": 0}}))
     with pytest.raises(ConfigError, match="config.optimize.k"):
         load_config(bad)

@@ -13,7 +13,6 @@ from drtopt.copula import (
     import_correlation,
     repair_correlation,
     sample_joint,
-    update_correlation,
 )
 from drtopt.data import ODPair, parse_hour
 from drtopt.qr import DEFAULT_QUANTILES, QuantileForecast
@@ -148,6 +147,28 @@ def test_forecast_cdf_requires_all_levels_monotone():
         ecdf_from_forecast({0.05: 5.0, 0.5: 3.0, 0.95: 6.0})
 
 
+NON_FINITE = {
+    "nan": {0.05: 1.0, 0.5: float("nan"), 0.95: 9.0},
+    "inf": {0.05: 1.0, 0.5: 4.0, 0.95: float("inf")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_forecast_cdf_rejects_non_finite_quantiles(case):
+    with pytest.raises(ValueError, match="finite"):
+        ecdf_from_forecast(NON_FINITE[case])
+    with pytest.raises(ValueError, match="finite"):
+        EmpiricalCDF([0.0, NON_FINITE[case][0.5], NON_FINITE[case][0.95]], [0.0, 0.5, 1.0])
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_sample_names_pair_with_non_finite_forecast(case):
+    model, pairs = identity_model()
+    forecasts = {pairs[0]: make_fc(FORECAST, pairs[0]), pairs[1]: make_fc(NON_FINITE[case], pairs[1])}
+    with pytest.raises(ValueError, match=r"forecast for ODPair\(origin=1, destination=0\): knots must be finite"):
+        sample_joint(model, forecasts, 10, seed=0)
+
+
 def test_history_cdf_step():
     F = ecdf_from_history([3, 1, 3, 7])
     assert F.kind == "step"
@@ -223,18 +244,6 @@ def test_repair_clips_negative_eigenvalues():
     assert np.linalg.eigvalsh(fixed).min() >= 1e-8 - 1e-12
     assert np.allclose(np.diag(fixed), 1.0)
     np.linalg.cholesky(fixed)
-
-
-def test_update_correlation_refits(rng):
-    a = rng.poisson(20, 200).astype(float)
-    b = rng.poisson(20, 200).astype(float)
-    model = fit_correlation({ODPair(0, 1): a, ODPair(1, 0): b})
-    longer = {ODPair(0, 1): np.concatenate([a, 2 * b]), ODPair(1, 0): np.concatenate([b, 2 * b])}
-    updated = update_correlation(model, longer)
-    assert updated.pair_order == model.pair_order
-    assert updated.corr[0, 1] > model.corr[0, 1]  # appended comonotone block
-    with pytest.raises(ValueError, match="exactly the fitted pairs"):
-        update_correlation(model, {ODPair(0, 1): a})
 
 
 def test_export_samples_csv(tmp_path, rng):

@@ -13,11 +13,14 @@ from drtopt.data import (
     build_features,
     campus_2017_split,
     contiguous_blocks,
+    counts_at,
     difference,
     load_od_counts,
     mask_lags,
     parse_hour,
+    pair_name,
     save_od_counts,
+    train_series,
     undifference,
 )
 
@@ -192,6 +195,42 @@ def test_campus_defaults_per_day_counts():
     for d in np.unique(ts.astype("datetime64[D]")):
         expected = 0 if holiday[0] <= d <= holiday[1] else 16
         assert per_day.get(d, 0) == expected
+
+
+def test_train_series_is_masking_then_train_range():
+    spec = campus_2017_split()
+    ts = parse_hour("2018-01-06T00") + np.arange(4 * 24).astype("timedelta64[h]")
+    s = ODCountSeries(ODPair(2, 1), ts, np.arange(len(ts)))
+    masked = mask_lags(s, spec)
+    keep = spec.in_train(masked.timestamps)
+    train = train_series(s, spec)
+    assert train.pair == ODPair(2, 1)
+    assert np.array_equal(train.timestamps, masked.timestamps[keep])
+    assert np.array_equal(train.counts, masked.counts[keep])
+    assert len(train) == 2 * 16  # Jan 6 and 7 by day; Jan 8 on is test range
+
+
+def test_counts_at_returns_exact_counts():
+    s = series("2018-01-08T07", [5, 0, 12, 3, 9])
+    lags = parse_hour("2018-01-08T07") + np.array([3, 0, 4, 2]).astype("timedelta64[h]")
+    got = counts_at(s, lags)
+    assert got.dtype == np.float64
+    assert got.tolist() == [3.0, 5.0, 9.0, 12.0]
+
+
+def test_counts_at_raises_on_a_gap_naming_pair_and_hour():
+    ts = hourly("2018-01-08T07", range(6))
+    s = ODCountSeries(ODPair(3, 1), np.delete(ts, 2), [5, 0, 3, 9, 4])  # no 09:00
+    assert counts_at(s, ts[[0, 1, 3]]).tolist() == [5.0, 0.0, 3.0]
+    with pytest.raises(ValueError, match=r"ODPair\(origin=3, destination=1\) at 2018-01-08T09"):
+        counts_at(s, ts[1:4])
+    with pytest.raises(ValueError, match="2018-01-08T13"):
+        counts_at(s, [parse_hour("2018-01-08T13")])  # after the last observation
+
+
+def test_pair_name_by_id_and_by_label():
+    assert pair_name(ODPair(2, 0)) == "2>0"
+    assert pair_name(ODPair(2, 0), ["gym", "lib", "dorm"]) == "dorm>gym"
 
 
 def test_split_ranges_lengths():

@@ -166,7 +166,8 @@ def test_capacity_cliff_splits_median_from_worst_case():
     # capacity while the median does not, so the median strategy keeps A and
     # the worst-case strategy switches to B.  Verified against the oracle.
     from drtopt.data import Location
-    from drtopt.tndfs import DemandVector, NetworkInstance, oracle_solve, solve_instance
+    from drtopt.tndfs import DemandVector, NetworkInstance, solve_instance
+    from reference_solver import oracle_solve
 
     S0 = Location(0, "s0", (0.0, 0.0))
     S1 = Location(1, "s1", (2000.0, 0.0))

@@ -22,14 +22,13 @@ from drtopt.tndfs import (
     evaluate_allocation,
     instance_from_json_dict,
     instance_to_json_dict,
-    oracle_solve,
     route_capacity,
     solve_instance,
     stage1_utility,
     stage2_utility,
     walk_time,
 )
-from reference_solver import reference_solve
+from reference_solver import oracle_solve, reference_solve
 
 
 # ---------------------------------------------------------------------------
