@@ -153,6 +153,11 @@ def cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
     dataset = load_od_counts(cfg.counts_csv)
     model = forecasting.load_model(args.model)
+    missing = [q for q in cfg.quantiles if q not in model.levels]
+    if missing:
+        raise ValueError(
+            f"config.quantiles: levels {missing} are not in model {args.model} (trained on {list(model.levels)})"
+        )
     lags = forecasting.evaluation_lags(dataset, cfg.split)
     forecasts = forecasting.predict_forecasts(model, dataset, cfg.split, lags)
     report = metrics.evaluate_at(forecasts, dataset, model.pair_order, lags, cfg.quantiles)

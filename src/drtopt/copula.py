@@ -136,18 +136,30 @@ def gaussian_scores(column: np.ndarray) -> np.ndarray:
 
 
 def repair_correlation(corr: np.ndarray, min_eig: float = MIN_EIGENVALUE) -> np.ndarray:
-    """Clip eigenvalues and renormalize the diagonal until positive definite."""
+    """Clip eigenvalues and renormalize the diagonal until positive definite.
+
+    A repair logs one warning with the smallest eigenvalue of the input and
+    the largest absolute change of an entry.
+    """
     out = (corr + corr.T) / 2.0
+    eigval, eigvec = np.linalg.eigh(out)
+    smallest = eigval.min()
     for _ in range(100):
-        eigval, eigvec = np.linalg.eigh(out)
         if eigval.min() >= min_eig:
             np.fill_diagonal(out, 1.0)
+            if smallest < min_eig:
+                log.warning(
+                    "repaired correlation matrix: smallest eigenvalue %.6g before repair, largest entry change %.6g",
+                    smallest,
+                    np.max(np.abs(out - corr)),
+                )
             return out
         eigval = np.maximum(eigval, min_eig)
         out = (eigvec * eigval) @ eigvec.T
         d = np.sqrt(np.diag(out))
         out = out / np.outer(d, d)
         out = (out + out.T) / 2.0
+        eigval, eigvec = np.linalg.eigh(out)
     raise ValueError("could not repair correlation matrix to positive definite")
 
 

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize import linprog
 
 from .data import FeatureConfig, HourlySeries, ODCountSeries, ODPair, hour_of, weekday_of
@@ -128,21 +127,20 @@ class LinearQRModel:
     feature_cfg: FeatureConfig | None = None
 
 
-def _solve_pinball_lp(X: np.ndarray, y: np.ndarray, q: float) -> tuple[np.ndarray, bool]:
-    """Exact pinball-loss minimization as an LP: min q*u + (1-q)*v, Xb + u - v = y."""
-    n, p = X.shape
-    A = sparse.hstack(
-        [sparse.csr_matrix(X), sparse.identity(n, format="csr"), -sparse.identity(n, format="csr")],
-        format="csc",
-    )
-    c = np.concatenate([np.zeros(p), np.full(n, q / n), np.full(n, (1.0 - q) / n)])
-    bounds = [(None, None)] * p + [(0, None)] * (2 * n)
-    res = linprog(c, A_eq=A, b_eq=y, bounds=bounds, method="highs")
+def _solve_pinball_lp(XT: np.ndarray, col_sums: np.ndarray, y: np.ndarray, q: float) -> tuple[np.ndarray, bool]:
+    """Exact pinball-loss minimization through the dual LP.
+
+    Koenker & Bassett (1978): max y'a subject to X'a = (1-q) X'1 and
+    0 <= a <= 1.  Its n variables and p equality rows are far smaller than
+    the primal's p + 2n variables and n rows, and the coefficients are the
+    negated equality marginals.  XT is X transposed and col_sums is X'1.
+    """
+    res = linprog(-y, A_eq=XT, b_eq=(1.0 - q) * col_sums, bounds=(0.0, 1.0), method="highs")
     if res.x is None:
         raise RuntimeError(f"quantile LP failed at q={q}: {res.message}")
     if res.status != 0:
         log.warning("quantile LP did not converge cleanly at q=%s: %s", q, res.message)
-    return res.x[:p].copy(), res.status == 0
+    return -res.eqlin.marginals, res.status == 0
 
 
 def fit_lqr(
@@ -155,7 +153,9 @@ def fit_lqr(
 ) -> LinearQRModel:
     """Fit one coefficient vector per quantile level by exact LP.
 
-    Requires at least twice as many rows as features and finite inputs.
+    Requires at least twice as many rows as features and finite inputs.  The
+    pinball loss of each fit is the minimum; the coefficients are one of the
+    minimizers when X is rank-deficient or the optimum is degenerate.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -165,9 +165,10 @@ def fit_lqr(
         raise ValueError("non-finite values in training data")
     if len(X) < 2 * X.shape[1]:
         raise ValueError(f"need >= {2 * X.shape[1]} rows to fit {X.shape[1]} features, got {len(X)}")
+    XT, col_sums = X.T, X.sum(axis=0)
     coef, converged = {}, {}
     for q in levels:
-        beta, ok = _solve_pinball_lp(X, y, float(q))
+        beta, ok = _solve_pinball_lp(XT, col_sums, y, float(q))
         coef[float(q)] = beta
         converged[float(q)] = ok
     return LinearQRModel(tuple(float(q) for q in levels), coef, sort_quantiles, converged, feature_cfg)

@@ -107,6 +107,12 @@ class NetworkInstance:
 
     def __post_init__(self):
         self.ride_time = np.asarray(self.ride_time, dtype=np.float64)
+        for name in ("capacity", "walk_speed", "dwell_time"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not np.all(np.isfinite(self.ride_time)):
+            i, j = np.argwhere(~np.isfinite(self.ride_time))[0]
+            raise ValueError(f"ride_time[{i}][{j}] must be finite, got {self.ride_time[i, j]}")
         if self.fleet_size < 1:
             raise ValueError("fleet size must be >= 1")
         if self.capacity <= 0:

@@ -79,6 +79,24 @@ def test_missing_config_reports_error(tmp_path):
     assert run("train", "--config", tmp_path / "nope.json") == 2
 
 
+def test_evaluate_rejects_levels_the_model_lacks(tmp_path, capsys, caplog):
+    out = make_workspace(tmp_path)
+    cfg_path = out / "config.json"
+    assert run("train", "--config", cfg_path) == 0
+    model = out / "out" / "model.json"
+    doc = json.loads(cfg_path.read_text())
+    doc["quantiles"] = [0.05, 0.5, 0.95]  # a subset of the trained levels scores
+    cfg_path.write_text(json.dumps(doc))
+    assert run("evaluate", "--config", cfg_path, "--model", model) == 0
+    assert "Total MTL" in capsys.readouterr().out
+    doc["quantiles"] = [0.1, 0.5, 0.9]
+    cfg_path.write_text(json.dumps(doc))
+    caplog.clear()
+    assert run("evaluate", "--config", cfg_path, "--model", model) == 2
+    assert "levels [0.1, 0.9] are not in model" in caplog.text
+    assert str(model) in caplog.text
+
+
 def test_config_validation_paths(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"seed": "tomorrow", "data": {"counts_csv": "x.csv"}}))

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -244,6 +246,28 @@ def test_repair_clips_negative_eigenvalues():
     assert np.linalg.eigvalsh(fixed).min() >= 1e-8 - 1e-12
     assert np.allclose(np.diag(fixed), 1.0)
     np.linalg.cholesky(fixed)
+
+
+def test_repair_logs_what_it_changed(caplog):
+    bad = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
+    with caplog.at_level(logging.INFO, logger="drtopt.copula"):
+        fixed = repair_correlation(bad)
+    [record] = caplog.records
+    assert record.levelno == logging.WARNING
+    smallest = np.linalg.eigvalsh(bad).min()
+    change = np.max(np.abs(fixed - bad))
+    assert record.getMessage() == (
+        f"repaired correlation matrix: smallest eigenvalue {smallest:.6g} before repair, "
+        f"largest entry change {change:.6g}"
+    )
+
+
+def test_repair_is_silent_on_a_valid_matrix(caplog):
+    good = np.array([[1.0, 0.3, -0.2], [0.3, 1.0, 0.1], [-0.2, 0.1, 1.0]])
+    with caplog.at_level(logging.INFO, logger="drtopt.copula"):
+        fixed = repair_correlation(good)
+    assert caplog.records == []
+    assert np.array_equal(fixed, good)
 
 
 def test_export_samples_csv(tmp_path, rng):

@@ -18,6 +18,7 @@ from drtopt.qr import (
     tilted_loss,
 )
 from drtopt.data import HourlySeries, ODCountSeries
+from reference_qr import reference_pinball_lp
 
 PAIR = ODPair(0, 1)
 
@@ -177,6 +178,66 @@ def test_lqr_deterministic(rng):
     b = fit_lqr(X, y, (0.25, 0.75))
     for q in (0.25, 0.75):
         assert np.array_equal(a.coef[q], b.coef[q])
+
+
+def lqr_design(rng, n, kind):
+    """A constant column plus either continuous features or a full one-hot.
+
+    The one-hot spans the constant, so "onehot" is rank-deficient by one, as
+    the hour-of-day block of the real feature layout is.
+    """
+    if kind == "continuous":
+        return np.column_stack([np.ones(n), rng.normal(size=(n, 5))])
+    hour = rng.integers(0, 6, size=n)
+    return np.column_stack([np.ones(n), np.eye(6)[hour], rng.normal(size=n)])
+
+
+def lqr_fixture(seed, n, kind):
+    rng = np.random.default_rng(seed)
+    X = lqr_design(rng, n, kind)
+    # integer counts differenced, as the pipeline fits them: ties are common
+    y = X[:, -1] + rng.poisson(4.0, size=n) - rng.poisson(4.0, size=n)
+    return X, y.astype(np.float64)
+
+
+@pytest.mark.parametrize("n", [100, 103], ids=["nq-integral", "nq-non-integral"])
+@pytest.mark.parametrize("kind", ["continuous", "onehot"])
+def test_dual_fit_loss_equals_primal_reference(kind, n):
+    for seed in range(4):
+        X, y = lqr_fixture(seed, n, kind)
+        model = fit_lqr(X, y, DEFAULT_QUANTILES, sort_quantiles=False)
+        for q in DEFAULT_QUANTILES:
+            assert model.converged[q]
+            dual_loss = np.mean(tilted_loss(q, y, X @ model.coef[q]))
+            primal_loss = np.mean(tilted_loss(q, y, X @ reference_pinball_lp(X, y, q)))
+            assert dual_loss == pytest.approx(primal_loss, rel=1e-9)
+
+
+def test_dual_fit_coefficients_equal_primal_reference_where_unique():
+    # continuous X and y with n*q never integral: the minimizer is unique
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        X = lqr_design(rng, 103, "continuous")
+        y = X @ rng.normal(size=X.shape[1]) + rng.standard_normal(103) * (1.0 + np.abs(X[:, 1]))
+        model = fit_lqr(X, y, DEFAULT_QUANTILES)
+        for q in DEFAULT_QUANTILES:
+            assert np.allclose(model.coef[q], reference_pinball_lp(X, y, q), rtol=1e-7, atol=1e-7)
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(60, 160),
+    st.sampled_from(["continuous", "onehot"]),
+    st.sampled_from(DEFAULT_QUANTILES),
+)
+def test_dual_fit_meets_the_quantile_optimality_condition(seed, n, kind, q):
+    # the design spans the constant, so shifting the fit is feasible: at an
+    # optimum at most q*n rows lie strictly below it and (1-q)*n strictly above
+    X, y = lqr_fixture(seed, n, kind)
+    resid = y - X @ fit_lqr(X, y, (q,)).coef[q]
+    assert np.sum(resid < -1e-7) <= q * n + 1e-9  # slack for q*n rounding below an integer
+    assert np.sum(resid > 1e-7) <= (1.0 - q) * n + 1e-9
 
 
 def make_zero_model(p=3, sort=True):

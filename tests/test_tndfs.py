@@ -517,6 +517,23 @@ def test_instance_json_missing_field():
         instance_from_json_dict({"locations": []})
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("capacity", float("nan"), "capacity must be finite"),
+        ("walk_speed", float("nan"), "walk_speed must be finite"),
+        ("dwell_time", float("inf"), "dwell_time must be finite"),
+        ("dwell_time", float("-inf"), "dwell_time must be finite"),
+        ("ride_time", [[1.0, 2.0], [float("nan"), 1.0]], r"ride_time\[1\]\[0\] must be finite"),
+    ],
+)
+def test_instance_rejects_non_finite_fields(field, value, message):
+    doc = instance_to_json_dict(two_node_instance())
+    doc[field] = value
+    with pytest.raises(ValueError, match=message):
+        instance_from_json_dict(doc)
+
+
 def test_design_json_dict():
     inst = two_node_instance()
     design = solve_instance(inst, DemandVector({ODPair(0, 1): 5.0}))
