@@ -362,15 +362,22 @@ def _tree_doc(node: boosting.TreeNode) -> dict:
     }
 
 
-def _tree_from_doc(doc: dict) -> boosting.TreeNode:
+def _tree_from_doc(doc: dict, owner: str) -> boosting.TreeNode:
     if "value" in doc:
-        return boosting.TreeNode(value=float(doc["value"]))
+        return boosting.TreeNode(value=_finite(float(doc["value"]), owner, "tree value"))
     return boosting.TreeNode(
         feature=int(doc["feature"]),
-        threshold=float(doc["threshold"]),
-        left=_tree_from_doc(doc["left"]),
-        right=_tree_from_doc(doc["right"]),
+        threshold=_finite(float(doc["threshold"]), owner, "tree threshold"),
+        left=_tree_from_doc(doc["left"], owner),
+        right=_tree_from_doc(doc["right"], owner),
     )
+
+
+def _finite(value, owner: str, field: str):
+    """`value` (a number or an array), unless any of it is NaN or infinite."""
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"model {owner}: non-finite {field}")
+    return value
 
 
 def _inner_doc(family: str, model) -> dict:
@@ -397,7 +404,7 @@ def _inner_doc(family: str, model) -> dict:
     }
 
 
-def _inner_from_doc(family: str, doc: dict, pair, levels, spec: ModelSpec, cfg):
+def _inner_from_doc(family: str, doc: dict, name: str, pair, levels, spec: ModelSpec, cfg):
     if family == "hp":
         buckets = {
             (b["dow"], b["tod"]): (
@@ -408,11 +415,12 @@ def _inner_from_doc(family: str, doc: dict, pair, levels, spec: ModelSpec, cfg):
         }
         return qr.HPModel(pair, levels, buckets)
     if family == "linear":
-        coef = {float(q): np.array(v) for q, v in doc["coef"].items()}
+        coef = {float(q): _finite(np.array(v, dtype=np.float64), f"{name}, level {q}", "coef")
+                for q, v in doc["coef"].items()}
         converged = {float(q): bool(v) for q, v in doc["converged"].items()}
         return qr.LinearQRModel(levels, coef, spec.sort_quantiles, converged, cfg)
-    init = {float(q): float(v) for q, v in doc["init"].items()}
-    trees = {float(q): [_tree_from_doc(t) for t in ts] for q, ts in doc["trees"].items()}
+    init = {float(q): _finite(float(v), f"{name}, level {q}", "init") for q, v in doc["init"].items()}
+    trees = {float(q): [_tree_from_doc(t, f"{name}, level {q}") for t in ts] for q, ts in doc["trees"].items()}
     return boosting.GBoostQRModel(levels, spec.gboost, init, trees, spec.sort_quantiles, cfg)
 
 
@@ -458,13 +466,16 @@ def model_from_json_dict(doc: dict) -> TrainedDemandModel:
             o, d = name.split(">")
             key = ODPair(index[o], index[d])
             pair = key
-        models[key] = _inner_from_doc(spec.family, inner_doc, pair, levels, spec, cfg)
+        models[key] = _inner_from_doc(spec.family, inner_doc, name, pair, levels, spec, cfg)
 
     seasonal = {}
     for name, sdoc in doc.get("seasonal", {}).items():
         o, d = name.split(">")
-        mean = {(c["dow"], c["tod"]): float(c["mean"]) for c in sdoc["cells"]}
-        std = {(c["dow"], c["tod"]): float(c["std"]) for c in sdoc["cells"]}
+        mean, std = {}, {}
+        for c in sdoc["cells"]:
+            where = f"seasonal {name}, cell (dow {c['dow']}, hour {c['tod']})"
+            mean[(c["dow"], c["tod"])] = _finite(float(c["mean"]), where, "mean")
+            std[(c["dow"], c["tod"])] = _finite(float(c["std"]), where, "std")
         seasonal[ODPair(index[o], index[d])] = qr.SeasonalStats(mean, std)
     return TrainedDemandModel(spec, levels, labels, pair_order, cfg, models, seasonal)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import logging
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +23,13 @@ from .tndfs import (
     NetworkInstance,
     RouteDesign,
     _Prepared,
-    evaluate_allocation,
+    allocation_value,
+    check_demand,
+    evaluate_allocation,  # not called here; the benchmark traces it under this module's name
     prepare_instance,
+    row_design,
+    row_key,
+    solve_demand,
     solve_instance,
 )
 
@@ -44,23 +50,12 @@ class ScenarioResult:
     chosen_expected_savings: float  # chosen allocation re-evaluated on every sample
 
 
-def _demand_from_row(pairs, row) -> DemandVector:
-    return DemandVector({p: float(v) for p, v in zip(pairs, row)})
-
-
 def pick_mode(keys: list[AllocationKey], objectives: np.ndarray) -> AllocationKey:
     """Most frequent key; ties break to higher mean objective, then lexicographic."""
-    histogram: dict[AllocationKey, int] = {}
-    for key in keys:
-        histogram[key] = histogram.get(key, 0) + 1
-    best = None
-    for key in histogram:
-        count = histogram[key]
-        mean_obj = float(np.mean([o for k, o in zip(keys, objectives) if k == key]))
-        entry = (-count, -mean_obj, key)
-        if best is None or entry < best:
-            best = entry
-    return best[2]
+    groups: dict[AllocationKey, list[float]] = {}
+    for key, obj in zip(keys, objectives):
+        groups.setdefault(key, []).append(obj)
+    return min(groups, key=lambda key: (-len(groups[key]), -float(np.mean(groups[key])), key))
 
 
 def optimize_lag(
@@ -82,37 +77,28 @@ def optimize_lag(
         raise ValueError("need at least one sample")
     prep = prepared if prepared is not None else prepare_instance(instance)
     samples = sample_joint(copula_model, forecasts, k, seed)
-    pairs = copula_model.pair_order
-    designs = [solve_instance(instance, _demand_from_row(pairs, row), prep) for row in samples]
+    check_demand(copula_model.pair_order, samples)
+    col = {p: j for j, p in enumerate(copula_model.pair_order)}  # pairs it lacks read a zero column
+    lam = np.column_stack([samples, np.zeros(k)])[:, [col.get(p, len(col)) for p in prep.pairs]]
 
-    keys = [d.key() for d in designs]
-    objectives = np.array([d.objective for d in designs])
-    histogram: dict[AllocationKey, int] = {}
-    for key in keys:
-        histogram[key] = histogram.get(key, 0) + 1
+    rows, objectives = zip(*[solve_demand(prep, row) for row in lam])
+    keys = [row_key(prep, row) for row in rows]
     chosen_key = pick_mode(keys, objectives)
-    chosen = designs[keys.index(chosen_key)]
-
-    allocation = chosen.allocation
-    expected = float(
-        np.mean(
-            [
-                evaluate_allocation(instance, allocation, _demand_from_row(pairs, row), prep).objective
-                for row in samples
-            ]
-        )
-    )
+    first = keys.index(chosen_key)
+    chosen = row_design(prep, rows[first], lam[first])
+    # the routes in the design's (stops) order, the order evaluate_allocation prices them in
+    alloc = tuple((route.id, buses) for route, buses in chosen.allocation)
     if lag is None:
         lag = next(iter(forecasts.values())).lag
     return ScenarioResult(
         lag=np.datetime64(lag, "h"),
         sample_keys=keys,
-        sample_objectives=objectives,
-        histogram=histogram,
+        sample_objectives=np.array(objectives),
+        histogram=dict(Counter(keys)),
         chosen=chosen,
         chosen_key=chosen_key,
         mean_time_savings=float(np.mean(objectives)),
-        chosen_expected_savings=expected,
+        chosen_expected_savings=float(np.mean([allocation_value(prep, alloc, row) for row in lam])),
     )
 
 
@@ -186,12 +172,9 @@ def compare_strategies(
             scenario = optimize_lag(copula_model, forecasts, instance, k, lag_seed, prepared=prep, lag=lag)
             median = optimize_point(forecasts, MEDIAN_LEVEL, instance, prep)
             robust = optimize_point(forecasts, ROBUST_LEVEL, instance, prep)
-            keys = {"P": scenario.chosen_key, "M": median.key(), "R": robust.key()}
-            itineraries = {
-                "P": scenario.chosen.itinerary(),
-                "M": median.itinerary(),
-                "R": robust.itinerary(),
-            }
+            designs = {"P": scenario.chosen, "M": median, "R": robust}
+            keys = {s: design.key() for s, design in designs.items()}
+            itineraries = {s: design.itinerary() for s, design in designs.items()}
             rows.append(
                 ComparisonRow(
                     lag=lag,

@@ -53,10 +53,6 @@ class QuantileForecast:
     def levels(self) -> tuple[float, ...]:
         return tuple(sorted(self.values))
 
-    def as_array(self, levels=None) -> np.ndarray:
-        levels = self.levels() if levels is None else levels
-        return np.array([self.values[q] for q in levels])
-
     def band(self, lo: float = 0.05, hi: float = 0.95) -> tuple[float, float]:
         if lo not in self.values or hi not in self.values:
             raise KeyError(f"forecast lacks band levels {lo}/{hi}")

@@ -152,14 +152,18 @@ class DemandVector:
     rates: dict[ODPair, float]
 
     def __post_init__(self):
-        for pair, v in self.rates.items():
-            if not np.isfinite(v):
-                raise ValueError(f"non-finite demand {v} for {pair}")
-            if v < 0:
-                raise ValueError(f"negative demand {v} for {pair}")
+        check_demand(tuple(self.rates), np.array(list(self.rates.values()), dtype=np.float64))
 
     def get(self, pair: ODPair) -> float:
         return self.rates.get(pair, 0.0)
+
+
+def check_demand(pairs: tuple[ODPair, ...], lam: np.ndarray) -> None:
+    """Reject the first non-finite or negative demand, naming its pair (`lam`'s last axis)."""
+    bad = np.flatnonzero(~np.isfinite(lam) | (lam < 0))
+    if len(bad):
+        v, pair = lam.flat[bad[0]], pairs[bad[0] % len(pairs)]
+        raise ValueError(f"{'negative' if np.isfinite(v) else 'non-finite'} demand {v} for {pair}")
 
 
 # ---------------------------------------------------------------------------
@@ -475,13 +479,13 @@ def _row_allocation(prep: _Prepared, row: int) -> tuple[tuple[int, int], ...]:
 
 
 def _allocation_arcs(prep: _Prepared, alloc, pairs=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-    """Net utilities (pairs x routes) and hourly capacities of an allocation."""
-    w = np.column_stack([prep.beta1[pairs, cid] + prep.beta2[cid, k - 1] for cid, k in alloc])
-    return w, np.array([prep.caps[cid, k - 1] for cid, k in alloc])
+    """Net utilities (pairs x routes) and hourly capacities of an allocation (no routes: walking)."""
+    cid, bus = np.array(alloc, dtype=np.intp).reshape(-1, 2).T
+    return prep.beta1[pairs][:, cid] + prep.beta2[cid, bus - 1], prep.caps[cid, bus - 1]
 
 
-def solve_instance(instance: NetworkInstance, demand: DemandVector, prepared: _Prepared | None = None) -> RouteDesign:
-    """Exact optimum over all feasible allocations and flow assignments.
+def solve_demand(prep: _Prepared, lam: np.ndarray) -> tuple[int, float]:
+    """Exact optimum for demand `lam` aligned to `prep.pairs`: (table row, objective).
 
     Every row of the allocation table is priced at once: a capacity-feasible
     row is worth its uncapacitated bound, and each capacity-bound row whose
@@ -489,11 +493,10 @@ def solve_instance(instance: NetworkInstance, demand: DemandVector, prepared: _P
     bound first.  Objectives within a relative 1e-12 tie and break toward the
     lowest row, the lexicographically smallest allocation key, so zero-flow
     routes are never reported unless the exact-route-count mode forces them.
+    The objective is the winner's flow assignment over all pairs, not its bound.
     """
-    prep = prepared if prepared is not None else prepare_instance(instance)
     if not len(prep.row_routes):
         raise ValueError("no feasible allocation (check max_routes vs candidate count)")
-    lam = np.array([demand.get(p) for p in prep.pairs])
     chunks = prep.table if prep.table is not None else (_table_chunk(prep, rows) for rows in prep.chunk_rows)
     priced = [_price_chunk(lam, chunk, prep.row_caps[rows]) for rows, chunk in zip(prep.chunk_rows, chunks)]
     bound = np.concatenate([b for b, _ in priced])
@@ -510,18 +513,36 @@ def solve_instance(instance: NetworkInstance, demand: DemandVector, prepared: _P
         _, value[row] = assign_flows(w, lam[active], caps)
         best = max(best, value[row])
     row = int(np.argmax(value >= best - _tie_tol(best)))
+    return row, allocation_value(prep, _row_allocation(prep, row), lam)
+
+
+def allocation_value(prep: _Prepared, alloc: tuple[tuple[int, int], ...], lam: np.ndarray) -> float:
+    """Objective of the optimal flows for a fixed allocation of (route id, buses)."""
+    w, caps = _allocation_arcs(prep, alloc)
+    return float(assign_flows(w, lam, caps)[1])
+
+
+def row_key(prep: _Prepared, row: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """A table row's allocation key, as `RouteDesign.key()` gives it."""
+    routes = prep.instance.candidate_routes
+    return _assignment_key((routes[cid].stops, k) for cid, k in _row_allocation(prep, row))
+
+
+def row_design(prep: _Prepared, row: int, lam: np.ndarray) -> RouteDesign:
+    """A table row's design for demand `lam` aligned to `prep.pairs`."""
     return _design_for_allocation(prep, lam, _row_allocation(prep, row))
+
+
+def solve_instance(instance: NetworkInstance, demand: DemandVector, prepared: _Prepared | None = None) -> RouteDesign:
+    """Exact optimum over all feasible allocations and flow assignments (see `solve_demand`)."""
+    prep = prepared if prepared is not None else prepare_instance(instance)
+    lam = np.array([demand.get(p) for p in prep.pairs])
+    return row_design(prep, solve_demand(prep, lam)[0], lam)
 
 
 def _design_for_allocation(prep: _Prepared, lam_all: np.ndarray, alloc: tuple[tuple[int, int], ...]) -> RouteDesign:
     """Re-derive flows and the objective for a chosen allocation."""
     flows1: dict[tuple[ODPair, int], float] = {}
-    flows2: dict[tuple[int, int], float] = {}
-    if not alloc:
-        for pair, lam in zip(prep.pairs, lam_all):
-            flows1[(pair, WALK_ROUTE)] = float(lam)
-        return RouteDesign((), flows1, flows2, 0.0)
-
     w, caps = _allocation_arcs(prep, alloc)
     x, obj = assign_flows(w, lam_all, caps)
     for i, pair in enumerate(prep.pairs):
@@ -531,21 +552,17 @@ def _design_for_allocation(prep: _Prepared, lam_all: np.ndarray, alloc: tuple[tu
                 flows1[(pair, cid)] = float(x[i, j])
             routed += x[i, j]
         flows1[(pair, WALK_ROUTE)] = float(max(lam_all[i] - routed, 0.0))
-    for j, (cid, k) in enumerate(alloc):
-        flows2[(cid, k)] = float(x[:, j].sum())
+    flows2 = {(cid, k): float(x[:, j].sum()) for j, (cid, k) in enumerate(alloc)}
     routes = prep.instance.candidate_routes
     ordered = tuple(sorted(((routes[cid], k) for cid, k in alloc), key=lambda rk: rk[0].stops))
     return RouteDesign(ordered, flows1, flows2, float(obj))
 
 
 def evaluate_allocation(instance: NetworkInstance, allocation, demand: DemandVector, prepared: _Prepared | None = None) -> RouteDesign:
-    """Optimal flows for a fixed allocation of (route, buses) pairs."""
+    """Optimal flows for a fixed allocation of (CandidateRoute of this instance, buses) pairs."""
     prep = prepared if prepared is not None else prepare_instance(instance)
-    routes = instance.candidate_routes
-    by_stops = {r.stops: r.id for r in routes}
-    alloc = tuple((by_stops[r.stops] if isinstance(r, CandidateRoute) else by_stops[tuple(r)], k) for r, k in allocation)
-    lam_all = np.array([demand.get(p) for p in prep.pairs])
-    return _design_for_allocation(prep, lam_all, alloc)
+    alloc = tuple((route.id, k) for route, k in allocation)
+    return _design_for_allocation(prep, np.array([demand.get(p) for p in prep.pairs]), alloc)
 
 
 # ---------------------------------------------------------------------------

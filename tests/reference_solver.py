@@ -1,4 +1,4 @@
-"""Slow references for `tndfs.solve_instance`.
+"""Slow references for `tndfs.solve_instance` and `pipeline.optimize_lag`.
 
 `reference_solve` is the three-branch exact search that the table sweep
 replaced: single routes are priced with one einsum, route pairs with a
@@ -8,14 +8,21 @@ the table sweep, so both must return the same design.
 
 `oracle_solve` brute-forces tiny instances over integer-grid flow splits and
 shares no search logic with either.
+
+`reference_optimize_lag` is the per-sample decision loop that the
+pair-aligned one replaced: a `DemandVector` and a full `solve_instance`
+design per sample, and `evaluate_allocation` for the mode on every sample.
 """
 
 import itertools
 
 import numpy as np
 
+from drtopt.copula import sample_joint
+from drtopt.pipeline import ScenarioResult
 from drtopt.tndfs import (
     WALK_ROUTE,
+    DemandVector,
     RouteDesign,
     _allocation_sizes,
     _assignment_key,
@@ -23,7 +30,9 @@ from drtopt.tndfs import (
     _design_for_allocation,
     _tie_tol,
     assign_flows,
+    evaluate_allocation,
     prepare_instance,
+    solve_instance,
 )
 
 _PAIR_CHUNK = 50_000
@@ -245,3 +254,37 @@ def oracle_solve(instance, demand, grid_step=1) -> RouteDesign:
         flows2[(cid, k)] = float(sum(flows[j] for flows in assignment))
     ordered = tuple(sorted(((routes[cid], k) for cid, k in alloc), key=lambda rk: rk[0].stops))
     return RouteDesign(ordered, flows1, flows2, float(best_obj))
+
+
+def reference_optimize_lag(copula_model, forecasts, instance, k, seed, prepared=None, lag=None) -> ScenarioResult:
+    """Sample, solve each sample to a design, and operate the mode: one sample at a time."""
+    prep = prepared if prepared is not None else prepare_instance(instance)
+    samples = sample_joint(copula_model, forecasts, k, seed)
+    pairs = copula_model.pair_order
+    demands = [DemandVector({p: float(v) for p, v in zip(pairs, row)}) for row in samples]
+    designs = [solve_instance(instance, demand, prep) for demand in demands]
+
+    keys = [d.key() for d in designs]
+    objectives = np.array([d.objective for d in designs])
+    histogram = {}
+    for key in keys:
+        histogram[key] = histogram.get(key, 0) + 1
+    best = None
+    for key, count in histogram.items():
+        mean_obj = float(np.mean([o for other, o in zip(keys, objectives) if other == key]))
+        entry = (-count, -mean_obj, key)
+        if best is None or entry < best:
+            best = entry
+    chosen_key = best[2]
+    chosen = designs[keys.index(chosen_key)]
+    expected = [evaluate_allocation(instance, chosen.allocation, demand, prep).objective for demand in demands]
+    return ScenarioResult(
+        lag=np.datetime64(lag if lag is not None else next(iter(forecasts.values())).lag, "h"),
+        sample_keys=keys,
+        sample_objectives=objectives,
+        histogram=histogram,
+        chosen=chosen,
+        chosen_key=chosen_key,
+        mean_time_savings=float(np.mean(objectives)),
+        chosen_expected_savings=float(np.mean(expected)),
+    )

@@ -71,6 +71,14 @@ def test_load_rejects_bad_count_with_line_number(tmp_path):
         load_od_counts(p)
 
 
+@pytest.mark.parametrize("count", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_load_rejects_non_finite_count_with_line_number(tmp_path, count):
+    p = tmp_path / "c.csv"
+    p.write_text(f"timestamp,origin,destination,count\n2017-11-17T08,g10,g11,5\n2017-11-17T09,g10,g11,{count}\n")
+    with pytest.raises(ValueError, match=f":3: non-integer count '{count}'"):
+        load_od_counts(p)
+
+
 def test_load_rejects_duplicate_observation(tmp_path):
     p = tmp_path / "c.csv"
     p.write_text(

@@ -1,6 +1,9 @@
+import json
+import re
+from datetime import date
+
 import numpy as np
 import pytest
-from datetime import date
 
 from drtopt import forecasting
 from drtopt.boosting import GBoostHyper
@@ -168,6 +171,56 @@ def test_model_schema_version_checked(dataset):
     doc = model_to_json_dict(model)
     doc["schema_version"] = 99
     with pytest.raises(ValueError, match="schema"):
+        model_from_json_dict(doc)
+
+
+@pytest.fixture(scope="module")
+def model_docs(dataset):
+    """JSON documents of a linear model with seasonal cells, a pooled linear model and a gboost model."""
+    return {
+        "linear": model_to_json_dict(train_model(dataset, SPLIT, spec(seasonal_normalize=True), (0.5,))),
+        "pooled": model_to_json_dict(train_model(dataset, SPLIT, spec(scope="pooled"), (0.5,))),
+        "gboost": model_to_json_dict(
+            train_model(dataset, SPLIT, spec(family="gboost", gboost=GBoostHyper(0.3, 2, 3)), (0.5,))
+        ),
+    }
+
+
+def _first_leaf(tree):
+    return tree if "value" in tree else _first_leaf(tree["left"])
+
+
+def _plant(doc, field, bad):
+    """Write `bad` into one `field` of a model document; return the model name it went to."""
+    name = next(iter(doc["models"]))
+    inner = doc["models"][name]
+    if field == "coef":
+        inner["coef"]["0.5"][0] = bad
+    elif field == "init":
+        inner["init"]["0.5"] = bad
+    elif field == "tree threshold":
+        inner["trees"]["0.5"][0]["threshold"] = bad
+    elif field == "tree value":
+        _first_leaf(inner["trees"]["0.5"][1])["value"] = bad
+    else:  # seasonal mean / std
+        name = next(iter(doc["seasonal"]))
+        cell = doc["seasonal"][name]["cells"][0]
+        cell[field] = bad
+        return f"seasonal {name}, cell (dow {cell['dow']}, hour {cell['tod']})"
+    return f"{name}, level 0.5"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("kind, field", [
+    ("linear", "coef"), ("pooled", "coef"), ("gboost", "init"), ("gboost", "tree threshold"),
+    ("gboost", "tree value"), ("linear", "mean"), ("linear", "std"),
+])
+def test_model_json_rejects_non_finite_numbers(model_docs, kind, field, bad):
+    doc = json.loads(json.dumps(model_docs[kind]))
+    where = _plant(doc, field, bad)
+    if kind == "pooled":
+        assert where == "pooled, level 0.5"
+    with pytest.raises(ValueError, match=re.escape(f"model {where}: non-finite {field}")):
         model_from_json_dict(doc)
 
 

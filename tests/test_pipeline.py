@@ -211,3 +211,73 @@ def test_invalid_k():
     inst = two_node_instance()
     with pytest.raises(ValueError):
         optimize_lag(copula_for(), {p: point_mass(1, p) for p in PAIRS}, inst, k=0, seed=0)
+
+
+def _decision_case(seed, max_routes=2, capacity=40.0, exact=False, symmetric=False, zero=False, drop_pair=False):
+    """A 4-site network, forecasts and a copula for comparing optimize_lag with the per-sample loop."""
+    from drtopt.data import Location
+    from drtopt.tndfs import NetworkInstance
+
+    rng = np.random.default_rng(seed)
+    coords = [(0, 0), (800, 0), (800, 800), (0, 800)] if symmetric else rng.integers(0, 13, size=(4, 2)) * 100
+    sites = [Location(i, f"s{i}", (float(x), float(y))) for i, (x, y) in enumerate(coords)]
+    ride = np.array([[max(1.0, round((abs(a.coord[0] - b.coord[0]) + abs(a.coord[1] - b.coord[1])) / 400))
+                      for b in sites] for a in sites])
+    np.fill_diagonal(ride, 2.0)
+    inst = NetworkInstance(sites, sites, 80.0, ride, fleet_size=3, capacity=capacity,
+                           max_routes=max_routes, max_route_stops=3, exact_route_count=exact)
+    pairs = inst.od_pairs()
+    spread_of = np.array([0.3, 0.7, 1.0, 1.4, 2.2])
+    scales = np.full(len(pairs), 15.0) if symmetric else rng.uniform(2.0, 30.0, len(pairs))
+    forecasts = {p: spread(list(0.0 * spread_of if zero else s * spread_of), p) for p, s in zip(pairs, scales)}
+    order = tuple(pairs[:3] + pairs[4:]) if drop_pair else tuple(pairs)
+    n = len(order)
+    if symmetric:  # one shared normal score: every sample has equal demand on every pair
+        chol = np.zeros((n, n))
+        chol[:, 0] = 1.0
+        copula = GaussianCopulaModel(order, {}, np.ones((n, n)), chol)
+    else:
+        copula = copula_for(order, 0.6 * np.eye(n) + 0.4)
+    return inst, forecasts, copula
+
+
+DECISION_CASES = {
+    "nu1": dict(max_routes=1),
+    "nu2": dict(max_routes=2),
+    "nu3": dict(max_routes=3),
+    "capacity6": dict(max_routes=3, capacity=6.0),
+    "exact-route-count": dict(max_routes=2, exact=True),
+    "symmetric-ties": dict(max_routes=2, symmetric=True),
+    "all-zero": dict(max_routes=2, zero=True),
+    "copula-lacks-a-pair": dict(max_routes=2, drop_pair=True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DECISION_CASES))
+@pytest.mark.parametrize("seed", [1, 2])
+def test_optimize_lag_equals_per_sample_reference(case, seed, monkeypatch):
+    from drtopt import tndfs
+    from drtopt.tndfs import prepare_instance
+    from reference_solver import reference_optimize_lag
+
+    inst, forecasts, copula = _decision_case(seed, **DECISION_CASES[case])
+    prep = prepare_instance(inst)
+    k = 30 if case == "capacity6" else 60
+    lp_calls = []
+    linprog = tndfs.linprog
+    monkeypatch.setattr(tndfs, "linprog", lambda *a, **kw: lp_calls.append(1) or linprog(*a, **kw))
+
+    got = optimize_lag(copula, forecasts, inst, k, seed, prepared=prep, lag=T0)
+    ref = reference_optimize_lag(copula, forecasts, inst, k, seed, prepared=prep, lag=T0)
+
+    assert got.sample_keys == ref.sample_keys
+    assert got.sample_objectives.tolist() == ref.sample_objectives.tolist()
+    assert list(got.histogram.items()) == list(ref.histogram.items())
+    assert got.chosen_key == ref.chosen_key
+    assert got.chosen.to_json_dict() == ref.chosen.to_json_dict()
+    assert got.mean_time_savings == ref.mean_time_savings
+    assert got.chosen_expected_savings == ref.chosen_expected_savings
+    if case == "capacity6":
+        assert lp_calls  # capacity binds: the exact flow LP ran
+    if case == "all-zero":
+        assert got.histogram == {(): k}
