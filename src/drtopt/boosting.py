@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import FeatureConfig
-from .qr import DEFAULT_QUANTILES, finalize_quantiles, pinball_minimizing_constant, tilted_loss
+from .qr import DEFAULT_QUANTILES, pinball_minimizing_constant, tilted_loss
 
 log = logging.getLogger(__name__)
 
@@ -102,7 +102,6 @@ class GBoostQRModel:
     hyper: GBoostHyper
     init: dict[float, float]
     trees: dict[float, list[TreeNode]]
-    sort_quantiles: bool = True
     feature_cfg: FeatureConfig | None = None
     train_loss: dict[float, list[float]] = field(default_factory=dict)
 
@@ -115,7 +114,6 @@ def fit_gboost(
     *,
     val: tuple[np.ndarray, np.ndarray] | None = None,
     patience: int = 10,
-    sort_quantiles: bool = True,
     feature_cfg: FeatureConfig | None = None,
 ) -> GBoostQRModel:
     """Boost one tree ensemble per quantile level.
@@ -163,9 +161,7 @@ def fit_gboost(
         init[q] = f0
         forests[q] = trees
         losses[q] = loss_path
-    return GBoostQRModel(
-        tuple(float(q) for q in levels), hyper, init, forests, sort_quantiles, feature_cfg, losses
-    )
+    return GBoostQRModel(tuple(float(q) for q in levels), hyper, init, forests, feature_cfg, losses)
 
 
 def gboost_raw_predict(model: GBoostQRModel, X: np.ndarray) -> dict[float, np.ndarray]:
@@ -178,21 +174,3 @@ def gboost_raw_predict(model: GBoostQRModel, X: np.ndarray) -> dict[float, np.nd
             pred = pred + model.hyper.learning_rate * _tree_predict(tree, X)
         out[q] = pred
     return out
-
-
-def predict_gboost(
-    model: GBoostQRModel,
-    features: np.ndarray,
-    prev_count: float,
-    seasonal_scale: tuple[float, float] | None = None,
-) -> dict[float, float]:
-    """Count-scale quantiles for one feature vector (same chain as the linear model)."""
-    raw = gboost_raw_predict(model, np.asarray(features, dtype=np.float64)[None, :])
-    vals = []
-    for q in model.levels:
-        v = float(raw[q][0])
-        if seasonal_scale is not None:
-            mean, std = seasonal_scale
-            v = v * std + mean
-        vals.append(v + prev_count)
-    return finalize_quantiles(model.levels, vals, model.sort_quantiles)

@@ -22,7 +22,7 @@ from .config import CONFIG_SCHEMA_VERSION, PipelineConfig, load_config
 from .copula import export_correlation, export_samples, fit_correlation, sample_joint
 from .data import ODPair, counts_at, format_hour, load_od_counts, parse_hour, save_od_counts, train_series
 from .forecasting import MODEL_SCHEMA_VERSION
-from .tndfs import INSTANCE_SCHEMA_VERSION, load_instance, save_instance
+from .tndfs import INSTANCE_SCHEMA_VERSION, load_instance, prepare_instance, save_instance
 
 log = logging.getLogger("drtopt")
 
@@ -184,10 +184,11 @@ def cmd_optimize(args) -> int:
     )
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     export_correlation(copula_model, cfg.output_dir / "correlation.csv")
+    prep = prepare_instance(instance)
     for i, lag in enumerate(lags):
         seed = int(np.random.SeedSequence(cfg.seed, spawn_key=(i, 0)).generate_state(1)[0])
         result = pipeline.optimize_lag(
-            copula_model, forecasts[np.datetime64(lag, "h")], instance, cfg.k, seed
+            copula_model, forecasts[np.datetime64(lag, "h")], instance, cfg.k, seed, prepared=prep
         )
         if args.dump_samples:
             samples = sample_joint(copula_model, forecasts[np.datetime64(lag, "h")], cfg.k, seed)

@@ -8,7 +8,7 @@ from datetime import date
 from pathlib import Path
 
 from .boosting import GBoostHyper
-from .data import DEFAULT_MASKED_HOURS, CAMPUS_2017_EXAMS, SplitSpec, campus_2017_split
+from .data import DEFAULT_MASKED_HOURS, CAMPUS_2017_EXAMS, SplitSpec, campus_2017_split, parse_hour
 from .forecasting import ModelSpec
 from .qr import DEFAULT_QUANTILES
 
@@ -43,6 +43,16 @@ def _require(doc: dict, key: str, path: str):
     if key not in doc:
         raise ConfigError(f"{path}{key}" if path == "" else f"{path}.{key}", "missing required field")
     return doc[key]
+
+
+def _parse_int(value, path: str, minimum: int) -> int:
+    try:
+        number = int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(path, f"not an integer: {value!r}") from None
+    if number < minimum:
+        raise ConfigError(path, f"must be >= {minimum}")
+    return number
 
 
 def _parse_date(text, path: str) -> date:
@@ -136,15 +146,16 @@ def config_from_json_dict(doc: dict, base_dir: Path) -> PipelineConfig:
         raise ConfigError("quantiles", "must be strictly increasing values in (0,1)")
 
     optimize = doc.get("optimize", {})
-    k = int(optimize.get("k", 100))
-    if k < 1:
-        raise ConfigError("optimize.k", "must be >= 1")
+    k = _parse_int(optimize.get("k", 100), "optimize.k", 1)
     lags = list(optimize.get("lags", []))
+    for i, text in enumerate(lags):
+        try:
+            parse_hour(text)
+        except (AttributeError, ValueError):
+            raise ConfigError(f"optimize.lags[{i}]", f"not an ISO hour such as 2018-01-08T08: {text!r}") from None
 
     network = doc.get("network")
-    threads = int(doc.get("threads", 1))
-    if threads < 1:
-        raise ConfigError("threads", "must be >= 1")
+    threads = _parse_int(doc.get("threads", 1), "threads", 1)
 
     model_doc = doc.get("model") or {}
     model = _parse_model(model_doc, "model")
@@ -163,7 +174,8 @@ def config_from_json_dict(doc: dict, base_dir: Path) -> PipelineConfig:
         lags=lags,
         output_dir=base_dir / doc.get("output_dir", "out"),
         threads=threads,
-        copula_min_lags=int(doc.get("copula", {}).get("min_lags", 30)),
+        # a correlation needs at least two aligned lags
+        copula_min_lags=_parse_int(doc.get("copula", {}).get("min_lags", 30), "copula.min_lags", 2),
         gboost_grid=grid,
     )
 

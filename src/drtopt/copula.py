@@ -25,11 +25,10 @@ MIN_EIGENVALUE = 1e-8
 
 @dataclass
 class EmpiricalCDF:
-    """A CDF through (value, level) knots; step for history, linear for forecasts."""
+    """A piecewise-linear CDF through (value, level) knots."""
 
     values: np.ndarray  # non-decreasing
     levels: np.ndarray  # strictly increasing, ends at 1
-    kind: str = "linear"  # "linear" | "step"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -46,10 +45,6 @@ class EmpiricalCDF:
     def cdf(self, x):
         """Right-continuous CDF value; zero-width segments appear as jumps."""
         x = np.asarray(x, dtype=np.float64)
-        if self.kind == "step":
-            idx = np.searchsorted(self.values, x, side="right")
-            out = np.where(idx == 0, 0.0, self.levels[np.minimum(idx, len(self.levels)) - 1])
-            return out if out.ndim else float(out)
         v, q = self.values, self.levels
         flat_x = np.atleast_1d(x)
         # last knot with value <= x: the highest level at a repeated value,
@@ -69,24 +64,11 @@ class EmpiricalCDF:
         v, q = self.values, self.levels
         flat_u = np.atleast_1d(u)
         j = np.clip(np.searchsorted(q, flat_u, side="left"), 1, len(q) - 1)
-        if self.kind == "step":
-            inner = v[j]
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                # zero width (v[j] == v[j - 1]): stays at the jump
-                inner = v[j - 1] + (flat_u - q[j - 1]) / (q[j] - q[j - 1]) * (v[j] - v[j - 1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # zero width (v[j] == v[j - 1]): stays at the jump
+            inner = v[j - 1] + (flat_u - q[j - 1]) / (q[j] - q[j - 1]) * (v[j] - v[j - 1])
         flat = np.where(flat_u <= q[0], v[0], np.where(flat_u >= q[-1], v[-1], inner))
         return float(flat[0]) if np.ndim(u) == 0 else flat
-
-
-def ecdf_from_history(counts) -> EmpiricalCDF:
-    """Step empirical CDF of observed counts."""
-    counts = np.asarray(counts, dtype=np.float64)
-    if len(counts) == 0:
-        raise ValueError("empty history")
-    values, tallies = np.unique(counts, return_counts=True)
-    levels = np.cumsum(tallies) / len(counts)
-    return EmpiricalCDF(values, levels, kind="step")
 
 
 def ecdf_from_forecast(forecast: QuantileForecast | dict[float, float]) -> EmpiricalCDF:
@@ -119,7 +101,6 @@ def ecdf_from_forecast(forecast: QuantileForecast | dict[float, float]) -> Empir
 @dataclass
 class GaussianCopulaModel:
     pair_order: tuple[ODPair, ...]
-    marginals: dict[ODPair, EmpiricalCDF]
     corr: np.ndarray
     chol: np.ndarray
 
@@ -200,8 +181,7 @@ def fit_correlation(history: dict[ODPair, np.ndarray], min_lags: int = 30) -> Ga
 
     corr = repair_correlation(corr)
     chol = np.linalg.cholesky(corr)
-    marginals = {p: ecdf_from_history(history[p]) for p in pair_order}
-    return GaussianCopulaModel(pair_order, marginals, corr, chol)
+    return GaussianCopulaModel(pair_order, corr, chol)
 
 
 def sample_joint(

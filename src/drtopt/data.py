@@ -50,10 +50,6 @@ def weekday_of(ts) -> np.ndarray | int:
     return (days + 3) % 7
 
 
-def date_of(ts: np.datetime64) -> date:
-    return np.datetime64(ts, "h").astype("datetime64[D]").astype(date)
-
-
 @dataclass(frozen=True)
 class Location:
     """A serviced location (demand node or bus stop). Coordinates in meters."""
@@ -122,17 +118,6 @@ class HourlySeries:
 
     def __len__(self) -> int:
         return len(self.timestamps)
-
-
-def contiguous_blocks(timestamps: np.ndarray) -> list[slice]:
-    """Slices of maximal runs of consecutive hourly timestamps."""
-    n = len(timestamps)
-    if n == 0:
-        return []
-    gaps = np.flatnonzero(np.diff(timestamps) != HOUR)
-    starts = np.concatenate([[0], gaps + 1])
-    ends = np.concatenate([gaps + 1, [n]])
-    return [slice(int(a), int(b)) for a, b in zip(starts, ends)]
 
 
 # ---------------------------------------------------------------------------
@@ -238,17 +223,10 @@ def difference(series: ODCountSeries | HourlySeries) -> HourlySeries:
     """
     if len(series) < 2:
         raise ValueError("series too short to difference (need >= 2 lags)")
-    values = series.values
-    ts_out, val_out = [], []
-    for block in contiguous_blocks(series.timestamps):
-        v = values[block]
-        if len(v) < 2:
-            continue
-        ts_out.append(series.timestamps[block][1:])
-        val_out.append(np.diff(v))
-    if not ts_out:
+    keep = np.diff(series.timestamps) == HOUR
+    if not keep.any():
         raise ValueError("no contiguous run of >= 2 hourly lags to difference")
-    return HourlySeries(series.pair, np.concatenate(ts_out), np.concatenate(val_out))
+    return HourlySeries(series.pair, series.timestamps[1:][keep], np.diff(series.values)[keep])
 
 
 def undifference(diffed: HourlySeries, y0: float) -> np.ndarray:
@@ -271,7 +249,9 @@ class SplitSpec:
 
     def mask_array(self, timestamps: np.ndarray) -> np.ndarray:
         """Boolean array, True where the lag is masked out."""
-        masked = np.isin(hour_of(timestamps), list(self.masked_hours))
+        by_hour = np.zeros(24, dtype=bool)
+        by_hour[list(self.masked_hours)] = True
+        masked = by_hour[hour_of(timestamps)]
         if self.masked_dates:
             days = timestamps.astype("datetime64[D]")
             for a, b in self.masked_dates:
@@ -322,10 +302,12 @@ def counts_at(series: ODCountSeries, lags) -> np.ndarray:
     in the record is never read as the next hour's count.
     """
     lags = np.asarray(lags, dtype="datetime64[h]")
-    found = np.isin(lags, series.timestamps)
+    idx = np.searchsorted(series.timestamps, lags)
+    found = idx < len(series)
+    found[found] = series.timestamps[idx[found]] == lags[found]
     if not found.all():
         raise ValueError(f"no observation for pair {series.pair} at {format_hour(lags[~found][0])}")
-    return series.counts[np.searchsorted(series.timestamps, lags)].astype(np.float64)
+    return series.counts[idx].astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -441,76 +423,46 @@ class FeatureConfig:
         return n
 
 
-@dataclass
-class LagFeatures:
-    """One feature vector, kept as named blocks for inspection."""
-
-    tod_onehot: np.ndarray
-    dow_onehot: np.ndarray
-    exam_flag: int | None
-    ar_lags: np.ndarray
-    od_onehot: np.ndarray | None
-
-    def vector(self) -> np.ndarray:
-        parts = [self.tod_onehot, self.dow_onehot]
-        if self.exam_flag is not None:
-            parts.append([float(self.exam_flag)])
-        parts.append(self.ar_lags)
-        if self.od_onehot is not None:
-            parts.append(self.od_onehot)
-        return np.concatenate([np.asarray(p, dtype=np.float64) for p in parts])
-
-
-def _recent_values(series: HourlySeries, t: np.datetime64, k: int) -> np.ndarray:
-    """Last k retained values strictly before t (positional, newest last)."""
-    idx = int(np.searchsorted(series.timestamps, t))
-    if idx < k:
-        raise ValueError(
-            f"insufficient history before {format_hour(t)}: need {k}, have {idx}"
-        )
-    return series.values[idx - k : idx]
-
-
 def build_features(
     history: dict[ODPair, HourlySeries],
-    t: np.datetime64,
+    stamps: np.ndarray,
     pair: ODPair,
     cfg: FeatureConfig,
-) -> LagFeatures:
-    """Deterministic feature vector for predicting pair demand at lag t.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Feature matrix for predicting pair demand at each lag, one row per lag.
 
     Autoregressive blocks use the previous retained lags of the working-scale
-    series (masked hours simply do not appear in the history).
+    series (masked hours simply do not appear in the history), newest first.
+    `usable` is False where a lag's hour is outside TOD_HOURS or a series
+    lacks the history its lags need; those rows are not filled in.
     """
-    t = np.datetime64(t, "h")
-    hour = int(hour_of(t))
-    if hour not in TOD_HOURS:
-        raise ValueError(f"hour {hour} outside modeled range {TOD_HOURS[0]}..{TOD_HOURS[-1]}")
-    tod = np.zeros(len(TOD_HOURS))
-    tod[hour - TOD_HOURS[0]] = 1.0
-    dow = np.zeros(7)
-    dow[int(weekday_of(t))] = 1.0
-
-    exam = None
-    if cfg.exam_period is not None:
-        a, b = cfg.exam_period
-        exam = int(a <= date_of(t) <= b)
-
+    stamps = np.asarray(stamps, dtype="datetime64[h]")
+    hours = hour_of(stamps)
+    usable = (hours >= TOD_HOURS[0]) & (hours <= TOD_HOURS[-1])
+    order = cfg.resolved_pair_order(history)
+    ar_col = len(TOD_HOURS) + 7 + (cfg.exam_period is not None)
+    # each source series with the columns of its lags 1..depth: lag-major
+    # across pairs for cross lags, newest first for own lags
     if cfg.cross_lags:
-        order = cfg.resolved_pair_order(history)
-        blocks = []
-        for k in range(1, cfg.cross_order + 1):
-            for p in order:
-                blocks.append(_recent_values(history[p], t, k)[0])
-        ar = np.asarray(blocks, dtype=np.float64)
+        depth = cfg.cross_order
+        sources = [(history[p], ar_col + j + len(order) * np.arange(depth)) for j, p in enumerate(order)]
     else:
-        # newest-first: position j holds the (j+1)-lagged value
-        ar = _recent_values(history[pair], t, cfg.ar_order)[::-1].copy()
+        depth = cfg.ar_order
+        sources = [(history[pair], ar_col + np.arange(depth))]
+    before = [np.searchsorted(series.timestamps, stamps) for series, _ in sources]
+    for b in before:
+        usable &= b >= depth
 
-    onehot = None
+    rows = np.flatnonzero(usable)
+    X = np.zeros((len(stamps), cfg.n_features(len(order))))
+    X[rows, hours[rows] - TOD_HOURS[0]] = 1.0
+    X[rows, len(TOD_HOURS) + weekday_of(stamps[rows])] = 1.0
+    if cfg.exam_period is not None:
+        days = stamps[rows].astype("datetime64[D]")
+        X[rows, ar_col - 1] = (days >= cfg.exam_period[0]) & (days <= cfg.exam_period[1])
+    lags = np.arange(1, depth + 1)
+    for (series, cols), b in zip(sources, before):
+        X[rows[:, None], cols] = series.values[b[rows, None] - lags]
     if cfg.od_onehot:
-        order = cfg.resolved_pair_order(history)
-        onehot = np.zeros(len(order))
-        onehot[order.index(pair)] = 1.0
-
-    return LagFeatures(tod, dow, exam, ar, onehot)
+        X[rows, X.shape[1] - len(order) + order.index(pair)] = 1.0
+    return X, usable

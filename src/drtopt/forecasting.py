@@ -17,6 +17,7 @@ import numpy as np
 from . import boosting, qr
 from .data import (
     HOUR,
+    TOD_HOURS,
     FeatureConfig,
     HourlySeries,
     ODDataset,
@@ -24,8 +25,10 @@ from .data import (
     SplitSpec,
     build_features,
     check_stationarity,
+    counts_at,
     difference,
     format_hour,
+    hour_of,
     mask_lags,
     parse_hour,
     train_series,
@@ -106,25 +109,13 @@ def _train_rows(
     split: SplitSpec,
     cfg: FeatureConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Feature matrix, targets, and timestamps for one pair's train lags."""
+    """Feature matrix, targets, and timestamps for one pair's usable train lags."""
     series = histories[pair]
     in_train = split.in_train(series.timestamps)
-    min_history = cfg.cross_order if cfg.cross_lags else cfg.ar_order
-    rows, targets, stamps = [], [], []
-    for i in np.flatnonzero(in_train):
-        if i < min_history:
-            continue
-        t = series.timestamps[i]
-        try:
-            feats = build_features(histories, t, pair, cfg)
-        except ValueError:
-            continue  # a cross-pair series lacks history at this lag
-        rows.append(feats.vector())
-        targets.append(series.values[i])
-        stamps.append(t)
-    if not rows:
+    X, usable = build_features(histories, series.timestamps[in_train], pair, cfg)
+    if not usable.any():
         raise ValueError(f"no usable training lags for pair {pair}")
-    return np.array(rows), np.array(targets), np.array(stamps, dtype="datetime64[h]")
+    return X[usable], series.values[in_train][usable], series.timestamps[in_train][usable]
 
 
 def train_model(
@@ -172,10 +163,8 @@ def train_model(
 
 def _fit_family(spec: ModelSpec, X, y, levels, cfg):
     if spec.family == "linear":
-        return qr.fit_lqr(X, y, levels, sort_quantiles=spec.sort_quantiles, feature_cfg=cfg)
-    return boosting.fit_gboost(
-        X, y, levels, spec.gboost, sort_quantiles=spec.sort_quantiles, feature_cfg=cfg
-    )
+        return qr.fit_lqr(X, y, levels, feature_cfg=cfg)
+    return boosting.fit_gboost(X, y, levels, spec.gboost, feature_cfg=cfg)
 
 
 def evaluation_lags(dataset: ODDataset, split: SplitSpec) -> np.ndarray:
@@ -188,31 +177,47 @@ def evaluation_lags(dataset: ODDataset, split: SplitSpec) -> np.ndarray:
     return np.array(sorted(stamps), dtype="datetime64[h]")
 
 
-def predict_at(
+def to_count_scale(raw, prev_counts, seasonal_scales=None, sort_quantiles: bool = True) -> np.ndarray:
+    """Working-scale outputs (lags x levels) to count-scale quantiles.
+
+    Undoes the seasonal normalization when (mean, std) rows are given, adds
+    the previous observed count (un-differencing), clips at zero, and sorts
+    each row when asked.
+    """
+    raw = np.asarray(raw, dtype=np.float64)
+    if seasonal_scales is not None:
+        scales = np.asarray(seasonal_scales, dtype=np.float64)
+        raw = raw * scales[:, 1:] + scales[:, :1]
+    values = np.maximum(raw + np.asarray(prev_counts, dtype=np.float64)[:, None], 0.0)
+    return np.sort(values, axis=1) if sort_quantiles else values
+
+
+def _predict_pair(
     model: TrainedDemandModel,
     dataset: ODDataset,
     histories: dict[ODPair, HourlySeries],
     pair: ODPair,
-    t: np.datetime64,
-) -> qr.QuantileForecast:
-    """One-step-ahead count-scale forecast for one pair at lag t."""
-    if model.spec.family == "hp":
-        return qr.predict_hp(model.models[pair], t)
-
-    raw = dataset.series[pair]
-    prev_idx = np.searchsorted(raw.timestamps, t - HOUR)
-    if prev_idx >= len(raw) or raw.timestamps[prev_idx] != t - HOUR:
-        raise ValueError(f"no observed count at {format_hour(t - HOUR)} to un-difference from")
-    prev_count = float(raw.counts[prev_idx])
-
-    feats = build_features(histories, t, pair, model.feature_cfg).vector()
-    scale = model.seasonal[pair].scale_at(t) if model.spec.seasonal_normalize else None
+    lags: np.ndarray,
+) -> np.ndarray:
+    """Count-scale forecasts (lags x levels) for one pair, one step ahead of each lag."""
+    prev = counts_at(dataset.series[pair], lags - HOUR)
+    X, usable = build_features(histories, lags, pair, model.feature_cfg)
+    if not usable.all():
+        t = lags[~usable][0]
+        hour = int(hour_of(t))
+        if hour not in TOD_HOURS:
+            raise ValueError(f"hour {hour} outside modeled range {TOD_HOURS[0]}..{TOD_HOURS[-1]}")
+        raise ValueError(f"insufficient history before {format_hour(t)} for pair {pair}")
     inner = model.model_for(pair)
     if model.spec.family == "linear":
-        values = qr.predict_lqr(inner, feats, prev_count, scale)
+        raw = qr.lqr_raw_predict(inner, X)
     else:
-        values = boosting.predict_gboost(inner, feats, prev_count, scale)
-    return qr.QuantileForecast(pair, np.datetime64(t, "h"), values)
+        raw = boosting.gboost_raw_predict(inner, X)
+    scales = None
+    if model.spec.seasonal_normalize:
+        scales = [model.seasonal[pair].scale_at(t) for t in lags]
+    raw = np.column_stack([raw[q] for q in model.levels])
+    return to_count_scale(raw, prev, scales, model.spec.sort_quantiles)
 
 
 def predict_forecasts(
@@ -221,21 +226,21 @@ def predict_forecasts(
     split: SplitSpec,
     lags: np.ndarray | None = None,
 ) -> dict[np.datetime64, dict[ODPair, qr.QuantileForecast]]:
-    if lags is None:
-        lags = evaluation_lags(dataset, split)
-    histories = None
-    if model.spec.family != "hp":
-        histories = working_series(dataset, split)
-        if model.spec.seasonal_normalize:
-            histories = {
-                p: qr.seasonal_normalize(s, model.seasonal[p]) for p, s in histories.items()
-            }
-    out: dict[np.datetime64, dict[ODPair, qr.QuantileForecast]] = {}
-    for t in lags:
-        out[np.datetime64(t, "h")] = {
-            pair: predict_at(model, dataset, histories, pair, t) for pair in model.pair_order
+    """One-step-ahead count-scale forecasts for every pair at every lag."""
+    lags = evaluation_lags(dataset, split) if lags is None else np.asarray(lags, dtype="datetime64[h]")
+    if model.spec.family == "hp":
+        return {t: {pair: qr.predict_hp(model.models[pair], t) for pair in model.pair_order} for t in lags}
+    histories = working_series(dataset, split)
+    if model.spec.seasonal_normalize:
+        histories = {p: qr.seasonal_normalize(s, model.seasonal[p]) for p, s in histories.items()}
+    values = {pair: _predict_pair(model, dataset, histories, pair, lags) for pair in model.pair_order}
+    return {
+        t: {
+            pair: qr.QuantileForecast(pair, t, dict(zip(model.levels, values[pair][i].tolist())))
+            for pair in model.pair_order
         }
-    return out
+        for i, t in enumerate(lags)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +423,10 @@ def _inner_from_doc(family: str, doc: dict, name: str, pair, levels, spec: Model
         coef = {float(q): _finite(np.array(v, dtype=np.float64), f"{name}, level {q}", "coef")
                 for q, v in doc["coef"].items()}
         converged = {float(q): bool(v) for q, v in doc["converged"].items()}
-        return qr.LinearQRModel(levels, coef, spec.sort_quantiles, converged, cfg)
+        return qr.LinearQRModel(levels, coef, converged, cfg)
     init = {float(q): _finite(float(v), f"{name}, level {q}", "init") for q, v in doc["init"].items()}
     trees = {float(q): [_tree_from_doc(t, f"{name}, level {q}") for t in ts] for q, ts in doc["trees"].items()}
-    return boosting.GBoostQRModel(levels, spec.gboost, init, trees, spec.sort_quantiles, cfg)
+    return boosting.GBoostQRModel(levels, spec.gboost, init, trees, cfg)
 
 
 def model_to_json_dict(model: TrainedDemandModel) -> dict:

@@ -3,7 +3,8 @@
 Each model family maps a lag to a set of estimated quantiles of the demand
 distribution.  Training minimizes mean tilted (pinball) loss; the linear
 family is fit exactly as a linear program.  Post-processing clips count-scale
-predictions at zero and optionally sorts quantiles to remove crossings.
+predictions at zero and optionally sorts quantiles to remove crossings
+(`forecasting.to_count_scale`).
 """
 
 from __future__ import annotations
@@ -59,14 +60,6 @@ class QuantileForecast:
         return self.values[lo], self.values[hi]
 
 
-def finalize_quantiles(levels, raw_values, sort_quantiles: bool) -> dict[float, float]:
-    """Count-scale post-processing: clip negatives to zero, optionally sort."""
-    vals = np.maximum(np.asarray(raw_values, dtype=np.float64), 0.0)
-    if sort_quantiles:
-        vals = np.sort(vals)
-    return {float(q): float(v) for q, v in zip(levels, vals)}
-
-
 # ---------------------------------------------------------------------------
 # Historical percentiles
 # ---------------------------------------------------------------------------
@@ -118,7 +111,6 @@ def predict_hp(model: HPModel, t: np.datetime64) -> QuantileForecast:
 class LinearQRModel:
     levels: tuple[float, ...]
     coef: dict[float, np.ndarray]
-    sort_quantiles: bool = True
     converged: dict[float, bool] = field(default_factory=dict)
     feature_cfg: FeatureConfig | None = None
 
@@ -144,7 +136,6 @@ def fit_lqr(
     y: np.ndarray,
     levels=DEFAULT_QUANTILES,
     *,
-    sort_quantiles: bool = True,
     feature_cfg: FeatureConfig | None = None,
 ) -> LinearQRModel:
     """Fit one coefficient vector per quantile level by exact LP.
@@ -167,34 +158,23 @@ def fit_lqr(
         beta, ok = _solve_pinball_lp(XT, col_sums, y, float(q))
         coef[float(q)] = beta
         converged[float(q)] = ok
-    return LinearQRModel(tuple(float(q) for q in levels), coef, sort_quantiles, converged, feature_cfg)
+    return LinearQRModel(tuple(float(q) for q in levels), coef, converged, feature_cfg)
 
 
-def predict_lqr(
-    model: LinearQRModel,
-    features: np.ndarray,
-    prev_count: float,
-    seasonal_scale: tuple[float, float] | None = None,
-) -> dict[float, float]:
-    """Count-scale quantile predictions for one feature vector.
+def lqr_raw_predict(model: LinearQRModel, X: np.ndarray) -> dict[float, np.ndarray]:
+    """Working-scale output per quantile level, one value per row of X.
 
-    The model output lives on the (possibly seasonally normalized) differenced
-    scale; predictions are mapped back by the inverse normalization, then
-    un-differenced by adding the previous observed count, clipped at zero and
-    sorted if the model asks for it.
+    Each row is its own `beta @ x` product, so a forecast does not depend on
+    which other lags are predicted alongside it.
     """
-    x = np.asarray(features, dtype=np.float64)
-    raw = []
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    out = {}
     for q in model.levels:
         beta = model.coef[q]
-        if beta.shape != x.shape:
-            raise ValueError(f"feature length {x.shape} does not match model layout {beta.shape}")
-        v = float(beta @ x)
-        if seasonal_scale is not None:
-            mean, std = seasonal_scale
-            v = v * std + mean
-        raw.append(v + prev_count)
-    return finalize_quantiles(model.levels, raw, model.sort_quantiles)
+        if beta.shape != X.shape[1:]:
+            raise ValueError(f"feature length {X.shape[1:]} does not match model layout {beta.shape}")
+        out[q] = np.array([beta @ x for x in X])
+    return out
 
 
 # ---------------------------------------------------------------------------

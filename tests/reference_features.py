@@ -1,0 +1,60 @@
+"""Per-lag feature builder, the reference for `data.build_features`.
+
+It builds one lag's feature vector from named blocks, the way the library
+did before features were built as one matrix per pair.  Raises ValueError
+where the matrix builder marks a row unusable.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from drtopt.data import TOD_HOURS, FeatureConfig, HourlySeries, ODPair, format_hour, hour_of, weekday_of
+
+
+def _recent_values(series: HourlySeries, t: np.datetime64, k: int) -> np.ndarray:
+    """Last k retained values strictly before t (positional, newest last)."""
+    idx = int(np.searchsorted(series.timestamps, t))
+    if idx < k:
+        raise ValueError(f"insufficient history before {format_hour(t)}: need {k}, have {idx}")
+    return series.values[idx - k : idx]
+
+
+def reference_features(
+    history: dict[ODPair, HourlySeries],
+    t: np.datetime64,
+    pair: ODPair,
+    cfg: FeatureConfig,
+) -> np.ndarray:
+    t = np.datetime64(t, "h")
+    hour = int(hour_of(t))
+    if hour not in TOD_HOURS:
+        raise ValueError(f"hour {hour} outside modeled range {TOD_HOURS[0]}..{TOD_HOURS[-1]}")
+    tod = np.zeros(len(TOD_HOURS))
+    tod[hour - TOD_HOURS[0]] = 1.0
+    dow = np.zeros(7)
+    dow[int(weekday_of(t))] = 1.0
+    parts = [tod, dow]
+
+    if cfg.exam_period is not None:
+        a, b = cfg.exam_period
+        day = t.astype("datetime64[D]").item()
+        parts.append([float(a <= day <= b)])
+
+    if cfg.cross_lags:
+        order = cfg.resolved_pair_order(history)
+        blocks = []
+        for k in range(1, cfg.cross_order + 1):
+            for p in order:
+                blocks.append(_recent_values(history[p], t, k)[0])
+        parts.append(np.asarray(blocks, dtype=np.float64))
+    else:
+        # newest-first: position j holds the (j+1)-lagged value
+        parts.append(_recent_values(history[pair], t, cfg.ar_order)[::-1].copy())
+
+    if cfg.od_onehot:
+        order = cfg.resolved_pair_order(history)
+        onehot = np.zeros(len(order))
+        onehot[order.index(pair)] = 1.0
+        parts.append(onehot)
+    return np.concatenate([np.asarray(p, dtype=np.float64) for p in parts])

@@ -158,7 +158,7 @@ def test_criterion_3_copula_fidelity():
     forecast_vals = {0.05: 2.0, 0.25: 4.0, 0.5: 6.0, 0.75: 8.0, 0.95: 10.0}
     forecasts = {p: QuantileForecast(p, T0, dict(forecast_vals)) for p in pairs}
     corr = np.array([[1.0, 0.6], [0.6, 1.0]])
-    model = GaussianCopulaModel(pairs, {}, corr, np.linalg.cholesky(corr))
+    model = GaussianCopulaModel(pairs, corr, np.linalg.cholesky(corr))
     samples = sample_joint(model, forecasts, 10_000, seed=13)
     F = ecdf_from_forecast(forecast_vals)
     grid = np.linspace(0.0, 12.0, 600)
@@ -171,7 +171,7 @@ def test_criterion_3_copula_fidelity():
     # rank correlation: Gaussian copula implies spearman = 6/pi*asin(rho/2)
     expected_spearman = 6.0 / np.pi * np.arcsin(0.6 / 2.0)
     got_spearman = stats.spearmanr(samples[:, 0], samples[:, 1]).statistic
-    ident = GaussianCopulaModel(pairs, {}, np.eye(2), np.eye(2))
+    ident = GaussianCopulaModel(pairs, np.eye(2), np.eye(2))
     s0 = sample_joint(ident, forecasts, 10_000, seed=14)
     rank_ok = (
         abs(got_spearman - expected_spearman) <= 0.05
@@ -271,7 +271,7 @@ def test_criterion_5_strategy_consistency_and_divergence():
         }
         prep = prepare_instance(inst)
         gt = optimize_ground_truth({p: truth.get(p, 0.0) for p in pairs}, inst, prep)
-        copula = GaussianCopulaModel(pairs, {}, np.eye(len(pairs)), np.eye(len(pairs)))
+        copula = GaussianCopulaModel(pairs, np.eye(len(pairs)), np.eye(len(pairs)))
         scenario = optimize_lag(copula, forecasts, inst, k=20, seed=3, prepared=prep)
         median = optimize_point(forecasts, 0.50, inst, prep)
         worst = optimize_point(forecasts, 0.95, inst, prep)
@@ -284,7 +284,7 @@ def test_criterion_5_strategy_consistency_and_divergence():
     prep = prepare_instance(inst)
     median = optimize_point(forecasts, 0.50, inst, prep)
     worst = optimize_point(forecasts, 0.95, inst, prep)
-    copula = GaussianCopulaModel(pairs, {}, np.eye(2), np.eye(2))
+    copula = GaussianCopulaModel(pairs, np.eye(2), np.eye(2))
     scenario = optimize_lag(copula, forecasts, inst, k=100, seed=17, prepared=prep)
 
     # oracle verification of both point solves (integer demands, grid caps)
@@ -353,7 +353,7 @@ def test_criterion_7_confidence_vs_boundary_distance():
     start = time.time()
     inst, pairs, near_boundary = _divergence_fixture()
     prep = prepare_instance(inst)
-    copula = GaussianCopulaModel(pairs, {}, np.eye(2), np.eye(2))
+    copula = GaussianCopulaModel(pairs, np.eye(2), np.eye(2))
     od1, od2 = pairs
 
     def hour_forecast(lam1, lam2, hour):

@@ -5,8 +5,8 @@ from drtopt.boosting import (
     GBoostHyper,
     fit_gboost,
     gboost_raw_predict,
-    predict_gboost,
 )
+from drtopt.forecasting import to_count_scale
 from drtopt.qr import DEFAULT_QUANTILES, pinball_minimizing_constant
 
 
@@ -85,10 +85,11 @@ def test_predict_postprocessing(rng):
     y = rng.uniform(0, 10, size=80)
     X = rng.normal(size=(80, 2))
     model = fit_gboost(X, y, DEFAULT_QUANTILES, GBoostHyper(0.3, 2, 20))
-    values = predict_gboost(model, rng.normal(size=2), prev_count=3.0)
-    arr = [values[q] for q in DEFAULT_QUANTILES]
-    assert all(v >= 0 for v in arr)
-    assert arr == sorted(arr)
+    raw = gboost_raw_predict(model, rng.normal(size=(10, 2)))
+    values = to_count_scale(np.column_stack([raw[q] for q in DEFAULT_QUANTILES]), np.full(10, 3.0))
+    for arr in values.tolist():
+        assert all(v >= 0 for v in arr)
+        assert arr == sorted(arr)
 
 
 def test_rejects_non_finite(rng):

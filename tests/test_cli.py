@@ -97,6 +97,28 @@ def test_evaluate_rejects_levels_the_model_lacks(tmp_path, capsys, caplog):
     assert str(model) in caplog.text
 
 
+def test_optimize_prepares_the_instance_once(tmp_path, monkeypatch):
+    from drtopt import cli, pipeline
+
+    calls = []
+
+    def counting(original):
+        def wrapper(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "prepare_instance", counting(cli.prepare_instance))
+    monkeypatch.setattr(pipeline, "prepare_instance", counting(pipeline.prepare_instance))
+    lags = ("2018-01-08T08", "2018-01-08T09", "2018-01-08T10")
+    out = make_workspace(tmp_path, locations=2, k=5, lags=lags)
+    assert run("train", "--config", out / "config.json") == 0
+    assert run("optimize", "--config", out / "config.json", "--model", out / "out" / "model.json") == 0
+    assert all((out / "out" / f"scenario_{t}.json").exists() for t in lags)
+    assert len(calls) == 1
+
+
 def test_config_validation_paths(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"seed": "tomorrow", "data": {"counts_csv": "x.csv"}}))
@@ -117,9 +139,19 @@ def test_config_validation_paths(tmp_path):
         bad.write_text(json.dumps({"seed": 1, "data": {"counts_csv": "x"}, "model": model}))
         with pytest.raises(ConfigError, match=path):
             load_config(bad)
-    bad.write_text(json.dumps({"seed": 1, "data": {"counts_csv": "x"}, "optimize": {"k": 0}}))
-    with pytest.raises(ConfigError, match="config.optimize.k"):
-        load_config(bad)
+    for extra, path in (
+        ({"optimize": {"k": 0}}, r"config\.optimize\.k: must be >= 1"),
+        ({"optimize": {"k": "abc"}}, r"config\.optimize\.k: not an integer: 'abc'"),
+        ({"optimize": {"lags": ["2018-01-08T08", "2018-01-08T99"]}}, r"config\.optimize\.lags\[1\]: not an ISO hour"),
+        ({"optimize": {"lags": [2018]}}, r"config\.optimize\.lags\[0\]: not an ISO hour"),
+        ({"copula": {"min_lags": 0}}, r"config\.copula\.min_lags: must be >= 2"),
+        ({"copula": {"min_lags": -5}}, r"config\.copula\.min_lags: must be >= 2"),
+        ({"copula": {"min_lags": "many"}}, r"config\.copula\.min_lags: not an integer"),
+        ({"threads": 0}, r"config\.threads: must be >= 1"),
+    ):
+        bad.write_text(json.dumps({"seed": 1, "data": {"counts_csv": "x"}, **extra}))
+        with pytest.raises(ConfigError, match=path):
+            load_config(bad)
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="invalid JSON"):
         load_config(bad)

@@ -2,12 +2,12 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from drtopt.copula import (
     EmpiricalCDF,
     ecdf_from_forecast,
-    ecdf_from_history,
     export_correlation,
     export_samples,
     fit_correlation,
@@ -33,7 +33,7 @@ def make_fc(values, pair):
 
 
 def loop_cdf(F, x):
-    """Element-by-element reference for EmpiricalCDF.cdf (linear kind)."""
+    """Element-by-element reference for EmpiricalCDF.cdf."""
     out = []
     for xi in np.atleast_1d(np.asarray(x, dtype=np.float64)):
         if xi < F.values[0]:
@@ -61,17 +61,13 @@ def loop_inverse(F, u):
             out.append(F.values[-1])
         else:
             j = int(np.searchsorted(F.levels, ui, side="left"))
-            if F.kind == "step":
-                out.append(F.values[j])
-            else:
-                dq = F.levels[j] - F.levels[j - 1]
-                dv = F.values[j] - F.values[j - 1]
-                out.append(F.values[j - 1] + (ui - F.levels[j - 1]) / dq * dv)
+            dq = F.levels[j] - F.levels[j - 1]
+            dv = F.values[j] - F.values[j - 1]
+            out.append(F.values[j - 1] + (ui - F.levels[j - 1]) / dq * dv)
     return np.array(out)
 
 
-@pytest.mark.parametrize("kind", ["linear", "step"])
-def test_vectorized_cdf_and_inverse_equal_loop_reference(kind):
+def test_vectorized_cdf_and_inverse_equal_loop_reference():
     rng = np.random.default_rng(606)
     for _ in range(300):
         n = int(rng.integers(1, 9))
@@ -79,7 +75,7 @@ def test_vectorized_cdf_and_inverse_equal_loop_reference(kind):
         values = np.sort(rng.choice(np.round(rng.uniform(0.0, 40.0, size=5), 3), size=n))
         levels = np.sort(rng.choice(np.arange(1, 100), size=n, replace=False)) / 100.0
         levels[-1] = 1.0
-        F = EmpiricalCDF(values, levels, kind=kind)
+        F = EmpiricalCDF(values, levels)
         xs = np.concatenate(
             [values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf),
              [values[0] - 1.0, values[-1] + 1.0], rng.uniform(values[0] - 2.0, values[-1] + 2.0, size=20)]
@@ -89,12 +85,23 @@ def test_vectorized_cdf_and_inverse_equal_loop_reference(kind):
              [0.0, 1.0, -0.5, 1.5], rng.uniform(0.0, 1.0, size=20)]
         )
         assert np.array_equal(F.inverse(us), loop_inverse(F, us))
-        if kind == "linear":
-            assert np.array_equal(F.cdf(xs), loop_cdf(F, xs))
+        assert np.array_equal(F.cdf(xs), loop_cdf(F, xs))
         for x in xs[:4]:
             assert F.cdf(float(x)) == F.cdf(np.array([x]))[0]
         for u in us[:4]:
             assert F.inverse(float(u)) == loop_inverse(F, u)[0]
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    # a coarse grid makes repeated quantiles (jumps) and point masses common
+    st.lists(st.integers(0, 12), min_size=5, max_size=5),
+    st.floats(0.0, 1.0),
+)
+def test_forecast_cdf_inverse_undoes_cdf(quantiles, position):
+    F = ecdf_from_forecast(dict(zip(DEFAULT_QUANTILES, sorted(0.5 * v for v in quantiles))))
+    x = position * F.values[-1]  # anywhere on the support
+    assert F.inverse(F.cdf(x)) == pytest.approx(x, rel=1e-12, abs=1e-12)
 
 
 def test_forecast_cdf_degenerate_point_mass():
@@ -169,22 +176,6 @@ def test_sample_names_pair_with_non_finite_forecast(case):
     forecasts = {pairs[0]: make_fc(FORECAST, pairs[0]), pairs[1]: make_fc(NON_FINITE[case], pairs[1])}
     with pytest.raises(ValueError, match=r"forecast for ODPair\(origin=1, destination=0\): knots must be finite"):
         sample_joint(model, forecasts, 10, seed=0)
-
-
-def test_history_cdf_step():
-    F = ecdf_from_history([3, 1, 3, 7])
-    assert F.kind == "step"
-    assert F.cdf(0.5) == 0.0
-    assert F.cdf(1.0) == pytest.approx(0.25)
-    assert F.cdf(3.0) == pytest.approx(0.75)
-    assert F.cdf(100.0) == 1.0
-    assert F.inverse(0.5) == 3.0
-    assert F.inverse(1.0) == 7.0
-
-
-def test_history_cdf_empty():
-    with pytest.raises(ValueError):
-        ecdf_from_history([])
 
 
 # ---------------------------------------------------------------------------

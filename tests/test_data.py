@@ -12,9 +12,9 @@ from drtopt.data import (
     adf_test,
     build_features,
     campus_2017_split,
-    contiguous_blocks,
     counts_at,
     difference,
+    format_hour,
     load_od_counts,
     mask_lags,
     parse_hour,
@@ -23,6 +23,7 @@ from drtopt.data import (
     train_series,
     undifference,
 )
+from reference_features import reference_features
 
 
 def hourly(start: str, values):
@@ -144,7 +145,23 @@ def test_difference_skips_gaps():
     d = difference(s)
     # the first lag of each contiguous block is dropped: no 10-4 difference
     assert list(d.values) == [1, 2, 1]
-    assert len(contiguous_blocks(ts)) == 2
+    assert d.timestamps.tolist() == ts[[1, 2, 4]].tolist()
+
+
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(0, 500)), min_size=2, max_size=60))
+def test_difference_equals_per_lag_reference(steps):
+    # hour steps of 2 or 3 put gaps in the record
+    ts = parse_hour("2017-11-17T08") + np.cumsum([s for s, _ in steps]).astype("timedelta64[h]")
+    counts = np.array([c for _, c in steps])
+    kept = [i for i in range(1, len(ts)) if ts[i] - ts[i - 1] == np.timedelta64(1, "h")]
+    s = ODCountSeries(ODPair(0, 1), ts, counts)
+    if not kept:
+        with pytest.raises(ValueError, match="no contiguous run"):
+            difference(s)
+        return
+    d = difference(s)
+    assert d.timestamps.tolist() == ts[kept].tolist()
+    assert d.values.tolist() == [float(counts[i] - counts[i - 1]) for i in kept]
 
 
 @given(st.lists(st.integers(min_value=0, max_value=500), min_size=2, max_size=60))
@@ -295,23 +312,30 @@ def make_history(pair=ODPair(0, 1), n=60, start="2017-11-13T07", values=None):
     return {pair: HourlySeries(pair, ts, vals)}
 
 
+def feature_row(history, t, pair, cfg):
+    X, usable = build_features(history, np.array([t], dtype="datetime64[h]"), pair, cfg)
+    return X[0], bool(usable[0])
+
+
 def test_features_monday_eight():
     history = make_history()
     t = parse_hour("2017-11-20T08")  # a Monday
-    f = build_features(history, t, ODPair(0, 1), FeatureConfig())
-    assert f.dow_onehot[0] == 1.0 and f.dow_onehot.sum() == 1.0
-    assert f.tod_onehot[8 - 7] == 1.0 and f.tod_onehot.sum() == 1.0
-    assert len(f.ar_lags) == 24
+    x, usable = feature_row(history, t, ODPair(0, 1), FeatureConfig())
+    assert usable
+    tod, dow = x[:16], x[16:23]
+    assert dow[0] == 1.0 and dow.sum() == 1.0
+    assert tod[8 - 7] == 1.0 and tod.sum() == 1.0
+    assert len(x) == 16 + 7 + 24
 
 
 def test_features_exam_flag():
     history = make_history(n=800, start="2017-11-13T07")
     cfg = FeatureConfig(exam_period=(date(2017, 12, 8), date(2017, 12, 22)))
-    inside = build_features(history, parse_hour("2017-12-11T10"), ODPair(0, 1), cfg)
-    outside = build_features(history, parse_hour("2017-12-01T10"), ODPair(0, 1), cfg)
-    assert inside.exam_flag == 1
-    assert outside.exam_flag == 0
-    assert len(inside.vector()) == len(outside.vector()) == 16 + 7 + 1 + 24
+    stamps = np.array([parse_hour("2017-12-11T10"), parse_hour("2017-12-01T10")])
+    X, usable = build_features(history, stamps, ODPair(0, 1), cfg)
+    assert usable.all()
+    assert X.shape == (2, 16 + 7 + 1 + 24)
+    assert X[:, 23].tolist() == [1.0, 0.0]
 
 
 def test_features_cross_lag_block_length():
@@ -320,28 +344,80 @@ def test_features_cross_lag_block_length():
     for i, p in enumerate(pairs):
         history.update(make_history(p, n=10, values=np.full(10, float(i))))
     cfg = FeatureConfig(cross_lags=True, cross_order=1)
-    f = build_features(history, parse_hour("2017-11-13T17"), pairs[0], cfg)
-    assert len(f.ar_lags) == 30
+    x, usable = feature_row(history, parse_hour("2017-11-13T17"), pairs[0], cfg)
+    assert usable and len(x) == 16 + 7 + 30
     # ordering matches sorted pair order
-    assert list(f.ar_lags) == [float(i) for i in range(30)]
+    assert x[23:].tolist() == [float(i) for i in range(30)]
 
 
 def test_features_newest_lag_first():
     history = make_history()
     t = history[ODPair(0, 1)].timestamps[30]
-    f = build_features(history, t, ODPair(0, 1), FeatureConfig())
-    assert f.ar_lags[0] == 29.0 and f.ar_lags[23] == 6.0
+    x, _ = feature_row(history, t, ODPair(0, 1), FeatureConfig())
+    assert x[23] == 29.0 and x[23 + 23] == 6.0
 
 
 def test_features_insufficient_history():
     history = make_history(n=10)
-    with pytest.raises(ValueError, match="insufficient"):
-        build_features(history, parse_hour("2017-11-13T12"), ODPair(0, 1), FeatureConfig())
+    stamps = hourly("2017-11-13T12", range(3))
+    X, usable = build_features(history, stamps, ODPair(0, 1), FeatureConfig())
+    assert not usable.any()
+    assert not X.any()  # unusable rows are left unfilled
 
 
 def test_features_deterministic():
     history = make_history()
-    t = history[ODPair(0, 1)].timestamps[30]
-    a = build_features(history, t, ODPair(0, 1), FeatureConfig()).vector()
-    b = build_features(history, t, ODPair(0, 1), FeatureConfig()).vector()
-    assert np.array_equal(a, b)
+    stamps = history[ODPair(0, 1)].timestamps
+    a = build_features(history, stamps, ODPair(0, 1), FeatureConfig())
+    b = build_features(history, stamps, ODPair(0, 1), FeatureConfig())
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+FEATURE_PAIRS = (ODPair(0, 1), ODPair(0, 2), ODPair(1, 0))
+
+
+def feature_history(late=None, gap=None) -> dict[ODPair, HourlySeries]:
+    """Three working-scale series over daytime hours; one may start late or skip a day."""
+    rng = np.random.default_rng(77)
+    start = parse_hour("2017-12-01T00")
+    ts = start + np.arange(20 * 24).astype("timedelta64[h]")
+    ts = ts[(ts.astype("int64") % 24 >= 7) & (ts.astype("int64") % 24 <= 22)]
+    history = {}
+    for pair in FEATURE_PAIRS:
+        keep = np.ones(len(ts), dtype=bool)
+        if pair == late:
+            keep &= ts >= start + np.timedelta64(50, "h")
+        if pair == gap:
+            days = ts.astype("datetime64[D]")
+            keep &= days != np.datetime64("2017-12-05")
+        history[pair] = HourlySeries(pair, ts[keep], rng.normal(size=int(keep.sum())).round(3))
+    return history
+
+
+@pytest.mark.parametrize(
+    "cfg, history",
+    [
+        (FeatureConfig(pair_order=FEATURE_PAIRS), feature_history()),
+        (FeatureConfig(exam_period=(date(2017, 12, 8), date(2017, 12, 12)), pair_order=FEATURE_PAIRS), feature_history()),
+        (FeatureConfig(cross_lags=True, cross_order=1, pair_order=FEATURE_PAIRS), feature_history(late=FEATURE_PAIRS[2])),
+        (FeatureConfig(cross_lags=True, cross_order=2, pair_order=FEATURE_PAIRS), feature_history(late=FEATURE_PAIRS[2])),
+        (FeatureConfig(od_onehot=True, pair_order=FEATURE_PAIRS), feature_history()),
+        (FeatureConfig(ar_order=5, pair_order=FEATURE_PAIRS), feature_history(gap=FEATURE_PAIRS[0])),
+    ],
+    ids=["own", "own-exam", "cross1-late", "cross2-late", "pooled-onehot", "own-gap"],
+)
+def test_feature_matrix_rows_equal_per_lag_reference(cfg, history):
+    # every hour of the day, from before the history starts to after it ends
+    stamps = parse_hour("2017-11-30T00") + np.arange(22 * 24).astype("timedelta64[h]")
+    for pair in FEATURE_PAIRS:
+        X, usable = build_features(history, stamps, pair, cfg)
+        assert X.shape == (len(stamps), cfg.n_features(len(FEATURE_PAIRS)))
+        for t, x, ok in zip(stamps, X, usable):
+            try:
+                ref = reference_features(history, t, pair, cfg)
+            except ValueError:
+                assert not ok, format_hour(t)
+                continue
+            assert ok and np.array_equal(x, ref), format_hour(t)
+        assert usable.sum() > 100  # the comparison covered filled rows
+        assert not usable[stamps.astype("int64") % 24 == 23].any()

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from datetime import date
 
 import numpy as np
@@ -24,6 +25,7 @@ from drtopt.forecasting import (
 from drtopt.metrics import crossings
 from drtopt.qr import DEFAULT_QUANTILES
 from drtopt.synth import SyntheticSpec, generate_synthetic
+from reference_features import reference_features
 
 SPLIT = SplitSpec((date(2017, 11, 17), date(2017, 12, 12)), (date(2017, 12, 13), date(2017, 12, 20)))
 
@@ -120,6 +122,79 @@ def test_sorted_forecasts_never_cross(dataset):
     for pair in dataset.pairs:
         series = [forecasts[np.datetime64(t, "h")][pair] for t in lags]
         assert crossings(series, DEFAULT_QUANTILES) == 0
+
+
+@pytest.mark.parametrize(
+    "mspec",
+    [
+        spec(),
+        spec(scope="pooled"),
+        spec(cross_lags=True, cross_order=2),
+        spec(seasonal_normalize=True),
+        spec(family="gboost", gboost=GBoostHyper(0.3, 2, 5)),
+    ],
+    ids=["linear", "pooled", "cross2", "seasonal", "gboost"],
+)
+def test_batched_predict_equals_one_lag_predicts(dataset, mspec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # zero-variance seasonal cells
+        model = train_model(dataset, SPLIT, mspec, DEFAULT_QUANTILES)
+    lags = evaluation_lags(dataset, SPLIT)[::9]
+    batch = predict_forecasts(model, dataset, SPLIT, lags)
+    assert list(batch) == list(lags)
+    for t in lags:
+        alone = predict_forecasts(model, dataset, SPLIT, np.array([t]))[t]
+        assert list(alone) == list(batch[t]) == list(model.pair_order)
+        for pair, fc in alone.items():
+            assert fc.values == batch[t][pair].values and fc.lag == t
+
+
+def test_lag_outside_modeled_hours_is_skipped_in_training_and_raises_in_predict(dataset):
+    # hours 6 and 23 stay in the working series but have no time-of-day column
+    split = SplitSpec(SPLIT.train_range, SPLIT.test_range, masked_hours=frozenset(range(6)))
+    histories = working_series(dataset, split)
+    pair = dataset.pairs[0]
+    cfg = spec().feature_config(tuple(dataset.pairs))
+    X, y, stamps = forecasting._train_rows(histories, pair, split, cfg)
+    series = histories[pair]
+    in_train = series.timestamps[split.in_train(series.timestamps)]
+    expected = []
+    for t in in_train:
+        try:
+            expected.append(reference_features(histories, t, pair, cfg))
+        except ValueError:
+            continue
+    assert len(expected) == len(X) < len(in_train)
+    assert np.array_equal(np.array(expected), X)
+    assert set(stamps.astype("int64") % 24) == set(range(7, 23))
+
+    model = train_model(dataset, split, spec(), (0.5,))
+    late = np.datetime64("2017-12-14T23", "h")
+    with pytest.raises(ValueError, match="hour 23 outside modeled range 7..22"):
+        predict_forecasts(model, dataset, split, np.array([late]))
+
+
+def test_predict_raises_on_insufficient_history(dataset):
+    model = train_model(dataset, SPLIT, spec(), (0.5,))
+    early = np.datetime64("2017-11-17T12", "h")  # a few hours into the record
+    with pytest.raises(ValueError, match="insufficient history before 2017-11-17T12 for pair"):
+        predict_forecasts(model, dataset, SPLIT, np.array([early]))
+
+
+def test_predict_raises_without_the_previous_count(dataset):
+    model = train_model(dataset, SPLIT, spec(), (0.5,))
+    with pytest.raises(ValueError, match="no observation for pair .* at 2017-12-21T09"):
+        predict_forecasts(model, dataset, SPLIT, np.array([np.datetime64("2017-12-21T10", "h")]))
+
+
+def test_unsorted_spec_keeps_each_level_in_place(dataset):
+    lags = evaluation_lags(dataset, SPLIT)
+    kept = predict_forecasts(train_model(dataset, SPLIT, spec(sort_quantiles=False)), dataset, SPLIT, lags)
+    ordered = predict_forecasts(train_model(dataset, SPLIT, spec()), dataset, SPLIT, lags)
+    for t in lags:
+        for pair in dataset.pairs:
+            assert sorted(kept[t][pair].values.values()) == list(ordered[t][pair].values.values())
+    assert sum(crossings([kept[t][p] for t in lags], DEFAULT_QUANTILES) for p in dataset.pairs) > 0
 
 
 def test_exam_flag_requires_period(dataset):

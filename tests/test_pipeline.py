@@ -23,7 +23,7 @@ PAIRS = (ODPair(0, 1), ODPair(1, 0))
 def copula_for(pairs=PAIRS, corr=None):
     n = len(pairs)
     corr = np.eye(n) if corr is None else np.asarray(corr)
-    return GaussianCopulaModel(tuple(pairs), {}, corr, np.linalg.cholesky(corr))
+    return GaussianCopulaModel(tuple(pairs), corr, np.linalg.cholesky(corr))
 
 
 def point_mass(value, pair, lag=T0):
@@ -235,7 +235,7 @@ def _decision_case(seed, max_routes=2, capacity=40.0, exact=False, symmetric=Fal
     if symmetric:  # one shared normal score: every sample has equal demand on every pair
         chol = np.zeros((n, n))
         chol[:, 0] = 1.0
-        copula = GaussianCopulaModel(order, {}, np.ones((n, n)), chol)
+        copula = GaussianCopulaModel(order, np.ones((n, n)), chol)
     else:
         copula = copula_for(order, 0.6 * np.eye(n) + 0.4)
     return inst, forecasts, copula

@@ -5,19 +5,19 @@ from hypothesis import given, settings, strategies as st
 from drtopt.data import ODPair, parse_hour
 from drtopt.qr import (
     DEFAULT_QUANTILES,
-    finalize_quantiles,
     fit_hp,
     fit_lqr,
     fit_seasonal_stats,
     grid_search,
     pinball_minimizing_constant,
+    lqr_raw_predict,
     predict_hp,
-    predict_lqr,
     seasonal_denormalize,
     seasonal_normalize,
     tilted_loss,
 )
 from drtopt.data import HourlySeries, ODCountSeries
+from drtopt.forecasting import to_count_scale
 from reference_qr import reference_pinball_lp
 
 PAIR = ODPair(0, 1)
@@ -135,7 +135,7 @@ def test_lqr_recovers_exact_linear_function(rng):
     X = rng.normal(size=(120, 4))
     beta = np.array([1.0, -2.0, 0.5, 3.0])
     y = X @ beta
-    model = fit_lqr(X, y, DEFAULT_QUANTILES, sort_quantiles=False)
+    model = fit_lqr(X, y, DEFAULT_QUANTILES)
     for q in DEFAULT_QUANTILES:
         pred = X @ model.coef[q]
         assert np.mean(tilted_loss(q, y, pred)) <= 1e-6
@@ -205,7 +205,7 @@ def lqr_fixture(seed, n, kind):
 def test_dual_fit_loss_equals_primal_reference(kind, n):
     for seed in range(4):
         X, y = lqr_fixture(seed, n, kind)
-        model = fit_lqr(X, y, DEFAULT_QUANTILES, sort_quantiles=False)
+        model = fit_lqr(X, y, DEFAULT_QUANTILES)
         for q in DEFAULT_QUANTILES:
             assert model.converged[q]
             dual_loss = np.mean(tilted_loss(q, y, X @ model.coef[q]))
@@ -240,41 +240,55 @@ def test_dual_fit_meets_the_quantile_optimality_condition(seed, n, kind, q):
     assert np.sum(resid > 1e-7) <= (1.0 - q) * n + 1e-9
 
 
-def make_zero_model(p=3, sort=True):
+def make_zero_model(p=3):
     from drtopt.qr import LinearQRModel
 
     coef = {q: np.zeros(p) for q in DEFAULT_QUANTILES}
-    return LinearQRModel(DEFAULT_QUANTILES, coef, sort)
+    return LinearQRModel(DEFAULT_QUANTILES, coef)
+
+
+def raw_matrix(model, X):
+    raw = lqr_raw_predict(model, X)
+    return np.column_stack([raw[q] for q in model.levels])
 
 
 def test_predict_zero_coefs_returns_previous_count():
     model = make_zero_model()
-    values = predict_lqr(model, np.ones(3), prev_count=9.0)
-    assert all(v == 9.0 for v in values.values())
-    values = predict_lqr(model, np.ones(3), prev_count=-2.0)
-    assert all(v == 0.0 for v in values.values())
+    values = to_count_scale(raw_matrix(model, np.ones((2, 3))), [9.0, -2.0])
+    assert values[0].tolist() == [9.0] * 5
+    assert values[1].tolist() == [0.0] * 5
 
 
 def test_predict_sorting():
-    assert list(finalize_quantiles((0.05, 0.5, 0.95), [3.0, 2.0, 5.0], True).values()) == [2.0, 3.0, 5.0]
-    assert list(finalize_quantiles((0.05, 0.5, 0.95), [3.0, 2.0, 5.0], False).values()) == [3.0, 2.0, 5.0]
+    assert to_count_scale([[3.0, 2.0, 5.0]], [0.0], sort_quantiles=True).tolist() == [[2.0, 3.0, 5.0]]
+    assert to_count_scale([[3.0, 2.0, 5.0]], [0.0], sort_quantiles=False).tolist() == [[3.0, 2.0, 5.0]]
 
 
 def test_predict_clips_negative():
-    assert finalize_quantiles((0.5,), [-4.0], False)[0.5] == 0.0
+    assert to_count_scale([[-4.0]], [0.0], sort_quantiles=False).tolist() == [[0.0]]
 
 
 def test_predict_layout_mismatch():
     model = make_zero_model(p=3)
     with pytest.raises(ValueError, match="layout"):
-        predict_lqr(model, np.ones(5), prev_count=0.0)
+        lqr_raw_predict(model, np.ones((1, 5)))
 
 
 def test_predict_seasonal_scale_applied():
-    model = make_zero_model(sort=False)
-    values = predict_lqr(model, np.zeros(3), prev_count=1.0, seasonal_scale=(2.5, 3.0))
-    # raw 0 -> 0*3 + 2.5 -> + prev 1.0
-    assert all(v == pytest.approx(3.5) for v in values.values())
+    values = to_count_scale(np.zeros((2, 5)), [1.0, 0.0], [(2.5, 3.0), (-1.0, 2.0)], sort_quantiles=False)
+    # raw 0 -> 0*3 + 2.5 -> + prev 1.0; the second row's scale is its own
+    assert values[0].tolist() == [3.5] * 5
+    assert values[1].tolist() == [0.0] * 5
+
+
+def test_linear_raw_predict_is_per_row(rng):
+    X = rng.normal(size=(100, 3))
+    model = fit_lqr(X, rng.normal(size=100))
+    batch = lqr_raw_predict(model, X[:20])
+    for i in range(20):
+        alone = lqr_raw_predict(model, X[i])
+        for q in model.levels:
+            assert batch[q][i] == alone[q][0] == model.coef[q] @ X[i]
 
 
 @settings(deadline=None, max_examples=100)
@@ -291,9 +305,8 @@ def test_forecast_monotone_and_nonnegative(rng):
     X = rng.normal(size=(100, 3))
     y = rng.normal(size=100)
     model = fit_lqr(X, y)
-    for _ in range(20):
-        values = predict_lqr(model, rng.normal(size=3), prev_count=float(rng.normal()))
-        arr = [values[q] for q in DEFAULT_QUANTILES]
+    values = to_count_scale(raw_matrix(model, rng.normal(size=(20, 3))), rng.normal(size=20))
+    for arr in values:
         assert all(v >= 0 for v in arr)
         assert all(a <= b + 1e-12 for a, b in zip(arr, arr[1:]))
 

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     check_design_invariants,
@@ -541,3 +544,43 @@ def test_design_json_dict():
     assert doc["itinerary"] == "0-1-0"
     assert doc["objective"] == pytest.approx(20.0)
     assert any(f["route"] == 2 and f["flow"] == 5.0 for f in doc["flows"])
+
+
+# ---------------------------------------------------------------------------
+# solver invariances (property tests)
+# ---------------------------------------------------------------------------
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@settings(deadline=None, max_examples=40)
+@given(SEEDS)
+def test_solution_does_not_depend_on_demand_dict_order(seed):
+    rng = np.random.default_rng(seed)
+    instance, demand = random_medium_instance(rng)
+    items = list(demand.rates.items())
+    shuffled = DemandVector(dict(items[i] for i in rng.permutation(len(items))))
+    a, b = solve_instance(instance, demand), solve_instance(instance, shuffled)
+    assert a.key() == b.key() and a.objective == b.objective
+
+
+@settings(deadline=None, max_examples=40)
+@given(SEEDS)
+def test_explicit_zero_demand_pairs_change_nothing(seed):
+    rng = np.random.default_rng(seed)
+    instance, demand = random_medium_instance(rng)
+    padded = DemandVector({p: demand.get(p) for p in instance.od_pairs()})
+    a, b = solve_instance(instance, demand), solve_instance(instance, padded)
+    assert a.key() == b.key() and a.to_json_dict() == b.to_json_dict()
+
+
+@settings(deadline=None, max_examples=40)
+@given(SEEDS, st.floats(0.1, 10.0))
+def test_scaling_demand_under_slack_capacity_scales_the_objective(seed, c):
+    rng = np.random.default_rng(seed)
+    instance, demand = random_medium_instance(rng)
+    instance = replace(instance, capacity=1e9)  # no allocation is capacity-bound
+    a = solve_instance(instance, demand)
+    b = solve_instance(instance, DemandVector({p: c * v for p, v in demand.rates.items()}))
+    assert a.key() == b.key()
+    assert b.objective == pytest.approx(c * a.objective, rel=1e-12, abs=1e-12)
