@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import FeatureConfig
 from .qr import DEFAULT_QUANTILES, pinball_minimizing_constant, tilted_loss
 
 log = logging.getLogger(__name__)
@@ -33,18 +32,6 @@ class GBoostHyper:
         if not 1 <= self.n_trees <= 200:
             raise ValueError(f"n_trees must be in 1..200, got {self.n_trees}")
         return self
-
-
-@dataclass
-class TreeNode:
-    feature: int = -1  # -1 marks a leaf
-    threshold: float = 0.0
-    value: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-
-    def is_leaf(self) -> bool:
-        return self.feature < 0
 
 
 def _best_split(X: np.ndarray, g: np.ndarray):
@@ -70,30 +57,82 @@ def _best_split(X: np.ndarray, g: np.ndarray):
     return best
 
 
-def _grow_tree(X, g, residuals, q, depth, max_depth) -> TreeNode:
-    if depth >= max_depth or len(g) < 2:
-        return TreeNode(value=pinball_minimizing_constant(residuals, q))
-    split = _best_split(X, g)
+@dataclass(frozen=True)
+class Forest:
+    """One quantile level's trees as (trees, nodes) arrays in heap order.
+
+    Node i has children 2i+1 and 2i+2, so a tree of depth d takes
+    2**(d+1) - 1 slots; a feature below 0 marks a leaf (or an unused slot).
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    value: np.ndarray
+
+    @classmethod
+    def empty(cls, n_trees: int, max_depth: int) -> "Forest":
+        shape = (n_trees, 2 ** (max_depth + 1) - 1)
+        return cls(np.full(shape, -1, dtype=np.intp), np.zeros(shape), np.zeros(shape))
+
+    def __len__(self) -> int:
+        return len(self.feature)
+
+    @property
+    def max_depth(self) -> int:
+        return self.feature.shape[1].bit_length() - 1
+
+    def __getitem__(self, trees: slice) -> "Forest":
+        return Forest(self.feature[trees], self.threshold[trees], self.value[trees])
+
+    def leaf_values(self, X: np.ndarray) -> np.ndarray:
+        """(trees, rows): each row's leaf value in every tree, all trees descended at once."""
+        trees = np.arange(len(self))[:, None]
+        rows = np.arange(len(X))
+        node = np.zeros((len(self), len(X)), dtype=np.intp)
+        for _ in range(self.max_depth):
+            feature = self.feature[trees, node]
+            right = ~(X[rows, feature] <= self.threshold[trees, node])
+            node = np.where(feature >= 0, 2 * node + 1 + right, node)
+        return self.value[trees, node]
+
+
+def _grow_tree(X, g, residuals, q, depth, max_depth, forest: Forest, t: int, node: int = 0) -> None:
+    """Fill tree t of `forest` from heap node `node` down."""
+    split = None if depth >= max_depth or len(g) < 2 else _best_split(X, g)
     if split is None:
-        return TreeNode(value=pinball_minimizing_constant(residuals, q))
+        forest.value[t, node] = pinball_minimizing_constant(residuals, q)
+        return
     j, thr, left_idx, right_idx = split
-    left = _grow_tree(X[left_idx], g[left_idx], residuals[left_idx], q, depth + 1, max_depth)
-    right = _grow_tree(X[right_idx], g[right_idx], residuals[right_idx], q, depth + 1, max_depth)
-    return TreeNode(feature=j, threshold=thr, left=left, right=right)
+    forest.feature[t, node] = j
+    forest.threshold[t, node] = thr
+    for child, idx in ((2 * node + 1, left_idx), (2 * node + 2, right_idx)):
+        _grow_tree(X[idx], g[idx], residuals[idx], q, depth + 1, max_depth, forest, t, child)
 
 
-def _tree_predict(node: TreeNode, X: np.ndarray) -> np.ndarray:
-    out = np.empty(len(X))
-    stack = [(node, np.arange(len(X)))]
-    while stack:
-        nd, idx = stack.pop()
-        if nd.is_leaf():
-            out[idx] = nd.value
-            continue
-        go_left = X[idx, nd.feature] <= nd.threshold
-        stack.append((nd.left, idx[go_left]))
-        stack.append((nd.right, idx[~go_left]))
-    return out
+def tree_to_doc(forest: Forest, t: int, node: int = 0) -> dict:
+    """Tree t as nested JSON: a leaf is {value}, a split {feature, threshold, left, right}."""
+    feature = int(forest.feature[t, node])
+    if feature < 0:
+        return {"value": float(forest.value[t, node])}
+    return {
+        "feature": feature,
+        "threshold": float(forest.threshold[t, node]),
+        "left": tree_to_doc(forest, t, 2 * node + 1),
+        "right": tree_to_doc(forest, t, 2 * node + 2),
+    }
+
+
+def tree_from_doc(doc: dict, forest: Forest, t: int, owner: str, node: int = 0) -> None:
+    """Fill tree t of `forest` from the nested JSON `tree_to_doc` writes."""
+    if "value" in doc:
+        forest.value[t, node] = float(doc["value"])
+        return
+    if 2 * node + 2 >= forest.feature.shape[1]:
+        raise ValueError(f"model {owner}: tree {t} is deeper than max_depth {forest.max_depth}")
+    forest.feature[t, node] = int(doc["feature"])
+    forest.threshold[t, node] = float(doc["threshold"])
+    tree_from_doc(doc["left"], forest, t, owner, 2 * node + 1)
+    tree_from_doc(doc["right"], forest, t, owner, 2 * node + 2)
 
 
 @dataclass
@@ -101,8 +140,7 @@ class GBoostQRModel:
     levels: tuple[float, ...]
     hyper: GBoostHyper
     init: dict[float, float]
-    trees: dict[float, list[TreeNode]]
-    feature_cfg: FeatureConfig | None = None
+    trees: dict[float, Forest]
     train_loss: dict[float, list[float]] = field(default_factory=dict)
 
 
@@ -114,7 +152,6 @@ def fit_gboost(
     *,
     val: tuple[np.ndarray, np.ndarray] | None = None,
     patience: int = 10,
-    feature_cfg: FeatureConfig | None = None,
 ) -> GBoostQRModel:
     """Boost one tree ensemble per quantile level.
 
@@ -133,44 +170,47 @@ def fit_gboost(
         q = float(q)
         f0 = pinball_minimizing_constant(y, q)
         pred = np.full(len(y), f0)
-        trees: list[TreeNode] = []
+        forest = Forest.empty(hyper.n_trees, hyper.max_depth)
         loss_path = [float(np.mean(tilted_loss(q, y, pred)))]
         if val is not None:
             val_pred = np.full(len(val[1]), f0)
             best_val = float(np.mean(tilted_loss(q, val[1], val_pred)))
             best_stage, since_best = 0, 0
-        for _ in range(hyper.n_trees):
+        for t in range(hyper.n_trees):
             residuals = y - pred
             gradient = np.where(residuals > 0, q, np.where(residuals < 0, q - 1.0, q))
-            tree = _grow_tree(X, gradient, residuals, q, 0, hyper.max_depth)
-            trees.append(tree)
-            pred = pred + hyper.learning_rate * _tree_predict(tree, X)
+            _grow_tree(X, gradient, residuals, q, 0, hyper.max_depth, forest, t)
+            stage = forest[t : t + 1]
+            pred = pred + hyper.learning_rate * stage.leaf_values(X)[0]
             loss_path.append(float(np.mean(tilted_loss(q, y, pred))))
             if val is not None:
-                val_pred = val_pred + hyper.learning_rate * _tree_predict(tree, val[0])
+                val_pred = val_pred + hyper.learning_rate * stage.leaf_values(val[0])[0]
                 vloss = float(np.mean(tilted_loss(q, val[1], val_pred)))
                 if vloss < best_val - 1e-12:
-                    best_val, best_stage, since_best = vloss, len(trees), 0
+                    best_val, best_stage, since_best = vloss, t + 1, 0
                 else:
                     since_best += 1
                     if since_best >= patience:
                         break
         if val is not None:
-            trees = trees[:best_stage]
+            forest = forest[:best_stage]
             loss_path = loss_path[: best_stage + 1]
         init[q] = f0
-        forests[q] = trees
+        forests[q] = forest
         losses[q] = loss_path
-    return GBoostQRModel(tuple(float(q) for q in levels), hyper, init, forests, feature_cfg, losses)
+    return GBoostQRModel(tuple(float(q) for q in levels), hyper, init, forests, losses)
 
 
 def gboost_raw_predict(model: GBoostQRModel, X: np.ndarray) -> dict[float, np.ndarray]:
-    """Working-scale ensemble output per quantile level."""
+    """Working-scale ensemble output per quantile level.
+
+    The stages are added one after another along the tree axis, the fit's
+    own order, so the training rows reproduce the fit's running values.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     out = {}
     for q in model.levels:
-        pred = np.full(len(X), model.init[q])
-        for tree in model.trees[q]:
-            pred = pred + model.hyper.learning_rate * _tree_predict(tree, X)
-        out[q] = pred
+        stages = model.hyper.learning_rate * model.trees[q].leaf_values(X)
+        start = np.full((1, len(X)), model.init[q])
+        out[q] = np.cumsum(np.vstack([start, stages]), axis=0)[-1]
     return out

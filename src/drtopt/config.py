@@ -47,12 +47,21 @@ def _require(doc: dict, key: str, path: str):
 
 def _parse_int(value, path: str, minimum: int) -> int:
     try:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError  # int() would truncate it
         number = int(value)
     except (TypeError, ValueError):
         raise ConfigError(path, f"not an integer: {value!r}") from None
     if number < minimum:
         raise ConfigError(path, f"must be >= {minimum}")
     return number
+
+
+def _parse_float(value, path: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(path, f"not a number: {value!r}") from None
 
 
 def _parse_date(text, path: str) -> date:
@@ -98,6 +107,8 @@ def _parse_model(doc, path: str) -> ModelSpec:
             raise ConfigError(f"{path}.exam_period", 'expected [start, end], null, or "campus-2017"')
         exam_period = tuple(_parse_date(d, f"{path}.exam_period") for d in exam)
     hyper = _parse_hyper(doc.get("gboost", {}), f"{path}.gboost")
+    cross_order = _parse_int(doc.get("cross_order", 1), f"{path}.cross_order", 0)
+    ar_order = _parse_int(doc.get("ar_order", 24), f"{path}.ar_order", 0)
     try:
         return ModelSpec(
             family=doc.get("family", "linear"),
@@ -106,8 +117,8 @@ def _parse_model(doc, path: str) -> ModelSpec:
             exam_period=exam_period,
             seasonal_normalize=bool(doc.get("seasonal_normalize", False)),
             cross_lags=bool(doc.get("cross_lags", False)),
-            cross_order=int(doc.get("cross_order", 1)),
-            ar_order=int(doc.get("ar_order", 24)),
+            cross_order=cross_order,
+            ar_order=ar_order,
             gboost=hyper,
         )
     except ValueError as exc:
@@ -141,7 +152,10 @@ def config_from_json_dict(doc: dict, base_dir: Path) -> PipelineConfig:
     data = _require(doc, "data", "")
     counts = base_dir / _require(data, "counts_csv", "data")
 
-    quantiles = tuple(float(q) for q in doc.get("quantiles", DEFAULT_QUANTILES))
+    quantiles = doc.get("quantiles", DEFAULT_QUANTILES)
+    if not isinstance(quantiles, (list, tuple)):
+        raise ConfigError("quantiles", f"expected a list of levels, got {quantiles!r}")
+    quantiles = tuple(_parse_float(q, f"quantiles[{i}]") for i, q in enumerate(quantiles))
     if any(not 0 < q < 1 for q in quantiles) or list(quantiles) != sorted(set(quantiles)):
         raise ConfigError("quantiles", "must be strictly increasing values in (0,1)")
 

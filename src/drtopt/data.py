@@ -229,11 +229,6 @@ def difference(series: ODCountSeries | HourlySeries) -> HourlySeries:
     return HourlySeries(series.pair, series.timestamps[1:][keep], np.diff(series.values)[keep])
 
 
-def undifference(diffed: HourlySeries, y0: float) -> np.ndarray:
-    """Cumulative reconstruction from the block's starting value y0."""
-    return y0 + np.cumsum(diffed.values)
-
-
 @dataclass(frozen=True)
 class SplitSpec:
     """Train/test date ranges plus masked hours and holiday date ranges."""

@@ -82,9 +82,12 @@ class TrainedDemandModel:
     levels: tuple[float, ...]
     labels: list[str]
     pair_order: tuple[ODPair, ...]
-    feature_cfg: FeatureConfig | None
     models: dict[ODPair | None, object]  # None key = pooled scope
     seasonal: dict[ODPair, qr.SeasonalStats] = field(default_factory=dict)
+
+    @property
+    def feature_cfg(self) -> FeatureConfig:
+        return self.spec.feature_config(self.pair_order)
 
     def model_for(self, pair: ODPair):
         return self.models[None] if self.spec.scope == "pooled" else self.models[pair]
@@ -103,19 +106,59 @@ def working_series(
     return out
 
 
-def _train_rows(
-    histories: dict[ODPair, HourlySeries],
-    pair: ODPair,
-    split: SplitSpec,
-    cfg: FeatureConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Feature matrix, targets, and timestamps for one pair's usable train lags."""
-    series = histories[pair]
-    in_train = split.in_train(series.timestamps)
-    X, usable = build_features(histories, series.timestamps[in_train], pair, cfg)
-    if not usable.any():
-        raise ValueError(f"no usable training lags for pair {pair}")
-    return X[usable], series.values[in_train][usable], series.timestamps[in_train][usable]
+def _group_rows(
+    dataset: ODDataset, split: SplitSpec, spec: ModelSpec, check_unit_root: bool = False
+) -> tuple[dict[ODPair | None, list], dict[ODPair, qr.SeasonalStats]]:
+    """Each fitted model's train rows, one (X, y, stamps) per pair, and the seasonal stats.
+
+    The rows come from the working series, seasonally normalized by
+    train-range stats when the spec asks.  Pooled scope fits one model,
+    keyed None, over every pair; otherwise each pair is its own group.
+    """
+    histories = working_series(dataset, split, check_unit_root)
+    seasonal: dict[ODPair, qr.SeasonalStats] = {}
+    if spec.seasonal_normalize:
+        for pair, series in histories.items():
+            keep = split.in_train(series.timestamps)
+            seasonal[pair] = qr.fit_seasonal_stats(HourlySeries(pair, series.timestamps[keep], series.values[keep]))
+            histories[pair] = qr.seasonal_normalize(series, seasonal[pair])
+    cfg = spec.feature_config(tuple(dataset.pairs))
+    rows = {}
+    for pair, series in histories.items():
+        keep = split.in_train(series.timestamps)
+        X, usable = build_features(histories, series.timestamps[keep], pair, cfg)
+        if not usable.any():
+            raise ValueError(f"no usable training lags for pair {pair}")
+        rows[pair] = X[usable], series.values[keep][usable], series.timestamps[keep][usable]
+    if spec.scope == "pooled":
+        return {None: list(rows.values())}, seasonal
+    return {pair: [r] for pair, r in rows.items()}, seasonal
+
+
+def _in_range(stamps: np.ndarray, rng: tuple[date, date]) -> np.ndarray:
+    days = stamps.astype("datetime64[D]")
+    return (days >= np.datetime64(rng[0])) & (days <= np.datetime64(rng[1]))
+
+
+def _fit_groups(spec: ModelSpec, groups, levels, hyper: boosting.GBoostHyper, tuning=None, patience: int = 10):
+    """One model of the spec's family per group, fit on its pairs' stacked rows.
+
+    With `tuning` (the ranges of `tuning_ranges`), the fit takes the
+    tuning-train rows and the tuning-val rows drive early stopping.
+    """
+    models = {}
+    for key, rows in groups.items():
+        X, y, stamps = (np.concatenate(part) for part in zip(*rows))
+        val = None
+        if tuning is not None:
+            _, val_range, train_range = tuning
+            in_val, in_train = _in_range(stamps, val_range), _in_range(stamps, train_range)
+            val, X, y = (X[in_val], y[in_val]), X[in_train], y[in_train]
+        if spec.family == "linear":
+            models[key] = qr.fit_lqr(X, y, levels)
+        else:
+            models[key] = boosting.fit_gboost(X, y, levels, hyper, val=val, patience=patience)
+    return models
 
 
 def train_model(
@@ -126,45 +169,12 @@ def train_model(
 ) -> TrainedDemandModel:
     pair_order = tuple(dataset.pairs)
     labels = [loc.label for loc in dataset.locations]
-
     if spec.family == "hp":
-        models = {}
-        for pair in pair_order:
-            models[pair] = qr.fit_hp(train_series(dataset.series[pair], split), levels)
-        return TrainedDemandModel(spec, tuple(levels), labels, pair_order, None, models)
-
-    histories = working_series(dataset, split, check_unit_root=True)
-    seasonal: dict[ODPair, qr.SeasonalStats] = {}
-    if spec.seasonal_normalize:
-        for pair in pair_order:
-            series = histories[pair]
-            keep = split.in_train(series.timestamps)
-            train_part = HourlySeries(pair, series.timestamps[keep], series.values[keep])
-            stats = qr.fit_seasonal_stats(train_part)
-            seasonal[pair] = stats
-            histories[pair] = qr.seasonal_normalize(series, stats)
-
-    cfg = spec.feature_config(pair_order)
-    models: dict[ODPair | None, object] = {}
-    if spec.scope == "pooled":
-        xs, ys = [], []
-        for pair in pair_order:
-            X, y, _ = _train_rows(histories, pair, split, cfg)
-            xs.append(X)
-            ys.append(y)
-        X, y = np.vstack(xs), np.concatenate(ys)
-        models[None] = _fit_family(spec, X, y, levels, cfg)
-    else:
-        for pair in pair_order:
-            X, y, _ = _train_rows(histories, pair, split, cfg)
-            models[pair] = _fit_family(spec, X, y, levels, cfg)
-    return TrainedDemandModel(spec, tuple(levels), labels, pair_order, cfg, models, seasonal)
-
-
-def _fit_family(spec: ModelSpec, X, y, levels, cfg):
-    if spec.family == "linear":
-        return qr.fit_lqr(X, y, levels, feature_cfg=cfg)
-    return boosting.fit_gboost(X, y, levels, spec.gboost, feature_cfg=cfg)
+        models = {pair: qr.fit_hp(train_series(dataset.series[pair], split), levels) for pair in pair_order}
+        return TrainedDemandModel(spec, tuple(levels), labels, pair_order, models)
+    groups, seasonal = _group_rows(dataset, split, spec, check_unit_root=True)
+    models = _fit_groups(spec, groups, levels, spec.gboost)
+    return TrainedDemandModel(spec, tuple(levels), labels, pair_order, models, seasonal)
 
 
 def evaluation_lags(dataset: ODDataset, split: SplitSpec) -> np.ndarray:
@@ -270,46 +280,25 @@ def gboost_grid_search(
     levels=qr.DEFAULT_QUANTILES,
     patience: int = 10,
 ) -> tuple[boosting.GBoostHyper, list[float]]:
-    """Pick boosting hyperparameters by total tuning-test MTL, ties first-wins."""
-    (test_a, test_b), (val_a, val_b), (train_a, train_b) = tuning_ranges(split)
-    histories = working_series(dataset, split)
-    cfg = spec.feature_config(tuple(dataset.pairs))
+    """Pick boosting hyperparameters by total tuning-test MTL, ties first-wins.
 
-    def in_range(ts, rng):
-        days = ts.astype("datetime64[D]")
-        return (days >= np.datetime64(rng[0])) & (days <= np.datetime64(rng[1]))
+    The rows are the ones training uses, seasonally normalized when the spec
+    asks; each pair's tuning-test loss counts once.
+    """
+    if spec.family != "gboost":
+        raise ValueError("grid search applies to the gboost family only")
+    tuning = tuning_ranges(split)
+    groups, _ = _group_rows(dataset, split, spec)
 
-    per_pair = {}
-    for pair in dataset.pairs:
-        X, y, stamps = _train_rows(histories, pair, split, cfg)
-        sel_train = in_range(stamps, (train_a, train_b))
-        sel_val = in_range(stamps, (val_a, val_b))
-        sel_test = in_range(stamps, (test_a, test_b))
-        per_pair[pair] = (X[sel_train], y[sel_train], X[sel_val], y[sel_val], X[sel_test], y[sel_test])
-
-    def pair_score(model, Xs, ys) -> float:
-        raw = boosting.gboost_raw_predict(model, Xs)
-        return sum(float(np.mean(qr.tilted_loss(q, ys, raw[q]))) for q in levels)
-
-    if spec.scope == "pooled":
-        Xt = np.vstack([per_pair[p][0] for p in dataset.pairs])
-        yt = np.concatenate([per_pair[p][1] for p in dataset.pairs])
-        Xv = np.vstack([per_pair[p][2] for p in dataset.pairs])
-        yv = np.concatenate([per_pair[p][3] for p in dataset.pairs])
-
-        def score(hyper: boosting.GBoostHyper) -> float:
-            model = boosting.fit_gboost(Xt, yt, levels, hyper, val=(Xv, yv), patience=patience)
-            return sum(pair_score(model, per_pair[p][4], per_pair[p][5]) for p in dataset.pairs)
-
-    else:
-
-        def score(hyper: boosting.GBoostHyper) -> float:
-            total = 0.0
-            for pair in dataset.pairs:
-                Xt, yt, Xv, yv, Xs, ys = per_pair[pair]
-                model = boosting.fit_gboost(Xt, yt, levels, hyper, val=(Xv, yv), patience=patience)
-                total += pair_score(model, Xs, ys)
-            return total
+    def score(hyper: boosting.GBoostHyper) -> float:
+        models = _fit_groups(spec, groups, levels, hyper, tuning, patience)
+        total = 0.0
+        for key, rows in groups.items():
+            for X, y, stamps in rows:
+                in_test = _in_range(stamps, tuning[0])
+                raw = boosting.gboost_raw_predict(models[key], X[in_test])
+                total += sum(float(np.mean(qr.tilted_loss(q, y[in_test], raw[q]))) for q in levels)
+        return total
 
     return qr.grid_search(score, grid)
 
@@ -356,28 +345,6 @@ def _spec_from_doc(doc: dict) -> ModelSpec:
     )
 
 
-def _tree_doc(node: boosting.TreeNode) -> dict:
-    if node.is_leaf():
-        return {"value": node.value}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _tree_doc(node.left),
-        "right": _tree_doc(node.right),
-    }
-
-
-def _tree_from_doc(doc: dict, owner: str) -> boosting.TreeNode:
-    if "value" in doc:
-        return boosting.TreeNode(value=_finite(float(doc["value"]), owner, "tree value"))
-    return boosting.TreeNode(
-        feature=int(doc["feature"]),
-        threshold=_finite(float(doc["threshold"]), owner, "tree threshold"),
-        left=_tree_from_doc(doc["left"], owner),
-        right=_tree_from_doc(doc["right"], owner),
-    )
-
-
 def _finite(value, owner: str, field: str):
     """`value` (a number or an array), unless any of it is NaN or infinite."""
     if not np.all(np.isfinite(value)):
@@ -405,11 +372,23 @@ def _inner_doc(family: str, model) -> dict:
         }
     return {
         "init": {str(q): model.init[q] for q in model.levels},
-        "trees": {str(q): [_tree_doc(t) for t in model.trees[q]] for q in model.levels},
+        "trees": {
+            str(q): [boosting.tree_to_doc(model.trees[q], t) for t in range(len(model.trees[q]))]
+            for q in model.levels
+        },
     }
 
 
-def _inner_from_doc(family: str, doc: dict, name: str, pair, levels, spec: ModelSpec, cfg):
+def _forest_from_doc(docs: list, max_depth: int, owner: str) -> boosting.Forest:
+    forest = boosting.Forest.empty(len(docs), max_depth)
+    for t, doc in enumerate(docs):
+        boosting.tree_from_doc(doc, forest, t, owner)
+    _finite(forest.threshold, owner, "tree threshold")
+    _finite(forest.value, owner, "tree value")
+    return forest
+
+
+def _inner_from_doc(family: str, doc: dict, name: str, pair, levels, spec: ModelSpec):
     if family == "hp":
         buckets = {
             (b["dow"], b["tod"]): (
@@ -423,10 +402,13 @@ def _inner_from_doc(family: str, doc: dict, name: str, pair, levels, spec: Model
         coef = {float(q): _finite(np.array(v, dtype=np.float64), f"{name}, level {q}", "coef")
                 for q, v in doc["coef"].items()}
         converged = {float(q): bool(v) for q, v in doc["converged"].items()}
-        return qr.LinearQRModel(levels, coef, converged, cfg)
+        return qr.LinearQRModel(levels, coef, converged)
     init = {float(q): _finite(float(v), f"{name}, level {q}", "init") for q, v in doc["init"].items()}
-    trees = {float(q): [_tree_from_doc(t, f"{name}, level {q}") for t in ts] for q, ts in doc["trees"].items()}
-    return boosting.GBoostQRModel(levels, spec.gboost, init, trees, cfg)
+    trees = {
+        float(q): _forest_from_doc(ts, spec.gboost.max_depth, f"{name}, level {q}")
+        for q, ts in doc["trees"].items()
+    }
+    return boosting.GBoostQRModel(levels, spec.gboost, init, trees)
 
 
 def model_to_json_dict(model: TrainedDemandModel) -> dict:
@@ -460,18 +442,15 @@ def model_from_json_dict(doc: dict) -> TrainedDemandModel:
     index = {lab: i for i, lab in enumerate(labels)}
     levels = tuple(float(q) for q in doc["levels"])
     pair_order = tuple(ODPair(index[o], index[d]) for o, d in doc["pairs"])
-    cfg = spec.feature_config(pair_order) if spec.family != "hp" else None
 
     models: dict[ODPair | None, object] = {}
     for name, inner_doc in doc["models"].items():
         if name == "pooled":
             key = None
-            pair = None
         else:
             o, d = name.split(">")
             key = ODPair(index[o], index[d])
-            pair = key
-        models[key] = _inner_from_doc(spec.family, inner_doc, name, pair, levels, spec, cfg)
+        models[key] = _inner_from_doc(spec.family, inner_doc, name, key, levels, spec)
 
     seasonal = {}
     for name, sdoc in doc.get("seasonal", {}).items():
@@ -482,7 +461,7 @@ def model_from_json_dict(doc: dict) -> TrainedDemandModel:
             mean[(c["dow"], c["tod"])] = _finite(float(c["mean"]), where, "mean")
             std[(c["dow"], c["tod"])] = _finite(float(c["std"]), where, "std")
         seasonal[ODPair(index[o], index[d])] = qr.SeasonalStats(mean, std)
-    return TrainedDemandModel(spec, levels, labels, pair_order, cfg, models, seasonal)
+    return TrainedDemandModel(spec, levels, labels, pair_order, models, seasonal)
 
 
 def save_model(model: TrainedDemandModel, path) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
-from .data import FeatureConfig, HourlySeries, ODCountSeries, ODPair, hour_of, weekday_of
+from .data import HourlySeries, ODCountSeries, ODPair, hour_of, weekday_of
 
 log = logging.getLogger(__name__)
 
@@ -112,7 +112,6 @@ class LinearQRModel:
     levels: tuple[float, ...]
     coef: dict[float, np.ndarray]
     converged: dict[float, bool] = field(default_factory=dict)
-    feature_cfg: FeatureConfig | None = None
 
 
 def _solve_pinball_lp(XT: np.ndarray, col_sums: np.ndarray, y: np.ndarray, q: float) -> tuple[np.ndarray, bool]:
@@ -131,13 +130,7 @@ def _solve_pinball_lp(XT: np.ndarray, col_sums: np.ndarray, y: np.ndarray, q: fl
     return -res.eqlin.marginals, res.status == 0
 
 
-def fit_lqr(
-    X: np.ndarray,
-    y: np.ndarray,
-    levels=DEFAULT_QUANTILES,
-    *,
-    feature_cfg: FeatureConfig | None = None,
-) -> LinearQRModel:
+def fit_lqr(X: np.ndarray, y: np.ndarray, levels=DEFAULT_QUANTILES) -> LinearQRModel:
     """Fit one coefficient vector per quantile level by exact LP.
 
     Requires at least twice as many rows as features and finite inputs.  The
@@ -158,7 +151,7 @@ def fit_lqr(
         beta, ok = _solve_pinball_lp(XT, col_sums, y, float(q))
         coef[float(q)] = beta
         converged[float(q)] = ok
-    return LinearQRModel(tuple(float(q) for q in levels), coef, converged, feature_cfg)
+    return LinearQRModel(tuple(float(q) for q in levels), coef, converged)
 
 
 def lqr_raw_predict(model: LinearQRModel, X: np.ndarray) -> dict[float, np.ndarray]:
@@ -221,12 +214,6 @@ def seasonal_normalize(series: HourlySeries, stats: SeasonalStats) -> HourlySeri
     """(y - bucket mean) / bucket std; zero-variance buckets pass through."""
     scales = np.array([stats.scale_at(t) for t in series.timestamps])
     values = (series.values - scales[:, 0]) / scales[:, 1]
-    return HourlySeries(series.pair, series.timestamps, values)
-
-
-def seasonal_denormalize(series: HourlySeries, stats: SeasonalStats) -> HourlySeries:
-    scales = np.array([stats.scale_at(t) for t in series.timestamps])
-    values = series.values * scales[:, 1] + scales[:, 0]
     return HourlySeries(series.pair, series.timestamps, values)
 
 

@@ -124,20 +124,3 @@ def network_for(spec: SyntheticSpec, dataset: ODDataset, fleet_size: int = 2,
         max_route_stops=max_route_stops,
     )
 
-
-def seasonal_residuals(dataset: ODDataset) -> np.ndarray:
-    """Counts minus their per-(weekday, hour) empirical mean, stacked per pair."""
-    pairs = dataset.pairs
-    first = dataset.series[pairs[0]]
-    hours = first.timestamps.astype("int64") % 24
-    dows = (first.timestamps.astype("int64") // 24 + 3) % 7
-    cells = dows * 24 + hours
-    out = np.empty((len(first), len(pairs)))
-    for j, pair in enumerate(pairs):
-        values = dataset.series[pair].counts.astype(np.float64)
-        resid = np.empty_like(values)
-        for cell in np.unique(cells):
-            sel = cells == cell
-            resid[sel] = values[sel] - values[sel].mean()
-        out[:, j] = resid
-    return out

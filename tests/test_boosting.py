@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 
 from drtopt.boosting import (
+    Forest,
     GBoostHyper,
     fit_gboost,
     gboost_raw_predict,
+    tree_from_doc,
+    tree_to_doc,
 )
-from drtopt.forecasting import to_count_scale
-from drtopt.qr import DEFAULT_QUANTILES, pinball_minimizing_constant
+from drtopt.forecasting import _inner_doc, to_count_scale
+from drtopt.qr import DEFAULT_QUANTILES, pinball_minimizing_constant, tilted_loss
+from reference_trees import reference_raw_predict
 
 
 def test_hyper_validation_bounds():
@@ -98,3 +102,57 @@ def test_rejects_non_finite(rng):
     y[4] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
         fit_gboost(X, y, (0.5,), GBoostHyper())
+
+
+@pytest.mark.parametrize("depth", range(7))
+def test_array_predict_equals_walking_the_json_trees(rng, depth):
+    X = np.round(rng.normal(size=(160, 4)), 1)  # ties in every feature
+    y = rng.gamma(3.0, 2.0, size=160) + 3.0 * (X[:, 0] > 0)
+    hyper = GBoostHyper(learning_rate=0.3, max_depth=depth, n_trees=12)
+    model = fit_gboost(X, y, (0.25, 0.5, 0.9), hyper)
+    doc = _inner_doc("gboost", model)
+    fresh = rng.normal(size=(40, 4))
+    # rows sitting exactly on a split threshold go left
+    split = model.trees[0.5].feature >= 0
+    on_edge = np.repeat(X[:1], split.sum(), axis=0)
+    on_edge[np.arange(split.sum()), model.trees[0.5].feature[split]] = model.trees[0.5].threshold[split]
+    for rows in (X, fresh, fresh[:1], fresh[:0], on_edge):
+        raw = gboost_raw_predict(model, rows)
+        ref = reference_raw_predict(doc, hyper.learning_rate, rows)
+        for q in model.levels:
+            assert np.array_equal(raw[q], ref[q])
+    for q in model.levels:
+        assert len(model.trees[q]) == 12
+        # the training rows reproduce the fit's own running value
+        assert float(np.mean(tilted_loss(q, y, gboost_raw_predict(model, X)[q]))) == model.train_loss[q][-1]
+        back = Forest.empty(12, depth)
+        for t, tree in enumerate(doc["trees"][str(q)]):
+            tree_from_doc(tree, back, t, "m")
+        assert [tree_to_doc(back, t) for t in range(12)] == doc["trees"][str(q)]
+    assert max(_depth(t) for ts in doc["trees"].values() for t in ts) == depth
+
+
+def _depth(tree: dict) -> int:
+    return 0 if "value" in tree else 1 + max(_depth(tree["left"]), _depth(tree["right"]))
+
+
+def test_early_stopping_to_zero_trees_predicts_the_initial_constant(rng):
+    X = rng.normal(size=(100, 2))
+    y = rng.normal(size=100)
+    # a validation set sitting at the initial constant: no stage can improve on it
+    val = (rng.normal(size=(30, 2)), np.full(30, pinball_minimizing_constant(y, 0.5)))
+    model = fit_gboost(X, y, (0.5,), GBoostHyper(0.5, 3, 50), val=val, patience=3)
+    assert len(model.trees[0.5]) == 0
+    assert _inner_doc("gboost", model)["trees"] == {"0.5": []}
+    raw = gboost_raw_predict(model, X)
+    assert np.array_equal(raw[0.5], reference_raw_predict(_inner_doc("gboost", model), 0.5, X)[0.5])
+    assert np.all(raw[0.5] == model.init[0.5])
+
+
+def test_tree_deeper_than_max_depth_is_rejected():
+    leaf = {"value": 1.0}
+    split = {"feature": 1, "threshold": 2.0, "left": leaf, "right": leaf}
+    deep = {"feature": 0, "threshold": 0.0, "left": leaf, "right": split}
+    tree_from_doc(deep, Forest.empty(1, 2), 0, "a>b, level 0.5")
+    with pytest.raises(ValueError, match=r"model a>b, level 0\.5: tree 0 is deeper than max_depth 1"):
+        tree_from_doc(deep, Forest.empty(1, 1), 0, "a>b, level 0.5")

@@ -135,6 +135,9 @@ def test_config_validation_paths(tmp_path):
         ({"family": "gboost", "gboost": [3]}, r"config\.model\.gboost:"),
         ({"family": "gboost", "gboost_grid": [{"n_trees": 5}, {"learning_rate": 2}]}, r"config\.model\.gboost_grid\[1\]"),
         ({"family": "gboost", "gboost_grid": [{"n_trees": 5}, "fast"]}, r"config\.model\.gboost_grid\[1\]"),
+        ({"ar_order": -1}, r"config\.model\.ar_order: must be >= 0"),
+        ({"ar_order": 2.5}, r"config\.model\.ar_order: not an integer: 2\.5"),
+        ({"cross_lags": True, "cross_order": -2}, r"config\.model\.cross_order: must be >= 0"),
     ):
         bad.write_text(json.dumps({"seed": 1, "data": {"counts_csv": "x"}, "model": model}))
         with pytest.raises(ConfigError, match=path):
@@ -148,6 +151,12 @@ def test_config_validation_paths(tmp_path):
         ({"copula": {"min_lags": -5}}, r"config\.copula\.min_lags: must be >= 2"),
         ({"copula": {"min_lags": "many"}}, r"config\.copula\.min_lags: not an integer"),
         ({"threads": 0}, r"config\.threads: must be >= 1"),
+        ({"threads": 1.9}, r"config\.threads: not an integer: 1\.9"),
+        ({"optimize": {"k": 2.7}}, r"config\.optimize\.k: not an integer: 2\.7"),
+        ({"copula": {"min_lags": 30.5}}, r"config\.copula\.min_lags: not an integer: 30\.5"),
+        ({"quantiles": ["a"]}, r"config\.quantiles\[0\]: not a number: 'a'"),
+        ({"quantiles": [0.25, None]}, r"config\.quantiles\[1\]: not a number: None"),
+        ({"quantiles": 0.5}, r"config\.quantiles: expected a list of levels, got 0\.5"),
     ):
         bad.write_text(json.dumps({"seed": 1, "data": {"counts_csv": "x"}, **extra}))
         with pytest.raises(ConfigError, match=path):
@@ -155,6 +164,9 @@ def test_config_validation_paths(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="invalid JSON"):
         load_config(bad)
+    # the calendar-only model (no own lags) stays valid
+    bad.write_text(json.dumps({"seed": 1, "data": {"counts_csv": "x"}, "model": {"ar_order": 0}}))
+    assert load_config(bad).model.ar_order == 0
 
 
 def test_version_flag(capsys):

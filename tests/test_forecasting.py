@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from drtopt import forecasting
-from drtopt.boosting import GBoostHyper
-from drtopt.data import SplitSpec
+from drtopt.boosting import GBoostHyper, fit_gboost, gboost_raw_predict
+from drtopt.data import HourlySeries, SplitSpec, build_features
 from drtopt.forecasting import (
     ModelSpec,
     gboost_grid_search,
@@ -23,9 +23,10 @@ from drtopt.forecasting import (
     working_series,
 )
 from drtopt.metrics import crossings
-from drtopt.qr import DEFAULT_QUANTILES
+from drtopt.qr import DEFAULT_QUANTILES, fit_seasonal_stats, seasonal_normalize, tilted_loss
 from drtopt.synth import SyntheticSpec, generate_synthetic
 from reference_features import reference_features
+from reference_trees import reference_raw_predict
 
 SPLIT = SplitSpec((date(2017, 11, 17), date(2017, 12, 12)), (date(2017, 12, 13), date(2017, 12, 20)))
 
@@ -155,7 +156,7 @@ def test_lag_outside_modeled_hours_is_skipped_in_training_and_raises_in_predict(
     histories = working_series(dataset, split)
     pair = dataset.pairs[0]
     cfg = spec().feature_config(tuple(dataset.pairs))
-    X, y, stamps = forecasting._train_rows(histories, pair, split, cfg)
+    [(X, y, stamps)] = forecasting._group_rows(dataset, split, spec())[0][pair]
     series = histories[pair]
     in_train = series.timestamps[split.in_train(series.timestamps)]
     expected = []
@@ -299,6 +300,32 @@ def test_model_json_rejects_non_finite_numbers(model_docs, kind, field, bad):
         model_from_json_dict(doc)
 
 
+def test_tree_deeper_than_max_depth_names_model_and_level(model_docs):
+    doc = json.loads(json.dumps(model_docs["gboost"]))  # max_depth 2
+    name = next(iter(doc["models"]))
+    leaf = {"value": 0.0}
+    split = {"feature": 0, "threshold": 0.5, "left": leaf, "right": leaf}
+    doc["models"][name]["trees"]["0.5"][1] = {**split, "left": {**split, "left": split}}
+    with pytest.raises(ValueError, match=re.escape(f"model {name}, level 0.5: tree 1 is deeper than max_depth 2")):
+        model_from_json_dict(doc)
+
+
+def test_pooled_gboost_predict_equals_walking_its_json_trees(dataset):
+    hyper = GBoostHyper(0.3, 3, 10)
+    model = train_model(dataset, SPLIT, spec(family="gboost", scope="pooled", gboost=hyper), DEFAULT_QUANTILES)
+    doc = model_to_json_dict(model)
+    assert list(doc["models"]) == ["pooled"]
+    loaded = model_from_json_dict(doc)
+    histories = working_series(dataset, SPLIT)
+    lags = evaluation_lags(dataset, SPLIT)
+    for pair in dataset.pairs:
+        X, usable = build_features(histories, lags, pair, model.feature_cfg)
+        ref = reference_raw_predict(doc["models"]["pooled"], hyper.learning_rate, X[usable])
+        for inner in (model.models[None], loaded.models[None]):
+            raw = gboost_raw_predict(inner, X[usable])
+            assert all(np.array_equal(raw[q], ref[q]) for q in DEFAULT_QUANTILES)
+
+
 # ---------------------------------------------------------------------------
 # tuning
 # ---------------------------------------------------------------------------
@@ -340,6 +367,42 @@ def test_grid_search_pooled_scope(dataset):
     best, scores = gboost_grid_search(dataset, SPLIT, mspec, grid, (0.5,))
     assert best == grid[0]
     assert scores[0] < scores[1]
+
+
+def test_grid_search_scores_the_seasonally_normalized_rows(dataset):
+    """Tuning fits the rows training fits: with seasonal normalization, the normalized ones."""
+    hyper = GBoostHyper(0.3, 2, 8)
+    mspec = spec(family="gboost", seasonal_normalize=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # zero-variance seasonal cells
+        _, scores = gboost_grid_search(dataset, SPLIT, mspec, [hyper], (0.5,))
+        histories = working_series(dataset, SPLIT)
+        for pair, s in histories.items():
+            train = SPLIT.in_train(s.timestamps)
+            stats = fit_seasonal_stats(HourlySeries(pair, s.timestamps[train], s.values[train]))
+            histories[pair] = seasonal_normalize(s, stats)
+    test_range, val_range, train_range = tuning_ranges(SPLIT)
+    cfg = mspec.feature_config(tuple(dataset.pairs))
+    total = 0.0
+    for pair in dataset.pairs:
+        s = histories[pair]
+        train = SPLIT.in_train(s.timestamps)
+        X, usable = build_features(histories, s.timestamps[train], pair, cfg)
+        X, y, days = X[usable], s.values[train][usable], s.timestamps[train][usable].astype("datetime64[D]")
+        part = {rng: (days >= np.datetime64(rng[0])) & (days <= np.datetime64(rng[1]))
+                for rng in (test_range, val_range, train_range)}
+        val = (X[part[val_range]], y[part[val_range]])
+        model = fit_gboost(X[part[train_range]], y[part[train_range]], (0.5,), hyper, val=val)
+        raw = gboost_raw_predict(model, X[part[test_range]])
+        total += float(np.mean(tilted_loss(0.5, y[part[test_range]], raw[0.5])))
+    assert scores == [total]
+    _, plain = gboost_grid_search(dataset, SPLIT, spec(family="gboost"), [hyper], (0.5,))
+    assert plain != scores
+
+
+def test_grid_search_rejects_other_families(dataset):
+    with pytest.raises(ValueError, match="gboost family only"):
+        gboost_grid_search(dataset, SPLIT, spec(family="linear"), [GBoostHyper()], (0.5,))
 
 
 def test_cross_order_two_dimensions(dataset):

@@ -7,7 +7,6 @@ from drtopt.synth import (
     SyntheticSpec,
     generate_synthetic,
     network_for,
-    seasonal_residuals,
 )
 
 FLAT = dict(tod_profile=(1.0,) * 24, dow_profile=(1.0,) * 7, exam_period=None)
@@ -52,6 +51,24 @@ def test_zero_dispersion_gives_rounded_means():
     exam_days = (ts.astype("datetime64[D]") >= np.datetime64("2017-12-08"))
     sel = (hours == 8) & (dows == 0) & ~exam_days
     assert len(set(counts[sel])) == 1
+
+
+def seasonal_residuals(dataset) -> np.ndarray:
+    """Counts minus their per-(weekday, hour) empirical mean, stacked per pair."""
+    pairs = dataset.pairs
+    first = dataset.series[pairs[0]]
+    hours = first.timestamps.astype("int64") % 24
+    dows = (first.timestamps.astype("int64") // 24 + 3) % 7
+    cells = dows * 24 + hours
+    out = np.empty((len(first), len(pairs)))
+    for j, pair in enumerate(pairs):
+        values = dataset.series[pair].counts.astype(np.float64)
+        resid = np.empty_like(values)
+        for cell in np.unique(cells):
+            sel = cells == cell
+            resid[sel] = values[sel] - values[sel].mean()
+        out[:, j] = resid
+    return out
 
 
 def test_zero_rho_residuals_uncorrelated():

@@ -584,3 +584,19 @@ def test_scaling_demand_under_slack_capacity_scales_the_objective(seed, c):
     b = solve_instance(instance, DemandVector({p: c * v for p, v in demand.rates.items()}))
     assert a.key() == b.key()
     assert b.objective == pytest.approx(c * a.objective, rel=1e-12, abs=1e-12)
+
+
+@settings(deadline=None, max_examples=40)
+@given(SEEDS)
+def test_solution_does_not_depend_on_the_demand_node_order(seed):
+    rng = np.random.default_rng(seed)
+    instance, demand = random_medium_instance(rng)
+    order = rng.permutation(len(instance.demand_nodes))
+    if np.array_equal(order, np.arange(len(order))):
+        order = order[::-1]
+    permuted = replace(instance, demand_nodes=[instance.demand_nodes[i] for i in order])
+    prep_a, prep_b = tndfs.prepare_instance(instance), tndfs.prepare_instance(permuted)
+    assert prep_a.pairs != prep_b.pairs and sorted(prep_a.pairs) == sorted(prep_b.pairs)
+    a, b = solve_instance(instance, demand, prep_a), solve_instance(permuted, demand, prep_b)
+    assert a.key() == b.key()
+    assert b.objective == pytest.approx(a.objective, rel=1e-12, abs=1e-12)
