@@ -122,17 +122,20 @@ def tree_to_doc(forest: Forest, t: int, node: int = 0) -> dict:
     }
 
 
-def tree_from_doc(doc: dict, forest: Forest, t: int, owner: str, node: int = 0) -> None:
-    """Fill tree t of `forest` from the nested JSON `tree_to_doc` writes."""
+def tree_from_doc(doc: dict, forest: Forest, t: int, owner: str, n_features: int, node: int = 0) -> None:
+    """Fill tree t of `forest` from the nested JSON `tree_to_doc` writes; splits read features 0..n_features-1."""
     if "value" in doc:
         forest.value[t, node] = float(doc["value"])
         return
     if 2 * node + 2 >= forest.feature.shape[1]:
         raise ValueError(f"model {owner}: tree {t} is deeper than max_depth {forest.max_depth}")
-    forest.feature[t, node] = int(doc["feature"])
+    feature = int(doc["feature"])
+    if not 0 <= feature < n_features:
+        raise ValueError(f"model {owner}: tree {t} splits on feature {feature}, outside 0..{n_features - 1}")
+    forest.feature[t, node] = feature
     forest.threshold[t, node] = float(doc["threshold"])
-    tree_from_doc(doc["left"], forest, t, owner, 2 * node + 1)
-    tree_from_doc(doc["right"], forest, t, owner, 2 * node + 2)
+    tree_from_doc(doc["left"], forest, t, owner, n_features, 2 * node + 1)
+    tree_from_doc(doc["right"], forest, t, owner, n_features, 2 * node + 2)
 
 
 @dataclass

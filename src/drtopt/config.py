@@ -126,13 +126,16 @@ def _parse_model(doc, path: str) -> ModelSpec:
 
 
 def _parse_hyper(doc, path: str) -> GBoostHyper:
+    if not isinstance(doc, dict):
+        raise ConfigError(path, f"expected an object of hyperparameters, got {doc!r}")
+    hyper = GBoostHyper(
+        learning_rate=_parse_float(doc.get("learning_rate", 0.1), f"{path}.learning_rate"),
+        max_depth=_parse_int(doc.get("max_depth", 3), f"{path}.max_depth", 0),
+        n_trees=_parse_int(doc.get("n_trees", 50), f"{path}.n_trees", 1),
+    )
     try:
-        return GBoostHyper(
-            learning_rate=float(doc.get("learning_rate", 0.1)),
-            max_depth=int(doc.get("max_depth", 3)),
-            n_trees=int(doc.get("n_trees", 50)),
-        ).validate()
-    except (AttributeError, TypeError, ValueError) as exc:
+        return hyper.validate()
+    except ValueError as exc:
         raise ConfigError(path, str(exc)) from None
 
 

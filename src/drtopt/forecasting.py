@@ -379,16 +379,16 @@ def _inner_doc(family: str, model) -> dict:
     }
 
 
-def _forest_from_doc(docs: list, max_depth: int, owner: str) -> boosting.Forest:
+def _forest_from_doc(docs: list, max_depth: int, n_features: int, owner: str) -> boosting.Forest:
     forest = boosting.Forest.empty(len(docs), max_depth)
     for t, doc in enumerate(docs):
-        boosting.tree_from_doc(doc, forest, t, owner)
+        boosting.tree_from_doc(doc, forest, t, owner, n_features)
     _finite(forest.threshold, owner, "tree threshold")
     _finite(forest.value, owner, "tree value")
     return forest
 
 
-def _inner_from_doc(family: str, doc: dict, name: str, pair, levels, spec: ModelSpec):
+def _inner_from_doc(family: str, doc: dict, name: str, pair, levels, spec: ModelSpec, n_features: int):
     if family == "hp":
         buckets = {
             (b["dow"], b["tod"]): (
@@ -405,7 +405,7 @@ def _inner_from_doc(family: str, doc: dict, name: str, pair, levels, spec: Model
         return qr.LinearQRModel(levels, coef, converged)
     init = {float(q): _finite(float(v), f"{name}, level {q}", "init") for q, v in doc["init"].items()}
     trees = {
-        float(q): _forest_from_doc(ts, spec.gboost.max_depth, f"{name}, level {q}")
+        float(q): _forest_from_doc(ts, spec.gboost.max_depth, n_features, f"{name}, level {q}")
         for q, ts in doc["trees"].items()
     }
     return boosting.GBoostQRModel(levels, spec.gboost, init, trees)
@@ -442,6 +442,7 @@ def model_from_json_dict(doc: dict) -> TrainedDemandModel:
     index = {lab: i for i, lab in enumerate(labels)}
     levels = tuple(float(q) for q in doc["levels"])
     pair_order = tuple(ODPair(index[o], index[d]) for o, d in doc["pairs"])
+    n_features = spec.feature_config(pair_order).n_features(len(pair_order))
 
     models: dict[ODPair | None, object] = {}
     for name, inner_doc in doc["models"].items():
@@ -450,7 +451,7 @@ def model_from_json_dict(doc: dict) -> TrainedDemandModel:
         else:
             o, d = name.split(">")
             key = ODPair(index[o], index[d])
-        models[key] = _inner_from_doc(spec.family, inner_doc, name, key, levels, spec)
+        models[key] = _inner_from_doc(spec.family, inner_doc, name, key, levels, spec, n_features)
 
     seasonal = {}
     for name, sdoc in doc.get("seasonal", {}).items():

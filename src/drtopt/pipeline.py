@@ -23,13 +23,13 @@ from .tndfs import (
     NetworkInstance,
     RouteDesign,
     _Prepared,
-    allocation_value,
+    allocation_values,
     check_demand,
     evaluate_allocation,  # not called here; the benchmark traces it under this module's name
     prepare_instance,
     row_design,
     row_key,
-    solve_demand,
+    solve_batch,
     solve_instance,
 )
 
@@ -81,8 +81,9 @@ def optimize_lag(
     col = {p: j for j, p in enumerate(copula_model.pair_order)}  # pairs it lacks read a zero column
     lam = np.column_stack([samples, np.zeros(k)])[:, [col.get(p, len(col)) for p in prep.pairs]]
 
-    rows, objectives = zip(*[solve_demand(prep, row) for row in lam])
-    keys = [row_key(prep, row) for row in rows]
+    rows, objectives = solve_batch(prep, lam)
+    key_of = {row: row_key(prep, row) for row in set(rows.tolist())}
+    keys = [key_of[row] for row in rows.tolist()]
     chosen_key = pick_mode(keys, objectives)
     first = keys.index(chosen_key)
     chosen = row_design(prep, rows[first], lam[first])
@@ -93,12 +94,12 @@ def optimize_lag(
     return ScenarioResult(
         lag=np.datetime64(lag, "h"),
         sample_keys=keys,
-        sample_objectives=np.array(objectives),
+        sample_objectives=objectives,
         histogram=dict(Counter(keys)),
         chosen=chosen,
         chosen_key=chosen_key,
         mean_time_savings=float(np.mean(objectives)),
-        chosen_expected_savings=float(np.mean([allocation_value(prep, alloc, row) for row in lam])),
+        chosen_expected_savings=float(np.mean(allocation_values(prep, alloc, lam))),
     )
 
 

@@ -17,6 +17,7 @@ the assignment LP is solved exactly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import logging
@@ -34,9 +35,9 @@ WALK_ROUTE = -1  # route id of the always-available walking alternative
 _TIE_TOL = 1e-12  # relative: objectives within _TIE_TOL * max(1, |incumbent|) tie
 
 
-def _tie_tol(incumbent: float) -> float:
-    """Tie tolerance around an incumbent objective (none before the first)."""
-    return _TIE_TOL * max(1.0, abs(incumbent)) if np.isfinite(incumbent) else 0.0
+def _tie_tol(incumbent):
+    """Tie tolerance around incumbent objectives, elementwise (none before the first)."""
+    return np.where(np.isfinite(incumbent), _TIE_TOL * np.maximum(1.0, np.abs(incumbent)), 0.0)
 
 
 def walk_time(a: Location, b: Location, speed: float) -> float:
@@ -313,15 +314,8 @@ def assign_flows(weights: np.ndarray, demands: np.ndarray, caps: np.ndarray) -> 
         return x, total
 
     c = -weights.ravel()
-    A_ub = sparse.vstack(
-        [
-            sparse.kron(sparse.identity(m, format="csr"), np.ones((1, r))),
-            sparse.kron(np.ones((1, m)), sparse.identity(r, format="csr")),
-        ],
-        format="csc",
-    )
     b_ub = np.concatenate([demands, caps])
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=(0, None), method="highs")
+    res = linprog(c, A_ub=_flow_matrix(m, r), b_ub=b_ub, bounds=(0, None), method="highs")
     if res.status != 0 or res.x is None:
         raise RuntimeError(f"flow assignment LP failed: {res.message}")
     x = res.x.reshape(m, r)
@@ -330,9 +324,25 @@ def assign_flows(weights: np.ndarray, demands: np.ndarray, caps: np.ndarray) -> 
     return x, float(np.sum(weights * x))
 
 
+@functools.cache
+def _flow_matrix(m: int, r: int) -> sparse.csc_matrix:
+    """The flow LP's constraint matrix: one supply row per pair, then one capacity row per route.
+
+    It depends on the shape only, so it is built once per (m, r); linprog copies it.
+    """
+    return sparse.vstack(
+        [
+            sparse.kron(sparse.identity(m, format="csr"), np.ones((1, r))),
+            sparse.kron(np.ones((1, m)), sparse.identity(r, format="csr")),
+        ],
+        format="csc",
+    )
+
+
 _CHUNK_CELLS = 1 << 16  # (pair, row, slot) cells per table chunk; bounds the transient arrays
-_TABLE_BYTES = 64 << 20  # above this the table is not cached but rebuilt per scenario
+_TABLE_BYTES = 64 << 20  # above this the table is not cached but rebuilt per block of samples
 _CELL_BYTES = 17  # per (pair, row): float64 gain, float64 rider flag, int8 slot
+_BLOCK_CELLS = 1 << 20  # (sample, row) cells priced at once; bounds solve_batch's transient arrays
 
 
 @dataclass
@@ -459,16 +469,16 @@ def _table_chunk(prep: _Prepared, rows: slice) -> tuple[np.ndarray, np.ndarray, 
 
 
 def _price_chunk(lam: np.ndarray, chunk, caps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Uncapacitated bound and capacity feasibility of every row of a chunk."""
+    """Uncapacitated bound and capacity feasibility of every (sample, row) of a chunk."""
     gain, rides, slot = chunk
     bound = lam @ gain
-    # no slot carries more than all riders: only rows failing that get the per-slot sums
+    # no slot carries more than all riders: only rows failing that somewhere get the per-slot sums
     feasible = lam @ rides <= caps.min(axis=1)
-    check = np.flatnonzero(~feasible)
+    check = np.flatnonzero(~feasible.all(axis=0))
     if len(check):
         taken = slot[:, check]
-        inflow = np.column_stack([lam @ (taken == j) for j in range(caps.shape[1])])
-        feasible[check] = np.all(inflow <= caps[check], axis=1)
+        fits = np.all([lam @ (taken == j) <= caps[check, j] for j in range(caps.shape[1])], axis=0)
+        feasible[:, check] |= fits
     return bound, feasible
 
 
@@ -484,42 +494,94 @@ def _allocation_arcs(prep: _Prepared, alloc, pairs=slice(None)) -> tuple[np.ndar
     return prep.beta1[pairs][:, cid] + prep.beta2[cid, bus - 1], prep.caps[cid, bus - 1]
 
 
-def solve_demand(prep: _Prepared, lam: np.ndarray) -> tuple[int, float]:
-    """Exact optimum for demand `lam` aligned to `prep.pairs`: (table row, objective).
+def solve_batch(prep: _Prepared, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact optimum for each row of demands `lam` (samples x `prep.pairs`): (table rows, objectives).
 
-    Every row of the allocation table is priced at once: a capacity-feasible
-    row is worth its uncapacitated bound, and each capacity-bound row whose
-    bound can still beat the incumbent gets the exact flow assignment, best
-    bound first.  Objectives within a relative 1e-12 tie and break toward the
-    lowest row, the lexicographically smallest allocation key, so zero-flow
-    routes are never reported unless the exact-route-count mode forces them.
-    The objective is the winner's flow assignment over all pairs, not its bound.
+    Every row of the allocation table is priced for a block of samples at
+    once: a capacity-feasible row is worth its uncapacitated bound, and for
+    each sample every capacity-bound row whose bound can still beat that
+    sample's incumbent gets the exact flow assignment, best bound first.
+    Objectives within a relative 1e-12 tie and break toward the lowest row,
+    the lexicographically smallest allocation key, so zero-flow routes are
+    never reported unless the exact-route-count mode forces them.  An
+    objective is the winner's flow assignment over all pairs, not its bound:
+    `allocation_values` scores each winning row on its samples, and a winner
+    whose flow LP already ran over every pair keeps that LP's value.
     """
     if not len(prep.row_routes):
         raise ValueError("no feasible allocation (check max_routes vs candidate count)")
+    lam = np.asarray(lam, dtype=np.float64)
+    rows = np.empty(len(lam), dtype=np.intp)
+    objectives = np.empty(len(lam))
+    scored = np.empty(len(lam), dtype=bool)
+    step = max(1, _BLOCK_CELLS // len(prep.row_routes))
+    for lo in range(0, len(lam), step):
+        block = slice(lo, lo + step)
+        rows[block], objectives[block], scored[block] = _block_winners(prep, lam[block])
+    for row in np.unique(rows[~scored]):
+        at = np.flatnonzero((rows == row) & ~scored)
+        objectives[at] = allocation_values(prep, _row_allocation(prep, row), lam[at])
+    return rows, objectives
+
+
+def _block_winners(prep: _Prepared, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Winning table row per sample, and its objective where a flow LP over every pair gave it."""
     chunks = prep.table if prep.table is not None else (_table_chunk(prep, rows) for rows in prep.chunk_rows)
-    priced = [_price_chunk(lam, chunk, prep.row_caps[rows]) for rows, chunk in zip(prep.chunk_rows, chunks)]
-    bound = np.concatenate([b for b, _ in priced])
-    feasible = np.concatenate([f for _, f in priced])
+    bound = np.empty((len(lam), len(prep.row_routes)))
+    feasible = np.empty(bound.shape, dtype=bool)
+    for rows, chunk in zip(prep.chunk_rows, chunks):
+        bound[:, rows], feasible[:, rows] = _price_chunk(lam, chunk, prep.row_caps[rows])
 
     value = np.where(feasible, bound, -np.inf)
-    best = value.max()
-    active = lam > 0
-    blocked = np.flatnonzero(~feasible & (bound >= best - _tie_tol(best)))
-    for row in blocked[np.argsort(-bound[blocked], kind="stable")]:
-        if bound[row] < best - _tie_tol(best):
-            break  # no later row's bound reaches the incumbent either
-        w, caps = _allocation_arcs(prep, _row_allocation(prep, row), active)
-        _, value[row] = assign_flows(w, lam[active], caps)
-        best = max(best, value[row])
-    row = int(np.argmax(value >= best - _tie_tol(best)))
-    return row, allocation_value(prep, _row_allocation(prep, row), lam)
+    best = value.max(axis=1)
+    blocked = ~feasible & (bound >= (best - _tie_tol(best))[:, None])
+    for s in np.flatnonzero(blocked.any(axis=1)):
+        active = lam[s] > 0
+        candidates = np.flatnonzero(blocked[s])
+        for row in candidates[np.argsort(-bound[s, candidates], kind="stable")]:
+            if bound[s, row] < best[s] - _tie_tol(best[s]):
+                break  # no later row's bound reaches the incumbent either
+            w, caps = _allocation_arcs(prep, _row_allocation(prep, row), active)
+            _, value[s, row] = assign_flows(w, lam[s, active], caps)
+            best[s] = max(best[s], value[s, row])
+    winners = np.argmax(value >= (best - _tie_tol(best))[:, None], axis=1)
+    picked = np.arange(len(lam)), winners
+    # a capacity-bound winner had its flow LP above; over every pair it is the one allocation_values runs
+    return winners, value[picked], ~feasible[picked] & np.all(lam > 0, axis=1)
+
+
+def solve_demand(prep: _Prepared, lam: np.ndarray) -> tuple[int, float]:
+    """`solve_batch` for one demand vector `lam` aligned to `prep.pairs`: (table row, objective)."""
+    rows, objectives = solve_batch(prep, lam[None])
+    return int(rows[0]), float(objectives[0])
+
+
+def allocation_values(prep: _Prepared, alloc: tuple[tuple[int, int], ...], lam: np.ndarray) -> np.ndarray:
+    """Objective of the optimal flows for a fixed allocation of (route id, buses), per row of `lam`.
+
+    Each value is `assign_flows` on that row, bit for bit.  Rows where every
+    pair's best route fits are scored at once: inflows summed in pair order
+    as `x.sum(axis=0)` does, and objectives summed over C-contiguous rows as
+    `np.sum` does over one.  Only capacity-bound rows call `assign_flows`.
+    """
+    w, caps = _allocation_arcs(prep, alloc)
+    lam = np.asarray(lam, dtype=np.float64)
+    if not w.size:
+        return np.zeros(len(lam))
+    best = np.argmax(w, axis=1)
+    riders = np.flatnonzero(w[np.arange(len(w)), best] > 0)
+    best_w = w[riders, best[riders]]
+    x = np.zeros((len(lam), *w.shape))
+    x[:, riders, best[riders]] = lam[:, riders]
+    values = np.ascontiguousarray(lam[:, riders] * best_w).sum(axis=1)
+    for s in np.flatnonzero(~np.all(x.sum(axis=1) <= caps, axis=1)):
+        values[s] = assign_flows(w, lam[s], caps)[1]
+    return values
 
 
 def allocation_value(prep: _Prepared, alloc: tuple[tuple[int, int], ...], lam: np.ndarray) -> float:
-    """Objective of the optimal flows for a fixed allocation of (route id, buses)."""
-    w, caps = _allocation_arcs(prep, alloc)
-    return float(assign_flows(w, lam, caps)[1])
+    """`allocation_values` for one demand vector `lam` aligned to `prep.pairs`."""
+    return float(allocation_values(prep, alloc, lam[None])[0])
 
 
 def row_key(prep: _Prepared, row: int) -> tuple[tuple[tuple[int, ...], int], ...]:

@@ -9,9 +9,13 @@ the table sweep, so both must return the same design.
 `oracle_solve` brute-forces tiny instances over integer-grid flow splits and
 shares no search logic with either.
 
-`reference_optimize_lag` is the per-sample decision loop that the
-pair-aligned one replaced: a `DemandVector` and a full `solve_instance`
-design per sample, and `evaluate_allocation` for the mode on every sample.
+`reference_solve_demand` is the per-sample table sweep that
+`tndfs.solve_batch` replaced: one demand vector priced per call, and the
+winner's objective from its own flow assignment over all pairs.
+
+`reference_optimize_lag` is the per-sample decision loop that the batched
+one replaced: a `DemandVector`, a `reference_solve_demand` and a full design
+per sample, and `evaluate_allocation` for the mode on every sample.
 """
 
 import itertools
@@ -24,15 +28,18 @@ from drtopt.tndfs import (
     WALK_ROUTE,
     DemandVector,
     RouteDesign,
+    _allocation_arcs,
     _allocation_sizes,
     _assignment_key,
     _bus_splits,
     _design_for_allocation,
+    _row_allocation,
+    _table_chunk,
     _tie_tol,
     assign_flows,
     evaluate_allocation,
     prepare_instance,
-    solve_instance,
+    row_design,
 )
 
 _PAIR_CHUNK = 50_000
@@ -256,13 +263,51 @@ def oracle_solve(instance, demand, grid_step=1) -> RouteDesign:
     return RouteDesign(ordered, flows1, flows2, float(best_obj))
 
 
+def _price_chunk(lam, chunk, caps):
+    """Uncapacitated bound and capacity feasibility of every row of a chunk, for one demand vector."""
+    gain, rides, slot = chunk
+    bound = lam @ gain
+    feasible = lam @ rides <= caps.min(axis=1)
+    check = np.flatnonzero(~feasible)
+    if len(check):
+        taken = slot[:, check]
+        inflow = np.column_stack([lam @ (taken == j) for j in range(caps.shape[1])])
+        feasible[check] = np.all(inflow <= caps[check], axis=1)
+    return bound, feasible
+
+
+def reference_solve_demand(prep, lam):
+    """Exact optimum for one demand vector aligned to `prep.pairs`: (table row, objective)."""
+    if not len(prep.row_routes):
+        raise ValueError("no feasible allocation (check max_routes vs candidate count)")
+    chunks = prep.table if prep.table is not None else (_table_chunk(prep, rows) for rows in prep.chunk_rows)
+    priced = [_price_chunk(lam, chunk, prep.row_caps[rows]) for rows, chunk in zip(prep.chunk_rows, chunks)]
+    bound = np.concatenate([b for b, _ in priced])
+    feasible = np.concatenate([f for _, f in priced])
+
+    value = np.where(feasible, bound, -np.inf)
+    best = value.max()
+    active = lam > 0
+    blocked = np.flatnonzero(~feasible & (bound >= best - _tie_tol(best)))
+    for row in blocked[np.argsort(-bound[blocked], kind="stable")]:
+        if bound[row] < best - _tie_tol(best):
+            break
+        w, caps = _allocation_arcs(prep, _row_allocation(prep, row), active)
+        _, value[row] = assign_flows(w, lam[active], caps)
+        best = max(best, value[row])
+    row = int(np.argmax(value >= best - _tie_tol(best)))
+    w, caps = _allocation_arcs(prep, _row_allocation(prep, row))
+    return row, float(assign_flows(w, lam, caps)[1])
+
+
 def reference_optimize_lag(copula_model, forecasts, instance, k, seed, prepared=None, lag=None) -> ScenarioResult:
     """Sample, solve each sample to a design, and operate the mode: one sample at a time."""
     prep = prepared if prepared is not None else prepare_instance(instance)
     samples = sample_joint(copula_model, forecasts, k, seed)
     pairs = copula_model.pair_order
     demands = [DemandVector({p: float(v) for p, v in zip(pairs, row)}) for row in samples]
-    designs = [solve_instance(instance, demand, prep) for demand in demands]
+    lams = [np.array([demand.get(p) for p in prep.pairs]) for demand in demands]
+    designs = [row_design(prep, reference_solve_demand(prep, lam)[0], lam) for lam in lams]
 
     keys = [d.key() for d in designs]
     objectives = np.array([d.objective for d in designs])

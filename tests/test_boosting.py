@@ -127,7 +127,7 @@ def test_array_predict_equals_walking_the_json_trees(rng, depth):
         assert float(np.mean(tilted_loss(q, y, gboost_raw_predict(model, X)[q]))) == model.train_loss[q][-1]
         back = Forest.empty(12, depth)
         for t, tree in enumerate(doc["trees"][str(q)]):
-            tree_from_doc(tree, back, t, "m")
+            tree_from_doc(tree, back, t, "m", X.shape[1])
         assert [tree_to_doc(back, t) for t in range(12)] == doc["trees"][str(q)]
     assert max(_depth(t) for ts in doc["trees"].values() for t in ts) == depth
 
@@ -153,6 +153,14 @@ def test_tree_deeper_than_max_depth_is_rejected():
     leaf = {"value": 1.0}
     split = {"feature": 1, "threshold": 2.0, "left": leaf, "right": leaf}
     deep = {"feature": 0, "threshold": 0.0, "left": leaf, "right": split}
-    tree_from_doc(deep, Forest.empty(1, 2), 0, "a>b, level 0.5")
+    tree_from_doc(deep, Forest.empty(1, 2), 0, "a>b, level 0.5", 2)
     with pytest.raises(ValueError, match=r"model a>b, level 0\.5: tree 0 is deeper than max_depth 1"):
-        tree_from_doc(deep, Forest.empty(1, 1), 0, "a>b, level 0.5")
+        tree_from_doc(deep, Forest.empty(1, 1), 0, "a>b, level 0.5", 2)
+
+
+@pytest.mark.parametrize("feature", [2, 999, -1])
+def test_split_on_a_feature_outside_the_layout_is_rejected(feature):
+    leaf = {"value": 1.0}
+    tree = {"feature": 0, "threshold": 0.0, "left": leaf, "right": {"feature": feature, "threshold": 2.0, "left": leaf, "right": leaf}}
+    with pytest.raises(ValueError, match=rf"model a>b, level 0\.5: tree 0 splits on feature {feature}, outside 0\.\.1"):
+        tree_from_doc(tree, Forest.empty(1, 2), 0, "a>b, level 0.5", 2)

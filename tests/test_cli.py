@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from drtopt.boosting import GBoostHyper
 from drtopt.cli import main
 from drtopt.config import ConfigError, load_config
 
@@ -138,6 +139,13 @@ def test_config_validation_paths(tmp_path):
         ({"ar_order": -1}, r"config\.model\.ar_order: must be >= 0"),
         ({"ar_order": 2.5}, r"config\.model\.ar_order: not an integer: 2\.5"),
         ({"cross_lags": True, "cross_order": -2}, r"config\.model\.cross_order: must be >= 0"),
+        ({"family": "gboost", "gboost": {"max_depth": 2.7}}, r"config\.model\.gboost\.max_depth: not an integer: 2\.7"),
+        ({"family": "gboost", "gboost": {"n_trees": 10.9}}, r"config\.model\.gboost\.n_trees: not an integer: 10\.9"),
+        ({"family": "gboost", "gboost": {"learning_rate": "fast"}}, r"config\.model\.gboost\.learning_rate: not a number: 'fast'"),
+        ({"family": "gboost", "gboost": {"max_depth": -1}}, r"config\.model\.gboost\.max_depth: must be >= 0"),
+        ({"family": "gboost", "gboost_grid": [{"n_trees": 5}, {"n_trees": 10.9}]}, r"config\.model\.gboost_grid\[1\]\.n_trees: not an integer: 10\.9"),
+        ({"family": "gboost", "gboost_grid": [{"n_trees": 0}]}, r"config\.model\.gboost_grid\[0\]\.n_trees: must be >= 1"),
+        ({"family": "gboost", "gboost_grid": [{"max_depth": "deep"}]}, r"config\.model\.gboost_grid\[0\]\.max_depth: not an integer: 'deep'"),
     ):
         bad.write_text(json.dumps({"seed": 1, "data": {"counts_csv": "x"}, "model": model}))
         with pytest.raises(ConfigError, match=path):
@@ -167,6 +175,10 @@ def test_config_validation_paths(tmp_path):
     # the calendar-only model (no own lags) stays valid
     bad.write_text(json.dumps({"seed": 1, "data": {"counts_csv": "x"}, "model": {"ar_order": 0}}))
     assert load_config(bad).model.ar_order == 0
+    # integral numbers stay valid hyperparameters
+    model = {"family": "gboost", "gboost": {"learning_rate": 1, "max_depth": 2.0, "n_trees": 10}}
+    bad.write_text(json.dumps({"seed": 1, "data": {"counts_csv": "x"}, "model": model}))
+    assert load_config(bad).model.gboost == GBoostHyper(1.0, 2, 10)
 
 
 def test_version_flag(capsys):

@@ -310,6 +310,18 @@ def test_tree_deeper_than_max_depth_names_model_and_level(model_docs):
         model_from_json_dict(doc)
 
 
+@pytest.mark.parametrize("feature", [999, -1])
+def test_split_feature_outside_the_layout_names_model_and_level(model_docs, feature):
+    doc = json.loads(json.dumps(model_docs["gboost"]))
+    name = next(iter(doc["models"]))
+    n_features = model_from_json_dict(model_docs["gboost"]).feature_cfg.n_features(len(doc["pairs"]))
+    leaf = {"value": 0.0}
+    doc["models"][name]["trees"]["0.5"][1] = {"feature": feature, "threshold": 0.5, "left": leaf, "right": leaf}
+    message = f"model {name}, level 0.5: tree 1 splits on feature {feature}, outside 0..{n_features - 1}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        model_from_json_dict(doc)
+
+
 def test_pooled_gboost_predict_equals_walking_its_json_trees(dataset):
     hyper = GBoostHyper(0.3, 3, 10)
     model = train_model(dataset, SPLIT, spec(family="gboost", scope="pooled", gboost=hyper), DEFAULT_QUANTILES)

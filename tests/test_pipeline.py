@@ -256,19 +256,18 @@ DECISION_CASES = {
 @pytest.mark.parametrize("case", sorted(DECISION_CASES))
 @pytest.mark.parametrize("seed", [1, 2])
 def test_optimize_lag_equals_per_sample_reference(case, seed, monkeypatch):
-    from drtopt import tndfs
     from drtopt.tndfs import prepare_instance
     from reference_solver import reference_optimize_lag
 
     inst, forecasts, copula = _decision_case(seed, **DECISION_CASES[case])
     prep = prepare_instance(inst)
     k = 30 if case == "capacity6" else 60
-    lp_calls = []
-    linprog = tndfs.linprog
-    monkeypatch.setattr(tndfs, "linprog", lambda *a, **kw: lp_calls.append(1) or linprog(*a, **kw))
+    lp_calls = _count_lps(monkeypatch)
 
     got = optimize_lag(copula, forecasts, inst, k, seed, prepared=prep, lag=T0)
+    got_lps = len(lp_calls)
     ref = reference_optimize_lag(copula, forecasts, inst, k, seed, prepared=prep, lag=T0)
+    ref_lps = len(lp_calls) - got_lps
 
     assert got.sample_keys == ref.sample_keys
     assert got.sample_objectives.tolist() == ref.sample_objectives.tolist()
@@ -278,6 +277,72 @@ def test_optimize_lag_equals_per_sample_reference(case, seed, monkeypatch):
     assert got.mean_time_savings == ref.mean_time_savings
     assert got.chosen_expected_savings == ref.chosen_expected_savings
     if case == "capacity6":
-        assert lp_calls  # capacity binds: the exact flow LP ran
+        assert 0 < got_lps <= ref_lps  # capacity binds: the exact flow LP ran, no more often than per sample
     if case == "all-zero":
         assert got.histogram == {(): k}
+
+
+def _count_lps(monkeypatch) -> list:
+    from drtopt import tndfs
+
+    calls = []
+    linprog = tndfs.linprog
+    monkeypatch.setattr(tndfs, "linprog", lambda *a, **kw: calls.append(1) or linprog(*a, **kw))
+    return calls
+
+
+def _case_demands(case, seed, k):
+    """A decision case's instance and k copula samples aligned to its pairs, as optimize_lag builds them."""
+    from drtopt.copula import sample_joint
+
+    inst, forecasts, copula = _decision_case(seed, **DECISION_CASES[case])
+    samples = sample_joint(copula, forecasts, k, seed)
+    col = {p: j for j, p in enumerate(copula.pair_order)}
+    return inst, np.column_stack([samples, np.zeros(k)])[:, [col.get(p, len(col)) for p in inst.od_pairs()]]
+
+
+@pytest.mark.parametrize("case", sorted(DECISION_CASES))
+@pytest.mark.parametrize("layout", ["cached", "uncached", "blocks-of-7"])
+def test_solve_batch_equals_per_sample_reference(case, layout, monkeypatch):
+    from drtopt import tndfs
+    from reference_solver import reference_solve_demand
+
+    if layout == "uncached":  # every chunk built per block of samples instead
+        monkeypatch.setattr(tndfs, "_TABLE_BYTES", 0)
+    inst, lam = _case_demands(case, 3, 40)
+    prep = tndfs.prepare_instance(inst)
+    assert (prep.table is None) == (layout == "uncached")
+    blocks = []
+    if layout == "blocks-of-7":
+        monkeypatch.setattr(tndfs, "_BLOCK_CELLS", 7 * len(prep.row_routes) + 3)
+        block_winners = tndfs._block_winners
+        monkeypatch.setattr(tndfs, "_block_winners", lambda prep, lam: blocks.append(len(lam)) or block_winners(prep, lam))
+
+    rows, objectives = tndfs.solve_batch(prep, lam)
+    ref = [reference_solve_demand(prep, row) for row in lam]
+    assert rows.tolist() == [row for row, _ in ref]
+    assert objectives.tolist() == [objective for _, objective in ref]
+    assert blocks == ([7] * 5 + [5] if layout == "blocks-of-7" else [])
+    assert tndfs.solve_demand(prep, lam[0]) == ref[0]
+
+
+def test_solve_batch_reuses_a_winner_lp_only_when_every_pair_has_demand(monkeypatch):
+    from drtopt import tndfs
+    from reference_solver import reference_solve_demand
+
+    inst, lam = _case_demands("capacity6", 1, 30)
+    prep = tndfs.prepare_instance(inst)
+    quiet = lam.copy()
+    quiet[:, 2] = 0.0  # the loop's flow LPs run over the other pairs only
+    assert np.all(lam > 0)
+    lp_calls = _count_lps(monkeypatch)
+    for demands, reuses in ((lam, True), (quiet, False)):
+        del lp_calls[:]
+        rows, objectives = tndfs.solve_batch(prep, demands)
+        got_lps = len(lp_calls)
+        ref = [reference_solve_demand(prep, row) for row in demands]
+        ref_lps = len(lp_calls) - got_lps
+        assert rows.tolist() == [row for row, _ in ref]
+        assert objectives.tolist() == [objective for _, objective in ref]
+        # the reference solves each capacity-bound winner's LP again over all pairs
+        assert (got_lps < ref_lps) if reuses else (0 < got_lps == ref_lps)

@@ -12,6 +12,8 @@ from conftest import (
 )
 from math import comb
 
+from scipy import sparse
+
 from drtopt import tndfs
 from drtopt.data import Location, ODPair
 from drtopt.tndfs import (
@@ -203,6 +205,68 @@ def test_assign_flows_agrees_with_reference_lp(rng):
             method="highs",
         )
         assert obj == pytest.approx(-ref.fun, abs=1e-7)
+
+
+def test_flow_lp_matrix_is_built_once_per_shape_and_left_intact(monkeypatch):
+    lp_calls = []
+    linprog = tndfs.linprog
+    monkeypatch.setattr(tndfs, "linprog", lambda *a, **kw: lp_calls.append(kw["A_ub"]) or linprog(*a, **kw))
+    w = np.array([[10.0, 9.0], [9.5, -5.0], [3.0, 4.0]])
+    for lam in ([10.0, 10.0, 2.0], [12.0, 7.0, 5.0]):
+        assign_flows(w, np.array(lam), np.array([10.0, 10.0]))
+    assert len(lp_calls) == 2 and lp_calls[0] is lp_calls[1] is tndfs._flow_matrix(3, 2)
+    fresh = sparse.vstack(
+        [sparse.kron(sparse.identity(3), np.ones((1, 2))), sparse.kron(np.ones((1, 3)), sparse.identity(2))],
+        format="csc",
+    )
+    assert lp_calls[0].shape == fresh.shape and (lp_calls[0] != fresh).nnz == 0
+
+
+def _pressured_instance():
+    """Five sites, slow walkers, small buses: most pairs ride; light demand rows fit, heavy ones bind."""
+    rng = np.random.default_rng(5)
+    sites = [Location(i, f"s{i}", (float(x), float(y))) for i, (x, y) in enumerate(rng.integers(0, 13, (5, 2)) * 100)]
+    ride = rng.uniform(1.0, 3.0, size=(5, 5))
+    np.fill_diagonal(ride, 1.0)
+    return NetworkInstance(sites, sites, 30.0, ride, fleet_size=3, capacity=3.0, max_routes=3, max_route_stops=3)
+
+
+def test_allocation_values_equal_assign_flows_on_every_row(monkeypatch):
+    prep = tndfs.prepare_instance(_pressured_instance())
+    rng = np.random.default_rng(6)
+    lam = rng.uniform(0.0, 30.0, size=(40, len(prep.pairs))) * rng.choice([0.01, 0.3, 1.0, 4.0], size=(40, 1))
+    lam[:, 1] = 0.0  # a pair with no demand, and more scattered zeros
+    lam[::4, 5] = 0.0
+    lam[7] = 0.0
+
+    def pressure(alloc):  # riding pairs, then the heaviest route's riders per unit of capacity
+        w, caps = tndfs._allocation_arcs(prep, alloc)
+        riders = w.max(axis=1) > 0
+        return riders.sum(), np.max(np.bincount(w.argmax(axis=1), riders, len(caps)) / caps)
+
+    sizes = (prep.row_routes >= 0).sum(axis=1)
+    allocs = [()] + [
+        max((tndfs._row_allocation(prep, row) for row in np.flatnonzero(sizes == r)), key=pressure) for r in (1, 2, 3)
+    ]
+    assert min(pressure(alloc)[0] for alloc in allocs[1:]) > 8  # numpy sums 9 or more terms pairwise
+    allocs.append(allocs[3][::-1])  # the routes in another order: another LP, scored as given
+    lp_calls = []
+    linprog = tndfs.linprog
+    monkeypatch.setattr(tndfs, "linprog", lambda *a, **kw: lp_calls.append(1) or linprog(*a, **kw))
+    for alloc in allocs:
+        w, caps = tndfs._allocation_arcs(prep, alloc)
+        if len(alloc):
+            riders = w.max(axis=1) > 0
+            load = [np.bincount(w.argmax(axis=1)[riders], row[riders], len(caps)) for row in lam]
+            binds = [np.any(inflow > caps) for inflow in load]
+            assert any(binds) and not all(binds)  # both the batched rows and assign_flows's rows
+        expected = [assign_flows(w, row, caps)[1] for row in lam]
+        assert [tndfs.allocation_value(prep, alloc, row) for row in lam] == expected
+        for layout in (lam, np.asfortranarray(lam), lam[::-1][::-1]):
+            assert tndfs.allocation_values(prep, alloc, layout).tolist() == expected
+        assert tndfs.allocation_values(prep, alloc, lam[:0]).shape == (0,)
+    assert lp_calls  # the two- and three-route allocations bind and reach the LP
+    assert tndfs.allocation_values(prep, (), lam).tolist() == [0.0] * len(lam)  # walking only
 
 
 # ---------------------------------------------------------------------------
