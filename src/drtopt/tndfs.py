@@ -324,6 +324,34 @@ def assign_flows(weights: np.ndarray, demands: np.ndarray, caps: np.ndarray) -> 
     return x, float(np.sum(weights * x))
 
 
+_FLOW_SLACK = 1e-6  # above HiGHS's feasibility tolerance: how far its flows may overrun a supply, capacity or zero
+
+
+def _flow_bound(weights: np.ndarray, demands: np.ndarray, caps: np.ndarray) -> float:
+    """An upper bound on the objective `assign_flows(weights, demands, caps)` returns, without an LP.
+
+    Any prices v_j >= 0 on the route capacities give one (LP duality): with
+    u_i = max(0, max_j w_ij - v_j), no flow earns more than
+    sum(demands * u) + sum(caps * v).  Each v_j in turn is the price at which
+    the demand still preferring route j over the rest first fills it, the
+    best price with the others fixed.  A slack of `_FLOW_SLACK` per supply,
+    capacity and arc covers flows the LP returns within its tolerance, and a
+    relative 1e-9 the rounding of the sum.
+    """
+    m, r = weights.shape
+    v = np.zeros(r)
+    for j in range(r):
+        rest = np.delete(weights - v, j, axis=1)
+        gain = weights[:, j] - (np.maximum(rest.max(axis=1), 0.0) if r > 1 else 0.0)
+        order = np.argsort(-gain, kind="stable")
+        full = np.flatnonzero(np.cumsum(demands[order]) >= caps[j])
+        if len(full):
+            v[j] = max(gain[order[full[0]]], 0.0)
+    u = np.maximum((weights - v).max(axis=1), 0.0)
+    bound = float(demands @ u + caps @ v + _FLOW_SLACK * ((1 + r) * u.sum() + (1 + m) * v.sum()))
+    return bound + 1e-9 * max(1.0, abs(bound))
+
+
 @functools.cache
 def _flow_matrix(m: int, r: int) -> sparse.csc_matrix:
     """The flow LP's constraint matrix: one supply row per pair, then one capacity row per route.
@@ -500,7 +528,8 @@ def solve_batch(prep: _Prepared, lam: np.ndarray) -> tuple[np.ndarray, np.ndarra
     Every row of the allocation table is priced for a block of samples at
     once: a capacity-feasible row is worth its uncapacitated bound, and for
     each sample every capacity-bound row whose bound can still beat that
-    sample's incumbent gets the exact flow assignment, best bound first.
+    sample's incumbent gets the exact flow assignment, best bound first,
+    unless a dual bound on its flows (`_flow_bound`) already falls short.
     Objectives within a relative 1e-12 tie and break toward the lowest row,
     the lexicographically smallest allocation key, so zero-flow routes are
     never reported unless the exact-route-count mode forces them.  An
@@ -542,6 +571,8 @@ def _block_winners(prep: _Prepared, lam: np.ndarray) -> tuple[np.ndarray, np.nda
             if bound[s, row] < best[s] - _tie_tol(best[s]):
                 break  # no later row's bound reaches the incumbent either
             w, caps = _allocation_arcs(prep, _row_allocation(prep, row), active)
+            if _flow_bound(w, lam[s, active], caps) < best[s] - _tie_tol(best[s]):
+                continue  # its flows cannot reach the incumbent either
             _, value[s, row] = assign_flows(w, lam[s, active], caps)
             best[s] = max(best[s], value[s, row])
     winners = np.argmax(value >= (best - _tie_tol(best))[:, None], axis=1)

@@ -326,6 +326,23 @@ def test_solve_batch_equals_per_sample_reference(case, layout, monkeypatch):
     assert tndfs.solve_demand(prep, lam[0]) == ref[0]
 
 
+@pytest.mark.parametrize("case", ["capacity6", "nu2"])
+def test_solve_batch_skips_only_lps_the_flow_bound_rules_out(case, monkeypatch):
+    from drtopt import tndfs
+
+    inst, lam = _case_demands(case, 2, 40)
+    prep = tndfs.prepare_instance(inst)
+    lp_calls = _count_lps(monkeypatch)
+    rows, objectives = tndfs.solve_batch(prep, lam)
+    got_lps = len(lp_calls)
+    monkeypatch.setattr(tndfs, "_flow_bound", lambda *a: np.inf)  # every candidate row gets its LP
+    all_rows, all_objectives = tndfs.solve_batch(prep, lam)
+    assert rows.tolist() == all_rows.tolist()
+    assert objectives.tolist() == all_objectives.tolist()
+    if case == "capacity6":
+        assert 0 < got_lps < len(lp_calls) - got_lps
+
+
 def test_solve_batch_reuses_a_winner_lp_only_when_every_pair_has_demand(monkeypatch):
     from drtopt import tndfs
     from reference_solver import reference_solve_demand
@@ -335,6 +352,8 @@ def test_solve_batch_reuses_a_winner_lp_only_when_every_pair_has_demand(monkeypa
     quiet = lam.copy()
     quiet[:, 2] = 0.0  # the loop's flow LPs run over the other pairs only
     assert np.all(lam > 0)
+    # no candidate row is ruled out by its flow bound, so the loop runs the reference's LPs and the counts show the reuse
+    monkeypatch.setattr(tndfs, "_flow_bound", lambda *a: np.inf)
     lp_calls = _count_lps(monkeypatch)
     for demands, reuses in ((lam, True), (quiet, False)):
         del lp_calls[:]

@@ -207,6 +207,22 @@ def test_assign_flows_agrees_with_reference_lp(rng):
         assert obj == pytest.approx(-ref.fun, abs=1e-7)
 
 
+def test_flow_bound_is_never_below_the_assignment(rng):
+    for trial in range(300):
+        m, r = int(rng.integers(1, 10)), int(rng.integers(1, 4))
+        w = rng.normal(0.5, 2.0, size=(m, r))
+        if trial % 3 == 0:  # ties between routes and between pairs
+            w = np.round(w)
+            w[:, -1] = w[:, 0]
+        lam = rng.uniform(0, 8, size=m) * (rng.random(m) > 0.2)
+        caps = rng.uniform(0, 10, size=r) * (rng.random(r) > 0.1)
+        _, obj = assign_flows(w, lam, caps)
+        bound = tndfs._flow_bound(w, lam, caps)
+        assert bound >= obj
+        if r == 1:  # one route: the price is the greedy's own, so the bound is tight
+            assert bound == pytest.approx(obj, abs=1e-3)
+
+
 def test_flow_lp_matrix_is_built_once_per_shape_and_left_intact(monkeypatch):
     lp_calls = []
     linprog = tndfs.linprog
