@@ -12,20 +12,19 @@ The discrete part (route set + bus counts) is enumerated exhaustively, once
 per instance into a table; for a fixed allocation the remaining flow
 assignment is a small transportation problem.  Assigning every pair to its
 best positive-utility route is optimal whenever no capacity binds; otherwise
-the assignment LP is solved exactly.
+a greedy fill (one route) or successive shortest paths (several) find the
+exact optimum without an LP solver.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import linprog  # noqa: F401  unused here; perfbench/tracing.py traces the name tndfs.linprog
 
 from .data import Location, ODPair
 
@@ -283,8 +282,11 @@ def assign_flows(weights: np.ndarray, demands: np.ndarray, caps: np.ndarray) -> 
     weights: (m, r) net per-passenger utilities; demands: (m,); caps: (r,).
     Unassigned demand walks at zero utility.  Returns (x, objective) with x of
     shape (m, r).  Fast path assigns each pair fully to its best positive
-    utility route; when that violates a capacity the LP is solved exactly.
+    utility route; when that violates a capacity, one route is filled in
+    decreasing utility order and several take the overflow by successive
+    shortest paths (`_successive_shortest_paths`), both exact.
     """
+    _check_flow_input(weights, demands, caps)
     m, r = weights.shape
     x = np.zeros((m, r))
     if m == 0 or r == 0:
@@ -313,30 +315,107 @@ def assign_flows(weights: np.ndarray, demands: np.ndarray, caps: np.ndarray) -> 
             total += w * take
         return x, total
 
-    c = -weights.ravel()
-    b_ub = np.concatenate([demands, caps])
-    res = linprog(c, A_ub=_flow_matrix(m, r), b_ub=b_ub, bounds=(0, None), method="highs")
-    if res.status != 0 or res.x is None:
-        raise RuntimeError(f"flow assignment LP failed: {res.message}")
-    x = res.x.reshape(m, r)
-    # zero out numerically irrelevant flow on non-positive-utility arcs
-    x[weights <= 0] = 0.0
+    x = _successive_shortest_paths(weights, x, demands, caps)
+    x[weights <= 0] = 0.0  # a pair on a route worth no more than walking gains nothing there
     return x, float(np.sum(weights * x))
 
 
-_FLOW_SLACK = 1e-6  # above HiGHS's feasibility tolerance: how far its flows may overrun a supply, capacity or zero
+def _check_flow_input(weights: np.ndarray, demands: np.ndarray, caps: np.ndarray) -> None:
+    if not np.isfinite(weights).all():
+        raise ValueError(f"weights must be finite, got {weights[~np.isfinite(weights)][0]}")
+    if not ((demands >= 0) & (demands < np.inf)).all():  # NaN fails both
+        raise ValueError(f"demands must be finite and non-negative, got {demands.tolist()}")
+    if not (caps >= 0).all():
+        raise ValueError(f"caps must be non-negative, got {caps.tolist()}")
+
+
+def _max_augmentations(m: int, r: int) -> int:
+    """How many augmentations `_successive_shortest_paths` may make on m pairs and r routes.
+
+    Each one empties a pair's flow on one of the r + 1 nodes, an overloaded
+    route's excess or a route's spare capacity.  A pair's flow on a node can
+    empty more than once, so this guards against a loop that stops making
+    progress; it is not a proven bound.
+    """
+    return m * (r + 1) + r + 1
+
+
+def _successive_shortest_paths(weights: np.ndarray, x: np.ndarray, demands: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """Optimal flows from the best-route assignment `x`, whose loads exceed some capacity.
+
+    A min-cost flow on r + 1 sinks, the routes and walking (node r, zero
+    utility, no capacity).  Moving pair i from node j to node k costs
+    w_ij - w_ik, so the arc j -> k costs the cheapest such move over the
+    pairs with flow on j.  While a route is over its capacity, its excess
+    goes along a shortest path, by Bellman-Ford, to the nearest node with
+    spare capacity, by the most that path's excess, end spare and moved
+    pairs allow (Ahuja, Magnanti & Orlin, Network Flows, 1993, ch. 9).  `x`
+    puts each pair on its cheapest node, so no arc starts out negative;
+    node prices from each round's distances keep the reduced costs
+    non-negative after, clipped at 0 against rounding so no cycle of
+    rounding errors can turn negative.
+    """
+    m, r = weights.shape
+    n = r + 1
+    gain = np.hstack([weights, np.zeros((m, 1))])
+    flow = np.hstack([x, (demands - x.sum(axis=1))[:, None]])
+    spare = np.append(caps - x.sum(axis=0), np.inf)
+    loss = gain[:, :, None] - gain[:, None, :]  # [i, j, k]: what pair i gives up moving from j to k
+    price = np.zeros(n)
+    nodes = np.arange(n)
+    limit, augmented = _max_augmentations(m, r), 0
+    while True:
+        over = np.flatnonzero(spare < 0)
+        if not len(over):
+            return flow[:, :r]
+        s = over[0]
+        if not flow[:, s].any():  # an emptied route is not over capacity: its spare's running total is off by rounding
+            spare[s] = caps[s]
+            continue
+        if augmented == limit:
+            raise RuntimeError(f"flow assignment did not converge on {m} pairs x {r} routes")
+        augmented += 1
+        moves = np.where((flow > 0)[:, :, None], loss, np.inf)
+        carrier = moves.argmin(axis=0)
+        cost = moves[carrier, nodes[:, None], nodes]
+        reduced = np.maximum(cost + price[:, None] - price, 0.0)
+        dist = np.full(n, np.inf)
+        dist[s] = 0.0
+        pred = np.full(n, -1)
+        for _ in range(n - 1):
+            via = dist[:, None] + reduced
+            u = via.argmin(axis=0)
+            new = via[u, nodes]
+            better = new < dist
+            if not better.any():
+                break
+            dist[better], pred[better] = new[better], u[better]
+        t = int(np.argmin(np.where(spare > 0, dist, np.inf)))  # walking is always reachable from s
+        path = [t]
+        while path[-1] != s:
+            path.append(pred[path[-1]])
+        step = {}  # (pair, node) -> net change per unit along the path: a pair may carry two arcs in a row
+        for b, a in zip(path, path[1:]):
+            i = carrier[a, b]
+            step[i, a] = step.get((i, a), 0) - 1
+            step[i, b] = step.get((i, b), 0) + 1
+        delta = min(-spare[s], spare[t], *(flow[k] for k, c in step.items() if c < 0))
+        for k, c in step.items():
+            flow[k] += c * delta
+        spare[s] += delta
+        spare[t] -= delta
+        price += np.minimum(dist, dist[t])
 
 
 def _flow_bound(weights: np.ndarray, demands: np.ndarray, caps: np.ndarray) -> float:
-    """An upper bound on the objective `assign_flows(weights, demands, caps)` returns, without an LP.
+    """An upper bound on the objective `assign_flows(weights, demands, caps)` returns, without solving it.
 
     Any prices v_j >= 0 on the route capacities give one (LP duality): with
     u_i = max(0, max_j w_ij - v_j), no flow earns more than
     sum(demands * u) + sum(caps * v).  Each v_j in turn is the price at which
     the demand still preferring route j over the rest first fills it, the
-    best price with the others fixed.  A slack of `_FLOW_SLACK` per supply,
-    capacity and arc covers flows the LP returns within its tolerance, and a
-    relative 1e-9 the rounding of the sum.
+    best price with the others fixed.  A relative 1e-9 covers the rounding
+    of the sums.
     """
     m, r = weights.shape
     v = np.zeros(r)
@@ -348,23 +427,8 @@ def _flow_bound(weights: np.ndarray, demands: np.ndarray, caps: np.ndarray) -> f
         if len(full):
             v[j] = max(gain[order[full[0]]], 0.0)
     u = np.maximum((weights - v).max(axis=1), 0.0)
-    bound = float(demands @ u + caps @ v + _FLOW_SLACK * ((1 + r) * u.sum() + (1 + m) * v.sum()))
+    bound = float(demands @ u + caps @ v)
     return bound + 1e-9 * max(1.0, abs(bound))
-
-
-@functools.cache
-def _flow_matrix(m: int, r: int) -> sparse.csc_matrix:
-    """The flow LP's constraint matrix: one supply row per pair, then one capacity row per route.
-
-    It depends on the shape only, so it is built once per (m, r); linprog copies it.
-    """
-    return sparse.vstack(
-        [
-            sparse.kron(sparse.identity(m, format="csr"), np.ones((1, r))),
-            sparse.kron(np.ones((1, m)), sparse.identity(r, format="csr")),
-        ],
-        format="csc",
-    )
 
 
 _CHUNK_CELLS = 1 << 16  # (pair, row, slot) cells per table chunk; bounds the transient arrays
@@ -535,7 +599,7 @@ def solve_batch(prep: _Prepared, lam: np.ndarray) -> tuple[np.ndarray, np.ndarra
     never reported unless the exact-route-count mode forces them.  An
     objective is the winner's flow assignment over all pairs, not its bound:
     `allocation_values` scores each winning row on its samples, and a winner
-    whose flow LP already ran over every pair keeps that LP's value.
+    whose flow assignment already ran over every pair keeps that value.
     """
     if not len(prep.row_routes):
         raise ValueError("no feasible allocation (check max_routes vs candidate count)")
@@ -554,7 +618,7 @@ def solve_batch(prep: _Prepared, lam: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _block_winners(prep: _Prepared, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Winning table row per sample, and its objective where a flow LP over every pair gave it."""
+    """Winning table row per sample, and its objective where a flow assignment over every pair gave it."""
     chunks = prep.table if prep.table is not None else (_table_chunk(prep, rows) for rows in prep.chunk_rows)
     bound = np.empty((len(lam), len(prep.row_routes)))
     feasible = np.empty(bound.shape, dtype=bool)
@@ -577,7 +641,7 @@ def _block_winners(prep: _Prepared, lam: np.ndarray) -> tuple[np.ndarray, np.nda
             best[s] = max(best[s], value[s, row])
     winners = np.argmax(value >= (best - _tie_tol(best))[:, None], axis=1)
     picked = np.arange(len(lam)), winners
-    # a capacity-bound winner had its flow LP above; over every pair it is the one allocation_values runs
+    # a capacity-bound winner had its flow assignment above; over every pair it is the one allocation_values runs
     return winners, value[picked], ~feasible[picked] & np.all(lam > 0, axis=1)
 
 

@@ -16,11 +16,16 @@ winner's objective from its own flow assignment over all pairs.
 `reference_optimize_lag` is the per-sample decision loop that the batched
 one replaced: a `DemandVector`, a `reference_solve_demand` and a full design
 per sample, and `evaluate_allocation` for the mode on every sample.
+
+`reference_assign_flows` is the HiGHS LP that `tndfs.assign_flows` solved
+for capacity-bound allocations before successive shortest paths replaced it.
 """
 
 import itertools
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
 
 from drtopt.copula import sample_joint
 from drtopt.pipeline import ScenarioResult
@@ -43,6 +48,21 @@ from drtopt.tndfs import (
 )
 
 _PAIR_CHUNK = 50_000
+
+
+def reference_assign_flows(weights, demands, caps):
+    """Max sum(w*x) over x >= 0 with per-pair supplies and per-route capacities, by HiGHS: (x, objective)."""
+    m, r = weights.shape
+    a_ub = sparse.vstack(
+        [sparse.kron(sparse.identity(m), np.ones((1, r))), sparse.kron(np.ones((1, m)), sparse.identity(r))],
+        format="csc",
+    )
+    res = linprog(-weights.ravel(), A_ub=a_ub, b_ub=np.concatenate([demands, caps]), bounds=(0, None), method="highs")
+    if res.status != 0 or res.x is None:
+        raise RuntimeError(f"flow assignment LP failed: {res.message}")
+    x = res.x.reshape(m, r)
+    x[weights <= 0] = 0.0  # numerically irrelevant flow on non-positive-utility arcs
+    return x, float(np.sum(weights * x))
 
 
 def _unconstrained_bound(weights, demands):

@@ -283,11 +283,12 @@ def test_optimize_lag_equals_per_sample_reference(case, seed, monkeypatch):
 
 
 def _count_lps(monkeypatch) -> list:
+    """Record every exact solve of a capacity-bound flow LP with two or more routes."""
     from drtopt import tndfs
 
     calls = []
-    linprog = tndfs.linprog
-    monkeypatch.setattr(tndfs, "linprog", lambda *a, **kw: calls.append(1) or linprog(*a, **kw))
+    solve = tndfs._successive_shortest_paths
+    monkeypatch.setattr(tndfs, "_successive_shortest_paths", lambda *a: calls.append(1) or solve(*a))
     return calls
 
 

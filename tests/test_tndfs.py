@@ -12,8 +12,6 @@ from conftest import (
 )
 from math import comb
 
-from scipy import sparse
-
 from drtopt import tndfs
 from drtopt.data import Location, ODPair
 from drtopt.tndfs import (
@@ -33,7 +31,7 @@ from drtopt.tndfs import (
     stage2_utility,
     walk_time,
 )
-from reference_solver import oracle_solve, reference_solve
+from reference_solver import oracle_solve, reference_assign_flows, reference_solve
 
 
 # ---------------------------------------------------------------------------
@@ -223,19 +221,91 @@ def test_flow_bound_is_never_below_the_assignment(rng):
             assert bound == pytest.approx(obj, abs=1e-3)
 
 
-def test_flow_lp_matrix_is_built_once_per_shape_and_left_intact(monkeypatch):
-    lp_calls = []
-    linprog = tndfs.linprog
-    monkeypatch.setattr(tndfs, "linprog", lambda *a, **kw: lp_calls.append(kw["A_ub"]) or linprog(*a, **kw))
-    w = np.array([[10.0, 9.0], [9.5, -5.0], [3.0, 4.0]])
-    for lam in ([10.0, 10.0, 2.0], [12.0, 7.0, 5.0]):
-        assign_flows(w, np.array(lam), np.array([10.0, 10.0]))
-    assert len(lp_calls) == 2 and lp_calls[0] is lp_calls[1] is tndfs._flow_matrix(3, 2)
-    fresh = sparse.vstack(
-        [sparse.kron(sparse.identity(3), np.ones((1, 2))), sparse.kron(np.ones((1, 3)), sparse.identity(2))],
-        format="csc",
-    )
-    assert lp_calls[0].shape == fresh.shape and (lp_calls[0] != fresh).nnz == 0
+def _assert_flows_match_reference(w, lam, caps):
+    """`assign_flows` against the HiGHS LP: objective, supplies, capacities, and nothing on w <= 0."""
+    x, obj = assign_flows(w, lam, caps)
+    _, ref = reference_assign_flows(w, lam, caps)
+    assert abs(obj - ref) <= 1e-9 * max(1.0, abs(ref))
+    assert obj == pytest.approx(float(np.sum(w * x)), rel=1e-12, abs=1e-12)
+    assert np.all(x >= 0) and np.all(x[w <= 0] == 0)
+    scale = max(1.0, float(lam.sum()))
+    assert np.all(x.sum(axis=1) <= lam + 1e-12 * scale)
+    assert np.all(x.sum(axis=0) <= caps + 1e-12 * scale)
+
+
+def _degenerate_flow_instance(rng, m, r):
+    """Ties within a pair's row and across pairs, zero demands, zero caps and all-negative rows."""
+    kind = rng.integers(4)
+    if kind == 0:  # small integers: ties everywhere
+        w = rng.integers(-2, 4, size=(m, r)).astype(float)
+    elif kind == 1:  # every route worth the same to a pair
+        w = np.repeat(rng.integers(-1, 4, size=(m, 1)), r, axis=1).astype(float)
+    elif kind == 2:  # every pair values the routes alike, up to a shift
+        w = rng.integers(0, 3, size=(1, r)) + rng.integers(0, 2, size=(m, 1)) + np.zeros((m, r))
+    else:
+        w = rng.normal(0.5, 2.0, size=(m, r))
+    w[rng.random(m) < 0.2] = -rng.uniform(0.0, 3.0, size=r)  # pairs that always walk
+    lam = rng.integers(0, 6, size=m).astype(float) if rng.random() < 0.5 else rng.uniform(0, 8, size=m)
+    lam *= rng.random(m) > 0.2
+    caps = rng.integers(0, 8, size=r).astype(float) if rng.random() < 0.5 else rng.uniform(0, 10, size=r)
+    caps *= rng.random(r) > 0.15
+    return w, lam, caps
+
+
+def test_assign_flows_equals_reference_lp_on_degenerate_instances():
+    rng = np.random.default_rng(12)
+    bound = 0
+    for trial in range(600):
+        m, r = int(rng.integers(1, 21)), 1 + trial % 3
+        w, lam, caps = _degenerate_flow_instance(rng, m, r)
+        _assert_flows_match_reference(w, lam, caps)
+        best = np.argmax(w, axis=1)
+        riders = w.max(axis=1) > 0
+        bound += np.any(np.bincount(best[riders], lam[riders], r) > caps)
+    assert bound > 300  # most instances reach the exact solvers, not only the best-route fast path
+
+
+# HiGHS holds constraints only to about 1e-7, so no magnitude comes near that: 0, or 0.01 and up
+FLOW_WEIGHT = st.one_of(st.integers(-3, 5).map(float), st.floats(0.01, 10.0), st.floats(-10.0, -0.01))
+FLOW_AMOUNT = st.one_of(st.just(0.0), st.integers(0, 6).map(float), st.floats(0.01, 20.0))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_assign_flows_equals_reference_lp_on_any_instance(data):
+    m, r = data.draw(st.integers(1, 20)), data.draw(st.integers(1, 3))
+    w = np.array(data.draw(st.lists(FLOW_WEIGHT, min_size=m * r, max_size=m * r))).reshape(m, r)
+    lam = np.array(data.draw(st.lists(FLOW_AMOUNT, min_size=m, max_size=m)))
+    caps = np.array(data.draw(st.lists(FLOW_AMOUNT, min_size=r, max_size=r)))
+    _assert_flows_match_reference(w, lam, caps)
+
+
+@pytest.mark.parametrize(
+    "arg, bad",
+    [("weights", np.nan), ("weights", -np.inf), ("demands", np.nan), ("demands", np.inf), ("demands", -1.0),
+     ("caps", np.nan), ("caps", -1.0)],
+)
+def test_assign_flows_rejects_bad_input_naming_it(arg, bad):
+    args = {"weights": np.array([[2.0, 1.0], [1.5, 3.0]]), "demands": np.array([5.0, 5.0]), "caps": np.array([4.0, 4.0])}
+    args[arg][0] = bad
+    with pytest.raises(ValueError, match=arg):
+        assign_flows(**args)
+
+
+def test_assign_flows_takes_an_unlimited_capacity():
+    w, lam = np.array([[2.0, 1.0], [1.5, 3.0], [1.0, 2.0]]), np.array([5.0, 5.0, 5.0])
+    x, obj = assign_flows(w, lam, np.array([np.inf, 4.0]))
+    assert obj == 2.0 * 5 + 3.0 * 4 + 1.5 * 1 + 1.0 * 5
+    assert x.sum(axis=0).tolist() == [11.0, 4.0]
+
+
+def test_assign_flows_raises_past_its_augmentation_bound(monkeypatch):
+    w, lam, caps = np.array([[10.0, 9.0], [9.5, -5.0], [3.0, 4.0]]), np.array([10.0, 10.0, 2.0]), np.array([10.0, 10.0])
+    monkeypatch.setattr(tndfs, "_max_augmentations", lambda m, r: 1)
+    with pytest.raises(RuntimeError, match="3 pairs x 2 routes"):
+        assign_flows(w, lam, caps)
+    monkeypatch.setattr(tndfs, "_max_augmentations", lambda m, r: 2)  # one more move is enough here
+    assert assign_flows(w, lam, caps)[1] == 9.5 * 10 + 9.0 * 10 + 4.0 * 0
 
 
 def _pressured_instance():
@@ -267,8 +337,8 @@ def test_allocation_values_equal_assign_flows_on_every_row(monkeypatch):
     assert min(pressure(alloc)[0] for alloc in allocs[1:]) > 8  # numpy sums 9 or more terms pairwise
     allocs.append(allocs[3][::-1])  # the routes in another order: another LP, scored as given
     lp_calls = []
-    linprog = tndfs.linprog
-    monkeypatch.setattr(tndfs, "linprog", lambda *a, **kw: lp_calls.append(1) or linprog(*a, **kw))
+    solve = tndfs._successive_shortest_paths
+    monkeypatch.setattr(tndfs, "_successive_shortest_paths", lambda *a: lp_calls.append(1) or solve(*a))
     for alloc in allocs:
         w, caps = tndfs._allocation_arcs(prep, alloc)
         if len(alloc):
@@ -281,7 +351,7 @@ def test_allocation_values_equal_assign_flows_on_every_row(monkeypatch):
         for layout in (lam, np.asfortranarray(lam), lam[::-1][::-1]):
             assert tndfs.allocation_values(prep, alloc, layout).tolist() == expected
         assert tndfs.allocation_values(prep, alloc, lam[:0]).shape == (0,)
-    assert lp_calls  # the two- and three-route allocations bind and reach the LP
+    assert lp_calls  # the two- and three-route allocations bind and reach the exact solver
     assert tndfs.allocation_values(prep, (), lam).tolist() == [0.0] * len(lam)  # walking only
 
 
