@@ -1,20 +1,23 @@
 #!/usr/bin/env bash
 # Run the CLI's demo chain into OUTDIR and keep each step's stdout and stderr:
 #
-#     scripts/demo_chain.sh OUTDIR
+#     scripts/demo_chain.sh OUTDIR [FAMILY]
 #
 # synth --locations 4 --seed 7, then train, predict, evaluate,
 # optimize --dump-samples and pipeline, with drtopt imported from the src/ of
-# the checkout this script sits in.  The demo lands in OUTDIR/demo and the
-# logs in OUTDIR/logs/<step>.stdout and .stderr.  Every path the program sees
-# is relative to OUTDIR, so two checkouts whose output has not changed leave
-# trees that `diff -r` finds identical.
+# the checkout this script sits in.  FAMILY (linear, the default, hp or
+# gboost) replaces the model family of the config that synth writes; the
+# other model settings keep their defaults.  The demo lands in OUTDIR/demo
+# and the logs in OUTDIR/logs/<step>.stdout and .stderr.  Every path the
+# program sees is relative to OUTDIR, so two checkouts whose output has not
+# changed leave trees that `diff -r` finds identical.
 set -euo pipefail
 
-if [ $# -ne 1 ]; then
-    echo "usage: $0 OUTDIR" >&2
+if [ $# -lt 1 ] || [ $# -gt 2 ]; then
+    echo "usage: $0 OUTDIR [FAMILY]" >&2
     exit 2
 fi
+family=${2:-linear}
 root=$(cd "$(dirname "$0")/.." && pwd)
 mkdir -p "$1/logs"
 out=$(cd "$1" && pwd)
@@ -28,6 +31,19 @@ step() {
 }
 
 step synth synth --out-dir demo --locations 4 --seed 7
+if [ "$family" != linear ]; then
+    python3 - "$out/demo/config.json" "$family" <<'PY'
+import json, sys
+
+path, family = sys.argv[1:]
+with open(path, encoding="utf-8") as fh:
+    doc = json.load(fh)
+doc["model"]["family"] = family
+with open(path, "w", encoding="utf-8") as fh:
+    json.dump(doc, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+PY
+fi
 step train train --config demo/config.json
 step predict predict --config demo/config.json --model demo/out/model.json
 step evaluate evaluate --config demo/config.json --model demo/out/model.json

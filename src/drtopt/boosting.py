@@ -34,27 +34,64 @@ class GBoostHyper:
         return self
 
 
-def _best_split(X: np.ndarray, g: np.ndarray):
-    """Axis-aligned split minimizing SSE of g; None when no split helps."""
+def _presort(keys: np.ndarray):
+    """Each feature's stable row order, and where a key in that order repeats its predecessor.
+
+    keys is (features, rows): the values, or anything that orders and ties
+    the rows as the values do, such as their `_ranks`.
+    """
+    order = np.argsort(keys, axis=1, kind="stable")
+    in_order = np.take_along_axis(keys, order, axis=1)
+    return order, in_order[:, 1:] == in_order[:, :-1]
+
+
+def _ranks(presorted) -> np.ndarray:
+    """Each feature's dense value ranks, 0 for its least value, from `_presort` of the values.
+
+    Equal values share a rank, so a stable sort of a node's ranks gives the
+    order a stable sort of its values gives; up to 2**15 rows the ranks are
+    int16, which numpy sorts stably by radix.
+    """
+    order, repeats = presorted
+    ranks = np.zeros(order.shape, dtype=np.int16 if order.shape[1] <= 2**15 else np.intp)
+    np.put_along_axis(ranks, order[:, 1:], np.cumsum(~repeats, axis=1), axis=1)
+    return ranks
+
+
+def _best_split(XT: np.ndarray, g: np.ndarray, presorted):
+    """Axis-aligned split minimizing SSE of g; None when no split helps.
+
+    XT holds the node's rows transposed, (features, rows).  Every feature is
+    scanned at once, in the order `presorted` (`_presort` of XT or of its
+    ranks) gives: one row-wise prefix sum (which adds in the same order as a
+    per-feature cumsum) and one argmax per feature.  The features' best
+    gains are then compared in feature order, and a later feature wins only
+    by more than 1e-12.
+    """
     n = len(g)
+    order, repeats = presorted
     total = g.sum()
-    best_gain, best = -np.inf, None
     base = total * total / n
-    for j in range(X.shape[1]):
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
-        prefix = np.cumsum(g[order])[:-1]
-        n_left = np.arange(1, n)
-        valid = xs[1:] != xs[:-1]
-        if not valid.any():
-            continue
-        gain = prefix**2 / n_left + (total - prefix) ** 2 / (n - n_left) - base
-        gain[~valid] = -np.inf
-        i = int(np.argmax(gain))
-        if gain[i] > best_gain + 1e-12:
-            best_gain = gain[i]
-            best = (j, 0.5 * (xs[i] + xs[i + 1]), order[: i + 1], order[i + 1 :])
-    return best
+    prefix = np.cumsum(g[order], axis=1)[:, :-1]
+    n_left = np.arange(1, n)
+    # prefix**2 / n_left + (total - prefix)**2 / (n - n_left) - base, the same operations in place
+    gain = np.square(prefix)
+    gain /= n_left
+    right_term = total - prefix
+    np.square(right_term, out=right_term)
+    right_term /= n - n_left
+    gain += right_term
+    gain -= base
+    np.copyto(gain, -np.inf, where=repeats)
+    at = np.argmax(gain, axis=1)
+    best_gain, best = -np.inf, None
+    for j, feature_gain in enumerate(gain[np.arange(len(at)), at].tolist()):
+        if feature_gain > best_gain + 1e-12:
+            best_gain, best = feature_gain, j
+    if best is None:
+        return None
+    left, right = order[best, : at[best] + 1], order[best, at[best] + 1 :]
+    return best, 0.5 * (XT[best, left[-1]] + XT[best, right[0]]), left, right
 
 
 @dataclass(frozen=True)
@@ -96,9 +133,17 @@ class Forest:
         return self.value[trees, node]
 
 
-def _grow_tree(X, g, residuals, q, depth, max_depth, forest: Forest, t: int, node: int = 0) -> None:
-    """Fill tree t of `forest` from heap node `node` down."""
-    split = None if depth >= max_depth or len(g) < 2 else _best_split(X, g)
+def _grow_tree(XT, ranks, g, residuals, q, depth, max_depth, forest: Forest, t: int, node: int = 0, presorted=None) -> None:
+    """Fill tree t of `forest` from heap node `node` down.
+
+    XT and ranks hold the node's rows transposed, the values and their
+    `_ranks`.  A child sorts its own rows: they arrive in the parent's
+    split order, so ties sort differently than in a filtered parent order
+    and the prefix sums of the gradient would differ in the last bits.
+    """
+    split = None
+    if depth < max_depth and len(g) >= 2:
+        split = _best_split(XT, g, _presort(ranks) if presorted is None else presorted)
     if split is None:
         forest.value[t, node] = pinball_minimizing_constant(residuals, q)
         return
@@ -106,7 +151,7 @@ def _grow_tree(X, g, residuals, q, depth, max_depth, forest: Forest, t: int, nod
     forest.feature[t, node] = j
     forest.threshold[t, node] = thr
     for child, idx in ((2 * node + 1, left_idx), (2 * node + 2, right_idx)):
-        _grow_tree(X[idx], g[idx], residuals[idx], q, depth + 1, max_depth, forest, t, child)
+        _grow_tree(XT[:, idx], ranks[:, idx], g[idx], residuals[idx], q, depth + 1, max_depth, forest, t, child)
 
 
 def tree_to_doc(forest: Forest, t: int, node: int = 0) -> dict:
@@ -165,8 +210,26 @@ def fit_gboost(
     hyper.validate()
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"X must be 2-D (rows, features), got shape {X.shape}")
+    if y.shape != (len(X),):
+        raise ValueError(f"y must hold one value per row of X: {len(X)} rows, y of shape {y.shape}")
+    if len(X) == 0:
+        raise ValueError("no training rows")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("non-finite values in training data")
+    if val is not None:
+        Xv, yv = (np.asarray(part, dtype=np.float64) for part in val)
+        if Xv.ndim != 2 or Xv.shape[1] != X.shape[1] or yv.shape != (len(Xv),):
+            raise ValueError(
+                f"val must be {X.shape[1]}-feature rows with one y each: X of shape {Xv.shape}, y of shape {yv.shape}"
+            )
+        if not (np.all(np.isfinite(Xv)) and np.all(np.isfinite(yv))):
+            raise ValueError("non-finite values in validation data")
+    XT =np.ascontiguousarray(X.T)
+    # every tree's root holds all rows in the same order, so one sort serves them all
+    root = _presort(XT)
+    ranks = _ranks(root)
 
     init, forests, losses = {}, {}, {}
     for q in levels:
@@ -182,7 +245,7 @@ def fit_gboost(
         for t in range(hyper.n_trees):
             residuals = y - pred
             gradient = np.where(residuals > 0, q, np.where(residuals < 0, q - 1.0, q))
-            _grow_tree(X, gradient, residuals, q, 0, hyper.max_depth, forest, t)
+            _grow_tree(XT, ranks, gradient, residuals, q, 0, hyper.max_depth, forest, t, presorted=root)
             stage = forest[t : t + 1]
             pred = pred + hyper.learning_rate * stage.leaf_values(X)[0]
             loss_path.append(float(np.mean(tilted_loss(q, y, pred))))

@@ -34,13 +34,58 @@ def tilted_loss(q: float, y, y_hat):
 def pinball_minimizing_constant(sample, q: float) -> float:
     """The constant minimizing mean tilted loss over a finite sample.
 
-    The loss is piecewise linear in the constant with kinks only at sample
-    points, so the minimum is attained at one of them; this enumerates them
-    all (independent oracle used by tests and as the boosting leaf rule).
+    The loss is convex and piecewise linear in the constant, with kinks only
+    at sample points, so its minimum lies at an order statistic, the
+    ceil(n*q)-th.  The result is the distinct sample value whose computed
+    loss `np.mean(tilted_loss(q, sample, v))` is least, the lowest on ties:
+    the value that evaluating every distinct value would pick.  Only a window
+    of values around that order statistic is evaluated.  It widens on each
+    side until the edge value's loss exceeds the window's least by more than
+    the rounding bound: a computed loss is within relative (n + 4) * eps of
+    the exact one (its terms are non-negative), and past an edge the exact
+    loss only grows, so no value outside the window can compute lower.
+
+    The values come from one sort, as np.unique's do, so of two equal values
+    (0.0 and -0.0) the result is the one np.unique keeps.
     """
-    values = np.unique(np.asarray(sample, dtype=np.float64))
-    losses = [float(np.mean(tilted_loss(q, sample, v))) for v in values]
-    return float(values[int(np.argmin(losses))])
+    if not 0.0 < q < 1.0:
+        raise ValueError(f"quantile level must be in (0,1), got {q}")
+    sample = np.asarray(sample, dtype=np.float64)
+    if sample.size == 0:
+        raise ValueError("cannot fit a constant to an empty sample")
+    if not np.all(np.isfinite(sample)):
+        raise ValueError("non-finite values in sample")
+    s = np.sort(sample, axis=None)
+    n = len(s)
+
+    def loss(i: int) -> float:
+        return float(np.mean(tilted_loss(q, sample, s[i])))
+
+    def first(i: int) -> int:  # index of the first copy of s[i]
+        return int(np.searchsorted(s, s[i], side="left"))
+
+    # the slopes are q and fl(q - 1), so the exact minimizer is the
+    # ceil(n*q')-th order statistic for a q' within a few ulps of q: start
+    # from positions floor(n*q) through ceil(n*q) + 1, counted from 1
+    lo = first(min(max(int(np.floor(n * q)) - 1, 0), n - 1))
+    hi = first(min(int(np.ceil(n * q)), n - 1))
+    starts = [lo] + [i for i in range(lo + 1, hi + 1) if s[i] != s[i - 1]]
+    losses = [loss(i) for i in starts]
+    slack = 4.0 * (n + 4) * np.finfo(np.float64).eps
+    while True:
+        bound = min(losses) * (1.0 + slack) + np.finfo(np.float64).tiny
+        grew = False
+        if starts[0] > 0 and losses[0] <= bound:
+            starts.insert(0, first(starts[0] - 1))
+            losses.insert(0, loss(starts[0]))
+            grew = True
+        nxt = int(np.searchsorted(s, s[starts[-1]], side="right"))
+        if nxt < n and losses[-1] <= bound:
+            starts.append(nxt)
+            losses.append(loss(nxt))
+            grew = True
+        if not grew:
+            return float(s[starts[int(np.argmin(losses))]])
 
 
 @dataclass

@@ -1,15 +1,21 @@
-"""Slow reference for `qr.fit_lqr`: the primal pinball-loss LP.
+"""Slow references for `qr`: the primal pinball-loss LP and the enumerated pinball constant.
 
 `reference_pinball_lp` is the formulation that the dual LP replaced:
 min q*1'u + (1-q)*1'v over (beta, u, v) subject to X beta + u - v = y and
 u, v >= 0, with p + 2n variables and n equality rows.  Both are exact, so
 their pinball losses agree to LP tolerance; their coefficients agree only
 where the minimizer is unique.
+
+`reference_pinball_constant` is `qr.pinball_minimizing_constant` by
+enumeration: the mean tilted loss at every distinct sample value, the
+lowest value on ties.
 """
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
+
+from drtopt.qr import tilted_loss
 
 
 def reference_pinball_lp(X: np.ndarray, y: np.ndarray, q: float) -> np.ndarray:
@@ -24,3 +30,9 @@ def reference_pinball_lp(X: np.ndarray, y: np.ndarray, q: float) -> np.ndarray:
     if res.status != 0:
         raise RuntimeError(f"reference quantile LP failed at q={q}: {res.message}")
     return res.x[:p].copy()
+
+
+def reference_pinball_constant(sample, q: float) -> float:
+    values = np.unique(np.asarray(sample, dtype=np.float64))
+    losses = [float(np.mean(tilted_loss(q, sample, v))) for v in values]
+    return float(values[int(np.argmin(losses))])

@@ -1,9 +1,15 @@
-"""Slow reference for `boosting.gboost_raw_predict`: nested JSON trees walked node by node.
+"""Slow references for the boosted trees: JSON trees walked node by node, and a per-feature split search.
+
+`reference_raw_predict` is `boosting.gboost_raw_predict` over nested JSON.
 
 A tree document is what `model.json` stores: a leaf is {"value"}, a split is
 {"feature", "threshold", "left", "right"}, and a row goes left when its
 feature is <= the threshold.  The stages are added one at a time, as the fit
 adds them.
+
+`reference_best_split` is `boosting._best_split` one feature at a time:
+each feature sorts the node's rows (row-major X) on its own, and a later
+feature wins only by more than 1e-12.
 """
 
 import numpy as np
@@ -25,3 +31,26 @@ def reference_raw_predict(doc: dict, learning_rate: float, X) -> dict[float, np.
             pred = pred + learning_rate * np.array([walk(tree, x) for x in X])
         out[float(level)] = pred
     return out
+
+
+def reference_best_split(X, g):
+    """(feature, threshold, left rows, right rows) minimizing the SSE of g; None when no split helps."""
+    n = len(g)
+    total = g.sum()
+    best_gain, best = -np.inf, None
+    base = total * total / n
+    for j in range(X.shape[1]):
+        order = np.argsort(X[:, j], kind="stable")
+        xs = X[order, j]
+        prefix = np.cumsum(g[order])[:-1]
+        n_left = np.arange(1, n)
+        valid = xs[1:] != xs[:-1]
+        if not valid.any():
+            continue
+        gain = prefix**2 / n_left + (total - prefix) ** 2 / (n - n_left) - base
+        gain[~valid] = -np.inf
+        i = int(np.argmax(gain))
+        if gain[i] > best_gain + 1e-12:
+            best_gain = gain[i]
+            best = (j, 0.5 * (xs[i] + xs[i + 1]), order[: i + 1], order[i + 1 :])
+    return best

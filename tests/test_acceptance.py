@@ -19,12 +19,7 @@ from drtopt.copula import GaussianCopulaModel, ecdf_from_forecast, fit_correlati
 from drtopt.data import Location, ODPair, parse_hour
 from drtopt.metrics import crossings, icp, mil, mtl
 from drtopt.pipeline import optimize_ground_truth, optimize_lag, optimize_point
-from drtopt.qr import (
-    DEFAULT_QUANTILES,
-    QuantileForecast,
-    fit_lqr,
-    pinball_minimizing_constant,
-)
+from drtopt.qr import DEFAULT_QUANTILES, QuantileForecast, fit_lqr
 from drtopt.synth import SyntheticSpec, generate_synthetic
 from drtopt.tndfs import (
     DemandVector,
@@ -34,6 +29,7 @@ from drtopt.tndfs import (
     prepare_instance,
     solve_instance,
 )
+from reference_qr import reference_pinball_constant
 from reference_solver import oracle_solve
 
 T0 = parse_hour("2018-01-08T08")
@@ -62,14 +58,14 @@ def test_criterion_1_quantile_recovery():
     linear = fit_lqr(X, sample, DEFAULT_QUANTILES)
     lqr_errs = []
     for q in DEFAULT_QUANTILES:
-        oracle = pinball_minimizing_constant(sample, q)
+        oracle = reference_pinball_constant(sample, q)
         lqr_errs.append(abs(linear.coef[q][0] - oracle))
 
     boosted = fit_gboost(X, sample, DEFAULT_QUANTILES, GBoostHyper(0.5, 0, 200))
     raw = gboost_raw_predict(boosted, X[:1])
     gb_errs = []
     for q in DEFAULT_QUANTILES:
-        oracle = pinball_minimizing_constant(sample, q)
+        oracle = reference_pinball_constant(sample, q)
         gb_errs.append(abs(raw[q][0] - oracle))
 
     elapsed = time.time() - start

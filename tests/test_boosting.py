@@ -1,17 +1,28 @@
+import json
+from datetime import date
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from drtopt import boosting
 from drtopt.boosting import (
     Forest,
     GBoostHyper,
+    _best_split,
+    _presort,
+    _ranks,
     fit_gboost,
     gboost_raw_predict,
     tree_from_doc,
     tree_to_doc,
 )
-from drtopt.forecasting import _inner_doc, to_count_scale
-from drtopt.qr import DEFAULT_QUANTILES, pinball_minimizing_constant, tilted_loss
-from reference_trees import reference_raw_predict
+from drtopt.data import SplitSpec
+from drtopt.forecasting import ModelSpec, _inner_doc, gboost_grid_search, model_to_json_dict, to_count_scale, train_model
+from drtopt.qr import DEFAULT_QUANTILES, tilted_loss
+from drtopt.synth import SyntheticSpec, generate_synthetic
+from reference_qr import reference_pinball_constant
+from reference_trees import reference_best_split, reference_raw_predict
 
 
 def test_hyper_validation_bounds():
@@ -35,7 +46,7 @@ def test_stump_converges_to_empirical_quantile(rng):
     model = fit_gboost(X, y, DEFAULT_QUANTILES, hyper)
     raw = gboost_raw_predict(model, X[:1])
     for q in DEFAULT_QUANTILES:
-        target = pinball_minimizing_constant(y, q)
+        target = reference_pinball_constant(y, q)
         assert abs(raw[q][0] - target) <= 0.5
 
 
@@ -96,6 +107,35 @@ def test_predict_postprocessing(rng):
         assert arr == sorted(arr)
 
 
+@pytest.mark.parametrize(
+    "X, y, match",
+    [
+        (np.ones(10), np.ones(10), r"X must be 2-D \(rows, features\), got shape \(10,\)"),
+        (np.ones((10, 2)), np.ones(9), r"y must hold one value per row of X: 10 rows, y of shape \(9,\)"),
+        (np.ones((10, 2)), np.ones((10, 1)), r"y must hold one value per row of X: 10 rows, y of shape \(10, 1\)"),
+        (np.ones((0, 2)), np.ones(0), "no training rows"),
+    ],
+)
+def test_malformed_training_data_is_named(X, y, match):
+    with pytest.raises(ValueError, match=match):
+        fit_gboost(X, y, (0.5,), GBoostHyper())
+
+
+@pytest.mark.parametrize(
+    "val, match",
+    [
+        ((np.ones((30, 3)), np.ones(30)), r"val must be 2-feature rows with one y each: X of shape \(30, 3\), y of shape \(30,\)"),
+        ((np.ones((30, 2)), np.ones(20)), r"val must be 2-feature rows with one y each: X of shape \(30, 2\), y of shape \(20,\)"),
+        ((np.ones((30, 2)), np.r_[np.ones(29), np.nan]), "non-finite values in validation data"),
+        ((np.r_[np.ones((29, 2)), [[np.inf, 0.0]]], np.ones(30)), "non-finite values in validation data"),
+    ],
+)
+def test_malformed_validation_data_is_named(rng, val, match):
+    # a NaN validation target used to stop the fit at zero trees without a word
+    with pytest.raises(ValueError, match=match):
+        fit_gboost(rng.normal(size=(100, 2)), rng.normal(size=100), (0.5,), GBoostHyper(0.3, 2, 30), val=val, patience=5)
+
+
 def test_rejects_non_finite(rng):
     X = rng.normal(size=(30, 2))
     y = rng.normal(size=30)
@@ -140,7 +180,7 @@ def test_early_stopping_to_zero_trees_predicts_the_initial_constant(rng):
     X = rng.normal(size=(100, 2))
     y = rng.normal(size=100)
     # a validation set sitting at the initial constant: no stage can improve on it
-    val = (rng.normal(size=(30, 2)), np.full(30, pinball_minimizing_constant(y, 0.5)))
+    val = (rng.normal(size=(30, 2)), np.full(30, reference_pinball_constant(y, 0.5)))
     model = fit_gboost(X, y, (0.5,), GBoostHyper(0.5, 3, 50), val=val, patience=3)
     assert len(model.trees[0.5]) == 0
     assert _inner_doc("gboost", model)["trees"] == {"0.5": []}
@@ -164,3 +204,92 @@ def test_split_on_a_feature_outside_the_layout_is_rejected(feature):
     tree = {"feature": 0, "threshold": 0.0, "left": leaf, "right": {"feature": feature, "threshold": 2.0, "left": leaf, "right": leaf}}
     with pytest.raises(ValueError, match=rf"model a>b, level 0\.5: tree 0 splits on feature {feature}, outside 0\.\.1"):
         tree_from_doc(tree, Forest.empty(1, 2), 0, "a>b, level 0.5", 2)
+
+
+COLUMN_KINDS = ("onehot", "integer", "constant", "tied", "duplicate")
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.integers(2, 40),
+    st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=6),
+    st.sampled_from([0.05, 0.95]),
+    st.integers(0, 2**32 - 1),
+    st.randoms(use_true_random=False),
+)
+def test_split_search_equals_the_per_feature_reference(n, kinds, q, seed, shuffler):
+    rng = np.random.default_rng(seed)
+    columns = []
+    for kind in kinds:
+        if kind == "onehot":
+            columns.append((rng.random(n) < rng.uniform(0.05, 0.5)).astype(np.float64))
+        elif kind == "integer":
+            columns.append(rng.integers(0, 5, size=n).astype(np.float64))
+        elif kind == "constant":
+            columns.append(np.full(n, rng.normal()))
+        elif kind == "tied":
+            columns.append(np.round(rng.normal(size=n), 1))
+        else:  # an equal column earlier in the layout: the gains tie, the first feature keeps the split
+            columns.append(columns[-1].copy() if columns else np.zeros(n))
+    X = np.column_stack(columns)
+    # the tilted-loss gradient: q above the fit, q - 1 below; neither is exact in binary
+    g = np.where(rng.random(n) < q, q - 1.0, q)
+    perm = list(range(n))
+    shuffler.shuffle(perm)
+    X, g = X[perm], g[perm]
+    XT = np.ascontiguousarray(X.T)
+    ref = reference_best_split(X, g)
+    # as a tree's root sorts (the values) and as a child sorts (their ranks)
+    for got in (_best_split(XT, g, _presort(XT)), _best_split(XT, g, _presort(_ranks(_presort(XT))))):
+        if ref is None:
+            assert got is None
+            continue
+        assert got[0] == ref[0] and got[1] == ref[1]
+        assert np.array_equal(got[2], ref[2]) and np.array_equal(got[3], ref[3])
+
+
+@pytest.fixture
+def references(monkeypatch):
+    """Fit with the per-feature split search and the enumerated leaf rule."""
+    monkeypatch.setattr(boosting, "_best_split", lambda XT, g, presorted: reference_best_split(XT.T, g))
+    monkeypatch.setattr(boosting, "pinball_minimizing_constant", reference_pinball_constant)
+
+
+SMALL_SPLIT = SplitSpec((date(2017, 11, 17), date(2017, 12, 5)), (date(2017, 12, 6), date(2017, 12, 12)))
+
+
+@pytest.fixture(scope="module")
+def small_dataset():
+    return generate_synthetic(SyntheticSpec(n_locations=3, end=date(2017, 12, 12), seed=11))
+
+
+def _fit_doc(dataset, spec) -> str:
+    return json.dumps(model_to_json_dict(train_model(dataset, SMALL_SPLIT, spec, (0.05, 0.5, 0.95))))
+
+
+@pytest.mark.parametrize("depth", range(5))
+@pytest.mark.parametrize("scope", ["per_pair", "pooled"])
+def test_fit_equals_a_fit_with_both_references(small_dataset, request, scope, depth):
+    spec = ModelSpec(family="gboost", scope=scope, exam_period=None, gboost=GBoostHyper(0.3, depth, 3))
+    fast = _fit_doc(small_dataset, spec)
+    request.getfixturevalue("references")
+    assert fast == _fit_doc(small_dataset, spec)
+
+
+def test_early_stopped_fits_and_grid_scores_equal_the_references(small_dataset, request, rng):
+    X = np.round(rng.normal(size=(150, 5)), 1)
+    y = rng.gamma(2.0, 2.0, size=150) + X[:, 0]
+    val = (np.round(rng.normal(size=(60, 5)), 1), rng.gamma(2.0, 2.0, size=60))
+    hyper = GBoostHyper(0.5, 3, 40)
+    spec = ModelSpec(family="gboost", exam_period=None)
+    grid = [GBoostHyper(0.3, 2, 4), GBoostHyper(0.5, 1, 6)]
+
+    def run():
+        model = fit_gboost(X, y, DEFAULT_QUANTILES, hyper, val=val, patience=4)
+        return json.dumps(_inner_doc("gboost", model)), gboost_grid_search(small_dataset, SMALL_SPLIT, spec, grid, (0.05, 0.95))
+
+    fast = run()
+    request.getfixturevalue("references")
+    ref = run()
+    assert fast == ref
+    assert len(json.loads(fast[0])["trees"]["0.5"]) < hyper.n_trees  # validation stopped the fit early

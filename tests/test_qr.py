@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +19,7 @@ from drtopt.qr import (
 )
 from drtopt.data import HourlySeries, ODCountSeries
 from drtopt.forecasting import to_count_scale
-from reference_qr import reference_pinball_lp
+from reference_qr import reference_pinball_constant, reference_pinball_lp
 
 PAIR = ODPair(0, 1)
 
@@ -66,6 +68,62 @@ def test_constant_minimizer_is_an_empirical_quantile(sample, q):
     grid_losses = [np.mean(tilted_loss(q, sample, c)) for c in grid]
     assert np.mean(tilted_loss(q, sample, best)) <= min(grid_losses) + 1e-9
     assert best in sample
+
+
+def _same_float(a: float, b: float) -> bool:
+    """Equal and of the same sign, so 0.0 and -0.0 count as different."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+@st.composite
+def adversarial_samples(draw):
+    """Samples where an order statistic alone would pick the wrong value, or rounding decides."""
+    kind = draw(st.sampled_from(["ties", "integral", "near_ties", "single", "zeros"]))
+    if kind == "ties":  # a few integers, each repeated many times
+        return np.array(draw(st.lists(st.integers(-3, 3), min_size=1, max_size=80)), dtype=np.float64)
+    if kind == "integral":  # n a multiple of 20, so n*q is integral at every default level
+        n = 20 * draw(st.integers(1, 4))
+        values = draw(st.lists(st.floats(-50, 50), min_size=n, max_size=n))
+        return np.array(values)
+    if kind == "near_ties":  # values 0-2 ulp apart around a few centres
+        centres = draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=3))
+        steps = draw(st.lists(st.tuples(st.integers(0, len(centres) - 1), st.integers(-2, 2)), min_size=1, max_size=60))
+        out = []
+        for c, k in steps:
+            v = centres[c]
+            for _ in range(abs(k)):
+                v = np.nextafter(v, np.inf if k > 0 else -np.inf)
+            out.append(v)
+        return np.array(out, dtype=np.float64)
+    if kind == "single":
+        return np.full(draw(st.integers(1, 30)), draw(st.floats(-1e6, 1e6)))
+    return np.array(draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0]), min_size=1, max_size=40)))
+
+
+@settings(deadline=None, max_examples=400)
+@given(adversarial_samples(), st.one_of(st.sampled_from(DEFAULT_QUANTILES), st.floats(0.01, 0.99)))
+def test_constant_minimizer_equals_the_enumerator(sample, q):
+    assert _same_float(pinball_minimizing_constant(sample, q), reference_pinball_constant(sample, q))
+
+
+def test_constant_minimizer_equals_the_enumerator_on_random_leaves():
+    rng = np.random.default_rng(5)
+    for _ in range(2000):
+        n = int(rng.integers(1, 120))
+        sample = rng.normal(0.0, 3.0, size=n)
+        if rng.random() < 0.5:  # count-like residuals: integers shifted by one shared constant
+            sample = rng.integers(-4, 5, size=n) - rng.normal()
+        for q in DEFAULT_QUANTILES:
+            assert _same_float(pinball_minimizing_constant(sample, q), reference_pinball_constant(sample, q))
+
+
+@pytest.mark.parametrize(
+    "sample, match",
+    [([], "empty sample"), ([1.0, np.nan, 2.0], "non-finite"), ([np.inf], "non-finite"), ([-np.inf, 0.0], "non-finite")],
+)
+def test_constant_minimizer_rejects_empty_and_non_finite_samples(sample, match):
+    with pytest.raises(ValueError, match=match):
+        pinball_minimizing_constant(np.array(sample, dtype=np.float64), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +204,7 @@ def test_lqr_intercept_only_matches_empirical_quantile(rng):
     X = np.ones((103, 1))
     model = fit_lqr(X, y, DEFAULT_QUANTILES)
     for q in DEFAULT_QUANTILES:
-        oracle = pinball_minimizing_constant(y, q)
+        oracle = reference_pinball_constant(y, q)
         assert model.coef[q][0] == pytest.approx(oracle, abs=1e-6)
 
 
