@@ -224,6 +224,8 @@ def fit_gboost(
             raise ValueError(
                 f"val must be {X.shape[1]}-feature rows with one y each: X of shape {Xv.shape}, y of shape {yv.shape}"
             )
+        if len(Xv) == 0:
+            raise ValueError("the validation set has no rows: early stopping needs at least one")
         if not (np.all(np.isfinite(Xv)) and np.all(np.isfinite(yv))):
             raise ValueError("non-finite values in validation data")
     XT =np.ascontiguousarray(X.T)

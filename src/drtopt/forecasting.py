@@ -153,6 +153,9 @@ def _fit_groups(spec: ModelSpec, groups, levels, hyper: boosting.GBoostHyper, tu
         if tuning is not None:
             _, val_range, train_range = tuning
             in_val, in_train = _in_range(stamps, val_range), _in_range(stamps, train_range)
+            if not in_val.any():
+                group = "the pooled group" if key is None else f"pair {key}"
+                raise ValueError(f"{group} has no rows in the tuning-validation range {val_range[0]}..{val_range[1]}")
             val, X, y = (X[in_val], y[in_val]), X[in_train], y[in_train]
         if spec.family == "linear":
             models[key] = qr.fit_lqr(X, y, levels)

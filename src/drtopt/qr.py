@@ -1,8 +1,11 @@
 """Quantile-regression demand models over hourly OD counts.
 
 Each model family maps a lag to a set of estimated quantiles of the demand
-distribution.  Training minimizes mean tilted (pinball) loss; the linear
-family is fit exactly as a linear program.  Post-processing clips count-scale
+distribution.  Training minimizes mean tilted (pinball) loss.  The linear
+family's fit is an exact minimizer: an interior-point method on the dual
+linear program, rounded to a basic solution whose optimality is certified by
+the LP's KKT conditions, with HiGHS solving any level that is not certified
+(`fit_lqr`).  Post-processing clips count-scale
 predictions at zero and optionally sorts quantiles to remove crossings
 (`forecasting.to_count_scale`).
 """
@@ -14,6 +17,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
+from scipy import optimize
 from scipy.optimize import linprog
 
 from .data import HourlySeries, ODCountSeries, ODPair, hour_of, weekday_of
@@ -159,15 +164,16 @@ class LinearQRModel:
     converged: dict[float, bool] = field(default_factory=dict)
 
 
-def _solve_pinball_lp(XT: np.ndarray, col_sums: np.ndarray, y: np.ndarray, q: float) -> tuple[np.ndarray, bool]:
-    """Exact pinball-loss minimization through the dual LP.
+def _solve_pinball_lp(X: np.ndarray, y: np.ndarray, q: float) -> tuple[np.ndarray, bool]:
+    """Exact pinball-loss minimization through the dual LP, by HiGHS.
 
     Koenker & Bassett (1978): max y'a subject to X'a = (1-q) X'1 and
     0 <= a <= 1.  Its n variables and p equality rows are far smaller than
     the primal's p + 2n variables and n rows, and the coefficients are the
-    negated equality marginals.  XT is X transposed and col_sums is X'1.
+    negated equality marginals.  This is the fallback of `fit_lqr`; it calls
+    this module's `linprog`, so patching `qr.linprog` sees every fallback.
     """
-    res = linprog(-y, A_eq=XT, b_eq=(1.0 - q) * col_sums, bounds=(0.0, 1.0), method="highs")
+    res = linprog(-y, A_eq=X.T, b_eq=(1.0 - q) * X.sum(axis=0), bounds=(0.0, 1.0), method="highs")
     if res.x is None:
         raise RuntimeError(f"quantile LP failed at q={q}: {res.message}")
     if res.status != 0:
@@ -175,12 +181,181 @@ def _solve_pinball_lp(XT: np.ndarray, col_sums: np.ndarray, y: np.ndarray, q: fl
     return -res.eqlin.marginals, res.status == 0
 
 
+_GAP_TOL = 1e-8  # the interior point stops at this duality gap, relative to 1 + |y'a|
+_SINGULAR_GAP_TOL = 1e-6  # ... or at this one, when the Newton system turns singular
+_MAX_ITER = 50
+_STEP = 0.99995  # fraction of the step to the boundary that an iteration takes
+# a row counts as interpolated when |residual| <= _ZERO_TOL * (largest least-squares
+# residual) + _ROUND_TOL * max|y|: the first term is relative to the scale of the
+# residuals, which an offset in y does not change; the second covers rounding in y - X beta
+_ZERO_TOL = 1e-7
+_ROUND_TOL = 1e-12
+_DUAL_TOL = 1e-9  # slack on a certificate's 0 <= a <= 1
+
+
+def _independent_columns(X: np.ndarray) -> np.ndarray:
+    """Ascending indices of a maximal set of linearly independent columns (column-pivoted QR)."""
+    R, piv = scipy.linalg.qr(X, mode="r", pivoting=True)
+    diag = np.abs(np.diag(R))
+    rank = int(np.sum(diag > diag[0] * max(X.shape) * np.finfo(np.float64).eps)) if len(diag) else 0
+    return np.sort(piv[:rank])
+
+
+def _step_to_boundary(v, dv, u, du) -> float:
+    """min(1, _STEP * t) for the step t at which v + t dv or u + t du first reaches zero."""
+    worst = max(float(np.max(-dv / v)), float(np.max(-du / u)))
+    return 1.0 if worst <= _STEP else _STEP / worst
+
+
+def _interior_point(X: np.ndarray, y: np.ndarray, q: float, start: np.ndarray) -> np.ndarray:
+    """Near-optimal coefficients by a primal-dual interior-point method on the dual LP.
+
+    The Frisch-Newton method of Portnoy & Koenker (1997), as in quantreg's
+    rq.fit.fnb, with Mehrotra's predictor-corrector: min -y'a subject to
+    X'a = (1-q) X'1 and 0 <= a <= 1, from the feasible a = (1-q) 1.  The
+    loss of y - X beta is that of y_c - X (beta - start) with
+    y_c = y - X start, and it is homogeneous in y_c, so the iterations run
+    on y_c / max|y_c| from the dual point lam = 0 (beta = start), with the
+    dual slacks z and w strictly positive.  Each iteration factors
+    X'diag(d)X once; X must have full column rank.  Stops at relative
+    duality gap _GAP_TOL, or at _SINGULAR_GAP_TOL when X'diag(d)X is
+    singular to working precision (d spans many orders of magnitude near a
+    degenerate optimum).  A division by zero, an overflow or a NaN raises
+    FloatingPointError.
+    """
+    n = len(y)
+    y = y - X @ start
+    scale = float(np.max(np.abs(y))) or 1.0
+    y = y / scale
+    XT = np.ascontiguousarray(X.T)
+    lam = np.zeros(X.shape[1])
+    a = np.full(n, 1.0 - q)
+    s = 1.0 - a
+    z = np.maximum(-y, 0.0) + 1e-3  # rows below the start's fit
+    w = z + y  # z - w = -y: lam = 0 is dual feasible
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        for _ in range(_MAX_ITER):
+            gap = z @ a + w @ s
+            rel_gap = gap / (1.0 + abs(y @ a))
+            if rel_gap <= _GAP_TOL:
+                return start - lam * scale
+            za, ws = z / a, w / s
+            d = 1.0 / (za + ws)
+            r = z - w
+            chol, info = scipy.linalg.lapack.dpotrf((XT * d) @ X, lower=1, clean=0)
+            if info != 0:
+                if rel_gap <= _SINGULAR_GAP_TOL:  # as close as working precision allows
+                    return start - lam * scale
+                raise np.linalg.LinAlgError(f"normal matrix not positive definite (dpotrf info {info})")
+            rhs = XT @ (d * r)
+            dlam = scipy.linalg.lapack.dpotrs(chol, rhs, lower=1)[0]
+            da = d * (X @ dlam - r)
+            dz = -z - za * da
+            dw = -w + ws * da
+            fp = _step_to_boundary(a, da, s, -da)
+            fd = _step_to_boundary(z, dz, w, dw)
+            if fp < 1.0 or fd < 1.0:  # Mehrotra's corrector, centred at the predicted gap
+                predicted = (z + fd * dz) @ (a + fp * da) + (w + fd * dw) @ (s - fp * da)
+                mu = predicted**3 / (gap**2 * 2.0 * n)
+                dadz, dsdw = da * dz, -da * dw
+                ainv, sinv = 1.0 / a, 1.0 / s
+                xi = mu * (ainv - sinv)
+                rhs += XT @ (d * (dadz - dsdw - xi))
+                dlam = scipy.linalg.lapack.dpotrs(chol, rhs, lower=1)[0]
+                da = d * (X @ dlam + xi - r - dadz + dsdw)
+                dz = mu * ainv - z - za * da - dadz
+                dw = mu * sinv - w + ws * da - dsdw
+                fp = _step_to_boundary(a, da, s, -da)
+                fd = _step_to_boundary(z, dz, w, dw)
+            a = a + fp * da
+            s = s - fp * da
+            lam = lam + fd * dlam
+            z = z + fd * dz
+            w = w + fd * dw
+    raise np.linalg.LinAlgError(f"no duality gap below {_GAP_TOL} in {_MAX_ITER} iterations")
+
+
+def _round_to_vertex(X: np.ndarray, y: np.ndarray, beta: np.ndarray, q: float, tol: float) -> np.ndarray:
+    """A basic solution that interpolates r = rank(X) rows, at no higher pinball loss than beta.
+
+    Z holds the rows with |residual| <= tol.  While X_Z has rank below r,
+    beta moves along a null direction of X_Z, the way the loss does not rise,
+    to the nearest row whose residual reaches zero, which joins Z.  Rows
+    keep their residual's sign along the way, so the loss is linear there;
+    on the optimal face it is constant.  The result solves X_h beta = y_h
+    for r independent rows h of Z (Koenker, Quantile Regression, 2005, §2.2).
+    """
+    r = X.shape[1]
+    resid = y - X @ beta
+    zero = np.abs(resid) <= tol
+    eps = np.finfo(np.float64).eps
+    while True:
+        if zero.any():
+            _, sv, vt = np.linalg.svd(X[zero])
+            rank = int(np.sum(sv > sv[0] * max(zero.sum(), r) * eps))
+        else:
+            rank, vt = 0, np.eye(r)
+        if rank == r:
+            break
+        direction = vt[-1]
+        grad = (1.0 - q) * X[resid < -tol].sum(axis=0) - q * X[resid > tol].sum(axis=0)
+        if grad @ direction > 0:
+            direction = -direction
+        slope = X @ direction  # moving beta by t * direction moves resid by -t * slope
+        reaching = ~zero & (resid * slope > 0)
+        if not reaching.any():
+            raise np.linalg.LinAlgError("no row bounds the walk along the null direction")
+        rows = np.flatnonzero(reaching)
+        hit = rows[np.argmin(resid[rows] / slope[rows])]
+        beta = beta + (resid[hit] / slope[hit]) * direction
+        resid = y - X @ beta
+        zero |= np.abs(resid) <= tol
+        zero[hit] = True
+    rows = np.flatnonzero(zero)
+    _, piv = scipy.linalg.qr(X[rows].T, mode="r", pivoting=True)
+    basis = rows[piv[:r]]
+    return np.linalg.solve(X[basis], y[basis])
+
+
+def _certificate_failure(X: np.ndarray, y: np.ndarray, beta: np.ndarray, q: float, tol: float) -> str | None:
+    """None when beta provably minimizes the pinball loss, else why not.
+
+    With U the rows above the fit, L those below and Z those within tol,
+    beta is optimal when some a_Z in [0, 1] gives X_Z'a_Z = (1-q) X'1 - X_U'1:
+    then a = (1 on U, a_Z on Z, 0 on L) is dual feasible and complementary
+    to beta (the LP's KKT conditions).  With |Z| = rank r that is one linear
+    solve; with more rows it is a small feasibility LP.
+    """
+    resid = y - X @ beta
+    zero = np.abs(resid) <= tol
+    rhs = (1.0 - q) * X.sum(axis=0) - X[resid > tol].sum(axis=0)
+    XZ = X[zero]
+    if len(XZ) == X.shape[1]:
+        a = np.linalg.solve(XZ.T, rhs)
+        if a.min() >= -_DUAL_TOL and a.max() <= 1.0 + _DUAL_TOL:
+            return None
+        return f"the dual of the interpolated rows lies in [{a.min():.3g}, {a.max():.3g}]"
+    # scipy's linprog by its full name: this module's `linprog` names the fallback solves only
+    res = optimize.linprog(np.zeros(len(XZ)), A_eq=XZ.T, b_eq=rhs, bounds=(0.0, 1.0), method="highs")
+    return None if res.status == 0 else f"no dual point for the {len(XZ)} interpolated rows: {res.message}"
+
+
 def fit_lqr(X: np.ndarray, y: np.ndarray, levels=DEFAULT_QUANTILES) -> LinearQRModel:
-    """Fit one coefficient vector per quantile level by exact LP.
+    """Fit one coefficient vector per quantile level, each an exact pinball-loss minimizer.
 
     Requires at least twice as many rows as features and finite inputs.  The
-    pinball loss of each fit is the minimum; the coefficients are one of the
-    minimizers when X is rank-deficient or the optimum is degenerate.
+    fit keeps a maximal set of linearly independent columns (one
+    column-pivoted QR per fit) and gives each dropped column coefficient 0.
+    Per level an interior-point method (`_interior_point`) finds a
+    near-optimal fit, which is rounded to a basic solution interpolating
+    r = rank(X) rows (`_round_to_vertex`) and certified optimal by the
+    LP's KKT conditions (`_certificate_failure`).  A numerical failure or a
+    failed certificate logs a warning naming the level and the reason and
+    solves that level's dual LP by HiGHS instead (`_solve_pinball_lp`).
+    The pinball loss of each fit is the minimum; the coefficients are one of
+    the minimizers when X is rank-deficient or the optimum is degenerate.
+    `converged` is True for a certified level and HiGHS's verdict for a
+    fallback one.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -190,13 +365,28 @@ def fit_lqr(X: np.ndarray, y: np.ndarray, levels=DEFAULT_QUANTILES) -> LinearQRM
         raise ValueError("non-finite values in training data")
     if len(X) < 2 * X.shape[1]:
         raise ValueError(f"need >= {2 * X.shape[1]} rows to fit {X.shape[1]} features, got {len(X)}")
-    XT, col_sums = X.T, X.sum(axis=0)
+    levels = tuple(map(float, levels))
+    cols = _independent_columns(X)
+    if not len(cols):  # X = 0: every coefficient vector has the same loss
+        return LinearQRModel(levels, {q: np.zeros(X.shape[1]) for q in levels}, {q: True for q in levels})
+    Xk = X[:, cols]
+    start = np.linalg.lstsq(Xk, y, rcond=None)[0]
+    tol = _ZERO_TOL * float(np.max(np.abs(y - Xk @ start))) + _ROUND_TOL * float(np.max(np.abs(y)))
     coef, converged = {}, {}
     for q in levels:
-        beta, ok = _solve_pinball_lp(XT, col_sums, y, float(q))
-        coef[float(q)] = beta
-        converged[float(q)] = ok
-    return LinearQRModel(tuple(float(q) for q in levels), coef, converged)
+        try:
+            beta = _round_to_vertex(Xk, y, _interior_point(Xk, y, q, start), q, tol)
+            failure = _certificate_failure(Xk, y, beta, q, tol)
+        except (np.linalg.LinAlgError, FloatingPointError) as exc:
+            failure = f"{type(exc).__name__}: {exc}"
+        if failure is None:
+            coef[q] = np.zeros(X.shape[1])
+            coef[q][cols] = beta
+            converged[q] = True
+        else:
+            log.warning("quantile level q=%s: interior-point fit not certified (%s); solving by HiGHS", q, failure)
+            coef[q], converged[q] = _solve_pinball_lp(X, y, q)
+    return LinearQRModel(levels, coef, converged)
 
 
 def lqr_raw_predict(model: LinearQRModel, X: np.ndarray) -> dict[float, np.ndarray]:

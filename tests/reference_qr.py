@@ -1,10 +1,13 @@
-"""Slow references for `qr`: the primal pinball-loss LP and the enumerated pinball constant.
+"""Slow references for `qr`: the pinball-loss LPs and the enumerated pinball constant.
 
-`reference_pinball_lp` is the formulation that the dual LP replaced:
-min q*1'u + (1-q)*1'v over (beta, u, v) subject to X beta + u - v = y and
-u, v >= 0, with p + 2n variables and n equality rows.  Both are exact, so
-their pinball losses agree to LP tolerance; their coefficients agree only
-where the minimizer is unique.
+`reference_dual_lp` is the dual LP by HiGHS, as `qr.fit_lqr` solved every
+level before the interior-point fit (Koenker & Bassett, 1978):
+max y'a subject to X'a = (1-q) X'1 and 0 <= a <= 1, with the coefficients
+the negated equality marginals.  `reference_pinball_lp` is the formulation
+that the dual LP replaced: min q*1'u + (1-q)*1'v over (beta, u, v) subject
+to X beta + u - v = y and u, v >= 0, with p + 2n variables and n equality
+rows.  All are exact, so their pinball losses agree to LP tolerance; their
+coefficients agree only where the minimizer is unique.
 
 `reference_pinball_constant` is `qr.pinball_minimizing_constant` by
 enumeration: the mean tilted loss at every distinct sample value, the
@@ -16,6 +19,13 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from drtopt.qr import tilted_loss
+
+
+def reference_dual_lp(X: np.ndarray, y: np.ndarray, q: float) -> np.ndarray:
+    res = linprog(-y, A_eq=X.T, b_eq=(1.0 - q) * X.sum(axis=0), bounds=(0.0, 1.0), method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"reference dual quantile LP failed at q={q}: {res.message}")
+    return -res.eqlin.marginals
 
 
 def reference_pinball_lp(X: np.ndarray, y: np.ndarray, q: float) -> np.ndarray:

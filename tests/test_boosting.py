@@ -136,6 +136,15 @@ def test_malformed_validation_data_is_named(rng, val, match):
         fit_gboost(rng.normal(size=(100, 2)), rng.normal(size=100), (0.5,), GBoostHyper(0.3, 2, 30), val=val, patience=5)
 
 
+def test_empty_validation_set_is_rejected(rng):
+    # an empty set made every validation loss NaN, and the fit kept zero trees
+    with pytest.raises(ValueError, match="the validation set has no rows"):
+        fit_gboost(
+            rng.normal(size=(100, 2)), rng.normal(size=100), (0.5,), GBoostHyper(0.3, 2, 30),
+            val=(np.zeros((0, 2)), np.zeros(0)), patience=5,
+        )
+
+
 def test_rejects_non_finite(rng):
     X = rng.normal(size=(30, 2))
     y = rng.normal(size=30)
@@ -293,3 +302,12 @@ def test_early_stopped_fits_and_grid_scores_equal_the_references(small_dataset, 
     ref = run()
     assert fast == ref
     assert len(json.loads(fast[0])["trees"]["0.5"]) < hyper.n_trees  # validation stopped the fit early
+
+
+@pytest.mark.parametrize("scope, group", [("per_pair", r"pair ODPair\(origin=0, destination=1\)"), ("pooled", "the pooled group")])
+def test_grid_search_names_the_group_without_validation_rows(small_dataset, scope, group):
+    # masking the second train week empties the tuning-validation range of every group
+    split = SplitSpec(SMALL_SPLIT.train_range, SMALL_SPLIT.test_range, masked_dates=((date(2017, 11, 24), date(2017, 11, 30)),))
+    spec = ModelSpec(family="gboost", scope=scope, exam_period=None)
+    with pytest.raises(ValueError, match=rf"{group} has no rows in the tuning-validation range 2017-11-24\.\.2017-11-30"):
+        gboost_grid_search(small_dataset, split, spec, [GBoostHyper(0.3, 2, 4)], (0.5,))

@@ -1,9 +1,13 @@
+import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
+from drtopt import config, forecasting, qr
 from drtopt.data import ODPair, parse_hour
 from drtopt.qr import (
     DEFAULT_QUANTILES,
@@ -19,7 +23,8 @@ from drtopt.qr import (
 )
 from drtopt.data import HourlySeries, ODCountSeries
 from drtopt.forecasting import to_count_scale
-from reference_qr import reference_pinball_constant, reference_pinball_lp
+from drtopt.synth import SyntheticSpec, generate_synthetic
+from reference_qr import reference_dual_lp, reference_pinball_constant, reference_pinball_lp
 
 PAIR = ODPair(0, 1)
 
@@ -295,6 +300,157 @@ def test_dual_fit_meets_the_quantile_optimality_condition(seed, n, kind, q):
     resid = y - X @ fit_lqr(X, y, (q,)).coef[q]
     assert np.sum(resid < -1e-7) <= q * n + 1e-9  # slack for q*n rounding below an integer
     assert np.sum(resid > 1e-7) <= (1.0 - q) * n + 1e-9
+
+
+LEVELS_19 = tuple(round(0.05 * k, 2) for k in range(1, 20))
+
+
+def assert_exact_fit(X, y, beta, q):
+    """beta's loss equals the dual LP's; it interpolates rank(X) rows; a KKT dual point exists.
+
+    The dual point is found by an LP over the full X: a = 1 on rows above the
+    fit, 0 below, free in [0, 1] on interpolated rows, X'a = (1-q) X'1.
+    """
+    loss = np.mean(tilted_loss(q, y, X @ beta))
+    assert loss == pytest.approx(np.mean(tilted_loss(q, y, X @ reference_dual_lp(X, y, q))), rel=1e-9, abs=1e-12)
+    resid = y - X @ beta
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(y))))
+    zero = np.abs(resid) <= tol
+    assert zero.sum() >= np.linalg.matrix_rank(X)
+    bounds = [(0.0, 1.0) if z else (1.0, 1.0) if r > 0 else (0.0, 0.0) for z, r in zip(zero, resid)]
+    kkt = linprog(np.zeros(len(y)), A_eq=X.T, b_eq=(1.0 - q) * X.sum(axis=0), bounds=bounds, method="highs")
+    assert kkt.status == 0, f"q={q}: no dual point complementary to the fit: {kkt.message}"
+
+
+def workload_fits(n_locations):
+    """The (X, y) of every per-pair linear fit on synth seed 7 with the default config."""
+    cfg = config.config_from_json_dict(config.default_config_doc("counts.csv", "network.json", 1), Path("."))
+    dataset = generate_synthetic(SyntheticSpec(n_locations=n_locations, seed=7))
+    fits = []
+
+    def capture(X, y, levels):
+        fits.append((X, y))
+        return fit_lqr(X, y, levels)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qr, "fit_lqr", capture)
+        forecasting.train_model(dataset, cfg.split, cfg.model, cfg.quantiles)
+    return fits
+
+
+@pytest.fixture(scope="module")
+def demo_fits():
+    return workload_fits(4)
+
+
+@pytest.mark.parametrize("n_locations", [4, 5])
+def test_fit_is_exact_on_every_workload_level(n_locations, demo_fits):
+    fits = demo_fits if n_locations == 4 else workload_fits(5)
+    assert len(fits) == n_locations * (n_locations - 1)
+    for X, y in fits:
+        model = fit_lqr(X, y, DEFAULT_QUANTILES)
+        for q in DEFAULT_QUANTILES:
+            assert model.converged[q]
+            assert_exact_fit(X, y, model.coef[q], q)
+
+
+def test_fit_is_exact_at_every_level_from_5_to_95_percent(demo_fits):
+    for X, y in demo_fits[:2] + [lqr_fixture(0, 103, "onehot"), lqr_fixture(1, 100, "continuous")]:
+        model = fit_lqr(X, y, LEVELS_19)
+        for q in LEVELS_19:
+            assert model.converged[q]
+            assert_exact_fit(X, y, model.coef[q], q)
+
+
+@st.composite
+def tied_onehot_designs(draw):
+    """Hour and weekday one-hots (rank-deficient: both span the constant), a few small
+    integer columns, and integer y over a narrow range, so ties and degenerate optima abound."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(60, 200))
+    hours, days, extra = draw(st.integers(2, 8)), draw(st.integers(2, 5)), draw(st.integers(0, 3))
+    spread = draw(st.integers(1, 6))
+    X = np.column_stack([
+        np.eye(hours)[rng.integers(0, hours, size=n)],
+        np.eye(days)[rng.integers(0, days, size=n)],
+        rng.integers(-3, 4, size=(n, extra)),
+    ]).astype(np.float64)
+    y = rng.integers(-spread, spread + 1, size=n).astype(np.float64)
+    return X, y
+
+
+@settings(deadline=None, max_examples=40)
+@given(tied_onehot_designs(), st.sampled_from(LEVELS_19))
+def test_fit_is_exact_on_tied_rank_deficient_designs(design, q):
+    X, y = design
+    model = fit_lqr(X, y, (q,))
+    assert model.converged[q]
+    assert_exact_fit(X, y, model.coef[q], q)
+
+
+def test_fit_is_exact_when_y_has_a_large_offset():
+    # an interpolation tolerance relative to max|y| counted rows 0.1 off the fit as interpolated here
+    for seed in range(3):
+        X, y = lqr_fixture(seed, 103, "onehot")
+        y = y + 1e6
+        model = fit_lqr(X, y, DEFAULT_QUANTILES)
+        for q in DEFAULT_QUANTILES:
+            assert model.converged[q]
+            assert_exact_fit(X, y, model.coef[q], q)
+
+
+def test_dropped_columns_get_coefficient_zero(demo_fits):
+    X, y = demo_fits[0]
+    assert np.linalg.matrix_rank(X) == X.shape[1] - 1  # the hour and weekday one-hots both span the constant
+    kept = qr._independent_columns(X)
+    for beta in fit_lqr(X, y, DEFAULT_QUANTILES).coef.values():
+        assert beta.shape == (X.shape[1],)
+        assert np.count_nonzero(beta[np.setdiff1d(np.arange(X.shape[1]), kept)]) == 0
+
+
+def _fallback_fits(monkeypatch, caplog, interior_point, levels=(0.05, 0.95)):
+    X, y = lqr_fixture(3, 100, "onehot")
+    monkeypatch.setattr(qr, "_interior_point", interior_point)
+    with caplog.at_level(logging.WARNING, logger="drtopt.qr"):
+        model = fit_lqr(X, y, levels)
+    for q in levels:
+        assert np.array_equal(model.coef[q], reference_dual_lp(X, y, q))
+        assert model.converged[q]
+    return [r.getMessage() for r in caplog.records if r.name == "drtopt.qr"]
+
+
+def test_fit_falls_back_to_highs_when_the_interior_point_fails(monkeypatch, caplog):
+    def failing(X, y, q, start):
+        raise np.linalg.LinAlgError("planted failure")
+
+    messages = _fallback_fits(monkeypatch, caplog, failing)
+    assert len(messages) == 2
+    for q, message in zip((0.05, 0.95), messages):
+        assert f"q={q}" in message and "planted failure" in message
+
+
+def test_fit_falls_back_to_highs_when_the_certificate_fails(monkeypatch, caplog):
+    # the near-optimal point of the opposite level rounds to a vertex that is not optimal here
+    interior_point = qr._interior_point
+    messages = _fallback_fits(monkeypatch, caplog, lambda X, y, q, start: interior_point(X, y, 1.0 - q, start))
+    assert len(messages) == 2
+    for q, message in zip((0.05, 0.95), messages):
+        assert f"q={q}" in message and "not certified" in message
+
+
+def test_demo_fit_certifies_every_level_without_highs(monkeypatch, caplog):
+    # guards the fast path: a regression in the certificate would fall back silently but slowly
+    def no_highs(*args, **kwargs):
+        raise AssertionError("the fit fell back to the HiGHS dual LP")
+
+    cfg = config.config_from_json_dict(config.default_config_doc("counts.csv", "network.json", 1), Path("."))
+    dataset = generate_synthetic(SyntheticSpec(n_locations=4, seed=7))
+    monkeypatch.setattr(qr, "linprog", no_highs)
+    with caplog.at_level(logging.WARNING, logger="drtopt.qr"):
+        model = forecasting.train_model(dataset, cfg.split, cfg.model, cfg.quantiles)
+    converged = [ok for pair_model in model.models.values() for ok in pair_model.converged.values()]
+    assert len(converged) == 60 and all(converged)
+    assert not [r for r in caplog.records if r.name == "drtopt.qr"]
 
 
 def make_zero_model(p=3):
