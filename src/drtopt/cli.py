@@ -225,7 +225,7 @@ def cmd_pipeline(args) -> int:
             forecasting.predict_forecasts(model, dataset, cfg.split, lags), mapping
         )
 
-    observed = {inst: counts_at(dataset.series[p], lags) for p, inst in mapping.items()}
+    observed = dict(zip(mapping.values(), counts_at([dataset.series[p] for p in mapping], lags)))
     truths = {lag: {p: float(c[i]) for p, c in observed.items()} for i, lag in enumerate(lags)}
     rows = pipeline.compare_strategies(lags, model_forecasts, truths, instance, copula_model, cfg.k, cfg.seed)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)

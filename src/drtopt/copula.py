@@ -2,7 +2,8 @@
 
 Historical counts are rank-transformed into a standard-normal layer where a
 single correlation matrix is estimated offline; joint demand samples are then
-drawn by pushing correlated normals through the inverse forecast CDFs.
+drawn by pushing correlated normals through the inverse forecast CDFs, all
+pairs at once.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
 from .data import ODPair, pair_name
 from .qr import QuantileForecast
@@ -23,74 +24,50 @@ log = logging.getLogger(__name__)
 MIN_EIGENVALUE = 1e-8
 
 
-@dataclass
-class EmpiricalCDF:
-    """A piecewise-linear CDF through (value, level) knots."""
+def marginal_knots(pair_order, forecasts: dict[ODPair, QuantileForecast]) -> tuple[np.ndarray, np.ndarray]:
+    """Knots of every pair's piecewise-linear forecast CDF: levels (L + 2), values (pairs x L + 2).
 
-    values: np.ndarray  # non-decreasing
-    levels: np.ndarray  # strictly increasing, ends at 1
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        self.levels = np.asarray(self.levels, dtype=np.float64)
-        if len(self.values) != len(self.levels) or len(self.values) == 0:
-            raise ValueError("values and levels must be non-empty and aligned")
-        if not (np.all(np.isfinite(self.values)) and np.all(np.isfinite(self.levels))):
-            raise ValueError(f"knots must be finite, got values {self.values.tolist()}")
-        if np.any(np.diff(self.values) < 0):
-            raise ValueError("knot values must be non-decreasing")
-        if np.any(np.diff(self.levels) <= 0):
-            raise ValueError("knot levels must be strictly increasing")
-
-    def cdf(self, x):
-        """Right-continuous CDF value; zero-width segments appear as jumps."""
-        x = np.asarray(x, dtype=np.float64)
-        v, q = self.values, self.levels
-        flat_x = np.atleast_1d(x)
-        # last knot with value <= x: the highest level at a repeated value,
-        # making jumps right-continuous; the clip only guards lanes outside
-        # the knots, which the outer branches overwrite
-        j = np.clip(np.searchsorted(v, flat_x, side="right") - 1, 0, len(v) - 1)
-        nxt = np.minimum(j + 1, len(v) - 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inner = q[j] + (flat_x - v[j]) / (v[nxt] - v[j]) * (q[nxt] - q[j])
-        inner = np.where(v[j] == flat_x, q[j], inner)
-        flat = np.where(flat_x < v[0], 0.0, np.where(flat_x >= v[-1], 1.0, inner))
-        return float(flat[0]) if np.ndim(x) == 0 else flat
-
-    def inverse(self, u):
-        """Generalized inverse; a level range inside a jump maps to the jump value."""
-        u = np.asarray(u, dtype=np.float64)
-        v, q = self.values, self.levels
-        flat_u = np.atleast_1d(u)
-        j = np.clip(np.searchsorted(q, flat_u, side="left"), 1, len(q) - 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # zero width (v[j] == v[j - 1]): stays at the jump
-            inner = v[j - 1] + (flat_u - q[j - 1]) / (q[j] - q[j - 1]) * (v[j] - v[j - 1])
-        flat = np.where(flat_u <= q[0], v[0], np.where(flat_u >= q[-1], v[-1], inner))
-        return float(flat[0]) if np.ndim(u) == 0 else flat
-
-
-def ecdf_from_forecast(forecast: QuantileForecast | dict[float, float]) -> EmpiricalCDF:
-    """Piecewise-linear CDF through forecast quantiles with synthetic endpoints.
-
-    The lower endpoint is (0, 0); the upper endpoint places level 1 at the top
-    quantile plus the bottom quantile.  Equal-valued knots collapse into jumps;
-    an all-zero forecast degenerates to a point mass at zero.
+    Each CDF runs through the pair's forecast quantiles, from (0, 0) up to
+    level 1 at the top quantile plus the bottom one.  Equal values are kept
+    as jumps (an all-zero forecast is a point mass at zero).  Every pair must
+    forecast the same levels.  Raises naming the first bad pair in `pair_order`.
     """
-    values_map = forecast.values if isinstance(forecast, QuantileForecast) else forecast
-    levels = sorted(values_map)
-    knot_v = [0.0] + [float(values_map[q]) for q in levels]
-    knot_q = [0.0] + [float(q) for q in levels]
-    top = knot_v[-1] + float(values_map[levels[0]])
-    knot_v.append(top)
-    knot_q.append(1.0)
+    maps = [forecasts[pair].values for pair in pair_order]
+    levels = sorted(maps[0])
+    # the pairs before the first whose levels differ from the first pair's
+    shared = next((i for i, m in enumerate(maps) if m.keys() != maps[0].keys()), len(maps))
+    quantiles = np.array([[m[q] for q in levels] for m in maps[:shared]], dtype=np.float64)
+    values = np.column_stack([np.zeros(shared), quantiles, quantiles[:, -1] + quantiles[:, 0]])
+    knot_levels = np.array([0.0, *levels, 1.0])
+    failures = (
+        (np.any(values[:, 1:] < values[:, :-1], axis=1), "forecast quantiles must be non-decreasing to form a CDF"),
+        (~np.isfinite(values).all(axis=1) | ~np.isfinite(knot_levels).all(), "knots must be finite, got values {}"),
+        (np.full(shared, np.any(np.diff(knot_levels) <= 0)), "knot levels must be strictly increasing"),
+    )
+    bad = np.column_stack([failed for failed, _ in failures])
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=1)))
+        message = failures[int(np.argmax(bad[i]))][1].format(values[i].tolist())
+        raise ValueError(f"forecast for {pair_order[i]}: {message}")
+    if shared < len(maps):
+        pair = pair_order[shared]
+        marginal_knots([pair], forecasts)  # the pair's own knots are checked first
+        raise ValueError(f"forecast for {pair}: levels {sorted(maps[shared])} differ from {levels} of {pair_order[0]}")
+    return knot_levels, values
 
-    if any(b < a for a, b in zip(knot_v, knot_v[1:])):
-        raise ValueError("forecast quantiles must be non-decreasing to form a CDF")
-    # zero-width segments are kept: they are probability jumps (an all-equal
-    # forecast concentrates the inter-quantile mass at that single value)
-    return EmpiricalCDF(knot_v, knot_q)
+
+def marginal_inverse(knot_levels: np.ndarray, values: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Generalized inverse of every pair's CDF at its column of u (samples x pairs).
+
+    A level range inside a jump maps to the jump value.
+    """
+    q = knot_levels
+    j = np.clip(np.searchsorted(q, u, side="left"), 1, len(q) - 1)
+    cols = np.arange(values.shape[0])
+    lo, hi = values[cols, j - 1], values[cols, j]
+    # zero width (hi == lo): stays at the jump
+    inner = lo + (u - q[j - 1]) / (q[j] - q[j - 1]) * (hi - lo)
+    return np.where(u <= q[0], values[:, 0], np.where(u >= q[-1], values[:, -1], inner))
 
 
 # ---------------------------------------------------------------------------
@@ -194,17 +171,10 @@ def sample_joint(
     missing = [p for p in model.pair_order if p not in forecasts]
     if missing:
         raise ValueError(f"forecasts missing for pairs {missing}")
+    knot_levels, values = marginal_knots(model.pair_order, forecasts)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((k, model.dim)) @ model.chol.T
-    u = stats.norm.cdf(z)
-    out = np.empty((k, model.dim))
-    for j, pair in enumerate(model.pair_order):
-        try:
-            marginal = ecdf_from_forecast(forecasts[pair])
-        except ValueError as exc:
-            raise ValueError(f"forecast for {pair}: {exc}") from None
-        out[:, j] = marginal.inverse(u[:, j])
-    return out
+    return marginal_inverse(knot_levels, values, special.ndtr(z))
 
 
 def export_samples(samples: np.ndarray, pair_order, path, labels=None) -> None:

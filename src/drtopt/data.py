@@ -215,18 +215,57 @@ def save_od_counts(path, dataset: ODDataset) -> None:
 # ---------------------------------------------------------------------------
 
 
-def difference(series: ODCountSeries | HourlySeries) -> HourlySeries:
-    """First differences y'_t = y_t - y_{t-1} within contiguous hourly blocks.
+def pair_hour_keys(pair_index, stamps) -> np.ndarray:
+    """Integer keys ordered by pair index, then by hour: one searchsorted finds a (pair, hour)."""
+    hours = np.asarray(stamps, dtype="datetime64[h]").astype(np.int64)
+    return np.asarray(pair_index, dtype=np.int64) * (1 << 40) + hours
 
-    The first lag of every contiguous block is dropped so that no difference
-    spans a gap in the record.
+
+@dataclass
+class WorkingRecord:
+    """Every pair's working-scale series in one flat array, pair after pair, each in time order."""
+
+    pairs: tuple[ODPair, ...]
+    timestamps: np.ndarray  # datetime64[h]
+    values: np.ndarray  # float64
+    pair_index: np.ndarray  # int64, the index into `pairs` of each row; non-decreasing
+
+    def series(self, pair: ODPair) -> HourlySeries:
+        rows = self.pair_index == self.pairs.index(pair)
+        return HourlySeries(pair, self.timestamps[rows], self.values[rows])
+
+    def select(self, keep: np.ndarray) -> WorkingRecord:
+        """The rows where `keep` is True; ordering preserved."""
+        return WorkingRecord(self.pairs, self.timestamps[keep], self.values[keep], self.pair_index[keep])
+
+
+def difference(series: list[ODCountSeries]) -> WorkingRecord:
+    """First differences y'_t = y_t - y_{t-1} of every series, in one record.
+
+    Only one-hour steps within a series are differenced: the first lag of
+    every contiguous block is dropped, so that no difference spans a gap in
+    the record or the boundary between two pairs.
     """
-    if len(series) < 2:
-        raise ValueError("series too short to difference (need >= 2 lags)")
-    keep = np.diff(series.timestamps) == HOUR
-    if not keep.any():
-        raise ValueError("no contiguous run of >= 2 hourly lags to difference")
-    return HourlySeries(series.pair, series.timestamps[1:][keep], np.diff(series.values)[keep])
+    lengths = [len(s) for s in series]
+    if min(lengths) < 2:
+        pair = series[lengths.index(min(lengths))].pair
+        raise ValueError(f"series of pair {pair} too short to difference (need >= 2 lags)")
+    timestamps = np.concatenate([s.timestamps for s in series])
+    keep = np.diff(timestamps) == HOUR
+    keep[np.cumsum(lengths)[:-1] - 1] = False
+    pair_index = np.repeat(np.arange(len(series)), lengths)[1:][keep]
+    empty = np.bincount(pair_index, minlength=len(series)) == 0
+    if empty.any():
+        pair = series[int(np.argmax(empty))].pair
+        raise ValueError(f"no contiguous run of >= 2 hourly lags to difference for pair {pair}")
+    values = np.diff(np.concatenate([s.values for s in series]))[keep]
+    return WorkingRecord(tuple(s.pair for s in series), timestamps[1:][keep], values, pair_index)
+
+
+def in_days(timestamps, days: tuple[date, date]) -> np.ndarray:
+    """True where the hour falls on a day of the inclusive range."""
+    on = np.asarray(timestamps, dtype="datetime64[h]").astype("datetime64[D]")
+    return (on >= np.datetime64(days[0])) & (on <= np.datetime64(days[1]))
 
 
 @dataclass(frozen=True)
@@ -247,19 +286,15 @@ class SplitSpec:
         by_hour = np.zeros(24, dtype=bool)
         by_hour[list(self.masked_hours)] = True
         masked = by_hour[hour_of(timestamps)]
-        if self.masked_dates:
-            days = timestamps.astype("datetime64[D]")
-            for a, b in self.masked_dates:
-                masked |= (days >= np.datetime64(a)) & (days <= np.datetime64(b))
+        for days in self.masked_dates:
+            masked |= in_days(timestamps, days)
         return masked
 
     def in_train(self, timestamps: np.ndarray) -> np.ndarray:
-        days = np.asarray(timestamps, dtype="datetime64[h]").astype("datetime64[D]")
-        return (days >= np.datetime64(self.train_range[0])) & (days <= np.datetime64(self.train_range[1]))
+        return in_days(timestamps, self.train_range)
 
     def in_test(self, timestamps: np.ndarray) -> np.ndarray:
-        days = np.asarray(timestamps, dtype="datetime64[h]").astype("datetime64[D]")
-        return (days >= np.datetime64(self.test_range[0])) & (days <= np.datetime64(self.test_range[1]))
+        return in_days(timestamps, self.test_range)
 
 
 # Case-study defaults: 52 train days, 7 test days, nights and the Christmas
@@ -276,33 +311,29 @@ def campus_2017_split() -> SplitSpec:
     )
 
 
-def mask_lags(series, spec: SplitSpec):
-    """Drop all lags whose hour or date is masked; ordering preserved."""
-    keep = ~spec.mask_array(series.timestamps)
-    if isinstance(series, ODCountSeries):
-        return ODCountSeries(series.pair, series.timestamps[keep], series.counts[keep])
-    return HourlySeries(series.pair, series.timestamps[keep], series.values[keep])
-
-
 def train_series(series: ODCountSeries, spec: SplitSpec) -> ODCountSeries:
     """The unmasked train-range lags of a count series; ordering preserved."""
     keep = spec.in_train(series.timestamps) & ~spec.mask_array(series.timestamps)
     return ODCountSeries(series.pair, series.timestamps[keep], series.counts[keep])
 
 
-def counts_at(series: ODCountSeries, lags) -> np.ndarray:
-    """Observed counts at the given hours, as float64.
+def counts_at(series: list[ODCountSeries], lags) -> np.ndarray:
+    """Observed counts of each series at the given hours (series x lags, float64).
 
-    Raises naming the pair and the first hour with no observation, so a gap
-    in the record is never read as the next hour's count.
+    Raises naming the first series, and its first hour, with no observation,
+    so a gap in the record is never read as the next hour's count.
     """
     lags = np.asarray(lags, dtype="datetime64[h]")
-    idx = np.searchsorted(series.timestamps, lags)
-    found = idx < len(series)
-    found[found] = series.timestamps[idx[found]] == lags[found]
+    pair_index = np.repeat(np.arange(len(series)), [len(s) for s in series])
+    keys = pair_hour_keys(pair_index, np.concatenate([s.timestamps for s in series]))
+    keys = np.append(keys, np.iinfo(np.int64).max)  # past every key: a miss at the end reads no count
+    wanted = pair_hour_keys(np.arange(len(series))[:, None], lags[None, :])
+    idx = np.searchsorted(keys, wanted)
+    found = keys[idx] == wanted
     if not found.all():
-        raise ValueError(f"no observation for pair {series.pair} at {format_hour(lags[~found][0])}")
-    return series.counts[idx].astype(np.float64)
+        i = int(np.argmin(found.all(axis=1)))
+        raise ValueError(f"no observation for pair {series[i].pair} at {format_hour(lags[~found[i]][0])}")
+    return np.concatenate([s.counts for s in series])[idx].astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +434,6 @@ class FeatureConfig:
     od_onehot: bool = False
     pair_order: tuple[ODPair, ...] | None = None
 
-    def resolved_pair_order(self, history: dict[ODPair, HourlySeries]) -> tuple[ODPair, ...]:
-        if self.pair_order is not None:
-            return self.pair_order
-        return tuple(sorted(history))
-
     def n_features(self, n_pairs: int) -> int:
         n = len(TOD_HOURS) + 7
         if self.exam_period is not None:
@@ -419,45 +445,51 @@ class FeatureConfig:
 
 
 def build_features(
-    history: dict[ODPair, HourlySeries],
+    record: WorkingRecord,
+    pair_index: np.ndarray,
     stamps: np.ndarray,
-    pair: ODPair,
     cfg: FeatureConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Feature matrix for predicting pair demand at each lag, one row per lag.
+    """Feature matrix for predicting demand of `record.pairs[pair_index[i]]` at `stamps[i]`.
 
-    Autoregressive blocks use the previous retained lags of the working-scale
-    series (masked hours simply do not appear in the history), newest first.
-    `usable` is False where a lag's hour is outside TOD_HOURS or a series
-    lacks the history its lags need; those rows are not filled in.
+    One row per (pair, stamp) query, for any mix of pairs.  Autoregressive
+    blocks use the previous retained lags of the working-scale record
+    (masked hours simply do not appear in it), newest first.  `usable` is
+    False where a lag's hour is outside TOD_HOURS or a series lacks the
+    history its lags need; those rows are not filled in.
     """
+    pair_index = np.asarray(pair_index, dtype=np.int64)
     stamps = np.asarray(stamps, dtype="datetime64[h]")
     hours = hour_of(stamps)
     usable = (hours >= TOD_HOURS[0]) & (hours <= TOD_HOURS[-1])
-    order = cfg.resolved_pair_order(history)
+    order = record.pairs if cfg.pair_order is None else cfg.pair_order
     ar_col = len(TOD_HOURS) + 7 + (cfg.exam_period is not None)
-    # each source series with the columns of its lags 1..depth: lag-major
+    # the source series of each query's lags 1..depth: laid out lag-major
     # across pairs for cross lags, newest first for own lags
     if cfg.cross_lags:
         depth = cfg.cross_order
-        sources = [(history[p], ar_col + j + len(order) * np.arange(depth)) for j, p in enumerate(order)]
+        sources = np.array([record.pairs.index(p) for p in order])[None, :]
     else:
         depth = cfg.ar_order
-        sources = [(history[pair], ar_col + np.arange(depth))]
-    before = [np.searchsorted(series.timestamps, stamps) for series, _ in sources]
-    for b in before:
-        usable &= b >= depth
+        sources = pair_index[:, None]
+    # how many lags of each source precede the stamp
+    keys = pair_hour_keys(record.pair_index, record.timestamps)
+    before = np.searchsorted(keys, pair_hour_keys(sources, stamps[:, None]))
+    first = np.searchsorted(record.pair_index, sources)
+    usable &= (before - first >= depth).all(axis=1)
 
     rows = np.flatnonzero(usable)
     X = np.zeros((len(stamps), cfg.n_features(len(order))))
     X[rows, hours[rows] - TOD_HOURS[0]] = 1.0
     X[rows, len(TOD_HOURS) + weekday_of(stamps[rows])] = 1.0
     if cfg.exam_period is not None:
-        days = stamps[rows].astype("datetime64[D]")
-        X[rows, ar_col - 1] = (days >= cfg.exam_period[0]) & (days <= cfg.exam_period[1])
-    lags = np.arange(1, depth + 1)
-    for (series, cols), b in zip(sources, before):
-        X[rows[:, None], cols] = series.values[b[rows, None] - lags]
+        X[rows, ar_col - 1] = in_days(stamps[rows], cfg.exam_period)
+    lags = np.arange(1, depth + 1)[None, :, None]
+    width = depth * sources.shape[1]
+    X[rows, ar_col : ar_col + width] = record.values[before[rows][:, None, :] - lags].reshape(len(rows), width)
     if cfg.od_onehot:
-        X[rows, X.shape[1] - len(order) + order.index(pair)] = 1.0
+        slot = np.zeros(len(record.pairs), dtype=np.int64)
+        for i in np.unique(pair_index[rows]).tolist():
+            slot[i] = order.index(record.pairs[i])
+        X[rows, X.shape[1] - len(order) + slot[pair_index[rows]]] = 1.0
     return X, usable

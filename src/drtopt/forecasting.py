@@ -19,17 +19,17 @@ from .data import (
     HOUR,
     TOD_HOURS,
     FeatureConfig,
-    HourlySeries,
     ODDataset,
     ODPair,
     SplitSpec,
+    WorkingRecord,
     build_features,
     check_stationarity,
     counts_at,
     difference,
     format_hour,
     hour_of,
-    mask_lags,
+    in_days,
     parse_hour,
     train_series,
 )
@@ -89,55 +89,45 @@ class TrainedDemandModel:
     def feature_cfg(self) -> FeatureConfig:
         return self.spec.feature_config(self.pair_order)
 
-    def model_for(self, pair: ODPair):
-        return self.models[None] if self.spec.scope == "pooled" else self.models[pair]
 
-
-def working_series(
-    dataset: ODDataset, split: SplitSpec, check_unit_root: bool = False
-) -> dict[ODPair, HourlySeries]:
-    """Differenced-and-masked series per pair (the model fitting scale)."""
-    out = {}
-    for pair in dataset.pairs:
-        diffed = difference(dataset.series[pair])
-        if check_unit_root:
-            check_stationarity(diffed)
-        out[pair] = mask_lags(diffed, split)
-    return out
+def working_record(dataset: ODDataset, split: SplitSpec, check_unit_root: bool = False) -> WorkingRecord:
+    """Every pair's differenced-and-masked series in one record (the model fitting scale)."""
+    record = difference([dataset.series[pair] for pair in dataset.pairs])
+    if check_unit_root:
+        for pair in record.pairs:
+            check_stationarity(record.series(pair))
+    return record.select(~split.mask_array(record.timestamps))
 
 
 def _group_rows(
     dataset: ODDataset, split: SplitSpec, spec: ModelSpec, check_unit_root: bool = False
-) -> tuple[dict[ODPair | None, list], dict[ODPair, qr.SeasonalStats]]:
-    """Each fitted model's train rows, one (X, y, stamps) per pair, and the seasonal stats.
+) -> tuple[dict[ODPair | None, dict[ODPair, tuple]], dict[ODPair, qr.SeasonalStats]]:
+    """Each fitted model's train rows, (X, y, stamps) by pair, and the seasonal stats.
 
-    The rows come from the working series, seasonally normalized by
+    The rows come from the working record, seasonally normalized by
     train-range stats when the spec asks.  Pooled scope fits one model,
     keyed None, over every pair; otherwise each pair is its own group.
     """
-    histories = working_series(dataset, split, check_unit_root)
+    record = working_record(dataset, split, check_unit_root)
+    in_train = split.in_train(record.timestamps)
     seasonal: dict[ODPair, qr.SeasonalStats] = {}
     if spec.seasonal_normalize:
-        for pair, series in histories.items():
-            keep = split.in_train(series.timestamps)
-            seasonal[pair] = qr.fit_seasonal_stats(HourlySeries(pair, series.timestamps[keep], series.values[keep]))
-            histories[pair] = qr.seasonal_normalize(series, seasonal[pair])
-    cfg = spec.feature_config(tuple(dataset.pairs))
+        train = record.select(in_train)
+        seasonal = {pair: qr.fit_seasonal_stats(train.series(pair)) for pair in record.pairs}
+        record = qr.seasonal_normalize(record, seasonal)
+    train = record.select(in_train)
+    X, usable = build_features(record, train.pair_index, train.timestamps, spec.feature_config(record.pairs))
+    X, train = X[usable], train.select(usable)
+    # the queries run pair after pair, so each pair's usable rows are one slice
+    bounds = np.searchsorted(train.pair_index, np.arange(len(record.pairs) + 1))
     rows = {}
-    for pair, series in histories.items():
-        keep = split.in_train(series.timestamps)
-        X, usable = build_features(histories, series.timestamps[keep], pair, cfg)
-        if not usable.any():
+    for pair, a, b in zip(record.pairs, bounds, bounds[1:]):
+        if a == b:
             raise ValueError(f"no usable training lags for pair {pair}")
-        rows[pair] = X[usable], series.values[keep][usable], series.timestamps[keep][usable]
+        rows[pair] = X[a:b], train.values[a:b], train.timestamps[a:b]
     if spec.scope == "pooled":
-        return {None: list(rows.values())}, seasonal
-    return {pair: [r] for pair, r in rows.items()}, seasonal
-
-
-def _in_range(stamps: np.ndarray, rng: tuple[date, date]) -> np.ndarray:
-    days = stamps.astype("datetime64[D]")
-    return (days >= np.datetime64(rng[0])) & (days <= np.datetime64(rng[1]))
+        return {None: rows}, seasonal
+    return {pair: {pair: r} for pair, r in rows.items()}, seasonal
 
 
 def _fit_groups(spec: ModelSpec, groups, levels, hyper: boosting.GBoostHyper, tuning=None, patience: int = 10):
@@ -148,11 +138,11 @@ def _fit_groups(spec: ModelSpec, groups, levels, hyper: boosting.GBoostHyper, tu
     """
     models = {}
     for key, rows in groups.items():
-        X, y, stamps = (np.concatenate(part) for part in zip(*rows))
+        X, y, stamps = (np.concatenate(part) for part in zip(*rows.values()))
         val = None
         if tuning is not None:
             _, val_range, train_range = tuning
-            in_val, in_train = _in_range(stamps, val_range), _in_range(stamps, train_range)
+            in_val, in_train = in_days(stamps, val_range), in_days(stamps, train_range)
             if not in_val.any():
                 group = "the pooled group" if key is None else f"pair {key}"
                 raise ValueError(f"{group} has no rows in the tuning-validation range {val_range[0]}..{val_range[1]}")
@@ -182,12 +172,8 @@ def train_model(
 
 def evaluation_lags(dataset: ODDataset, split: SplitSpec) -> np.ndarray:
     """Unmasked test-range lags present in the data (union over pairs)."""
-    stamps = set()
-    for pair in dataset.pairs:
-        ts = dataset.series[pair].timestamps
-        keep = split.in_test(ts) & ~split.mask_array(ts)
-        stamps.update(ts[keep])
-    return np.array(sorted(stamps), dtype="datetime64[h]")
+    ts = np.concatenate([dataset.series[pair].timestamps for pair in dataset.pairs])
+    return np.unique(ts[split.in_test(ts) & ~split.mask_array(ts)])
 
 
 def to_count_scale(raw, prev_counts, seasonal_scales=None, sort_quantiles: bool = True) -> np.ndarray:
@@ -205,34 +191,6 @@ def to_count_scale(raw, prev_counts, seasonal_scales=None, sort_quantiles: bool 
     return np.sort(values, axis=1) if sort_quantiles else values
 
 
-def _predict_pair(
-    model: TrainedDemandModel,
-    dataset: ODDataset,
-    histories: dict[ODPair, HourlySeries],
-    pair: ODPair,
-    lags: np.ndarray,
-) -> np.ndarray:
-    """Count-scale forecasts (lags x levels) for one pair, one step ahead of each lag."""
-    prev = counts_at(dataset.series[pair], lags - HOUR)
-    X, usable = build_features(histories, lags, pair, model.feature_cfg)
-    if not usable.all():
-        t = lags[~usable][0]
-        hour = int(hour_of(t))
-        if hour not in TOD_HOURS:
-            raise ValueError(f"hour {hour} outside modeled range {TOD_HOURS[0]}..{TOD_HOURS[-1]}")
-        raise ValueError(f"insufficient history before {format_hour(t)} for pair {pair}")
-    inner = model.model_for(pair)
-    if model.spec.family == "linear":
-        raw = qr.lqr_raw_predict(inner, X)
-    else:
-        raw = boosting.gboost_raw_predict(inner, X)
-    scales = None
-    if model.spec.seasonal_normalize:
-        scales = [model.seasonal[pair].scale_at(t) for t in lags]
-    raw = np.column_stack([raw[q] for q in model.levels])
-    return to_count_scale(raw, prev, scales, model.spec.sort_quantiles)
-
-
 def predict_forecasts(
     model: TrainedDemandModel,
     dataset: ODDataset,
@@ -243,15 +201,38 @@ def predict_forecasts(
     lags = evaluation_lags(dataset, split) if lags is None else np.asarray(lags, dtype="datetime64[h]")
     if model.spec.family == "hp":
         return {t: {pair: qr.predict_hp(model.models[pair], t) for pair in model.pair_order} for t in lags}
-    histories = working_series(dataset, split)
+    record = working_record(dataset, split)
     if model.spec.seasonal_normalize:
-        histories = {p: qr.seasonal_normalize(s, model.seasonal[p]) for p, s in histories.items()}
-    values = {pair: _predict_pair(model, dataset, histories, pair, lags) for pair in model.pair_order}
+        record = qr.seasonal_normalize(record, model.seasonal)
+    # one query per (pair, lag), pair after pair in model.pair_order
+    order, n = model.pair_order, len(lags)
+    which = np.repeat(np.arange(len(order)), n)
+    stamps = np.tile(lags, len(order))
+    in_record = np.array([record.pairs.index(p) for p in order], dtype=np.int64)
+    X, usable = build_features(record, in_record[which], stamps, model.feature_cfg)
+    # the first pair in order with a missing previous count or an unusable
+    # lag is named, its previous count checked first
+    usable = usable.reshape(len(order), n)
+    bad = np.flatnonzero(~usable.all(axis=1))
+    checked = order if not len(bad) else order[: bad[0] + 1]
+    prev = counts_at([dataset.series[pair] for pair in checked], lags - HOUR)
+    if len(bad):
+        t = lags[~usable[bad[0]]][0]
+        hour = int(hour_of(t))
+        if hour not in TOD_HOURS:
+            raise ValueError(f"hour {hour} outside modeled range {TOD_HOURS[0]}..{TOD_HOURS[-1]}")
+        raise ValueError(f"insufficient history before {format_hour(t)} for pair {order[bad[0]]}")
+    predict = qr.lqr_raw_predict if model.spec.family == "linear" else boosting.gboost_raw_predict
+    raw = np.empty((len(stamps), len(model.levels)))
+    for j, pair in enumerate(order):
+        out = predict(model.models[None if model.spec.scope == "pooled" else pair], X[j * n : (j + 1) * n])
+        raw[j * n : (j + 1) * n] = np.column_stack([out[q] for q in model.levels])
+    scales = None
+    if model.spec.seasonal_normalize:
+        scales = qr.seasonal_scales(model.seasonal, order, which, stamps)
+    values = to_count_scale(raw, prev.ravel(), scales, model.spec.sort_quantiles).reshape(len(order), n, -1).tolist()
     return {
-        t: {
-            pair: qr.QuantileForecast(pair, t, dict(zip(model.levels, values[pair][i].tolist())))
-            for pair in model.pair_order
-        }
+        t: {pair: qr.QuantileForecast(pair, t, dict(zip(model.levels, values[j][i]))) for j, pair in enumerate(order)}
         for i, t in enumerate(lags)
     }
 
@@ -297,8 +278,10 @@ def gboost_grid_search(
         models = _fit_groups(spec, groups, levels, hyper, tuning, patience)
         total = 0.0
         for key, rows in groups.items():
-            for X, y, stamps in rows:
-                in_test = _in_range(stamps, tuning[0])
+            for pair, (X, y, stamps) in rows.items():
+                in_test = in_days(stamps, tuning[0])
+                if not in_test.any():
+                    raise ValueError(f"pair {pair} has no rows in the tuning-test range {tuning[0][0]}..{tuning[0][1]}")
                 raw = boosting.gboost_raw_predict(models[key], X[in_test])
                 total += sum(float(np.mean(qr.tilted_loss(q, y[in_test], raw[q]))) for q in levels)
         return total
@@ -462,8 +445,11 @@ def model_from_json_dict(doc: dict) -> TrainedDemandModel:
         mean, std = {}, {}
         for c in sdoc["cells"]:
             where = f"seasonal {name}, cell (dow {c['dow']}, hour {c['tod']})"
-            mean[(c["dow"], c["tod"])] = _finite(float(c["mean"]), where, "mean")
-            std[(c["dow"], c["tod"])] = _finite(float(c["std"]), where, "std")
+            if c["dow"] not in range(7) or c["tod"] not in range(24):
+                raise ValueError(f"model {where}: no such weekday and hour")
+            key = (int(c["dow"]), int(c["tod"]))
+            mean[key] = _finite(float(c["mean"]), where, "mean")
+            std[key] = _finite(float(c["std"]), where, "std")
         seasonal[ODPair(index[o], index[d])] = qr.SeasonalStats(mean, std)
     return TrainedDemandModel(spec, levels, labels, pair_order, models, seasonal)
 

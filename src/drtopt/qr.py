@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import logging
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
 from scipy import optimize
 from scipy.optimize import linprog
 
-from .data import HourlySeries, ODCountSeries, ODPair, hour_of, weekday_of
+from .data import HourlySeries, ODCountSeries, ODPair, WorkingRecord, hour_of, weekday_of
 
 log = logging.getLogger(__name__)
 
@@ -417,12 +417,6 @@ class SeasonalStats:
     mean: dict[tuple[int, int], float]
     std: dict[tuple[int, int], float]
 
-    def scale_at(self, t: np.datetime64) -> tuple[float, float]:
-        key = (int(weekday_of(t)), int(hour_of(t)))
-        m = self.mean.get(key, 0.0)
-        s = self.std.get(key, 1.0)
-        return (m, s) if s > 0 else (0.0, 1.0)
-
 
 def fit_seasonal_stats(train: HourlySeries) -> SeasonalStats:
     dows = weekday_of(train.timestamps)
@@ -445,11 +439,25 @@ def fit_seasonal_stats(train: HourlySeries) -> SeasonalStats:
     return SeasonalStats(mean, std)
 
 
-def seasonal_normalize(series: HourlySeries, stats: SeasonalStats) -> HourlySeries:
-    """(y - bucket mean) / bucket std; zero-variance buckets pass through."""
-    scales = np.array([stats.scale_at(t) for t in series.timestamps])
-    values = (series.values - scales[:, 0]) / scales[:, 1]
-    return HourlySeries(series.pair, series.timestamps, values)
+def seasonal_scales(seasonal: dict[ODPair, SeasonalStats], pairs, pair_index, stamps) -> np.ndarray:
+    """(mean, std) rows: the cell of `pairs[pair_index[i]]` at `stamps[i]`, from one table.
+
+    A cell that is missing or has zero variance reads (0, 1).
+    """
+    table = np.tile([0.0, 1.0], (len(pairs), 7, 24, 1))
+    for i, pair in enumerate(pairs):
+        stats = seasonal[pair]
+        for key in stats.mean.keys() | stats.std.keys():
+            m, s = stats.mean.get(key, 0.0), stats.std.get(key, 1.0)
+            if s > 0:
+                table[(i, *key)] = m, s
+    return table[pair_index, weekday_of(stamps), hour_of(stamps)]
+
+
+def seasonal_normalize(record: WorkingRecord, seasonal: dict[ODPair, SeasonalStats]) -> WorkingRecord:
+    """(y - bucket mean) / bucket std, per pair; zero-variance buckets pass through."""
+    scales = seasonal_scales(seasonal, record.pairs, record.pair_index, record.timestamps)
+    return replace(record, values=(record.values - scales[:, 0]) / scales[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -467,5 +475,8 @@ def grid_search(score_fn, grid):
     if not grid:
         raise ValueError("empty hyperparameter grid")
     scores = [float(score_fn(point)) for point in grid]
+    for point, score in zip(grid, scores):
+        if not np.isfinite(score):
+            raise ValueError(f"grid point {point} scored {score}")
     best = int(np.argmin(scores))  # argmin takes the first minimum
     return grid[best], scores

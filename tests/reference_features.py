@@ -1,15 +1,24 @@
 """Per-lag feature builder, the reference for `data.build_features`.
 
 It builds one lag's feature vector from named blocks, the way the library
-did before features were built as one matrix per pair.  Raises ValueError
-where the matrix builder marks a row unusable.
+did before features were built as one matrix for all pairs.  Raises
+ValueError where the matrix builder marks a row unusable.  `record_of` puts
+per-pair series into the one working record the matrix builder reads.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from drtopt.data import TOD_HOURS, FeatureConfig, HourlySeries, ODPair, format_hour, hour_of, weekday_of
+from drtopt.data import TOD_HOURS, FeatureConfig, HourlySeries, ODPair, WorkingRecord, format_hour, hour_of, weekday_of
+
+
+def record_of(history: dict[ODPair, HourlySeries]) -> WorkingRecord:
+    """The working record of the given series, pairs in sorted order."""
+    pairs = tuple(sorted(history))
+    timestamps = np.concatenate([history[p].timestamps for p in pairs])
+    values = np.concatenate([history[p].values for p in pairs])
+    return WorkingRecord(pairs, timestamps, values, np.repeat(np.arange(len(pairs)), [len(history[p]) for p in pairs]))
 
 
 def _recent_values(series: HourlySeries, t: np.datetime64, k: int) -> np.ndarray:
@@ -27,6 +36,7 @@ def reference_features(
     cfg: FeatureConfig,
 ) -> np.ndarray:
     t = np.datetime64(t, "h")
+    order = tuple(sorted(history)) if cfg.pair_order is None else cfg.pair_order
     hour = int(hour_of(t))
     if hour not in TOD_HOURS:
         raise ValueError(f"hour {hour} outside modeled range {TOD_HOURS[0]}..{TOD_HOURS[-1]}")
@@ -42,7 +52,6 @@ def reference_features(
         parts.append([float(a <= day <= b)])
 
     if cfg.cross_lags:
-        order = cfg.resolved_pair_order(history)
         blocks = []
         for k in range(1, cfg.cross_order + 1):
             for p in order:
@@ -53,7 +62,6 @@ def reference_features(
         parts.append(_recent_values(history[pair], t, cfg.ar_order)[::-1].copy())
 
     if cfg.od_onehot:
-        order = cfg.resolved_pair_order(history)
         onehot = np.zeros(len(order))
         onehot[order.index(pair)] = 1.0
         parts.append(onehot)

@@ -15,7 +15,7 @@ from scipy import stats
 from conftest import check_design_invariants, random_medium_instance, random_tiny_instance
 from drtopt.boosting import GBoostHyper, fit_gboost, gboost_raw_predict
 from drtopt.cli import main as cli_main
-from drtopt.copula import GaussianCopulaModel, ecdf_from_forecast, fit_correlation, sample_joint
+from drtopt.copula import GaussianCopulaModel, fit_correlation, sample_joint
 from drtopt.data import Location, ODPair, parse_hour
 from drtopt.metrics import crossings, icp, mil, mtl
 from drtopt.pipeline import optimize_ground_truth, optimize_lag, optimize_point
@@ -29,6 +29,7 @@ from drtopt.tndfs import (
     prepare_instance,
     solve_instance,
 )
+from reference_copula import ecdf_from_forecast
 from reference_qr import reference_pinball_constant
 from reference_solver import oracle_solve
 

@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -6,18 +7,19 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from drtopt.copula import (
-    EmpiricalCDF,
-    ecdf_from_forecast,
     export_correlation,
     export_samples,
     fit_correlation,
     gaussian_scores,
     import_correlation,
+    marginal_inverse,
+    marginal_knots,
     repair_correlation,
     sample_joint,
 )
 from drtopt.data import ODPair, parse_hour
 from drtopt.qr import DEFAULT_QUANTILES, QuantileForecast
+from reference_copula import EmpiricalCDF, ecdf_from_forecast
 
 T0 = parse_hour("2018-01-08T08")
 FORECAST = {0.05: 2.0, 0.25: 4.0, 0.5: 6.0, 0.75: 8.0, 0.95: 10.0}
@@ -176,6 +178,68 @@ def test_sample_names_pair_with_non_finite_forecast(case):
     forecasts = {pairs[0]: make_fc(FORECAST, pairs[0]), pairs[1]: make_fc(NON_FINITE[case], pairs[1])}
     with pytest.raises(ValueError, match=r"forecast for ODPair\(origin=1, destination=0\): knots must be finite"):
         sample_joint(model, forecasts, 10, seed=0)
+
+
+def test_sample_names_the_first_bad_pair_in_pair_order():
+    model, _ = identity_model(n_pairs=4)
+    order = model.pair_order
+    forecasts = {p: make_fc(FORECAST, p) for p in order}
+    forecasts[order[3]] = make_fc(NON_FINITE["nan"], order[3])
+    forecasts[order[1]] = make_fc({0.05: 5.0, 0.5: 3.0, 0.95: 6.0}, order[1])
+    message = f"forecast for {order[1]}: forecast quantiles must be non-decreasing"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sample_joint(model, forecasts, 10, seed=0)
+
+
+@pytest.mark.parametrize("levels", [(0.0, 0.5, 0.9), (0.1, 0.5, 1.0)])
+def test_sample_rejects_levels_at_the_endpoints(levels):
+    model, pairs = identity_model()
+    forecasts = {p: make_fc(dict(zip(levels, (1.0, 2.0, 3.0))), p) for p in pairs}
+    message = f"forecast for {pairs[0]}: knot levels must be strictly increasing"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sample_joint(model, forecasts, 10, seed=0)
+
+
+def test_sample_rejects_pairs_with_different_levels():
+    model, _ = identity_model(n_pairs=3)
+    order = model.pair_order
+    forecasts = {p: make_fc(FORECAST, p) for p in order}
+    forecasts[order[2]] = make_fc({0.25: 1.0, 0.75: 2.0}, order[2])
+    with pytest.raises(ValueError, match=re.escape(f"forecast for {order[2]}: levels [0.25, 0.75] differ from")):
+        sample_joint(model, forecasts, 10, seed=0)
+    # a bad forecast before the mismatch is named first
+    forecasts[order[1]] = make_fc(NON_FINITE["inf"] | {0.25: 2.0, 0.75: 5.0}, order[1])
+    with pytest.raises(ValueError, match=re.escape(f"forecast for {order[1]}: knots must be finite")):
+        sample_joint(model, forecasts, 10, seed=0)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    # quantiles are picks from a small pool that holds zero: tied quantiles
+    # (jumps) and all-zero forecasts are common
+    st.lists(st.floats(0.0, 40.0), min_size=1, max_size=3),
+    st.lists(st.lists(st.integers(0, 3), min_size=5, max_size=5), min_size=1, max_size=6),
+    st.lists(st.floats(0.0, 1.0), max_size=20),
+)
+def test_batched_inverse_equals_the_per_pair_reference(pool, picks, extra_u):
+    pool = [0.0, *pool]
+    pairs = [ODPair(0, j) for j in range(1, len(picks) + 1)]
+    forecasts = {
+        p: make_fc(dict(zip(DEFAULT_QUANTILES, sorted(pool[i % len(pool)] for i in pick))), p)
+        for p, pick in zip(pairs, picks)
+    }
+    knot_levels, values = marginal_knots(pairs, forecasts)
+    # every knot level exactly, its neighbours, both ends and the drawn values, in every column
+    column = np.concatenate(
+        [knot_levels, np.nextafter(knot_levels, -1.0), np.nextafter(knot_levels, 2.0), [0.0, 1.0], extra_u]
+    )
+    u = np.repeat(column[:, None], len(pairs), axis=1)
+    u[:, ::2] = u[::-1, ::2]  # not the same order in every column
+    got = marginal_inverse(knot_levels, values, u)
+    for j, pair in enumerate(pairs):
+        F = ecdf_from_forecast(forecasts[pair])
+        assert np.array_equal(knot_levels, F.levels) and np.array_equal(values[j], F.values)
+        assert np.array_equal(got[:, j], F.inverse(u[:, j]))
 
 
 # ---------------------------------------------------------------------------

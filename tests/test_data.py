@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from datetime import date
@@ -16,13 +18,12 @@ from drtopt.data import (
     difference,
     format_hour,
     load_od_counts,
-    mask_lags,
     parse_hour,
     pair_name,
     save_od_counts,
     train_series,
 )
-from reference_features import reference_features
+from reference_features import record_of, reference_features
 
 
 def hourly(start: str, values):
@@ -123,25 +124,25 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_difference_definition():
-    d = difference(series("2017-11-17T08", np.array([5, 8, 6])))
+    d = difference([series("2017-11-17T08", np.array([5, 8, 6]))])
     assert list(d.values) == [3, -2]
-    assert len(d) == 2
+    assert len(d.timestamps) == 2
 
 
 def test_difference_constant_series():
-    d = difference(series("2017-11-17T08", np.array([4, 4, 4, 4])))
+    d = difference([series("2017-11-17T08", np.array([4, 4, 4, 4]))])
     assert list(d.values) == [0, 0, 0]
 
 
 def test_difference_too_short():
     with pytest.raises(ValueError, match="too short"):
-        difference(series("2017-11-17T08", np.array([3])))
+        difference([series("2017-11-17T08", np.array([3]))])
 
 
 def test_difference_skips_gaps():
     ts = np.concatenate([hourly("2017-11-17T08", [0, 0, 0]), hourly("2017-11-18T08", [0, 0])])
     s = ODCountSeries(ODPair(0, 1), ts, np.array([1, 2, 4, 10, 11]))
-    d = difference(s)
+    d = difference([s])
     # the first lag of each contiguous block is dropped: no 10-4 difference
     assert list(d.values) == [1, 2, 1]
     assert d.timestamps.tolist() == ts[[1, 2, 4]].tolist()
@@ -156,17 +157,44 @@ def test_difference_equals_per_lag_reference(steps):
     s = ODCountSeries(ODPair(0, 1), ts, counts)
     if not kept:
         with pytest.raises(ValueError, match="no contiguous run"):
-            difference(s)
+            difference([s])
         return
-    d = difference(s)
+    d = difference([s])
     assert d.timestamps.tolist() == ts[kept].tolist()
     assert d.values.tolist() == [float(counts[i] - counts[i - 1]) for i in kept]
+
+
+@given(st.lists(st.lists(st.tuples(st.integers(1, 3), st.integers(0, 500)), min_size=2, max_size=20), max_size=4))
+def test_difference_of_many_series_is_each_series_alone(records):
+    # each series starts one hour after the one before it ends: a difference
+    # across the boundary between two pairs would look like a one-hour step
+    series_list, start = [], parse_hour("2017-11-17T08")
+    for i, steps in enumerate(records):
+        ts = start + np.cumsum([0] + [s for s, _ in steps[1:]]).astype("timedelta64[h]")
+        series_list.append(ODCountSeries(ODPair(0, i + 1), ts, np.array([c for _, c in steps])))
+        start = ts[-1] + np.timedelta64(1, "h")
+    alone = []
+    for s in series_list:
+        try:
+            alone.append(difference([s]))
+        except ValueError:
+            with pytest.raises(ValueError, match=f"no contiguous run .* for pair {re.escape(str(s.pair))}"):
+                difference(series_list)
+            return
+    if not series_list:
+        return
+    record = difference(series_list)
+    assert record.pairs == tuple(s.pair for s in series_list)
+    assert record.pair_index.tolist() == [i for i, d in enumerate(alone) for _ in range(len(d.values))]
+    for s, d in zip(series_list, alone):
+        assert record.series(s.pair).timestamps.tolist() == d.timestamps.tolist()
+        assert record.series(s.pair).values.tolist() == d.values.tolist()
 
 
 @given(st.lists(st.integers(min_value=0, max_value=500), min_size=2, max_size=60))
 def test_difference_cumsum_inverse(counts):
     s = series("2017-11-17T08", np.array(counts))
-    d = difference(s)
+    d = difference([s])
     reconstructed = float(counts[0]) + np.cumsum(d.values)
     assert np.array_equal(reconstructed, np.array(counts[1:], dtype=float))
 
@@ -176,6 +204,12 @@ def test_difference_cumsum_inverse(counts):
 # ---------------------------------------------------------------------------
 
 
+def unmasked_lags(series, spec):
+    """The lags of a count series that the split does not mask."""
+    keep = ~spec.mask_array(series.timestamps)
+    return ODCountSeries(series.pair, series.timestamps[keep], series.counts[keep])
+
+
 def full_day_series(days=3, start="2017-11-17T00"):
     n = days * 24
     return series(start, np.arange(n) % 7)
@@ -183,7 +217,7 @@ def full_day_series(days=3, start="2017-11-17T00"):
 
 def test_mask_hours_keeps_seven_to_twentytwo():
     spec = campus_2017_split()
-    masked = mask_lags(full_day_series(), spec)
+    masked = unmasked_lags(full_day_series(), spec)
     hours = masked.timestamps.astype("int64") % 24
     assert set(hours) == set(range(7, 23))
 
@@ -195,14 +229,14 @@ def test_mask_all_dates_empties_series():
         masked_hours=frozenset(),
         masked_dates=((date(2017, 11, 17), date(2017, 11, 19)),),
     )
-    masked = mask_lags(full_day_series(days=3), spec)
+    masked = unmasked_lags(full_day_series(days=3), spec)
     assert len(masked) == 0
 
 
 def test_mask_idempotent():
     spec = campus_2017_split()
-    once = mask_lags(full_day_series(), spec)
-    twice = mask_lags(once, spec)
+    once = unmasked_lags(full_day_series(), spec)
+    twice = unmasked_lags(once, spec)
     assert np.array_equal(once.timestamps, twice.timestamps)
 
 
@@ -212,7 +246,7 @@ def test_campus_defaults_per_day_counts():
     start = parse_hour("2017-11-17T00")
     ts = start + np.arange(59 * 24).astype("timedelta64[h]")
     s = ODCountSeries(ODPair(0, 1), ts, np.zeros(len(ts), dtype=int))
-    masked = mask_lags(s, campus_2017_split())
+    masked = unmasked_lags(s, campus_2017_split())
     days = masked.timestamps.astype("datetime64[D]")
     per_day = {d: int(np.sum(days == d)) for d in np.unique(ts.astype("datetime64[D]"))}
     holiday = (np.datetime64("2017-12-23"), np.datetime64("2018-01-01"))
@@ -225,7 +259,7 @@ def test_train_series_is_masking_then_train_range():
     spec = campus_2017_split()
     ts = parse_hour("2018-01-06T00") + np.arange(4 * 24).astype("timedelta64[h]")
     s = ODCountSeries(ODPair(2, 1), ts, np.arange(len(ts)))
-    masked = mask_lags(s, spec)
+    masked = unmasked_lags(s, spec)
     keep = spec.in_train(masked.timestamps)
     train = train_series(s, spec)
     assert train.pair == ODPair(2, 1)
@@ -237,19 +271,32 @@ def test_train_series_is_masking_then_train_range():
 def test_counts_at_returns_exact_counts():
     s = series("2018-01-08T07", [5, 0, 12, 3, 9])
     lags = parse_hour("2018-01-08T07") + np.array([3, 0, 4, 2]).astype("timedelta64[h]")
-    got = counts_at(s, lags)
+    got = counts_at([s], lags)
     assert got.dtype == np.float64
-    assert got.tolist() == [3.0, 5.0, 9.0, 12.0]
+    assert got.tolist() == [[3.0, 5.0, 9.0, 12.0]]
 
 
 def test_counts_at_raises_on_a_gap_naming_pair_and_hour():
     ts = hourly("2018-01-08T07", range(6))
     s = ODCountSeries(ODPair(3, 1), np.delete(ts, 2), [5, 0, 3, 9, 4])  # no 09:00
-    assert counts_at(s, ts[[0, 1, 3]]).tolist() == [5.0, 0.0, 3.0]
+    assert counts_at([s], ts[[0, 1, 3]]).tolist() == [[5.0, 0.0, 3.0]]
     with pytest.raises(ValueError, match=r"ODPair\(origin=3, destination=1\) at 2018-01-08T09"):
-        counts_at(s, ts[1:4])
+        counts_at([s], ts[1:4])
     with pytest.raises(ValueError, match="2018-01-08T13"):
-        counts_at(s, [parse_hour("2018-01-08T13")])  # after the last observation
+        counts_at([s], [parse_hour("2018-01-08T13")])  # after the last observation
+
+
+def test_counts_at_reads_each_series_and_names_the_first_with_a_gap():
+    ts = hourly("2018-01-08T07", range(6))
+    a = ODCountSeries(ODPair(0, 1), ts, [1, 2, 3, 4, 5, 6])
+    b = ODCountSeries(ODPair(1, 0), ts[2:], [30, 40, 50, 60])  # starts at 09:00
+    c = ODCountSeries(ODPair(2, 0), np.delete(ts, 4), [7, 8, 9, 10, 12])  # no 11:00
+    assert counts_at([b, a], ts[[5, 2]]).tolist() == [[60.0, 30.0], [6.0, 3.0]]
+    # a missing hour at the start of a series is never read from the series before it
+    with pytest.raises(ValueError, match=r"ODPair\(origin=1, destination=0\) at 2018-01-08T08"):
+        counts_at([a, b, c], ts[[4, 1]])
+    with pytest.raises(ValueError, match=r"ODPair\(origin=2, destination=0\) at 2018-01-08T11"):
+        counts_at([a, c, b], ts[[4, 5]])
 
 
 def test_pair_name_by_id_and_by_label():
@@ -311,8 +358,15 @@ def make_history(pair=ODPair(0, 1), n=60, start="2017-11-13T07", values=None):
     return {pair: HourlySeries(pair, ts, vals)}
 
 
+def pair_features(history, stamps, pair, cfg):
+    """build_features for one pair's queries."""
+    record = record_of(history)
+    stamps = np.asarray(stamps, dtype="datetime64[h]")
+    return build_features(record, np.full(len(stamps), record.pairs.index(pair)), stamps, cfg)
+
+
 def feature_row(history, t, pair, cfg):
-    X, usable = build_features(history, np.array([t], dtype="datetime64[h]"), pair, cfg)
+    X, usable = pair_features(history, [t], pair, cfg)
     return X[0], bool(usable[0])
 
 
@@ -331,7 +385,7 @@ def test_features_exam_flag():
     history = make_history(n=800, start="2017-11-13T07")
     cfg = FeatureConfig(exam_period=(date(2017, 12, 8), date(2017, 12, 22)))
     stamps = np.array([parse_hour("2017-12-11T10"), parse_hour("2017-12-01T10")])
-    X, usable = build_features(history, stamps, ODPair(0, 1), cfg)
+    X, usable = pair_features(history, stamps, ODPair(0, 1), cfg)
     assert usable.all()
     assert X.shape == (2, 16 + 7 + 1 + 24)
     assert X[:, 23].tolist() == [1.0, 0.0]
@@ -359,7 +413,7 @@ def test_features_newest_lag_first():
 def test_features_insufficient_history():
     history = make_history(n=10)
     stamps = hourly("2017-11-13T12", range(3))
-    X, usable = build_features(history, stamps, ODPair(0, 1), FeatureConfig())
+    X, usable = pair_features(history, stamps, ODPair(0, 1), FeatureConfig())
     assert not usable.any()
     assert not X.any()  # unusable rows are left unfilled
 
@@ -367,8 +421,8 @@ def test_features_insufficient_history():
 def test_features_deterministic():
     history = make_history()
     stamps = history[ODPair(0, 1)].timestamps
-    a = build_features(history, stamps, ODPair(0, 1), FeatureConfig())
-    b = build_features(history, stamps, ODPair(0, 1), FeatureConfig())
+    a = pair_features(history, stamps, ODPair(0, 1), FeatureConfig())
+    b = pair_features(history, stamps, ODPair(0, 1), FeatureConfig())
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
@@ -406,17 +460,21 @@ def feature_history(late=None, gap=None) -> dict[ODPair, HourlySeries]:
     ids=["own", "own-exam", "cross1-late", "cross2-late", "pooled-onehot", "own-gap"],
 )
 def test_feature_matrix_rows_equal_per_lag_reference(cfg, history):
-    # every hour of the day, from before the history starts to after it ends
+    # every hour of the day, from before the history starts to after it ends,
+    # for every pair in one call
     stamps = parse_hour("2017-11-30T00") + np.arange(22 * 24).astype("timedelta64[h]")
-    for pair in FEATURE_PAIRS:
-        X, usable = build_features(history, stamps, pair, cfg)
-        assert X.shape == (len(stamps), cfg.n_features(len(FEATURE_PAIRS)))
-        for t, x, ok in zip(stamps, X, usable):
+    record = record_of(history)
+    pair_index = np.repeat(np.arange(len(record.pairs)), len(stamps))
+    X, usable = build_features(record, pair_index, np.tile(stamps, len(record.pairs)), cfg)
+    assert X.shape == (len(FEATURE_PAIRS) * len(stamps), cfg.n_features(len(FEATURE_PAIRS)))
+    for i, pair in enumerate(record.pairs):
+        rows = slice(i * len(stamps), (i + 1) * len(stamps))
+        for t, x, ok in zip(stamps, X[rows], usable[rows]):
             try:
                 ref = reference_features(history, t, pair, cfg)
             except ValueError:
                 assert not ok, format_hour(t)
                 continue
             assert ok and np.array_equal(x, ref), format_hour(t)
-        assert usable.sum() > 100  # the comparison covered filled rows
-        assert not usable[stamps.astype("int64") % 24 == 23].any()
+        assert usable[rows].sum() > 100  # the comparison covered filled rows
+        assert not usable[rows][stamps.astype("int64") % 24 == 23].any()

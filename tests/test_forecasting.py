@@ -8,7 +8,7 @@ import pytest
 
 from drtopt import forecasting
 from drtopt.boosting import GBoostHyper, fit_gboost, gboost_raw_predict
-from drtopt.data import HourlySeries, SplitSpec, build_features
+from drtopt.data import HOUR, HourlySeries, ODCountSeries, ODDataset, SplitSpec, build_features
 from drtopt.forecasting import (
     ModelSpec,
     gboost_grid_search,
@@ -20,7 +20,7 @@ from drtopt.forecasting import (
     evaluation_lags,
     train_model,
     tuning_ranges,
-    working_series,
+    working_record,
 )
 from drtopt.metrics import crossings
 from drtopt.qr import DEFAULT_QUANTILES, fit_seasonal_stats, seasonal_normalize, tilted_loss
@@ -50,9 +50,10 @@ def test_model_spec_validation():
         ModelSpec(cross_lags=True, scope="pooled")
 
 
-def test_working_series_is_masked_and_differenced(dataset):
-    hist = working_series(dataset, SPLIT)
-    s = hist[dataset.pairs[0]]
+def test_working_record_is_masked_and_differenced(dataset):
+    record = working_record(dataset, SPLIT)
+    assert record.pairs == tuple(dataset.pairs)
+    s = record.series(dataset.pairs[0])
     hours = s.timestamps.astype("int64") % 24
     assert set(hours) <= set(range(7, 23))
     raw = dataset.series[dataset.pairs[0]]
@@ -151,12 +152,13 @@ def test_batched_predict_equals_one_lag_predicts(dataset, mspec):
 
 
 def test_lag_outside_modeled_hours_is_skipped_in_training_and_raises_in_predict(dataset):
-    # hours 6 and 23 stay in the working series but have no time-of-day column
+    # hours 6 and 23 stay in the working record but have no time-of-day column
     split = SplitSpec(SPLIT.train_range, SPLIT.test_range, masked_hours=frozenset(range(6)))
-    histories = working_series(dataset, split)
+    record = working_record(dataset, split)
+    histories = {p: record.series(p) for p in record.pairs}
     pair = dataset.pairs[0]
     cfg = spec().feature_config(tuple(dataset.pairs))
-    [(X, y, stamps)] = forecasting._group_rows(dataset, split, spec())[0][pair]
+    [(X, y, stamps)] = forecasting._group_rows(dataset, split, spec())[0][pair].values()
     series = histories[pair]
     in_train = series.timestamps[split.in_train(series.timestamps)]
     expected = []
@@ -186,6 +188,38 @@ def test_predict_raises_without_the_previous_count(dataset):
     model = train_model(dataset, SPLIT, spec(), (0.5,))
     with pytest.raises(ValueError, match="no observation for pair .* at 2017-12-21T09"):
         predict_forecasts(model, dataset, SPLIT, np.array([np.datetime64("2017-12-21T10", "h")]))
+
+
+def gappy(dataset, t, gap=None, late=None):
+    """The dataset without the count of pair `gap` at t - 1h and the first counts of `late` up to t - 6h."""
+    series = dict(dataset.series)
+    for pair, drop in ((gap, lambda ts: ts == t - HOUR), (late, lambda ts: ts < t - 5 * HOUR)):
+        if pair is not None:
+            s = series[pair]
+            keep = ~drop(s.timestamps)
+            series[pair] = ODCountSeries(pair, s.timestamps[keep], s.counts[keep])
+    return ODDataset(dataset.locations, series)
+
+
+def test_predict_on_a_gappy_record_names_the_first_failing_pair(dataset):
+    three = ODDataset(dataset.locations, {p: dataset.series[p] for p in dataset.pairs[:3]})
+    model = train_model(three, SPLIT, spec(), (0.5,))
+    a, b, c = model.pair_order
+    t = np.datetime64("2017-12-14T12", "h")
+    assert list(predict_forecasts(model, three, SPLIT, np.array([t]))[t]) == [a, b, c]
+    no_count = "no observation for pair {} at 2017-12-14T11"
+    short = "insufficient history before 2017-12-14T12 for pair {}"
+    cases = [
+        (dict(gap=b), no_count.format(b)),
+        (dict(late=c), short.format(c)),
+        # two pairs fail in the same hour: the first in pair_order is named
+        (dict(gap=c, late=b), short.format(b)),
+        (dict(gap=a, late=c), no_count.format(a)),
+        (dict(gap=a, late=a), no_count.format(a)),  # a missing previous count comes first
+    ]
+    for defects, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            predict_forecasts(model, gappy(three, t, **defects), SPLIT, np.array([t]))
 
 
 def test_unsorted_spec_keeps_each_level_in_place(dataset):
@@ -300,6 +334,18 @@ def test_model_json_rejects_non_finite_numbers(model_docs, kind, field, bad):
         model_from_json_dict(doc)
 
 
+@pytest.mark.parametrize("field, bad", [("dow", -1), ("dow", 7), ("tod", 24), ("tod", 8.5)])
+def test_model_json_rejects_a_seasonal_cell_outside_the_week(model_docs, field, bad):
+    # the cells fill a (weekday, hour) table: a negative index would overwrite another cell
+    doc = json.loads(json.dumps(model_docs["linear"]))
+    name = next(iter(doc["seasonal"]))
+    cell = doc["seasonal"][name]["cells"][0]
+    cell[field] = bad
+    where = f"seasonal {name}, cell (dow {cell['dow']}, hour {cell['tod']})"
+    with pytest.raises(ValueError, match=re.escape(f"model {where}: no such weekday and hour")):
+        model_from_json_dict(doc)
+
+
 def test_tree_deeper_than_max_depth_names_model_and_level(model_docs):
     doc = json.loads(json.dumps(model_docs["gboost"]))  # max_depth 2
     name = next(iter(doc["models"]))
@@ -328,10 +374,10 @@ def test_pooled_gboost_predict_equals_walking_its_json_trees(dataset):
     doc = model_to_json_dict(model)
     assert list(doc["models"]) == ["pooled"]
     loaded = model_from_json_dict(doc)
-    histories = working_series(dataset, SPLIT)
+    record = working_record(dataset, SPLIT)
     lags = evaluation_lags(dataset, SPLIT)
-    for pair in dataset.pairs:
-        X, usable = build_features(histories, lags, pair, model.feature_cfg)
+    for i, pair in enumerate(record.pairs):
+        X, usable = build_features(record, np.full(len(lags), i), lags, model.feature_cfg)
         ref = reference_raw_predict(doc["models"]["pooled"], hyper.learning_rate, X[usable])
         for inner in (model.models[None], loaded.models[None]):
             raw = gboost_raw_predict(inner, X[usable])
@@ -388,18 +434,20 @@ def test_grid_search_scores_the_seasonally_normalized_rows(dataset):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # zero-variance seasonal cells
         _, scores = gboost_grid_search(dataset, SPLIT, mspec, [hyper], (0.5,))
-        histories = working_series(dataset, SPLIT)
-        for pair, s in histories.items():
+        record = working_record(dataset, SPLIT)
+        seasonal = {}
+        for pair in record.pairs:
+            s = record.series(pair)
             train = SPLIT.in_train(s.timestamps)
-            stats = fit_seasonal_stats(HourlySeries(pair, s.timestamps[train], s.values[train]))
-            histories[pair] = seasonal_normalize(s, stats)
+            seasonal[pair] = fit_seasonal_stats(HourlySeries(pair, s.timestamps[train], s.values[train]))
+        record = seasonal_normalize(record, seasonal)
     test_range, val_range, train_range = tuning_ranges(SPLIT)
     cfg = mspec.feature_config(tuple(dataset.pairs))
     total = 0.0
-    for pair in dataset.pairs:
-        s = histories[pair]
+    for i, pair in enumerate(record.pairs):
+        s = record.series(pair)
         train = SPLIT.in_train(s.timestamps)
-        X, usable = build_features(histories, s.timestamps[train], pair, cfg)
+        X, usable = build_features(record, np.full(train.sum(), i), s.timestamps[train], cfg)
         X, y, days = X[usable], s.values[train][usable], s.timestamps[train][usable].astype("datetime64[D]")
         part = {rng: (days >= np.datetime64(rng[0])) & (days <= np.datetime64(rng[1]))
                 for rng in (test_range, val_range, train_range)}
@@ -410,6 +458,16 @@ def test_grid_search_scores_the_seasonally_normalized_rows(dataset):
     assert scores == [total]
     _, plain = gboost_grid_search(dataset, SPLIT, spec(family="gboost"), [hyper], (0.5,))
     assert plain != scores
+
+
+@pytest.mark.parametrize("scope", ["per_pair", "pooled"])
+def test_grid_search_rejects_an_empty_tuning_test_range(scope):
+    data = generate_synthetic(SyntheticSpec(n_locations=3, end=date(2017, 12, 20), seed=11))
+    split = SplitSpec(SPLIT.train_range, SPLIT.test_range, masked_dates=((date(2017, 11, 17), date(2017, 11, 23)),))
+    grid = [GBoostHyper(0.3, 2, 5), GBoostHyper(0.1, 2, 5)]
+    message = rf"pair {re.escape(str(data.pairs[0]))} has no rows in the tuning-test range 2017-11-17\.\.2017-11-23"
+    with pytest.raises(ValueError, match=message):
+        gboost_grid_search(data, split, spec(family="gboost", scope=scope), grid, (0.5,))
 
 
 def test_grid_search_rejects_other_families(dataset):

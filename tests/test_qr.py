@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from drtopt import config, forecasting, qr
-from drtopt.data import ODPair, parse_hour
+from drtopt.data import ODPair, hour_of, parse_hour, weekday_of
 from drtopt.qr import (
     DEFAULT_QUANTILES,
     fit_hp,
@@ -19,11 +19,13 @@ from drtopt.qr import (
     lqr_raw_predict,
     predict_hp,
     seasonal_normalize,
+    seasonal_scales,
     tilted_loss,
 )
 from drtopt.data import HourlySeries, ODCountSeries
 from drtopt.forecasting import to_count_scale
 from drtopt.synth import SyntheticSpec, generate_synthetic
+from reference_features import record_of
 from reference_qr import reference_dual_lp, reference_pinball_constant, reference_pinball_lp
 
 PAIR = ODPair(0, 1)
@@ -535,28 +537,52 @@ def weekly_series(values, start="2017-11-20T08"):
     return HourlySeries(PAIR, ts, np.asarray(values, dtype=float))
 
 
+def normalized_values(s, stats):
+    """seasonal_normalize of a one-pair record holding s."""
+    return seasonal_normalize(record_of({s.pair: s}), {s.pair: stats}).values
+
+
 def test_seasonal_constant_bucket_passthrough():
     s = weekly_series([4.0, 4.0, 4.0, 4.0])
     with pytest.warns(UserWarning, match="zero variance"):
         stats = fit_seasonal_stats(s)
-    normalized = seasonal_normalize(s, stats)
-    assert np.array_equal(normalized.values, s.values)
+    normalized = normalized_values(s, stats)
+    assert np.array_equal(normalized, s.values)
 
 
 def test_seasonal_normalize_inverse_identity(rng):
     s = weekly_series(rng.normal(5, 3, size=30))
     stats = fit_seasonal_stats(s)
-    scales = np.array([stats.scale_at(t) for t in s.timestamps])
-    back = seasonal_normalize(s, stats).values * scales[:, 1] + scales[:, 0]
+    scales = seasonal_scales({PAIR: stats}, [PAIR], np.zeros(len(s), dtype=int), s.timestamps)
+    back = normalized_values(s, stats) * scales[:, 1] + scales[:, 0]
     assert np.allclose(back, s.values, atol=1e-12)
 
 
 def test_seasonal_train_buckets_standardized(rng):
     s = weekly_series(rng.normal(5, 3, size=50))
     stats = fit_seasonal_stats(s)
-    normalized = seasonal_normalize(s, stats)
-    assert abs(np.mean(normalized.values)) <= 1e-9
-    assert abs(np.std(normalized.values) - 1.0) <= 1e-9
+    normalized = normalized_values(s, stats)
+    assert abs(np.mean(normalized)) <= 1e-9
+    assert abs(np.std(normalized) - 1.0) <= 1e-9
+
+
+def test_seasonal_scales_look_up_each_pairs_own_cell():
+    # three pairs' stats: cells with and without variance, a cell known only
+    # by its mean or its std, and cells of no stats at all
+    stats = [
+        qr.SeasonalStats({(0, 8): 2.0, (1, 9): 3.0}, {(0, 8): 0.5, (1, 9): 0.0}),
+        qr.SeasonalStats({(0, 8): -1.0, (6, 22): 4.0}, {(0, 8): 2.0, (6, 22): 1.5, (3, 7): 0.25}),
+        qr.SeasonalStats({(2, 12): 7.0}, {}),
+    ]
+    pairs = [ODPair(0, 1), ODPair(1, 0), ODPair(2, 0)]
+    seasonal = dict(zip(pairs, stats))
+    week = parse_hour("2017-11-20T00") + np.arange(7 * 24).astype("timedelta64[h]")  # Monday to Sunday
+    stamps, which = np.tile(week, 3), np.repeat(np.arange(3), len(week))
+    got = seasonal_scales(seasonal, pairs, which, stamps)
+    for (m, sd), i, t in zip(got, which, stamps):
+        key = (int(weekday_of(t)), int(hour_of(t)))
+        mean, std = stats[i].mean.get(key, 0.0), stats[i].std.get(key, 1.0)
+        assert (m, sd) == ((mean, std) if std > 0 else (0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +603,12 @@ def test_grid_search_picks_minimum():
 def test_grid_search_tie_first_wins():
     best, _ = grid_search(lambda p: 2.0, ["first", "second", "third"])
     assert best == "first"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_grid_search_rejects_a_non_finite_score(bad):
+    with pytest.raises(ValueError, match=f"grid point second scored {bad}"):
+        grid_search(lambda p: {"first": 1.0, "second": bad}[p], ["first", "second"])
 
 
 def test_grid_search_empty_grid():
