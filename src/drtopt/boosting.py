@@ -121,16 +121,22 @@ class Forest:
     def __getitem__(self, trees: slice) -> "Forest":
         return Forest(self.feature[trees], self.threshold[trees], self.value[trees])
 
-    def leaf_values(self, X: np.ndarray) -> np.ndarray:
-        """(trees, rows): each row's leaf value in every tree, all trees descended at once."""
-        trees = np.arange(len(self))[:, None]
-        rows = np.arange(len(X))
-        node = np.zeros((len(self), len(X)), dtype=np.intp)
+    def leaf_values(self, X: np.ndarray, trees: np.ndarray | None = None) -> np.ndarray:
+        """(rows, trees): each row's leaf value in every tree, or in the trees of its row of `trees`.
+
+        All the trees are descended at once, over flat slots: node i of tree
+        t is slot t * nodes + i.
+        """
+        trees = np.arange(len(self))[None, :] if trees is None else trees
+        rows = np.arange(len(X))[:, None]
+        root = trees * self.feature.shape[1]
+        slot = np.broadcast_to(root, np.broadcast_shapes(rows.shape, root.shape))
+        feature, threshold = self.feature.ravel(), self.threshold.ravel()
         for _ in range(self.max_depth):
-            feature = self.feature[trees, node]
-            right = ~(X[rows, feature] <= self.threshold[trees, node])
-            node = np.where(feature >= 0, 2 * node + 1 + right, node)
-        return self.value[trees, node]
+            j = feature[slot]
+            right = ~(X[rows, j] <= threshold[slot])
+            slot = np.where(j >= 0, 2 * slot - root + 1 + right, slot)
+        return self.value.ravel()[slot]
 
 
 def _grow_tree(XT, ranks, g, residuals, q, depth, max_depth, forest: Forest, t: int, node: int = 0, presorted=None) -> None:
@@ -249,10 +255,10 @@ def fit_gboost(
             gradient = np.where(residuals > 0, q, np.where(residuals < 0, q - 1.0, q))
             _grow_tree(XT, ranks, gradient, residuals, q, 0, hyper.max_depth, forest, t, presorted=root)
             stage = forest[t : t + 1]
-            pred = pred + hyper.learning_rate * stage.leaf_values(X)[0]
+            pred = pred + hyper.learning_rate * stage.leaf_values(X)[:, 0]
             loss_path.append(float(np.mean(tilted_loss(q, y, pred))))
             if val is not None:
-                val_pred = val_pred + hyper.learning_rate * stage.leaf_values(val[0])[0]
+                val_pred = val_pred + hyper.learning_rate * stage.leaf_values(val[0])[:, 0]
                 vloss = float(np.mean(tilted_loss(q, val[1], val_pred)))
                 if vloss < best_val - 1e-12:
                     best_val, best_stage, since_best = vloss, t + 1, 0
@@ -269,16 +275,55 @@ def fit_gboost(
     return GBoostQRModel(tuple(float(q) for q in levels), hyper, init, forests, losses)
 
 
-def gboost_raw_predict(model: GBoostQRModel, X: np.ndarray) -> dict[float, np.ndarray]:
-    """Working-scale ensemble output per quantile level.
+@dataclass(frozen=True)
+class StackedForests:
+    """Several models' forests as one: model g's level l owns trees (g*L + l)*T .. (g*L + l + 1)*T - 1.
 
-    The stages are added one after another along the tree axis, the fit's
-    own order, so the training rows reproduce the fit's running values.
+    L is the number of levels and T the most trees any (model, level) has;
+    a shorter forest is padded with trees that are one leaf of value 0.
+    """
+
+    learning_rate: np.ndarray  # (models,)
+    init: np.ndarray  # (models, levels)
+    forest: Forest
+
+
+def stack_gboost(models: list[GBoostQRModel], levels) -> StackedForests:
+    """The models' forests at the given levels as one `StackedForests`, for `gboost_raw_predict`."""
+    forests = [model.trees[q] for model in models for q in levels]
+    width = max(len(f) for f in forests)
+    stacked = Forest.empty(len(forests) * width, max(f.max_depth for f in forests))
+    for i, f in enumerate(forests):
+        # heap order: a shallower tree's nodes are the first slots of a deeper one's
+        trees, nodes = slice(i * width, i * width + len(f)), slice(0, f.feature.shape[1])
+        stacked.feature[trees, nodes] = f.feature
+        stacked.threshold[trees, nodes] = f.threshold
+        stacked.value[trees, nodes] = f.value
+    learning_rate = np.array([model.hyper.learning_rate for model in models], dtype=np.float64)
+    init = np.array([[model.init[q] for q in levels] for model in models], dtype=np.float64)
+    return StackedForests(learning_rate, init, stacked)
+
+
+_PREDICT_CELLS = 1 << 18  # (row, tree) cells descended at a time
+
+
+def gboost_raw_predict(stack: StackedForests, group: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Working-scale ensemble outputs (rows, levels): row i by model group[i] of the stack.
+
+    Every row descends its model's trees of all levels at once.  The stages
+    are added one after another along the tree axis, the fit's own order,
+    from the level's initial constant, so the training rows reproduce the
+    fit's running values; a padding tree adds 0.0, which changes no sum.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    out = {}
-    for q in model.levels:
-        stages = model.hyper.learning_rate * model.trees[q].leaf_values(X)
-        start = np.full((1, len(X)), model.init[q])
-        out[q] = np.cumsum(np.vstack([start, stages]), axis=0)[-1]
+    group = np.asarray(group, dtype=np.intp)
+    n_levels = stack.init.shape[1]
+    trees = np.arange(len(stack.forest) // len(stack.init))  # one model's trees, level after level
+    out = np.empty((len(X), n_levels))
+    step = max(1, _PREDICT_CELLS // max(len(trees), 1))
+    for a in range(0, len(X), step):
+        g = group[a : a + step]
+        leaves = stack.forest.leaf_values(X[a : a + step], g[:, None] * len(trees) + trees)
+        stages = stack.learning_rate[g, None, None] * leaves.reshape(len(g), n_levels, -1)
+        out[a : a + step] = np.cumsum(np.concatenate([stack.init[g, :, None], stages], axis=2), axis=2)[:, :, -1]
     return out

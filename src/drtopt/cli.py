@@ -48,8 +48,15 @@ def _version_text() -> str:
 
 
 def _instance_pair_map(dataset, instance):
-    """Map instance demand-node OD pairs onto dataset pairs via labels."""
+    """Map instance demand-node OD pairs onto dataset pairs via labels.
+
+    Every demand node must match a data location: a node that matched none
+    would read zero demand in every scenario.
+    """
     by_label = {loc.label: loc.id for loc in dataset.locations}
+    unmatched = [node.label for node in instance.demand_nodes if node.label not in by_label]
+    if unmatched and len(unmatched) < len(instance.demand_nodes):
+        raise ValueError(f"network demand nodes {unmatched} match no data location")
     mapping = {}
     for node_o in instance.demand_nodes:
         for node_d in instance.demand_nodes:

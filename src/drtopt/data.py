@@ -27,12 +27,18 @@ DEFAULT_MASKED_HOURS = frozenset({23, 0, 1, 2, 3, 4, 5, 6})
 
 
 def parse_hour(text: str) -> np.datetime64:
-    """Parse an ISO-8601 hour timestamp such as ``2017-11-17T08``."""
+    """Parse an ISO-8601 hour timestamp such as ``2017-11-17T08``.
+
+    Only the hour resolution is accepted: a bare date, a minute or a NaT
+    is rejected, not read as the hour it would truncate to.
+    """
+    stripped = text.strip()
+    if len(stripped) != len("2017-11-17T08"):
+        raise ValueError(f"bad hourly timestamp {text!r}")
     try:
-        ts = np.datetime64(text.strip(), "h")
+        return np.datetime64(stripped, "h")
     except ValueError as exc:
         raise ValueError(f"bad hourly timestamp {text!r}") from exc
-    return ts
 
 
 def format_hour(ts: np.datetime64) -> str:
@@ -239,26 +245,33 @@ class WorkingRecord:
         return WorkingRecord(self.pairs, self.timestamps[keep], self.values[keep], self.pair_index[keep])
 
 
-def difference(series: list[ODCountSeries]) -> WorkingRecord:
+def difference(series: list[ODCountSeries], bounds=None) -> WorkingRecord:
     """First differences y'_t = y_t - y_{t-1} of every series, in one record.
 
     Only one-hour steps within a series are differenced: the first lag of
     every contiguous block is dropped, so that no difference spans a gap in
-    the record or the boundary between two pairs.
+    the record or the boundary between two pairs.  `bounds` holds each
+    series' (start, stop) rows, all of them by default; only those rows are
+    read, so the row at start, whose predecessor is not read, is dropped too.
+    Whether a series is too short, or has no contiguous run, is decided on
+    the whole series.
     """
     lengths = [len(s) for s in series]
     if min(lengths) < 2:
         pair = series[lengths.index(min(lengths))].pair
         raise ValueError(f"series of pair {pair} too short to difference (need >= 2 lags)")
-    timestamps = np.concatenate([s.timestamps for s in series])
+    bounds = [(0, n) for n in lengths] if bounds is None else bounds
+    sizes = [stop - start for start, stop in bounds]
+    timestamps = np.concatenate([s.timestamps[a:b] for s, (a, b) in zip(series, bounds)])
     keep = np.diff(timestamps) == HOUR
-    keep[np.cumsum(lengths)[:-1] - 1] = False
-    pair_index = np.repeat(np.arange(len(series)), lengths)[1:][keep]
-    empty = np.bincount(pair_index, minlength=len(series)) == 0
-    if empty.any():
-        pair = series[int(np.argmax(empty))].pair
-        raise ValueError(f"no contiguous run of >= 2 hourly lags to difference for pair {pair}")
-    values = np.diff(np.concatenate([s.values for s in series]))[keep]
+    ends = np.cumsum(sizes)[:-1]
+    keep[ends[(ends > 0) & (ends < len(timestamps))] - 1] = False
+    pair_index = np.repeat(np.arange(len(series)), sizes)[1:][keep]
+    for i in np.flatnonzero(np.bincount(pair_index, minlength=len(series)) == 0).tolist():
+        if not (np.diff(series[i].timestamps) == HOUR).any():
+            raise ValueError(f"no contiguous run of >= 2 hourly lags to difference for pair {series[i].pair}")
+    counts = np.concatenate([s.counts[a:b] for s, (a, b) in zip(series, bounds)])
+    values = np.diff(counts.astype(np.float64))[keep]
     return WorkingRecord(tuple(s.pair for s in series), timestamps[1:][keep], values, pair_index)
 
 
@@ -324,16 +337,15 @@ def counts_at(series: list[ODCountSeries], lags) -> np.ndarray:
     so a gap in the record is never read as the next hour's count.
     """
     lags = np.asarray(lags, dtype="datetime64[h]")
-    pair_index = np.repeat(np.arange(len(series)), [len(s) for s in series])
-    keys = pair_hour_keys(pair_index, np.concatenate([s.timestamps for s in series]))
-    keys = np.append(keys, np.iinfo(np.int64).max)  # past every key: a miss at the end reads no count
-    wanted = pair_hour_keys(np.arange(len(series))[:, None], lags[None, :])
-    idx = np.searchsorted(keys, wanted)
-    found = keys[idx] == wanted
-    if not found.all():
-        i = int(np.argmin(found.all(axis=1)))
-        raise ValueError(f"no observation for pair {series[i].pair} at {format_hour(lags[~found[i]][0])}")
-    return np.concatenate([s.counts for s in series])[idx].astype(np.float64)
+    out = np.empty((len(series), len(lags)))
+    for i, s in enumerate(series):
+        idx = s.timestamps.searchsorted(lags)
+        # an hour past the last observation is compared with the last, earlier one
+        found = s.timestamps.take(idx, mode="clip") == lags if len(s) else np.zeros(len(lags), dtype=bool)
+        if not found.all():
+            raise ValueError(f"no observation for pair {s.pair} at {format_hour(lags[~found][0])}")
+        out[i] = s.counts[idx]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,14 @@ class TrainedDemandModel:
     pair_order: tuple[ODPair, ...]
     models: dict[ODPair | None, object]  # None key = pooled scope
     seasonal: dict[ODPair, qr.SeasonalStats] = field(default_factory=dict)
+    # the fitted models stacked for one raw predict over all pairs, model j
+    # serving pair_order[j] (the only one, when pooled); not in model.json
+    stack: np.ndarray | boosting.StackedForests | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        models = [self.models[key] for key in ([None] if self.spec.scope == "pooled" else self.pair_order)]
+        stack = {"linear": qr.stack_lqr, "gboost": boosting.stack_gboost}.get(self.spec.family)
+        self.stack = stack(models, self.levels) if stack else None
 
     @property
     def feature_cfg(self) -> FeatureConfig:
@@ -97,6 +105,33 @@ def working_record(dataset: ODDataset, split: SplitSpec, check_unit_root: bool =
         for pair in record.pairs:
             check_stationarity(record.series(pair))
     return record.select(~split.mask_array(record.timestamps))
+
+
+def recent_record(dataset: ODDataset, split: SplitSpec, lags: np.ndarray, depth: int) -> WorkingRecord:
+    """The rows of `working_record` that features at `lags` read, `depth` retained lags back.
+
+    Each pair's window holds its counts before the last lag, from the first
+    lag back until `depth` rows before it are retained: a window's first
+    row is dropped by differencing, and masked hours and gaps are not
+    lags, so a window that falls short is doubled, up to the series start.
+    Differencing and masking are local, so every row is the whole record's.
+    """
+    series = [dataset.series[pair] for pair in dataset.pairs]
+    if not len(lags):
+        return difference(series, [(0, 0)] * len(series))
+    edges = np.array([lags.min(), lags.max()])
+    ahead, stop = np.array([s.timestamps.searchsorted(edges) for s in series]).T
+    # twice the lags and a day: room for a night's masked hours and the dropped first row
+    span = np.full(len(series), 2 * depth + 24)
+    while True:
+        start = np.maximum(ahead - span, 0)
+        record = difference(series, list(zip(start.tolist(), stop.tolist())))
+        record = record.select(~split.mask_array(record.timestamps))
+        have = np.bincount(record.pair_index[record.timestamps < edges[0]], minlength=len(series))
+        short = (have < depth) & (start > 0)
+        if not short.any():
+            return record
+        span[short] *= 2
 
 
 def _group_rows(
@@ -201,15 +236,17 @@ def predict_forecasts(
     lags = evaluation_lags(dataset, split) if lags is None else np.asarray(lags, dtype="datetime64[h]")
     if model.spec.family == "hp":
         return {t: {pair: qr.predict_hp(model.models[pair], t) for pair in model.pair_order} for t in lags}
-    record = working_record(dataset, split)
+    cfg = model.feature_cfg
+    record = recent_record(dataset, split, lags, cfg.cross_order if cfg.cross_lags else cfg.ar_order)
     if model.spec.seasonal_normalize:
         record = qr.seasonal_normalize(record, model.seasonal)
     # one query per (pair, lag), pair after pair in model.pair_order
     order, n = model.pair_order, len(lags)
     which = np.repeat(np.arange(len(order)), n)
     stamps = np.tile(lags, len(order))
-    in_record = np.array([record.pairs.index(p) for p in order], dtype=np.int64)
-    X, usable = build_features(record, in_record[which], stamps, model.feature_cfg)
+    index = {pair: i for i, pair in enumerate(record.pairs)}
+    in_record = np.array([index[p] for p in order], dtype=np.int64)
+    X, usable = build_features(record, in_record[which], stamps, cfg)
     # the first pair in order with a missing previous count or an unusable
     # lag is named, its previous count checked first
     usable = usable.reshape(len(order), n)
@@ -223,10 +260,7 @@ def predict_forecasts(
             raise ValueError(f"hour {hour} outside modeled range {TOD_HOURS[0]}..{TOD_HOURS[-1]}")
         raise ValueError(f"insufficient history before {format_hour(t)} for pair {order[bad[0]]}")
     predict = qr.lqr_raw_predict if model.spec.family == "linear" else boosting.gboost_raw_predict
-    raw = np.empty((len(stamps), len(model.levels)))
-    for j, pair in enumerate(order):
-        out = predict(model.models[None if model.spec.scope == "pooled" else pair], X[j * n : (j + 1) * n])
-        raw[j * n : (j + 1) * n] = np.column_stack([out[q] for q in model.levels])
+    raw = predict(model.stack, np.zeros_like(which) if model.spec.scope == "pooled" else which, X)
     scales = None
     if model.spec.seasonal_normalize:
         scales = qr.seasonal_scales(model.seasonal, order, which, stamps)
@@ -274,16 +308,24 @@ def gboost_grid_search(
     tuning = tuning_ranges(split)
     groups, _ = _group_rows(dataset, split, spec)
 
+    # every pair's tuning-test rows, predicted in one call per grid point
+    tests, group = [], []
+    for g, rows in enumerate(groups.values()):
+        for pair, (X, y, stamps) in rows.items():
+            in_test = in_days(stamps, tuning[0])
+            if not in_test.any():
+                raise ValueError(f"pair {pair} has no rows in the tuning-test range {tuning[0][0]}..{tuning[0][1]}")
+            tests.append((X[in_test], y[in_test]))
+            group += [g] * int(in_test.sum())
+    X_test, group = np.concatenate([X for X, _ in tests]), np.array(group)
+    bounds = np.cumsum([0] + [len(y) for _, y in tests])
+
     def score(hyper: boosting.GBoostHyper) -> float:
         models = _fit_groups(spec, groups, levels, hyper, tuning, patience)
+        raw = boosting.gboost_raw_predict(boosting.stack_gboost(list(models.values()), levels), group, X_test)
         total = 0.0
-        for key, rows in groups.items():
-            for pair, (X, y, stamps) in rows.items():
-                in_test = in_days(stamps, tuning[0])
-                if not in_test.any():
-                    raise ValueError(f"pair {pair} has no rows in the tuning-test range {tuning[0][0]}..{tuning[0][1]}")
-                raw = boosting.gboost_raw_predict(models[key], X[in_test])
-                total += sum(float(np.mean(qr.tilted_loss(q, y[in_test], raw[q]))) for q in levels)
+        for (_, y), a, b in zip(tests, bounds, bounds[1:]):
+            total += sum(float(np.mean(qr.tilted_loss(q, y, raw[a:b, j]))) for j, q in enumerate(levels))
         return total
 
     return qr.grid_search(score, grid)
@@ -387,6 +429,9 @@ def _inner_from_doc(family: str, doc: dict, name: str, pair, levels, spec: Model
     if family == "linear":
         coef = {float(q): _finite(np.array(v, dtype=np.float64), f"{name}, level {q}", "coef")
                 for q, v in doc["coef"].items()}
+        for q, beta in coef.items():
+            if beta.shape != (n_features,):
+                raise ValueError(f"model {name}, level {q}: {beta.size} coefficients for {n_features} features")
         converged = {float(q): bool(v) for q, v in doc["converged"].items()}
         return qr.LinearQRModel(levels, coef, converged)
     init = {float(q): _finite(float(v), f"{name}, level {q}", "init") for q, v in doc["init"].items()}
@@ -438,6 +483,9 @@ def model_from_json_dict(doc: dict) -> TrainedDemandModel:
             o, d = name.split(">")
             key = ODPair(index[o], index[d])
         models[key] = _inner_from_doc(spec.family, inner_doc, name, key, levels, spec, n_features)
+    for key in [None] if spec.scope == "pooled" else pair_order:
+        if key not in models:
+            raise ValueError(f"model {'pooled' if key is None else '>'.join(_pair_doc(key, labels))}: missing")
 
     seasonal = {}
     for name, sdoc in doc.get("seasonal", {}).items():

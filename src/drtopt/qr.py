@@ -389,20 +389,22 @@ def fit_lqr(X: np.ndarray, y: np.ndarray, levels=DEFAULT_QUANTILES) -> LinearQRM
     return LinearQRModel(levels, coef, converged)
 
 
-def lqr_raw_predict(model: LinearQRModel, X: np.ndarray) -> dict[float, np.ndarray]:
-    """Working-scale output per quantile level, one value per row of X.
+def stack_lqr(models: list[LinearQRModel], levels) -> np.ndarray:
+    """The models' coefficients as one (models, levels, features) array, for `lqr_raw_predict`."""
+    return np.array([[model.coef[q] for q in levels] for model in models], dtype=np.float64)
 
-    Each row is its own `beta @ x` product, so a forecast does not depend on
-    which other lags are predicted alongside it.
+
+def lqr_raw_predict(coef: np.ndarray, group: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Working-scale outputs (rows, levels): row i by the coefficients coef[group[i]] of `stack_lqr`.
+
+    Each (row, level) output is its own dot product, the one `beta @ x`
+    computes, so a forecast does not depend on which other rows or pairs
+    are predicted alongside it.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    out = {}
-    for q in model.levels:
-        beta = model.coef[q]
-        if beta.shape != X.shape[1:]:
-            raise ValueError(f"feature length {X.shape[1:]} does not match model layout {beta.shape}")
-        out[q] = np.array([beta @ x for x in X])
-    return out
+    if X.shape[1:] != coef.shape[2:]:
+        raise ValueError(f"feature length {X.shape[1:]} does not match model layout {coef.shape[2:]}")
+    return np.vecdot(X[:, None, :], coef[group])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,12 @@
 """Shared fixtures and instance builders for the test suite."""
 
-import numpy as np
+import os
+
+# one BLAS thread, as CI runs the suite; set before numpy loads OpenBLAS
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from drtopt.data import Location

@@ -12,6 +12,10 @@ coefficients agree only where the minimizer is unique.
 `reference_pinball_constant` is `qr.pinball_minimizing_constant` by
 enumeration: the mean tilted loss at every distinct sample value, the
 lowest value on ties.
+
+`reference_lqr_raw_predict` is `qr.lqr_raw_predict` for one model, as the
+library predicted each pair before the models were stacked: one `beta @ x`
+per row and level.
 """
 
 import numpy as np
@@ -46,3 +50,8 @@ def reference_pinball_constant(sample, q: float) -> float:
     values = np.unique(np.asarray(sample, dtype=np.float64))
     losses = [float(np.mean(tilted_loss(q, sample, v))) for v in values]
     return float(values[int(np.argmin(losses))])
+
+
+def reference_lqr_raw_predict(model, X) -> dict[float, np.ndarray]:
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    return {q: np.array([model.coef[q] @ x for x in X]) for q in model.levels}

@@ -1,6 +1,9 @@
 """Slow references for the boosted trees: JSON trees walked node by node, and a per-feature split search.
 
 `reference_raw_predict` is `boosting.gboost_raw_predict` over nested JSON.
+`reference_gboost_raw_predict` is it for one model, as the library
+predicted each pair before the models were stacked: a level at a time, its
+stages added along the tree axis from the level's initial constant.
 
 A tree document is what `model.json` stores: a leaf is {"value"}, a split is
 {"feature", "threshold", "left", "right"}, and a row goes left when its
@@ -30,6 +33,16 @@ def reference_raw_predict(doc: dict, learning_rate: float, X) -> dict[float, np.
         for tree in doc["trees"][level]:
             pred = pred + learning_rate * np.array([walk(tree, x) for x in X])
         out[float(level)] = pred
+    return out
+
+
+def reference_gboost_raw_predict(model, X) -> dict[float, np.ndarray]:
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    out = {}
+    for q in model.levels:
+        stages = model.hyper.learning_rate * model.trees[q].leaf_values(X).T
+        start = np.full((1, len(X)), model.init[q])
+        out[q] = np.cumsum(np.vstack([start, stages]), axis=0)[-1]
     return out
 
 

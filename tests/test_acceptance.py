@@ -13,7 +13,7 @@ import numpy as np
 from scipy import stats
 
 from conftest import check_design_invariants, random_medium_instance, random_tiny_instance
-from drtopt.boosting import GBoostHyper, fit_gboost, gboost_raw_predict
+from drtopt.boosting import GBoostHyper, fit_gboost, gboost_raw_predict, stack_gboost
 from drtopt.cli import main as cli_main
 from drtopt.copula import GaussianCopulaModel, fit_correlation, sample_joint
 from drtopt.data import Location, ODPair, parse_hour
@@ -63,7 +63,7 @@ def test_criterion_1_quantile_recovery():
         lqr_errs.append(abs(linear.coef[q][0] - oracle))
 
     boosted = fit_gboost(X, sample, DEFAULT_QUANTILES, GBoostHyper(0.5, 0, 200))
-    raw = gboost_raw_predict(boosted, X[:1])
+    raw = dict(zip(DEFAULT_QUANTILES, gboost_raw_predict(stack_gboost([boosted], DEFAULT_QUANTILES), [0], X[:1]).T))
     gb_errs = []
     for q in DEFAULT_QUANTILES:
         oracle = reference_pinball_constant(sample, q)

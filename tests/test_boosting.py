@@ -22,7 +22,14 @@ from drtopt.forecasting import ModelSpec, _inner_doc, gboost_grid_search, model_
 from drtopt.qr import DEFAULT_QUANTILES, tilted_loss
 from drtopt.synth import SyntheticSpec, generate_synthetic
 from reference_qr import reference_pinball_constant
-from reference_trees import reference_best_split, reference_raw_predict
+from reference_trees import reference_best_split, reference_gboost_raw_predict, reference_raw_predict
+
+
+def raw_predict(model, X) -> dict[float, np.ndarray]:
+    """`gboost_raw_predict` of one model, by level."""
+    X = np.atleast_2d(X)
+    raw = gboost_raw_predict(boosting.stack_gboost([model], model.levels), np.zeros(len(X), dtype=int), X)
+    return dict(zip(model.levels, raw.T))
 
 
 def test_hyper_validation_bounds():
@@ -44,7 +51,7 @@ def test_stump_converges_to_empirical_quantile(rng):
     X = np.ones((137, 1))
     hyper = GBoostHyper(learning_rate=0.5, max_depth=0, n_trees=200)
     model = fit_gboost(X, y, DEFAULT_QUANTILES, hyper)
-    raw = gboost_raw_predict(model, X[:1])
+    raw = raw_predict(model, X[:1])
     for q in DEFAULT_QUANTILES:
         target = reference_pinball_constant(y, q)
         assert abs(raw[q][0] - target) <= 0.5
@@ -54,7 +61,7 @@ def test_zero_learning_rate_keeps_initial_constant(rng):
     y = rng.uniform(0.0, 50.0, size=64)
     X = rng.normal(size=(64, 3))
     model = fit_gboost(X, y, (0.25, 0.75), GBoostHyper(learning_rate=0.0, max_depth=2, n_trees=20))
-    raw = gboost_raw_predict(model, X)
+    raw = raw_predict(model, X)
     for q in (0.25, 0.75):
         assert np.allclose(raw[q], model.init[q])
 
@@ -73,7 +80,7 @@ def test_deterministic_fit(rng):
     X = rng.normal(size=(100, 3))
     a = fit_gboost(X, y, (0.5,), GBoostHyper(0.2, 2, 15))
     b = fit_gboost(X, y, (0.5,), GBoostHyper(0.2, 2, 15))
-    assert np.array_equal(gboost_raw_predict(a, X)[0.5], gboost_raw_predict(b, X)[0.5])
+    assert np.array_equal(raw_predict(a, X)[0.5], raw_predict(b, X)[0.5])
 
 
 def test_trees_actually_split_on_informative_feature(rng):
@@ -81,7 +88,7 @@ def test_trees_actually_split_on_informative_feature(rng):
     y = np.where(x > 0, 20.0, 2.0) + rng.normal(0, 0.1, size=300)
     X = x[:, None]
     model = fit_gboost(X, y, (0.5,), GBoostHyper(learning_rate=0.5, max_depth=2, n_trees=60))
-    raw = gboost_raw_predict(model, np.array([[-0.5], [0.5]]))
+    raw = raw_predict(model, np.array([[-0.5], [0.5]]))
     assert raw[0.5][0] == pytest.approx(2.0, abs=1.0)
     assert raw[0.5][1] == pytest.approx(20.0, abs=1.0)
 
@@ -100,7 +107,7 @@ def test_predict_postprocessing(rng):
     y = rng.uniform(0, 10, size=80)
     X = rng.normal(size=(80, 2))
     model = fit_gboost(X, y, DEFAULT_QUANTILES, GBoostHyper(0.3, 2, 20))
-    raw = gboost_raw_predict(model, rng.normal(size=(10, 2)))
+    raw = raw_predict(model, rng.normal(size=(10, 2)))
     values = to_count_scale(np.column_stack([raw[q] for q in DEFAULT_QUANTILES]), np.full(10, 3.0))
     for arr in values.tolist():
         assert all(v >= 0 for v in arr)
@@ -166,19 +173,53 @@ def test_array_predict_equals_walking_the_json_trees(rng, depth):
     on_edge = np.repeat(X[:1], split.sum(), axis=0)
     on_edge[np.arange(split.sum()), model.trees[0.5].feature[split]] = model.trees[0.5].threshold[split]
     for rows in (X, fresh, fresh[:1], fresh[:0], on_edge):
-        raw = gboost_raw_predict(model, rows)
+        raw = raw_predict(model, rows)
         ref = reference_raw_predict(doc, hyper.learning_rate, rows)
         for q in model.levels:
             assert np.array_equal(raw[q], ref[q])
     for q in model.levels:
         assert len(model.trees[q]) == 12
         # the training rows reproduce the fit's own running value
-        assert float(np.mean(tilted_loss(q, y, gboost_raw_predict(model, X)[q]))) == model.train_loss[q][-1]
+        assert float(np.mean(tilted_loss(q, y, raw_predict(model, X)[q]))) == model.train_loss[q][-1]
         back = Forest.empty(12, depth)
         for t, tree in enumerate(doc["trees"][str(q)]):
             tree_from_doc(tree, back, t, "m", X.shape[1])
         assert [tree_to_doc(back, t) for t in range(12)] == doc["trees"][str(q)]
     assert max(_depth(t) for ts in doc["trees"].values() for t in ts) == depth
+
+
+def test_stacked_predict_equals_each_model_alone(rng):
+    # the models differ in depth, in learning rate and, through early stopping,
+    # in the number of trees of each level; one keeps no tree at all
+    levels = (0.25, 0.5, 0.9)
+    X = np.round(rng.normal(size=(120, 3)), 1)
+    y = rng.gamma(3.0, 2.0, size=120) + 3.0 * (X[:, 0] > 0)
+    val = (X[:40], y[:40])
+    models = [
+        fit_gboost(X, y, levels, GBoostHyper(0.3, 2, 12)),
+        fit_gboost(X[40:], y[40:], levels, GBoostHyper(0.5, 4, 30), val=val, patience=3),
+        fit_gboost(X, y, levels, GBoostHyper(0.1, 0, 5)),
+        fit_gboost(X[40:], y[40:], levels, GBoostHyper(0.5, 3, 20), val=(X[:40], np.full(40, np.median(y[40:]))), patience=1),
+    ]
+    counts = {len(m.trees[q]) for m in models for q in levels}
+    assert len(counts) > 2 and 0 in counts
+    rows = np.vstack([X, rng.normal(size=(50, 3))])
+    group = rng.integers(0, len(models), size=len(rows))
+    raw = gboost_raw_predict(boosting.stack_gboost(models, levels), group, rows)
+    assert raw.shape == (len(rows), len(levels))
+    for g, model in enumerate(models):
+        ref = reference_gboost_raw_predict(model, rows[group == g])
+        for j, q in enumerate(levels):
+            assert np.array_equal(raw[group == g, j], ref[q])
+
+
+def test_stacked_predict_does_not_depend_on_the_chunk(rng, monkeypatch):
+    X = rng.normal(size=(90, 2))
+    model = fit_gboost(X, rng.normal(size=90), DEFAULT_QUANTILES, GBoostHyper(0.3, 3, 10))
+    whole = raw_predict(model, X)
+    monkeypatch.setattr(boosting, "_PREDICT_CELLS", 7 * len(DEFAULT_QUANTILES) * 10)  # 7 rows a chunk
+    chunked = raw_predict(model, X)
+    assert all(np.array_equal(whole[q], chunked[q]) for q in DEFAULT_QUANTILES)
 
 
 def _depth(tree: dict) -> int:
@@ -193,7 +234,7 @@ def test_early_stopping_to_zero_trees_predicts_the_initial_constant(rng):
     model = fit_gboost(X, y, (0.5,), GBoostHyper(0.5, 3, 50), val=val, patience=3)
     assert len(model.trees[0.5]) == 0
     assert _inner_doc("gboost", model)["trees"] == {"0.5": []}
-    raw = gboost_raw_predict(model, X)
+    raw = raw_predict(model, X)
     assert np.array_equal(raw[0.5], reference_raw_predict(_inner_doc("gboost", model), 0.5, X)[0.5])
     assert np.all(raw[0.5] == model.init[0.5])
 

@@ -120,6 +120,19 @@ def test_optimize_prepares_the_instance_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_optimize_rejects_a_demand_node_that_matches_no_data_location(tmp_path, caplog):
+    out = make_workspace(tmp_path, locations=4, seed=7)
+    network = json.loads((out / "network.json").read_text())
+    node = dict(network["locations"][-1], id=len(network["locations"]), label="Z-nowhere")
+    network["locations"].append(node)
+    (out / "network.json").write_text(json.dumps(network))
+    assert run("train", "--config", out / "config.json") == 0
+    caplog.clear()
+    assert run("optimize", "--config", out / "config.json", "--model", out / "out" / "model.json") == 2
+    assert "network demand nodes ['Z-nowhere'] match no data location" in caplog.text
+    assert not (out / "out" / "scenario_2018-01-08T08.json").exists()
+
+
 def test_config_validation_paths(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"seed": "tomorrow", "data": {"counts_csv": "x.csv"}}))
@@ -155,6 +168,8 @@ def test_config_validation_paths(tmp_path):
         ({"optimize": {"k": "abc"}}, r"config\.optimize\.k: not an integer: 'abc'"),
         ({"optimize": {"lags": ["2018-01-08T08", "2018-01-08T99"]}}, r"config\.optimize\.lags\[1\]: not an ISO hour"),
         ({"optimize": {"lags": [2018]}}, r"config\.optimize\.lags\[0\]: not an ISO hour"),
+        ({"optimize": {"lags": ["NaT"]}}, r"config\.optimize\.lags\[0\]: not an ISO hour"),
+        ({"optimize": {"lags": ["2018-01-08T08:30"]}}, r"config\.optimize\.lags\[0\]: not an ISO hour"),
         ({"copula": {"min_lags": 0}}, r"config\.copula\.min_lags: must be >= 2"),
         ({"copula": {"min_lags": -5}}, r"config\.copula\.min_lags: must be >= 2"),
         ({"copula": {"min_lags": "many"}}, r"config\.copula\.min_lags: not an integer"),

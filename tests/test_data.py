@@ -80,6 +80,24 @@ def test_load_rejects_non_finite_count_with_line_number(tmp_path, count):
         load_od_counts(p)
 
 
+@pytest.mark.parametrize("text", ["2017-11-17T08:30", "2017-11-17", "NaT", "nat", "2017-11-17T08Z", "12017-11-17T08", ""])
+def test_parse_hour_rejects_what_is_not_an_hour(text):
+    with pytest.raises(ValueError, match=re.escape(f"bad hourly timestamp {text!r}")):
+        parse_hour(text)
+
+
+def test_parse_hour_reads_an_hour():
+    assert parse_hour(" 2017-11-17T08 ") == parse_hour("2017-11-17 08") == np.datetime64("2017-11-17T08", "h")
+
+
+@pytest.mark.parametrize("stamp", ["NaT", "2017-11-17T09:30", "2017-11-18"])
+def test_load_rejects_a_timestamp_that_is_not_an_hour_with_line_number(tmp_path, stamp):
+    p = tmp_path / "c.csv"
+    p.write_text(f"timestamp,origin,destination,count\n2017-11-17T08,a,b,5\n{stamp},a,b,3\n")
+    with pytest.raises(ValueError, match=re.escape(f":3: bad hourly timestamp '{stamp}'")):
+        load_od_counts(p)
+
+
 def test_load_rejects_duplicate_observation(tmp_path):
     p = tmp_path / "c.csv"
     p.write_text(
@@ -189,6 +207,32 @@ def test_difference_of_many_series_is_each_series_alone(records):
     for s, d in zip(series_list, alone):
         assert record.series(s.pair).timestamps.tolist() == d.timestamps.tolist()
         assert record.series(s.pair).values.tolist() == d.values.tolist()
+
+
+@given(st.lists(st.tuples(st.lists(st.tuples(st.integers(1, 3), st.integers(0, 500)), min_size=2, max_size=20),
+                         st.integers(0, 20), st.integers(0, 20)), min_size=1, max_size=4))
+def test_difference_of_windows_is_the_whole_difference_after_each_first_row(records):
+    series_list, bounds = [], []
+    for i, (steps, a, b) in enumerate(records):
+        ts = parse_hour("2017-11-17T08") + np.cumsum([s for s, _ in steps]).astype("timedelta64[h]")
+        series_list.append(ODCountSeries(ODPair(0, i + 1), ts, np.array([c for _, c in steps])))
+        bounds.append((min(a, b, len(ts)), min(max(a, b), len(ts))))
+    try:
+        whole = difference(series_list)
+    except ValueError as exc:
+        # the whole series decides: no window of it has a contiguous run either
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            difference(series_list, bounds)
+        return
+    windowed = difference(series_list, bounds)
+    for s, (a, b) in zip(series_list, bounds):
+        d = whole.series(s.pair)
+        # the window's rows after its first: counts[a + 1:b]
+        inside = np.zeros(len(d), dtype=bool)
+        if a < b:
+            inside = (d.timestamps > s.timestamps[a]) & (d.timestamps <= s.timestamps[b - 1])
+        assert windowed.series(s.pair).timestamps.tolist() == d.timestamps[inside].tolist()
+        assert windowed.series(s.pair).values.tolist() == d.values[inside].tolist()
 
 
 @given(st.lists(st.integers(min_value=0, max_value=500), min_size=2, max_size=60))

@@ -1,14 +1,15 @@
 import json
 import re
 import warnings
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from drtopt import forecasting
+from drtopt import forecasting, qr
 from drtopt.boosting import GBoostHyper, fit_gboost, gboost_raw_predict
-from drtopt.data import HOUR, HourlySeries, ODCountSeries, ODDataset, SplitSpec, build_features
+from drtopt.data import HOUR, HourlySeries, ODCountSeries, ODDataset, SplitSpec, build_features, counts_at, difference
 from drtopt.forecasting import (
     ModelSpec,
     gboost_grid_search,
@@ -18,6 +19,7 @@ from drtopt.forecasting import (
     predict_forecasts,
     save_model,
     evaluation_lags,
+    to_count_scale,
     train_model,
     tuning_ranges,
     working_record,
@@ -26,7 +28,8 @@ from drtopt.metrics import crossings
 from drtopt.qr import DEFAULT_QUANTILES, fit_seasonal_stats, seasonal_normalize, tilted_loss
 from drtopt.synth import SyntheticSpec, generate_synthetic
 from reference_features import reference_features
-from reference_trees import reference_raw_predict
+from reference_qr import reference_lqr_raw_predict
+from reference_trees import reference_gboost_raw_predict, reference_raw_predict
 
 SPLIT = SplitSpec((date(2017, 11, 17), date(2017, 12, 12)), (date(2017, 12, 13), date(2017, 12, 20)))
 
@@ -222,6 +225,160 @@ def test_predict_on_a_gappy_record_names_the_first_failing_pair(dataset):
             predict_forecasts(model, gappy(three, t, **defects), SPLIT, np.array([t]))
 
 
+def per_pair_forecasts(model, dataset, split, lags) -> dict:
+    """Each pair's count-scale forecasts (lags x levels) from the whole working record, its model predicted alone."""
+    record = working_record(dataset, split)
+    if model.spec.seasonal_normalize:
+        record = seasonal_normalize(record, model.seasonal)
+    reference = reference_lqr_raw_predict if model.spec.family == "linear" else reference_gboost_raw_predict
+    out = {}
+    for pair in model.pair_order:
+        X, usable = build_features(record, np.full(len(lags), record.pairs.index(pair)), lags, model.feature_cfg)
+        assert usable.all()
+        ref = reference(model.models[None if model.spec.scope == "pooled" else pair], X)
+        scales = None
+        if model.spec.seasonal_normalize:
+            scales = qr.seasonal_scales(model.seasonal, [pair], np.zeros(len(lags), dtype=int), lags)
+        prev = counts_at([dataset.series[pair]], lags - HOUR)[0]
+        out[pair] = to_count_scale(np.column_stack([ref[q] for q in model.levels]), prev, scales, model.spec.sort_quantiles)
+    return out
+
+
+@pytest.mark.parametrize(
+    "mspec",
+    [
+        spec(),
+        spec(scope="pooled"),
+        spec(cross_lags=True, cross_order=2),
+        spec(seasonal_normalize=True),
+        spec(family="gboost", gboost=GBoostHyper(0.3, 2, 5)),
+        spec(family="gboost", scope="pooled", gboost=GBoostHyper(0.3, 3, 8)),
+        spec(family="gboost", cross_lags=True, seasonal_normalize=True, gboost=GBoostHyper(0.5, 2, 6)),
+    ],
+    ids=["linear", "pooled", "cross2", "seasonal", "gboost", "gboost-pooled", "gboost-cross-seasonal"],
+)
+def test_stacked_predict_equals_each_pair_predicted_alone(dataset, mspec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # zero-variance seasonal cells
+        model = train_model(dataset, SPLIT, mspec, DEFAULT_QUANTILES)
+    loaded = model_from_json_dict(json.loads(json.dumps(model_to_json_dict(model))))
+    lags = evaluation_lags(dataset, SPLIT)[::5]
+    expected = per_pair_forecasts(model, dataset, SPLIT, lags)
+    for trained in (model, loaded):
+        batch = predict_forecasts(trained, dataset, SPLIT, lags)
+        for i, t in enumerate(lags):
+            for pair in model.pair_order:
+                assert batch[t][pair].values == dict(zip(model.levels, expected[pair][i].tolist()))
+
+
+@pytest.fixture(scope="module")
+def window_models(dataset):
+    specs = [
+        spec(ar_order=6),
+        spec(family="gboost", scope="pooled", gboost=GBoostHyper(0.3, 2, 4)),
+        spec(cross_lags=True, cross_order=2, seasonal_normalize=True),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # zero-variance seasonal cells
+        return [train_model(dataset, SPLIT, mspec, (0.25, 0.75)) for mspec in specs]
+
+
+def whole_record_predict(model, dataset, split, lags):
+    """`predict_forecasts` with every pair's whole working record in place of the window."""
+    windowed = forecasting.recent_record
+    forecasting.recent_record = lambda dataset, split, lags, depth: working_record(dataset, split)
+    try:
+        return predict_forecasts(model, dataset, split, lags)
+    finally:
+        forecasting.recent_record = windowed
+
+
+def outcome(predict, *args):
+    """The forecasts' values by lag and pair, or the error message."""
+    try:
+        forecasts = predict(*args)
+    except ValueError as exc:
+        return str(exc)
+    return {t: {pair: fc.values for pair, fc in per_pair.items()} for t, per_pair in forecasts.items()}
+
+
+@st.composite
+def gappy_record(draw):
+    """(model, lags, gaps, masked days, a late-starting pair), placed relative to the first lag.
+
+    Lags fall on modeled hours of the test days; a gap drops an hour range
+    of a pair's counts and a masked range some days, both up to a week
+    before the first lag; a late-starting pair's counts begin up to three
+    days before it.
+    """
+    model = draw(st.integers(0, 2))
+    lags = draw(st.lists(st.tuples(st.integers(13, 20), st.integers(7, 22)), min_size=1, max_size=3, unique=True))
+    gaps = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(1, 7 * 24), st.integers(1, 60)), max_size=6))
+    masked = draw(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 5)), max_size=2))
+    late = draw(st.one_of(st.none(), st.tuples(st.integers(0, 5), st.integers(0, 72))))
+    return model, sorted(lags), gaps, masked, late
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(gappy_record())
+# a five-day mask ending the day before the lag: the first window holds no retained lag before it
+@example((0, [(15, 10)], [], [(5, 4)], None))
+# a pair that starts 30 hours before the lag: its window reaches the series start
+@example((2, [(14, 9)], [], [], (1, 30)))
+def test_windowed_predict_equals_the_whole_record_predict(dataset, window_models, record):
+    which, days_hours, gaps, masked, late = record
+    model = window_models[which]
+    lags = np.array([np.datetime64(f"2017-12-{d:02d}T{h:02d}", "h") for d, h in days_hours])
+    series = dict(dataset.series)
+    for k, back, length in gaps:
+        s = series[dataset.pairs[k]]
+        drop = (s.timestamps >= lags[0] - back * HOUR) & (s.timestamps < lags[0] - (back - length) * HOUR)
+        series[s.pair] = ODCountSeries(s.pair, s.timestamps[~drop], s.counts[~drop])
+    if late is not None:
+        s = series[dataset.pairs[late[0]]]
+        keep = s.timestamps >= lags[0] - late[1] * HOUR
+        series[s.pair] = ODCountSeries(s.pair, s.timestamps[keep], s.counts[keep])
+    first = date(2017, 12, days_hours[0][0])
+    days = tuple((first - timedelta(days=back), first - timedelta(days=back - length)) for back, length in masked)
+    split = SplitSpec(SPLIT.train_range, SPLIT.test_range, masked_dates=days)
+    gappy = ODDataset(dataset.locations, series)
+    assert outcome(predict_forecasts, model, gappy, split, lags) == outcome(whole_record_predict, model, gappy, split, lags)
+
+
+def test_the_window_grows_across_a_multi_day_mask(dataset, window_models, monkeypatch):
+    lag = np.datetime64("2017-12-15T10", "h")
+    split = SplitSpec(SPLIT.train_range, SPLIT.test_range, masked_dates=((date(2017, 12, 10), date(2017, 12, 14)),))
+    calls = []
+    monkeypatch.setattr(forecasting, "difference", lambda *args: calls.append(args) or difference(*args))
+    model = window_models[0]
+    windowed = outcome(predict_forecasts, model, dataset, split, np.array([lag]))
+    assert len(calls) > 1
+    assert windowed == outcome(whole_record_predict, model, dataset, split, np.array([lag]))
+
+
+@pytest.mark.parametrize("hours", [1, 2], ids=["one-lag", "two-lags"])
+def test_a_window_one_lag_short_grows(dataset, window_models, monkeypatch, hours):
+    # before the lag: `depth` hours, one missing hour, then a hundred hours of
+    # which every other one is missing, so that no row there follows its
+    # predecessor; the first window ends among them, one lag short
+    model = window_models[0]
+    depth, pair = model.spec.ar_order, model.pair_order[0]
+    lag = np.datetime64("2017-12-15T12", "h")
+    s = dataset.series[pair]
+    back = (lag - s.timestamps).astype(int)
+    drop = (back == depth + 1) | ((back > depth + 1) & (back < depth + 100) & (back % 2 == 0))
+    gappy = ODDataset(dataset.locations, {**dataset.series, pair: ODCountSeries(pair, s.timestamps[~drop], s.counts[~drop])})
+    split = SplitSpec(SPLIT.train_range, SPLIT.test_range, masked_hours=frozenset())  # every hour a lag
+    windows = []
+    monkeypatch.setattr(forecasting, "difference", lambda *args: windows.append(difference(*args)) or windows[-1])
+    lags = lag + np.arange(hours) * HOUR  # the second lag puts the first lag's row in the window
+    windowed = outcome(predict_forecasts, model, gappy, split, lags)
+    have = [int(np.sum(w.series(pair).timestamps < lag)) for w in windows]
+    assert have[0] == depth - 1 and have[-1] >= depth
+    assert isinstance(windowed, dict)
+    assert windowed == outcome(whole_record_predict, model, gappy, split, lags)
+
+
 def test_unsorted_spec_keeps_each_level_in_place(dataset):
     lags = evaluation_lags(dataset, SPLIT)
     kept = predict_forecasts(train_model(dataset, SPLIT, spec(sort_quantiles=False)), dataset, SPLIT, lags)
@@ -334,6 +491,26 @@ def test_model_json_rejects_non_finite_numbers(model_docs, kind, field, bad):
         model_from_json_dict(doc)
 
 
+@pytest.mark.parametrize("kind", ["linear", "pooled"])
+def test_model_json_rejects_coefficients_outside_the_layout(model_docs, kind):
+    doc = json.loads(json.dumps(model_docs[kind]))
+    name = next(iter(doc["models"]))
+    coef = doc["models"][name]["coef"]["0.5"]
+    coef.append(0.0)
+    message = f"model {name}, level 0.5: {len(coef)} coefficients for {len(coef) - 1} features"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        model_from_json_dict(doc)
+
+
+@pytest.mark.parametrize("kind", ["linear", "pooled", "gboost"])
+def test_model_json_names_a_missing_model(model_docs, kind):
+    doc = json.loads(json.dumps(model_docs[kind]))
+    name = sorted(doc["models"])[-1]
+    del doc["models"][name]
+    with pytest.raises(ValueError, match=re.escape(f"model {name}: missing")):
+        model_from_json_dict(doc)
+
+
 @pytest.mark.parametrize("field, bad", [("dow", -1), ("dow", 7), ("tod", 24), ("tod", 8.5)])
 def test_model_json_rejects_a_seasonal_cell_outside_the_week(model_docs, field, bad):
     # the cells fill a (weekday, hour) table: a negative index would overwrite another cell
@@ -379,9 +556,9 @@ def test_pooled_gboost_predict_equals_walking_its_json_trees(dataset):
     for i, pair in enumerate(record.pairs):
         X, usable = build_features(record, np.full(len(lags), i), lags, model.feature_cfg)
         ref = reference_raw_predict(doc["models"]["pooled"], hyper.learning_rate, X[usable])
-        for inner in (model.models[None], loaded.models[None]):
-            raw = gboost_raw_predict(inner, X[usable])
-            assert all(np.array_equal(raw[q], ref[q]) for q in DEFAULT_QUANTILES)
+        for trained in (model, loaded):
+            raw = gboost_raw_predict(trained.stack, np.zeros(usable.sum(), dtype=int), X[usable])
+            assert all(np.array_equal(raw[:, j], ref[q]) for j, q in enumerate(DEFAULT_QUANTILES))
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +630,7 @@ def test_grid_search_scores_the_seasonally_normalized_rows(dataset):
                 for rng in (test_range, val_range, train_range)}
         val = (X[part[val_range]], y[part[val_range]])
         model = fit_gboost(X[part[train_range]], y[part[train_range]], (0.5,), hyper, val=val)
-        raw = gboost_raw_predict(model, X[part[test_range]])
+        raw = reference_gboost_raw_predict(model, X[part[test_range]])
         total += float(np.mean(tilted_loss(0.5, y[part[test_range]], raw[0.5])))
     assert scores == [total]
     _, plain = gboost_grid_search(dataset, SPLIT, spec(family="gboost"), [hyper], (0.5,))

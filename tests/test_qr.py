@@ -20,13 +20,14 @@ from drtopt.qr import (
     predict_hp,
     seasonal_normalize,
     seasonal_scales,
+    stack_lqr,
     tilted_loss,
 )
 from drtopt.data import HourlySeries, ODCountSeries
 from drtopt.forecasting import to_count_scale
 from drtopt.synth import SyntheticSpec, generate_synthetic
 from reference_features import record_of
-from reference_qr import reference_dual_lp, reference_pinball_constant, reference_pinball_lp
+from reference_qr import reference_dual_lp, reference_lqr_raw_predict, reference_pinball_constant, reference_pinball_lp
 
 PAIR = ODPair(0, 1)
 
@@ -463,8 +464,8 @@ def make_zero_model(p=3):
 
 
 def raw_matrix(model, X):
-    raw = lqr_raw_predict(model, X)
-    return np.column_stack([raw[q] for q in model.levels])
+    X = np.atleast_2d(X)
+    return lqr_raw_predict(stack_lqr([model], model.levels), np.zeros(len(X), dtype=int), X)
 
 
 def test_predict_zero_coefs_returns_previous_count():
@@ -486,7 +487,7 @@ def test_predict_clips_negative():
 def test_predict_layout_mismatch():
     model = make_zero_model(p=3)
     with pytest.raises(ValueError, match="layout"):
-        lqr_raw_predict(model, np.ones((1, 5)))
+        raw_matrix(model, np.ones((1, 5)))
 
 
 def test_predict_seasonal_scale_applied():
@@ -499,11 +500,30 @@ def test_predict_seasonal_scale_applied():
 def test_linear_raw_predict_is_per_row(rng):
     X = rng.normal(size=(100, 3))
     model = fit_lqr(X, rng.normal(size=100))
-    batch = lqr_raw_predict(model, X[:20])
+    batch = raw_matrix(model, X[:20])
     for i in range(20):
-        alone = lqr_raw_predict(model, X[i])
-        for q in model.levels:
-            assert batch[q][i] == alone[q][0] == model.coef[q] @ X[i]
+        alone = raw_matrix(model, X[i])
+        for j, q in enumerate(model.levels):
+            assert batch[i, j] == alone[0, j] == model.coef[q] @ X[i]
+
+
+@pytest.mark.parametrize("n_features", [1, 3, 48, 131])
+def test_stacked_linear_raw_predict_equals_each_model_alone(rng, n_features):
+    # models with coefficients of very different scales: a change in the order
+    # of the products' additions would show in the last bits
+    levels = DEFAULT_QUANTILES
+    models = [
+        qr.LinearQRModel(levels, {q: rng.normal(size=n_features) * 10.0 ** rng.integers(-3, 4, n_features) for q in levels})
+        for _ in range(4)
+    ]
+    X = rng.normal(size=(60, n_features)) * 10.0 ** rng.integers(-3, 4, (60, n_features))
+    group = rng.integers(0, len(models), size=len(X))
+    raw = lqr_raw_predict(stack_lqr(models, levels), group, X)
+    assert raw.shape == (len(X), len(levels))
+    for g, model in enumerate(models):
+        ref = reference_lqr_raw_predict(model, X[group == g])
+        for j, q in enumerate(levels):
+            assert np.array_equal(raw[group == g, j], ref[q])
 
 
 @settings(deadline=None, max_examples=100)
