@@ -83,7 +83,7 @@ class TrainedDemandModel:
     labels: list[str]
     pair_order: tuple[ODPair, ...]
     models: dict[ODPair | None, object]  # None key = pooled scope
-    seasonal: dict[ODPair, qr.SeasonalStats] = field(default_factory=dict)
+    seasonal: qr.SeasonalStats | None = None  # None without seasonal normalization
     # the fitted models stacked for one raw predict over all pairs, model j
     # serving pair_order[j] (the only one, when pooled); not in model.json
     stack: np.ndarray | boosting.StackedForests | None = field(init=False, repr=False, compare=False)
@@ -136,7 +136,7 @@ def recent_record(dataset: ODDataset, split: SplitSpec, lags: np.ndarray, depth:
 
 def _group_rows(
     dataset: ODDataset, split: SplitSpec, spec: ModelSpec, check_unit_root: bool = False
-) -> tuple[dict[ODPair | None, dict[ODPair, tuple]], dict[ODPair, qr.SeasonalStats]]:
+) -> tuple[dict[ODPair | None, dict[ODPair, tuple]], qr.SeasonalStats | None]:
     """Each fitted model's train rows, (X, y, stamps) by pair, and the seasonal stats.
 
     The rows come from the working record, seasonally normalized by
@@ -145,10 +145,9 @@ def _group_rows(
     """
     record = working_record(dataset, split, check_unit_root)
     in_train = split.in_train(record.timestamps)
-    seasonal: dict[ODPair, qr.SeasonalStats] = {}
+    seasonal = None
     if spec.seasonal_normalize:
-        train = record.select(in_train)
-        seasonal = {pair: qr.fit_seasonal_stats(train.series(pair)) for pair in record.pairs}
+        seasonal = qr.fit_seasonal_stats(record.select(in_train))
         record = qr.seasonal_normalize(record, seasonal)
     train = record.select(in_train)
     X, usable = build_features(record, train.pair_index, train.timestamps, spec.feature_config(record.pairs))
@@ -261,9 +260,7 @@ def predict_forecasts(
         raise ValueError(f"insufficient history before {format_hour(t)} for pair {order[bad[0]]}")
     predict = qr.lqr_raw_predict if model.spec.family == "linear" else boosting.gboost_raw_predict
     raw = predict(model.stack, np.zeros_like(which) if model.spec.scope == "pooled" else which, X)
-    scales = None
-    if model.spec.seasonal_normalize:
-        scales = qr.seasonal_scales(model.seasonal, order, which, stamps)
+    scales = model.seasonal.scales_at(order, which, stamps) if model.spec.seasonal_normalize else None
     values = to_count_scale(raw, prev.ravel(), scales, model.spec.sort_quantiles).reshape(len(order), n, -1).tolist()
     return {
         t: {pair: qr.QuantileForecast(pair, t, dict(zip(model.levels, values[j][i]))) for j, pair in enumerate(order)}
@@ -359,8 +356,9 @@ def _spec_doc(spec: ModelSpec) -> dict:
 
 
 def _spec_from_doc(doc: dict) -> ModelSpec:
+    """The spec of a model document, its ranges checked as the config parser checks them."""
     exam = doc.get("exam_period")
-    return ModelSpec(
+    spec = ModelSpec(
         family=doc["family"],
         scope=doc["scope"],
         sort_quantiles=bool(doc["sort_quantiles"]),
@@ -369,8 +367,12 @@ def _spec_from_doc(doc: dict) -> ModelSpec:
         cross_lags=bool(doc.get("cross_lags", False)),
         cross_order=int(doc.get("cross_order", 1)),
         ar_order=int(doc.get("ar_order", 24)),
-        gboost=boosting.GBoostHyper(**doc.get("gboost", {})),
+        gboost=boosting.GBoostHyper(**doc.get("gboost", {})).validate(),
     )
+    for name, order in (("cross_order", spec.cross_order), ("ar_order", spec.ar_order)):
+        if order < 0:
+            raise ValueError(f"model spec: {name} must be >= 0, got {order}")
+    return spec
 
 
 def _finite(value, owner: str, field: str):
@@ -455,13 +457,11 @@ def model_to_json_dict(model: TrainedDemandModel) -> dict:
     for key, inner in model.models.items():
         name = "pooled" if key is None else ">".join(_pair_doc(key, model.labels))
         doc["models"][name] = _inner_doc(model.spec.family, inner)
-    for pair, stats in model.seasonal.items():
-        doc["seasonal"][">".join(_pair_doc(pair, model.labels))] = {
-            "cells": [
-                {"dow": k[0], "tod": k[1], "mean": stats.mean[k], "std": stats.std[k]}
-                for k in sorted(stats.mean)
-            ]
-        }
+    stats = model.seasonal
+    for i, dow, tod in np.argwhere(~np.isnan(stats.mean)).tolist() if stats is not None else ():  # (dow, tod) order
+        name = ">".join(_pair_doc(stats.pairs[i], model.labels))
+        cell = {"dow": dow, "tod": tod, "mean": float(stats.mean[i, dow, tod]), "std": float(stats.std[i, dow, tod])}
+        doc["seasonal"].setdefault(name, {"cells": []})["cells"].append(cell)
     return doc
 
 
@@ -487,18 +487,19 @@ def model_from_json_dict(doc: dict) -> TrainedDemandModel:
         if key not in models:
             raise ValueError(f"model {'pooled' if key is None else '>'.join(_pair_doc(key, labels))}: missing")
 
-    seasonal = {}
-    for name, sdoc in doc.get("seasonal", {}).items():
-        o, d = name.split(">")
-        mean, std = {}, {}
-        for c in sdoc["cells"]:
-            where = f"seasonal {name}, cell (dow {c['dow']}, hour {c['tod']})"
-            if c["dow"] not in range(7) or c["tod"] not in range(24):
-                raise ValueError(f"model {where}: no such weekday and hour")
-            key = (int(c["dow"]), int(c["tod"]))
-            mean[key] = _finite(float(c["mean"]), where, "mean")
-            std[key] = _finite(float(c["std"]), where, "std")
-        seasonal[ODPair(index[o], index[d])] = qr.SeasonalStats(mean, std)
+    seasonal = None
+    if spec.seasonal_normalize and spec.family != "hp":  # historical percentiles train no seasonal stats
+        mean, std = np.full((2, len(pair_order), 7, 24), np.nan)
+        for i, pair in enumerate(pair_order):  # a pair without cells is named by SeasonalStats
+            name = ">".join(_pair_doc(pair, labels))
+            for c in doc.get("seasonal", {}).get(name, {}).get("cells", []):
+                where = f"seasonal {name}, cell (dow {c['dow']}, hour {c['tod']})"
+                if c["dow"] not in range(7) or c["tod"] not in range(24):
+                    raise ValueError(f"model {where}: no such weekday and hour")
+                key = (i, int(c["dow"]), int(c["tod"]))
+                mean[key] = _finite(float(c["mean"]), where, "mean")
+                std[key] = _finite(float(c["std"]), where, "std")
+        seasonal = qr.SeasonalStats(pair_order, mean, std)
     return TrainedDemandModel(spec, levels, labels, pair_order, models, seasonal)
 
 

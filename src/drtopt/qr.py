@@ -21,7 +21,7 @@ import scipy.linalg
 from scipy import optimize
 from scipy.optimize import linprog
 
-from .data import HourlySeries, ODCountSeries, ODPair, WorkingRecord, hour_of, weekday_of
+from .data import ODCountSeries, ODPair, WorkingRecord, hour_of, weekday_of
 
 log = logging.getLogger(__name__)
 
@@ -414,51 +414,61 @@ def lqr_raw_predict(coef: np.ndarray, group: np.ndarray, X: np.ndarray) -> np.nd
 
 @dataclass
 class SeasonalStats:
-    """Per (day-of-week, hour) mean and population std of the train series."""
+    """Per (pair, day-of-week, hour) mean and population std of the train series.
 
-    mean: dict[tuple[int, int], float]
-    std: dict[tuple[int, int], float]
+    `mean` and `std` are (pairs, 7, 24) tables aligned to `pairs`, NaN in a
+    cell with no train row; every pair has a cell.  `scales` holds each
+    cell's (mean, std) for normalizing, built once: a cell with zero
+    variance or no train row reads (0, 1) and passes through unscaled.
+    """
+
+    pairs: tuple[ODPair, ...]
+    mean: np.ndarray
+    std: np.ndarray
+    scales: np.ndarray = field(init=False, repr=False, compare=False)  # (pairs, 7, 24, 2)
+    _rows: dict[ODPair, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for pair, empty in zip(self.pairs, np.isnan(self.mean).all(axis=(1, 2))):
+            if empty:
+                raise ValueError(f"no seasonal cells for pair {pair}")
+        varies = self.std > 0  # False in a NaN cell
+        self.scales = np.stack([np.where(varies, self.mean, 0.0), np.where(varies, self.std, 1.0)], axis=-1)
+        self._rows = {pair: i for i, pair in enumerate(self.pairs)}
+
+    def scales_at(self, pairs, pair_index, stamps) -> np.ndarray:
+        """(mean, std) rows: the cell of `pairs[pair_index[i]]` at `stamps[i]`; a pair not in the table is named."""
+        missing = [pair for pair in pairs if pair not in self._rows]
+        if missing:
+            raise ValueError(f"no seasonal cells for pair {missing[0]}")
+        rows = np.array([self._rows[pair] for pair in pairs], dtype=np.intp)
+        return self.scales[rows[pair_index], weekday_of(stamps), hour_of(stamps)]
 
 
-def fit_seasonal_stats(train: HourlySeries) -> SeasonalStats:
-    dows = weekday_of(train.timestamps)
-    tods = hour_of(train.timestamps)
-    mean, std = {}, {}
-    degenerate = 0
-    for key in {(int(d), int(h)) for d, h in zip(dows, tods)}:
-        sel = (dows == key[0]) & (tods == key[1])
-        v = train.values[sel]
-        mean[key] = float(np.mean(v))
-        s = float(np.std(v))
-        std[key] = s
-        if s == 0.0:
-            degenerate += 1
+def fit_seasonal_stats(train: WorkingRecord) -> SeasonalStats:
+    """Every pair's seasonal stats from the train rows of a working record.
+
+    One stable sort by (pair, weekday, hour) lays each cell's values out in
+    time order, and each cell takes its own `np.mean` and `np.std` of them.
+    """
+    cell = (train.pair_index * 7 + weekday_of(train.timestamps)) * 24 + hour_of(train.timestamps)
+    order = np.argsort(cell, kind="stable")
+    cells, starts = np.unique(cell[order], return_index=True)
+    mean, std = np.full((2, len(train.pairs) * 7 * 24), np.nan)
+    for c, values in zip(cells.tolist(), np.split(train.values[order], starts[1:])):
+        mean[c], std[c] = np.mean(values), np.std(values)
+    degenerate = int(np.sum(std == 0.0))
     if degenerate:
         warnings.warn(
             f"{degenerate} seasonal cell(s) have zero variance; passing them through unscaled",
             stacklevel=2,
         )
-    return SeasonalStats(mean, std)
+    return SeasonalStats(train.pairs, mean.reshape(-1, 7, 24), std.reshape(-1, 7, 24))
 
 
-def seasonal_scales(seasonal: dict[ODPair, SeasonalStats], pairs, pair_index, stamps) -> np.ndarray:
-    """(mean, std) rows: the cell of `pairs[pair_index[i]]` at `stamps[i]`, from one table.
-
-    A cell that is missing or has zero variance reads (0, 1).
-    """
-    table = np.tile([0.0, 1.0], (len(pairs), 7, 24, 1))
-    for i, pair in enumerate(pairs):
-        stats = seasonal[pair]
-        for key in stats.mean.keys() | stats.std.keys():
-            m, s = stats.mean.get(key, 0.0), stats.std.get(key, 1.0)
-            if s > 0:
-                table[(i, *key)] = m, s
-    return table[pair_index, weekday_of(stamps), hour_of(stamps)]
-
-
-def seasonal_normalize(record: WorkingRecord, seasonal: dict[ODPair, SeasonalStats]) -> WorkingRecord:
+def seasonal_normalize(record: WorkingRecord, seasonal: SeasonalStats) -> WorkingRecord:
     """(y - bucket mean) / bucket std, per pair; zero-variance buckets pass through."""
-    scales = seasonal_scales(seasonal, record.pairs, record.pair_index, record.timestamps)
+    scales = seasonal.scales_at(record.pairs, record.pair_index, record.timestamps)
     return replace(record, values=(record.values - scales[:, 0]) / scales[:, 1])
 
 

@@ -465,12 +465,9 @@ def prepare_instance(instance: NetworkInstance) -> _Prepared:
     pairs = instance.od_pairs()
     beta1 = np.array([[stage1_utility(p, r, instance) for r in routes] for p in pairs])
     beta1 = beta1.reshape(len(pairs), len(routes))
-    ks = np.arange(1, instance.fleet_size + 1)
-    taus = np.array([r.cycle_time for r in routes])
-    beta2 = -taus[:, None] / ks[None, :]
-    if instance.half_headway:
-        beta2 = beta2 / 2.0
-    caps = 60.0 * ks[None, :] / taus[:, None] * instance.capacity
+    ks = range(1, instance.fleet_size + 1)
+    beta2 = np.array([[stage2_utility(r, k, instance.half_headway) for k in ks] for r in routes])
+    caps = np.array([[route_capacity(r, k, instance.capacity) for k in ks] for r in routes])
 
     row_routes, row_buses = _allocation_rows(instance)
     row_caps = np.where(row_routes >= 0, caps[row_routes, row_buses - 1], np.inf)
@@ -645,12 +642,6 @@ def _block_winners(prep: _Prepared, lam: np.ndarray) -> tuple[np.ndarray, np.nda
     return winners, value[picked], ~feasible[picked] & np.all(lam > 0, axis=1)
 
 
-def solve_demand(prep: _Prepared, lam: np.ndarray) -> tuple[int, float]:
-    """`solve_batch` for one demand vector `lam` aligned to `prep.pairs`: (table row, objective)."""
-    rows, objectives = solve_batch(prep, lam[None])
-    return int(rows[0]), float(objectives[0])
-
-
 def allocation_values(prep: _Prepared, alloc: tuple[tuple[int, int], ...], lam: np.ndarray) -> np.ndarray:
     """Objective of the optimal flows for a fixed allocation of (route id, buses), per row of `lam`.
 
@@ -674,11 +665,6 @@ def allocation_values(prep: _Prepared, alloc: tuple[tuple[int, int], ...], lam: 
     return values
 
 
-def allocation_value(prep: _Prepared, alloc: tuple[tuple[int, int], ...], lam: np.ndarray) -> float:
-    """`allocation_values` for one demand vector `lam` aligned to `prep.pairs`."""
-    return float(allocation_values(prep, alloc, lam[None])[0])
-
-
 def row_key(prep: _Prepared, row: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """A table row's allocation key, as `RouteDesign.key()` gives it."""
     routes = prep.instance.candidate_routes
@@ -691,10 +677,10 @@ def row_design(prep: _Prepared, row: int, lam: np.ndarray) -> RouteDesign:
 
 
 def solve_instance(instance: NetworkInstance, demand: DemandVector, prepared: _Prepared | None = None) -> RouteDesign:
-    """Exact optimum over all feasible allocations and flow assignments (see `solve_demand`)."""
+    """Exact optimum over all feasible allocations and flow assignments (see `solve_batch`)."""
     prep = prepared if prepared is not None else prepare_instance(instance)
     lam = np.array([demand.get(p) for p in prep.pairs])
-    return row_design(prep, solve_demand(prep, lam)[0], lam)
+    return row_design(prep, int(solve_batch(prep, lam[None])[0][0]), lam)
 
 
 def _design_for_allocation(prep: _Prepared, lam_all: np.ndarray, alloc: tuple[tuple[int, int], ...]) -> RouteDesign:

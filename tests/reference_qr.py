@@ -16,12 +16,18 @@ lowest value on ties.
 `reference_lqr_raw_predict` is `qr.lqr_raw_predict` for one model, as the
 library predicted each pair before the models were stacked: one `beta @ x`
 per row and level.
+
+`reference_seasonal_cells` is one pair's seasonal stats as
+`qr.fit_seasonal_stats` fitted them before the (pair, weekday, hour) table:
+a boolean selection of the pair's train series per (weekday, hour) key,
+then `np.mean` and `np.std` of it.
 """
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
+from drtopt.data import hour_of, weekday_of
 from drtopt.qr import tilted_loss
 
 
@@ -55,3 +61,13 @@ def reference_pinball_constant(sample, q: float) -> float:
 def reference_lqr_raw_predict(model, X) -> dict[float, np.ndarray]:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     return {q: np.array([model.coef[q] @ x for x in X]) for q in model.levels}
+
+
+def reference_seasonal_cells(timestamps, values) -> dict[tuple[int, int], tuple[float, float]]:
+    """(mean, std) by (weekday, hour) key of one pair's train series."""
+    dows, tods = weekday_of(timestamps), hour_of(timestamps)
+    cells = {}
+    for key in {(int(d), int(h)) for d, h in zip(dows, tods)}:
+        v = values[(dows == key[0]) & (tods == key[1])]
+        cells[key] = float(np.mean(v)), float(np.std(v))
+    return cells

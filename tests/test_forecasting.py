@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from drtopt import forecasting, qr
 from drtopt.boosting import GBoostHyper, fit_gboost, gboost_raw_predict
-from drtopt.data import HOUR, HourlySeries, ODCountSeries, ODDataset, SplitSpec, build_features, counts_at, difference
+from drtopt.data import HOUR, ODCountSeries, ODDataset, ODPair, SplitSpec, build_features, counts_at, difference
 from drtopt.forecasting import (
     ModelSpec,
     gboost_grid_search,
@@ -112,7 +112,7 @@ def test_cross_lag_model_trains(dataset):
 
 def test_seasonal_variant_round_trips(dataset):
     model = train_model(dataset, SPLIT, spec(seasonal_normalize=True), (0.25, 0.75))
-    assert set(model.seasonal) == set(dataset.pairs)
+    assert model.seasonal.pairs == model.pair_order == tuple(dataset.pairs)
     lags = evaluation_lags(dataset, SPLIT)[:2]
     forecasts = predict_forecasts(model, dataset, SPLIT, lags)
     for per_pair in forecasts.values():
@@ -238,7 +238,7 @@ def per_pair_forecasts(model, dataset, split, lags) -> dict:
         ref = reference(model.models[None if model.spec.scope == "pooled" else pair], X)
         scales = None
         if model.spec.seasonal_normalize:
-            scales = qr.seasonal_scales(model.seasonal, [pair], np.zeros(len(lags), dtype=int), lags)
+            scales = model.seasonal.scales_at([pair], np.zeros(len(lags), dtype=int), lags)
         prev = counts_at([dataset.series[pair]], lags - HOUR)[0]
         out[pair] = to_count_scale(np.column_stack([ref[q] for q in model.levels]), prev, scales, model.spec.sort_quantiles)
     return out
@@ -523,6 +523,83 @@ def test_model_json_rejects_a_seasonal_cell_outside_the_week(model_docs, field, 
         model_from_json_dict(doc)
 
 
+@pytest.mark.parametrize("field, bad, message", [
+    ("learning_rate", 7.0, "learning_rate must be in [0, 1], got 7.0"),
+    ("max_depth", 9, "max_depth must be in 0..6, got 9"),
+    ("n_trees", 0, "n_trees must be in 1..200, got 0"),
+    ("cross_order", -1, "model spec: cross_order must be >= 0, got -1"),
+    ("ar_order", -1, "model spec: ar_order must be >= 0, got -1"),
+])
+def test_model_json_rejects_a_spec_out_of_range(model_docs, field, bad, message):
+    doc = json.loads(json.dumps(model_docs["gboost"]))
+    spec_doc = doc["spec"]
+    (spec_doc["gboost"] if field in spec_doc["gboost"] else spec_doc)[field] = bad
+    with pytest.raises(ValueError, match=re.escape(message)):
+        model_from_json_dict(doc)
+
+
+def test_seasonal_model_names_a_pair_without_cells(dataset, model_docs):
+    doc = json.loads(json.dumps(model_docs["linear"]))
+    index = {label: i for i, label in enumerate(doc["labels"])}
+    name = sorted(doc["seasonal"])[-1]
+    pair = ODPair(*(index[label] for label in name.split(">")))
+    del doc["seasonal"][name]
+    with pytest.raises(ValueError, match=re.escape(f"no seasonal cells for pair {pair}")):
+        model_from_json_dict(doc)
+    doc["seasonal"] = {}
+    first = ODPair(*(index[label] for label in doc["pairs"][0]))
+    with pytest.raises(ValueError, match=re.escape(f"no seasonal cells for pair {first}")):
+        model_from_json_dict(doc)
+    # training: the last pair's counts start after the train range
+    last = dataset.pairs[-1]
+    s = dataset.series[last]
+    late = ~SPLIT.in_train(s.timestamps) & (s.timestamps > np.datetime64("2017-12-01T00"))
+    series = {**dataset.series, last: ODCountSeries(last, s.timestamps[late], s.counts[late])}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the short series' unit-root test
+        with pytest.raises(ValueError, match=re.escape(f"no seasonal cells for pair {last}")):
+            train_model(ODDataset(dataset.locations, series), SPLIT, spec(seasonal_normalize=True), (0.5,))
+
+
+@pytest.mark.parametrize(
+    "mspec",
+    [
+        spec(seasonal_normalize=True),
+        spec(family="gboost", cross_lags=True, seasonal_normalize=True, gboost=GBoostHyper(0.5, 2, 6)),
+    ],
+    ids=["seasonal", "gboost-cross-seasonal"],
+)
+def test_seasonal_forecasts_survive_save_and_load(dataset, mspec, tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # zero-variance seasonal cells
+        model = train_model(dataset, SPLIT, mspec, DEFAULT_QUANTILES)
+    save_model(model, tmp_path / "model.json")
+    loaded = load_model(tmp_path / "model.json")
+    assert loaded.seasonal.pairs == model.seasonal.pairs
+    assert np.array_equal(loaded.seasonal.mean, model.seasonal.mean, equal_nan=True)
+    assert np.array_equal(loaded.seasonal.std, model.seasonal.std, equal_nan=True)
+    lags = evaluation_lags(dataset, SPLIT)[::7]
+    got, want = (predict_forecasts(m, dataset, SPLIT, lags) for m in (loaded, model))
+    assert [[fc.values for fc in by_pair.values()] for by_pair in got.values()] == [
+        [fc.values for fc in by_pair.values()] for by_pair in want.values()
+    ]
+
+
+def test_a_seasonal_predict_builds_no_table(dataset, monkeypatch):
+    builds = []
+    post_init = qr.SeasonalStats.__post_init__
+    monkeypatch.setattr(qr.SeasonalStats, "__post_init__", lambda stats: builds.append(1) or post_init(stats))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # zero-variance seasonal cells
+        model = train_model(dataset, SPLIT, spec(seasonal_normalize=True), (0.5,))
+    loaded = model_from_json_dict(model_to_json_dict(model))
+    assert len(builds) == 2  # one when trained, one when loaded
+    t = evaluation_lags(dataset, SPLIT)[0]
+    for trained in (model, loaded):
+        predict_forecasts(trained, dataset, SPLIT, np.array([t]))
+    assert len(builds) == 2
+
+
 def test_tree_deeper_than_max_depth_names_model_and_level(model_docs):
     doc = json.loads(json.dumps(model_docs["gboost"]))  # max_depth 2
     name = next(iter(doc["models"]))
@@ -612,12 +689,7 @@ def test_grid_search_scores_the_seasonally_normalized_rows(dataset):
         warnings.simplefilter("ignore")  # zero-variance seasonal cells
         _, scores = gboost_grid_search(dataset, SPLIT, mspec, [hyper], (0.5,))
         record = working_record(dataset, SPLIT)
-        seasonal = {}
-        for pair in record.pairs:
-            s = record.series(pair)
-            train = SPLIT.in_train(s.timestamps)
-            seasonal[pair] = fit_seasonal_stats(HourlySeries(pair, s.timestamps[train], s.values[train]))
-        record = seasonal_normalize(record, seasonal)
+        record = seasonal_normalize(record, fit_seasonal_stats(record.select(SPLIT.in_train(record.timestamps))))
     test_range, val_range, train_range = tuning_ranges(SPLIT)
     cfg = mspec.feature_config(tuple(dataset.pairs))
     total = 0.0

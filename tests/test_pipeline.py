@@ -324,7 +324,8 @@ def test_solve_batch_equals_per_sample_reference(case, layout, monkeypatch):
     assert rows.tolist() == [row for row, _ in ref]
     assert objectives.tolist() == [objective for _, objective in ref]
     assert blocks == ([7] * 5 + [5] if layout == "blocks-of-7" else [])
-    assert tndfs.solve_demand(prep, lam[0]) == ref[0]
+    one_row = tndfs.solve_batch(prep, lam[:1])
+    assert (int(one_row[0][0]), float(one_row[1][0])) == ref[0]
 
 
 @pytest.mark.parametrize("case", ["capacity6", "nu2"])

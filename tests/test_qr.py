@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,6 @@ from drtopt.qr import (
     lqr_raw_predict,
     predict_hp,
     seasonal_normalize,
-    seasonal_scales,
     stack_lqr,
     tilted_loss,
 )
@@ -27,7 +27,13 @@ from drtopt.data import HourlySeries, ODCountSeries
 from drtopt.forecasting import to_count_scale
 from drtopt.synth import SyntheticSpec, generate_synthetic
 from reference_features import record_of
-from reference_qr import reference_dual_lp, reference_lqr_raw_predict, reference_pinball_constant, reference_pinball_lp
+from reference_qr import (
+    reference_dual_lp,
+    reference_lqr_raw_predict,
+    reference_pinball_constant,
+    reference_pinball_lp,
+    reference_seasonal_cells,
+)
 
 PAIR = ODPair(0, 1)
 
@@ -557,52 +563,100 @@ def weekly_series(values, start="2017-11-20T08"):
     return HourlySeries(PAIR, ts, np.asarray(values, dtype=float))
 
 
+def fit_one(s):
+    """fit_seasonal_stats of a one-pair record holding s."""
+    return fit_seasonal_stats(record_of({s.pair: s}))
+
+
 def normalized_values(s, stats):
     """seasonal_normalize of a one-pair record holding s."""
-    return seasonal_normalize(record_of({s.pair: s}), {s.pair: stats}).values
+    return seasonal_normalize(record_of({s.pair: s}), stats).values
 
 
 def test_seasonal_constant_bucket_passthrough():
     s = weekly_series([4.0, 4.0, 4.0, 4.0])
     with pytest.warns(UserWarning, match="zero variance"):
-        stats = fit_seasonal_stats(s)
+        stats = fit_one(s)
     normalized = normalized_values(s, stats)
     assert np.array_equal(normalized, s.values)
 
 
 def test_seasonal_normalize_inverse_identity(rng):
     s = weekly_series(rng.normal(5, 3, size=30))
-    stats = fit_seasonal_stats(s)
-    scales = seasonal_scales({PAIR: stats}, [PAIR], np.zeros(len(s), dtype=int), s.timestamps)
+    stats = fit_one(s)
+    scales = stats.scales_at([PAIR], np.zeros(len(s), dtype=int), s.timestamps)
     back = normalized_values(s, stats) * scales[:, 1] + scales[:, 0]
     assert np.allclose(back, s.values, atol=1e-12)
 
 
 def test_seasonal_train_buckets_standardized(rng):
     s = weekly_series(rng.normal(5, 3, size=50))
-    stats = fit_seasonal_stats(s)
+    stats = fit_one(s)
     normalized = normalized_values(s, stats)
     assert abs(np.mean(normalized)) <= 1e-9
     assert abs(np.std(normalized) - 1.0) <= 1e-9
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_seasonal_stats_equal_each_pairs_reference_cells(seed):
+    # three pairs over five weeks with random gaps, values of mixed scales and
+    # constant cells: every cell's mean and std bit for bit, NaN where no row falls
+    rng = np.random.default_rng(seed)
+    t0 = parse_hour("2017-11-20T00")
+    history = {}
+    for pair in (ODPair(0, 1), ODPair(1, 0), ODPair(2, 0)):
+        hours = np.sort(rng.choice(5 * 7 * 24, size=int(rng.integers(50, 600)), replace=False))
+        values = rng.normal(size=len(hours)) * 10.0 ** rng.integers(-3, 4, len(hours))
+        values[hour_of(t0 + hours.astype("timedelta64[h]")) == 3] = 2.5
+        history[pair] = HourlySeries(pair, t0 + hours.astype("timedelta64[h]"), values)
+    with pytest.warns(UserWarning, match="zero variance"):
+        stats = fit_seasonal_stats(record_of(history))
+    assert stats.pairs == tuple(sorted(history))
+    assert stats.mean.shape == stats.std.shape == (3, 7, 24)
+    for i, pair in enumerate(stats.pairs):
+        cells = reference_seasonal_cells(history[pair].timestamps, history[pair].values)
+        for d, h in np.ndindex(7, 24):
+            got = stats.mean[i, d, h], stats.std[i, d, h]
+            if (d, h) in cells:
+                assert got == cells[(d, h)]
+            else:
+                assert np.isnan(got).all()
+
+
 def test_seasonal_scales_look_up_each_pairs_own_cell():
-    # three pairs' stats: cells with and without variance, a cell known only
-    # by its mean or its std, and cells of no stats at all
-    stats = [
-        qr.SeasonalStats({(0, 8): 2.0, (1, 9): 3.0}, {(0, 8): 0.5, (1, 9): 0.0}),
-        qr.SeasonalStats({(0, 8): -1.0, (6, 22): 4.0}, {(0, 8): 2.0, (6, 22): 1.5, (3, 7): 0.25}),
-        qr.SeasonalStats({(2, 12): 7.0}, {}),
-    ]
-    pairs = [ODPair(0, 1), ODPair(1, 0), ODPair(2, 0)]
-    seasonal = dict(zip(pairs, stats))
+    # three pairs' stats: cells with and without variance and cells with no train row
+    pairs = (ODPair(0, 1), ODPair(1, 0), ODPair(2, 0))
+    mean, std = np.full((3, 7, 24), np.nan), np.full((3, 7, 24), np.nan)
+    for i, (d, h), m, sd in [
+        (0, (0, 8), 2.0, 0.5), (0, (1, 9), 3.0, 0.0),
+        (1, (0, 8), -1.0, 2.0), (1, (6, 22), 4.0, 1.5), (1, (3, 7), 0.5, 0.25),
+        (2, (2, 12), 7.0, 0.0),
+    ]:
+        mean[i, d, h], std[i, d, h] = m, sd
+    stats = qr.SeasonalStats(pairs, mean, std)
     week = parse_hour("2017-11-20T00") + np.arange(7 * 24).astype("timedelta64[h]")  # Monday to Sunday
+    # the pairs asked for in another order than the table's
+    order = [pairs[2], pairs[0], pairs[1]]
     stamps, which = np.tile(week, 3), np.repeat(np.arange(3), len(week))
-    got = seasonal_scales(seasonal, pairs, which, stamps)
-    for (m, sd), i, t in zip(got, which, stamps):
-        key = (int(weekday_of(t)), int(hour_of(t)))
-        mean, std = stats[i].mean.get(key, 0.0), stats[i].std.get(key, 1.0)
-        assert (m, sd) == ((mean, std) if std > 0 else (0.0, 1.0))
+    got = stats.scales_at(order, which, stamps)
+    for (m, sd), j, t in zip(got, which, stamps):
+        i, d, h = pairs.index(order[j]), int(weekday_of(t)), int(hour_of(t))
+        varies = std[i, d, h] > 0
+        assert (m, sd) == ((mean[i, d, h], std[i, d, h]) if varies else (0.0, 1.0))
+
+
+def test_seasonal_stats_name_a_pair_without_cells():
+    pairs = (ODPair(0, 1), ODPair(1, 0))
+    mean = np.full((2, 7, 24), np.nan)
+    mean[0, 0, 8] = 1.0
+    std = np.where(np.isnan(mean), np.nan, 2.0)
+    with pytest.raises(ValueError, match=re.escape(f"no seasonal cells for pair {pairs[1]}")):
+        qr.SeasonalStats(pairs, mean, std)
+    stats = qr.SeasonalStats(pairs[:1], mean[:1], std[:1])
+    monday_8 = parse_hour("2017-11-20T08")[None]
+    assert stats.scales_at(pairs[:1], np.zeros(1, dtype=int), monday_8).tolist() == [[1.0, 2.0]]
+    with pytest.raises(ValueError, match=re.escape(f"no seasonal cells for pair {ODPair(2, 0)}")):
+        stats.scales_at([pairs[0], ODPair(2, 0)], np.zeros(1, dtype=int), monday_8)
 
 
 # ---------------------------------------------------------------------------

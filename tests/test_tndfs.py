@@ -347,7 +347,7 @@ def test_allocation_values_equal_assign_flows_on_every_row(monkeypatch):
             binds = [np.any(inflow > caps) for inflow in load]
             assert any(binds) and not all(binds)  # both the batched rows and assign_flows's rows
         expected = [assign_flows(w, row, caps)[1] for row in lam]
-        assert [tndfs.allocation_value(prep, alloc, row) for row in lam] == expected
+        assert [tndfs.allocation_values(prep, alloc, row[None])[0] for row in lam] == expected
         for layout in (lam, np.asfortranarray(lam), lam[::-1][::-1]):
             assert tndfs.allocation_values(prep, alloc, layout).tolist() == expected
         assert tndfs.allocation_values(prep, alloc, lam[:0]).shape == (0,)
@@ -538,6 +538,22 @@ def test_allocation_table_lists_every_allocation_in_key_order():
         sizes = tndfs._allocation_sizes(inst)
         assert len(allocs) == sum(comb(len(routes), s) * len(tndfs._bus_splits(s, inst.fleet_size)) for s in sizes)
         assert {len(a) for a in allocs} <= set(sizes)
+
+
+def test_prepared_waits_and_capacities_equal_the_broadcast_formulas():
+    # the (route, buses) tables are stage2_utility and route_capacity cell by cell, and bit for bit
+    # the broadcast arithmetic: -tau / k (halved under half-headway) and 60 k / tau * capacity
+    rng = np.random.default_rng(17)
+    for _ in range(12):
+        inst, _ = _random_sweep_instance(rng)
+        prep = tndfs.prepare_instance(inst)
+        ks = np.arange(1, inst.fleet_size + 1)
+        taus = np.array([r.cycle_time for r in inst.candidate_routes])
+        beta2 = -taus[:, None] / ks[None, :]
+        if inst.half_headway:
+            beta2 = beta2 / 2.0
+        assert np.array_equal(prep.beta2, beta2)
+        assert np.array_equal(prep.caps, 60.0 * ks[None, :] / taus[:, None] * inst.capacity)
 
 
 def test_solver_matches_oracle_under_mode_switches():
