@@ -39,10 +39,23 @@ class PipelineConfig:
     gboost_grid: tuple[GBoostHyper, ...] = ()  # non-empty: tune before training
 
 
-def _require(doc: dict, key: str, path: str):
-    if key not in doc:
-        raise ConfigError(f"{path}{key}" if path == "" else f"{path}.{key}", "missing required field")
-    return doc[key]
+_REQUIRED = object()
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", bool: "true or false"}
+
+
+def _field(doc: dict, path: str, kind: type = object, default=_REQUIRED):
+    """The field at `path`, the last key of which is looked up in `doc`.
+
+    `default` stands in when it is absent, and a value not of JSON type
+    `kind` is rejected; a null passes only where the default is null.
+    """
+    key = path.rsplit(".", 1)[-1]
+    if key not in doc and default is _REQUIRED:
+        raise ConfigError(path, "missing required field")
+    value = doc.get(key, default)
+    if not isinstance(value, kind) and not (value is None and default is None):
+        raise ConfigError(path, f"expected {_JSON_TYPES[kind]}, got {value!r}")
+    return value
 
 
 def _parse_int(value, path: str, minimum: int) -> int:
@@ -71,52 +84,48 @@ def _parse_date(text, path: str) -> date:
         raise ConfigError(path, f"not an ISO date: {text!r}") from None
 
 
+def _parse_range(rng, path: str, expected: str = "[start, end]") -> tuple[date, date]:
+    if not (isinstance(rng, list) and len(rng) == 2):
+        raise ConfigError(path, f"expected {expected}")
+    return tuple(_parse_date(d, path) for d in rng)
+
+
 def _parse_split(doc, path: str) -> SplitSpec:
-    if doc is None or doc == {"preset": "campus-2017"} or doc.get("preset") == "campus-2017":
+    if doc is None or doc.get("preset") == "campus-2017":
         return campus_2017_split()
     if "preset" in doc:
         raise ConfigError(f"{path}.preset", f"unknown preset {doc['preset']!r}")
-    for key in ("train", "test"):
-        rng = _require(doc, key, path)
-        if not (isinstance(rng, list) and len(rng) == 2):
-            raise ConfigError(f"{path}.{key}", "expected [start, end]")
-    train = tuple(_parse_date(d, f"{path}.train") for d in doc["train"])
-    test = tuple(_parse_date(d, f"{path}.test") for d in doc["test"])
-    hours = frozenset(doc.get("masked_hours", sorted(DEFAULT_MASKED_HOURS)))
+    train, test = (_parse_range(_field(doc, f"{path}.{key}"), f"{path}.{key}") for key in ("train", "test"))
+    hours = _field(doc, f"{path}.masked_hours", list, sorted(DEFAULT_MASKED_HOURS))
     if not all(isinstance(h, int) and 0 <= h <= 23 for h in hours):
         raise ConfigError(f"{path}.masked_hours", "hours must be integers in 0..23")
-    ranges = tuple(
-        (_parse_date(a, f"{path}.masked_date_ranges"), _parse_date(b, f"{path}.masked_date_ranges"))
-        for a, b in doc.get("masked_date_ranges", [])
-    )
+    ranges = _field(doc, f"{path}.masked_date_ranges", list, [])
+    ranges = tuple(_parse_range(rng, f"{path}.masked_date_ranges[{i}]") for i, rng in enumerate(ranges))
     try:
-        return SplitSpec(train, test, hours, ranges)
+        return SplitSpec(train, test, frozenset(hours), ranges)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from None
 
 
 def _parse_model(doc, path: str) -> ModelSpec:
-    doc = dict(doc or {})
     exam = doc.get("exam_period", "campus-2017")
     if exam == "campus-2017":
         exam_period = CAMPUS_2017_EXAMS
     elif exam is None:
         exam_period = None
     else:
-        if not (isinstance(exam, list) and len(exam) == 2):
-            raise ConfigError(f"{path}.exam_period", 'expected [start, end], null, or "campus-2017"')
-        exam_period = tuple(_parse_date(d, f"{path}.exam_period") for d in exam)
+        exam_period = _parse_range(exam, f"{path}.exam_period", '[start, end], null, or "campus-2017"')
     hyper = _parse_hyper(doc.get("gboost", {}), f"{path}.gboost")
     cross_order = _parse_int(doc.get("cross_order", 1), f"{path}.cross_order", 0)
     ar_order = _parse_int(doc.get("ar_order", 24), f"{path}.ar_order", 0)
+    flags = {key: _field(doc, f"{path}.{key}", bool, default)
+             for key, default in (("sort_quantiles", True), ("seasonal_normalize", False), ("cross_lags", False))}
     try:
         return ModelSpec(
             family=doc.get("family", "linear"),
             scope=doc.get("scope", "per_pair"),
-            sort_quantiles=bool(doc.get("sort_quantiles", True)),
             exam_period=exam_period,
-            seasonal_normalize=bool(doc.get("seasonal_normalize", False)),
-            cross_lags=bool(doc.get("cross_lags", False)),
+            **flags,
             cross_order=cross_order,
             ar_order=ar_order,
             gboost=hyper,
@@ -140,20 +149,18 @@ def _parse_hyper(doc, path: str) -> GBoostHyper:
 
 
 def _parse_grid(doc, path: str) -> tuple[GBoostHyper, ...]:
-    points = doc.get("gboost_grid", [])
-    if not isinstance(points, list):
-        raise ConfigError(f"{path}.gboost_grid", "expected a list of hyperparameter objects")
+    points = _field(doc, f"{path}.gboost_grid", list, [])
     return tuple(_parse_hyper(point, f"{path}.gboost_grid[{i}]") for i, point in enumerate(points))
 
 
 def config_from_json_dict(doc: dict, base_dir: Path) -> PipelineConfig:
     if doc.get("schema_version", CONFIG_SCHEMA_VERSION) != CONFIG_SCHEMA_VERSION:
         raise ConfigError("schema_version", f"unsupported version {doc['schema_version']}")
-    seed = _require(doc, "seed", "")
+    seed = _field(doc, "seed")
     if not isinstance(seed, int):
         raise ConfigError("seed", "must be an integer (wall-clock seeding is not supported)")
-    data = _require(doc, "data", "")
-    counts = base_dir / _require(data, "counts_csv", "data")
+    data = _field(doc, "data", dict)
+    counts = base_dir / _field(data, "data.counts_csv", str)
 
     quantiles = doc.get("quantiles", DEFAULT_QUANTILES)
     if not isinstance(quantiles, (list, tuple)):
@@ -162,19 +169,19 @@ def config_from_json_dict(doc: dict, base_dir: Path) -> PipelineConfig:
     if any(not 0 < q < 1 for q in quantiles) or list(quantiles) != sorted(set(quantiles)):
         raise ConfigError("quantiles", "must be strictly increasing values in (0,1)")
 
-    optimize = doc.get("optimize", {})
+    optimize = _field(doc, "optimize", dict, {})
     k = _parse_int(optimize.get("k", 100), "optimize.k", 1)
-    lags = list(optimize.get("lags", []))
+    lags = list(_field(optimize, "optimize.lags", list, []))
     for i, text in enumerate(lags):
         try:
             parse_hour(text)
         except (AttributeError, ValueError):
             raise ConfigError(f"optimize.lags[{i}]", f"not an ISO hour such as 2018-01-08T08: {text!r}") from None
 
-    network = doc.get("network")
+    network = _field(doc, "network", str, None)
     threads = _parse_int(doc.get("threads", 1), "threads", 1)
 
-    model_doc = doc.get("model") or {}
+    model_doc = _field(doc, "model", dict, None) or {}
     model = _parse_model(model_doc, "model")
     grid = _parse_grid(model_doc, "model")
     if grid and model.family != "gboost":
@@ -184,15 +191,15 @@ def config_from_json_dict(doc: dict, base_dir: Path) -> PipelineConfig:
         seed=seed,
         counts_csv=counts,
         network=(base_dir / network) if network else None,
-        split=_parse_split(doc.get("split"), "split"),
+        split=_parse_split(_field(doc, "split", dict, None), "split"),
         quantiles=quantiles,
         model=model,
         k=k,
         lags=lags,
-        output_dir=base_dir / doc.get("output_dir", "out"),
+        output_dir=base_dir / _field(doc, "output_dir", str, "out"),
         threads=threads,
         # a correlation needs at least two aligned lags
-        copula_min_lags=_parse_int(doc.get("copula", {}).get("min_lags", 30), "copula.min_lags", 2),
+        copula_min_lags=_parse_int(_field(doc, "copula", dict, {}).get("min_lags", 30), "copula.min_lags", 2),
         gboost_grid=grid,
     )
 
@@ -204,6 +211,8 @@ def load_config(path) -> PipelineConfig:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError("<root>", f"invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError("<root>", f"expected an object, got {doc!r}")
     return config_from_json_dict(doc, path.parent)
 
 

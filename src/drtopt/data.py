@@ -108,24 +108,6 @@ class ODCountSeries:
         return self.counts.astype(np.float64)
 
 
-@dataclass
-class HourlySeries:
-    """A transformed (differenced / normalized / masked) hourly series."""
-
-    pair: ODPair
-    timestamps: np.ndarray  # datetime64[h], strictly increasing
-    values: np.ndarray  # float64
-
-    def __post_init__(self):
-        self.timestamps = np.asarray(self.timestamps, dtype="datetime64[h]")
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.timestamps.shape != self.values.shape:
-            raise ValueError("timestamps and values must align")
-
-    def __len__(self) -> int:
-        return len(self.timestamps)
-
-
 # ---------------------------------------------------------------------------
 # CSV ingestion
 # ---------------------------------------------------------------------------
@@ -235,10 +217,6 @@ class WorkingRecord:
     timestamps: np.ndarray  # datetime64[h]
     values: np.ndarray  # float64
     pair_index: np.ndarray  # int64, the index into `pairs` of each row; non-decreasing
-
-    def series(self, pair: ODPair) -> HourlySeries:
-        rows = self.pair_index == self.pairs.index(pair)
-        return HourlySeries(pair, self.timestamps[rows], self.values[rows])
 
     def select(self, keep: np.ndarray) -> WorkingRecord:
         """The rows where `keep` is True; ordering preserved."""
@@ -412,12 +390,12 @@ def adf_test(values, max_lag: int | None = None) -> AdfResult:
     return AdfResult(stat, float(crit), stat < crit, nobs, max_lag)
 
 
-def check_stationarity(series: HourlySeries, max_lag: int | None = None) -> AdfResult:
-    """Run the ADF test and warn (but proceed) when a unit root is not rejected."""
-    result = adf_test(series.values, max_lag)
+def check_stationarity(pair: ODPair, values, max_lag: int | None = None) -> AdfResult:
+    """Run the ADF test on a pair's working-scale values; warn (but proceed) when a unit root is not rejected."""
+    result = adf_test(values, max_lag)
     if not result.reject_unit_root:
         warnings.warn(
-            f"pair {series.pair.origin}->{series.pair.destination}: ADF statistic "
+            f"pair {pair.origin}->{pair.destination}: ADF statistic "
             f"{result.statistic:.3f} does not reject a unit root at 1% "
             f"(critical {result.crit_1pct:.3f}); proceeding anyway",
             stacklevel=2,

@@ -64,6 +64,8 @@ class ModelSpec:
             raise ValueError("cross-pair lags and pooled scope are mutually exclusive")
         if self.family == "hp" and self.scope == "pooled":
             raise ValueError("historical percentiles are fit per pair only")
+        if self.family == "hp" and self.seasonal_normalize:
+            raise ValueError("historical percentiles are fit without seasonal normalization")
 
     def feature_config(self, pair_order: tuple[ODPair, ...]) -> FeatureConfig:
         return FeatureConfig(
@@ -102,8 +104,9 @@ def working_record(dataset: ODDataset, split: SplitSpec, check_unit_root: bool =
     """Every pair's differenced-and-masked series in one record (the model fitting scale)."""
     record = difference([dataset.series[pair] for pair in dataset.pairs])
     if check_unit_root:
-        for pair in record.pairs:
-            check_stationarity(record.series(pair))
+        bounds = np.searchsorted(record.pair_index, np.arange(len(record.pairs) + 1))
+        for pair, a, b in zip(record.pairs, bounds, bounds[1:]):
+            check_stationarity(pair, record.values[a:b])
     return record.select(~split.mask_array(record.timestamps))
 
 
@@ -136,12 +139,12 @@ def recent_record(dataset: ODDataset, split: SplitSpec, lags: np.ndarray, depth:
 
 def _group_rows(
     dataset: ODDataset, split: SplitSpec, spec: ModelSpec, check_unit_root: bool = False
-) -> tuple[dict[ODPair | None, dict[ODPair, tuple]], qr.SeasonalStats | None]:
-    """Each fitted model's train rows, (X, y, stamps) by pair, and the seasonal stats.
+) -> tuple[tuple[np.ndarray, ...], qr.SeasonalStats | None]:
+    """The usable train rows, pair after pair, as (X, y, stamps, pair_index), and the seasonal stats.
 
     The rows come from the working record, seasonally normalized by
-    train-range stats when the spec asks.  Pooled scope fits one model,
-    keyed None, over every pair; otherwise each pair is its own group.
+    train-range stats when the spec asks; `pair_index` indexes
+    `dataset.pairs`.
     """
     record = working_record(dataset, split, check_unit_root)
     in_train = split.in_train(record.timestamps)
@@ -151,28 +154,30 @@ def _group_rows(
         record = qr.seasonal_normalize(record, seasonal)
     train = record.select(in_train)
     X, usable = build_features(record, train.pair_index, train.timestamps, spec.feature_config(record.pairs))
-    X, train = X[usable], train.select(usable)
-    # the queries run pair after pair, so each pair's usable rows are one slice
-    bounds = np.searchsorted(train.pair_index, np.arange(len(record.pairs) + 1))
-    rows = {}
-    for pair, a, b in zip(record.pairs, bounds, bounds[1:]):
-        if a == b:
-            raise ValueError(f"no usable training lags for pair {pair}")
-        rows[pair] = X[a:b], train.values[a:b], train.timestamps[a:b]
-    if spec.scope == "pooled":
-        return {None: rows}, seasonal
-    return {pair: {pair: r} for pair, r in rows.items()}, seasonal
+    train = train.select(usable)
+    have = np.bincount(train.pair_index, minlength=len(record.pairs))
+    if not have.all():
+        raise ValueError(f"no usable training lags for pair {record.pairs[np.argmin(have)]}")
+    return (X[usable], train.values, train.timestamps, train.pair_index), seasonal
 
 
-def _fit_groups(spec: ModelSpec, groups, levels, hyper: boosting.GBoostHyper, tuning=None, patience: int = 10):
-    """One model of the spec's family per group, fit on its pairs' stacked rows.
+def _fit_groups(spec: ModelSpec, pairs, rows, levels, hyper: boosting.GBoostHyper, tuning=None, patience: int = 10):
+    """One model of the spec's family per pair, or one keyed None over every pair when pooled.
 
-    With `tuning` (the ranges of `tuning_ranges`), the fit takes the
-    tuning-train rows and the tuning-val rows drive early stopping.
+    `rows` are `_group_rows`' arrays.  With `tuning` (the ranges of
+    `tuning_ranges`), the fit takes the tuning-train rows and the
+    tuning-val rows drive early stopping.
     """
+    *columns, pair_index = rows
+    if spec.scope == "pooled":
+        groups = {None: slice(None)}
+    else:
+        # the rows run pair after pair, so each pair's rows are one slice
+        bounds = np.searchsorted(pair_index, np.arange(len(pairs) + 1))
+        groups = {pair: slice(a, b) for pair, a, b in zip(pairs, bounds, bounds[1:])}
     models = {}
-    for key, rows in groups.items():
-        X, y, stamps = (np.concatenate(part) for part in zip(*rows.values()))
+    for key, part in groups.items():
+        X, y, stamps = (column[part] for column in columns)
         val = None
         if tuning is not None:
             _, val_range, train_range = tuning
@@ -199,8 +204,8 @@ def train_model(
     if spec.family == "hp":
         models = {pair: qr.fit_hp(train_series(dataset.series[pair], split), levels) for pair in pair_order}
         return TrainedDemandModel(spec, tuple(levels), labels, pair_order, models)
-    groups, seasonal = _group_rows(dataset, split, spec, check_unit_root=True)
-    models = _fit_groups(spec, groups, levels, spec.gboost)
+    rows, seasonal = _group_rows(dataset, split, spec, check_unit_root=True)
+    models = _fit_groups(spec, pair_order, rows, levels, spec.gboost)
     return TrainedDemandModel(spec, tuple(levels), labels, pair_order, models, seasonal)
 
 
@@ -303,26 +308,26 @@ def gboost_grid_search(
     if spec.family != "gboost":
         raise ValueError("grid search applies to the gboost family only")
     tuning = tuning_ranges(split)
-    groups, _ = _group_rows(dataset, split, spec)
+    pairs = tuple(dataset.pairs)
+    rows, _ = _group_rows(dataset, split, spec)
+    X, y, stamps, pair_index = rows
 
     # every pair's tuning-test rows, predicted in one call per grid point
-    tests, group = [], []
-    for g, rows in enumerate(groups.values()):
-        for pair, (X, y, stamps) in rows.items():
-            in_test = in_days(stamps, tuning[0])
-            if not in_test.any():
-                raise ValueError(f"pair {pair} has no rows in the tuning-test range {tuning[0][0]}..{tuning[0][1]}")
-            tests.append((X[in_test], y[in_test]))
-            group += [g] * int(in_test.sum())
-    X_test, group = np.concatenate([X for X, _ in tests]), np.array(group)
-    bounds = np.cumsum([0] + [len(y) for _, y in tests])
+    in_test = in_days(stamps, tuning[0])
+    X_test, y_test, test_index = X[in_test], y[in_test], pair_index[in_test]
+    have = np.bincount(test_index, minlength=len(pairs))
+    if not have.all():
+        pair = pairs[np.argmin(have)]
+        raise ValueError(f"pair {pair} has no rows in the tuning-test range {tuning[0][0]}..{tuning[0][1]}")
+    which = np.zeros_like(test_index) if spec.scope == "pooled" else test_index
+    bounds = np.searchsorted(test_index, np.arange(len(pairs) + 1))
 
     def score(hyper: boosting.GBoostHyper) -> float:
-        models = _fit_groups(spec, groups, levels, hyper, tuning, patience)
-        raw = boosting.gboost_raw_predict(boosting.stack_gboost(list(models.values()), levels), group, X_test)
+        models = _fit_groups(spec, pairs, rows, levels, hyper, tuning, patience)
+        raw = boosting.gboost_raw_predict(boosting.stack_gboost(list(models.values()), levels), which, X_test)
         total = 0.0
-        for (_, y), a, b in zip(tests, bounds, bounds[1:]):
-            total += sum(float(np.mean(qr.tilted_loss(q, y, raw[a:b, j]))) for j, q in enumerate(levels))
+        for a, b in zip(bounds, bounds[1:]):
+            total += sum(float(np.mean(qr.tilted_loss(q, y_test[a:b], raw[a:b, j]))) for j, q in enumerate(levels))
         return total
 
     return qr.grid_search(score, grid)
@@ -488,7 +493,7 @@ def model_from_json_dict(doc: dict) -> TrainedDemandModel:
             raise ValueError(f"model {'pooled' if key is None else '>'.join(_pair_doc(key, labels))}: missing")
 
     seasonal = None
-    if spec.seasonal_normalize and spec.family != "hp":  # historical percentiles train no seasonal stats
+    if spec.seasonal_normalize:
         mean, std = np.full((2, len(pair_order), 7, 24), np.nan)
         for i, pair in enumerate(pair_order):  # a pair without cells is named by SeasonalStats
             name = ">".join(_pair_doc(pair, labels))

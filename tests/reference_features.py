@@ -3,17 +3,44 @@
 It builds one lag's feature vector from named blocks, the way the library
 did before features were built as one matrix for all pairs.  Raises
 ValueError where the matrix builder marks a row unusable.  `record_of` puts
-per-pair series into the one working record the matrix builder reads.
+per-pair series into the one working record the matrix builder reads, and
+`pair_series` reads one pair's series back out of a record.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from drtopt.data import TOD_HOURS, FeatureConfig, HourlySeries, ODPair, WorkingRecord, format_hour, hour_of, weekday_of
+from drtopt.data import TOD_HOURS, FeatureConfig, ODPair, WorkingRecord, format_hour, hour_of, weekday_of
 
 
-def record_of(history: dict[ODPair, HourlySeries]) -> WorkingRecord:
+@dataclass
+class PairSeries:
+    """One pair's working-scale (differenced, normalized or masked) hourly series."""
+
+    pair: ODPair
+    timestamps: np.ndarray  # datetime64[h], strictly increasing
+    values: np.ndarray  # float64
+
+    def __post_init__(self):
+        self.timestamps = np.asarray(self.timestamps, dtype="datetime64[h]")
+        self.values = np.asarray(self.values, dtype=np.float64)
+        if self.timestamps.shape != self.values.shape:
+            raise ValueError("timestamps and values must align")
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+
+def pair_series(record: WorkingRecord, pair: ODPair) -> PairSeries:
+    """The rows of `pair` in a working record."""
+    rows = record.pair_index == record.pairs.index(pair)
+    return PairSeries(pair, record.timestamps[rows], record.values[rows])
+
+
+def record_of(history: dict[ODPair, PairSeries]) -> WorkingRecord:
     """The working record of the given series, pairs in sorted order."""
     pairs = tuple(sorted(history))
     timestamps = np.concatenate([history[p].timestamps for p in pairs])
@@ -21,7 +48,7 @@ def record_of(history: dict[ODPair, HourlySeries]) -> WorkingRecord:
     return WorkingRecord(pairs, timestamps, values, np.repeat(np.arange(len(pairs)), [len(history[p]) for p in pairs]))
 
 
-def _recent_values(series: HourlySeries, t: np.datetime64, k: int) -> np.ndarray:
+def _recent_values(series: PairSeries, t: np.datetime64, k: int) -> np.ndarray:
     """Last k retained values strictly before t (positional, newest last)."""
     idx = int(np.searchsorted(series.timestamps, t))
     if idx < k:
@@ -30,7 +57,7 @@ def _recent_values(series: HourlySeries, t: np.datetime64, k: int) -> np.ndarray
 
 
 def reference_features(
-    history: dict[ODPair, HourlySeries],
+    history: dict[ODPair, PairSeries],
     t: np.datetime64,
     pair: ODPair,
     cfg: FeatureConfig,

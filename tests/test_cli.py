@@ -133,6 +133,9 @@ def test_optimize_rejects_a_demand_node_that_matches_no_data_location(tmp_path, 
     assert not (out / "out" / "scenario_2018-01-08T08.json").exists()
 
 
+SPLIT_DOC = {"train": ["2017-11-17", "2018-01-07"], "test": ["2018-01-08", "2018-01-14"]}
+
+
 def test_config_validation_paths(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"seed": "tomorrow", "data": {"counts_csv": "x.csv"}}))
@@ -159,6 +162,8 @@ def test_config_validation_paths(tmp_path):
         ({"family": "gboost", "gboost_grid": [{"n_trees": 5}, {"n_trees": 10.9}]}, r"config\.model\.gboost_grid\[1\]\.n_trees: not an integer: 10\.9"),
         ({"family": "gboost", "gboost_grid": [{"n_trees": 0}]}, r"config\.model\.gboost_grid\[0\]\.n_trees: must be >= 1"),
         ({"family": "gboost", "gboost_grid": [{"max_depth": "deep"}]}, r"config\.model\.gboost_grid\[0\]\.max_depth: not an integer: 'deep'"),
+        ({"family": "hp", "seasonal_normalize": True}, r"config\.model: historical percentiles are fit without seasonal normalization"),
+        ({"cross_lags": "false"}, r"config\.model\.cross_lags: expected true or false, got 'false'"),
     ):
         bad.write_text(json.dumps({"seed": 1, "data": {"counts_csv": "x"}, "model": model}))
         with pytest.raises(ConfigError, match=path):
@@ -180,6 +185,16 @@ def test_config_validation_paths(tmp_path):
         ({"quantiles": ["a"]}, r"config\.quantiles\[0\]: not a number: 'a'"),
         ({"quantiles": [0.25, None]}, r"config\.quantiles\[1\]: not a number: None"),
         ({"quantiles": 0.5}, r"config\.quantiles: expected a list of levels, got 0\.5"),
+        ({"split": []}, r"config\.split: expected an object, got \[\]"),
+        ({"optimize": []}, r"config\.optimize: expected an object, got \[\]"),
+        ({"copula": []}, r"config\.copula: expected an object, got \[\]"),
+        ({"model": "x"}, r"config\.model: expected an object, got 'x'"),
+        ({"model": []}, r"config\.model: expected an object, got \[\]"),
+        ({"split": {**SPLIT_DOC, "masked_hours": 5}}, r"config\.split\.masked_hours: expected a list, got 5"),
+        ({"split": {**SPLIT_DOC, "masked_date_ranges": [["2017-12-01"]]}},
+         r"config\.split\.masked_date_ranges\[0\]: expected \[start, end\]"),
+        ({"output_dir": 5}, r"config\.output_dir: expected a string, got 5"),
+        ({"network": 5}, r"config\.network: expected a string, got 5"),
     ):
         bad.write_text(json.dumps({"seed": 1, "data": {"counts_csv": "x"}, **extra}))
         with pytest.raises(ConfigError, match=path):

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from drtopt.data import (
     FeatureConfig,
-    HourlySeries,
     ODCountSeries,
     ODPair,
     SplitSpec,
@@ -23,7 +22,7 @@ from drtopt.data import (
     save_od_counts,
     train_series,
 )
-from reference_features import record_of, reference_features
+from reference_features import PairSeries, pair_series, record_of, reference_features
 
 
 def hourly(start: str, values):
@@ -205,8 +204,8 @@ def test_difference_of_many_series_is_each_series_alone(records):
     assert record.pairs == tuple(s.pair for s in series_list)
     assert record.pair_index.tolist() == [i for i, d in enumerate(alone) for _ in range(len(d.values))]
     for s, d in zip(series_list, alone):
-        assert record.series(s.pair).timestamps.tolist() == d.timestamps.tolist()
-        assert record.series(s.pair).values.tolist() == d.values.tolist()
+        assert pair_series(record, s.pair).timestamps.tolist() == d.timestamps.tolist()
+        assert pair_series(record, s.pair).values.tolist() == d.values.tolist()
 
 
 @given(st.lists(st.tuples(st.lists(st.tuples(st.integers(1, 3), st.integers(0, 500)), min_size=2, max_size=20),
@@ -226,13 +225,13 @@ def test_difference_of_windows_is_the_whole_difference_after_each_first_row(reco
         return
     windowed = difference(series_list, bounds)
     for s, (a, b) in zip(series_list, bounds):
-        d = whole.series(s.pair)
+        d = pair_series(whole, s.pair)
         # the window's rows after its first: counts[a + 1:b]
         inside = np.zeros(len(d), dtype=bool)
         if a < b:
             inside = (d.timestamps > s.timestamps[a]) & (d.timestamps <= s.timestamps[b - 1])
-        assert windowed.series(s.pair).timestamps.tolist() == d.timestamps[inside].tolist()
-        assert windowed.series(s.pair).values.tolist() == d.values[inside].tolist()
+        assert pair_series(windowed, s.pair).timestamps.tolist() == d.timestamps[inside].tolist()
+        assert pair_series(windowed, s.pair).values.tolist() == d.values[inside].tolist()
 
 
 @given(st.lists(st.integers(min_value=0, max_value=500), min_size=2, max_size=60))
@@ -399,7 +398,7 @@ def test_adf_singular_matrix():
 def make_history(pair=ODPair(0, 1), n=60, start="2017-11-13T07", values=None):
     ts = hourly(start, range(n))
     vals = np.arange(n, dtype=float) if values is None else values
-    return {pair: HourlySeries(pair, ts, vals)}
+    return {pair: PairSeries(pair, ts, vals)}
 
 
 def pair_features(history, stamps, pair, cfg):
@@ -473,7 +472,7 @@ def test_features_deterministic():
 FEATURE_PAIRS = (ODPair(0, 1), ODPair(0, 2), ODPair(1, 0))
 
 
-def feature_history(late=None, gap=None) -> dict[ODPair, HourlySeries]:
+def feature_history(late=None, gap=None) -> dict[ODPair, PairSeries]:
     """Three working-scale series over daytime hours; one may start late or skip a day."""
     rng = np.random.default_rng(77)
     start = parse_hour("2017-12-01T00")
@@ -487,7 +486,7 @@ def feature_history(late=None, gap=None) -> dict[ODPair, HourlySeries]:
         if pair == gap:
             days = ts.astype("datetime64[D]")
             keep &= days != np.datetime64("2017-12-05")
-        history[pair] = HourlySeries(pair, ts[keep], rng.normal(size=int(keep.sum())).round(3))
+        history[pair] = PairSeries(pair, ts[keep], rng.normal(size=int(keep.sum())).round(3))
     return history
 
 

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from drtopt import forecasting, qr
 from drtopt.boosting import GBoostHyper, fit_gboost, gboost_raw_predict
-from drtopt.data import HOUR, ODCountSeries, ODDataset, ODPair, SplitSpec, build_features, counts_at, difference
+from drtopt.data import HOUR, ODCountSeries, ODDataset, ODPair, SplitSpec, adf_test, build_features, counts_at, difference
 from drtopt.forecasting import (
     ModelSpec,
     gboost_grid_search,
@@ -27,7 +27,7 @@ from drtopt.forecasting import (
 from drtopt.metrics import crossings
 from drtopt.qr import DEFAULT_QUANTILES, fit_seasonal_stats, seasonal_normalize, tilted_loss
 from drtopt.synth import SyntheticSpec, generate_synthetic
-from reference_features import reference_features
+from reference_features import pair_series, reference_features
 from reference_qr import reference_lqr_raw_predict
 from reference_trees import reference_gboost_raw_predict, reference_raw_predict
 
@@ -53,10 +53,34 @@ def test_model_spec_validation():
         ModelSpec(cross_lags=True, scope="pooled")
 
 
+def test_hp_with_seasonal_normalization_is_rejected_in_model_json(dataset):
+    doc = model_to_json_dict(train_model(dataset, SPLIT, spec(family="hp"), (0.5,)))
+    doc["spec"]["seasonal_normalize"] = True
+    with pytest.raises(ValueError, match="historical percentiles are fit without seasonal normalization"):
+        model_from_json_dict(doc)
+
+
+def test_a_random_walk_pair_warns_once_naming_it(dataset):
+    # differences that are a random walk: the one working-scale series with a unit root
+    pair = dataset.pairs[1]
+    s = dataset.series[pair]
+    counts = np.cumsum(np.cumsum(np.random.default_rng(2).choice([-1, 1], size=len(s))))
+    counts -= counts.min()
+    walk = ODDataset(dataset.locations, {**dataset.series, pair: ODCountSeries(pair, s.timestamps, counts)})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        train_model(walk, SPLIT, spec(), (0.5,))
+    result = adf_test(np.diff(counts.astype(float)))
+    assert [str(w.message) for w in caught] == [
+        f"pair {pair.origin}->{pair.destination}: ADF statistic {result.statistic:.3f} does not reject a unit root "
+        f"at 1% (critical {result.crit_1pct:.3f}); proceeding anyway"
+    ]
+
+
 def test_working_record_is_masked_and_differenced(dataset):
     record = working_record(dataset, SPLIT)
     assert record.pairs == tuple(dataset.pairs)
-    s = record.series(dataset.pairs[0])
+    s = pair_series(record, dataset.pairs[0])
     hours = s.timestamps.astype("int64") % 24
     assert set(hours) <= set(range(7, 23))
     raw = dataset.series[dataset.pairs[0]]
@@ -158,10 +182,11 @@ def test_lag_outside_modeled_hours_is_skipped_in_training_and_raises_in_predict(
     # hours 6 and 23 stay in the working record but have no time-of-day column
     split = SplitSpec(SPLIT.train_range, SPLIT.test_range, masked_hours=frozenset(range(6)))
     record = working_record(dataset, split)
-    histories = {p: record.series(p) for p in record.pairs}
+    histories = {p: pair_series(record, p) for p in record.pairs}
     pair = dataset.pairs[0]
     cfg = spec().feature_config(tuple(dataset.pairs))
-    [(X, y, stamps)] = forecasting._group_rows(dataset, split, spec())[0][pair].values()
+    (X, y, stamps, pair_index), _ = forecasting._group_rows(dataset, split, spec())
+    X, stamps = X[pair_index == 0], stamps[pair_index == 0]
     series = histories[pair]
     in_train = series.timestamps[split.in_train(series.timestamps)]
     expected = []
@@ -373,7 +398,7 @@ def test_a_window_one_lag_short_grows(dataset, window_models, monkeypatch, hours
     monkeypatch.setattr(forecasting, "difference", lambda *args: windows.append(difference(*args)) or windows[-1])
     lags = lag + np.arange(hours) * HOUR  # the second lag puts the first lag's row in the window
     windowed = outcome(predict_forecasts, model, gappy, split, lags)
-    have = [int(np.sum(w.series(pair).timestamps < lag)) for w in windows]
+    have = [int(np.sum(pair_series(w, pair).timestamps < lag)) for w in windows]
     assert have[0] == depth - 1 and have[-1] >= depth
     assert isinstance(windowed, dict)
     assert windowed == outcome(whole_record_predict, model, gappy, split, lags)
@@ -694,7 +719,7 @@ def test_grid_search_scores_the_seasonally_normalized_rows(dataset):
     cfg = mspec.feature_config(tuple(dataset.pairs))
     total = 0.0
     for i, pair in enumerate(record.pairs):
-        s = record.series(pair)
+        s = pair_series(record, pair)
         train = SPLIT.in_train(s.timestamps)
         X, usable = build_features(record, np.full(train.sum(), i), s.timestamps[train], cfg)
         X, y, days = X[usable], s.values[train][usable], s.timestamps[train][usable].astype("datetime64[D]")
@@ -707,6 +732,38 @@ def test_grid_search_scores_the_seasonally_normalized_rows(dataset):
     assert scores == [total]
     _, plain = gboost_grid_search(dataset, SPLIT, spec(family="gboost"), [hyper], (0.5,))
     assert plain != scores
+
+
+@pytest.mark.parametrize("scope", ["per_pair", "pooled"])
+def test_grid_search_scores_equal_each_pairs_tilted_loss(dataset, scope):
+    """A score sums each pair's mean tilted loss per level on its tuning-test rows, under its group's model."""
+    grid, levels = [GBoostHyper(0.3, 2, 8), GBoostHyper(0.1, 3, 5)], (0.25, 0.5, 0.75)
+    mspec = spec(family="gboost", scope=scope)
+    best, scores = gboost_grid_search(dataset, SPLIT, mspec, grid, levels)
+    record = working_record(dataset, SPLIT)
+    cfg = mspec.feature_config(tuple(dataset.pairs))
+    rows = {}
+    for i, pair in enumerate(record.pairs):
+        s = pair_series(record, pair)
+        train = SPLIT.in_train(s.timestamps)
+        X, usable = build_features(record, np.full(train.sum(), i), s.timestamps[train], cfg)
+        days = s.timestamps[train][usable].astype("datetime64[D]")
+        part = [(days >= np.datetime64(a)) & (days <= np.datetime64(b)) for a, b in tuning_ranges(SPLIT)]
+        rows[pair] = X[usable], s.values[train][usable], *part  # tuning test, val and train rows
+    groups = [list(rows)] if scope == "pooled" else [[pair] for pair in rows]
+    want = []
+    for hyper in grid:
+        total = 0.0
+        for members in groups:
+            X, y, _, in_val, in_train = (np.concatenate(c) for c in zip(*(rows[p] for p in members)))
+            model = fit_gboost(X[in_train], y[in_train], levels, hyper, val=(X[in_val], y[in_val]))
+            for pair in members:
+                X, y, in_test, _, _ = rows[pair]
+                raw = reference_gboost_raw_predict(model, X[in_test])
+                total += sum(float(np.mean(tilted_loss(q, y[in_test], raw[q]))) for q in levels)
+        want.append(total)
+    assert scores == want
+    assert best == grid[int(np.argmin(want))]
 
 
 @pytest.mark.parametrize("scope", ["per_pair", "pooled"])

@@ -23,10 +23,10 @@ from drtopt.qr import (
     stack_lqr,
     tilted_loss,
 )
-from drtopt.data import HourlySeries, ODCountSeries
+from drtopt.data import ODCountSeries
 from drtopt.forecasting import to_count_scale
 from drtopt.synth import SyntheticSpec, generate_synthetic
-from reference_features import record_of
+from reference_features import PairSeries, record_of
 from reference_qr import (
     reference_dual_lp,
     reference_lqr_raw_predict,
@@ -560,7 +560,7 @@ def test_forecast_monotone_and_nonnegative(rng):
 def weekly_series(values, start="2017-11-20T08"):
     t0 = parse_hour(start)
     ts = t0 + (np.arange(len(values)) * 7 * 24).astype("timedelta64[h]")
-    return HourlySeries(PAIR, ts, np.asarray(values, dtype=float))
+    return PairSeries(PAIR, ts, np.asarray(values, dtype=float))
 
 
 def fit_one(s):
@@ -608,7 +608,7 @@ def test_seasonal_stats_equal_each_pairs_reference_cells(seed):
         hours = np.sort(rng.choice(5 * 7 * 24, size=int(rng.integers(50, 600)), replace=False))
         values = rng.normal(size=len(hours)) * 10.0 ** rng.integers(-3, 4, len(hours))
         values[hour_of(t0 + hours.astype("timedelta64[h]")) == 3] = 2.5
-        history[pair] = HourlySeries(pair, t0 + hours.astype("timedelta64[h]"), values)
+        history[pair] = PairSeries(pair, t0 + hours.astype("timedelta64[h]"), values)
     with pytest.warns(UserWarning, match="zero variance"):
         stats = fit_seasonal_stats(record_of(history))
     assert stats.pairs == tuple(sorted(history))
