@@ -1,4 +1,9 @@
-"""Pipeline configuration: one JSON document, validated with field paths."""
+"""Pipeline configuration: one JSON document, validated with field paths.
+
+The same checked field readers parse the spec of a saved model
+(`forecasting.model_from_json_dict`) and a network document
+(`tndfs.instance_from_json_dict`).
+"""
 
 from __future__ import annotations
 
@@ -8,19 +13,65 @@ from datetime import date
 from pathlib import Path
 
 from .boosting import GBoostHyper
-from .data import DEFAULT_MASKED_HOURS, CAMPUS_2017_EXAMS, SplitSpec, campus_2017_split, parse_hour
-from .forecasting import ModelSpec
+from .data import (
+    DEFAULT_MASKED_HOURS,
+    CAMPUS_2017_EXAMS,
+    FeatureConfig,
+    ODPair,
+    SplitSpec,
+    campus_2017_split,
+    parse_hour,
+)
 from .qr import DEFAULT_QUANTILES
 
 CONFIG_SCHEMA_VERSION = 1
+FAMILIES = ("hp", "linear", "gboost")
+SCOPES = ("per_pair", "pooled")
 
 
 class ConfigError(ValueError):
-    """Configuration problem, carrying the path of the offending field."""
+    """A malformed input field, named by its full path, such as config.model.ar_order."""
 
     def __init__(self, path: str, message: str):
-        super().__init__(f"config.{path}: {message}")
+        super().__init__(f"{path}: {message}")
         self.path = path
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """Which family to fit and how the feature map is configured."""
+
+    family: str = "linear"
+    scope: str = "per_pair"
+    sort_quantiles: bool = True
+    exam_period: tuple[date, date] | None = None
+    seasonal_normalize: bool = False
+    cross_lags: bool = False
+    cross_order: int = 1
+    ar_order: int = 24
+    gboost: GBoostHyper = GBoostHyper()
+
+    def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown model family {self.family!r}")
+        if self.scope not in SCOPES:
+            raise ValueError(f"unknown model scope {self.scope!r}")
+        if self.cross_lags and self.scope == "pooled":
+            raise ValueError("cross-pair lags and pooled scope are mutually exclusive")
+        if self.family == "hp" and self.scope == "pooled":
+            raise ValueError("historical percentiles are fit per pair only")
+        if self.family == "hp" and self.seasonal_normalize:
+            raise ValueError("historical percentiles are fit without seasonal normalization")
+
+    def feature_config(self, pair_order: tuple[ODPair, ...]) -> FeatureConfig:
+        return FeatureConfig(
+            exam_period=self.exam_period,
+            ar_order=self.ar_order,
+            cross_lags=self.cross_lags,
+            cross_order=self.cross_order,
+            od_onehot=self.scope == "pooled",
+            pair_order=pair_order,
+        )
 
 
 @dataclass
@@ -43,7 +94,7 @@ _REQUIRED = object()
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string", bool: "true or false"}
 
 
-def _field(doc: dict, path: str, kind: type = object, default=_REQUIRED):
+def field(doc: dict, path: str, kind: type = object, default=_REQUIRED):
     """The field at `path`, the last key of which is looked up in `doc`.
 
     `default` stands in when it is absent, and a value not of JSON type
@@ -58,23 +109,20 @@ def _field(doc: dict, path: str, kind: type = object, default=_REQUIRED):
     return value
 
 
-def _parse_int(value, path: str, minimum: int) -> int:
-    try:
-        if isinstance(value, float) and not value.is_integer():
-            raise ValueError  # int() would truncate it
-        number = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(path, f"not an integer: {value!r}") from None
-    if number < minimum:
+def parse_int(value, path: str, minimum: int) -> int:
+    """A JSON integer, or an integral float, of at least `minimum`; true and false are not numbers."""
+    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ConfigError(path, f"not an integer: {value!r}")
+    if value < minimum:
         raise ConfigError(path, f"must be >= {minimum}")
-    return number
+    return int(value)
 
 
-def _parse_float(value, path: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(path, f"not a number: {value!r}") from None
+def parse_float(value, path: str) -> float:
+    """A JSON number; true, false and numeric strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(path, f"not a number: {value!r}")
+    return float(value)
 
 
 def _parse_date(text, path: str) -> date:
@@ -95,11 +143,11 @@ def _parse_split(doc, path: str) -> SplitSpec:
         return campus_2017_split()
     if "preset" in doc:
         raise ConfigError(f"{path}.preset", f"unknown preset {doc['preset']!r}")
-    train, test = (_parse_range(_field(doc, f"{path}.{key}"), f"{path}.{key}") for key in ("train", "test"))
-    hours = _field(doc, f"{path}.masked_hours", list, sorted(DEFAULT_MASKED_HOURS))
+    train, test = (_parse_range(field(doc, f"{path}.{key}"), f"{path}.{key}") for key in ("train", "test"))
+    hours = field(doc, f"{path}.masked_hours", list, sorted(DEFAULT_MASKED_HOURS))
     if not all(isinstance(h, int) and 0 <= h <= 23 for h in hours):
         raise ConfigError(f"{path}.masked_hours", "hours must be integers in 0..23")
-    ranges = _field(doc, f"{path}.masked_date_ranges", list, [])
+    ranges = field(doc, f"{path}.masked_date_ranges", list, [])
     ranges = tuple(_parse_range(rng, f"{path}.masked_date_ranges[{i}]") for i, rng in enumerate(ranges))
     try:
         return SplitSpec(train, test, frozenset(hours), ranges)
@@ -107,23 +155,34 @@ def _parse_split(doc, path: str) -> SplitSpec:
         raise ConfigError(path, str(exc)) from None
 
 
-def _parse_model(doc, path: str) -> ModelSpec:
-    exam = doc.get("exam_period", "campus-2017")
+def _reader(doc, path: str, defaults: bool):
+    """`doc`'s fields by key, each with its default, or each required when not `defaults`."""
+    if not isinstance(doc, dict):
+        raise ConfigError(path, f"expected an object, got {doc!r}")
+    return lambda key, default, kind=object: field(doc, f"{path}.{key}", kind, default if defaults else _REQUIRED)
+
+
+def parse_model(doc, path: str, defaults: bool = True) -> ModelSpec:
+    """The model spec in `doc`: a config's `model`, or, without `defaults`, a saved model's `spec`,
+    which holds every field."""
+    get = _reader(doc, path, defaults)
+    exam = get("exam_period", "campus-2017")
     if exam == "campus-2017":
         exam_period = CAMPUS_2017_EXAMS
     elif exam is None:
         exam_period = None
     else:
         exam_period = _parse_range(exam, f"{path}.exam_period", '[start, end], null, or "campus-2017"')
-    hyper = _parse_hyper(doc.get("gboost", {}), f"{path}.gboost")
-    cross_order = _parse_int(doc.get("cross_order", 1), f"{path}.cross_order", 0)
-    ar_order = _parse_int(doc.get("ar_order", 24), f"{path}.ar_order", 0)
-    flags = {key: _field(doc, f"{path}.{key}", bool, default)
+    hyper = _parse_hyper(get("gboost", {}), f"{path}.gboost", defaults)
+    cross_order = parse_int(get("cross_order", 1), f"{path}.cross_order", 0)
+    ar_order = parse_int(get("ar_order", 24), f"{path}.ar_order", 0)
+    flags = {key: get(key, default, bool)
              for key, default in (("sort_quantiles", True), ("seasonal_normalize", False), ("cross_lags", False))}
+    family, scope = get("family", "linear"), get("scope", "per_pair")
     try:
         return ModelSpec(
-            family=doc.get("family", "linear"),
-            scope=doc.get("scope", "per_pair"),
+            family=family,
+            scope=scope,
             exam_period=exam_period,
             **flags,
             cross_order=cross_order,
@@ -134,13 +193,12 @@ def _parse_model(doc, path: str) -> ModelSpec:
         raise ConfigError(path, str(exc)) from None
 
 
-def _parse_hyper(doc, path: str) -> GBoostHyper:
-    if not isinstance(doc, dict):
-        raise ConfigError(path, f"expected an object of hyperparameters, got {doc!r}")
+def _parse_hyper(doc, path: str, defaults: bool = True) -> GBoostHyper:
+    get = _reader(doc, path, defaults)
     hyper = GBoostHyper(
-        learning_rate=_parse_float(doc.get("learning_rate", 0.1), f"{path}.learning_rate"),
-        max_depth=_parse_int(doc.get("max_depth", 3), f"{path}.max_depth", 0),
-        n_trees=_parse_int(doc.get("n_trees", 50), f"{path}.n_trees", 1),
+        learning_rate=parse_float(get("learning_rate", 0.1), f"{path}.learning_rate"),
+        max_depth=parse_int(get("max_depth", 3), f"{path}.max_depth", 0),
+        n_trees=parse_int(get("n_trees", 50), f"{path}.n_trees", 1),
     )
     try:
         return hyper.validate()
@@ -149,57 +207,57 @@ def _parse_hyper(doc, path: str) -> GBoostHyper:
 
 
 def _parse_grid(doc, path: str) -> tuple[GBoostHyper, ...]:
-    points = _field(doc, f"{path}.gboost_grid", list, [])
+    points = field(doc, f"{path}.gboost_grid", list, [])
     return tuple(_parse_hyper(point, f"{path}.gboost_grid[{i}]") for i, point in enumerate(points))
 
 
 def config_from_json_dict(doc: dict, base_dir: Path) -> PipelineConfig:
     if doc.get("schema_version", CONFIG_SCHEMA_VERSION) != CONFIG_SCHEMA_VERSION:
-        raise ConfigError("schema_version", f"unsupported version {doc['schema_version']}")
-    seed = _field(doc, "seed")
-    if not isinstance(seed, int):
-        raise ConfigError("seed", "must be an integer (wall-clock seeding is not supported)")
-    data = _field(doc, "data", dict)
-    counts = base_dir / _field(data, "data.counts_csv", str)
+        raise ConfigError("config.schema_version", f"unsupported version {doc['schema_version']}")
+    seed = field(doc, "config.seed")
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigError("config.seed", "must be an integer (wall-clock seeding is not supported)")
+    data = field(doc, "config.data", dict)
+    counts = base_dir / field(data, "config.data.counts_csv", str)
 
     quantiles = doc.get("quantiles", DEFAULT_QUANTILES)
     if not isinstance(quantiles, (list, tuple)):
-        raise ConfigError("quantiles", f"expected a list of levels, got {quantiles!r}")
-    quantiles = tuple(_parse_float(q, f"quantiles[{i}]") for i, q in enumerate(quantiles))
+        raise ConfigError("config.quantiles", f"expected a list of levels, got {quantiles!r}")
+    quantiles = tuple(parse_float(q, f"config.quantiles[{i}]") for i, q in enumerate(quantiles))
     if any(not 0 < q < 1 for q in quantiles) or list(quantiles) != sorted(set(quantiles)):
-        raise ConfigError("quantiles", "must be strictly increasing values in (0,1)")
+        raise ConfigError("config.quantiles", "must be strictly increasing values in (0,1)")
 
-    optimize = _field(doc, "optimize", dict, {})
-    k = _parse_int(optimize.get("k", 100), "optimize.k", 1)
-    lags = list(_field(optimize, "optimize.lags", list, []))
+    optimize = field(doc, "config.optimize", dict, {})
+    k = parse_int(optimize.get("k", 100), "config.optimize.k", 1)
+    lags = list(field(optimize, "config.optimize.lags", list, []))
     for i, text in enumerate(lags):
         try:
             parse_hour(text)
         except (AttributeError, ValueError):
-            raise ConfigError(f"optimize.lags[{i}]", f"not an ISO hour such as 2018-01-08T08: {text!r}") from None
+            raise ConfigError(f"config.optimize.lags[{i}]", f"not an ISO hour such as 2018-01-08T08: {text!r}") from None
 
-    network = _field(doc, "network", str, None)
-    threads = _parse_int(doc.get("threads", 1), "threads", 1)
+    network = field(doc, "config.network", str, None)
+    threads = parse_int(doc.get("threads", 1), "config.threads", 1)
 
-    model_doc = _field(doc, "model", dict, None) or {}
-    model = _parse_model(model_doc, "model")
-    grid = _parse_grid(model_doc, "model")
+    model_doc = field(doc, "config.model", dict, None) or {}
+    model = parse_model(model_doc, "config.model")
+    grid = _parse_grid(model_doc, "config.model")
     if grid and model.family != "gboost":
-        raise ConfigError("model.gboost_grid", "grid search applies to the gboost family only")
+        raise ConfigError("config.model.gboost_grid", "grid search applies to the gboost family only")
 
     return PipelineConfig(
         seed=seed,
         counts_csv=counts,
         network=(base_dir / network) if network else None,
-        split=_parse_split(_field(doc, "split", dict, None), "split"),
+        split=_parse_split(field(doc, "config.split", dict, None), "config.split"),
         quantiles=quantiles,
         model=model,
         k=k,
         lags=lags,
-        output_dir=base_dir / _field(doc, "output_dir", str, "out"),
+        output_dir=base_dir / field(doc, "config.output_dir", str, "out"),
         threads=threads,
         # a correlation needs at least two aligned lags
-        copula_min_lags=_parse_int(_field(doc, "copula", dict, {}).get("min_lags", 30), "copula.min_lags", 2),
+        copula_min_lags=parse_int(field(doc, "config.copula", dict, {}).get("min_lags", 30), "config.copula.min_lags", 2),
         gboost_grid=grid,
     )
 
@@ -210,9 +268,9 @@ def load_config(path) -> PipelineConfig:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ConfigError("<root>", f"invalid JSON: {exc}") from None
+            raise ConfigError("config.<root>", f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
-        raise ConfigError("<root>", f"expected an object, got {doc!r}")
+        raise ConfigError("config.<root>", f"expected an object, got {doc!r}")
     return config_from_json_dict(doc, path.parent)
 
 

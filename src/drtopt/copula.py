@@ -193,14 +193,3 @@ def export_correlation(model: GaussianCopulaModel, path, labels=None) -> None:
         writer.writerow([pair_name(p, labels) for p in model.pair_order])
         for row in model.corr:
             writer.writerow([f"{v:.12g}" for v in row])
-
-
-def import_correlation(path) -> tuple[list[str], np.ndarray]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader if row]
-    corr = np.array(rows)
-    if corr.shape != (len(header), len(header)):
-        raise ValueError(f"{path}: correlation matrix shape {corr.shape} does not match header")
-    return header, corr

@@ -15,6 +15,7 @@ from datetime import date, timedelta
 import numpy as np
 
 from . import boosting, qr
+from .config import ModelSpec, parse_model
 from .data import (
     HOUR,
     TOD_HOURS,
@@ -37,45 +38,6 @@ from .data import (
 log = logging.getLogger(__name__)
 
 MODEL_SCHEMA_VERSION = 1
-FAMILIES = ("hp", "linear", "gboost")
-SCOPES = ("per_pair", "pooled")
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """Which family to fit and how the feature map is configured."""
-
-    family: str = "linear"
-    scope: str = "per_pair"
-    sort_quantiles: bool = True
-    exam_period: tuple[date, date] | None = None
-    seasonal_normalize: bool = False
-    cross_lags: bool = False
-    cross_order: int = 1
-    ar_order: int = 24
-    gboost: boosting.GBoostHyper = boosting.GBoostHyper()
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown model family {self.family!r}")
-        if self.scope not in SCOPES:
-            raise ValueError(f"unknown model scope {self.scope!r}")
-        if self.cross_lags and self.scope == "pooled":
-            raise ValueError("cross-pair lags and pooled scope are mutually exclusive")
-        if self.family == "hp" and self.scope == "pooled":
-            raise ValueError("historical percentiles are fit per pair only")
-        if self.family == "hp" and self.seasonal_normalize:
-            raise ValueError("historical percentiles are fit without seasonal normalization")
-
-    def feature_config(self, pair_order: tuple[ODPair, ...]) -> FeatureConfig:
-        return FeatureConfig(
-            exam_period=self.exam_period,
-            ar_order=self.ar_order,
-            cross_lags=self.cross_lags,
-            cross_order=self.cross_order,
-            od_onehot=self.scope == "pooled",
-            pair_order=pair_order,
-        )
 
 
 @dataclass
@@ -360,26 +322,6 @@ def _spec_doc(spec: ModelSpec) -> dict:
     }
 
 
-def _spec_from_doc(doc: dict) -> ModelSpec:
-    """The spec of a model document, its ranges checked as the config parser checks them."""
-    exam = doc.get("exam_period")
-    spec = ModelSpec(
-        family=doc["family"],
-        scope=doc["scope"],
-        sort_quantiles=bool(doc["sort_quantiles"]),
-        exam_period=tuple(date.fromisoformat(d) for d in exam) if exam else None,
-        seasonal_normalize=bool(doc.get("seasonal_normalize", False)),
-        cross_lags=bool(doc.get("cross_lags", False)),
-        cross_order=int(doc.get("cross_order", 1)),
-        ar_order=int(doc.get("ar_order", 24)),
-        gboost=boosting.GBoostHyper(**doc.get("gboost", {})).validate(),
-    )
-    for name, order in (("cross_order", spec.cross_order), ("ar_order", spec.ar_order)):
-        if order < 0:
-            raise ValueError(f"model spec: {name} must be >= 0, got {order}")
-    return spec
-
-
 def _finite(value, owner: str, field: str):
     """`value` (a number or an array), unless any of it is NaN or infinite."""
     if not np.all(np.isfinite(value)):
@@ -473,7 +415,7 @@ def model_to_json_dict(model: TrainedDemandModel) -> dict:
 def model_from_json_dict(doc: dict) -> TrainedDemandModel:
     if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema version {doc.get('schema_version')}")
-    spec = _spec_from_doc(doc["spec"])
+    spec = parse_model(doc["spec"], "model spec", defaults=False)
     labels = list(doc["labels"])
     index = {lab: i for i, lab in enumerate(labels)}
     levels = tuple(float(q) for q in doc["levels"])
@@ -544,26 +486,3 @@ def forecasts_to_csv(forecasts, labels, path) -> None:
                             f"{fc.values[q]:.10g}",
                         ]
                     )
-
-
-def forecasts_from_csv(path) -> tuple[list[str], dict]:
-    import csv as _csv
-
-    cells: dict[tuple[np.datetime64, str, str], dict[float, float]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader)
-        if header != ["timestamp", "origin", "destination", "q", "value"]:
-            raise ValueError(f"{path}: unexpected forecast CSV header")
-        for row in reader:
-            if not row:
-                continue
-            t, o, d, q, v = row
-            cells.setdefault((parse_hour(t), o, d), {})[float(q)] = float(v)
-    labels = sorted({o for _, o, _ in cells} | {d for _, _, d in cells})
-    index = {lab: i for i, lab in enumerate(labels)}
-    out: dict[np.datetime64, dict[ODPair, qr.QuantileForecast]] = {}
-    for (t, o, d), values in cells.items():
-        pair = ODPair(index[o], index[d])
-        out.setdefault(t, {})[pair] = qr.QuantileForecast(pair, t, values)
-    return labels, out

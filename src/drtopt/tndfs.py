@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog  # noqa: F401  unused here; perfbench/tracing.py traces the name tndfs.linprog
 
+from . import config
 from .data import Location, ODPair
 
 log = logging.getLogger(__name__)
@@ -738,30 +739,42 @@ def instance_to_json_dict(instance: NetworkInstance) -> dict:
     }
 
 
-def _location_from(d: dict, where: str) -> Location:
-    try:
-        return Location(int(d["id"]), str(d["label"]), (float(d["x"]), float(d["y"])))
-    except KeyError as exc:
-        raise ValueError(f"{where}: missing field {exc}") from None
-
-
 def instance_from_json_dict(doc: dict) -> NetworkInstance:
-    for key in ("locations", "bus_stops", "walk_speed", "ride_time", "fleet_size", "capacity", "max_routes", "max_route_stops"):
-        if key not in doc:
-            raise ValueError(f"network: missing field {key!r}")
-    return NetworkInstance(
-        demand_nodes=[_location_from(d, f"network.locations[{i}]") for i, d in enumerate(doc["locations"])],
-        bus_stops=[_location_from(d, f"network.bus_stops[{i}]") for i, d in enumerate(doc["bus_stops"])],
-        walk_speed=float(doc["walk_speed"]),
-        ride_time=np.asarray(doc["ride_time"], dtype=np.float64),
-        fleet_size=int(doc["fleet_size"]),
-        capacity=float(doc["capacity"]),
-        max_routes=int(doc["max_routes"]),
-        max_route_stops=int(doc["max_route_stops"]),
-        dwell_time=float(doc.get("dwell_time", 0.0)),
-        half_headway=bool(doc.get("half_headway", False)),
-        exact_route_count=bool(doc.get("exact_route_count", False)),
+    """The network in `doc`, each field read by the config's checked readers as network.<field>."""
+
+    def integer(d: dict, path: str, minimum: int) -> int:
+        return config.parse_int(config.field(d, path), path, minimum)
+
+    def number(d: dict, path: str, *default) -> float:
+        return config.parse_float(config.field(d, path, object, *default), path)
+
+    def locations(key: str) -> list[Location]:
+        found = []
+        for i, d in enumerate(config.field(doc, f"network.{key}", list)):
+            path = f"network.{key}[{i}]"
+            if not isinstance(d, dict):
+                raise config.ConfigError(path, f"expected an object, got {d!r}")
+            coord = (number(d, f"{path}.x"), number(d, f"{path}.y"))
+            found.append(Location(integer(d, f"{path}.id", 0), config.field(d, f"{path}.label", str), coord))
+        return found
+
+    fields = dict(
+        demand_nodes=locations("locations"),
+        bus_stops=locations("bus_stops"),
+        walk_speed=number(doc, "network.walk_speed"),
+        ride_time=config.field(doc, "network.ride_time", list),
+        fleet_size=integer(doc, "network.fleet_size", 1),
+        capacity=number(doc, "network.capacity"),
+        max_routes=integer(doc, "network.max_routes", 1),
+        max_route_stops=integer(doc, "network.max_route_stops", 1),
+        dwell_time=number(doc, "network.dwell_time", 0.0),
+        half_headway=config.field(doc, "network.half_headway", bool, False),
+        exact_route_count=config.field(doc, "network.exact_route_count", bool, False),
     )
+    try:
+        return NetworkInstance(**fields)
+    except ValueError as exc:
+        raise config.ConfigError("network", str(exc)) from None
 
 
 def load_instance(path) -> NetworkInstance:

@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -164,12 +165,16 @@ def test_config_validation_paths(tmp_path):
         ({"family": "gboost", "gboost_grid": [{"max_depth": "deep"}]}, r"config\.model\.gboost_grid\[0\]\.max_depth: not an integer: 'deep'"),
         ({"family": "hp", "seasonal_normalize": True}, r"config\.model: historical percentiles are fit without seasonal normalization"),
         ({"cross_lags": "false"}, r"config\.model\.cross_lags: expected true or false, got 'false'"),
+        ({"ar_order": True}, r"config\.model\.ar_order: not an integer: True"),
+        ({"family": "gboost", "gboost": {"learning_rate": True}}, r"config\.model\.gboost\.learning_rate: not a number: True"),
     ):
         bad.write_text(json.dumps({"seed": 1, "data": {"counts_csv": "x"}, "model": model}))
         with pytest.raises(ConfigError, match=path):
             load_config(bad)
     for extra, path in (
         ({"optimize": {"k": 0}}, r"config\.optimize\.k: must be >= 1"),
+        ({"optimize": {"k": True}}, r"config\.optimize\.k: not an integer: True"),
+        ({"seed": True}, r"config\.seed: must be an integer"),
         ({"optimize": {"k": "abc"}}, r"config\.optimize\.k: not an integer: 'abc'"),
         ({"optimize": {"lags": ["2018-01-08T08", "2018-01-08T99"]}}, r"config\.optimize\.lags\[1\]: not an ISO hour"),
         ({"optimize": {"lags": [2018]}}, r"config\.optimize\.lags\[0\]: not an ISO hour"),
@@ -269,9 +274,7 @@ def test_optimize_dump_samples(tmp_path):
 
 
 def test_emitted_csvs_reload(tmp_path):
-    from drtopt.data import load_od_counts
-    from drtopt.forecasting import forecasts_from_csv
-    from drtopt.copula import import_correlation
+    from drtopt.data import load_od_counts, parse_hour
 
     out = make_workspace(tmp_path)
     cfg = out / "config.json"
@@ -282,8 +285,14 @@ def test_emitted_csvs_reload(tmp_path):
 
     dataset = load_od_counts(out / "counts.csv")
     assert len(dataset.pairs) == 6
-    labels, forecasts = forecasts_from_csv(out / "out" / "forecasts.csv")
-    assert labels == ["g0", "g1", "g2"]
-    header, corr = import_correlation(out / "out" / "correlation.csv")
-    assert corr.shape == (6, 6)
+    with open(out / "out" / "forecasts.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["timestamp", "origin", "destination", "q", "value"]
+    for t, _, _, q, v in rows:  # every row parses
+        parse_hour(t), float(q), float(v)
+    assert sorted({o for _, o, *_ in rows} | {d for _, _, d, *_ in rows}) == ["g0", "g1", "g2"]
+    with open(out / "out" / "correlation.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    corr = np.array(rows, dtype=np.float64)
+    assert len(header) == 6 and corr.shape == (6, 6)
     assert np.allclose(np.diag(corr), 1.0)

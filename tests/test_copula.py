@@ -1,3 +1,4 @@
+import csv
 import logging
 import re
 
@@ -11,7 +12,6 @@ from drtopt.copula import (
     export_samples,
     fit_correlation,
     gaussian_scores,
-    import_correlation,
     marginal_inverse,
     marginal_knots,
     repair_correlation,
@@ -343,8 +343,11 @@ def test_correlation_csv_round_trip(tmp_path, rng):
     model = fit_correlation(history)
     path = tmp_path / "corr.csv"
     export_correlation(model, path, labels=["g0", "g1"])
-    header, corr = import_correlation(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    corr = np.array(rows, dtype=np.float64)
     assert header == ["g0>g1", "g1>g0"]
+    assert corr.shape == (2, 2)
     assert np.allclose(corr, model.corr, atol=1e-10)
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import warnings
@@ -5,13 +6,17 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from drtopt import forecasting, qr
 from drtopt.boosting import GBoostHyper, fit_gboost, gboost_raw_predict
-from drtopt.data import HOUR, ODCountSeries, ODDataset, ODPair, SplitSpec, adf_test, build_features, counts_at, difference
+from drtopt.config import FAMILIES, SCOPES, parse_model
+from drtopt.data import (
+    HOUR, ODCountSeries, ODDataset, ODPair, SplitSpec, adf_test, build_features, counts_at, difference, parse_hour,
+)
 from drtopt.forecasting import (
     ModelSpec,
+    _spec_doc,
     gboost_grid_search,
     load_model,
     model_from_json_dict,
@@ -551,9 +556,9 @@ def test_model_json_rejects_a_seasonal_cell_outside_the_week(model_docs, field, 
 @pytest.mark.parametrize("field, bad, message", [
     ("learning_rate", 7.0, "learning_rate must be in [0, 1], got 7.0"),
     ("max_depth", 9, "max_depth must be in 0..6, got 9"),
-    ("n_trees", 0, "n_trees must be in 1..200, got 0"),
-    ("cross_order", -1, "model spec: cross_order must be >= 0, got -1"),
-    ("ar_order", -1, "model spec: ar_order must be >= 0, got -1"),
+    ("n_trees", 0, "model spec.gboost.n_trees: must be >= 1"),
+    ("cross_order", -1, "model spec.cross_order: must be >= 0"),
+    ("ar_order", -1, "model spec.ar_order: must be >= 0"),
 ])
 def test_model_json_rejects_a_spec_out_of_range(model_docs, field, bad, message):
     doc = json.loads(json.dumps(model_docs["gboost"]))
@@ -561,6 +566,54 @@ def test_model_json_rejects_a_spec_out_of_range(model_docs, field, bad, message)
     (spec_doc["gboost"] if field in spec_doc["gboost"] else spec_doc)[field] = bad
     with pytest.raises(ValueError, match=re.escape(message)):
         model_from_json_dict(doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    scope=st.sampled_from(SCOPES),
+    flags=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+    exam_period=st.none() | st.tuples(st.dates(), st.dates()),
+    orders=st.tuples(st.integers(0, 48), st.integers(0, 168)),
+    hyper=st.builds(GBoostHyper, st.floats(0, 1), st.integers(0, 6), st.integers(1, 200)),
+)
+def test_a_spec_reads_back_from_its_model_json_document(family, scope, flags, exam_period, orders, hyper):
+    sort_quantiles, seasonal_normalize, cross_lags = flags
+    try:
+        original = ModelSpec(family, scope, sort_quantiles, exam_period, seasonal_normalize, cross_lags, *orders, hyper)
+    except ValueError:
+        assume(False)  # a combination the spec rejects
+    doc = json.loads(json.dumps(_spec_doc(original)))
+    assert parse_model(doc, "model spec", defaults=False) == original
+
+
+@pytest.mark.parametrize("key, value, field", [
+    ("sort_quantiles", "false", "sort_quantiles"),
+    ("cross_lags", "false", "cross_lags"),
+    ("gboost", [], "gboost"),
+    ("gboost", {"learning_rate": "0.1", "max_depth": 2, "n_trees": 3}, "gboost.learning_rate"),
+    ("gboost", {"learning_rate": True, "max_depth": 2, "n_trees": 3}, "gboost.learning_rate"),
+    ("gboost", {"learning_rate": 0.3, "max_depth": 2}, "gboost.n_trees"),
+    ("ar_order", 2.5, "ar_order"),
+    ("ar_order", True, "ar_order"),
+    ("cross_order", "x", "cross_order"),
+    ("family", None, "family"),  # None: the key is left out
+])
+def test_model_json_names_a_malformed_spec_field(model_docs, key, value, field):
+    doc = json.loads(json.dumps(model_docs["gboost"]))
+    if value is None:
+        del doc["spec"][key]
+    else:
+        doc["spec"][key] = value
+    with pytest.raises(ValueError, match=re.escape(f"model spec.{field}: ")):
+        model_from_json_dict(doc)
+
+
+def test_model_json_ignores_unknown_spec_keys(model_docs):
+    doc = json.loads(json.dumps(model_docs["gboost"]))
+    doc["spec"]["note"] = "hand-edited"
+    doc["spec"]["gboost"]["subsample"] = 0.5
+    assert model_from_json_dict(doc).spec == model_from_json_dict(model_docs["gboost"]).spec
 
 
 def test_seasonal_model_names_a_pair_without_cells(dataset, model_docs):
@@ -799,8 +852,15 @@ def test_forecast_csv_round_trip(dataset, tmp_path):
     forecasts = predict_forecasts(model, dataset, SPLIT, lags)
     path = tmp_path / "fc.csv"
     forecasting.forecasts_to_csv(forecasts, model.labels, path)
-    labels, back = forecasting.forecasts_from_csv(path)
-    assert labels == model.labels
-    for t in forecasts:
-        for pair in forecasts[t]:
-            assert back[t][pair].values == pytest.approx(forecasts[t][pair].values)
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["timestamp", "origin", "destination", "q", "value"]
+    back = {}
+    for t, o, d, q, v in rows:
+        back.setdefault((parse_hour(t), o, d), {})[float(q)] = float(v)
+    assert sorted({o for _, o, _ in back} | {d for _, _, d in back}) == model.labels
+    labels = model.labels
+    expected = {(t, labels[p.origin], labels[p.destination]): fc.values for t, fcs in forecasts.items() for p, fc in fcs.items()}
+    assert back.keys() == expected.keys()
+    for key, values in expected.items():
+        assert back[key] == pytest.approx(values)

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -682,8 +683,22 @@ def test_instance_json_round_trip(tmp_path):
 
 
 def test_instance_json_missing_field():
-    with pytest.raises(ValueError, match="missing field"):
+    with pytest.raises(ValueError, match=r"network\.bus_stops: missing required field"):
         instance_from_json_dict({"locations": []})
+
+
+@pytest.mark.parametrize("edit, field", [
+    pytest.param(lambda doc: doc.update(half_headway="false"), "half_headway", id="half_headway"),
+    pytest.param(lambda doc: doc.update(exact_route_count="false"), "exact_route_count", id="exact_route_count"),
+    pytest.param(lambda doc: doc.update(fleet_size=2.7), "fleet_size", id="fleet_size"),
+    pytest.param(lambda doc: doc.update(capacity=True), "capacity", id="capacity"),
+    pytest.param(lambda doc: doc["locations"][0].update(id="a"), "locations[0].id", id="location-id"),
+])
+def test_instance_json_names_a_malformed_field(edit, field):
+    doc = instance_to_json_dict(two_node_instance(fleet_size=3))
+    edit(doc)
+    with pytest.raises(ValueError, match=re.escape(f"network.{field}: ")):
+        instance_from_json_dict(doc)
 
 
 @pytest.mark.parametrize(
