@@ -1,0 +1,46 @@
+#!/usr/bin/env bash
+# Run `drtopt train` on malformed counts CSVs and keep each exit code and stderr:
+#
+#     scripts/malformed_counts.sh OUTDIR
+#
+# One case per check of the counts loader (field count, timestamp, self-loop,
+# integer count, sign), plus a duplicate (pair, hour) and a file whose first
+# malformed record fails several checks and is followed by others.  Each case
+# is OUTDIR/<case>/counts.csv with a minimal config.json beside it; train runs
+# in that directory, with drtopt imported from the src/ of the checkout this
+# script sits in, and leaves OUTDIR/<case>/exit and OUTDIR/<case>/stderr.  The
+# program sees only relative paths, so two checkouts whose error texts have
+# not changed leave trees that `diff -r` finds identical.
+set -euo pipefail
+
+if [ $# -ne 1 ]; then
+    echo "usage: $0 OUTDIR" >&2
+    exit 2
+fi
+root=$(cd "$(dirname "$0")/.." && pwd)
+mkdir -p "$1"
+out=$(cd "$1" && pwd)
+
+header="timestamp,origin,destination,count"
+good="2017-11-17T08,g0,g1,5"
+case_csv() {
+    local name=$1
+    shift
+    mkdir -p "$out/$name"
+    printf '%s\n' "$header" "$@" >"$out/$name/counts.csv"
+    printf '{"seed": 7, "data": {"counts_csv": "counts.csv"}}\n' >"$out/$name/config.json"
+    local status=0
+    (cd "$out/$name" && PYTHONPATH="$root/src" python3 -c \
+        'import sys; from drtopt.cli import main; sys.exit(main(sys.argv[1:]))' train --config config.json) \
+        >/dev/null 2>"$out/$name/stderr" || status=$?
+    echo "$status" >"$out/$name/exit"
+}
+
+case_csv fields "$good" "2017-11-17T09,g0,g1"
+case_csv minute "$good" "2017-11-17T09:30,g0,g1,3"
+case_csv not-an-hour "$good" "2017-11-17T24,g0,g1,3"
+case_csv self-loop "$good" "2017-11-17T09,g1,g1,3"
+case_csv non-integer "$good" "2017-11-17T09,g0,g1,5.0"
+case_csv negative "$good" "2017-11-17T09,g0,g1,-3"
+case_csv duplicate "$good" "2017-11-17T09,g1,g0,1" "2017-11-17T09,g1,g0,2" "2017-11-17T08,g0,g1,6"
+case_csv first-of-many "$good" "" "NaT,g2,g2,x" "2017-11-17T09,g0" "2017-11-17T10,g0,g1,-1"

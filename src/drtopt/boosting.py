@@ -22,7 +22,7 @@ log = logging.getLogger(__name__)
 class GBoostHyper:
     learning_rate: float = 0.1
     max_depth: int = 3
-    n_trees: int = 100
+    n_trees: int = 50
 
     def validate(self) -> "GBoostHyper":
         if not 0.0 <= self.learning_rate <= 1.0:

@@ -125,6 +125,16 @@ def parse_float(value, path: str) -> float:
     return float(value)
 
 
+def parse_levels(values, path: str) -> tuple[float, ...]:
+    """A list of quantile levels, strictly increasing in (0, 1)."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(path, f"expected a list of levels, got {values!r}")
+    levels = tuple(parse_float(q, f"{path}[{i}]") for i, q in enumerate(values))
+    if any(not 0 < q < 1 for q in levels) or list(levels) != sorted(set(levels)):
+        raise ConfigError(path, "must be strictly increasing values in (0,1)")
+    return levels
+
+
 def _parse_date(text, path: str) -> date:
     try:
         return date.fromisoformat(text)
@@ -195,10 +205,11 @@ def parse_model(doc, path: str, defaults: bool = True) -> ModelSpec:
 
 def _parse_hyper(doc, path: str, defaults: bool = True) -> GBoostHyper:
     get = _reader(doc, path, defaults)
+    default = GBoostHyper()
     hyper = GBoostHyper(
-        learning_rate=parse_float(get("learning_rate", 0.1), f"{path}.learning_rate"),
-        max_depth=parse_int(get("max_depth", 3), f"{path}.max_depth", 0),
-        n_trees=parse_int(get("n_trees", 50), f"{path}.n_trees", 1),
+        learning_rate=parse_float(get("learning_rate", default.learning_rate), f"{path}.learning_rate"),
+        max_depth=parse_int(get("max_depth", default.max_depth), f"{path}.max_depth", 0),
+        n_trees=parse_int(get("n_trees", default.n_trees), f"{path}.n_trees", 1),
     )
     try:
         return hyper.validate()
@@ -220,12 +231,7 @@ def config_from_json_dict(doc: dict, base_dir: Path) -> PipelineConfig:
     data = field(doc, "config.data", dict)
     counts = base_dir / field(data, "config.data.counts_csv", str)
 
-    quantiles = doc.get("quantiles", DEFAULT_QUANTILES)
-    if not isinstance(quantiles, (list, tuple)):
-        raise ConfigError("config.quantiles", f"expected a list of levels, got {quantiles!r}")
-    quantiles = tuple(parse_float(q, f"config.quantiles[{i}]") for i, q in enumerate(quantiles))
-    if any(not 0 < q < 1 for q in quantiles) or list(quantiles) != sorted(set(quantiles)):
-        raise ConfigError("config.quantiles", "must be strictly increasing values in (0,1)")
+    quantiles = parse_levels(doc.get("quantiles", DEFAULT_QUANTILES), "config.quantiles")
 
     optimize = field(doc, "config.optimize", dict, {})
     k = parse_int(optimize.get("k", 100), "config.optimize.k", 1)

@@ -36,9 +36,12 @@ def parse_hour(text: str) -> np.datetime64:
     if len(stripped) != len("2017-11-17T08"):
         raise ValueError(f"bad hourly timestamp {text!r}")
     try:
-        return np.datetime64(stripped, "h")
+        hour = np.datetime64(stripped, "h")
     except ValueError as exc:
         raise ValueError(f"bad hourly timestamp {text!r}") from exc
+    if np.isnat(hour):  # "NaT" padded with NULs, which numpy drops
+        raise ValueError(f"bad hourly timestamp {text!r}")
+    return hour
 
 
 def format_hour(ts: np.datetime64) -> str:
@@ -130,59 +133,91 @@ class ODDataset:
         return self.locations[loc_id].label
 
 
+INT64_MAX = np.iinfo(np.int64).max
+
+
+def _check_record(path, lineno: int, row: list[str]) -> None:
+    """Raise for the first check a non-blank CSV record fails, in this order:
+    field count, timestamp, self-loop, integer count, sign, int64 range."""
+    if len(row) != 4:
+        raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
+    ts_text, origin, destination, count_text = (f.strip() for f in row)
+    try:
+        parse_hour(ts_text)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if origin == destination:
+        raise ValueError(f"{path}:{lineno}: self-loop OD pair {origin!r}")
+    try:
+        count = int(count_text)
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: non-integer count {count_text!r}") from None
+    if count < 0:
+        raise ValueError(f"{path}:{lineno}: negative count {count}")
+    if count > INT64_MAX:
+        raise ValueError(f"{path}:{lineno}: count {count} beyond the int64 range")
+
+
 def load_od_counts(path) -> ODDataset:
     """Load hourly OD counts from CSV (``timestamp,origin,destination,count``).
 
-    Location ids are assigned densely in sorted label order.  Rows with
-    origin == destination, non-integer counts, or duplicate (timestamp, pair)
-    keys are rejected with the offending line number.
+    Location ids are assigned densely in sorted label order.  The first
+    malformed record is rejected with its line number (blank records count)
+    by the first check of `_check_record` it fails; then a repeated (pair,
+    hour) is rejected, the one whose second occurrence comes first.
     """
-    rows: list[tuple[np.datetime64, str, str, int]] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != list(CSV_HEADER):
             raise ValueError(f"{path}: expected header {','.join(CSV_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            ts_text, origin, destination, count_text = (f.strip() for f in row)
-            try:
-                ts = parse_hour(ts_text)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if origin == destination:
-                raise ValueError(f"{path}:{lineno}: self-loop OD pair {origin!r}")
-            try:
-                count = int(count_text)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-integer count {count_text!r}") from None
-            if count < 0:
-                raise ValueError(f"{path}:{lineno}: negative count {count}")
-            rows.append((ts, origin, destination, count))
+        records = list(reader)  # records[i] is on line i + 2
 
-    labels = sorted({r[1] for r in rows} | {r[2] for r in rows})
+    n_fields = np.fromiter(map(len, records), np.int64, len(records))
+    bad = (n_fields != 4) & (n_fields != 0)
+    single = np.flatnonzero(n_fields == 1)
+    bad[single] = [bool(records[i][0].strip()) for i in single]  # a whitespace-only record is blank
+    rows = np.flatnonzero(n_fields == 4)
+    quads = records if len(rows) == len(records) else [records[i] for i in rows]
+    ts_texts, origins, destinations, count_texts = ([f[k].strip() for f in quads] for k in range(4))
+
+    labels = sorted(set(origins).union(destinations))
     index = {lab: i for i, lab in enumerate(labels)}
-    locations = [Location(i, lab) for i, lab in enumerate(labels)]
+    origin = np.fromiter(map(index.__getitem__, origins), np.int64, len(quads))
+    destination = np.fromiter(map(index.__getitem__, destinations), np.int64, len(quads))
+    try:
+        if set(map(len, ts_texts)) - {len("2017-11-17T08")}:
+            raise ValueError("a timestamp without the length of an hour")
+        stamps = np.array(ts_texts, dtype="datetime64[h]")  # the parser that `parse_hour` calls
+        counts = np.fromiter(map(int, count_texts), np.int64, len(quads))
+    except (ValueError, OverflowError):  # a field that does not convert: the first record to fail raises
+        for i in np.flatnonzero(bad | (n_fields == 4)).tolist():
+            _check_record(path, i + 2, records[i])
+    bad[rows] |= np.isnat(stamps) | (origin == destination) | (counts < 0)
+    if bad.any():
+        first = int(np.flatnonzero(bad)[0])
+        _check_record(path, first + 2, records[first])  # raises: the masks are the checks
+    if not quads:
+        return ODDataset([], {})
 
-    grouped: dict[ODPair, dict[np.datetime64, int]] = {}
-    for ts, origin, destination, count in rows:
-        pair = ODPair(index[origin], index[destination])
-        bucket = grouped.setdefault(pair, {})
-        if ts in bucket:
-            raise ValueError(
-                f"{path}: duplicate observation for pair {origin}->{destination} at {format_hour(ts)}"
-            )
-        bucket[ts] = count
+    order = np.lexsort((stamps.view(np.int64), destination, origin))  # stable: ties keep file order
+    origin, destination, stamps, counts = origin[order], destination[order], stamps[order], counts[order]
+    same_pair = (origin[1:] == origin[:-1]) & (destination[1:] == destination[:-1])
+    repeat = np.flatnonzero(same_pair & (stamps[1:] == stamps[:-1])) + 1
+    if len(repeat):
+        at = repeat[np.argmin(order[repeat])]
+        raise ValueError(
+            f"{path}: duplicate observation for pair {labels[origin[at]]}->{labels[destination[at]]}"
+            f" at {format_hour(stamps[at])}"
+        )
 
+    starts = np.flatnonzero(np.r_[True, ~same_pair])
+    stops = np.r_[starts[1:], len(order)]
     series = {}
-    for pair, bucket in grouped.items():
-        ts_sorted = np.array(sorted(bucket), dtype="datetime64[h]")
-        counts = np.array([bucket[t] for t in ts_sorted], dtype=np.int64)
-        series[pair] = ODCountSeries(pair, ts_sorted, counts)
-    return ODDataset(locations, series)
+    for i in np.argsort(np.minimum.reduceat(order, starts)).tolist():  # in the order pairs first appear
+        pair = ODPair(int(origin[starts[i]]), int(destination[starts[i]]))
+        series[pair] = ODCountSeries(pair, stamps[starts[i]:stops[i]], counts[starts[i]:stops[i]])
+    return ODDataset([Location(i, lab) for i, lab in enumerate(labels)], series)
 
 
 def save_od_counts(path, dataset: ODDataset) -> None:

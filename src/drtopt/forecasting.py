@@ -15,7 +15,7 @@ from datetime import date, timedelta
 import numpy as np
 
 from . import boosting, qr
-from .config import ModelSpec, parse_model
+from .config import ConfigError, ModelSpec, field as doc_field, parse_levels, parse_model
 from .data import (
     HOUR,
     TOD_HOURS,
@@ -304,6 +304,14 @@ def _pair_doc(pair: ODPair, labels) -> list[str]:
     return [labels[pair.origin], labels[pair.destination]]
 
 
+def _pair_from_doc(value, index: dict[str, int], path: str) -> ODPair:
+    if not (isinstance(value, list) and len(value) == 2 and all(isinstance(v, str) and v in index for v in value)):
+        raise ConfigError(path, f"expected [origin, destination] of model.labels, got {value!r}")
+    if value[0] == value[1]:
+        raise ConfigError(path, f"self-loop OD pair {value[0]!r}")
+    return ODPair(index[value[0]], index[value[1]])
+
+
 def _spec_doc(spec: ModelSpec) -> dict:
     return {
         "family": spec.family,
@@ -416,10 +424,13 @@ def model_from_json_dict(doc: dict) -> TrainedDemandModel:
     if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema version {doc.get('schema_version')}")
     spec = parse_model(doc["spec"], "model spec", defaults=False)
-    labels = list(doc["labels"])
+    labels = list(doc_field(doc, "model.labels", list))
+    if not all(isinstance(label, str) for label in labels) or len(set(labels)) != len(labels):
+        raise ConfigError("model.labels", f"expected distinct strings, got {labels!r}")
     index = {lab: i for i, lab in enumerate(labels)}
-    levels = tuple(float(q) for q in doc["levels"])
-    pair_order = tuple(ODPair(index[o], index[d]) for o, d in doc["pairs"])
+    levels = parse_levels(doc_field(doc, "model.levels"), "model.levels")
+    pairs = doc_field(doc, "model.pairs", list)
+    pair_order = tuple(_pair_from_doc(p, index, f"model.pairs[{i}]") for i, p in enumerate(pairs))
     n_features = spec.feature_config(pair_order).n_features(len(pair_order))
 
     models: dict[ODPair | None, object] = {}

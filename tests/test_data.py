@@ -1,11 +1,14 @@
+import csv
+import io
 import re
 
 import numpy as np
 import pytest
 from datetime import date
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from drtopt.data import (
+    INT64_MAX,
     FeatureConfig,
     ODCountSeries,
     ODPair,
@@ -22,6 +25,7 @@ from drtopt.data import (
     save_od_counts,
     train_series,
 )
+from reference_data import reference_load_od_counts
 from reference_features import PairSeries, pair_series, record_of, reference_features
 
 
@@ -120,6 +124,107 @@ def test_load_tolerates_trailing_blank_lines(tmp_path):
     p.write_text("timestamp,origin,destination,count\n2017-11-17T08,g10,g11,5\n\n\n")
     ds = load_od_counts(p)
     assert len(ds.series[ODPair(0, 1)]) == 1
+
+
+@pytest.mark.parametrize("count, message", [
+    (INT64_MAX + 1, f"count {INT64_MAX + 1} beyond the int64 range"),
+    (10**20, f"count {10**20} beyond the int64 range"),
+    (-(10**20), f"negative count {-(10**20)}"),  # the sign is checked first
+])
+def test_load_rejects_a_count_beyond_int64_with_line_number(tmp_path, count, message):
+    p = tmp_path / "c.csv"
+    p.write_text(f"timestamp,origin,destination,count\n2017-11-17T08,a,b,5\n2017-11-17T09,a,b,{count}\n")
+    with pytest.raises(ValueError, match=re.escape(f":3: {message}")):
+        load_od_counts(p)
+    p.write_text(f"timestamp,origin,destination,count\n2017-11-17T08,a,b,{INT64_MAX}\n")
+    assert load_od_counts(p).series[ODPair(0, 1)].counts.tolist() == [INT64_MAX]
+
+
+def test_load_names_the_first_malformed_record_by_its_first_failed_check(tmp_path):
+    p = tmp_path / "c.csv"
+    # line 3 is blank but counted; line 4 fails its timestamp, its self-loop and its count;
+    # line 5 fails its field count
+    p.write_text("timestamp,origin,destination,count\n2017-11-17T08,a,b,5\n\nNaT,a,a,x\n2017-11-17T09,a\n")
+    with pytest.raises(ValueError, match=re.escape(f"{p}:4: bad hourly timestamp 'NaT'")):
+        load_od_counts(p)
+
+
+def test_load_names_the_duplicate_whose_second_occurrence_comes_first(tmp_path):
+    p = tmp_path / "c.csv"
+    p.write_text(
+        "timestamp,origin,destination,count\n"
+        "2017-11-17T08,a,b,5\n"
+        "2017-11-17T09,a,c,1\n"
+        "2017-11-17T09,a,c,2\n"
+        "2017-11-17T08,a,b,6\n"
+    )
+    with pytest.raises(ValueError, match=re.escape(f"{p}: duplicate observation for pair a->c at 2017-11-17T09")):
+        load_od_counts(p)
+
+
+# Values the loader accepts, and values that fail one check each; a few of
+# each side are whitespace-padded, signed, zero-padded or 13 characters long.
+GOOD_STAMPS = st.integers(0, 5).map(lambda h: format_hour(np.datetime64("2017-11-17T06") + h))
+GOOD_STAMPS |= st.sampled_from([" 2017-11-17T08 ", "2017-11-17 09"])
+BAD_STAMPS = st.sampled_from(
+    ["2017-11-17", "2017-11-17T08:30", "NaT", "", "2017-11-17T24", "2017-13-01T00", "abcdefghijklm", "17-11-17T08:3"]
+)
+LABELS = st.sampled_from(["a", "b", " c ", "A,x", 'q"t', "m\nn"])
+GOOD_COUNTS = st.integers(0, 30).map(str) | st.sampled_from(["+7", " 7 ", "007", "1_000", str(INT64_MAX)])
+BAD_COUNTS = st.sampled_from(
+    ["-3", "nan", "inf", "5.0", "1e3", "", "x", str(INT64_MAX + 1), "99999999999999999999", "-99999999999999999999"]
+)
+
+
+@st.composite
+def csv_records(draw):
+    """Records of a counts CSV: rows, blank and whitespace-only lines, and, unless the file is to be
+    clean, rows with a malformed field or field count."""
+    corrupt = draw(st.booleans())
+    stamps, counts = (GOOD_STAMPS | BAD_STAMPS, GOOD_COUNTS | BAD_COUNTS) if corrupt else (GOOD_STAMPS, GOOD_COUNTS)
+    row = st.tuples(stamps, LABELS, LABELS, counts)
+    if not corrupt:
+        row = row.filter(lambda r: r[1].strip() != r[2].strip())
+    record = row | st.sampled_from(["", "   "])
+    if corrupt:
+        record = record | row.map(lambda r: r[:3]) | row.map(lambda r: r + ("9",))
+    return draw(st.lists(record, max_size=12))
+
+
+def _csv_text(records) -> str:
+    out = io.StringIO()
+    out.write("timestamp,origin,destination,count\n")
+    writer = csv.writer(out, lineterminator="\n")
+    for record in records:
+        if isinstance(record, str):
+            out.write(record + "\n")
+        else:
+            writer.writerow(record)
+    return out.getvalue()
+
+
+def _loaded(load, path):
+    """The labels and every series, pair by pair in the dataset's order, or the error raised."""
+    try:
+        ds = load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [loc.label for loc in ds.locations], [
+        (pair.origin, pair.destination, s.timestamps.dtype, s.counts.dtype,
+         s.timestamps.astype(np.int64).tolist(), s.counts.tolist())
+        for pair, s in ds.series.items()
+    ]
+
+
+@settings(deadline=None, max_examples=300)
+@given(records=csv_records())
+@example(records=[("2017-11-17T08", "a", "b", "1"), ("NaT", "a", "a", "x"), ("2017-11-17", "b", "a", "-1")])
+@example(records=[("2017-11-17T08", "a", "b", "1"), ("2017-11-17T08", "a", "b", "2"), ("2017-11-17T09", "a", "a")])
+@example(records=[("2017-11-17T09", "b", "a", "1"), "", ("2017-11-17T08", "a", "b", "2"), ("2017-11-17T09", "b", "a", "3")])
+def test_load_equals_the_per_row_reference(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("counts") / "counts.csv"
+    path.write_text(_csv_text(records), encoding="utf-8")
+    assert _loaded(load_od_counts, path) == _loaded(reference_load_od_counts, path)
 
 
 def test_save_load_round_trip(tmp_path):

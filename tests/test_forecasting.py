@@ -609,6 +609,33 @@ def test_model_json_names_a_malformed_spec_field(model_docs, key, value, field):
         model_from_json_dict(doc)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("levels", ["0.5"], "model.levels[0]: not a number: '0.5'"),
+    ("levels", [True], "model.levels[0]: not a number: True"),
+    ("levels", 0.5, "model.levels: expected a list of levels"),
+    ("levels", [1.5], "model.levels: must be strictly increasing values in (0,1)"),
+    ("levels", None, "model.levels: missing required field"),  # None: the key is left out
+    ("labels", None, "model.labels: missing required field"),
+    ("labels", "g0", "model.labels: expected a list"),
+    ("labels", ["g0", 1], "model.labels: expected distinct strings"),
+    ("labels", ["g0", "g0"], "model.labels: expected distinct strings"),
+    ("pairs", None, "model.pairs: missing required field"),
+    ("pairs", [["g0", "nowhere"]], "model.pairs[0]: expected [origin, destination] of model.labels"),
+    ("pairs", [["g0"]], "model.pairs[0]: expected [origin, destination] of model.labels"),
+    ("pairs", ["g0>g1"], "model.pairs[0]: expected [origin, destination] of model.labels"),
+    ("pairs", [["g0", "g0"]], "model.pairs[0]: self-loop OD pair 'g0'"),
+])
+def test_model_json_names_a_malformed_level_label_or_pair(model_docs, key, value, message):
+    doc = json.loads(json.dumps(model_docs["linear"]))
+    assert doc["labels"][0] == "g0"
+    if value is None:
+        del doc[key]
+    else:
+        doc[key] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
+        model_from_json_dict(doc)
+
+
 def test_model_json_ignores_unknown_spec_keys(model_docs):
     doc = json.loads(json.dumps(model_docs["gboost"]))
     doc["spec"]["note"] = "hand-edited"
