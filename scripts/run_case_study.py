@@ -86,7 +86,7 @@ def main(argv=None) -> int:
     copula_model = fit_correlation({p: train_series(dataset.series[p], split).values for p in dataset.pairs})
     export_correlation(copula_model, out / "correlation.csv", [l.label for l in dataset.locations])
 
-    observed = dict(zip(dataset.pairs, counts_at([dataset.series[p] for p in dataset.pairs], lags)))
+    observed = dict(zip(dataset.pairs, counts_at(dataset, dataset.pairs, lags)))
     truths_at = {lag: {p: float(c[i]) for p, c in observed.items()} for i, lag in enumerate(lags)}
 
     print(f"\ncomparing strategies over {len(lags)} lags with k={k} samples")

@@ -71,12 +71,8 @@ def _instance_pair_map(dataset, instance):
 
 
 def _rekey_forecasts(forecasts_by_lag, mapping):
-    out = {}
-    for lag, per_pair in forecasts_by_lag.items():
-        out[lag] = {
-            mapping[p]: fc for p, fc in per_pair.items() if p in mapping
-        }
-    return out
+    return {lag: {mapping[p]: fc for p, fc in per_pair.items() if p in mapping}
+            for lag, per_pair in forecasts_by_lag.items()}
 
 
 def _optimization_lags(cfg: PipelineConfig, dataset) -> np.ndarray:
@@ -86,6 +82,7 @@ def _optimization_lags(cfg: PipelineConfig, dataset) -> np.ndarray:
 
 
 def _fit_copula_mapped(cfg: PipelineConfig, dataset, mapping):
+    dataset.index_of(mapping)  # a mapped pair without counts fails here, by its labels
     history = {inst: train_series(dataset.series[p], cfg.split).values for p, inst in mapping.items()}
     return fit_correlation(history, cfg.copula_min_lags)
 
@@ -232,7 +229,7 @@ def cmd_pipeline(args) -> int:
             forecasting.predict_forecasts(model, dataset, cfg.split, lags), mapping
         )
 
-    observed = dict(zip(mapping.values(), counts_at([dataset.series[p] for p in mapping], lags)))
+    observed = dict(zip(mapping.values(), counts_at(dataset, list(mapping), lags)))
     truths = {lag: {p: float(c[i]) for p, c in observed.items()} for i, lag in enumerate(lags)}
     rows = pipeline.compare_strategies(lags, model_forecasts, truths, instance, copula_model, cfg.k, cfg.seed)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)

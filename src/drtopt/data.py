@@ -120,17 +120,35 @@ CSV_HEADER = ("timestamp", "origin", "destination", "count")
 
 @dataclass
 class ODDataset:
-    """Locations plus one count series per OD pair appearing in a file."""
+    """Locations plus the hourly counts of every OD pair appearing in a file.
+
+    The counts are held once, as flat columns sorted by (pair, hour) like a
+    `WorkingRecord`'s: row r holds `counts[r]` (int64) of `pairs[pair_index[r]]`
+    at `timestamps[r]` (datetime64[h]).  `series[pair]` is a view of its rows.
+    """
 
     locations: list[Location]
     series: dict[ODPair, ODCountSeries]
 
-    @property
-    def pairs(self) -> list[ODPair]:
-        return sorted(self.series)
+    def __post_init__(self):
+        self.pairs = tuple(sorted(self.series))
+        parts = [self.series[pair] for pair in self.pairs]
+        self.timestamps = np.concatenate([np.empty(0, "datetime64[h]"), *(s.timestamps for s in parts)])
+        self.counts = np.concatenate([np.empty(0, np.int64), *(s.counts for s in parts)])
+        self.pair_index = np.repeat(np.arange(len(parts)), np.fromiter(map(len, parts), np.int64, len(parts)))
+        cuts = np.searchsorted(self.pair_index, np.arange(1, len(parts)))
+        views = zip(self.pairs, np.split(self.timestamps, cuts), np.split(self.counts, cuts))
+        self.series = {pair: ODCountSeries(pair, *view) for pair, *view in views}
 
-    def label_of(self, loc_id: int) -> str:
-        return self.locations[loc_id].label
+    def index_of(self, pairs) -> np.ndarray:
+        """The index into `pairs` of each given pair; raises naming the first without observations."""
+        index = {pair: i for i, pair in enumerate(self.pairs)}
+        labels = [loc.label for loc in self.locations]
+        for pair in pairs:
+            if pair not in index:  # by id when the counts lack one of its locations too
+                name = pair_name(pair, labels if max(pair.origin, pair.destination) < len(labels) else None)
+                raise ValueError(f"pair {name} has no observations in the counts")
+        return np.array([index[pair] for pair in pairs], dtype=np.int64)
 
 
 INT64_MAX = np.iinfo(np.int64).max
@@ -197,8 +215,6 @@ def load_od_counts(path) -> ODDataset:
     if bad.any():
         first = int(np.flatnonzero(bad)[0])
         _check_record(path, first + 2, records[first])  # raises: the masks are the checks
-    if not quads:
-        return ODDataset([], {})
 
     order = np.lexsort((stamps.view(np.int64), destination, origin))  # stable: ties keep file order
     origin, destination, stamps, counts = origin[order], destination[order], stamps[order], counts[order]
@@ -211,26 +227,21 @@ def load_od_counts(path) -> ODDataset:
             f" at {format_hour(stamps[at])}"
         )
 
-    starts = np.flatnonzero(np.r_[True, ~same_pair])
-    stops = np.r_[starts[1:], len(order)]
-    series = {}
-    for i in np.argsort(np.minimum.reduceat(order, starts)).tolist():  # in the order pairs first appear
-        pair = ODPair(int(origin[starts[i]]), int(destination[starts[i]]))
-        series[pair] = ODCountSeries(pair, stamps[starts[i]:stops[i]], counts[starts[i]:stops[i]])
-    return ODDataset([Location(i, lab) for i, lab in enumerate(labels)], series)
+    firsts = np.flatnonzero(np.r_[len(order) > 0, ~same_pair])  # each pair's first row; none in an empty file
+    pairs = map(ODPair, origin[firsts].tolist(), destination[firsts].tolist())
+    views = zip(pairs, np.split(stamps, firsts[1:]), np.split(counts, firsts[1:]))
+    return ODDataset([Location(i, lab) for i, lab in enumerate(labels)], {p: ODCountSeries(p, *v) for p, *v in views})
 
 
 def save_od_counts(path, dataset: ODDataset) -> None:
     """Write a dataset back to the canonical CSV format (sorted, loss-free)."""
+    ends = [(dataset.locations[pair.origin].label, dataset.locations[pair.destination].label) for pair in dataset.pairs]
+    hours = np.datetime_as_string(dataset.timestamps, unit="h").tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for pair in dataset.pairs:
-            s = dataset.series[pair]
-            o = dataset.label_of(pair.origin)
-            d = dataset.label_of(pair.destination)
-            for ts, c in zip(s.timestamps, s.counts):
-                writer.writerow([format_hour(ts), o, d, int(c)])
+        rows = zip(hours, dataset.pair_index.tolist(), dataset.counts.tolist())
+        writer.writerows((t, *ends[i], c) for t, i, c in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +251,7 @@ def save_od_counts(path, dataset: ODDataset) -> None:
 
 def pair_hour_keys(pair_index, stamps) -> np.ndarray:
     """Integer keys ordered by pair index, then by hour: one searchsorted finds a (pair, hour)."""
-    hours = np.asarray(stamps, dtype="datetime64[h]").astype(np.int64)
+    hours = np.asarray(stamps, dtype="datetime64[h]").view(np.int64)
     return np.asarray(pair_index, dtype=np.int64) * (1 << 40) + hours
 
 
@@ -258,34 +269,39 @@ class WorkingRecord:
         return WorkingRecord(self.pairs, self.timestamps[keep], self.values[keep], self.pair_index[keep])
 
 
-def difference(series: list[ODCountSeries], bounds=None) -> WorkingRecord:
-    """First differences y'_t = y_t - y_{t-1} of every series, in one record.
+def difference(dataset: ODDataset, bounds=None) -> WorkingRecord:
+    """First differences y'_t = y_t - y_{t-1} of every pair's counts, in one record.
 
-    Only one-hour steps within a series are differenced: the first lag of
+    Only one-hour steps within a pair are differenced: the first lag of
     every contiguous block is dropped, so that no difference spans a gap in
-    the record or the boundary between two pairs.  `bounds` holds each
-    series' (start, stop) rows, all of them by default; only those rows are
-    read, so the row at start, whose predecessor is not read, is dropped too.
-    Whether a series is too short, or has no contiguous run, is decided on
-    the whole series.
+    the record or the boundary between two pairs.  `bounds` holds arrays
+    (starts, stops) of each pair's first and past-last rows in the dataset's
+    columns, every row by default; only those rows are read, so the row at
+    start, whose predecessor is not read, is dropped too.  Whether a series
+    is too short, or has no contiguous run, is decided on the whole series.
     """
-    lengths = [len(s) for s in series]
-    if min(lengths) < 2:
-        pair = series[lengths.index(min(lengths))].pair
+    n = len(dataset.pairs)
+    if not n:
+        raise ValueError("the counts hold no OD pair")
+    edges = np.searchsorted(dataset.pair_index, np.arange(n + 1))
+    if np.diff(edges).min() < 2:
+        pair = dataset.pairs[np.argmin(np.diff(edges))]
         raise ValueError(f"series of pair {pair} too short to difference (need >= 2 lags)")
-    bounds = [(0, n) for n in lengths] if bounds is None else bounds
-    sizes = [stop - start for start, stop in bounds]
-    timestamps = np.concatenate([s.timestamps[a:b] for s, (a, b) in zip(series, bounds)])
-    keep = np.diff(timestamps) == HOUR
-    ends = np.cumsum(sizes)[:-1]
-    keep[ends[(ends > 0) & (ends < len(timestamps))] - 1] = False
-    pair_index = np.repeat(np.arange(len(series)), sizes)[1:][keep]
-    for i in np.flatnonzero(np.bincount(pair_index, minlength=len(series)) == 0).tolist():
-        if not (np.diff(series[i].timestamps) == HOUR).any():
-            raise ValueError(f"no contiguous run of >= 2 hourly lags to difference for pair {series[i].pair}")
-    counts = np.concatenate([s.counts[a:b] for s, (a, b) in zip(series, bounds)])
-    values = np.diff(counts.astype(np.float64))[keep]
-    return WorkingRecord(tuple(s.pair for s in series), timestamps[1:][keep], values, pair_index)
+    starts, stops = (edges[:-1], edges[1:]) if bounds is None else bounds
+    sizes = stops - starts
+    # the rows of every window, window after window
+    rows = np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+    timestamps, pair_index = dataset.timestamps[rows], dataset.pair_index[rows]
+    keep = (np.diff(timestamps) == HOUR) & (pair_index[1:] == pair_index[:-1])
+    pair_index = pair_index[1:][keep]
+    lost = np.bincount(pair_index, minlength=n) == 0
+    if lost.any() and bounds is not None:
+        difference(dataset)  # the whole series decide: raises for the first without a contiguous run
+    elif lost.any():
+        pair = dataset.pairs[np.argmax(lost)]
+        raise ValueError(f"no contiguous run of >= 2 hourly lags to difference for pair {pair}")
+    values = np.diff(dataset.counts[rows].astype(np.float64))[keep]
+    return WorkingRecord(dataset.pairs, timestamps[1:][keep], values, pair_index)
 
 
 def in_days(timestamps, days: tuple[date, date]) -> np.ndarray:
@@ -343,22 +359,22 @@ def train_series(series: ODCountSeries, spec: SplitSpec) -> ODCountSeries:
     return ODCountSeries(series.pair, series.timestamps[keep], series.counts[keep])
 
 
-def counts_at(series: list[ODCountSeries], lags) -> np.ndarray:
-    """Observed counts of each series at the given hours (series x lags, float64).
+def counts_at(dataset: ODDataset, pairs, lags) -> np.ndarray:
+    """Observed counts of the given pairs at the given hours (pairs x lags, float64).
 
-    Raises naming the first series, and its first hour, with no observation,
-    so a gap in the record is never read as the next hour's count.
+    Raises naming the first pair, in the order given, with no observation at
+    one of the hours, and its first such hour, so a gap in the record is
+    never read as the next hour's count.
     """
     lags = np.asarray(lags, dtype="datetime64[h]")
-    out = np.empty((len(series), len(lags)))
-    for i, s in enumerate(series):
-        idx = s.timestamps.searchsorted(lags)
-        # an hour past the last observation is compared with the last, earlier one
-        found = s.timestamps.take(idx, mode="clip") == lags if len(s) else np.zeros(len(lags), dtype=bool)
-        if not found.all():
-            raise ValueError(f"no observation for pair {s.pair} at {format_hour(lags[~found][0])}")
-        out[i] = s.counts[idx]
-    return out
+    keys = pair_hour_keys(dataset.pair_index, dataset.timestamps)
+    wanted = pair_hour_keys(dataset.index_of(pairs)[:, None], lags)
+    rows = np.searchsorted(keys, wanted)
+    missing = np.searchsorted(keys, wanted, side="right") == rows
+    if missing.any():
+        i = int(np.argmax(missing.any(axis=1)))
+        raise ValueError(f"no observation for pair {pairs[i]} at {format_hour(lags[missing[i]][0])}")
+    return dataset.counts[rows].astype(np.float64)
 
 
 # ---------------------------------------------------------------------------

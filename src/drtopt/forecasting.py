@@ -7,6 +7,7 @@ count scale, and serializes trained models to versioned JSON.
 
 from __future__ import annotations
 
+import csv
 import json
 import logging
 from dataclasses import dataclass, field
@@ -15,7 +16,7 @@ from datetime import date, timedelta
 import numpy as np
 
 from . import boosting, qr
-from .config import ConfigError, ModelSpec, field as doc_field, parse_levels, parse_model
+from .config import ConfigError, ModelSpec, field as doc_field, parse_float, parse_levels, parse_model
 from .data import (
     HOUR,
     TOD_HOURS,
@@ -31,6 +32,7 @@ from .data import (
     format_hour,
     hour_of,
     in_days,
+    pair_hour_keys,
     parse_hour,
     train_series,
 )
@@ -64,7 +66,7 @@ class TrainedDemandModel:
 
 def working_record(dataset: ODDataset, split: SplitSpec, check_unit_root: bool = False) -> WorkingRecord:
     """Every pair's differenced-and-masked series in one record (the model fitting scale)."""
-    record = difference([dataset.series[pair] for pair in dataset.pairs])
+    record = difference(dataset)
     if check_unit_root:
         bounds = np.searchsorted(record.pair_index, np.arange(len(record.pairs) + 1))
         for pair, a, b in zip(record.pairs, bounds, bounds[1:]):
@@ -81,19 +83,20 @@ def recent_record(dataset: ODDataset, split: SplitSpec, lags: np.ndarray, depth:
     lags, so a window that falls short is doubled, up to the series start.
     Differencing and masking are local, so every row is the whole record's.
     """
-    series = [dataset.series[pair] for pair in dataset.pairs]
+    n = len(dataset.pairs)
+    first = np.searchsorted(dataset.pair_index, np.arange(n))
     if not len(lags):
-        return difference(series, [(0, 0)] * len(series))
-    edges = np.array([lags.min(), lags.max()])
-    ahead, stop = np.array([s.timestamps.searchsorted(edges) for s in series]).T
+        return difference(dataset, (first, first))
+    keys = pair_hour_keys(dataset.pair_index, dataset.timestamps)
+    ahead, stop = np.searchsorted(keys, pair_hour_keys(np.arange(n)[:, None], [lags.min(), lags.max()])).T
     # twice the lags and a day: room for a night's masked hours and the dropped first row
-    span = np.full(len(series), 2 * depth + 24)
+    span = np.full(n, 2 * depth + 24)
     while True:
-        start = np.maximum(ahead - span, 0)
-        record = difference(series, list(zip(start.tolist(), stop.tolist())))
+        start = np.maximum(ahead - span, first)
+        record = difference(dataset, (start, stop))
         record = record.select(~split.mask_array(record.timestamps))
-        have = np.bincount(record.pair_index[record.timestamps < edges[0]], minlength=len(series))
-        short = (have < depth) & (start > 0)
+        have = np.bincount(record.pair_index[record.timestamps < lags.min()], minlength=n)
+        short = (have < depth) & (start > first)
         if not short.any():
             return record
         span[short] *= 2
@@ -161,7 +164,7 @@ def train_model(
     spec: ModelSpec,
     levels=qr.DEFAULT_QUANTILES,
 ) -> TrainedDemandModel:
-    pair_order = tuple(dataset.pairs)
+    pair_order = dataset.pairs
     labels = [loc.label for loc in dataset.locations]
     if spec.family == "hp":
         models = {pair: qr.fit_hp(train_series(dataset.series[pair], split), levels) for pair in pair_order}
@@ -173,7 +176,7 @@ def train_model(
 
 def evaluation_lags(dataset: ODDataset, split: SplitSpec) -> np.ndarray:
     """Unmasked test-range lags present in the data (union over pairs)."""
-    ts = np.concatenate([dataset.series[pair].timestamps for pair in dataset.pairs])
+    ts = dataset.timestamps
     return np.unique(ts[split.in_test(ts) & ~split.mask_array(ts)])
 
 
@@ -210,15 +213,13 @@ def predict_forecasts(
     order, n = model.pair_order, len(lags)
     which = np.repeat(np.arange(len(order)), n)
     stamps = np.tile(lags, len(order))
-    index = {pair: i for i, pair in enumerate(record.pairs)}
-    in_record = np.array([index[p] for p in order], dtype=np.int64)
-    X, usable = build_features(record, in_record[which], stamps, cfg)
+    X, usable = build_features(record, dataset.index_of(order)[which], stamps, cfg)
     # the first pair in order with a missing previous count or an unusable
     # lag is named, its previous count checked first
     usable = usable.reshape(len(order), n)
     bad = np.flatnonzero(~usable.all(axis=1))
     checked = order if not len(bad) else order[: bad[0] + 1]
-    prev = counts_at([dataset.series[pair] for pair in checked], lags - HOUR)
+    prev = counts_at(dataset, checked, lags - HOUR)
     if len(bad):
         t = lags[~usable[bad[0]]][0]
         hour = int(hour_of(t))
@@ -270,7 +271,7 @@ def gboost_grid_search(
     if spec.family != "gboost":
         raise ValueError("grid search applies to the gboost family only")
     tuning = tuning_ranges(split)
-    pairs = tuple(dataset.pairs)
+    pairs = dataset.pairs
     rows, _ = _group_rows(dataset, split, spec)
     X, y, stamps, pair_index = rows
 
@@ -423,7 +424,7 @@ def model_to_json_dict(model: TrainedDemandModel) -> dict:
 def model_from_json_dict(doc: dict) -> TrainedDemandModel:
     if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema version {doc.get('schema_version')}")
-    spec = parse_model(doc["spec"], "model spec", defaults=False)
+    spec = parse_model(doc_field(doc, "model.spec", dict), "model spec", defaults=False)
     labels = list(doc_field(doc, "model.labels", list))
     if not all(isinstance(label, str) for label in labels) or len(set(labels)) != len(labels):
         raise ConfigError("model.labels", f"expected distinct strings, got {labels!r}")
@@ -434,12 +435,8 @@ def model_from_json_dict(doc: dict) -> TrainedDemandModel:
     n_features = spec.feature_config(pair_order).n_features(len(pair_order))
 
     models: dict[ODPair | None, object] = {}
-    for name, inner_doc in doc["models"].items():
-        if name == "pooled":
-            key = None
-        else:
-            o, d = name.split(">")
-            key = ODPair(index[o], index[d])
+    for name, inner_doc in doc_field(doc, "model.models", dict).items():
+        key = None if name == "pooled" else _pair_from_doc(name.split(">"), index, f"model.models.{name}")
         models[key] = _inner_from_doc(spec.family, inner_doc, name, key, levels, spec, n_features)
     for key in [None] if spec.scope == "pooled" else pair_order:
         if key not in models:
@@ -450,13 +447,15 @@ def model_from_json_dict(doc: dict) -> TrainedDemandModel:
         mean, std = np.full((2, len(pair_order), 7, 24), np.nan)
         for i, pair in enumerate(pair_order):  # a pair without cells is named by SeasonalStats
             name = ">".join(_pair_doc(pair, labels))
-            for c in doc.get("seasonal", {}).get(name, {}).get("cells", []):
-                where = f"seasonal {name}, cell (dow {c['dow']}, hour {c['tod']})"
-                if c["dow"] not in range(7) or c["tod"] not in range(24):
+            for j, cell in enumerate(doc.get("seasonal", {}).get(name, {}).get("cells", [])):
+                path = f"model.seasonal.{name}.cells[{j}]"
+                dow, tod, mu, sigma = (doc_field(cell, f"{path}.{k}") for k in ("dow", "tod", "mean", "std"))
+                where = f"seasonal {name}, cell (dow {dow}, hour {tod})"
+                if dow not in range(7) or tod not in range(24):
                     raise ValueError(f"model {where}: no such weekday and hour")
-                key = (i, int(c["dow"]), int(c["tod"]))
-                mean[key] = _finite(float(c["mean"]), where, "mean")
-                std[key] = _finite(float(c["std"]), where, "std")
+                key = (i, int(dow), int(tod))
+                mean[key] = _finite(parse_float(mu, f"{path}.mean"), where, "mean")
+                std[key] = _finite(parse_float(sigma, f"{path}.std"), where, "std")
         seasonal = qr.SeasonalStats(pair_order, mean, std)
     return TrainedDemandModel(spec, levels, labels, pair_order, models, seasonal)
 
@@ -479,21 +478,10 @@ def load_model(path) -> TrainedDemandModel:
 
 def forecasts_to_csv(forecasts, labels, path) -> None:
     """Rows of `timestamp, origin, destination, q, value`, sorted."""
-    import csv as _csv
-
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["timestamp", "origin", "destination", "q", "value"])
         for t in sorted(forecasts):
-            for pair in sorted(forecasts[t]):
-                fc = forecasts[t][pair]
-                for q in fc.levels():
-                    writer.writerow(
-                        [
-                            format_hour(t),
-                            labels[pair.origin],
-                            labels[pair.destination],
-                            f"{q:g}",
-                            f"{fc.values[q]:.10g}",
-                        ]
-                    )
+            for pair, fc in sorted(forecasts[t].items()):
+                ends = [format_hour(t), labels[pair.origin], labels[pair.destination]]
+                writer.writerows([*ends, f"{q:g}", f"{fc.values[q]:.10g}"] for q in fc.levels())

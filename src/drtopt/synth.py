@@ -94,10 +94,7 @@ def generate_synthetic(spec: SyntheticSpec) -> ODDataset:
     means = spec.base_scale * seasonal[:, None] * weights[None, :]
     counts = np.rint(np.maximum(means + spec.dispersion * noise, 0.0)).astype(np.int64)
 
-    series = {
-        pair: ODCountSeries(pair, timestamps.copy(), counts[:, j]) for j, pair in enumerate(pairs)
-    }
-    return ODDataset(locations, series)
+    return ODDataset(locations, {pair: ODCountSeries(pair, timestamps, counts[:, j]) for j, pair in enumerate(pairs)})
 
 
 def network_for(spec: SyntheticSpec, dataset: ODDataset, fleet_size: int = 2,

@@ -1,11 +1,17 @@
-"""Per-row CSV loader, the reference for `data.load_od_counts`.
+"""References for `drtopt.data`: a per-row CSV loader and per-series differencing and count lookup.
 
-It is the loader the library had before the counts were read as columns:
-each record is checked as it is read (field count, timestamp, self-loop,
-integer count, sign, int64 range), and each row goes into a dict bucket of
-its pair keyed by hour, where a repeated hour is the duplicate.  A count
-beyond the int64 range fails here with its line number, as it does in the
-library; it used to escape from `ODCountSeries` as a bare OverflowError.
+`reference_load_od_counts` is the loader the library had before the counts
+were read as columns: each record is checked as it is read (field count,
+timestamp, self-loop, integer count, sign, int64 range), and each row goes
+into a dict bucket of its pair keyed by hour, where a repeated hour is the
+duplicate.  A count beyond the int64 range fails here with its line number,
+as it does in the library; it used to escape from `ODCountSeries` as a bare
+OverflowError.
+
+`reference_difference` and `reference_counts_at` are `difference` and
+`counts_at` as they were before a dataset held its counts as flat columns:
+they take a list of series, glue the series' slices together, and look up
+each series on its own.
 """
 
 from __future__ import annotations
@@ -14,7 +20,9 @@ import csv
 
 import numpy as np
 
-from drtopt.data import CSV_HEADER, INT64_MAX, Location, ODCountSeries, ODDataset, ODPair, format_hour, parse_hour
+from drtopt.data import (
+    CSV_HEADER, HOUR, INT64_MAX, Location, ODCountSeries, ODDataset, ODPair, WorkingRecord, format_hour, parse_hour,
+)
 
 
 def reference_load_od_counts(path) -> ODDataset:
@@ -66,3 +74,44 @@ def reference_load_od_counts(path) -> ODDataset:
         counts = np.array([bucket[t] for t in ts_sorted], dtype=np.int64)
         series[pair] = ODCountSeries(pair, ts_sorted, counts)
     return ODDataset(locations, series)
+
+
+def dataset_of(*series: ODCountSeries) -> ODDataset:
+    """A dataset of the given series, its locations labelled g0, g1, ... up to the largest id."""
+    n = 1 + max((max(s.pair.origin, s.pair.destination) for s in series), default=-1)
+    return ODDataset([Location(i, f"g{i}") for i in range(n)], {s.pair: s for s in series})
+
+
+def reference_difference(series: list[ODCountSeries], bounds=None) -> WorkingRecord:
+    """First differences of every series in one record; `bounds` holds each series' own (start, stop) rows."""
+    lengths = [len(s) for s in series]
+    if min(lengths) < 2:
+        pair = series[lengths.index(min(lengths))].pair
+        raise ValueError(f"series of pair {pair} too short to difference (need >= 2 lags)")
+    bounds = [(0, n) for n in lengths] if bounds is None else bounds
+    sizes = [stop - start for start, stop in bounds]
+    timestamps = np.concatenate([s.timestamps[a:b] for s, (a, b) in zip(series, bounds)])
+    keep = np.diff(timestamps) == HOUR
+    ends = np.cumsum(sizes)[:-1]
+    keep[ends[(ends > 0) & (ends < len(timestamps))] - 1] = False
+    pair_index = np.repeat(np.arange(len(series)), sizes)[1:][keep]
+    for i in np.flatnonzero(np.bincount(pair_index, minlength=len(series)) == 0).tolist():
+        if not (np.diff(series[i].timestamps) == HOUR).any():
+            raise ValueError(f"no contiguous run of >= 2 hourly lags to difference for pair {series[i].pair}")
+    counts = np.concatenate([s.counts[a:b] for s, (a, b) in zip(series, bounds)])
+    values = np.diff(counts.astype(np.float64))[keep]
+    return WorkingRecord(tuple(s.pair for s in series), timestamps[1:][keep], values, pair_index)
+
+
+def reference_counts_at(series: list[ODCountSeries], lags) -> np.ndarray:
+    """Observed counts of each series at the given hours (series x lags, float64), one series at a time."""
+    lags = np.asarray(lags, dtype="datetime64[h]")
+    out = np.empty((len(series), len(lags)))
+    for i, s in enumerate(series):
+        idx = s.timestamps.searchsorted(lags)
+        # an hour past the last observation is compared with the last, earlier one
+        found = s.timestamps.take(idx, mode="clip") == lags if len(s) else np.zeros(len(lags), dtype=bool)
+        if not found.all():
+            raise ValueError(f"no observation for pair {s.pair} at {format_hour(lags[~found][0])}")
+        out[i] = s.counts[idx]
+    return out

@@ -8,6 +8,7 @@ import pytest
 from drtopt.boosting import GBoostHyper
 from drtopt.cli import main
 from drtopt.config import ConfigError, load_config
+from drtopt.data import load_od_counts
 
 
 def run(*argv) -> int:
@@ -132,6 +133,14 @@ def test_optimize_rejects_a_demand_node_that_matches_no_data_location(tmp_path, 
     assert run("optimize", "--config", out / "config.json", "--model", out / "out" / "model.json") == 2
     assert "network demand nodes ['Z-nowhere'] match no data location" in caplog.text
     assert not (out / "out" / "scenario_2018-01-08T08.json").exists()
+
+
+def test_train_on_a_counts_csv_without_records_says_it_holds_no_pair(tmp_path, caplog):
+    (tmp_path / "counts.csv").write_text("timestamp,origin,destination,count\n")
+    (tmp_path / "config.json").write_text(json.dumps({"seed": 7, "data": {"counts_csv": "counts.csv"}}))
+    assert load_od_counts(tmp_path / "counts.csv").pairs == ()
+    assert run("train", "--config", tmp_path / "config.json") == 2
+    assert "the counts hold no OD pair" in caplog.text
 
 
 SPLIT_DOC = {"train": ["2017-11-17", "2018-01-07"], "test": ["2018-01-08", "2018-01-14"]}

@@ -25,7 +25,7 @@ from drtopt.data import (
     save_od_counts,
     train_series,
 )
-from reference_data import reference_load_od_counts
+from reference_data import dataset_of, reference_counts_at, reference_difference, reference_load_od_counts
 from reference_features import PairSeries, pair_series, record_of, reference_features
 
 
@@ -246,25 +246,25 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_difference_definition():
-    d = difference([series("2017-11-17T08", np.array([5, 8, 6]))])
+    d = difference(dataset_of(series("2017-11-17T08", np.array([5, 8, 6]))))
     assert list(d.values) == [3, -2]
     assert len(d.timestamps) == 2
 
 
 def test_difference_constant_series():
-    d = difference([series("2017-11-17T08", np.array([4, 4, 4, 4]))])
+    d = difference(dataset_of(series("2017-11-17T08", np.array([4, 4, 4, 4]))))
     assert list(d.values) == [0, 0, 0]
 
 
 def test_difference_too_short():
     with pytest.raises(ValueError, match="too short"):
-        difference([series("2017-11-17T08", np.array([3]))])
+        difference(dataset_of(series("2017-11-17T08", np.array([3]))))
 
 
 def test_difference_skips_gaps():
     ts = np.concatenate([hourly("2017-11-17T08", [0, 0, 0]), hourly("2017-11-18T08", [0, 0])])
     s = ODCountSeries(ODPair(0, 1), ts, np.array([1, 2, 4, 10, 11]))
-    d = difference([s])
+    d = difference(dataset_of(s))
     # the first lag of each contiguous block is dropped: no 10-4 difference
     assert list(d.values) == [1, 2, 1]
     assert d.timestamps.tolist() == ts[[1, 2, 4]].tolist()
@@ -279,9 +279,9 @@ def test_difference_equals_per_lag_reference(steps):
     s = ODCountSeries(ODPair(0, 1), ts, counts)
     if not kept:
         with pytest.raises(ValueError, match="no contiguous run"):
-            difference([s])
+            difference(dataset_of(s))
         return
-    d = difference([s])
+    d = difference(dataset_of(s))
     assert d.timestamps.tolist() == ts[kept].tolist()
     assert d.values.tolist() == [float(counts[i] - counts[i - 1]) for i in kept]
 
@@ -298,19 +298,26 @@ def test_difference_of_many_series_is_each_series_alone(records):
     alone = []
     for s in series_list:
         try:
-            alone.append(difference([s]))
+            alone.append(difference(dataset_of(s)))
         except ValueError:
             with pytest.raises(ValueError, match=f"no contiguous run .* for pair {re.escape(str(s.pair))}"):
-                difference(series_list)
+                difference(dataset_of(*series_list))
             return
     if not series_list:
         return
-    record = difference(series_list)
+    record = difference(dataset_of(*series_list))
     assert record.pairs == tuple(s.pair for s in series_list)
     assert record.pair_index.tolist() == [i for i, d in enumerate(alone) for _ in range(len(d.values))]
     for s, d in zip(series_list, alone):
         assert pair_series(record, s.pair).timestamps.tolist() == d.timestamps.tolist()
         assert pair_series(record, s.pair).values.tolist() == d.values.tolist()
+
+
+def windows(dataset, bounds):
+    """Each pair's (start, stop) rows of its own series, as (starts, stops) rows of the dataset's columns."""
+    first = np.searchsorted(dataset.pair_index, np.arange(len(dataset.pairs)))
+    start, stop = np.array(bounds, dtype=np.int64).reshape(-1, 2).T
+    return first + start, first + stop
 
 
 @given(st.lists(st.tuples(st.lists(st.tuples(st.integers(1, 3), st.integers(0, 500)), min_size=2, max_size=20),
@@ -321,14 +328,16 @@ def test_difference_of_windows_is_the_whole_difference_after_each_first_row(reco
         ts = parse_hour("2017-11-17T08") + np.cumsum([s for s, _ in steps]).astype("timedelta64[h]")
         series_list.append(ODCountSeries(ODPair(0, i + 1), ts, np.array([c for _, c in steps])))
         bounds.append((min(a, b, len(ts)), min(max(a, b), len(ts))))
+    dataset = dataset_of(*series_list)
+    rows = windows(dataset, bounds)
     try:
-        whole = difference(series_list)
+        whole = difference(dataset)
     except ValueError as exc:
         # the whole series decides: no window of it has a contiguous run either
         with pytest.raises(ValueError, match=re.escape(str(exc))):
-            difference(series_list, bounds)
+            difference(dataset, rows)
         return
-    windowed = difference(series_list, bounds)
+    windowed = difference(dataset, rows)
     for s, (a, b) in zip(series_list, bounds):
         d = pair_series(whole, s.pair)
         # the window's rows after its first: counts[a + 1:b]
@@ -342,9 +351,99 @@ def test_difference_of_windows_is_the_whole_difference_after_each_first_row(reco
 @given(st.lists(st.integers(min_value=0, max_value=500), min_size=2, max_size=60))
 def test_difference_cumsum_inverse(counts):
     s = series("2017-11-17T08", np.array(counts))
-    d = difference([s])
+    d = difference(dataset_of(s))
     reconstructed = float(counts[0]) + np.cumsum(d.values)
     assert np.array_equal(reconstructed, np.array(counts[1:], dtype=float))
+
+
+@st.composite
+def count_records(draw):
+    """(dataset, windows): up to four pairs of up to twelve counts each, and each pair's (start, stop) rows or None.
+
+    Hour steps of 2 or 3 put gaps in a series; the pairs are laid out in
+    time in sorted order, each one starting one to three hours after the
+    one before it ends, so that a step of one hour abuts two pairs; and the
+    series are given to the dataset in a shuffled order.
+    """
+    pairs = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda p: p[0] != p[1]),
+                          min_size=1, max_size=4, unique=True))
+    series_list, start = [], parse_hour("2017-11-17T08")
+    for pair in sorted(pairs):
+        steps = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(0, 500)), max_size=12))
+        ts = start + np.cumsum([step for step, _ in steps], dtype=np.int64).astype("timedelta64[h]")
+        series_list.append(ODCountSeries(ODPair(*pair), ts, np.array([c for _, c in steps], dtype=np.int64)))
+        start = ts[-1] if len(ts) else start
+    dataset = dataset_of(*draw(st.permutations(series_list)))
+    if not draw(st.booleans()):
+        return dataset, None
+    bounds = []
+    for s in series_list:
+        a, b = draw(st.integers(0, len(s))), draw(st.integers(0, len(s)))
+        bounds.append((min(a, b), max(a, b)))
+    return dataset, bounds
+
+
+def _record_or_error(difference, *args):
+    try:
+        record = difference(*args)
+    except ValueError as exc:
+        return str(exc)
+    return [record.pairs] + [(column.dtype, column.tolist()) for column in
+                             (record.timestamps, record.values, record.pair_index)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(count_records())
+@example((dataset_of(series("2017-11-17T08", np.array([1, 2])), series("2017-11-17T10", np.array([5, 9]), ODPair(1, 0))),
+          [(0, 2), (0, 2)]))  # the pairs abut: 10:00 follows 09:00
+def test_difference_equals_the_per_series_reference(record):
+    dataset, bounds = record
+    assert list(dataset.series) == list(dataset.pairs)
+    rows = None if bounds is None else windows(dataset, bounds)
+    series_list = [dataset.series[pair] for pair in dataset.pairs]
+    assert _record_or_error(difference, dataset, rows) == _record_or_error(reference_difference, series_list, bounds)
+
+
+@settings(max_examples=300, deadline=None)
+@given(count_records(), st.data())
+def test_counts_at_equals_the_per_series_reference(record, data):
+    dataset, _ = record
+    pairs = data.draw(st.lists(st.sampled_from(dataset.pairs), max_size=5))  # any order, repeats allowed
+    # hours from the first series' start: in gaps, between two pairs and past the last observation
+    hours = data.draw(st.lists(st.integers(-2, 160), max_size=6))
+    lags = parse_hour("2017-11-17T08") + np.array(hours, dtype=np.int64).astype("timedelta64[h]")
+
+    def outcome(counts_at, *args):
+        try:
+            got = counts_at(*args)
+        except ValueError as exc:
+            return str(exc)
+        return got.dtype, got.shape, got.tolist()
+
+    series_list = [dataset.series[pair] for pair in pairs]
+    assert outcome(counts_at, dataset, pairs, lags) == outcome(reference_counts_at, series_list, lags)
+
+
+def test_counts_at_names_a_pair_without_observations_by_its_labels():
+    dataset = dataset_of(series("2018-01-08T07", [1, 2]), series("2018-01-08T07", [3, 4], ODPair(2, 1)))
+    with pytest.raises(ValueError, match=re.escape("pair g1>g0 has no observations in the counts")):
+        counts_at(dataset, [ODPair(2, 1), ODPair(1, 0), ODPair(0, 2)], [parse_hour("2018-01-08T07")])
+    # a location the counts lack altogether has no label: the pair is named by its ids
+    with pytest.raises(ValueError, match=re.escape("pair 0>5 has no observations in the counts")):
+        counts_at(dataset, [ODPair(0, 5)], [parse_hour("2018-01-08T07")])
+
+
+def test_a_dataset_holds_its_counts_once_in_sorted_columns():
+    b = series("2018-01-08T07", [3, 4, 5], ODPair(2, 1))
+    a = series("2018-01-08T09", [1, 2])
+    dataset = dataset_of(b, a)
+    assert dataset.pairs == (a.pair, b.pair)
+    assert dataset.pair_index.tolist() == [0, 0, 1, 1, 1]
+    assert dataset.counts.tolist() == [1, 2, 3, 4, 5]
+    assert dataset.timestamps.tolist() == a.timestamps.tolist() + b.timestamps.tolist()
+    for pair in dataset.pairs:
+        assert np.shares_memory(dataset.series[pair].counts, dataset.counts)
+        assert np.shares_memory(dataset.series[pair].timestamps, dataset.timestamps)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +518,7 @@ def test_train_series_is_masking_then_train_range():
 def test_counts_at_returns_exact_counts():
     s = series("2018-01-08T07", [5, 0, 12, 3, 9])
     lags = parse_hour("2018-01-08T07") + np.array([3, 0, 4, 2]).astype("timedelta64[h]")
-    got = counts_at([s], lags)
+    got = counts_at(dataset_of(s), [s.pair], lags)
     assert got.dtype == np.float64
     assert got.tolist() == [[3.0, 5.0, 9.0, 12.0]]
 
@@ -427,11 +526,12 @@ def test_counts_at_returns_exact_counts():
 def test_counts_at_raises_on_a_gap_naming_pair_and_hour():
     ts = hourly("2018-01-08T07", range(6))
     s = ODCountSeries(ODPair(3, 1), np.delete(ts, 2), [5, 0, 3, 9, 4])  # no 09:00
-    assert counts_at([s], ts[[0, 1, 3]]).tolist() == [[5.0, 0.0, 3.0]]
+    dataset = dataset_of(s)
+    assert counts_at(dataset, [s.pair], ts[[0, 1, 3]]).tolist() == [[5.0, 0.0, 3.0]]
     with pytest.raises(ValueError, match=r"ODPair\(origin=3, destination=1\) at 2018-01-08T09"):
-        counts_at([s], ts[1:4])
+        counts_at(dataset, [s.pair], ts[1:4])
     with pytest.raises(ValueError, match="2018-01-08T13"):
-        counts_at([s], [parse_hour("2018-01-08T13")])  # after the last observation
+        counts_at(dataset, [s.pair], [parse_hour("2018-01-08T13")])  # after the last observation
 
 
 def test_counts_at_reads_each_series_and_names_the_first_with_a_gap():
@@ -439,12 +539,13 @@ def test_counts_at_reads_each_series_and_names_the_first_with_a_gap():
     a = ODCountSeries(ODPair(0, 1), ts, [1, 2, 3, 4, 5, 6])
     b = ODCountSeries(ODPair(1, 0), ts[2:], [30, 40, 50, 60])  # starts at 09:00
     c = ODCountSeries(ODPair(2, 0), np.delete(ts, 4), [7, 8, 9, 10, 12])  # no 11:00
-    assert counts_at([b, a], ts[[5, 2]]).tolist() == [[60.0, 30.0], [6.0, 3.0]]
+    dataset = dataset_of(a, b, c)
+    assert counts_at(dataset, [b.pair, a.pair], ts[[5, 2]]).tolist() == [[60.0, 30.0], [6.0, 3.0]]
     # a missing hour at the start of a series is never read from the series before it
     with pytest.raises(ValueError, match=r"ODPair\(origin=1, destination=0\) at 2018-01-08T08"):
-        counts_at([a, b, c], ts[[4, 1]])
+        counts_at(dataset, [a.pair, b.pair, c.pair], ts[[4, 1]])
     with pytest.raises(ValueError, match=r"ODPair\(origin=2, destination=0\) at 2018-01-08T11"):
-        counts_at([a, c, b], ts[[4, 5]])
+        counts_at(dataset, [a.pair, c.pair, b.pair], ts[[4, 5]])
 
 
 def test_pair_name_by_id_and_by_label():

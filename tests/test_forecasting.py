@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 
 from drtopt import forecasting, qr
 from drtopt.boosting import GBoostHyper, fit_gboost, gboost_raw_predict
+from drtopt.cli import main
 from drtopt.config import FAMILIES, SCOPES, parse_model
 from drtopt.data import (
     HOUR, ODCountSeries, ODDataset, ODPair, SplitSpec, adf_test, build_features, counts_at, difference, parse_hour,
@@ -255,6 +256,32 @@ def test_predict_on_a_gappy_record_names_the_first_failing_pair(dataset):
             predict_forecasts(model, gappy(three, t, **defects), SPLIT, np.array([t]))
 
 
+def test_a_pair_missing_from_the_counts_is_named_by_its_labels(dataset, tmp_path, caplog):
+    gone = ODPair(0, 2)
+    message = "pair g0>g2 has no observations in the counts"
+    lags = evaluation_lags(dataset, SPLIT)[:2]
+    model = train_model(dataset, SPLIT, spec(), (0.5,))
+    lacking = ODDataset(dataset.locations, {p: s for p, s in dataset.series.items() if p != gone})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        predict_forecasts(model, lacking, SPLIT, lags)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        counts_at(lacking, model.pair_order, lags)
+
+    out = tmp_path / "ws"
+    assert main(["synth", "--out-dir", str(out), "--locations", "3", "--seed", "5"]) == 0
+    cfg = out / "config.json"
+    doc = json.loads(cfg.read_text())
+    doc["optimize"] = {"k": 5, "lags": ["2018-01-08T08"]}
+    cfg.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(cfg)]) == 0
+    counts = out / "counts.csv"
+    counts.write_text("".join(line for line in counts.read_text().splitlines(True) if ",g0,g2," not in line))
+    for command in ("predict", "evaluate", "optimize"):
+        caplog.clear()
+        assert main([command, "--config", str(cfg), "--model", str(out / "out" / "model.json")]) == 2
+        assert f"ERROR drtopt: {message}" in [f"{r.levelname} {r.name}: {r.getMessage()}" for r in caplog.records]
+
+
 def per_pair_forecasts(model, dataset, split, lags) -> dict:
     """Each pair's count-scale forecasts (lags x levels) from the whole working record, its model predicted alone."""
     record = working_record(dataset, split)
@@ -269,7 +296,7 @@ def per_pair_forecasts(model, dataset, split, lags) -> dict:
         scales = None
         if model.spec.seasonal_normalize:
             scales = model.seasonal.scales_at([pair], np.zeros(len(lags), dtype=int), lags)
-        prev = counts_at([dataset.series[pair]], lags - HOUR)[0]
+        prev = counts_at(dataset, [pair], lags - HOUR)[0]
         out[pair] = to_count_scale(np.column_stack([ref[q] for q in model.levels]), prev, scales, model.spec.sort_quantiles)
     return out
 
@@ -532,24 +559,50 @@ def test_model_json_rejects_coefficients_outside_the_layout(model_docs, kind):
         model_from_json_dict(doc)
 
 
-@pytest.mark.parametrize("kind", ["linear", "pooled", "gboost"])
-def test_model_json_names_a_missing_model(model_docs, kind):
+@pytest.mark.parametrize("kind, rename, message", [
+    ("linear", None, None),  # None: the model is left out
+    ("pooled", None, None),
+    ("gboost", None, None),
+    ("linear", "zz>g1", "model.models.zz>g1: expected [origin, destination] of model.labels, got ['zz', 'g1']"),
+    ("gboost", "g0g1", "model.models.g0g1: expected [origin, destination] of model.labels, got ['g0g1']"),
+    ("linear", "g0>g1>g2", "model.models.g0>g1>g2: expected [origin, destination] of model.labels"),
+    ("linear", "g1>g1", "model.models.g1>g1: self-loop OD pair 'g1'"),
+], ids=["linear", "pooled", "gboost", "unknown-label", "no-separator", "two-separators", "self-loop"])
+def test_model_json_names_a_missing_model(model_docs, kind, rename, message):
     doc = json.loads(json.dumps(model_docs[kind]))
     name = sorted(doc["models"])[-1]
-    del doc["models"][name]
-    with pytest.raises(ValueError, match=re.escape(f"model {name}: missing")):
+    inner = doc["models"].pop(name)
+    if rename is not None:
+        doc["models"][rename] = inner
+    with pytest.raises(ValueError, match=re.escape(message or f"model {name}: missing")):
         model_from_json_dict(doc)
 
 
-@pytest.mark.parametrize("field, bad", [("dow", -1), ("dow", 7), ("tod", 24), ("tod", 8.5)])
-def test_model_json_rejects_a_seasonal_cell_outside_the_week(model_docs, field, bad):
+@pytest.mark.parametrize("field, bad, message", [
+    ("dow", -1, None),  # None: the cell is outside the week
+    ("dow", 7, None),
+    ("tod", 24, None),
+    ("tod", 8.5, None),
+    ("dow", "missing", "model.seasonal.{name}.cells[0].dow: missing required field"),
+    ("tod", "missing", "model.seasonal.{name}.cells[0].tod: missing required field"),
+    ("mean", "missing", "model.seasonal.{name}.cells[0].mean: missing required field"),
+    ("std", "missing", "model.seasonal.{name}.cells[0].std: missing required field"),
+    ("mean", "1.5", "model.seasonal.{name}.cells[0].mean: not a number: '1.5'"),
+    ("std", True, "model.seasonal.{name}.cells[0].std: not a number: True"),
+], ids=["dow--1", "dow-7", "tod-24", "tod-8.5", "no-dow", "no-tod", "no-mean", "no-std", "string-mean", "true-std"])
+def test_model_json_rejects_a_seasonal_cell_outside_the_week(model_docs, field, bad, message):
     # the cells fill a (weekday, hour) table: a negative index would overwrite another cell
     doc = json.loads(json.dumps(model_docs["linear"]))
     name = next(iter(doc["seasonal"]))
     cell = doc["seasonal"][name]["cells"][0]
-    cell[field] = bad
-    where = f"seasonal {name}, cell (dow {cell['dow']}, hour {cell['tod']})"
-    with pytest.raises(ValueError, match=re.escape(f"model {where}: no such weekday and hour")):
+    if bad == "missing":
+        del cell[field]
+    else:
+        cell[field] = bad
+    if message is None:
+        where = f"seasonal {name}, cell (dow {cell['dow']}, hour {cell['tod']})"
+        message = f"model {where}: no such weekday and hour"
+    with pytest.raises(ValueError, match=re.escape(message.format(name=name))):
         model_from_json_dict(doc)
 
 
@@ -624,6 +677,10 @@ def test_model_json_names_a_malformed_spec_field(model_docs, key, value, field):
     ("pairs", [["g0"]], "model.pairs[0]: expected [origin, destination] of model.labels"),
     ("pairs", ["g0>g1"], "model.pairs[0]: expected [origin, destination] of model.labels"),
     ("pairs", [["g0", "g0"]], "model.pairs[0]: self-loop OD pair 'g0'"),
+    ("spec", None, "model.spec: missing required field"),
+    ("spec", [], "model.spec: expected an object, got []"),
+    ("models", None, "model.models: missing required field"),
+    ("models", ["g0>g1"], "model.models: expected an object, got ['g0>g1']"),
 ])
 def test_model_json_names_a_malformed_level_label_or_pair(model_docs, key, value, message):
     doc = json.loads(json.dumps(model_docs["linear"]))
