@@ -4,8 +4,9 @@
 #     scripts/malformed_counts.sh OUTDIR
 #
 # One case per check of the counts loader (field count, timestamp, self-loop,
-# integer count, sign, int64 range), plus a duplicate (pair, hour) and a file
-# whose first malformed record fails several checks and is followed by others.
+# integer count, sign, int64 range), plus a duplicate (pair, hour), a file
+# whose first malformed record fails several checks and is followed by others,
+# and a file with the header and no record.
 # Each case is OUTDIR/<case>/counts.csv with a minimal config.json beside it;
 # train runs in that directory, with drtopt imported from the src/ of the
 # checkout this script sits in, and leaves OUTDIR/<case>/exit and
@@ -46,3 +47,4 @@ case_csv negative "$good" "2017-11-17T09,g0,g1,-3"
 case_csv int64 "$good" "2017-11-17T09,g0,g1,9223372036854775808"
 case_csv duplicate "$good" "2017-11-17T09,g1,g0,1" "2017-11-17T09,g1,g0,2" "2017-11-17T08,g0,g1,6"
 case_csv first-of-many "$good" "" "NaT,g2,g2,x" "2017-11-17T09,g0" "2017-11-17T10,g0,g1,-1"
+case_csv header-only

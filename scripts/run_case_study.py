@@ -74,7 +74,7 @@ def main(argv=None) -> int:
         forecasting.save_model(model, out / f"model_{name}.json")
 
         forecasts = forecasting.predict_forecasts(model, dataset, split, eval_lags)
-        report = metrics.evaluate_at(forecasts, dataset, model.pair_order, eval_lags, model.levels)
+        report = metrics.evaluate_at(forecasts, dataset, model.pair_order, eval_lags, model.levels, model.labels)
         metrics.report_csv(report, out / f"evaluation_{name}.csv", model.labels)
         print(metrics.report_table(report, name=name))
         print(f"  ({time.time() - t0:.1f}s to fit + score)")
@@ -84,7 +84,7 @@ def main(argv=None) -> int:
         }
 
     copula_model = fit_correlation({p: train_series(dataset.series[p], split).values for p in dataset.pairs})
-    export_correlation(copula_model, out / "correlation.csv", [l.label for l in dataset.locations])
+    export_correlation(copula_model, out / "correlation.csv", dataset.labels)
 
     observed = dict(zip(dataset.pairs, counts_at(dataset, dataset.pairs, lags)))
     truths_at = {lag: {p: float(c[i]) for p, c in observed.items()} for i, lag in enumerate(lags)}

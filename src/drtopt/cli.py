@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__, config as config_mod, forecasting, metrics, pipeline, synth
 from .config import CONFIG_SCHEMA_VERSION, PipelineConfig, load_config
 from .copula import export_correlation, export_samples, fit_correlation, sample_joint
-from .data import ODPair, counts_at, format_hour, load_od_counts, parse_hour, save_od_counts, train_series
+from .data import counts_at, format_hour, load_od_counts, parse_hour, save_od_counts, train_series
 from .forecasting import MODEL_SCHEMA_VERSION
 from .tndfs import INSTANCE_SCHEMA_VERSION, load_instance, prepare_instance, save_instance
 
@@ -48,31 +48,30 @@ def _version_text() -> str:
 
 
 def _instance_pair_map(dataset, instance):
-    """Map instance demand-node OD pairs onto dataset pairs via labels.
+    """The network's OD pairs, their labels by demand-node id, and each pair's counts row, matched by label.
 
     Every demand node must match a data location: a node that matched none
-    would read zero demand in every scenario.
+    would read zero demand in every scenario.  A pair without counts is
+    named by its labels.
     """
-    by_label = {loc.label: loc.id for loc in dataset.locations}
-    unmatched = [node.label for node in instance.demand_nodes if node.label not in by_label]
-    if unmatched and len(unmatched) < len(instance.demand_nodes):
+    labels, known = {node.id: node.label for node in instance.demand_nodes}, set(dataset.labels)
+    unmatched = [label for label in labels.values() if label not in known]
+    if unmatched and len(unmatched) < len(labels):
         raise ValueError(f"network demand nodes {unmatched} match no data location")
-    mapping = {}
-    for node_o in instance.demand_nodes:
-        for node_d in instance.demand_nodes:
-            if node_o.id == node_d.id:
-                continue
-            if node_o.label in by_label and node_d.label in by_label:
-                data_pair = ODPair(by_label[node_o.label], by_label[node_d.label])
-                mapping[data_pair] = ODPair(node_o.id, node_d.id)
-    if not mapping:
+    pairs = [] if unmatched else instance.od_pairs()
+    if not pairs:
         raise ValueError("no demand-node labels in the network match the data locations")
-    return mapping
+    return pairs, labels, dataset.rows_of(pairs, labels)
 
 
-def _rekey_forecasts(forecasts_by_lag, mapping):
-    return {lag: {mapping[p]: fc for p, fc in per_pair.items() if p in mapping}
-            for lag, per_pair in forecasts_by_lag.items()}
+def _network_forecasts(model, dataset, split, lags, pairs, rows):
+    """The model's forecasts at `lags`, each keyed by the network pair matched to its pair's counts row."""
+    slot = np.full(len(dataset.pairs), -1)
+    slot[rows] = np.arange(len(pairs))
+    joined = zip(model.pair_order, slot[dataset.rows_of(model.pair_order, model.labels)].tolist())
+    keys = [(p, pairs[j]) for p, j in joined if j >= 0]
+    forecasts = forecasting.predict_forecasts(model, dataset, split, lags)
+    return {lag: {net: per_pair[p] for p, net in keys} for lag, per_pair in forecasts.items()}
 
 
 def _optimization_lags(cfg: PipelineConfig, dataset) -> np.ndarray:
@@ -81,10 +80,9 @@ def _optimization_lags(cfg: PipelineConfig, dataset) -> np.ndarray:
     return forecasting.evaluation_lags(dataset, cfg.split)
 
 
-def _fit_copula_mapped(cfg: PipelineConfig, dataset, mapping):
-    dataset.index_of(mapping)  # a mapped pair without counts fails here, by its labels
-    history = {inst: train_series(dataset.series[p], cfg.split).values for p, inst in mapping.items()}
-    return fit_correlation(history, cfg.copula_min_lags)
+def _fit_copula_mapped(cfg: PipelineConfig, dataset, pairs, rows):
+    series = (train_series(dataset.series[dataset.pairs[r]], cfg.split) for r in rows.tolist())
+    return fit_correlation({p: s.values for p, s in zip(pairs, series)}, cfg.copula_min_lags)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +162,7 @@ def cmd_evaluate(args) -> int:
         )
     lags = forecasting.evaluation_lags(dataset, cfg.split)
     forecasts = forecasting.predict_forecasts(model, dataset, cfg.split, lags)
-    report = metrics.evaluate_at(forecasts, dataset, model.pair_order, lags, cfg.quantiles)
+    report = metrics.evaluate_at(forecasts, dataset, model.pair_order, lags, cfg.quantiles, model.labels)
     out = Path(args.out) if args.out else cfg.output_dir / "evaluation.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
     metrics.report_csv(report, out, model.labels)
@@ -179,23 +177,19 @@ def cmd_optimize(args) -> int:
     dataset = load_od_counts(cfg.counts_csv)
     model = forecasting.load_model(args.model)
     instance = load_instance(cfg.network)
-    mapping = _instance_pair_map(dataset, instance)
+    pairs, _, rows = _instance_pair_map(dataset, instance)
     lags = _optimization_lags(cfg, dataset)
 
-    copula_model = _fit_copula_mapped(cfg, dataset, mapping)
-    forecasts = _rekey_forecasts(
-        forecasting.predict_forecasts(model, dataset, cfg.split, lags), mapping
-    )
+    copula_model = _fit_copula_mapped(cfg, dataset, pairs, rows)
+    forecasts = _network_forecasts(model, dataset, cfg.split, lags, pairs, rows)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     export_correlation(copula_model, cfg.output_dir / "correlation.csv")
     prep = prepare_instance(instance)
     for i, lag in enumerate(lags):
         seed = int(np.random.SeedSequence(cfg.seed, spawn_key=(i, 0)).generate_state(1)[0])
-        result = pipeline.optimize_lag(
-            copula_model, forecasts[np.datetime64(lag, "h")], instance, cfg.k, seed, prepared=prep
-        )
+        result = pipeline.optimize_lag(copula_model, forecasts[lag], instance, cfg.k, seed, prepared=prep)
         if args.dump_samples:
-            samples = sample_joint(copula_model, forecasts[np.datetime64(lag, "h")], cfg.k, seed)
+            samples = sample_joint(copula_model, forecasts[lag], cfg.k, seed)
             export_samples(samples, copula_model.pair_order, cfg.output_dir / f"samples_{format_hour(lag)}.csv")
         _write_json(pipeline.scenario_to_json_dict(result), cfg.output_dir / f"scenario_{format_hour(lag)}.json")
         log.info(
@@ -215,9 +209,9 @@ def cmd_pipeline(args) -> int:
         raise ValueError("config.network: required for the comparison pipeline")
     dataset = load_od_counts(cfg.counts_csv)
     instance = load_instance(cfg.network)
-    mapping = _instance_pair_map(dataset, instance)
+    pairs, labels, rows = _instance_pair_map(dataset, instance)
     lags = _optimization_lags(cfg, dataset)
-    copula_model = _fit_copula_mapped(cfg, dataset, mapping)
+    copula_model = _fit_copula_mapped(cfg, dataset, pairs, rows)
 
     model_forecasts = {}
     for path in args.model:
@@ -225,16 +219,14 @@ def cmd_pipeline(args) -> int:
         name = f"{model.spec.family}/{model.spec.scope}"
         if name in model_forecasts:
             name = f"{name}#{len(model_forecasts)}"
-        model_forecasts[name] = _rekey_forecasts(
-            forecasting.predict_forecasts(model, dataset, cfg.split, lags), mapping
-        )
+        model_forecasts[name] = _network_forecasts(model, dataset, cfg.split, lags, pairs, rows)
 
-    observed = dict(zip(mapping.values(), counts_at(dataset, list(mapping), lags)))
+    observed = dict(zip(pairs, counts_at(dataset, pairs, lags, labels)))
     truths = {lag: {p: float(c[i]) for p, c in observed.items()} for i, lag in enumerate(lags)}
-    rows = pipeline.compare_strategies(lags, model_forecasts, truths, instance, copula_model, cfg.k, cfg.seed)
+    comparison = pipeline.compare_strategies(lags, model_forecasts, truths, instance, copula_model, cfg.k, cfg.seed)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    pipeline.comparison_to_csv(rows, cfg.output_dir / "comparison.csv")
-    table = pipeline.comparison_table(rows)
+    pipeline.comparison_to_csv(comparison, cfg.output_dir / "comparison.csv")
+    table = pipeline.comparison_table(comparison)
     (cfg.output_dir / "comparison.txt").write_text(table + "\n", encoding="utf-8")
     print(table)
     return 0

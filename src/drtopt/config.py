@@ -17,7 +17,6 @@ from .data import (
     DEFAULT_MASKED_HOURS,
     CAMPUS_2017_EXAMS,
     FeatureConfig,
-    ODPair,
     SplitSpec,
     campus_2017_split,
     parse_hour,
@@ -63,14 +62,13 @@ class ModelSpec:
         if self.family == "hp" and self.seasonal_normalize:
             raise ValueError("historical percentiles are fit without seasonal normalization")
 
-    def feature_config(self, pair_order: tuple[ODPair, ...]) -> FeatureConfig:
+    def feature_config(self) -> FeatureConfig:
         return FeatureConfig(
             exam_period=self.exam_period,
             ar_order=self.ar_order,
             cross_lags=self.cross_lags,
             cross_order=self.cross_order,
             od_onehot=self.scope == "pooled",
-            pair_order=pair_order,
         )
 
 

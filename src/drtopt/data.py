@@ -139,16 +139,24 @@ class ODDataset:
         cuts = np.searchsorted(self.pair_index, np.arange(1, len(parts)))
         views = zip(self.pairs, np.split(self.timestamps, cuts), np.split(self.counts, cuts))
         self.series = {pair: ODCountSeries(pair, *view) for pair, *view in views}
+        self.labels = [loc.label for loc in self.locations]  # by location id
+        self._row_of_ends = {(self.labels[p.origin], self.labels[p.destination]): i for i, p in enumerate(self.pairs)}
 
-    def index_of(self, pairs) -> np.ndarray:
-        """The index into `pairs` of each given pair; raises naming the first without observations."""
-        index = {pair: i for i, pair in enumerate(self.pairs)}
-        labels = [loc.label for loc in self.locations]
-        for pair in pairs:
-            if pair not in index:  # by id when the counts lack one of its locations too
-                name = pair_name(pair, labels if max(pair.origin, pair.destination) < len(labels) else None)
-                raise ValueError(f"pair {name} has no observations in the counts")
-        return np.array([index[pair] for pair in pairs], dtype=np.int64)
+    def rows_of(self, pairs, labels=None) -> np.ndarray:
+        """The index into `self.pairs` of each of `pairs`, whose ids index `labels` (a list, or a dict by id).
+
+        Matched by label, the counts' own by default.  Raises naming the first
+        pair without observations by its labels, by its ids where they lack one.
+        """
+        labels = self.labels if labels is None else labels
+        names = labels if isinstance(labels, dict) else dict(enumerate(labels))
+        ends = [(names.get(pair.origin), names.get(pair.destination)) for pair in pairs]
+        rows = [self._row_of_ends.get(end) for end in ends]
+        if None in rows:
+            i = rows.index(None)
+            name = pair_name(pairs[i], None if None in ends[i] else names)
+            raise ValueError(f"pair {name} has no observations in the counts")
+        return np.array(rows, dtype=np.int64)
 
 
 INT64_MAX = np.iinfo(np.int64).max
@@ -269,39 +277,39 @@ class WorkingRecord:
         return WorkingRecord(self.pairs, self.timestamps[keep], self.values[keep], self.pair_index[keep])
 
 
-def difference(dataset: ODDataset, bounds=None) -> WorkingRecord:
-    """First differences y'_t = y_t - y_{t-1} of every pair's counts, in one record.
+def difference(dataset: ODDataset, bounds=None, pairs=None, labels=None) -> WorkingRecord:
+    """First differences y'_t = y_t - y_{t-1} of the counts of `pairs`, in one record in their order.
 
-    Only one-hour steps within a pair are differenced: the first lag of
-    every contiguous block is dropped, so that no difference spans a gap in
-    the record or the boundary between two pairs.  `bounds` holds arrays
+    `pairs` (the counts' own by default) are matched by `ODDataset.rows_of`.
+    Only one-hour steps within a pair are differenced, so that no difference
+    spans a gap or the boundary between two pairs.  `bounds` holds arrays
     (starts, stops) of each pair's first and past-last rows in the dataset's
-    columns, every row by default; only those rows are read, so the row at
-    start, whose predecessor is not read, is dropped too.  Whether a series
-    is too short, or has no contiguous run, is decided on the whole series.
+    columns, all its rows by default; only those are read, so the row at
+    start is dropped too.  Whether a series is too short, or has no
+    contiguous run, is decided on the whole series.
     """
-    n = len(dataset.pairs)
-    if not n:
+    pairs = dataset.pairs if pairs is None else tuple(pairs)
+    if not pairs:
         raise ValueError("the counts hold no OD pair")
-    edges = np.searchsorted(dataset.pair_index, np.arange(n + 1))
-    if np.diff(edges).min() < 2:
-        pair = dataset.pairs[np.argmin(np.diff(edges))]
-        raise ValueError(f"series of pair {pair} too short to difference (need >= 2 lags)")
-    starts, stops = (edges[:-1], edges[1:]) if bounds is None else bounds
+    edges = np.searchsorted(dataset.pair_index, np.arange(len(dataset.pairs) + 1))
+    rows = dataset.rows_of(pairs, labels)
+    lengths = edges[rows + 1] - edges[rows]
+    if lengths.min() < 2:
+        raise ValueError(f"series of pair {pairs[np.argmin(lengths)]} too short to difference (need >= 2 lags)")
+    starts, stops = (edges[rows], edges[rows + 1]) if bounds is None else bounds
     sizes = stops - starts
-    # the rows of every window, window after window
-    rows = np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
-    timestamps, pair_index = dataset.timestamps[rows], dataset.pair_index[rows]
+    # the dataset rows of every window, window after window
+    read = np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+    timestamps, pair_index = dataset.timestamps[read], np.repeat(np.arange(len(pairs)), sizes)
     keep = (np.diff(timestamps) == HOUR) & (pair_index[1:] == pair_index[:-1])
     pair_index = pair_index[1:][keep]
-    lost = np.bincount(pair_index, minlength=n) == 0
+    lost = np.bincount(pair_index, minlength=len(pairs)) == 0
     if lost.any() and bounds is not None:
-        difference(dataset)  # the whole series decide: raises for the first without a contiguous run
+        difference(dataset, None, pairs, labels)  # the whole series decide: raises for the first without a run
     elif lost.any():
-        pair = dataset.pairs[np.argmax(lost)]
-        raise ValueError(f"no contiguous run of >= 2 hourly lags to difference for pair {pair}")
-    values = np.diff(dataset.counts[rows].astype(np.float64))[keep]
-    return WorkingRecord(dataset.pairs, timestamps[1:][keep], values, pair_index)
+        raise ValueError(f"no contiguous run of >= 2 hourly lags to difference for pair {pairs[np.argmax(lost)]}")
+    values = np.diff(dataset.counts[read].astype(np.float64))[keep]
+    return WorkingRecord(pairs, timestamps[1:][keep], values, pair_index)
 
 
 def in_days(timestamps, days: tuple[date, date]) -> np.ndarray:
@@ -359,16 +367,16 @@ def train_series(series: ODCountSeries, spec: SplitSpec) -> ODCountSeries:
     return ODCountSeries(series.pair, series.timestamps[keep], series.counts[keep])
 
 
-def counts_at(dataset: ODDataset, pairs, lags) -> np.ndarray:
+def counts_at(dataset: ODDataset, pairs, lags, labels=None) -> np.ndarray:
     """Observed counts of the given pairs at the given hours (pairs x lags, float64).
 
-    Raises naming the first pair, in the order given, with no observation at
-    one of the hours, and its first such hour, so a gap in the record is
-    never read as the next hour's count.
+    The pairs are matched by `ODDataset.rows_of(pairs, labels)`; raises naming
+    the first, in the order given, with no observation at one of the hours,
+    and its first such hour, so a gap is never read as the next hour's count.
     """
     lags = np.asarray(lags, dtype="datetime64[h]")
     keys = pair_hour_keys(dataset.pair_index, dataset.timestamps)
-    wanted = pair_hour_keys(dataset.index_of(pairs)[:, None], lags)
+    wanted = pair_hour_keys(dataset.rows_of(pairs, labels)[:, None], lags)
     rows = np.searchsorted(keys, wanted)
     missing = np.searchsorted(keys, wanted, side="right") == rows
     if missing.any():
@@ -465,7 +473,8 @@ class FeatureConfig:
 
     The layout is fixed: time-of-day one-hot (16), day-of-week one-hot (7),
     optional exam flag, then either ``ar_order`` own-series lags or
-    ``cross_order`` lags of every pair, then an optional pair one-hot.
+    ``cross_order`` lags of every pair, then an optional pair one-hot; the
+    pairs are those of the record the features are built from, in its order.
     """
 
     exam_period: tuple[date, date] | None = None
@@ -473,7 +482,6 @@ class FeatureConfig:
     cross_lags: bool = False
     cross_order: int = 1
     od_onehot: bool = False
-    pair_order: tuple[ODPair, ...] | None = None
 
     def n_features(self, n_pairs: int) -> int:
         n = len(TOD_HOURS) + 7
@@ -503,13 +511,13 @@ def build_features(
     stamps = np.asarray(stamps, dtype="datetime64[h]")
     hours = hour_of(stamps)
     usable = (hours >= TOD_HOURS[0]) & (hours <= TOD_HOURS[-1])
-    order = record.pairs if cfg.pair_order is None else cfg.pair_order
+    n_pairs = len(record.pairs)
     ar_col = len(TOD_HOURS) + 7 + (cfg.exam_period is not None)
     # the source series of each query's lags 1..depth: laid out lag-major
-    # across pairs for cross lags, newest first for own lags
+    # across the record's pairs for cross lags, newest first for own lags
     if cfg.cross_lags:
         depth = cfg.cross_order
-        sources = np.array([record.pairs.index(p) for p in order])[None, :]
+        sources = np.arange(n_pairs)[None, :]
     else:
         depth = cfg.ar_order
         sources = pair_index[:, None]
@@ -520,7 +528,7 @@ def build_features(
     usable &= (before - first >= depth).all(axis=1)
 
     rows = np.flatnonzero(usable)
-    X = np.zeros((len(stamps), cfg.n_features(len(order))))
+    X = np.zeros((len(stamps), cfg.n_features(n_pairs)))
     X[rows, hours[rows] - TOD_HOURS[0]] = 1.0
     X[rows, len(TOD_HOURS) + weekday_of(stamps[rows])] = 1.0
     if cfg.exam_period is not None:
@@ -529,8 +537,5 @@ def build_features(
     width = depth * sources.shape[1]
     X[rows, ar_col : ar_col + width] = record.values[before[rows][:, None, :] - lags].reshape(len(rows), width)
     if cfg.od_onehot:
-        slot = np.zeros(len(record.pairs), dtype=np.int64)
-        for i in np.unique(pair_index[rows]).tolist():
-            slot[i] = order.index(record.pairs[i])
-        X[rows, X.shape[1] - len(order) + slot[pair_index[rows]]] = 1.0
+        X[rows, X.shape[1] - n_pairs + pair_index[rows]] = 1.0
     return X, usable

@@ -61,7 +61,7 @@ class TrainedDemandModel:
 
     @property
     def feature_cfg(self) -> FeatureConfig:
-        return self.spec.feature_config(self.pair_order)
+        return self.spec.feature_config()
 
 
 def working_record(dataset: ODDataset, split: SplitSpec, check_unit_root: bool = False) -> WorkingRecord:
@@ -74,8 +74,8 @@ def working_record(dataset: ODDataset, split: SplitSpec, check_unit_root: bool =
     return record.select(~split.mask_array(record.timestamps))
 
 
-def recent_record(dataset: ODDataset, split: SplitSpec, lags: np.ndarray, depth: int) -> WorkingRecord:
-    """The rows of `working_record` that features at `lags` read, `depth` retained lags back.
+def recent_record(dataset: ODDataset, split: SplitSpec, lags: np.ndarray, depth: int, pairs, labels) -> WorkingRecord:
+    """The rows of the working record of `pairs` (by `labels`) that features at `lags` read, `depth` retained lags back.
 
     Each pair's window holds its counts before the last lag, from the first
     lag back until `depth` rows before it are retained: a window's first
@@ -83,19 +83,19 @@ def recent_record(dataset: ODDataset, split: SplitSpec, lags: np.ndarray, depth:
     lags, so a window that falls short is doubled, up to the series start.
     Differencing and masking are local, so every row is the whole record's.
     """
-    n = len(dataset.pairs)
-    first = np.searchsorted(dataset.pair_index, np.arange(n))
+    rows = dataset.rows_of(pairs, labels)
+    first = np.searchsorted(dataset.pair_index, rows)
     if not len(lags):
-        return difference(dataset, (first, first))
+        return difference(dataset, (first, first), pairs, labels)
     keys = pair_hour_keys(dataset.pair_index, dataset.timestamps)
-    ahead, stop = np.searchsorted(keys, pair_hour_keys(np.arange(n)[:, None], [lags.min(), lags.max()])).T
+    ahead, stop = np.searchsorted(keys, pair_hour_keys(rows[:, None], [lags.min(), lags.max()])).T
     # twice the lags and a day: room for a night's masked hours and the dropped first row
-    span = np.full(n, 2 * depth + 24)
+    span = np.full(len(rows), 2 * depth + 24)
     while True:
         start = np.maximum(ahead - span, first)
-        record = difference(dataset, (start, stop))
+        record = difference(dataset, (start, stop), pairs, labels)
         record = record.select(~split.mask_array(record.timestamps))
-        have = np.bincount(record.pair_index[record.timestamps < lags.min()], minlength=n)
+        have = np.bincount(record.pair_index[record.timestamps < lags.min()], minlength=len(rows))
         short = (have < depth) & (start > first)
         if not short.any():
             return record
@@ -109,7 +109,7 @@ def _group_rows(
 
     The rows come from the working record, seasonally normalized by
     train-range stats when the spec asks; `pair_index` indexes
-    `dataset.pairs`.
+    `dataset.pairs`, the order a model trained on the dataset keeps.
     """
     record = working_record(dataset, split, check_unit_root)
     in_train = split.in_train(record.timestamps)
@@ -118,7 +118,7 @@ def _group_rows(
         seasonal = qr.fit_seasonal_stats(record.select(in_train))
         record = qr.seasonal_normalize(record, seasonal)
     train = record.select(in_train)
-    X, usable = build_features(record, train.pair_index, train.timestamps, spec.feature_config(record.pairs))
+    X, usable = build_features(record, train.pair_index, train.timestamps, spec.feature_config())
     train = train.select(usable)
     have = np.bincount(train.pair_index, minlength=len(record.pairs))
     if not have.all():
@@ -165,13 +165,14 @@ def train_model(
     levels=qr.DEFAULT_QUANTILES,
 ) -> TrainedDemandModel:
     pair_order = dataset.pairs
-    labels = [loc.label for loc in dataset.locations]
+    if not pair_order:
+        raise ValueError("the counts hold no OD pair")
     if spec.family == "hp":
         models = {pair: qr.fit_hp(train_series(dataset.series[pair], split), levels) for pair in pair_order}
-        return TrainedDemandModel(spec, tuple(levels), labels, pair_order, models)
+        return TrainedDemandModel(spec, tuple(levels), dataset.labels, pair_order, models)
     rows, seasonal = _group_rows(dataset, split, spec, check_unit_root=True)
     models = _fit_groups(spec, pair_order, rows, levels, spec.gboost)
-    return TrainedDemandModel(spec, tuple(levels), labels, pair_order, models, seasonal)
+    return TrainedDemandModel(spec, tuple(levels), dataset.labels, pair_order, models, seasonal)
 
 
 def evaluation_lags(dataset: ODDataset, split: SplitSpec) -> np.ndarray:
@@ -206,20 +207,22 @@ def predict_forecasts(
     if model.spec.family == "hp":
         return {t: {pair: qr.predict_hp(model.models[pair], t) for pair in model.pair_order} for t in lags}
     cfg = model.feature_cfg
-    record = recent_record(dataset, split, lags, cfg.cross_order if cfg.cross_lags else cfg.ar_order)
+    order, n = model.pair_order, len(lags)
+    depth = cfg.cross_order if cfg.cross_lags else cfg.ar_order
+    # the model's pairs only, matched to the counts by label, in the model's order
+    record = recent_record(dataset, split, lags, depth, order, model.labels)
     if model.spec.seasonal_normalize:
         record = qr.seasonal_normalize(record, model.seasonal)
-    # one query per (pair, lag), pair after pair in model.pair_order
-    order, n = model.pair_order, len(lags)
+    # one query per (pair, lag), pair after pair
     which = np.repeat(np.arange(len(order)), n)
     stamps = np.tile(lags, len(order))
-    X, usable = build_features(record, dataset.index_of(order)[which], stamps, cfg)
+    X, usable = build_features(record, which, stamps, cfg)
     # the first pair in order with a missing previous count or an unusable
     # lag is named, its previous count checked first
     usable = usable.reshape(len(order), n)
     bad = np.flatnonzero(~usable.all(axis=1))
     checked = order if not len(bad) else order[: bad[0] + 1]
-    prev = counts_at(dataset, checked, lags - HOUR)
+    prev = counts_at(dataset, checked, lags - HOUR, model.labels)
     if len(bad):
         t = lags[~usable[bad[0]]][0]
         hour = int(hour_of(t))
@@ -228,7 +231,7 @@ def predict_forecasts(
         raise ValueError(f"insufficient history before {format_hour(t)} for pair {order[bad[0]]}")
     predict = qr.lqr_raw_predict if model.spec.family == "linear" else boosting.gboost_raw_predict
     raw = predict(model.stack, np.zeros_like(which) if model.spec.scope == "pooled" else which, X)
-    scales = model.seasonal.scales_at(order, which, stamps) if model.spec.seasonal_normalize else None
+    scales = model.seasonal.scales_at(which, stamps) if model.spec.seasonal_normalize else None
     values = to_count_scale(raw, prev.ravel(), scales, model.spec.sort_quantiles).reshape(len(order), n, -1).tolist()
     return {
         t: {pair: qr.QuantileForecast(pair, t, dict(zip(model.levels, values[j][i]))) for j, pair in enumerate(order)}
@@ -432,7 +435,7 @@ def model_from_json_dict(doc: dict) -> TrainedDemandModel:
     levels = parse_levels(doc_field(doc, "model.levels"), "model.levels")
     pairs = doc_field(doc, "model.pairs", list)
     pair_order = tuple(_pair_from_doc(p, index, f"model.pairs[{i}]") for i, p in enumerate(pairs))
-    n_features = spec.feature_config(pair_order).n_features(len(pair_order))
+    n_features = spec.feature_config().n_features(len(pair_order))
 
     models: dict[ODPair | None, object] = {}
     for name, inner_doc in doc_field(doc, "model.models", dict).items():

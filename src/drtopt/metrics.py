@@ -107,10 +107,10 @@ def evaluate(
     )
 
 
-def evaluate_at(forecasts, dataset: ODDataset, pairs, lags, levels) -> EvalReport:
-    """Score per-lag forecasts of `pairs` against the counts observed at `lags`."""
+def evaluate_at(forecasts, dataset: ODDataset, pairs, lags, levels, labels) -> EvalReport:
+    """Score per-lag forecasts of `pairs`, whose ids index `labels`, against the counts observed at `lags`."""
     by_pair = {p: [forecasts[np.datetime64(t, "h")][p] for t in lags] for p in pairs}
-    return evaluate(by_pair, dict(zip(pairs, counts_at(dataset, pairs, lags))), levels)
+    return evaluate(by_pair, dict(zip(pairs, counts_at(dataset, pairs, lags, labels))), levels)
 
 
 def report_csv(report: EvalReport, path, labels=None) -> None:

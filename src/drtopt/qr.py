@@ -426,7 +426,6 @@ class SeasonalStats:
     mean: np.ndarray
     std: np.ndarray
     scales: np.ndarray = field(init=False, repr=False, compare=False)  # (pairs, 7, 24, 2)
-    _rows: dict[ODPair, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for pair, empty in zip(self.pairs, np.isnan(self.mean).all(axis=(1, 2))):
@@ -434,15 +433,10 @@ class SeasonalStats:
                 raise ValueError(f"no seasonal cells for pair {pair}")
         varies = self.std > 0  # False in a NaN cell
         self.scales = np.stack([np.where(varies, self.mean, 0.0), np.where(varies, self.std, 1.0)], axis=-1)
-        self._rows = {pair: i for i, pair in enumerate(self.pairs)}
 
-    def scales_at(self, pairs, pair_index, stamps) -> np.ndarray:
-        """(mean, std) rows: the cell of `pairs[pair_index[i]]` at `stamps[i]`; a pair not in the table is named."""
-        missing = [pair for pair in pairs if pair not in self._rows]
-        if missing:
-            raise ValueError(f"no seasonal cells for pair {missing[0]}")
-        rows = np.array([self._rows[pair] for pair in pairs], dtype=np.intp)
-        return self.scales[rows[pair_index], weekday_of(stamps), hour_of(stamps)]
+    def scales_at(self, pair_index, stamps) -> np.ndarray:
+        """(mean, std) rows: the cell of `pairs[pair_index[i]]` at `stamps[i]`."""
+        return self.scales[pair_index, weekday_of(stamps), hour_of(stamps)]
 
 
 def fit_seasonal_stats(train: WorkingRecord) -> SeasonalStats:
@@ -467,8 +461,8 @@ def fit_seasonal_stats(train: WorkingRecord) -> SeasonalStats:
 
 
 def seasonal_normalize(record: WorkingRecord, seasonal: SeasonalStats) -> WorkingRecord:
-    """(y - bucket mean) / bucket std, per pair; zero-variance buckets pass through."""
-    scales = seasonal.scales_at(record.pairs, record.pair_index, record.timestamps)
+    """(y - bucket mean) / bucket std, per pair of the stats, in their order; zero-variance buckets pass through."""
+    scales = seasonal.scales_at(record.pair_index, record.timestamps)
     return replace(record, values=(record.values - scales[:, 0]) / scales[:, 1])
 
 

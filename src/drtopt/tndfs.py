@@ -758,8 +758,15 @@ def instance_from_json_dict(doc: dict) -> NetworkInstance:
             found.append(Location(integer(d, f"{path}.id", 0), config.field(d, f"{path}.label", str), coord))
         return found
 
+    demand_nodes = locations("locations")
+    for key in ("id", "label"):
+        first = {}
+        for i, node in enumerate(demand_nodes):
+            if (j := first.setdefault(getattr(node, key), i)) != i:
+                raise config.ConfigError(f"network.locations[{i}].{key}", f"repeats network.locations[{j}].{key}")
+
     fields = dict(
-        demand_nodes=locations("locations"),
+        demand_nodes=demand_nodes,
         bus_stops=locations("bus_stops"),
         walk_speed=number(doc, "network.walk_speed"),
         ride_time=config.field(doc, "network.ride_time", list),

@@ -63,7 +63,7 @@ def reference_features(
     cfg: FeatureConfig,
 ) -> np.ndarray:
     t = np.datetime64(t, "h")
-    order = tuple(sorted(history)) if cfg.pair_order is None else cfg.pair_order
+    order = tuple(sorted(history))  # the pairs of `record_of(history)`, in its order
     hour = int(hour_of(t))
     if hour not in TOD_HOURS:
         raise ValueError(f"hour {hour} outside modeled range {TOD_HOURS[0]}..{TOD_HOURS[-1]}")

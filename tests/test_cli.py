@@ -135,12 +135,33 @@ def test_optimize_rejects_a_demand_node_that_matches_no_data_location(tmp_path, 
     assert not (out / "out" / "scenario_2018-01-08T08.json").exists()
 
 
-def test_train_on_a_counts_csv_without_records_says_it_holds_no_pair(tmp_path, caplog):
+@pytest.mark.parametrize("family", ["linear", "gboost", "hp"])
+def test_train_on_a_counts_csv_without_records_says_it_holds_no_pair(tmp_path, caplog, family):
     (tmp_path / "counts.csv").write_text("timestamp,origin,destination,count\n")
-    (tmp_path / "config.json").write_text(json.dumps({"seed": 7, "data": {"counts_csv": "counts.csv"}}))
+    doc = {"seed": 7, "data": {"counts_csv": "counts.csv"}, "model": {"family": family}}
+    (tmp_path / "config.json").write_text(json.dumps(doc))
     assert load_od_counts(tmp_path / "counts.csv").pairs == ()
     assert run("train", "--config", tmp_path / "config.json") == 2
     assert "the counts hold no OD pair" in caplog.text
+    assert not (tmp_path / "out" / "model.json").exists()
+
+
+def test_optimize_on_counts_with_a_new_location_writes_the_same_scenarios(tmp_path):
+    # a location sorting before every other shifts the counts' ids by one:
+    # the model's and the network's pairs are matched to the counts by label
+    out = make_workspace(tmp_path, lags=("2018-01-08T08", "2018-01-08T12"))
+    cfg, model = out / "config.json", out / "out" / "model.json"
+    assert run("train", "--config", cfg) == 0
+    assert run("optimize", "--config", cfg, "--model", model, "--dump-samples") == 0
+    assert run("pipeline", "--config", cfg, "--model", model) == 0
+    first = tree_bytes(out / "out")
+    with open(out / "counts.csv", "a", encoding="utf-8") as fh:
+        fh.write("2017-11-17T08,a-new,g0,1\n2017-11-17T09,a-new,g0,2\n")
+    assert load_od_counts(out / "counts.csv").labels[:2] == ["a-new", "g0"]
+    assert run("optimize", "--config", cfg, "--model", model, "--dump-samples") == 0
+    assert run("pipeline", "--config", cfg, "--model", model) == 0
+    assert sorted(p for p in first if p.startswith("scenario_")) == ["scenario_2018-01-08T08.json", "scenario_2018-01-08T12.json"]
+    assert tree_bytes(out / "out") == first
 
 
 SPLIT_DOC = {"train": ["2017-11-17", "2018-01-07"], "test": ["2018-01-08", "2018-01-14"]}

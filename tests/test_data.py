@@ -699,12 +699,12 @@ def feature_history(late=None, gap=None) -> dict[ODPair, PairSeries]:
 @pytest.mark.parametrize(
     "cfg, history",
     [
-        (FeatureConfig(pair_order=FEATURE_PAIRS), feature_history()),
-        (FeatureConfig(exam_period=(date(2017, 12, 8), date(2017, 12, 12)), pair_order=FEATURE_PAIRS), feature_history()),
-        (FeatureConfig(cross_lags=True, cross_order=1, pair_order=FEATURE_PAIRS), feature_history(late=FEATURE_PAIRS[2])),
-        (FeatureConfig(cross_lags=True, cross_order=2, pair_order=FEATURE_PAIRS), feature_history(late=FEATURE_PAIRS[2])),
-        (FeatureConfig(od_onehot=True, pair_order=FEATURE_PAIRS), feature_history()),
-        (FeatureConfig(ar_order=5, pair_order=FEATURE_PAIRS), feature_history(gap=FEATURE_PAIRS[0])),
+        (FeatureConfig(), feature_history()),
+        (FeatureConfig(exam_period=(date(2017, 12, 8), date(2017, 12, 12))), feature_history()),
+        (FeatureConfig(cross_lags=True, cross_order=1), feature_history(late=FEATURE_PAIRS[2])),
+        (FeatureConfig(cross_lags=True, cross_order=2), feature_history(late=FEATURE_PAIRS[2])),
+        (FeatureConfig(od_onehot=True), feature_history()),
+        (FeatureConfig(ar_order=5), feature_history(gap=FEATURE_PAIRS[0])),
     ],
     ids=["own", "own-exam", "cross1-late", "cross2-late", "pooled-onehot", "own-gap"],
 )

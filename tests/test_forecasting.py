@@ -13,7 +13,8 @@ from drtopt.boosting import GBoostHyper, fit_gboost, gboost_raw_predict
 from drtopt.cli import main
 from drtopt.config import FAMILIES, SCOPES, parse_model
 from drtopt.data import (
-    HOUR, ODCountSeries, ODDataset, ODPair, SplitSpec, adf_test, build_features, counts_at, difference, parse_hour,
+    HOUR, ODCountSeries, ODDataset, ODPair, SplitSpec, adf_test, build_features, counts_at, difference,
+    load_od_counts, parse_hour, save_od_counts,
 )
 from drtopt.forecasting import (
     ModelSpec,
@@ -30,7 +31,7 @@ from drtopt.forecasting import (
     tuning_ranges,
     working_record,
 )
-from drtopt.metrics import crossings
+from drtopt.metrics import crossings, evaluate_at
 from drtopt.qr import DEFAULT_QUANTILES, fit_seasonal_stats, seasonal_normalize, tilted_loss
 from drtopt.synth import SyntheticSpec, generate_synthetic
 from reference_features import pair_series, reference_features
@@ -190,7 +191,7 @@ def test_lag_outside_modeled_hours_is_skipped_in_training_and_raises_in_predict(
     record = working_record(dataset, split)
     histories = {p: pair_series(record, p) for p in record.pairs}
     pair = dataset.pairs[0]
-    cfg = spec().feature_config(tuple(dataset.pairs))
+    cfg = spec().feature_config()
     (X, y, stamps, pair_index), _ = forecasting._group_rows(dataset, split, spec())
     X, stamps = X[pair_index == 0], stamps[pair_index == 0]
     series = histories[pair]
@@ -282,6 +283,84 @@ def test_a_pair_missing_from_the_counts_is_named_by_its_labels(dataset, tmp_path
         assert f"ERROR drtopt: {message}" in [f"{r.levelname} {r.name}: {r.getMessage()}" for r in caplog.records]
 
 
+def rewritten(dataset, tmp_path, drop=None, rows=()):
+    """The dataset through a counts CSV: without the records naming `drop`, plus `rows` (its ids reassigned by label)."""
+    path = tmp_path / "counts.csv"
+    save_od_counts(path, dataset)
+    lines = [line for line in path.read_text().splitlines(True) if drop is None or f",{drop}," not in line]
+    path.write_text("".join(lines) + "".join(",".join(map(str, row)) + "\n" for row in rows))
+    return load_od_counts(path)
+
+
+LOOKUP_SPECS = [
+    spec(),
+    spec(scope="pooled"),
+    spec(cross_lags=True, cross_order=2),
+    spec(seasonal_normalize=True),
+    spec(family="gboost", gboost=GBoostHyper(0.3, 2, 5)),
+    spec(family="hp"),
+]
+
+
+@pytest.fixture(scope="module")
+def lookup_models(dataset):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # zero-variance seasonal cells
+        return [train_model(dataset, SPLIT, mspec, (0.05, 0.5, 0.95)) for mspec in LOOKUP_SPECS]
+
+
+@pytest.mark.parametrize("new", ["a-new", "g0a"], ids=["first", "middle"])
+def test_counts_with_a_new_location_give_the_same_forecasts_and_reports(dataset, lookup_models, tmp_path, new):
+    # the new location shifts the ids of every later label in the counts
+    shifted = rewritten(dataset, tmp_path, rows=[("2017-11-17T08", new, "g0", 1), ("2017-11-17T09", new, "g0", 2)])
+    assert shifted.labels == sorted(dataset.labels + [new]) != dataset.labels
+    lags = evaluation_lags(dataset, SPLIT)
+    assert np.array_equal(evaluation_lags(shifted, SPLIT), lags)
+    for model in lookup_models:
+        want = predict_forecasts(model, dataset, SPLIT, lags)
+        got = predict_forecasts(model, shifted, SPLIT, lags)
+        assert outcome(lambda: got) == outcome(lambda: want), model.spec
+        assert [list(got[t]) for t in lags] == [list(model.pair_order)] * len(lags)
+        assert evaluate_at(got, shifted, model.pair_order, lags, model.levels, model.labels) == evaluate_at(
+            want, dataset, model.pair_order, lags, model.levels, model.labels
+        )
+
+
+def test_counts_without_a_location_name_the_models_pair_by_its_labels(dataset, lookup_models, tmp_path):
+    lacking = rewritten(dataset, tmp_path, drop="g0")
+    assert lacking.labels == dataset.labels[1:]
+    lags = evaluation_lags(dataset, SPLIT)[:2]
+    message = "pair g0>g1 has no observations in the counts"
+    for model in lookup_models:
+        if model.spec.family != "hp":  # hp forecasts read no counts
+            with pytest.raises(ValueError, match=re.escape(message)):
+                predict_forecasts(model, lacking, SPLIT, lags)
+        forecasts = predict_forecasts(model, dataset, SPLIT, lags)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            evaluate_at(forecasts, lacking, model.pair_order, lags, model.levels, model.labels)
+    model = lookup_models[0]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        counts_at(lacking, model.pair_order, lags, model.labels)
+
+
+@pytest.mark.parametrize("mspec", [spec(), spec(seasonal_normalize=True)], ids=["linear", "seasonal"])
+def test_a_model_predicts_on_counts_with_an_extra_pair(dataset, tmp_path, mspec):
+    extra = dataset.pairs[-1]
+    fewer = ODDataset(dataset.locations, {p: s for p, s in dataset.series.items() if p != extra})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # zero-variance seasonal cells
+        model = train_model(fewer, SPLIT, mspec, (0.25, 0.75))
+    lags = evaluation_lags(dataset, SPLIT)[::3]
+    want = outcome(predict_forecasts, model, fewer, SPLIT, lags)
+    assert isinstance(want, dict)
+    assert outcome(predict_forecasts, model, dataset, SPLIT, lags) == want
+    # an extra pair too short to difference is not read either
+    short = rewritten(dataset, tmp_path, rows=[("2017-11-17T08", "a-new", "g0", 1)])
+    with pytest.raises(ValueError, match="too short to difference"):
+        working_record(short, SPLIT)
+    assert outcome(predict_forecasts, model, short, SPLIT, lags) == want
+
+
 def per_pair_forecasts(model, dataset, split, lags) -> dict:
     """Each pair's count-scale forecasts (lags x levels) from the whole working record, its model predicted alone."""
     record = working_record(dataset, split)
@@ -295,7 +374,7 @@ def per_pair_forecasts(model, dataset, split, lags) -> dict:
         ref = reference(model.models[None if model.spec.scope == "pooled" else pair], X)
         scales = None
         if model.spec.seasonal_normalize:
-            scales = model.seasonal.scales_at([pair], np.zeros(len(lags), dtype=int), lags)
+            scales = model.seasonal.scales_at(np.full(len(lags), model.pair_order.index(pair)), lags)
         prev = counts_at(dataset, [pair], lags - HOUR)[0]
         out[pair] = to_count_scale(np.column_stack([ref[q] for q in model.levels]), prev, scales, model.spec.sort_quantiles)
     return out
@@ -343,7 +422,7 @@ def window_models(dataset):
 def whole_record_predict(model, dataset, split, lags):
     """`predict_forecasts` with every pair's whole working record in place of the window."""
     windowed = forecasting.recent_record
-    forecasting.recent_record = lambda dataset, split, lags, depth: working_record(dataset, split)
+    forecasting.recent_record = lambda dataset, split, lags, depth, pairs, labels: working_record(dataset, split)
     try:
         return predict_forecasts(model, dataset, split, lags)
     finally:
@@ -853,7 +932,7 @@ def test_grid_search_scores_the_seasonally_normalized_rows(dataset):
         record = working_record(dataset, SPLIT)
         record = seasonal_normalize(record, fit_seasonal_stats(record.select(SPLIT.in_train(record.timestamps))))
     test_range, val_range, train_range = tuning_ranges(SPLIT)
-    cfg = mspec.feature_config(tuple(dataset.pairs))
+    cfg = mspec.feature_config()
     total = 0.0
     for i, pair in enumerate(record.pairs):
         s = pair_series(record, pair)
@@ -878,7 +957,7 @@ def test_grid_search_scores_equal_each_pairs_tilted_loss(dataset, scope):
     mspec = spec(family="gboost", scope=scope)
     best, scores = gboost_grid_search(dataset, SPLIT, mspec, grid, levels)
     record = working_record(dataset, SPLIT)
-    cfg = mspec.feature_config(tuple(dataset.pairs))
+    cfg = mspec.feature_config()
     rows = {}
     for i, pair in enumerate(record.pairs):
         s = pair_series(record, pair)

@@ -693,6 +693,9 @@ def test_instance_json_missing_field():
     pytest.param(lambda doc: doc.update(fleet_size=2.7), "fleet_size", id="fleet_size"),
     pytest.param(lambda doc: doc.update(capacity=True), "capacity", id="capacity"),
     pytest.param(lambda doc: doc["locations"][0].update(id="a"), "locations[0].id", id="location-id"),
+    # a repeated demand node would list its OD pairs twice and drop another node's
+    pytest.param(lambda doc: doc["locations"][1].update(id=0), "locations[1].id", id="repeated-location-id"),
+    pytest.param(lambda doc: doc["locations"][1].update(label="a"), "locations[1].label", id="repeated-location-label"),
 ])
 def test_instance_json_names_a_malformed_field(edit, field):
     doc = instance_to_json_dict(two_node_instance(fleet_size=3))
