@@ -291,11 +291,13 @@ def difference(dataset: ODDataset, bounds=None, pairs=None, labels=None) -> Work
     pairs = dataset.pairs if pairs is None else tuple(pairs)
     if not pairs:
         raise ValueError("the counts hold no OD pair")
+    labels = dataset.labels if labels is None else labels
     edges = np.searchsorted(dataset.pair_index, np.arange(len(dataset.pairs) + 1))
     rows = dataset.rows_of(pairs, labels)
     lengths = edges[rows + 1] - edges[rows]
     if lengths.min() < 2:
-        raise ValueError(f"series of pair {pairs[np.argmin(lengths)]} too short to difference (need >= 2 lags)")
+        name = pair_name(pairs[np.argmin(lengths)], labels)
+        raise ValueError(f"series of pair {name} too short to difference (need >= 2 lags)")
     starts, stops = (edges[rows], edges[rows + 1]) if bounds is None else bounds
     sizes = stops - starts
     # the dataset rows of every window, window after window
@@ -307,7 +309,8 @@ def difference(dataset: ODDataset, bounds=None, pairs=None, labels=None) -> Work
     if lost.any() and bounds is not None:
         difference(dataset, None, pairs, labels)  # the whole series decide: raises for the first without a run
     elif lost.any():
-        raise ValueError(f"no contiguous run of >= 2 hourly lags to difference for pair {pairs[np.argmax(lost)]}")
+        name = pair_name(pairs[np.argmax(lost)], labels)
+        raise ValueError(f"no contiguous run of >= 2 hourly lags to difference for pair {name}")
     values = np.diff(dataset.counts[read].astype(np.float64))[keep]
     return WorkingRecord(pairs, timestamps[1:][keep], values, pair_index)
 
@@ -381,7 +384,8 @@ def counts_at(dataset: ODDataset, pairs, lags, labels=None) -> np.ndarray:
     missing = np.searchsorted(keys, wanted, side="right") == rows
     if missing.any():
         i = int(np.argmax(missing.any(axis=1)))
-        raise ValueError(f"no observation for pair {pairs[i]} at {format_hour(lags[missing[i]][0])}")
+        name = pair_name(pairs[i], dataset.labels if labels is None else labels)
+        raise ValueError(f"no observation for pair {name} at {format_hour(lags[missing[i]][0])}")
     return dataset.counts[rows].astype(np.float64)
 
 

@@ -15,7 +15,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from . import boosting, qr
+from . import boosting, metrics, qr
 from .config import ConfigError, ModelSpec, field as doc_field, parse_float, parse_levels, parse_model
 from .data import (
     HOUR,
@@ -33,6 +33,7 @@ from .data import (
     hour_of,
     in_days,
     pair_hour_keys,
+    pair_name,
     parse_hour,
     train_series,
 )
@@ -122,7 +123,8 @@ def _group_rows(
     train = train.select(usable)
     have = np.bincount(train.pair_index, minlength=len(record.pairs))
     if not have.all():
-        raise ValueError(f"no usable training lags for pair {record.pairs[np.argmin(have)]}")
+        name = pair_name(record.pairs[np.argmin(have)], dataset.labels)
+        raise ValueError(f"no usable training lags for pair {name}")
     return (X[usable], train.values, train.timestamps, train.pair_index), seasonal
 
 
@@ -176,9 +178,12 @@ def train_model(
 
 
 def evaluation_lags(dataset: ODDataset, split: SplitSpec) -> np.ndarray:
-    """Unmasked test-range lags present in the data (union over pairs)."""
+    """Unmasked test-range lags present in the data (union over pairs); raises when there is none."""
     ts = dataset.timestamps
-    return np.unique(ts[split.in_test(ts) & ~split.mask_array(ts)])
+    lags = np.unique(ts[split.in_test(ts) & ~split.mask_array(ts)])
+    if not len(lags):
+        raise ValueError("the counts hold no unmasked hour of the test range {}..{}".format(*split.test_range))
+    return lags
 
 
 def to_count_scale(raw, prev_counts, seasonal_scales=None, sort_quantiles: bool = True) -> np.ndarray:
@@ -204,6 +209,8 @@ def predict_forecasts(
 ) -> dict[np.datetime64, dict[ODPair, qr.QuantileForecast]]:
     """One-step-ahead count-scale forecasts for every pair at every lag."""
     lags = evaluation_lags(dataset, split) if lags is None else np.asarray(lags, dtype="datetime64[h]")
+    if not len(lags):
+        return {}
     if model.spec.family == "hp":
         return {t: {pair: qr.predict_hp(model.models[pair], t) for pair in model.pair_order} for t in lags}
     cfg = model.feature_cfg
@@ -228,7 +235,8 @@ def predict_forecasts(
         hour = int(hour_of(t))
         if hour not in TOD_HOURS:
             raise ValueError(f"hour {hour} outside modeled range {TOD_HOURS[0]}..{TOD_HOURS[-1]}")
-        raise ValueError(f"insufficient history before {format_hour(t)} for pair {order[bad[0]]}")
+        name = pair_name(order[bad[0]], model.labels)
+        raise ValueError(f"insufficient history before {format_hour(t)} for pair {name}")
     predict = qr.lqr_raw_predict if model.spec.family == "linear" else boosting.gboost_raw_predict
     raw = predict(model.stack, np.zeros_like(which) if model.spec.scope == "pooled" else which, X)
     scales = model.seasonal.scales_at(which, stamps) if model.spec.seasonal_normalize else None
@@ -283,7 +291,7 @@ def gboost_grid_search(
     X_test, y_test, test_index = X[in_test], y[in_test], pair_index[in_test]
     have = np.bincount(test_index, minlength=len(pairs))
     if not have.all():
-        pair = pairs[np.argmin(have)]
+        pair = pair_name(pairs[np.argmin(have)], dataset.labels)
         raise ValueError(f"pair {pair} has no rows in the tuning-test range {tuning[0][0]}..{tuning[0][1]}")
     which = np.zeros_like(test_index) if spec.scope == "pooled" else test_index
     bounds = np.searchsorted(test_index, np.arange(len(pairs) + 1))
@@ -291,10 +299,7 @@ def gboost_grid_search(
     def score(hyper: boosting.GBoostHyper) -> float:
         models = _fit_groups(spec, pairs, rows, levels, hyper, tuning, patience)
         raw = boosting.gboost_raw_predict(boosting.stack_gboost(list(models.values()), levels), which, X_test)
-        total = 0.0
-        for a, b in zip(bounds, bounds[1:]):
-            total += sum(float(np.mean(qr.tilted_loss(q, y_test[a:b], raw[a:b, j]))) for j, q in enumerate(levels))
-        return total
+        return sum(float(metrics.mtl(raw[a:b].T, y_test[a:b], levels)) for a, b in zip(bounds, bounds[1:]))
 
     return qr.grid_search(score, grid)
 
@@ -487,4 +492,4 @@ def forecasts_to_csv(forecasts, labels, path) -> None:
         for t in sorted(forecasts):
             for pair, fc in sorted(forecasts[t].items()):
                 ends = [format_hour(t), labels[pair.origin], labels[pair.destination]]
-                writer.writerows([*ends, f"{q:g}", f"{fc.values[q]:.10g}"] for q in fc.levels())
+                writer.writerows([*ends, f"{q:g}", f"{fc.values[q]:.10g}"] for q in sorted(fc.values))

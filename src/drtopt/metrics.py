@@ -1,58 +1,80 @@
-"""Evaluation measures for quantile forecasts: loss, coverage, width, crossings."""
+"""Evaluation measures for quantile forecasts: loss, coverage, width, crossings.
+
+Each measure scores one float64 array of forecasts, (..., levels, lags),
+against truths (..., lags), and reduces its lags axis.
+"""
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .data import ODDataset, ODPair, counts_at, pair_name
 from .qr import QuantileForecast, tilted_loss
 
-
-def _aligned(forecasts: list[QuantileForecast], truths) -> np.ndarray:
-    truths = np.asarray(truths, dtype=np.float64)
-    if len(forecasts) != len(truths):
-        raise ValueError(f"{len(forecasts)} forecasts vs {len(truths)} truths: lags misaligned")
-    return truths
+BAND = (0.05, 0.95)  # the levels bounding the interval that ICP and MIL score
 
 
-def mtl(forecasts: list[QuantileForecast], truths, levels) -> float:
-    """Mean tilted loss summed over quantile levels, averaged over lags."""
-    truths = _aligned(forecasts, truths)
-    if len(forecasts) == 0:
-        return 0.0
+def stack_forecasts(forecasts: list[list[QuantileForecast]], levels) -> np.ndarray:
+    """Each pair's list of per-lag forecasts, at `levels`, as one array (pairs x levels x lags)."""
+    n = len(forecasts[0]) if forecasts else 0
+    if any(len(per_lag) != n for per_lag in forecasts):
+        raise ValueError("every pair needs forecasts at the same number of lags")
+    values = [[[f.values[q] for f in per_lag] for q in levels] for per_lag in forecasts]
+    return np.array(values, dtype=np.float64).reshape(len(forecasts), len(levels), n)
+
+
+def _checked(values, levels, truths=None):
+    """`values` and `truths` as C-ordered float64: a mean over lags then sums each row as a 1-D mean does."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if values.ndim < 2 or values.shape[-2] != len(levels):
+        raise ValueError(f"forecasts of shape {values.shape} for {len(levels)} levels: need (..., levels, lags)")
+    if values.shape[-1] == 0:
+        raise ValueError("no lags to score")
+    if truths is None:
+        return values
+    truths = np.ascontiguousarray(truths, dtype=np.float64)
+    if truths.shape != values.shape[:-2] + values.shape[-1:]:
+        raise ValueError(f"forecasts of shape {values.shape} vs truths of shape {truths.shape}: lags misaligned")
+    return values, truths
+
+
+def _band(values: np.ndarray, levels, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    levels = list(levels)
+    if lo not in levels or hi not in levels:
+        raise KeyError(f"forecast lacks band levels {lo}/{hi}")
+    return values[..., levels.index(lo), :], values[..., levels.index(hi), :]
+
+
+def mtl(values, truths, levels):
+    """Mean tilted loss over lags, summed over quantile levels in the order given."""
+    values, truths = _checked(values, levels, truths)
     total = 0.0
-    for q in levels:
-        preds = np.array([f.values[q] for f in forecasts])
-        total += float(np.mean(tilted_loss(q, truths, preds)))
+    for j, q in enumerate(levels):
+        total = total + np.mean(tilted_loss(q, truths, values[..., j, :]), axis=-1)
     return total
 
 
-def icp(forecasts: list[QuantileForecast], truths, lo: float = 0.05, hi: float = 0.95) -> float:
+def icp(values, truths, levels, lo: float = BAND[0], hi: float = BAND[1]):
     """Fraction of truths inside the [lo, hi] quantile band (edges count as inside)."""
-    truths = _aligned(forecasts, truths)
-    bands = np.array([f.band(lo, hi) for f in forecasts])
-    inside = (bands[:, 0] <= truths) & (truths <= bands[:, 1])
-    return float(np.mean(inside))
+    values, truths = _checked(values, levels, truths)
+    lower, upper = _band(values, levels, lo, hi)
+    return np.mean((lower <= truths) & (truths <= upper), axis=-1)
 
 
-def mil(forecasts: list[QuantileForecast], lo: float = 0.05, hi: float = 0.95) -> float:
+def mil(values, levels, lo: float = BAND[0], hi: float = BAND[1]):
     """Mean width of the [lo, hi] quantile band."""
-    bands = np.array([f.band(lo, hi) for f in forecasts])
-    return float(np.mean(bands[:, 1] - bands[:, 0]))
+    lower, upper = _band(_checked(values, levels), levels, lo, hi)
+    return np.mean(upper - lower, axis=-1)
 
 
-def crossings(forecasts: list[QuantileForecast], levels) -> int:
+def crossings(values, levels):
     """Count of strict pairwise quantile inversions summed over lags."""
-    levels = sorted(levels)
-    total = 0
-    for f in forecasts:
-        vals = [f.values[q] for q in levels]
-        total += sum(1 for i, j in combinations(range(len(levels)), 2) if vals[i] > vals[j])
-    return total
+    ordered = np.asarray(values)[..., np.argsort(levels, kind="stable"), :]
+    below, above = np.triu_indices(len(levels), 1)
+    return np.count_nonzero(ordered[..., below, :] > ordered[..., above, :], axis=(-2, -1))
 
 
 @dataclass
@@ -77,40 +99,30 @@ class EvalReport:
     std_crossings: float
 
 
-def evaluate(
-    forecasts_by_pair: dict[ODPair, list[QuantileForecast]],
-    truths_by_pair: dict[ODPair, np.ndarray],
-    levels,
-) -> EvalReport:
-    per_pair = {}
-    for pair in sorted(forecasts_by_pair):
-        fc = forecasts_by_pair[pair]
-        truth = truths_by_pair[pair]
-        per_pair[pair] = PairMetrics(
-            mtl=mtl(fc, truth, levels),
-            icp=icp(fc, truth),
-            mil=mil(fc),
-            crossings=crossings(fc, levels),
-        )
-    icps = np.array([m.icp for m in per_pair.values()])
-    mils = np.array([m.mil for m in per_pair.values()])
-    crosses = np.array([float(m.crossings) for m in per_pair.values()])
-    return EvalReport(
-        per_pair=per_pair,
-        total_mtl=float(sum(m.mtl for m in per_pair.values())),
-        mean_icp=float(np.mean(icps)),
-        std_icp=float(np.std(icps)),
-        mean_mil=float(np.mean(mils)),
-        std_mil=float(np.std(mils)),
-        mean_crossings=float(np.mean(crosses)),
-        std_crossings=float(np.std(crosses)),
-    )
+def _report(pairs: list, forecasts: list[list[QuantileForecast]], truths, levels) -> EvalReport:
+    """The measures of each of `pairs` from its per-lag forecasts and truths, in sorted pair order."""
+    order = sorted(range(len(pairs)), key=pairs.__getitem__)
+    at = (*levels, *(q for q in BAND if q not in levels))  # `levels` first, then any band level they lack
+    values, truths = stack_forecasts([forecasts[i] for i in order], at), np.asarray(truths, dtype=np.float64)[order]
+    scored = values[:, : len(levels)]
+    losses, icps, mils = mtl(scored, truths, levels), icp(values, truths, at), mil(values, at)
+    crosses = crossings(scored, levels)
+    per_pair = {pairs[i]: PairMetrics(float(loss), float(cover), float(width), int(cross))
+                for i, loss, cover, width, cross in zip(order, losses, icps, mils, crosses)}
+    spreads = (float(f(x)) for x in (icps, mils, crosses.astype(np.float64)) for f in (np.mean, np.std))
+    return EvalReport(per_pair, float(sum(m.mtl for m in per_pair.values())), *spreads)
+
+
+def evaluate(forecasts_by_pair: dict[ODPair, list[QuantileForecast]], truths_by_pair: dict, levels) -> EvalReport:
+    """Score each pair's per-lag forecasts against its truths (an array) at the same lags."""
+    pairs = list(forecasts_by_pair)
+    return _report(pairs, [forecasts_by_pair[p] for p in pairs], [truths_by_pair[p] for p in pairs], levels)
 
 
 def evaluate_at(forecasts, dataset: ODDataset, pairs, lags, levels, labels) -> EvalReport:
     """Score per-lag forecasts of `pairs`, whose ids index `labels`, against the counts observed at `lags`."""
-    by_pair = {p: [forecasts[np.datetime64(t, "h")][p] for t in lags] for p in pairs}
-    return evaluate(by_pair, dict(zip(pairs, counts_at(dataset, pairs, lags, labels))), levels)
+    per_pair = [[forecasts[np.datetime64(t, "h")][p] for t in lags] for p in pairs]
+    return _report(list(pairs), per_pair, counts_at(dataset, pairs, lags, labels), levels)
 
 
 def report_csv(report: EvalReport, path, labels=None) -> None:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import logging
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,12 +49,12 @@ class ScenarioResult:
     chosen_expected_savings: float  # chosen allocation re-evaluated on every sample
 
 
-def pick_mode(keys: list[AllocationKey], objectives: np.ndarray) -> AllocationKey:
-    """Most frequent key; ties break to higher mean objective, then lexicographic."""
-    groups: dict[AllocationKey, list[float]] = {}
-    for key, obj in zip(keys, objectives):
-        groups.setdefault(key, []).append(obj)
-    return min(groups, key=lambda key: (-len(groups[key]), -float(np.mean(groups[key])), key))
+def pick_mode(rows: np.ndarray, objectives: np.ndarray) -> int:
+    """Most frequent table row; ties break to the higher mean objective, then the lowest (smallest-key) row."""
+    rows, objectives = np.asarray(rows), np.asarray(objectives)
+    distinct, counts = np.unique(rows, return_counts=True)
+    top = distinct[counts == counts.max()]  # ascending: the first of equal means is the lowest row
+    return int(top[np.argmax([np.mean(objectives[rows == row]) for row in top])])
 
 
 def optimize_lag(
@@ -82,22 +81,22 @@ def optimize_lag(
     lam = np.column_stack([samples, np.zeros(k)])[:, [col.get(p, len(col)) for p in prep.pairs]]
 
     rows, objectives = solve_batch(prep, lam)
-    key_of = {row: row_key(prep, row) for row in set(rows.tolist())}
-    keys = [key_of[row] for row in rows.tolist()]
-    chosen_key = pick_mode(keys, objectives)
-    first = keys.index(chosen_key)
-    chosen = row_design(prep, rows[first], lam[first])
+    distinct, first, counts = np.unique(rows, return_index=True, return_counts=True)
+    seen = np.argsort(first)  # the rows in the order samples first won them
+    key_of = {row: row_key(prep, row) for row in distinct.tolist()}
+    mode = pick_mode(rows, objectives)
+    chosen = row_design(prep, mode, lam[first[np.searchsorted(distinct, mode)]])
     # the routes in the design's (stops) order, the order evaluate_allocation prices them in
     alloc = tuple((route.id, buses) for route, buses in chosen.allocation)
     if lag is None:
         lag = next(iter(forecasts.values())).lag
     return ScenarioResult(
         lag=np.datetime64(lag, "h"),
-        sample_keys=keys,
+        sample_keys=[key_of[row] for row in rows.tolist()],
         sample_objectives=objectives,
-        histogram=dict(Counter(keys)),
+        histogram={key_of[row]: count for row, count in zip(distinct[seen].tolist(), counts[seen].tolist())},
         chosen=chosen,
-        chosen_key=chosen_key,
+        chosen_key=key_of[mode],
         mean_time_savings=float(np.mean(objectives)),
         chosen_expected_savings=float(np.mean(allocation_values(prep, alloc, lam))),
     )
@@ -200,33 +199,18 @@ def comparison_to_csv(rows: list[ComparisonRow], path) -> None:
         )
         for row in rows:
             writer.writerow([format_hour(row.lag), row.model, "GT", row.gt_itinerary, "", "", ""])
+            sampled = [row.occurrences.get(row.strategy_keys["P"], 0), f"{row.mean_time_savings:.6f}"]
             for s in STRATEGIES:
-                occ = ""
-                if s == "P":
-                    occ = row.occurrences.get(row.strategy_keys["P"], 0)
-                writer.writerow(
-                    [
-                        format_hour(row.lag),
-                        row.model,
-                        s,
-                        row.strategy_itineraries[s],
-                        int(row.matches[s]),
-                        occ,
-                        f"{row.mean_time_savings:.6f}" if s == "P" else "",
-                    ]
-                )
+                cells = [row.strategy_itineraries[s], int(row.matches[s]), *(sampled if s == "P" else ["", ""])]
+                writer.writerow([format_hour(row.lag), row.model, s, *cells])
 
 
 def comparison_table(rows: list[ComparisonRow]) -> str:
     """Aligned text table; asterisks mark agreement with the hindsight solution."""
     out = [f"{'lag':<16} {'model':<16} {'GT':<24} {'P':<28} {'M':<24} {'R':<24}"]
     for row in rows:
-        cells = {}
-        for s in STRATEGIES:
-            text = "*" if row.matches[s] else row.strategy_itineraries[s]
-            if s == "P":
-                text += f" ({row.occurrences.get(row.strategy_keys['P'], 0)})"
-            cells[s] = text
+        cells = {s: "*" if row.matches[s] else row.strategy_itineraries[s] for s in STRATEGIES}
+        cells["P"] += f" ({row.occurrences.get(row.strategy_keys['P'], 0)})"
         out.append(
             f"{format_hour(row.lag):<16} {row.model:<16} {row.gt_itinerary:<24} "
             f"{cells['P']:<28} {cells['M']:<24} {cells['R']:<24}"

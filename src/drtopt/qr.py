@@ -101,14 +101,6 @@ class QuantileForecast:
     lag: np.datetime64
     values: dict[float, float]
 
-    def levels(self) -> tuple[float, ...]:
-        return tuple(sorted(self.values))
-
-    def band(self, lo: float = 0.05, hi: float = 0.95) -> tuple[float, float]:
-        if lo not in self.values or hi not in self.values:
-            raise KeyError(f"forecast lacks band levels {lo}/{hi}")
-        return self.values[lo], self.values[hi]
-
 
 # ---------------------------------------------------------------------------
 # Historical percentiles

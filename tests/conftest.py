@@ -10,7 +10,14 @@ import numpy as np  # noqa: E402
 import pytest
 
 from drtopt.data import Location
+from drtopt.metrics import stack_forecasts
+from drtopt.qr import DEFAULT_QUANTILES
 from drtopt.tndfs import DemandVector, NetworkInstance
+
+
+def stacked(forecasts, levels=DEFAULT_QUANTILES) -> np.ndarray:
+    """One pair's per-lag forecasts as the scorer's (levels x lags) array."""
+    return stack_forecasts([forecasts], levels)[0]
 
 
 def two_node_instance(

@@ -82,12 +82,17 @@ def dataset_of(*series: ODCountSeries) -> ODDataset:
     return ODDataset([Location(i, f"g{i}") for i in range(n)], {s.pair: s for s in series})
 
 
+def _name(pair: ODPair) -> str:
+    """A pair by the labels `dataset_of` gives its locations."""
+    return f"g{pair.origin}>g{pair.destination}"
+
+
 def reference_difference(series: list[ODCountSeries], bounds=None) -> WorkingRecord:
     """First differences of every series in one record; `bounds` holds each series' own (start, stop) rows."""
     lengths = [len(s) for s in series]
     if min(lengths) < 2:
         pair = series[lengths.index(min(lengths))].pair
-        raise ValueError(f"series of pair {pair} too short to difference (need >= 2 lags)")
+        raise ValueError(f"series of pair {_name(pair)} too short to difference (need >= 2 lags)")
     bounds = [(0, n) for n in lengths] if bounds is None else bounds
     sizes = [stop - start for start, stop in bounds]
     timestamps = np.concatenate([s.timestamps[a:b] for s, (a, b) in zip(series, bounds)])
@@ -97,7 +102,7 @@ def reference_difference(series: list[ODCountSeries], bounds=None) -> WorkingRec
     pair_index = np.repeat(np.arange(len(series)), sizes)[1:][keep]
     for i in np.flatnonzero(np.bincount(pair_index, minlength=len(series)) == 0).tolist():
         if not (np.diff(series[i].timestamps) == HOUR).any():
-            raise ValueError(f"no contiguous run of >= 2 hourly lags to difference for pair {series[i].pair}")
+            raise ValueError(f"no contiguous run of >= 2 hourly lags to difference for pair {_name(series[i].pair)}")
     counts = np.concatenate([s.counts[a:b] for s, (a, b) in zip(series, bounds)])
     values = np.diff(counts.astype(np.float64))[keep]
     return WorkingRecord(tuple(s.pair for s in series), timestamps[1:][keep], values, pair_index)
@@ -112,6 +117,6 @@ def reference_counts_at(series: list[ODCountSeries], lags) -> np.ndarray:
         # an hour past the last observation is compared with the last, earlier one
         found = s.timestamps.take(idx, mode="clip") == lags if len(s) else np.zeros(len(lags), dtype=bool)
         if not found.all():
-            raise ValueError(f"no observation for pair {s.pair} at {format_hour(lags[~found][0])}")
+            raise ValueError(f"no observation for pair {_name(s.pair)} at {format_hour(lags[~found][0])}")
         out[i] = s.counts[idx]
     return out

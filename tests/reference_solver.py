@@ -17,6 +17,10 @@ winner's objective from its own flow assignment over all pairs.
 one replaced: a `DemandVector`, a `reference_solve_demand` and a full design
 per sample, and `evaluate_allocation` for the mode on every sample.
 
+`reference_pick_mode` is the mode rule `pipeline.pick_mode` had before it
+took table rows: samples grouped by allocation key, the most frequent key,
+ties broken to the higher mean objective, then the smallest key.
+
 `reference_assign_flows` is the HiGHS LP that `tndfs.assign_flows` solved
 for capacity-bound allocations before successive shortest paths replaced it.
 """
@@ -353,3 +357,11 @@ def reference_optimize_lag(copula_model, forecasts, instance, k, seed, prepared=
         mean_time_savings=float(np.mean(objectives)),
         chosen_expected_savings=float(np.mean(expected)),
     )
+
+
+def reference_pick_mode(keys, objectives):
+    """Most frequent key; ties break to higher mean objective, then lexicographic."""
+    groups = {}
+    for key, obj in zip(keys, objectives):
+        groups.setdefault(key, []).append(obj)
+    return min(groups, key=lambda key: (-len(groups[key]), -float(np.mean(groups[key])), key))

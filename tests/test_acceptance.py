@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
-from conftest import check_design_invariants, random_medium_instance, random_tiny_instance
+from conftest import check_design_invariants, random_medium_instance, random_tiny_instance, stacked
 from drtopt.boosting import GBoostHyper, fit_gboost, gboost_raw_predict, stack_gboost
 from drtopt.cli import main as cli_main
 from drtopt.copula import GaussianCopulaModel, fit_correlation, sample_joint
@@ -95,10 +95,11 @@ def test_criterion_2_metric_identities():
         forecasts.append(QuantileForecast(ODPair(0, 1), T0 + np.timedelta64(i, "h"), vals))
         truths.append(i + 2 if i % 2 == 0 else i + 10)
 
-    got_mtl = mtl(forecasts, truths, DEFAULT_QUANTILES)
-    got_icp = icp(forecasts, truths)
-    got_mil = mil(forecasts)
-    got_cross = crossings(forecasts, DEFAULT_QUANTILES)
+    values = stacked(forecasts)
+    got_mtl = mtl(values, truths, DEFAULT_QUANTILES)
+    got_icp = icp(values, truths, DEFAULT_QUANTILES)
+    got_mil = mil(values, DEFAULT_QUANTILES)
+    got_cross = crossings(values, DEFAULT_QUANTILES)
 
     ok = (
         abs(got_mtl - 9.2) <= 1e-9
@@ -108,12 +109,12 @@ def test_criterion_2_metric_identities():
     )
 
     # inversions are counted pairwise and strictly
-    ok = ok and crossings([_fc([5, 4, 3, 2, 1])], DEFAULT_QUANTILES) == 10
-    ok = ok and crossings([_fc([1, 3, 2, 4, 5])], DEFAULT_QUANTILES) == 1
+    ok = ok and crossings(stacked([_fc([5, 4, 3, 2, 1])]), DEFAULT_QUANTILES) == 10
+    ok = ok and crossings(stacked([_fc([1, 3, 2, 4, 5])]), DEFAULT_QUANTILES) == 1
 
     rng = np.random.default_rng(7)
     sorted_ok = all(
-        crossings([_fc(sorted(rng.uniform(0, 50, size=5)))], DEFAULT_QUANTILES) == 0
+        crossings(stacked([_fc(sorted(rng.uniform(0, 50, size=5)))]), DEFAULT_QUANTILES) == 0
         for _ in range(100)
     )
     report(

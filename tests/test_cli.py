@@ -146,6 +146,20 @@ def test_train_on_a_counts_csv_without_records_says_it_holds_no_pair(tmp_path, c
     assert not (tmp_path / "out" / "model.json").exists()
 
 
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+@pytest.mark.parametrize("family", ["linear", "gboost", "hp"])
+def test_counts_without_a_test_hour_fail_naming_the_test_range(tmp_path, caplog, family, command):
+    model_doc = {"family": family, "gboost": {"learning_rate": 0.3, "max_depth": 2, "n_trees": 3}}
+    out = make_workspace(tmp_path, locations=2, lags=(), model=model_doc)
+    header, *records = (out / "counts.csv").read_text().splitlines()
+    (out / "counts.csv").write_text("\n".join([header, *(r for r in records if r < "2018-01-08")]) + "\n")
+    assert run("train", "--config", out / "config.json") == 0
+    caplog.clear()
+    assert run(command, "--config", out / "config.json", "--model", out / "out" / "model.json") == 2
+    assert "the counts hold no unmasked hour of the test range 2018-01-08..2018-01-14" in caplog.text
+    assert sorted(p.name for p in (out / "out").iterdir()) == ["model.json"]
+
+
 def test_optimize_on_counts_with_a_new_location_writes_the_same_scenarios(tmp_path):
     # a location sorting before every other shifts the counts' ids by one:
     # the model's and the network's pairs are matched to the counts by label

@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
+from conftest import stacked
 from drtopt import forecasting, qr
 from drtopt.boosting import GBoostHyper, fit_gboost, gboost_raw_predict
 from drtopt.cli import main
 from drtopt.config import FAMILIES, SCOPES, parse_model
 from drtopt.data import (
     HOUR, ODCountSeries, ODDataset, ODPair, SplitSpec, adf_test, build_features, counts_at, difference,
-    load_od_counts, parse_hour, save_od_counts,
+    load_od_counts, pair_name, parse_hour, save_od_counts,
 )
 from drtopt.forecasting import (
     ModelSpec,
@@ -104,6 +105,34 @@ def test_evaluation_lags_cover_test_week(dataset):
     assert str(days[0]) == "2017-12-13" and str(days[-1]) == "2017-12-20"
 
 
+@pytest.mark.parametrize("family", ["linear", "gboost", "hp"])
+def test_no_test_hour_fails_by_name_and_no_lag_predicts_nothing(dataset, family):
+    series = {}
+    for pair, s in dataset.series.items():
+        keep = ~SPLIT.in_test(s.timestamps)
+        series[pair] = ODCountSeries(pair, s.timestamps[keep], s.counts[keep])
+    before = ODDataset(dataset.locations, series)
+    with pytest.raises(ValueError, match=r"no unmasked hour of the test range 2017-12-13\.\.2017-12-20"):
+        evaluation_lags(before, SPLIT)
+    model = train_model(before, SPLIT, spec(family=family, gboost=GBoostHyper(0.3, 2, 3)), (0.5,))
+    with pytest.raises(ValueError, match="no unmasked hour of the test range"):
+        predict_forecasts(model, before, SPLIT)
+    assert predict_forecasts(model, before, SPLIT, np.array([], dtype="datetime64[h]")) == {}
+
+
+@pytest.mark.parametrize("family", ["linear", "hp"])
+def test_evaluate_at_equals_the_per_forecast_reference(dataset, family):
+    from reference_metrics import reference_evaluate
+
+    model = train_model(dataset, SPLIT, spec(family=family), DEFAULT_QUANTILES)
+    lags = evaluation_lags(dataset, SPLIT)
+    forecasts = predict_forecasts(model, dataset, SPLIT, lags)
+    by_pair = {p: [forecasts[t][p] for t in lags] for p in model.pair_order}
+    truths = dict(zip(model.pair_order, counts_at(dataset, model.pair_order, lags)))
+    report = evaluate_at(forecasts, dataset, model.pair_order, lags, DEFAULT_QUANTILES, model.labels)
+    assert report == reference_evaluate(by_pair, truths, DEFAULT_QUANTILES)
+
+
 @pytest.mark.parametrize("family", ["hp", "linear"])
 def test_train_predict_shapes(dataset, family):
     model = train_model(dataset, SPLIT, spec(family=family), DEFAULT_QUANTILES)
@@ -157,7 +186,7 @@ def test_sorted_forecasts_never_cross(dataset):
     forecasts = predict_forecasts(model, dataset, SPLIT, lags)
     for pair in dataset.pairs:
         series = [forecasts[np.datetime64(t, "h")][pair] for t in lags]
-        assert crossings(series, DEFAULT_QUANTILES) == 0
+        assert crossings(stacked(series), DEFAULT_QUANTILES) == 0
 
 
 @pytest.mark.parametrize(
@@ -244,13 +273,14 @@ def test_predict_on_a_gappy_record_names_the_first_failing_pair(dataset):
     assert list(predict_forecasts(model, three, SPLIT, np.array([t]))[t]) == [a, b, c]
     no_count = "no observation for pair {} at 2017-12-14T11"
     short = "insufficient history before 2017-12-14T12 for pair {}"
+    a_, b_, c_ = (pair_name(p, model.labels) for p in (a, b, c))
     cases = [
-        (dict(gap=b), no_count.format(b)),
-        (dict(late=c), short.format(c)),
+        (dict(gap=b), no_count.format(b_)),
+        (dict(late=c), short.format(c_)),
         # two pairs fail in the same hour: the first in pair_order is named
-        (dict(gap=c, late=b), short.format(b)),
-        (dict(gap=a, late=c), no_count.format(a)),
-        (dict(gap=a, late=a), no_count.format(a)),  # a missing previous count comes first
+        (dict(gap=c, late=b), short.format(b_)),
+        (dict(gap=a, late=c), no_count.format(a_)),
+        (dict(gap=a, late=a), no_count.format(a_)),  # a missing previous count comes first
     ]
     for defects, message in cases:
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -522,7 +552,7 @@ def test_unsorted_spec_keeps_each_level_in_place(dataset):
     for t in lags:
         for pair in dataset.pairs:
             assert sorted(kept[t][pair].values.values()) == list(ordered[t][pair].values.values())
-    assert sum(crossings([kept[t][p] for t in lags], DEFAULT_QUANTILES) for p in dataset.pairs) > 0
+    assert sum(crossings(stacked([kept[t][p] for t in lags]), DEFAULT_QUANTILES) for p in dataset.pairs) > 0
 
 
 def test_exam_flag_requires_period(dataset):
@@ -987,7 +1017,8 @@ def test_grid_search_rejects_an_empty_tuning_test_range(scope):
     data = generate_synthetic(SyntheticSpec(n_locations=3, end=date(2017, 12, 20), seed=11))
     split = SplitSpec(SPLIT.train_range, SPLIT.test_range, masked_dates=((date(2017, 11, 17), date(2017, 11, 23)),))
     grid = [GBoostHyper(0.3, 2, 5), GBoostHyper(0.1, 2, 5)]
-    message = rf"pair {re.escape(str(data.pairs[0]))} has no rows in the tuning-test range 2017-11-17\.\.2017-11-23"
+    name = re.escape(pair_name(data.pairs[0], data.labels))
+    message = rf"pair {name} has no rows in the tuning-test range 2017-11-17\.\.2017-11-23"
     with pytest.raises(ValueError, match=message):
         gboost_grid_search(data, split, spec(family="gboost", scope=scope), grid, (0.5,))
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import two_node_instance
 from drtopt.copula import GaussianCopulaModel
@@ -60,28 +61,52 @@ def test_all_zero_forecasts_identical_solutions():
     assert result.mean_time_savings == 0.0
 
 
+# table rows 0, 1, 2 stand for allocation keys in canonical order ("A" < "B" < "C")
+
+
 def test_mode_picks_most_frequent():
-    keys = ["A", "A", "B"]
+    rows = np.array([0, 0, 1])
     objs = np.array([1.0, 1.0, 99.0])
-    assert pick_mode(keys, objs) == "A"
+    assert pick_mode(rows, objs) == 0
 
 
 def test_mode_tie_breaks_on_mean_objective_then_key():
-    keys = ["B", "A", "B", "A"]
+    rows = np.array([1, 0, 1, 0])
     objs = np.array([5.0, 1.0, 5.0, 1.0])
-    assert pick_mode(keys, objs) == "B"  # same counts, higher mean objective
+    assert pick_mode(rows, objs) == 1  # same counts, higher mean objective
     objs = np.array([2.0, 2.0, 2.0, 2.0])
-    assert pick_mode(keys, objs) == "A"  # full tie: lexicographic
+    assert pick_mode(rows, objs) == 0  # full tie: the lowest row, the smallest key
 
 
 def test_mode_invariant_to_sample_order():
     rng = np.random.default_rng(0)
-    keys = ["A"] * 5 + ["B"] * 3 + ["C"] * 5
+    rows = np.array([0] * 5 + [1] * 3 + [2] * 5)
     objs = np.concatenate([np.full(5, 2.0), np.full(3, 9.0), np.full(5, 1.0)])
-    baseline = pick_mode(keys, objs)
+    baseline = pick_mode(rows, objs)
     for _ in range(10):
-        perm = rng.permutation(len(keys))
-        assert pick_mode([keys[i] for i in perm], objs[perm]) == baseline
+        perm = rng.permutation(len(rows))
+        assert pick_mode(rows[perm], objs[perm]) == baseline
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 5), st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.3, 1.0, 1.5, 2.0, 1e16])),
+        min_size=1,
+        max_size=40,
+    )
+)
+@example([(3, 1.0), (1, 1.5), (3, 2.0), (1, 1.5)])  # tied counts and means: the lowest row
+@example([(2, 0.0), (0, -0.0), (5, 1.0), (5, -1.0)])  # means of +0 and -0 tie too
+@example([(4, 0.1), (4, 0.2), (2, 0.15), (2, 0.15)])  # 0.1 + 0.2 rounds above 0.3: the higher mean wins
+def test_mode_by_row_equals_the_key_based_reference(samples):
+    """The row rule picks the key the key-based rule picks, keys ordered as their table rows."""
+    from reference_solver import reference_pick_mode
+
+    rows = np.array([row for row, _ in samples])
+    objs = np.array([obj for _, obj in samples])
+    keys = [(((row,), 1),) for row in rows.tolist()]  # one route at stop `row`: ordered as the rows
+    assert keys[int(np.argmax(rows == pick_mode(rows, objs)))] == reference_pick_mode(keys, objs)
 
 
 def test_scenario_histogram_sums_to_k():
