@@ -13,25 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import GBoostHyper, field as doc_field, json_object, parse_float
 from .qr import DEFAULT_QUANTILES, pinball_minimizing_constant, tilted_loss
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class GBoostHyper:
-    learning_rate: float = 0.1
-    max_depth: int = 3
-    n_trees: int = 50
-
-    def validate(self) -> "GBoostHyper":
-        if not 0.0 <= self.learning_rate <= 1.0:
-            raise ValueError(f"learning_rate must be in [0, 1], got {self.learning_rate}")
-        if not 0 <= self.max_depth <= 6:
-            raise ValueError(f"max_depth must be in 0..6, got {self.max_depth}")
-        if not 1 <= self.n_trees <= 200:
-            raise ValueError(f"n_trees must be in 1..200, got {self.n_trees}")
-        return self
 
 
 def _presort(keys: np.ndarray):
@@ -173,20 +158,21 @@ def tree_to_doc(forest: Forest, t: int, node: int = 0) -> dict:
     }
 
 
-def tree_from_doc(doc: dict, forest: Forest, t: int, owner: str, n_features: int, node: int = 0) -> None:
-    """Fill tree t of `forest` from the nested JSON `tree_to_doc` writes; splits read features 0..n_features-1."""
+def tree_from_doc(doc: dict, forest: Forest, t: int, owner: str, n_features: int, path: str = "tree", node: int = 0):
+    """Fill tree t of `forest` from the JSON `tree_to_doc` writes, rooted at field `path`; features 0..n_features-1."""
+    json_object(doc, path)
     if "value" in doc:
-        forest.value[t, node] = float(doc["value"])
+        forest.value[t, node] = parse_float(doc["value"], f"{path}.value")
         return
     if 2 * node + 2 >= forest.feature.shape[1]:
         raise ValueError(f"model {owner}: tree {t} is deeper than max_depth {forest.max_depth}")
-    feature = int(doc["feature"])
-    if not 0 <= feature < n_features:
-        raise ValueError(f"model {owner}: tree {t} splits on feature {feature}, outside 0..{n_features - 1}")
+    feature = parse_float(doc_field(doc, f"{path}.feature"), f"{path}.feature")
+    if not (feature.is_integer() and 0 <= feature < n_features):
+        raise ValueError(f"model {owner}: tree {t} splits on feature {feature:g}, outside 0..{n_features - 1}")
     forest.feature[t, node] = feature
-    forest.threshold[t, node] = float(doc["threshold"])
-    tree_from_doc(doc["left"], forest, t, owner, n_features, 2 * node + 1)
-    tree_from_doc(doc["right"], forest, t, owner, n_features, 2 * node + 2)
+    forest.threshold[t, node] = parse_float(doc_field(doc, f"{path}.threshold"), f"{path}.threshold")
+    for side, child in (("left", 2 * node + 1), ("right", 2 * node + 2)):
+        tree_from_doc(doc_field(doc, f"{path}.{side}"), forest, t, owner, n_features, f"{path}.{side}", child)
 
 
 @dataclass

@@ -1,8 +1,8 @@
 """Pipeline configuration: one JSON document, validated with field paths.
 
-The same checked field readers parse the spec of a saved model
-(`forecasting.model_from_json_dict`) and a network document
-(`tndfs.instance_from_json_dict`).
+The same checked field readers parse a saved model, its spec and every
+inner model (`forecasting.model_from_json_dict`, `boosting.tree_from_doc`),
+and a network document (`tndfs.instance_from_json_dict`).
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
-from .boosting import GBoostHyper
 from .data import (
     DEFAULT_MASKED_HOURS,
     CAMPUS_2017_EXAMS,
@@ -34,6 +33,22 @@ class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
+
+
+@dataclass(frozen=True)
+class GBoostHyper:
+    learning_rate: float = 0.1
+    max_depth: int = 3
+    n_trees: int = 50
+
+    def validate(self) -> "GBoostHyper":
+        if not 0.0 <= self.learning_rate <= 1.0:
+            raise ValueError(f"learning_rate must be in [0, 1], got {self.learning_rate}")
+        if not 0 <= self.max_depth <= 6:
+            raise ValueError(f"max_depth must be in 0..6, got {self.max_depth}")
+        if not 1 <= self.n_trees <= 200:
+            raise ValueError(f"n_trees must be in 1..200, got {self.n_trees}")
+        return self
 
 
 @dataclass(frozen=True)
@@ -107,6 +122,13 @@ def field(doc: dict, path: str, kind: type = object, default=_REQUIRED):
     return value
 
 
+def json_object(value, path: str) -> dict:
+    """`value`, when it is a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigError(path, f"expected an object, got {value!r}")
+    return value
+
+
 def parse_int(value, path: str, minimum: int) -> int:
     """A JSON integer, or an integral float, of at least `minimum`; true and false are not numbers."""
     if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
@@ -121,6 +143,14 @@ def parse_float(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"not a number: {value!r}")
     return float(value)
+
+
+def parse_iso_hour(text, path: str):
+    """An hour such as 2018-01-08T08, as `data.parse_hour` reads it."""
+    try:
+        return parse_hour(text)
+    except (AttributeError, ValueError):
+        raise ConfigError(path, f"not an ISO hour such as 2018-01-08T08: {text!r}") from None
 
 
 def parse_levels(values, path: str) -> tuple[float, ...]:
@@ -165,8 +195,7 @@ def _parse_split(doc, path: str) -> SplitSpec:
 
 def _reader(doc, path: str, defaults: bool):
     """`doc`'s fields by key, each with its default, or each required when not `defaults`."""
-    if not isinstance(doc, dict):
-        raise ConfigError(path, f"expected an object, got {doc!r}")
+    json_object(doc, path)
     return lambda key, default, kind=object: field(doc, f"{path}.{key}", kind, default if defaults else _REQUIRED)
 
 
@@ -235,10 +264,7 @@ def config_from_json_dict(doc: dict, base_dir: Path) -> PipelineConfig:
     k = parse_int(optimize.get("k", 100), "config.optimize.k", 1)
     lags = list(field(optimize, "config.optimize.lags", list, []))
     for i, text in enumerate(lags):
-        try:
-            parse_hour(text)
-        except (AttributeError, ValueError):
-            raise ConfigError(f"config.optimize.lags[{i}]", f"not an ISO hour such as 2018-01-08T08: {text!r}") from None
+        parse_iso_hour(text, f"config.optimize.lags[{i}]")
 
     network = field(doc, "config.network", str, None)
     threads = parse_int(doc.get("threads", 1), "config.threads", 1)
@@ -273,9 +299,7 @@ def load_config(path) -> PipelineConfig:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError("config.<root>", f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError("config.<root>", f"expected an object, got {doc!r}")
-    return config_from_json_dict(doc, path.parent)
+    return config_from_json_dict(json_object(doc, "config.<root>"), path.parent)
 
 
 def default_config_doc(counts_csv: str, network: str, seed: int) -> dict:

@@ -453,12 +453,12 @@ def adf_test(values, max_lag: int | None = None) -> AdfResult:
     return AdfResult(stat, float(crit), stat < crit, nobs, max_lag)
 
 
-def check_stationarity(pair: ODPair, values, max_lag: int | None = None) -> AdfResult:
-    """Run the ADF test on a pair's working-scale values; warn (but proceed) when a unit root is not rejected."""
+def check_stationarity(name: str, values, max_lag: int | None = None) -> AdfResult:
+    """Run the ADF test on one pair's working-scale values; warn, naming the pair, when a unit root is not rejected."""
     result = adf_test(values, max_lag)
     if not result.reject_unit_root:
         warnings.warn(
-            f"pair {pair.origin}->{pair.destination}: ADF statistic "
+            f"pair {name}: ADF statistic "
             f"{result.statistic:.3f} does not reject a unit root at 1% "
             f"(critical {result.crit_1pct:.3f}); proceeding anyway",
             stacklevel=2,

@@ -10,17 +10,19 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import date, timedelta
 
 import numpy as np
 
 from . import boosting, metrics, qr
-from .config import ConfigError, ModelSpec, field as doc_field, parse_float, parse_levels, parse_model
+from .config import (ConfigError, ModelSpec, field as doc_field, json_object, parse_float, parse_int, parse_iso_hour,
+                     parse_levels, parse_model)
 from .data import (
     HOUR,
     TOD_HOURS,
     FeatureConfig,
+    ODCountSeries,
     ODDataset,
     ODPair,
     SplitSpec,
@@ -34,8 +36,8 @@ from .data import (
     in_days,
     pair_hour_keys,
     pair_name,
-    parse_hour,
     train_series,
+    weekday_of,
 )
 
 log = logging.getLogger(__name__)
@@ -49,7 +51,7 @@ class TrainedDemandModel:
     levels: tuple[float, ...]
     labels: list[str]
     pair_order: tuple[ODPair, ...]
-    models: dict[ODPair | None, object]  # None key = pooled scope
+    models: dict[ODPair | None, object]  # None key = pooled scope; an hp model is its pair's train series
     seasonal: qr.SeasonalStats | None = None  # None without seasonal normalization
     # the fitted models stacked for one raw predict over all pairs, model j
     # serving pair_order[j] (the only one, when pooled); not in model.json
@@ -71,7 +73,7 @@ def working_record(dataset: ODDataset, split: SplitSpec, check_unit_root: bool =
     if check_unit_root:
         bounds = np.searchsorted(record.pair_index, np.arange(len(record.pairs) + 1))
         for pair, a, b in zip(record.pairs, bounds, bounds[1:]):
-            check_stationarity(pair, record.values[a:b])
+            check_stationarity(pair_name(pair, dataset.labels), record.values[a:b])
     return record.select(~split.mask_array(record.timestamps))
 
 
@@ -128,8 +130,8 @@ def _group_rows(
     return (X[usable], train.values, train.timestamps, train.pair_index), seasonal
 
 
-def _fit_groups(spec: ModelSpec, pairs, rows, levels, hyper: boosting.GBoostHyper, tuning=None, patience: int = 10):
-    """One model of the spec's family per pair, or one keyed None over every pair when pooled.
+def _fit_groups(spec: ModelSpec, dataset: ODDataset, rows, levels, hyper: boosting.GBoostHyper, tuning=None):
+    """One model of the spec's family per pair of the dataset, or one keyed None over every pair when pooled.
 
     `rows` are `_group_rows`' arrays.  With `tuning` (the ranges of
     `tuning_ranges`), the fit takes the tuning-train rows and the
@@ -140,8 +142,8 @@ def _fit_groups(spec: ModelSpec, pairs, rows, levels, hyper: boosting.GBoostHype
         groups = {None: slice(None)}
     else:
         # the rows run pair after pair, so each pair's rows are one slice
-        bounds = np.searchsorted(pair_index, np.arange(len(pairs) + 1))
-        groups = {pair: slice(a, b) for pair, a, b in zip(pairs, bounds, bounds[1:])}
+        bounds = np.searchsorted(pair_index, np.arange(len(dataset.pairs) + 1))
+        groups = {pair: slice(a, b) for pair, a, b in zip(dataset.pairs, bounds, bounds[1:])}
     models = {}
     for key, part in groups.items():
         X, y, stamps = (column[part] for column in columns)
@@ -150,13 +152,13 @@ def _fit_groups(spec: ModelSpec, pairs, rows, levels, hyper: boosting.GBoostHype
             _, val_range, train_range = tuning
             in_val, in_train = in_days(stamps, val_range), in_days(stamps, train_range)
             if not in_val.any():
-                group = "the pooled group" if key is None else f"pair {key}"
+                group = "the pooled group" if key is None else f"pair {pair_name(key, dataset.labels)}"
                 raise ValueError(f"{group} has no rows in the tuning-validation range {val_range[0]}..{val_range[1]}")
             val, X, y = (X[in_val], y[in_val]), X[in_train], y[in_train]
         if spec.family == "linear":
             models[key] = qr.fit_lqr(X, y, levels)
         else:
-            models[key] = boosting.fit_gboost(X, y, levels, hyper, val=val, patience=patience)
+            models[key] = boosting.fit_gboost(X, y, levels, hyper, val=val)
     return models
 
 
@@ -170,10 +172,10 @@ def train_model(
     if not pair_order:
         raise ValueError("the counts hold no OD pair")
     if spec.family == "hp":
-        models = {pair: qr.fit_hp(train_series(dataset.series[pair], split), levels) for pair in pair_order}
+        models = {pair: train_series(dataset.series[pair], split) for pair in pair_order}
         return TrainedDemandModel(spec, tuple(levels), dataset.labels, pair_order, models)
     rows, seasonal = _group_rows(dataset, split, spec, check_unit_root=True)
-    models = _fit_groups(spec, pair_order, rows, levels, spec.gboost)
+    models = _fit_groups(spec, dataset, rows, levels, spec.gboost)
     return TrainedDemandModel(spec, tuple(levels), dataset.labels, pair_order, models, seasonal)
 
 
@@ -211,8 +213,18 @@ def predict_forecasts(
     lags = evaluation_lags(dataset, split) if lags is None else np.asarray(lags, dtype="datetime64[h]")
     if not len(lags):
         return {}
-    if model.spec.family == "hp":
-        return {t: {pair: qr.predict_hp(model.models[pair], t) for pair in model.pair_order} for t in lags}
+    by_pair = dict(zip(model.pair_order, _quantiles(model, dataset, split, lags).tolist()))  # (lags, levels) each
+    return {
+        t: {pair: qr.QuantileForecast(pair, t, dict(zip(model.levels, rows[i]))) for pair, rows in by_pair.items()}
+        for i, t in enumerate(lags)
+    }
+
+
+def _quantiles(model: TrainedDemandModel, dataset: ODDataset, split: SplitSpec, lags: np.ndarray) -> np.ndarray:
+    """(pairs, lags, levels) count-scale quantiles, the pairs in the model's order."""
+    if model.spec.family == "hp":  # from each pair's train series; the counts are not read
+        values = [qr.predict_hp(model.models[p], model.levels, lags, model.labels) for p in model.pair_order]
+        return np.array(values).reshape(len(values), len(lags), len(model.levels))
     cfg = model.feature_cfg
     order, n = model.pair_order, len(lags)
     depth = cfg.cross_order if cfg.cross_lags else cfg.ar_order
@@ -240,11 +252,7 @@ def predict_forecasts(
     predict = qr.lqr_raw_predict if model.spec.family == "linear" else boosting.gboost_raw_predict
     raw = predict(model.stack, np.zeros_like(which) if model.spec.scope == "pooled" else which, X)
     scales = model.seasonal.scales_at(which, stamps) if model.spec.seasonal_normalize else None
-    values = to_count_scale(raw, prev.ravel(), scales, model.spec.sort_quantiles).reshape(len(order), n, -1).tolist()
-    return {
-        t: {pair: qr.QuantileForecast(pair, t, dict(zip(model.levels, values[j][i]))) for j, pair in enumerate(order)}
-        for i, t in enumerate(lags)
-    }
+    return to_count_scale(raw, prev.ravel(), scales, model.spec.sort_quantiles).reshape(len(order), n, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +280,6 @@ def gboost_grid_search(
     spec: ModelSpec,
     grid: list[boosting.GBoostHyper],
     levels=qr.DEFAULT_QUANTILES,
-    patience: int = 10,
 ) -> tuple[boosting.GBoostHyper, list[float]]:
     """Pick boosting hyperparameters by total tuning-test MTL, ties first-wins.
 
@@ -297,7 +304,7 @@ def gboost_grid_search(
     bounds = np.searchsorted(test_index, np.arange(len(pairs) + 1))
 
     def score(hyper: boosting.GBoostHyper) -> float:
-        models = _fit_groups(spec, pairs, rows, levels, hyper, tuning, patience)
+        models = _fit_groups(spec, dataset, rows, levels, hyper, tuning)
         raw = boosting.gboost_raw_predict(boosting.stack_gboost(list(models.values()), levels), which, X_test)
         return sum(float(metrics.mtl(raw[a:b].T, y_test[a:b], levels)) for a, b in zip(bounds, bounds[1:]))
 
@@ -309,10 +316,6 @@ def gboost_grid_search(
 # ---------------------------------------------------------------------------
 
 
-def _pair_doc(pair: ODPair, labels) -> list[str]:
-    return [labels[pair.origin], labels[pair.destination]]
-
-
 def _pair_from_doc(value, index: dict[str, int], path: str) -> ODPair:
     if not (isinstance(value, list) and len(value) == 2 and all(isinstance(v, str) and v in index for v in value)):
         raise ConfigError(path, f"expected [origin, destination] of model.labels, got {value!r}")
@@ -322,21 +325,8 @@ def _pair_from_doc(value, index: dict[str, int], path: str) -> ODPair:
 
 
 def _spec_doc(spec: ModelSpec) -> dict:
-    return {
-        "family": spec.family,
-        "scope": spec.scope,
-        "sort_quantiles": spec.sort_quantiles,
-        "exam_period": [d.isoformat() for d in spec.exam_period] if spec.exam_period else None,
-        "seasonal_normalize": spec.seasonal_normalize,
-        "cross_lags": spec.cross_lags,
-        "cross_order": spec.cross_order,
-        "ar_order": spec.ar_order,
-        "gboost": {
-            "learning_rate": spec.gboost.learning_rate,
-            "max_depth": spec.gboost.max_depth,
-            "n_trees": spec.gboost.n_trees,
-        },
-    }
+    """Every field of the spec, its gboost hyperparameters nested, the exam period's dates in ISO form."""
+    return {**asdict(spec), "exam_period": [d.isoformat() for d in spec.exam_period] if spec.exam_period else None}
 
 
 def _finite(value, owner: str, field: str):
@@ -347,16 +337,15 @@ def _finite(value, owner: str, field: str):
 
 
 def _inner_doc(family: str, model) -> dict:
-    if family == "hp":
+    if family == "hp":  # the train series, grouped by (weekday, hour), each group in time order
+        cells = weekday_of(model.timestamps) * 24 + hour_of(model.timestamps)
+        order = np.argsort(cells, kind="stable")
+        keys, starts = np.unique(cells[order], return_index=True)
+        groups = zip(np.split(model.timestamps[order], starts[1:]), np.split(model.values[order], starts[1:]))
         return {
             "buckets": [
-                {
-                    "dow": key[0],
-                    "tod": key[1],
-                    "timestamps": [format_hour(t) for t in ts],
-                    "counts": values.tolist(),
-                }
-                for key, (ts, values) in sorted(model.buckets.items())
+                {"dow": cell // 24, "tod": cell % 24, "timestamps": [format_hour(t) for t in ts], "counts": v.tolist()}
+                for cell, (ts, v) in zip(keys.tolist(), groups)
             ]
         }
     if family == "linear":
@@ -373,38 +362,57 @@ def _inner_doc(family: str, model) -> dict:
     }
 
 
-def _forest_from_doc(docs: list, max_depth: int, n_features: int, owner: str) -> boosting.Forest:
-    forest = boosting.Forest.empty(len(docs), max_depth)
-    for t, doc in enumerate(docs):
-        boosting.tree_from_doc(doc, forest, t, owner, n_features)
-    _finite(forest.threshold, owner, "tree threshold")
-    _finite(forest.value, owner, "tree value")
-    return forest
+def _series_from_doc(doc: dict, path: str, pair: ODPair) -> ODCountSeries:
+    """The train series that `_inner_doc` wrote as (weekday, hour) buckets, joined in time order."""
+    buckets = [(np.empty(0, dtype="datetime64[h]"), np.empty(0))]
+    for j, bucket in enumerate(doc_field(doc, f"{path}.buckets", list)):
+        at = f"{path}.buckets[{j}]"
+        dow, tod = (parse_int(doc_field(json_object(bucket, at), f"{at}.{k}"), f"{at}.{k}", 0) for k in ("dow", "tod"))
+        texts, counts = (doc_field(bucket, f"{at}.{k}", list) for k in ("timestamps", "counts"))
+        ts = np.array([parse_iso_hour(t, f"{at}.timestamps[{i}]") for i, t in enumerate(texts)], dtype="datetime64[h]")
+        values = np.array([parse_float(v, f"{at}.counts[{i}]") for i, v in enumerate(counts)])
+        off = np.flatnonzero((weekday_of(ts) != dow) | (hour_of(ts) != tod))
+        if len(off):
+            raise ConfigError(f"{at}.timestamps[{off[0]}]", f"{texts[off[0]]} is not on weekday {dow} hour {tod}")
+        if len(values) != len(ts):
+            raise ConfigError(f"{at}.counts", f"{len(values)} counts for {len(ts)} timestamps")
+        bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0) & (values == np.round(values))))
+        if len(bad):
+            raise ConfigError(f"{at}.counts[{bad[0]}]", f"not a count: {counts[bad[0]]!r}")
+        buckets.append((ts, values))
+    ts, values = (np.concatenate(column) for column in zip(*buckets))
+    order = np.argsort(ts, kind="stable")
+    twice = np.flatnonzero(np.diff(ts[order]) == np.timedelta64(0, "h"))
+    if len(twice):
+        raise ConfigError(f"{path}.buckets", f"hour {format_hour(ts[order][twice[0]])} appears twice")
+    return ODCountSeries(pair, ts[order], values[order])
 
 
-def _inner_from_doc(family: str, doc: dict, name: str, pair, levels, spec: ModelSpec, n_features: int):
+def _inner_from_doc(family: str, doc, name: str, pair, levels, spec: ModelSpec, n_features: int):
+    path = f"model.models.{name}"
+    json_object(doc, path)
     if family == "hp":
-        buckets = {
-            (b["dow"], b["tod"]): (
-                np.array([parse_hour(t) for t in b["timestamps"]], dtype="datetime64[h]"),
-                np.array(b["counts"], dtype=np.float64),
-            )
-            for b in doc["buckets"]
-        }
-        return qr.HPModel(pair, levels, buckets)
+        return _series_from_doc(doc, path, pair)
     if family == "linear":
         coef = {float(q): _finite(np.array(v, dtype=np.float64), f"{name}, level {q}", "coef")
-                for q, v in doc["coef"].items()}
+                for q, v in doc_field(doc, f"{path}.coef", dict).items()}
         for q, beta in coef.items():
             if beta.shape != (n_features,):
                 raise ValueError(f"model {name}, level {q}: {beta.size} coefficients for {n_features} features")
-        converged = {float(q): bool(v) for q, v in doc["converged"].items()}
+        converged = {float(q): bool(v) for q, v in doc_field(doc, f"{path}.converged", dict).items()}
         return qr.LinearQRModel(levels, coef, converged)
-    init = {float(q): _finite(float(v), f"{name}, level {q}", "init") for q, v in doc["init"].items()}
-    trees = {
-        float(q): _forest_from_doc(ts, spec.gboost.max_depth, n_features, f"{name}, level {q}")
-        for q, ts in doc["trees"].items()
-    }
+    init = {float(q): _finite(parse_float(v, f"{path}.init.{q}"), f"{name}, level {q}", "init")
+            for q, v in doc_field(doc, f"{path}.init", dict).items()}
+    trees = {}
+    for q, docs in doc_field(doc, f"{path}.trees", dict).items():
+        owner, at = f"{name}, level {q}", f"{path}.trees.{q}"
+        if not isinstance(docs, list):
+            raise ConfigError(at, f"expected a list, got {docs!r}")
+        forest = trees[float(q)] = boosting.Forest.empty(len(docs), spec.gboost.max_depth)
+        for t, tree in enumerate(docs):
+            boosting.tree_from_doc(tree, forest, t, owner, n_features, f"{at}[{t}]")
+        _finite(forest.threshold, owner, "tree threshold")
+        _finite(forest.value, owner, "tree value")
     return boosting.GBoostQRModel(levels, spec.gboost, init, trees)
 
 
@@ -414,16 +422,16 @@ def model_to_json_dict(model: TrainedDemandModel) -> dict:
         "spec": _spec_doc(model.spec),
         "levels": list(model.levels),
         "labels": model.labels,
-        "pairs": [_pair_doc(p, model.labels) for p in model.pair_order],
+        "pairs": [[model.labels[p.origin], model.labels[p.destination]] for p in model.pair_order],
         "models": {},
         "seasonal": {},
     }
     for key, inner in model.models.items():
-        name = "pooled" if key is None else ">".join(_pair_doc(key, model.labels))
+        name = "pooled" if key is None else pair_name(key, model.labels)
         doc["models"][name] = _inner_doc(model.spec.family, inner)
     stats = model.seasonal
     for i, dow, tod in np.argwhere(~np.isnan(stats.mean)).tolist() if stats is not None else ():  # (dow, tod) order
-        name = ">".join(_pair_doc(stats.pairs[i], model.labels))
+        name = pair_name(stats.pairs[i], model.labels)
         cell = {"dow": dow, "tod": tod, "mean": float(stats.mean[i, dow, tod]), "std": float(stats.std[i, dow, tod])}
         doc["seasonal"].setdefault(name, {"cells": []})["cells"].append(cell)
     return doc
@@ -448,13 +456,13 @@ def model_from_json_dict(doc: dict) -> TrainedDemandModel:
         models[key] = _inner_from_doc(spec.family, inner_doc, name, key, levels, spec, n_features)
     for key in [None] if spec.scope == "pooled" else pair_order:
         if key not in models:
-            raise ValueError(f"model {'pooled' if key is None else '>'.join(_pair_doc(key, labels))}: missing")
+            raise ValueError(f"model {'pooled' if key is None else pair_name(key, labels)}: missing")
 
     seasonal = None
     if spec.seasonal_normalize:
         mean, std = np.full((2, len(pair_order), 7, 24), np.nan)
         for i, pair in enumerate(pair_order):  # a pair without cells is named by SeasonalStats
-            name = ">".join(_pair_doc(pair, labels))
+            name = pair_name(pair, labels)
             for j, cell in enumerate(doc.get("seasonal", {}).get(name, {}).get("cells", [])):
                 path = f"model.seasonal.{name}.cells[{j}]"
                 dow, tod, mu, sigma = (doc_field(cell, f"{path}.{k}") for k in ("dow", "tod", "mean", "std"))

@@ -21,7 +21,7 @@ import scipy.linalg
 from scipy import optimize
 from scipy.optimize import linprog
 
-from .data import ODCountSeries, ODPair, WorkingRecord, hour_of, weekday_of
+from .data import ODCountSeries, ODPair, WorkingRecord, hour_of, pair_name, weekday_of
 
 log = logging.getLogger(__name__)
 
@@ -107,41 +107,23 @@ class QuantileForecast:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class HPModel:
-    """Per (day-of-week, time-of-day) bucket of historical counts."""
+def predict_hp(train: ODCountSeries, levels, lags, labels=None) -> np.ndarray:
+    """(lags, levels) percentiles of each lag's same-weekday same-hour train counts strictly before it.
 
-    pair: ODPair
-    levels: tuple[float, ...]
-    buckets: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]  # (dow,tod) -> (ts, counts)
-
-
-def fit_hp(train: ODCountSeries, levels=DEFAULT_QUANTILES) -> HPModel:
-    dows = weekday_of(train.timestamps)
-    tods = hour_of(train.timestamps)
-    buckets: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-    for key in {(int(d), int(h)) for d, h in zip(dows, tods)}:
-        sel = (dows == key[0]) & (tods == key[1])
-        buckets[key] = (train.timestamps[sel], train.counts[sel].astype(np.float64))
-    return HPModel(train.pair, tuple(levels), buckets)
-
-
-def predict_hp(model: HPModel, t: np.datetime64) -> QuantileForecast:
-    """Quantiles of same-weekday same-hour history strictly before t.
-
-    Uses the linear-interpolation percentile; levels 0 and 1 give the bucket
-    min and max.
+    Linear interpolation (levels 0 and 1 give the min and max); a lag without such history raises, naming the pair.
     """
-    t = np.datetime64(t, "h")
-    key = (int(weekday_of(t)), int(hour_of(t)))
-    if key not in model.buckets:
-        raise ValueError(f"no history for weekday {key[0]} hour {key[1]}")
-    ts, values = model.buckets[key]
-    values = values[ts < t]
-    if len(values) == 0:
-        raise ValueError(f"no history before {t} in bucket weekday {key[0]} hour {key[1]}")
-    est = {float(q): float(np.percentile(values, 100.0 * q)) for q in model.levels}
-    return QuantileForecast(model.pair, t, est)
+    lags = np.asarray(lags, dtype="datetime64[h]")
+    stamps, counts = train.timestamps, train.values
+    cells = weekday_of(stamps) * 24 + hour_of(stamps)
+    out = np.empty((len(lags), len(levels)))
+    for i, (t, cell) in enumerate(zip(lags, weekday_of(lags) * 24 + hour_of(lags))):
+        in_cell = cells == cell
+        values = counts[in_cell & (stamps < t)]
+        if not len(values):
+            where = "weekday {} hour {} for pair {}".format(*divmod(int(cell), 24), pair_name(train.pair, labels))
+            raise ValueError(f"no history before {t} in bucket {where}" if in_cell.any() else f"no history for {where}")
+        out[i] = np.percentile(values, 100.0 * np.asarray(levels, dtype=np.float64))
+    return out
 
 
 # ---------------------------------------------------------------------------

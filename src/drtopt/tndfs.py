@@ -752,8 +752,7 @@ def instance_from_json_dict(doc: dict) -> NetworkInstance:
         found = []
         for i, d in enumerate(config.field(doc, f"network.{key}", list)):
             path = f"network.{key}[{i}]"
-            if not isinstance(d, dict):
-                raise config.ConfigError(path, f"expected an object, got {d!r}")
+            config.json_object(d, path)
             coord = (number(d, f"{path}.x"), number(d, f"{path}.y"))
             found.append(Location(integer(d, f"{path}.id", 0), config.field(d, f"{path}.label", str), coord))
         return found

@@ -17,6 +17,12 @@ lowest value on ties.
 library predicted each pair before the models were stacked: one `beta @ x`
 per row and level.
 
+`reference_fit_hp` and `reference_predict_hp` are the historical
+percentiles as `qr` fitted and predicted them before the model was the
+pair's train series: the series re-bucketed into a (weekday, hour) ->
+(timestamps, float counts) dict, and one forecast per lag, with one
+`np.percentile` call per level over the bucket's values strictly before it.
+
 `reference_seasonal_cells` is one pair's seasonal stats as
 `qr.fit_seasonal_stats` fitted them before the (pair, weekday, hour) table:
 a boolean selection of the pair's train series per (weekday, hour) key,
@@ -71,3 +77,28 @@ def reference_seasonal_cells(timestamps, values) -> dict[tuple[int, int], tuple[
         v = values[(dows == key[0]) & (tods == key[1])]
         cells[key] = float(np.mean(v)), float(np.std(v))
     return cells
+
+
+def reference_fit_hp(train, levels) -> tuple[tuple[float, ...], dict]:
+    """(levels, buckets): (weekday, hour) -> (timestamps, float counts) of the train series."""
+    dows = weekday_of(train.timestamps)
+    tods = hour_of(train.timestamps)
+    buckets = {}
+    for key in {(int(d), int(h)) for d, h in zip(dows, tods)}:
+        sel = (dows == key[0]) & (tods == key[1])
+        buckets[key] = (train.timestamps[sel], train.counts[sel].astype(np.float64))
+    return tuple(levels), buckets
+
+
+def reference_predict_hp(model, t) -> dict[float, float]:
+    """Each level's percentile of the same-weekday same-hour history strictly before t."""
+    levels, buckets = model
+    t = np.datetime64(t, "h")
+    key = (int(weekday_of(t)), int(hour_of(t)))
+    if key not in buckets:
+        raise ValueError(f"no history for weekday {key[0]} hour {key[1]}")
+    ts, values = buckets[key]
+    values = values[ts < t]
+    if len(values) == 0:
+        raise ValueError(f"no history before {t} in bucket weekday {key[0]} hour {key[1]}")
+    return {float(q): float(np.percentile(values, 100.0 * q)) for q in levels}

@@ -5,6 +5,9 @@ lines; every tolerance is pinned here and nowhere else.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
 from datetime import date
 from pathlib import Path
@@ -12,6 +15,7 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
+import drtopt
 from conftest import check_design_invariants, random_medium_instance, random_tiny_instance, stacked
 from drtopt.boosting import GBoostHyper, fit_gboost, gboost_raw_predict, stack_gboost
 from drtopt.cli import main as cli_main
@@ -313,17 +317,29 @@ def test_criterion_5_strategy_consistency_and_divergence():
 
 
 def _run_workflow(root: Path, threads: int) -> dict[str, bytes]:
+    """The CLI chain's artifacts: in this process (one BLAS thread, as conftest pins it) for one
+    thread, else each step in a subprocess with `threads` BLAS and OpenMP threads."""
     ws = root / f"ws_t{threads}"
-    assert cli_main(["synth", "--out-dir", str(ws), "--locations", "3", "--seed", "11"]) == 0
+    src = str(Path(drtopt.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads),
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+    def cli(*argv: str) -> None:
+        if threads == 1:
+            assert cli_main(list(argv)) == 0
+        else:
+            subprocess.run([sys.executable, "-m", "drtopt.cli", *argv], env=env, check=True, capture_output=True)
+
+    cli("synth", "--out-dir", str(ws), "--locations", "3", "--seed", "11")
     cfg_path = ws / "config.json"
     doc = json.loads(cfg_path.read_text())
     doc["optimize"] = {"k": 12, "lags": ["2018-01-08T08", "2018-01-08T09"]}
     doc["threads"] = threads
     cfg_path.write_text(json.dumps(doc, indent=2, sort_keys=True))
-    assert cli_main(["train", "--config", str(cfg_path)]) == 0
+    cli("train", "--config", str(cfg_path))
     model = ws / "out" / "model.json"
-    assert cli_main(["predict", "--config", str(cfg_path), "--model", str(model)]) == 0
-    assert cli_main(["pipeline", "--config", str(cfg_path), "--model", str(model)]) == 0
+    cli("predict", "--config", str(cfg_path), "--model", str(model))
+    cli("pipeline", "--config", str(cfg_path), "--model", str(model))
     out = ws / "out"
     return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
 

@@ -345,7 +345,7 @@ def test_early_stopped_fits_and_grid_scores_equal_the_references(small_dataset, 
     assert len(json.loads(fast[0])["trees"]["0.5"]) < hyper.n_trees  # validation stopped the fit early
 
 
-@pytest.mark.parametrize("scope, group", [("per_pair", r"pair ODPair\(origin=0, destination=1\)"), ("pooled", "the pooled group")])
+@pytest.mark.parametrize("scope, group", [("per_pair", "pair g0>g1"), ("pooled", "the pooled group")])
 def test_grid_search_names_the_group_without_validation_rows(small_dataset, scope, group):
     # masking the second train week empties the tuning-validation range of every group
     split = SplitSpec(SMALL_SPLIT.train_range, SMALL_SPLIT.test_range, masked_dates=((date(2017, 11, 24), date(2017, 11, 30)),))

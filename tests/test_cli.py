@@ -280,6 +280,24 @@ def test_gboost_model_via_cli(tmp_path):
     assert doc["spec"]["family"] == "gboost"
 
 
+@pytest.mark.parametrize("node, message", [
+    ({"feature": 0, "left": {"value": 0.0}, "right": {"value": 0.0}}, "threshold: missing required field"),
+    ([0.5], "expected an object, got [0.5]"),
+])
+def test_predict_names_a_malformed_tree_node_and_exits_2(tmp_path, caplog, node, message):
+    model_doc = {"family": "gboost", "gboost": {"learning_rate": 0.3, "max_depth": 2, "n_trees": 3}}
+    out = make_workspace(tmp_path, locations=2, model=model_doc)
+    assert run("train", "--config", out / "config.json") == 0
+    model = out / "out" / "model.json"
+    doc = json.loads(model.read_text())
+    name = next(iter(doc["models"]))
+    doc["models"][name]["trees"]["0.05"][0] = node
+    model.write_text(json.dumps(doc))
+    caplog.clear()
+    assert run("predict", "--config", out / "config.json", "--model", model) == 2
+    assert f"model.models.{name}.trees.0.05[0]" in caplog.text and message in caplog.text
+
+
 def test_gboost_grid_via_cli(tmp_path):
     model_doc = {
         "family": "gboost",

@@ -12,7 +12,7 @@ from conftest import stacked
 from drtopt import forecasting, qr
 from drtopt.boosting import GBoostHyper, fit_gboost, gboost_raw_predict
 from drtopt.cli import main
-from drtopt.config import FAMILIES, SCOPES, parse_model
+from drtopt.config import FAMILIES, SCOPES, ConfigError, parse_model
 from drtopt.data import (
     HOUR, ODCountSeries, ODDataset, ODPair, SplitSpec, adf_test, build_features, counts_at, difference,
     load_od_counts, pair_name, parse_hour, save_od_counts,
@@ -80,7 +80,7 @@ def test_a_random_walk_pair_warns_once_naming_it(dataset):
         train_model(walk, SPLIT, spec(), (0.5,))
     result = adf_test(np.diff(counts.astype(float)))
     assert [str(w.message) for w in caught] == [
-        f"pair {pair.origin}->{pair.destination}: ADF statistic {result.statistic:.3f} does not reject a unit root "
+        f"pair g0>g2: ADF statistic {result.statistic:.3f} does not reject a unit root "
         f"at 1% (critical {result.crit_1pct:.3f}); proceeding anyway"
     ]
 
@@ -609,13 +609,14 @@ def test_model_schema_version_checked(dataset):
 
 @pytest.fixture(scope="module")
 def model_docs(dataset):
-    """JSON documents of a linear model with seasonal cells, a pooled linear model and a gboost model."""
+    """JSON documents of a linear model with seasonal cells, a pooled linear model, a gboost model and an hp model."""
     return {
         "linear": model_to_json_dict(train_model(dataset, SPLIT, spec(seasonal_normalize=True), (0.5,))),
         "pooled": model_to_json_dict(train_model(dataset, SPLIT, spec(scope="pooled"), (0.5,))),
         "gboost": model_to_json_dict(
             train_model(dataset, SPLIT, spec(family="gboost", gboost=GBoostHyper(0.3, 2, 3)), (0.5,))
         ),
+        "hp": model_to_json_dict(train_model(dataset, SPLIT, spec(family="hp"), (0.5,))),
     }
 
 
@@ -800,6 +801,103 @@ def test_model_json_names_a_malformed_level_label_or_pair(model_docs, key, value
         doc[key] = value
     with pytest.raises(ValueError, match=re.escape(message)):
         model_from_json_dict(doc)
+
+
+LEAF = {"value": 0.0}
+
+
+def _edit_inner(inner, edit):
+    """Apply one malformed `edit` to a model's inner document; return the document to put in its place."""
+    kind, *rest = edit
+    if kind == "replace":
+        return rest[0]
+    if kind == "drop":
+        del inner[rest[0]]
+    elif kind == "tree":  # tree 1 of level 0.5
+        inner["trees"]["0.5"][1] = rest[0]
+    elif kind == "level":
+        inner["trees"]["0.5"] = rest[0]
+    else:  # bucket 0's field
+        field, value = rest
+        bucket = inner["buckets"][0]
+        if value is None:
+            del bucket[field]
+        elif field in ("timestamps", "counts") and not isinstance(value, list):
+            bucket[field][0] = value
+        else:
+            bucket[field] = value
+    return inner
+
+
+@pytest.mark.parametrize("kind, edit, message", [
+    ("linear", ("replace", []), ": expected an object, got []"),
+    ("linear", ("replace", 7), ": expected an object, got 7"),
+    ("linear", ("drop", "coef"), ".coef: missing required field"),
+    ("pooled", ("drop", "converged"), ".converged: missing required field"),
+    ("gboost", ("replace", "trees"), ": expected an object, got 'trees'"),
+    ("gboost", ("drop", "init"), ".init: missing required field"),
+    ("gboost", ("drop", "trees"), ".trees: missing required field"),
+    ("gboost", ("level", {}), ".trees.0.5: expected a list, got {}"),
+    ("gboost", ("tree", 3), ".trees.0.5[1]: expected an object, got 3"),
+    ("gboost", ("tree", {"feature": 0, "left": LEAF, "right": LEAF}), ".trees.0.5[1].threshold: missing required field"),
+    ("gboost", ("tree", {"threshold": 0.5, "left": LEAF, "right": LEAF}), ".trees.0.5[1].feature: missing required field"),
+    ("gboost", ("tree", {"feature": 0, "threshold": 0.5, "left": LEAF}), ".trees.0.5[1].right: missing required field"),
+    ("gboost", ("tree", {"feature": 0, "threshold": 0.5, "left": [1], "right": LEAF}),
+     ".trees.0.5[1].left: expected an object, got [1]"),
+    ("gboost", ("tree", {"feature": 0, "threshold": 0.5, "left": LEAF, "right": {"value": "1"}}),
+     ".trees.0.5[1].right.value: not a number: '1'"),
+    ("gboost", ("tree", {"feature": "0", "threshold": 0.5, "left": LEAF, "right": LEAF}),
+     ".trees.0.5[1].feature: not a number: '0'"),
+    ("gboost", ("tree", {"feature": 0, "threshold": None, "left": LEAF, "right": LEAF}),
+     ".trees.0.5[1].threshold: not a number: None"),
+    ("hp", ("replace", None), ": expected an object, got None"),
+    ("hp", ("drop", "buckets"), ".buckets: missing required field"),
+    ("hp", ("replace", {"buckets": {}}), ".buckets: expected a list, got {}"),
+    ("hp", ("replace", {"buckets": [[]]}), ".buckets[0]: expected an object, got []"),
+    ("hp", ("bucket", "dow", None), ".buckets[0].dow: missing required field"),
+    ("hp", ("bucket", "tod", "8"), ".buckets[0].tod: not an integer: '8'"),
+    ("hp", ("bucket", "counts", None), ".buckets[0].counts: missing required field"),
+    ("hp", ("bucket", "timestamps", "2017-11-20"), ".buckets[0].timestamps[0]: not an ISO hour such as 2018-01-08T08"),
+    ("hp", ("bucket", "timestamps", 7), ".buckets[0].timestamps[0]: not an ISO hour such as 2018-01-08T08: 7"),
+    ("hp", ("bucket", "counts", "3"), ".buckets[0].counts[0]: not a number: '3'"),
+    ("hp", ("bucket", "counts", -1.0), ".buckets[0].counts[0]: not a count: -1.0"),
+    ("hp", ("bucket", "counts", 1.5), ".buckets[0].counts[0]: not a count: 1.5"),
+    ("hp", ("bucket", "counts", float("nan")), ".buckets[0].counts[0]: not a count: nan"),
+    ("hp", ("bucket", "counts", float("inf")), ".buckets[0].counts[0]: not a count: inf"),
+    ("hp", ("bucket", "counts", [1.0]), ".buckets[0].counts: 1 counts for"),
+])
+def test_model_json_names_a_malformed_inner_field(model_docs, kind, edit, message):
+    doc = json.loads(json.dumps(model_docs[kind]))
+    name = next(iter(doc["models"]))
+    doc["models"][name] = _edit_inner(doc["models"][name], edit)
+    with pytest.raises(ConfigError, match=re.escape(f"model.models.{name}{message}")):
+        model_from_json_dict(doc)
+
+
+def test_hp_model_json_names_a_bucket_off_its_hour_and_an_hour_twice(model_docs):
+    doc = json.loads(json.dumps(model_docs["hp"]))
+    name = next(iter(doc["models"]))
+    buckets = doc["models"][name]["buckets"]
+    first, second = buckets[0], buckets[1]
+    assert (first["dow"], first["tod"]) < (second["dow"], second["tod"])  # written in (weekday, hour) order
+    assert first["timestamps"] == sorted(first["timestamps"])  # each in time order
+    assert all(isinstance(v, float) for v in first["counts"])
+    off = json.loads(json.dumps(doc))
+    off["models"][name]["buckets"][0]["timestamps"][1] = second["timestamps"][0]
+    message = f"model.models.{name}.buckets[0].timestamps[1]: {second['timestamps'][0]} is not on weekday "
+    with pytest.raises(ConfigError, match=re.escape(message + f"{first['dow']} hour {first['tod']}")):
+        model_from_json_dict(off)
+    twice = json.loads(json.dumps(doc))
+    twice["models"][name]["buckets"].append(dict(first))
+    with pytest.raises(ConfigError, match=re.escape(f"model.models.{name}.buckets: hour {first['timestamps'][0]} appears twice")):
+        model_from_json_dict(twice)
+    # the buckets in any order, each in any order, read as the same train series
+    shuffled = json.loads(json.dumps(doc))
+    for bucket in shuffled["models"][name]["buckets"]:
+        bucket["timestamps"].reverse()
+        bucket["counts"].reverse()
+    shuffled["models"][name]["buckets"].reverse()
+    assert model_to_json_dict(model_from_json_dict(shuffled)) == doc
 
 
 def test_model_json_ignores_unknown_spec_keys(model_docs):

@@ -1,3 +1,4 @@
+import json
 import logging
 import math
 import re
@@ -5,14 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from drtopt import config, forecasting, qr
 from drtopt.data import ODPair, hour_of, parse_hour, weekday_of
 from drtopt.qr import (
     DEFAULT_QUANTILES,
-    fit_hp,
     fit_lqr,
     fit_seasonal_stats,
     grid_search,
@@ -29,9 +29,11 @@ from drtopt.synth import SyntheticSpec, generate_synthetic
 from reference_features import PairSeries, record_of
 from reference_qr import (
     reference_dual_lp,
+    reference_fit_hp,
     reference_lqr_raw_predict,
     reference_pinball_constant,
     reference_pinball_lp,
+    reference_predict_hp,
     reference_seasonal_cells,
 )
 
@@ -145,56 +147,116 @@ def test_constant_minimizer_rejects_empty_and_non_finite_samples(sample, match):
 # ---------------------------------------------------------------------------
 
 
-def bucket_model(values, start="2017-11-20T08", levels=DEFAULT_QUANTILES):
+def bucket_model(values, start="2017-11-20T08"):
     # weekly-spaced lags all share (weekday, hour)
     t0 = parse_hour(start)
     ts = t0 + (np.arange(len(values)) * 7 * 24).astype("timedelta64[h]")
-    series = ODCountSeries(PAIR, ts, np.array(values))
-    return fit_hp(series, levels)
+    return ODCountSeries(PAIR, ts, np.array(values))
+
+
+def hp_at(train, t, levels=DEFAULT_QUANTILES) -> dict[float, float]:
+    """The historical percentiles of `train` at one lag, by level."""
+    return dict(zip(levels, predict_hp(train, levels, [t])[0].tolist()))
 
 
 def test_hp_median_of_bucket():
-    model = bucket_model([1, 2, 3, 4, 5])
-    fc = predict_hp(model, parse_hour("2018-01-08T08"))
-    assert fc.values[0.5] == 3.0
+    values = hp_at(bucket_model([1, 2, 3, 4, 5]), parse_hour("2018-01-08T08"))
+    assert values[0.5] == 3.0
 
 
 def test_hp_singleton_bucket():
-    model = bucket_model([7], levels=(0.05, 0.5, 0.95))
-    fc = predict_hp(model, parse_hour("2018-01-08T08"))
-    assert all(v == 7.0 for v in fc.values.values())
+    values = hp_at(bucket_model([7]), parse_hour("2018-01-08T08"), levels=(0.05, 0.5, 0.95))
+    assert all(v == 7.0 for v in values.values())
 
 
 def test_hp_extreme_levels_are_min_max():
-    model = bucket_model([4, 9, 2, 11, 6], levels=(0.0, 1.0))
-    fc = predict_hp(model, parse_hour("2018-01-08T08"))
-    assert fc.values[0.0] == 2.0
-    assert fc.values[1.0] == 11.0
+    values = hp_at(bucket_model([4, 9, 2, 11, 6]), parse_hour("2018-01-08T08"), levels=(0.0, 1.0))
+    assert values[0.0] == 2.0
+    assert values[1.0] == 11.0
 
 
 def test_hp_only_uses_history_before_t():
     model = bucket_model([5, 5, 5, 100])
     # predicting at the last bucket lag must exclude its own value
     last = parse_hour("2017-11-20T08") + np.timedelta64(3 * 7 * 24, "h")
-    fc = predict_hp(model, last)
-    assert fc.values[0.95] == 5.0
+    assert hp_at(model, last)[0.95] == 5.0
 
 
 def test_hp_extreme_band_covers_training_bucket():
     # with levels {0, 1} the band is the bucket min/max, which covers every
     # value the bucket was built from
     values = [4, 9, 2, 11, 6, 3]
-    model = bucket_model(values, levels=(0.0, 1.0))
     after_train = parse_hour("2018-03-05T08")  # a Monday after all history
-    fc = predict_hp(model, after_train)
-    lo, hi = fc.values[0.0], fc.values[1.0]
+    band = hp_at(bucket_model(values), after_train, levels=(0.0, 1.0))
+    lo, hi = band[0.0], band[1.0]
     assert all(lo <= v <= hi for v in values)
 
 
 def test_hp_empty_bucket_names_cell():
     model = bucket_model([1, 2, 3])
     with pytest.raises(ValueError, match="weekday 1"):
-        predict_hp(model, parse_hour("2018-01-09T08"))  # a Tuesday; bucket never seen
+        hp_at(model, parse_hour("2018-01-09T08"))  # a Tuesday; bucket never seen
+
+
+HP_START = parse_hour("2017-11-20T07")  # a Monday
+HP_LEVELS = (0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0)
+HP_CELLS = [d * 24 + h for d in range(35) for h in (0, 1, 2)]  # five weeks of 07:00 to 09:00
+
+
+@st.composite
+def hp_series(draw, pair):
+    """A train series on the first four weeks' cells: cells of one row or several, with tied counts."""
+    offsets = draw(st.lists(st.sampled_from(HP_CELLS[: 28 * 3]), unique=True))
+    ts = HP_START + np.sort(np.array(offsets, dtype=np.int64)).astype("timedelta64[h]")
+    return ODCountSeries(pair, ts, draw(st.lists(st.integers(0, 4), min_size=len(ts), max_size=len(ts))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_hp_forecasts_equal_the_bucket_reference(data):
+    pairs = data.draw(st.sampled_from([(ODPair(0, 1),), (ODPair(1, 0), ODPair(0, 2)), (ODPair(2, 1), ODPair(0, 1), ODPair(1, 2))]))
+    trains = {pair: data.draw(hp_series(pair)) for pair in pairs}
+    levels = tuple(data.draw(st.lists(st.sampled_from(HP_LEVELS), min_size=1, unique=True)))
+    # lags inside the train range and after it, mostly on its cells, in any order
+    lag_offsets = st.sampled_from(HP_CELLS[21:]) | st.integers(0, 35 * 24)
+    lags = HP_START + np.array(data.draw(st.lists(lag_offsets, min_size=1, max_size=8, unique=True))).astype("timedelta64[h]")
+    labels = ["a", "b", "c"]
+    model = forecasting.TrainedDemandModel(forecasting.ModelSpec(family="hp"), levels, labels, pairs, trains)
+    want, failure = {}, None
+    for pair in pairs:  # each (pair, lag) alone: its levels' values, or the reference's error naming the pair
+        reference = reference_fit_hp(trains[pair], levels)
+        for t in lags:
+            try:
+                want[t, pair] = reference_predict_hp(reference, t)
+            except ValueError as exc:
+                message = f"{exc} for pair {labels[pair.origin]}>{labels[pair.destination]}"
+                with pytest.raises(ValueError) as caught:
+                    predict_hp(trains[pair], levels, [t], labels)
+                assert str(caught.value) == message
+                failure = failure or message
+            else:
+                assert predict_hp(trains[pair], levels, [t], labels)[0].tolist() == list(want[t, pair].values())
+    if failure is not None:  # the first pair in order with a failing lag is named, at its first failing lag
+        event("a lag without history")
+        with pytest.raises(ValueError) as caught:
+            forecasting.predict_forecasts(model, None, None, lags)
+        assert str(caught.value) == failure
+    else:
+        got = forecasting.predict_forecasts(model, None, None, lags)
+        assert list(got) == list(lags)
+        for t in lags:
+            assert list(got[t]) == list(pairs)
+            for pair, fc in got[t].items():
+                assert (fc.pair, fc.lag) == (pair, t)
+                assert list(fc.values) == list(levels) and fc.values == want[t, pair]
+    # the model.json document (its levels in (0, 1)) reads back to the same series and writes the same bytes
+    saved = forecasting.TrainedDemandModel(model.spec, DEFAULT_QUANTILES, labels, pairs, trains)
+    doc = json.dumps(forecasting.model_to_json_dict(saved), sort_keys=True)
+    back = forecasting.model_from_json_dict(json.loads(doc))
+    for pair in pairs:
+        assert np.array_equal(back.models[pair].timestamps, trains[pair].timestamps)
+        assert np.array_equal(back.models[pair].counts, trains[pair].counts)
+    assert json.dumps(forecasting.model_to_json_dict(back), sort_keys=True) == doc
 
 
 # ---------------------------------------------------------------------------
