@@ -129,6 +129,13 @@ def json_object(value, path: str) -> dict:
     return value
 
 
+def json_list(value, path: str) -> list:
+    """`value`, when it is a JSON list."""
+    if not isinstance(value, list):
+        raise ConfigError(path, f"expected a list, got {value!r}")
+    return value
+
+
 def parse_int(value, path: str, minimum: int) -> int:
     """A JSON integer, or an integral float, of at least `minimum`; true and false are not numbers."""
     if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):

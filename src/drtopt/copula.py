@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .data import ODPair, pair_name
 from .qr import QuantileForecast
@@ -87,10 +87,22 @@ class GaussianCopulaModel:
 
 
 def gaussian_scores(column: np.ndarray) -> np.ndarray:
-    """Rank-based normal scores, ranks mapped to (0,1) via (r - 0.5)/n."""
+    """Rank-based normal scores, ranks mapped to (0,1) via (r - 0.5)/n.
+
+    Tied values share the average of their ranks, and a NaN makes every
+    score NaN, as in `scipy.stats.rankdata`; each score is the standard
+    normal quantile in `scipy.stats.norm.ppf`'s arithmetic (scale 1, loc 0).
+    """
     n = len(column)
-    ranks = stats.rankdata(column, method="average")
-    return stats.norm.ppf((ranks - 0.5) / n)
+    order = np.argsort(column, kind="stable")
+    ordered = column[order]
+    firsts = np.flatnonzero(np.r_[n > 0, ordered[1:] != ordered[:-1]])  # each tie group's first position
+    sizes = np.diff(np.r_[firsts, n])
+    ranks = np.empty(n)
+    ranks[order] = np.repeat(firsts + 1 + (sizes - 1) / 2, sizes)
+    if np.isnan(column).any():
+        ranks[:] = np.nan
+    return special.ndtri((ranks - 0.5) / n) * 1.0 + 0.0
 
 
 def repair_correlation(corr: np.ndarray, min_eig: float = MIN_EIGENVALUE) -> np.ndarray:

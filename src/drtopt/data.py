@@ -10,6 +10,7 @@ plus autoregressive lags on the working scale.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import warnings
 from dataclasses import dataclass
@@ -191,8 +192,109 @@ def load_od_counts(path) -> ODDataset:
     malformed record is rejected with its line number (blank records count)
     by the first check of `_check_record` it fails; then a repeated (pair,
     hour) is rejected, the one whose second occurrence comes first.
+
+    A file in the form `save_od_counts` writes is parsed from its bytes
+    (`_canonical_columns`); any other is read by `csv.reader`, record by record.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    columns = _canonical_columns(raw)
+    labels, origin, destination, stamps, counts = _record_columns(path, raw) if columns is None else columns
+
+    order = np.lexsort((stamps.view(np.int64), destination, origin))  # stable: ties keep file order
+    origin, destination, stamps, counts = origin[order], destination[order], stamps[order], counts[order]
+    same_pair = (origin[1:] == origin[:-1]) & (destination[1:] == destination[:-1])
+    repeat = np.flatnonzero(same_pair & (stamps[1:] == stamps[:-1])) + 1
+    if len(repeat):
+        at = repeat[np.argmin(order[repeat])]
+        raise ValueError(
+            f"{path}: duplicate observation for pair {labels[origin[at]]}->{labels[destination[at]]}"
+            f" at {format_hour(stamps[at])}"
+        )
+
+    firsts = np.flatnonzero(np.r_[len(order) > 0, ~same_pair])  # each pair's first row; none in an empty file
+    pairs = map(ODPair, origin[firsts].tolist(), destination[firsts].tolist())
+    views = zip(pairs, np.split(stamps, firsts[1:]), np.split(counts, firsts[1:]))
+    return ODDataset([Location(i, lab) for i, lab in enumerate(labels)], {p: ODCountSeries(p, *v) for p, *v in views})
+
+
+_HOUR_DIGITS = np.frombuffer(b"2017-11-17T08", np.uint8) - ord("0") < 10  # where a written hour has digits
+
+
+def _canonical_columns(raw: bytes):
+    """The labels and file-order columns (origin, destination, stamps, counts) of the bytes of a counts file
+    in the form `save_od_counts` writes, or None for a file in any other form.
+
+    The form: the header exactly; every line ended by one terminator, all CRLF
+    or all LF, the last one too; every other byte printable ASCII but a quote;
+    each record `DDDD-DD-DDTDD,origin,destination,count` with a real calendar
+    hour, non-empty labels that differ, and a count of 1 to 18 digits.  Such a
+    file has nothing that `csv.reader` would unquote, strip or reject, so its
+    columns are those the record reader builds.  Labels are ranked as
+    NUL-padded bytes, whose order is `sorted`'s on ASCII text.
+    """
+    header = ",".join(CSV_HEADER).encode()
+    crlf = raw.startswith(header + b"\r\n")
+    terminator = b"\r\n" if crlf else b"\n"
+    if not (raw.startswith(header + terminator) and raw.endswith(terminator)):
+        return None
+    buf = np.frombuffer(raw, np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))  # the header's, then each record's
+    unprintable = np.count_nonzero(buf - 0x21 > 0x7E - 0x21)  # outside 0x21-0x7E, as uint8 wraps below 0x21
+    if unprintable != len(ends) * len(terminator) or ord('"') in buf or crlf and (buf[ends - 1] != ord("\r")).any():
+        return None
+    starts, stops = ends[:-1] + 1, ends[1:] - crlf  # each record's first byte and its terminator's
+    commas = np.flatnonzero(buf == ord(","))[3:]  # past the header's
+    if len(commas) != 3 * len(starts):
+        return None
+    c0, c1, c2 = commas.reshape(-1, 3).T  # each record's own three, when every one lies in its record
+    digits = stops - c2 - 1
+    if not ((c0 == starts + len(_HOUR_DIGITS)) & (c1 > c0 + 1) & (c2 > c1 + 1) & (digits >= 1) & (digits <= 18)).all():
+        return None
+
+    window = np.lib.stride_tricks.sliding_window_view
+    stamp = window(buf, len(_HOUR_DIGITS))[starts]
+    if not (stamp[:, _HOUR_DIGITS] - ord("0") < 10).all():  # not a signed or short year, which numpy reads too
+        return None
+    try:  # the parser that `parse_hour` calls: between these digits it takes only the form's "-", "-" and "T"
+        stamps = stamp.view(f"S{len(_HOUR_DIGITS)}").ravel().astype("datetime64[h]")
+    except ValueError:
+        return None
+
+    width = int(digits.max(initial=1))
+    count = window(buf, width)[stops - width] - ord("0")  # right-aligned: the bytes before a count are zeroed
+    count[np.arange(width) < (width - digits)[:, None]] = 0
+    if not (count < 10).all():
+        return None
+    counts = count.astype(np.int64) @ 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+
+    first = np.concatenate([c0, c1]) + 1  # every origin's first byte, then every destination's
+    lengths = np.concatenate([c1, c2]) - first
+    width = int(lengths.max(initial=1))
+    if width > csv.field_size_limit() or len(first) * width > 2 * len(raw):  # csv.reader's limit; a table past the file
+        return None
+    table = window(np.concatenate([buf, np.zeros(width, np.uint8)]), width)[first]
+    table[np.arange(width) >= lengths[:, None]] = 0
+    head = np.ones(len(table), dtype=bool)  # the first of each run of one label
+    head[1:] = (table[1:] != table[:-1]).any(axis=1)
+    names, ids = np.unique(table[head].view(f"S{width}").ravel(), return_inverse=True)
+    origin, destination = ids[np.cumsum(head) - 1].reshape(2, -1)
+    if (origin == destination).any():
+        return None
+    return [name.decode("ascii") for name in names.tolist()], origin, destination, stamps, counts
+
+
+def _record_columns(path, raw: bytes):
+    """The labels and file-order columns of a counts file, read by `csv.reader` from its decoded text.
+
+    Raises for a missing or malformed header, and for the first malformed
+    record by the first check of `_check_record` it fails.
+    """
+    try:
+        fh = io.StringIO(raw.decode("utf-8"), newline="")
+    except UnicodeDecodeError:  # read as text again, so that the error places the byte as the text reader does
+        fh = open(path, newline="", encoding="utf-8")
+    with fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != list(CSV_HEADER):
@@ -223,22 +325,7 @@ def load_od_counts(path) -> ODDataset:
     if bad.any():
         first = int(np.flatnonzero(bad)[0])
         _check_record(path, first + 2, records[first])  # raises: the masks are the checks
-
-    order = np.lexsort((stamps.view(np.int64), destination, origin))  # stable: ties keep file order
-    origin, destination, stamps, counts = origin[order], destination[order], stamps[order], counts[order]
-    same_pair = (origin[1:] == origin[:-1]) & (destination[1:] == destination[:-1])
-    repeat = np.flatnonzero(same_pair & (stamps[1:] == stamps[:-1])) + 1
-    if len(repeat):
-        at = repeat[np.argmin(order[repeat])]
-        raise ValueError(
-            f"{path}: duplicate observation for pair {labels[origin[at]]}->{labels[destination[at]]}"
-            f" at {format_hour(stamps[at])}"
-        )
-
-    firsts = np.flatnonzero(np.r_[len(order) > 0, ~same_pair])  # each pair's first row; none in an empty file
-    pairs = map(ODPair, origin[firsts].tolist(), destination[firsts].tolist())
-    views = zip(pairs, np.split(stamps, firsts[1:]), np.split(counts, firsts[1:]))
-    return ODDataset([Location(i, lab) for i, lab in enumerate(labels)], {p: ODCountSeries(p, *v) for p, *v in views})
+    return labels, origin, destination, stamps, counts
 
 
 def save_od_counts(path, dataset: ODDataset) -> None:

@@ -16,8 +16,8 @@ from datetime import date, timedelta
 import numpy as np
 
 from . import boosting, metrics, qr
-from .config import (ConfigError, ModelSpec, field as doc_field, json_object, parse_float, parse_int, parse_iso_hour,
-                     parse_levels, parse_model)
+from .config import (ConfigError, ModelSpec, field as doc_field, json_list, json_object, parse_float, parse_int,
+                     parse_iso_hour, parse_levels, parse_model)
 from .data import (
     HOUR,
     TOD_HOURS,
@@ -324,6 +324,17 @@ def _pair_from_doc(value, index: dict[str, int], path: str) -> ODPair:
     return ODPair(index[value[0]], index[value[1]])
 
 
+def _pairs_by_name(pairs, labels) -> dict[str, ODPair]:
+    """The pairs by their `pair_name` in `labels`; raises naming two pairs that share one."""
+    named = {}
+    for pair in pairs:
+        other = named.setdefault(pair_name(pair, labels), pair)
+        if other != pair:
+            ends = [[labels[p.origin], labels[p.destination]] for p in (other, pair)]
+            raise ConfigError("model.pairs", f"{ends[0]} and {ends[1]} are both named {pair_name(pair, labels)!r}")
+    return named
+
+
 def _spec_doc(spec: ModelSpec) -> dict:
     """Every field of the spec, its gboost hyperparameters nested, the exam period's dates in ISO form."""
     return {**asdict(spec), "exam_period": [d.isoformat() for d in spec.exam_period] if spec.exam_period else None}
@@ -394,21 +405,24 @@ def _inner_from_doc(family: str, doc, name: str, pair, levels, spec: ModelSpec, 
     if family == "hp":
         return _series_from_doc(doc, path, pair)
     if family == "linear":
-        coef = {float(q): _finite(np.array(v, dtype=np.float64), f"{name}, level {q}", "coef")
-                for q, v in doc_field(doc, f"{path}.coef", dict).items()}
-        for q, beta in coef.items():
-            if beta.shape != (n_features,):
-                raise ValueError(f"model {name}, level {q}: {beta.size} coefficients for {n_features} features")
-        converged = {float(q): bool(v) for q, v in doc_field(doc, f"{path}.converged", dict).items()}
+        coef, converged = {}, {}
+        for q, values in doc_field(doc, f"{path}.coef", dict).items():
+            at = f"{path}.coef.{q}"
+            beta = np.array([parse_float(v, f"{at}[{i}]") for i, v in enumerate(json_list(values, at))])
+            coef[float(q)] = _finite(beta, f"{name}, level {q}", "coef")
+            if len(beta) != n_features:
+                raise ValueError(f"model {name}, level {q}: {len(beta)} coefficients for {n_features} features")
+        for q, flag in doc_field(doc, f"{path}.converged", dict).items():
+            if not isinstance(flag, bool):
+                raise ConfigError(f"{path}.converged.{q}", f"expected true or false, got {flag!r}")
+            converged[float(q)] = flag
         return qr.LinearQRModel(levels, coef, converged)
     init = {float(q): _finite(parse_float(v, f"{path}.init.{q}"), f"{name}, level {q}", "init")
             for q, v in doc_field(doc, f"{path}.init", dict).items()}
     trees = {}
     for q, docs in doc_field(doc, f"{path}.trees", dict).items():
         owner, at = f"{name}, level {q}", f"{path}.trees.{q}"
-        if not isinstance(docs, list):
-            raise ConfigError(at, f"expected a list, got {docs!r}")
-        forest = trees[float(q)] = boosting.Forest.empty(len(docs), spec.gboost.max_depth)
+        forest = trees[float(q)] = boosting.Forest.empty(len(json_list(docs, at)), spec.gboost.max_depth)
         for t, tree in enumerate(docs):
             boosting.tree_from_doc(tree, forest, t, owner, n_features, f"{at}[{t}]")
         _finite(forest.threshold, owner, "tree threshold")
@@ -417,6 +431,7 @@ def _inner_from_doc(family: str, doc, name: str, pair, levels, spec: ModelSpec, 
 
 
 def model_to_json_dict(model: TrainedDemandModel) -> dict:
+    _pairs_by_name(model.pair_order, model.labels)  # each inner model and seasonal entry is keyed by its pair's name
     doc = {
         "schema_version": MODEL_SCHEMA_VERSION,
         "spec": _spec_doc(model.spec),
@@ -447,12 +462,15 @@ def model_from_json_dict(doc: dict) -> TrainedDemandModel:
     index = {lab: i for i, lab in enumerate(labels)}
     levels = parse_levels(doc_field(doc, "model.levels"), "model.levels")
     pairs = doc_field(doc, "model.pairs", list)
+    if not pairs:
+        raise ConfigError("model.pairs", "expected at least one pair, got []")
     pair_order = tuple(_pair_from_doc(p, index, f"model.pairs[{i}]") for i, p in enumerate(pairs))
     n_features = spec.feature_config().n_features(len(pair_order))
 
+    keys = {"pooled": None, **_pairs_by_name(pair_order, labels)}
     models: dict[ODPair | None, object] = {}
     for name, inner_doc in doc_field(doc, "model.models", dict).items():
-        key = None if name == "pooled" else _pair_from_doc(name.split(">"), index, f"model.models.{name}")
+        key = keys[name] if name in keys else _pair_from_doc(name.split(">"), index, f"model.models.{name}")
         models[key] = _inner_from_doc(spec.family, inner_doc, name, key, levels, spec, n_features)
     for key in [None] if spec.scope == "pooled" else pair_order:
         if key not in models:

@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import drtopt
 from drtopt.boosting import GBoostHyper
 from drtopt.cli import main
 from drtopt.config import ConfigError, load_config
@@ -358,3 +362,11 @@ def test_emitted_csvs_reload(tmp_path):
     corr = np.array(rows, dtype=np.float64)
     assert len(header) == 6 and corr.shape == (6, 6)
     assert np.allclose(np.diag(corr), 1.0)
+
+
+def test_the_cli_imports_without_scipy_stats():
+    src = str(Path(drtopt.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, drtopt.cli; print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
+    assert out.stdout == "[]\n"

@@ -295,6 +295,31 @@ def test_gaussian_scores_finite_and_symmetric():
     assert abs(z.mean()) < 1e-12
 
 
+def reference_scores(column):
+    return stats.norm.ppf((stats.rankdata(column, method="average") - 0.5) / len(column))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0, -3.5, np.inf, -np.inf]) | st.floats(allow_nan=False),
+                min_size=1, max_size=600))
+def test_gaussian_scores_are_the_scipy_rank_scores_to_the_byte(values):
+    column = np.array(values)
+    assert gaussian_scores(column).tobytes() == reference_scores(column).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 599, 600])
+def test_gaussian_scores_equal_scipy_on_ties_and_signed_zeros(n):
+    rng = np.random.default_rng(n)
+    for column in (rng.integers(-2, 3, n).astype(float), rng.choice([0.0, -0.0, 1.0], n), rng.normal(size=n)):
+        assert gaussian_scores(column).tobytes() == reference_scores(column).tobytes()
+    assert gaussian_scores(np.full(n, -0.0)).tobytes() == np.zeros(n).tobytes()  # one tie group scores +0.0
+
+
+def test_a_nan_makes_every_gaussian_score_nan():
+    column = np.array([1.0, np.nan, 2.0, 2.0])
+    assert np.isnan(gaussian_scores(column)).all() and np.isnan(reference_scores(column)).all()
+
+
 def test_repair_clips_negative_eigenvalues():
     bad = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
     fixed = repair_correlation(bad)

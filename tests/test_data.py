@@ -165,22 +165,44 @@ def test_load_names_the_duplicate_whose_second_occurrence_comes_first(tmp_path):
 # Values the loader accepts, and values that fail one check each; a few of
 # each side are whitespace-padded, signed, zero-padded or 13 characters long.
 GOOD_STAMPS = st.integers(0, 5).map(lambda h: format_hour(np.datetime64("2017-11-17T06") + h))
-GOOD_STAMPS |= st.sampled_from([" 2017-11-17T08 ", "2017-11-17 09"])
+GOOD_STAMPS |= st.sampled_from([" 2017-11-17T08 ", "2017-11-17 09", "2016-02-29T23", "0000-02-29T00"])
 BAD_STAMPS = st.sampled_from(
-    ["2017-11-17", "2017-11-17T08:30", "NaT", "", "2017-11-17T24", "2017-13-01T00", "abcdefghijklm", "17-11-17T08:3"]
+    ["2017-11-17", "2017-11-17T08:30", "NaT", "", "2017-11-17T24", "2017-13-01T00", "abcdefghijklm", "17-11-17T08:3",
+     "2017-02-30T09", "2017-02-29T00", "1900-02-29T00", "2017-00-01T00", "2017-01-00T00"]
 )
-LABELS = st.sampled_from(["a", "b", " c ", "A,x", 'q"t', "m\nn"])
-GOOD_COUNTS = st.integers(0, 30).map(str) | st.sampled_from(["+7", " 7 ", "007", "1_000", str(INT64_MAX)])
+LABELS = st.sampled_from(["a", "b", "aa", "B", " c ", "A,x", 'q"t', "m\nn", "é"])
+GOOD_COUNTS = st.integers(0, 30).map(str) | st.sampled_from(
+    ["+7", " 7 ", "007", "1_000", str(INT64_MAX), "9" * 18, "0" * 20 + "7"]
+)
 BAD_COUNTS = st.sampled_from(
     ["-3", "nan", "inf", "5.0", "1e3", "", "x", str(INT64_MAX + 1), "99999999999999999999", "-99999999999999999999"]
 )
 
 
+# Values of the form that `save_od_counts` writes, which the loader parses from the bytes.
+PLAIN_STAMPS = st.integers(0, 5).map(lambda h: format_hour(np.datetime64("2017-11-17T06") + h))
+PLAIN_STAMPS |= st.sampled_from(["2016-02-29T23", "0000-02-29T00"])
+PLAIN_LABELS = st.sampled_from(["a", "b", "aa", "B", "a>b"])
+PLAIN_COUNTS = st.integers(0, 10**18 - 1).map(str) | st.just("007")
+FLAWED_PLAIN = st.sampled_from(
+    [("2017-02-30T09", "a", "b", "1"), ("2017-11-17T08", "b", "b", "1"), ("2017-11-17T08", "a", "b", "9" * 19)]
+)
+
+
 @st.composite
 def csv_records(draw):
-    """Records of a counts CSV: rows, blank and whitespace-only lines, and, unless the file is to be
-    clean, rows with a malformed field or field count."""
-    corrupt = draw(st.booleans())
+    """Records of a counts CSV.  A third are plain: rows of the written form, one of which may be flawed.  The
+    rest have blank and whitespace-only lines, padded, quoted and non-ASCII fields, and, unless the file is
+    to be clean, rows with a malformed field or field count."""
+    kind = draw(st.sampled_from(["plain", "clean", "corrupt"]))
+    if kind == "plain":
+        rows = draw(st.lists(st.tuples(PLAIN_STAMPS, PLAIN_LABELS, PLAIN_LABELS, PLAIN_COUNTS).filter(
+            lambda r: r[1] != r[2]), max_size=12))
+        flaw = draw(st.none() | FLAWED_PLAIN)
+        if flaw is not None:
+            rows.insert(draw(st.integers(0, len(rows))), flaw)
+        return rows
+    corrupt = kind == "corrupt"
     stamps, counts = (GOOD_STAMPS | BAD_STAMPS, GOOD_COUNTS | BAD_COUNTS) if corrupt else (GOOD_STAMPS, GOOD_COUNTS)
     row = st.tuples(stamps, LABELS, LABELS, counts)
     if not corrupt:
@@ -191,13 +213,13 @@ def csv_records(draw):
     return draw(st.lists(record, max_size=12))
 
 
-def _csv_text(records) -> str:
+def _csv_text(records, terminator="\n") -> str:
     out = io.StringIO()
-    out.write("timestamp,origin,destination,count\n")
-    writer = csv.writer(out, lineterminator="\n")
+    out.write("timestamp,origin,destination,count" + terminator)
+    writer = csv.writer(out, lineterminator=terminator)
     for record in records:
         if isinstance(record, str):
-            out.write(record + "\n")
+            out.write(record + terminator)
         else:
             writer.writerow(record)
     return out.getvalue()
@@ -217,14 +239,127 @@ def _loaded(load, path):
 
 
 @settings(deadline=None, max_examples=300)
-@given(records=csv_records())
-@example(records=[("2017-11-17T08", "a", "b", "1"), ("NaT", "a", "a", "x"), ("2017-11-17", "b", "a", "-1")])
-@example(records=[("2017-11-17T08", "a", "b", "1"), ("2017-11-17T08", "a", "b", "2"), ("2017-11-17T09", "a", "a")])
-@example(records=[("2017-11-17T09", "b", "a", "1"), "", ("2017-11-17T08", "a", "b", "2"), ("2017-11-17T09", "b", "a", "3")])
-def test_load_equals_the_per_row_reference(tmp_path_factory, records):
+@given(records=csv_records(), terminator=st.sampled_from(["\n", "\r\n"]), unterminated=st.booleans())
+@example(records=[("2017-11-17T08", "a", "b", "1"), ("NaT", "a", "a", "x"), ("2017-11-17", "b", "a", "-1")],
+         terminator="\n", unterminated=False)
+@example(records=[("2017-11-17T08", "a", "b", "1"), ("2017-11-17T08", "a", "b", "2"), ("2017-11-17T09", "a", "a")],
+         terminator="\r\n", unterminated=False)
+@example(records=[("2017-11-17T09", "b", "a", "1"), "", ("2017-11-17T08", "a", "b", "2"),
+                  ("2017-11-17T09", "b", "a", "3")], terminator="\r\n", unterminated=False)
+@example(records=[("2017-11-17T09", "b", "aa", "1"), ("2017-11-17T08", "B", "a", "9" * 18),
+                  ("2017-11-17T08", "aa", "b", "0")], terminator="\r\n", unterminated=False)
+def test_load_equals_the_per_row_reference(tmp_path_factory, records, terminator, unterminated):
+    """LF and CRLF files, each with its last line terminated or not: the clean ones take the byte path."""
+    text = _csv_text(records, terminator)
     path = tmp_path_factory.mktemp("counts") / "counts.csv"
-    path.write_text(_csv_text(records), encoding="utf-8")
+    path.write_bytes((text[: -len(terminator)] if unterminated else text).encode("utf-8"))
     assert _loaded(load_od_counts, path) == _loaded(reference_load_od_counts, path)
+
+
+def _no_csv_reader(*args, **kwargs):
+    raise AssertionError("csv.reader called")
+
+
+@pytest.mark.parametrize("terminator", ["\r\n", "\n"], ids=["crlf", "lf"])
+def test_a_saved_counts_file_is_parsed_from_its_bytes(tmp_path, monkeypatch, terminator):
+    from drtopt.synth import SyntheticSpec, generate_synthetic
+
+    ds = generate_synthetic(SyntheticSpec(n_locations=3, end=date(2017, 11, 24), seed=9))
+    path = tmp_path / "counts.csv"
+    save_od_counts(path, ds)
+    path.write_bytes(path.read_bytes().replace(b"\r\n", terminator.encode()))
+    want = _loaded(reference_load_od_counts, path)
+    monkeypatch.setattr(csv, "reader", _no_csv_reader)
+    assert _loaded(load_od_counts, path) == want
+    path.write_text("timestamp,origin,destination,count\n")
+    assert _loaded(load_od_counts, path) == ([], [])  # a header without records
+
+
+def test_a_file_with_a_quoted_label_is_read_by_csv_reader(tmp_path, monkeypatch):
+    path = tmp_path / "counts.csv"
+    path.write_bytes(b'timestamp,origin,destination,count\r\n2017-11-17T08,"a b",c,5\r\n2017-11-17T09,"a b",c,7\r\n')
+    calls = []
+    reader = csv.reader
+    monkeypatch.setattr(csv, "reader", lambda *a, **kw: calls.append(a) or reader(*a, **kw))
+    ds = load_od_counts(path)
+    assert len(calls) == 1
+    assert ds.labels == ["a b", "c"] and ds.series[ODPair(0, 1)].counts.tolist() == [5, 7]
+
+
+CANONICAL = "timestamp,origin,destination,count\n2017-11-17T08,g0,g1,5\n2016-02-29T23,g1,g0,007\n"
+
+
+FORMS = {  # id: (file text, whether it is in the written form)
+    "lf": (CANONICAL, True),
+    "crlf": (CANONICAL.replace("\n", "\r\n"), True),
+    "header-only": ("timestamp,origin,destination,count\n", True),
+    "18-digits": (CANONICAL + "2017-11-17T09,a,b," + "9" * 18 + "\n", True),
+    "unterminated": (CANONICAL[:-1], False),
+    "crlf-then-lf": (CANONICAL.replace("\n", "\r\n", 1), False),
+    "lf-last": (CANONICAL.replace("\n", "\r\n")[:-2] + "\n", False),
+    "cr-in-record": (CANONICAL.replace("\n", "\r\n").replace("g0,g1", "g0\rg1,g1"), False),
+    "cr-moved": (CANONICAL.replace("\n", "\r\n").replace(",5\r\n", ",55\n").replace("g1,g0", "g1\rx,g0"), False),
+    "trailing-fragment": (CANONICAL + "x", False),
+    "blank-line": (CANONICAL + "\n", False),
+    "space": (CANONICAL.replace("g0,g1", "g0 ,g1"), False),
+    "tab": (CANONICAL.replace("g0,g1", "g0,\tg1"), False),
+    "quoted": (CANONICAL.replace("g0,g1", '"g0",g1'), False),
+    "non-ascii": (CANONICAL.replace("g0,g1", "\u00e9,g1"), False),
+    "nul": (CANONICAL.replace("g0,g1", "g0,g1\x00"), False),
+    "long-label": (CANONICAL + "2017-11-17T09,g0,g1,1\n" * 40 + "2017-11-17T09," + "x" * 5000 + ",g1,1\n", False),
+    "bom": ("\ufeff" + CANONICAL, False),
+    "header-comma": (CANONICAL.replace("count\n", "count,\n"), False),
+    "five-fields": (CANONICAL.replace("g0,g1,5", "g0,g1,5,"), False),
+    "three-fields": (CANONICAL.replace("g0,g1,5", "g0,g1"), False),
+    "empty-origin": (CANONICAL.replace("g0,g1,5", ",g1,5"), False),
+    "empty-destination": (CANONICAL.replace("g0,g1,5", "g0,,5"), False),
+    "self-loop": (CANONICAL.replace("g0,g1,5", "g0,g0,5"), False),
+    "signed": (CANONICAL.replace("g0,g1,5", "g0,g1,+5"), False),
+    "no-count": (CANONICAL.replace("g0,g1,5", "g0,g1,"), False),
+    "19-digits": (CANONICAL.replace("g0,g1,5", "g0,g1," + "1" * 19), False),
+    "spaced-hour": (CANONICAL.replace("2017-11-17T08", "2017-11-17 08"), False),
+    "lower-t": (CANONICAL.replace("2017-11-17T08", "2017-11-17t08"), False),
+    "no-t": (CANONICAL.replace("2017-11-17T08", "2017-11-1708"), False),
+    "long-hour": (CANONICAL.replace("2017-11-17T08", "2017-11-17T008"), False),
+    "feb-29": (CANONICAL.replace("2017-11-17T08", "2017-02-29T08"), False),
+    "hour-24": (CANONICAL.replace("2017-11-17T08", "2017-11-17T24"), False),
+    "month-13": (CANONICAL.replace("2017-11-17T08", "2017-13-17T08"), False),
+    "letter": (CANONICAL.replace("2017-11-17T08", "2017-11-1xT08"), False),
+    "signed-year": (CANONICAL.replace("2017-11-17T08", "-017-11-17T08"), False),  # an hour that numpy reads
+}
+
+
+@pytest.mark.parametrize("text, canonical", FORMS.values(), ids=FORMS.keys())
+def test_only_the_written_form_is_parsed_from_bytes(tmp_path, text, canonical):
+    from drtopt.data import _canonical_columns
+
+    path = tmp_path / "counts.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert (_canonical_columns(path.read_bytes()) is not None) == canonical
+    assert _loaded(load_od_counts, path) == _loaded(reference_load_od_counts, path)
+
+
+def test_a_label_past_the_csv_field_limit_fails_as_csv_reader_does(tmp_path):
+    path = tmp_path / "counts.csv"
+    path.write_text(CANONICAL.replace("g0,g1", "g0,abcdefghijk"))
+    limit = csv.field_size_limit(10)
+    try:
+        with pytest.raises(csv.Error, match=re.escape("field larger than field limit (10)")):
+            reference_load_od_counts(path)
+        with pytest.raises(csv.Error, match=re.escape("field larger than field limit (10)")):
+            load_od_counts(path)
+    finally:
+        csv.field_size_limit(limit)
+
+
+def test_a_file_that_is_not_utf8_fails_as_the_text_reader_does(tmp_path):
+    path = tmp_path / "counts.csv"
+    path.write_bytes(CANONICAL.encode() + b"2017-11-17T09,g0,g1,1\n" * 1000 + b"2017-11-17T10,\xff,g1,1\n")
+    with open(path, newline="", encoding="utf-8") as fh, pytest.raises(UnicodeDecodeError) as want:
+        list(csv.reader(fh))
+    with pytest.raises(UnicodeDecodeError) as got:
+        load_od_counts(path)
+    assert str(got.value) == str(want.value)
 
 
 def test_save_load_round_trip(tmp_path):

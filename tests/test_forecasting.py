@@ -14,7 +14,7 @@ from drtopt.boosting import GBoostHyper, fit_gboost, gboost_raw_predict
 from drtopt.cli import main
 from drtopt.config import FAMILIES, SCOPES, ConfigError, parse_model
 from drtopt.data import (
-    HOUR, ODCountSeries, ODDataset, ODPair, SplitSpec, adf_test, build_features, counts_at, difference,
+    HOUR, Location, ODCountSeries, ODDataset, ODPair, SplitSpec, adf_test, build_features, counts_at, difference,
     load_od_counts, pair_name, parse_hour, save_od_counts,
 )
 from drtopt.forecasting import (
@@ -791,6 +791,7 @@ def test_model_json_names_a_malformed_spec_field(model_docs, key, value, field):
     ("spec", [], "model.spec: expected an object, got []"),
     ("models", None, "model.models: missing required field"),
     ("models", ["g0>g1"], "model.models: expected an object, got ['g0>g1']"),
+    ("pairs", [], "model.pairs: expected at least one pair, got []"),
 ])
 def test_model_json_names_a_malformed_level_label_or_pair(model_docs, key, value, message):
     doc = json.loads(json.dumps(model_docs["linear"]))
@@ -817,6 +818,9 @@ def _edit_inner(inner, edit):
         inner["trees"]["0.5"][1] = rest[0]
     elif kind == "level":
         inner["trees"]["0.5"] = rest[0]
+    elif kind == "at-level":  # level 0.5 of a field
+        field, value = rest
+        inner[field]["0.5"] = value
     else:  # bucket 0's field
         field, value = rest
         bucket = inner["buckets"][0]
@@ -865,12 +869,65 @@ def _edit_inner(inner, edit):
     ("hp", ("bucket", "counts", float("nan")), ".buckets[0].counts[0]: not a count: nan"),
     ("hp", ("bucket", "counts", float("inf")), ".buckets[0].counts[0]: not a count: inf"),
     ("hp", ("bucket", "counts", [1.0]), ".buckets[0].counts: 1 counts for"),
+    ("linear", ("at-level", "coef", {"x": 1}), ".coef.0.5: expected a list, got {'x': 1}"),
+    ("pooled", ("at-level", "coef", 1.5), ".coef.0.5: expected a list, got 1.5"),
+    ("linear", ("at-level", "coef", ["1"]), ".coef.0.5[0]: not a number: '1'"),
+    ("linear", ("at-level", "coef", [None]), ".coef.0.5[0]: not a number: None"),
+    ("pooled", ("at-level", "coef", [True]), ".coef.0.5[0]: not a number: True"),
+    ("linear", ("at-level", "converged", "false"), ".converged.0.5: expected true or false, got 'false'"),
+    ("pooled", ("at-level", "converged", 0), ".converged.0.5: expected true or false, got 0"),
+    ("linear", ("at-level", "converged", None), ".converged.0.5: expected true or false, got None"),
 ])
 def test_model_json_names_a_malformed_inner_field(model_docs, kind, edit, message):
     doc = json.loads(json.dumps(model_docs[kind]))
     name = next(iter(doc["models"]))
     doc["models"][name] = _edit_inner(doc["models"][name], edit)
     with pytest.raises(ConfigError, match=re.escape(f"model.models.{name}{message}")):
+        model_from_json_dict(doc)
+
+
+@pytest.mark.parametrize("kind", ["hp", "linear", "gboost"])
+def test_model_json_without_pairs_is_rejected(model_docs, kind):
+    doc = json.loads(json.dumps(model_docs[kind]))
+    doc["pairs"], doc["models"], doc["seasonal"] = [], {}, {}
+    with pytest.raises(ConfigError, match=re.escape("model.pairs: expected at least one pair, got []")):
+        model_from_json_dict(doc)
+
+
+def forecast_values(forecasts):
+    return {t: {pair: fc.values for pair, fc in by_pair.items()} for t, by_pair in forecasts.items()}
+
+
+@pytest.mark.parametrize("family", ["hp", "linear"])
+def test_a_label_holding_the_name_separator_round_trips(dataset, tmp_path, family):
+    path = tmp_path / "counts.csv"
+    save_od_counts(path, dataset)
+    path.write_bytes(path.read_bytes().replace(b",g1,", b",a>b,"))
+    relabelled = load_od_counts(path)
+    assert relabelled.labels == ["a>b", "g0", "g2"]
+    model = train_model(relabelled, SPLIT, spec(family=family), (0.25, 0.75))
+    save_model(model, tmp_path / "model.json")
+    assert "g0>a>b" in json.loads((tmp_path / "model.json").read_text())["models"]
+    back = load_model(tmp_path / "model.json")
+    lags = evaluation_lags(relabelled, SPLIT)[:3]
+    assert forecast_values(predict_forecasts(back, relabelled, SPLIT, lags)) == forecast_values(
+        predict_forecasts(model, relabelled, SPLIT, lags))
+    save_model(back, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "model.json").read_bytes()
+
+
+def test_two_pairs_of_one_name_are_refused_naming_both(dataset):
+    s = dataset.series[dataset.pairs[0]]
+    series = {pair: ODCountSeries(pair, s.timestamps, s.counts) for pair in (ODPair(1, 3), ODPair(0, 2))}
+    twins = ODDataset([Location(i, label) for i, label in enumerate(["a", "a>b", "b>c", "c"])], series)
+    model = train_model(twins, SPLIT, spec(family="hp"), (0.5,))
+    message = "model.pairs: ['a', 'b>c'] and ['a>b', 'c'] are both named 'a>b>c'"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        model_to_json_dict(model)
+    doc = model_to_json_dict(train_model(ODDataset(twins.locations, {ODPair(0, 2): series[ODPair(0, 2)]}), SPLIT,
+                                         spec(family="hp"), (0.5,)))
+    doc["pairs"].append(["a>b", "c"])  # a hand-written document with both
+    with pytest.raises(ConfigError, match=re.escape(message)):
         model_from_json_dict(doc)
 
 
