@@ -83,7 +83,7 @@ def main(argv=None) -> int:
             np.datetime64(t, "h"): forecasts[np.datetime64(t, "h")] for t in lags
         }
 
-    copula_model = fit_correlation({p: train_series(dataset.series[p], split).values for p in dataset.pairs})
+    copula_model = fit_correlation({s.pair: s.values for s in train_series(dataset, split, range(len(dataset.pairs)))})
     export_correlation(copula_model, out / "correlation.csv", dataset.labels)
 
     observed = dict(zip(dataset.pairs, counts_at(dataset, dataset.pairs, lags)))

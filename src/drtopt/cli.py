@@ -81,7 +81,7 @@ def _optimization_lags(cfg: PipelineConfig, dataset) -> np.ndarray:
 
 
 def _fit_copula_mapped(cfg: PipelineConfig, dataset, pairs, rows):
-    series = (train_series(dataset.series[dataset.pairs[r]], cfg.split) for r in rows.tolist())
+    series = train_series(dataset, cfg.split, rows)
     return fit_correlation({p: s.values for p, s in zip(pairs, series)}, cfg.copula_min_lags)
 
 

@@ -15,6 +15,7 @@ import logging
 import warnings
 from dataclasses import dataclass
 from datetime import date
+from functools import cached_property
 
 import numpy as np
 
@@ -88,21 +89,11 @@ def pair_name(pair: ODPair, labels=None) -> str:
 
 @dataclass
 class ODCountSeries:
-    """Observed hourly movement counts for one OD pair."""
+    """Hourly movement counts of one OD pair, a plain record: a dataset's counts are checked where it is built."""
 
     pair: ODPair
-    timestamps: np.ndarray  # datetime64[h], strictly increasing
-    counts: np.ndarray  # int64, >= 0
-
-    def __post_init__(self):
-        self.timestamps = np.asarray(self.timestamps, dtype="datetime64[h]")
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.timestamps.shape != self.counts.shape:
-            raise ValueError("timestamps and counts must align")
-        if len(self.timestamps) > 1 and not np.all(np.diff(self.timestamps) > np.timedelta64(0, "h")):
-            raise ValueError("timestamps must be strictly increasing")
-        if np.any(self.counts < 0):
-            raise ValueError("counts must be non-negative")
+    timestamps: np.ndarray  # datetime64[h]
+    counts: np.ndarray  # int64
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -119,29 +110,45 @@ class ODCountSeries:
 CSV_HEADER = ("timestamp", "origin", "destination", "count")
 
 
-@dataclass
 class ODDataset:
-    """Locations plus the hourly counts of every OD pair appearing in a file.
+    """Locations plus the hourly counts of every OD pair with at least one row.
 
-    The counts are held once, as flat columns sorted by (pair, hour) like a
-    `WorkingRecord`'s: row r holds `counts[r]` (int64) of `pairs[pair_index[r]]`
-    at `timestamps[r]` (datetime64[h]).  `series[pair]` is a view of its rows.
+    Built from rows in any order, row r the count of pair (origin[r], destination[r]) at timestamps[r], and checked
+    once: a repeated (pair, hour) is rejected, the one whose second occurrence comes first, then a negative count,
+    the first given.  The counts are held once, as flat columns sorted by (pair, hour) like a `WorkingRecord`'s:
+    row r holds `counts[r]` (int64) of `pairs[pair_index[r]]` at `timestamps[r]` (datetime64[h]); pair i's rows
+    are `edges[i]:edges[i + 1]`, and `keys` are the rows' `pair_hour_keys`.
     """
 
-    locations: list[Location]
-    series: dict[ODPair, ODCountSeries]
+    def __init__(self, locations: list[Location], origin, destination, timestamps, counts):
+        self.locations = locations
+        self.labels = [loc.label for loc in locations]  # by location id
+        origin, destination, counts = (np.asarray(column, dtype=np.int64) for column in (origin, destination, counts))
+        stamps = np.asarray(timestamps, dtype="datetime64[h]")
+        order = np.lexsort((stamps.view(np.int64), destination, origin))  # stable: ties keep the given order
+        origin, destination, stamps, counts = origin[order], destination[order], stamps[order], counts[order]
+        same_pair = (origin[1:] == origin[:-1]) & (destination[1:] == destination[:-1])
+        repeats = np.flatnonzero(same_pair & (stamps[1:] == stamps[:-1])) + 1
+        for rows, problem in ((repeats, "duplicate observation"), (np.flatnonzero(counts < 0), "negative count")):
+            if len(rows):
+                at = rows[np.argmin(order[rows])]  # the one given first
+                ends = f"{self.labels[origin[at]]}->{self.labels[destination[at]]}"
+                raise ValueError(f"{problem} for pair {ends} at {format_hour(stamps[at])}")
 
-    def __post_init__(self):
-        self.pairs = tuple(sorted(self.series))
-        parts = [self.series[pair] for pair in self.pairs]
-        self.timestamps = np.concatenate([np.empty(0, "datetime64[h]"), *(s.timestamps for s in parts)])
-        self.counts = np.concatenate([np.empty(0, np.int64), *(s.counts for s in parts)])
-        self.pair_index = np.repeat(np.arange(len(parts)), np.fromiter(map(len, parts), np.int64, len(parts)))
-        cuts = np.searchsorted(self.pair_index, np.arange(1, len(parts)))
-        views = zip(self.pairs, np.split(self.timestamps, cuts), np.split(self.counts, cuts))
-        self.series = {pair: ODCountSeries(pair, *view) for pair, *view in views}
-        self.labels = [loc.label for loc in self.locations]  # by location id
+        firsts = np.flatnonzero(np.r_[len(order) > 0, ~same_pair])  # each pair's first row; none without rows
+        self.pairs = tuple(map(ODPair, origin[firsts].tolist(), destination[firsts].tolist()))
+        self.edges = np.r_[firsts, len(order)]
+        self.pair_index = np.repeat(np.arange(len(firsts)), np.diff(self.edges))
+        self.timestamps, self.counts = stamps, counts
+        self.keys = pair_hour_keys(self.pair_index, stamps)
         self._row_of_ends = {(self.labels[p.origin], self.labels[p.destination]): i for i, p in enumerate(self.pairs)}
+
+    @cached_property
+    def series(self) -> dict[ODPair, ODCountSeries]:
+        """Each pair's rows, in `pairs` order, as an `ODCountSeries` of views of the columns."""
+        cuts = self.edges[1:-1]
+        views = zip(self.pairs, np.split(self.timestamps, cuts), np.split(self.counts, cuts))
+        return {pair: ODCountSeries(pair, *view) for pair, *view in views}
 
     def rows_of(self, pairs, labels=None) -> np.ndarray:
         """The index into `self.pairs` of each of `pairs`, whose ids index `labels` (a list, or a dict by id).
@@ -201,21 +208,10 @@ def load_od_counts(path) -> ODDataset:
     columns = _canonical_columns(raw)
     labels, origin, destination, stamps, counts = _record_columns(path, raw) if columns is None else columns
 
-    order = np.lexsort((stamps.view(np.int64), destination, origin))  # stable: ties keep file order
-    origin, destination, stamps, counts = origin[order], destination[order], stamps[order], counts[order]
-    same_pair = (origin[1:] == origin[:-1]) & (destination[1:] == destination[:-1])
-    repeat = np.flatnonzero(same_pair & (stamps[1:] == stamps[:-1])) + 1
-    if len(repeat):
-        at = repeat[np.argmin(order[repeat])]
-        raise ValueError(
-            f"{path}: duplicate observation for pair {labels[origin[at]]}->{labels[destination[at]]}"
-            f" at {format_hour(stamps[at])}"
-        )
-
-    firsts = np.flatnonzero(np.r_[len(order) > 0, ~same_pair])  # each pair's first row; none in an empty file
-    pairs = map(ODPair, origin[firsts].tolist(), destination[firsts].tolist())
-    views = zip(pairs, np.split(stamps, firsts[1:]), np.split(counts, firsts[1:]))
-    return ODDataset([Location(i, lab) for i, lab in enumerate(labels)], {p: ODCountSeries(p, *v) for p, *v in views})
+    try:
+        return ODDataset([Location(i, lab) for i, lab in enumerate(labels)], origin, destination, stamps, counts)
+    except ValueError as exc:  # a repeated (pair, hour): the readers reject every other flaw by its line
+        raise ValueError(f"{path}: {exc}") from None
 
 
 _HOUR_DIGITS = np.frombuffer(b"2017-11-17T08", np.uint8) - ord("0") < 10  # where a written hour has digits
@@ -379,13 +375,12 @@ def difference(dataset: ODDataset, bounds=None, pairs=None, labels=None) -> Work
     if not pairs:
         raise ValueError("the counts hold no OD pair")
     labels = dataset.labels if labels is None else labels
-    edges = np.searchsorted(dataset.pair_index, np.arange(len(dataset.pairs) + 1))
     rows = dataset.rows_of(pairs, labels)
-    lengths = edges[rows + 1] - edges[rows]
+    lengths = dataset.edges[rows + 1] - dataset.edges[rows]
     if lengths.min() < 2:
         name = pair_name(pairs[np.argmin(lengths)], labels)
         raise ValueError(f"series of pair {name} too short to difference (need >= 2 lags)")
-    starts, stops = (edges[rows], edges[rows + 1]) if bounds is None else bounds
+    starts, stops = (dataset.edges[rows], dataset.edges[rows + 1]) if bounds is None else bounds
     sizes = stops - starts
     # the dataset rows of every window, window after window
     read = np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
@@ -451,10 +446,13 @@ def campus_2017_split() -> SplitSpec:
     )
 
 
-def train_series(series: ODCountSeries, spec: SplitSpec) -> ODCountSeries:
-    """The unmasked train-range lags of a count series; ordering preserved."""
-    keep = spec.in_train(series.timestamps) & ~spec.mask_array(series.timestamps)
-    return ODCountSeries(series.pair, series.timestamps[keep], series.counts[keep])
+def train_series(dataset: ODDataset, spec: SplitSpec, rows) -> list[ODCountSeries]:
+    """The unmasked train-range lags of each pair `dataset.pairs[r]` of `rows`, one series each; ordering preserved."""
+    ts = dataset.timestamps
+    kept = np.flatnonzero(spec.in_train(ts) & ~spec.mask_array(ts))
+    cut = np.searchsorted(kept, dataset.edges)  # pair i's kept rows are kept[cut[i]:cut[i + 1]]
+    stamps, counts = ts[kept], dataset.counts[kept]
+    return [ODCountSeries(dataset.pairs[r], stamps[cut[r] : cut[r + 1]], counts[cut[r] : cut[r + 1]]) for r in rows]
 
 
 def counts_at(dataset: ODDataset, pairs, lags, labels=None) -> np.ndarray:
@@ -465,10 +463,9 @@ def counts_at(dataset: ODDataset, pairs, lags, labels=None) -> np.ndarray:
     and its first such hour, so a gap is never read as the next hour's count.
     """
     lags = np.asarray(lags, dtype="datetime64[h]")
-    keys = pair_hour_keys(dataset.pair_index, dataset.timestamps)
     wanted = pair_hour_keys(dataset.rows_of(pairs, labels)[:, None], lags)
-    rows = np.searchsorted(keys, wanted)
-    missing = np.searchsorted(keys, wanted, side="right") == rows
+    rows = np.searchsorted(dataset.keys, wanted)
+    missing = np.searchsorted(dataset.keys, wanted, side="right") == rows
     if missing.any():
         i = int(np.argmax(missing.any(axis=1)))
         name = pair_name(pairs[i], dataset.labels if labels is None else labels)

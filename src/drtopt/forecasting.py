@@ -87,11 +87,10 @@ def recent_record(dataset: ODDataset, split: SplitSpec, lags: np.ndarray, depth:
     Differencing and masking are local, so every row is the whole record's.
     """
     rows = dataset.rows_of(pairs, labels)
-    first = np.searchsorted(dataset.pair_index, rows)
+    first = dataset.edges[rows]
     if not len(lags):
         return difference(dataset, (first, first), pairs, labels)
-    keys = pair_hour_keys(dataset.pair_index, dataset.timestamps)
-    ahead, stop = np.searchsorted(keys, pair_hour_keys(rows[:, None], [lags.min(), lags.max()])).T
+    ahead, stop = np.searchsorted(dataset.keys, pair_hour_keys(rows[:, None], [lags.min(), lags.max()])).T
     # twice the lags and a day: room for a night's masked hours and the dropped first row
     span = np.full(len(rows), 2 * depth + 24)
     while True:
@@ -172,7 +171,7 @@ def train_model(
     if not pair_order:
         raise ValueError("the counts hold no OD pair")
     if spec.family == "hp":
-        models = {pair: train_series(dataset.series[pair], split) for pair in pair_order}
+        models = dict(zip(pair_order, train_series(dataset, split, range(len(pair_order)))))
         return TrainedDemandModel(spec, tuple(levels), dataset.labels, pair_order, models)
     rows, seasonal = _group_rows(dataset, split, spec, check_unit_root=True)
     models = _fit_groups(spec, dataset, rows, levels, spec.gboost)
@@ -396,7 +395,32 @@ def _series_from_doc(doc: dict, path: str, pair: ODPair) -> ODCountSeries:
     twice = np.flatnonzero(np.diff(ts[order]) == np.timedelta64(0, "h"))
     if len(twice):
         raise ConfigError(f"{path}.buckets", f"hour {format_hour(ts[order][twice[0]])} appears twice")
-    return ODCountSeries(pair, ts[order], values[order])
+    return ODCountSeries(pair, ts[order], values[order].astype(np.int64))
+
+
+def _by_level(doc: dict, path: str, levels) -> list[tuple[float, str, object]]:
+    """The object at field `path` as (level, path, value) of each of its entries, in the order of `levels`.
+
+    Each key is read as a number on its path; the keys must be `levels`
+    exactly, once each: the first extra key, then the first missing level,
+    is named.
+    """
+    entries = {}
+    for key, value in doc_field(doc, path, dict).items():
+        at = f"{path}.{key}"
+        try:
+            q = float(key)
+        except ValueError:
+            raise ConfigError(at, f"not a number: {key!r}") from None
+        if q in entries:
+            raise ConfigError(at, f"a second entry of level {q}")
+        if q not in levels:
+            raise ConfigError(at, f"not one of model.levels {list(levels)}")
+        entries[q] = (at, value)
+    for q in levels:
+        if q not in entries:
+            raise ConfigError(f"{path}.{q}", "missing required field")
+    return [(q, *entries[q]) for q in levels]
 
 
 def _inner_from_doc(family: str, doc, name: str, pair, levels, spec: ModelSpec, n_features: int):
@@ -406,23 +430,22 @@ def _inner_from_doc(family: str, doc, name: str, pair, levels, spec: ModelSpec, 
         return _series_from_doc(doc, path, pair)
     if family == "linear":
         coef, converged = {}, {}
-        for q, values in doc_field(doc, f"{path}.coef", dict).items():
-            at = f"{path}.coef.{q}"
+        for q, at, values in _by_level(doc, f"{path}.coef", levels):
             beta = np.array([parse_float(v, f"{at}[{i}]") for i, v in enumerate(json_list(values, at))])
-            coef[float(q)] = _finite(beta, f"{name}, level {q}", "coef")
+            coef[q] = _finite(beta, f"{name}, level {q}", "coef")
             if len(beta) != n_features:
                 raise ValueError(f"model {name}, level {q}: {len(beta)} coefficients for {n_features} features")
-        for q, flag in doc_field(doc, f"{path}.converged", dict).items():
+        for q, at, flag in _by_level(doc, f"{path}.converged", levels):
             if not isinstance(flag, bool):
-                raise ConfigError(f"{path}.converged.{q}", f"expected true or false, got {flag!r}")
-            converged[float(q)] = flag
+                raise ConfigError(at, f"expected true or false, got {flag!r}")
+            converged[q] = flag
         return qr.LinearQRModel(levels, coef, converged)
-    init = {float(q): _finite(parse_float(v, f"{path}.init.{q}"), f"{name}, level {q}", "init")
-            for q, v in doc_field(doc, f"{path}.init", dict).items()}
+    init = {q: _finite(parse_float(v, at), f"{name}, level {q}", "init")
+            for q, at, v in _by_level(doc, f"{path}.init", levels)}
     trees = {}
-    for q, docs in doc_field(doc, f"{path}.trees", dict).items():
-        owner, at = f"{name}, level {q}", f"{path}.trees.{q}"
-        forest = trees[float(q)] = boosting.Forest.empty(len(json_list(docs, at)), spec.gboost.max_depth)
+    for q, at, docs in _by_level(doc, f"{path}.trees", levels):
+        owner = f"{name}, level {q}"
+        forest = trees[q] = boosting.Forest.empty(len(json_list(docs, at)), spec.gboost.max_depth)
         for t, tree in enumerate(docs):
             boosting.tree_from_doc(tree, forest, t, owner, n_features, f"{at}[{t}]")
         _finite(forest.threshold, owner, "tree threshold")

@@ -14,7 +14,7 @@ from datetime import date
 
 import numpy as np
 
-from .data import HOUR, Location, ODCountSeries, ODDataset, ODPair
+from .data import HOUR, Location, ODDataset, ODPair
 from .tndfs import NetworkInstance
 
 log = logging.getLogger(__name__)
@@ -94,7 +94,8 @@ def generate_synthetic(spec: SyntheticSpec) -> ODDataset:
     means = spec.base_scale * seasonal[:, None] * weights[None, :]
     counts = np.rint(np.maximum(means + spec.dispersion * noise, 0.0)).astype(np.int64)
 
-    return ODDataset(locations, {pair: ODCountSeries(pair, timestamps, counts[:, j]) for j, pair in enumerate(pairs)})
+    origin, destination = np.tile(np.array([(pair.origin, pair.destination) for pair in pairs]).T, n)
+    return ODDataset(locations, origin, destination, np.repeat(timestamps, len(pairs)), counts.ravel())  # hour-major
 
 
 def network_for(spec: SyntheticSpec, dataset: ODDataset, fleet_size: int = 2,

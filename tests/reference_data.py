@@ -12,6 +12,11 @@ OverflowError.
 `counts_at` as they were before a dataset held its counts as flat columns:
 they take a list of series, glue the series' slices together, and look up
 each series on its own.
+
+`dataset_from_series` builds a dataset from per-pair series through the
+one `ODDataset` constructor, and `reference_columns` gives the columns that
+a dataset built from such series had before that constructor: the pairs
+sorted and their series concatenated.
 """
 
 from __future__ import annotations
@@ -73,13 +78,32 @@ def reference_load_od_counts(path) -> ODDataset:
         ts_sorted = np.array(sorted(bucket), dtype="datetime64[h]")
         counts = np.array([bucket[t] for t in ts_sorted], dtype=np.int64)
         series[pair] = ODCountSeries(pair, ts_sorted, counts)
-    return ODDataset(locations, series)
+    return dataset_from_series(locations, series)
+
+
+def dataset_from_series(locations, series: dict[ODPair, ODCountSeries]) -> ODDataset:
+    """The dataset of per-pair series keyed by pair, built by `ODDataset` from their rows, series after series."""
+    ends = np.array([(pair.origin, pair.destination) for pair in series], dtype=np.int64).reshape(-1, 2)
+    origin, destination = np.repeat(ends, [len(s) for s in series.values()], axis=0).T
+    timestamps = np.concatenate([np.empty(0, "datetime64[h]"), *(s.timestamps for s in series.values())])
+    counts = np.concatenate([np.empty(0, np.int64), *(s.counts for s in series.values())])
+    return ODDataset(locations, origin, destination, timestamps, counts)
+
+
+def reference_columns(series: dict[ODPair, ODCountSeries]):
+    """(pairs, timestamps, counts, pair_index) of per-pair series keyed by pair, as a dataset once built them
+    from such a dict: the pairs sorted, and their series concatenated in that order."""
+    pairs = tuple(sorted(series))
+    parts = [series[pair] for pair in pairs]
+    timestamps = np.concatenate([np.empty(0, "datetime64[h]"), *(s.timestamps for s in parts)])
+    counts = np.concatenate([np.empty(0, np.int64), *(s.counts for s in parts)])
+    return pairs, timestamps, counts, np.repeat(np.arange(len(parts)), [len(s) for s in parts])
 
 
 def dataset_of(*series: ODCountSeries) -> ODDataset:
     """A dataset of the given series, its locations labelled g0, g1, ... up to the largest id."""
     n = 1 + max((max(s.pair.origin, s.pair.destination) for s in series), default=-1)
-    return ODDataset([Location(i, f"g{i}") for i in range(n)], {s.pair: s for s in series})
+    return dataset_from_series([Location(i, f"g{i}") for i in range(n)], {s.pair: s for s in series})
 
 
 def _name(pair: ODPair) -> str:
@@ -88,7 +112,14 @@ def _name(pair: ODPair) -> str:
 
 
 def reference_difference(series: list[ODCountSeries], bounds=None) -> WorkingRecord:
-    """First differences of every series in one record; `bounds` holds each series' own (start, stop) rows."""
+    """First differences of every series in one record; `bounds` holds each series' own (start, stop) rows.
+
+    A series without rows is a pair that the dataset of the series lacks: it is left out.
+    """
+    present = [i for i, s in enumerate(series) if len(s)]
+    series, bounds = [series[i] for i in present], None if bounds is None else [bounds[i] for i in present]
+    if not series:
+        raise ValueError("the counts hold no OD pair")
     lengths = [len(s) for s in series]
     if min(lengths) < 2:
         pair = series[lengths.index(min(lengths))].pair
@@ -109,13 +140,19 @@ def reference_difference(series: list[ODCountSeries], bounds=None) -> WorkingRec
 
 
 def reference_counts_at(series: list[ODCountSeries], lags) -> np.ndarray:
-    """Observed counts of each series at the given hours (series x lags, float64), one series at a time."""
+    """Observed counts of each series at the given hours (series x lags, float64), one series at a time.
+
+    A series without rows is a pair that the dataset of the series lacks: the first is named before any hour is read.
+    """
+    empty = [s for s in series if not len(s)]
+    if empty:
+        raise ValueError(f"pair {_name(empty[0].pair)} has no observations in the counts")
     lags = np.asarray(lags, dtype="datetime64[h]")
     out = np.empty((len(series), len(lags)))
     for i, s in enumerate(series):
         idx = s.timestamps.searchsorted(lags)
         # an hour past the last observation is compared with the last, earlier one
-        found = s.timestamps.take(idx, mode="clip") == lags if len(s) else np.zeros(len(lags), dtype=bool)
+        found = s.timestamps.take(idx, mode="clip") == lags
         if not found.all():
             raise ValueError(f"no observation for pair {_name(s.pair)} at {format_hour(lags[~found][0])}")
         out[i] = s.counts[idx]

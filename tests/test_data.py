@@ -10,7 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 from drtopt.data import (
     INT64_MAX,
     FeatureConfig,
+    Location,
     ODCountSeries,
+    ODDataset,
     ODPair,
     SplitSpec,
     adf_test,
@@ -36,7 +38,7 @@ def hourly(start: str, values):
 
 
 def series(start: str, counts, pair=ODPair(0, 1)):
-    return ODCountSeries(pair, hourly(start, counts), counts)
+    return ODCountSeries(pair, hourly(start, counts), np.asarray(counts))
 
 
 # ---------------------------------------------------------------------------
@@ -451,20 +453,23 @@ def test_difference_of_many_series_is_each_series_alone(records):
 
 
 def windows(dataset, bounds):
-    """Each pair's (start, stop) rows of its own series, as (starts, stops) rows of the dataset's columns."""
+    """The (start, stop) rows of each pair's own series, by pair, as (starts, stops) rows of the dataset's columns.
+
+    Only the dataset's pairs are read: a series without rows is a pair it lacks.
+    """
     first = np.searchsorted(dataset.pair_index, np.arange(len(dataset.pairs)))
-    start, stop = np.array(bounds, dtype=np.int64).reshape(-1, 2).T
+    start, stop = np.array([bounds[pair] for pair in dataset.pairs], dtype=np.int64).reshape(-1, 2).T
     return first + start, first + stop
 
 
 @given(st.lists(st.tuples(st.lists(st.tuples(st.integers(1, 3), st.integers(0, 500)), min_size=2, max_size=20),
                          st.integers(0, 20), st.integers(0, 20)), min_size=1, max_size=4))
 def test_difference_of_windows_is_the_whole_difference_after_each_first_row(records):
-    series_list, bounds = [], []
+    series_list, bounds = [], {}
     for i, (steps, a, b) in enumerate(records):
         ts = parse_hour("2017-11-17T08") + np.cumsum([s for s, _ in steps]).astype("timedelta64[h]")
         series_list.append(ODCountSeries(ODPair(0, i + 1), ts, np.array([c for _, c in steps])))
-        bounds.append((min(a, b, len(ts)), min(max(a, b), len(ts))))
+        bounds[ODPair(0, i + 1)] = (min(a, b, len(ts)), min(max(a, b), len(ts)))
     dataset = dataset_of(*series_list)
     rows = windows(dataset, bounds)
     try:
@@ -475,7 +480,8 @@ def test_difference_of_windows_is_the_whole_difference_after_each_first_row(reco
             difference(dataset, rows)
         return
     windowed = difference(dataset, rows)
-    for s, (a, b) in zip(series_list, bounds):
+    for s in series_list:
+        a, b = bounds[s.pair]
         d = pair_series(whole, s.pair)
         # the window's rows after its first: counts[a + 1:b]
         inside = np.zeros(len(d), dtype=bool)
@@ -495,12 +501,14 @@ def test_difference_cumsum_inverse(counts):
 
 @st.composite
 def count_records(draw):
-    """(dataset, windows): up to four pairs of up to twelve counts each, and each pair's (start, stop) rows or None.
+    """(dataset, series, windows): up to four series of up to twelve counts each, in pair order, the dataset
+    of them, and each pair's (start, stop) rows by pair, or None.
 
     Hour steps of 2 or 3 put gaps in a series; the pairs are laid out in
     time in sorted order, each one starting one to three hours after the
     one before it ends, so that a step of one hour abuts two pairs; and the
-    series are given to the dataset in a shuffled order.
+    series are given to the dataset in a shuffled order.  A series may have
+    no count: the dataset lacks its pair.
     """
     pairs = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda p: p[0] != p[1]),
                           min_size=1, max_size=4, unique=True))
@@ -512,12 +520,12 @@ def count_records(draw):
         start = ts[-1] if len(ts) else start
     dataset = dataset_of(*draw(st.permutations(series_list)))
     if not draw(st.booleans()):
-        return dataset, None
-    bounds = []
+        return dataset, series_list, None
+    bounds = {}
     for s in series_list:
         a, b = draw(st.integers(0, len(s))), draw(st.integers(0, len(s)))
-        bounds.append((min(a, b), max(a, b)))
-    return dataset, bounds
+        bounds[s.pair] = (min(a, b), max(a, b))
+    return dataset, series_list, bounds
 
 
 def _record_or_error(difference, *args):
@@ -529,23 +537,27 @@ def _record_or_error(difference, *args):
                              (record.timestamps, record.values, record.pair_index)]
 
 
+# the pairs abut: 10:00 follows 09:00
+ABUTTING = [series("2017-11-17T08", np.array([1, 2])), series("2017-11-17T10", np.array([5, 9]), ODPair(1, 0))]
+
+
 @settings(max_examples=300, deadline=None)
 @given(count_records())
-@example((dataset_of(series("2017-11-17T08", np.array([1, 2])), series("2017-11-17T10", np.array([5, 9]), ODPair(1, 0))),
-          [(0, 2), (0, 2)]))  # the pairs abut: 10:00 follows 09:00
+@example((dataset_of(*ABUTTING), ABUTTING, {s.pair: (0, 2) for s in ABUTTING}))
 def test_difference_equals_the_per_series_reference(record):
-    dataset, bounds = record
-    assert list(dataset.series) == list(dataset.pairs)
+    dataset, series_list, bounds = record
+    assert list(dataset.series) == list(dataset.pairs) == [s.pair for s in series_list if len(s)]
     rows = None if bounds is None else windows(dataset, bounds)
-    series_list = [dataset.series[pair] for pair in dataset.pairs]
-    assert _record_or_error(difference, dataset, rows) == _record_or_error(reference_difference, series_list, bounds)
+    spans = None if bounds is None else [bounds[s.pair] for s in series_list]
+    assert _record_or_error(difference, dataset, rows) == _record_or_error(reference_difference, series_list, spans)
 
 
 @settings(max_examples=300, deadline=None)
 @given(count_records(), st.data())
 def test_counts_at_equals_the_per_series_reference(record, data):
-    dataset, _ = record
-    pairs = data.draw(st.lists(st.sampled_from(dataset.pairs), max_size=5))  # any order, repeats allowed
+    dataset, drawn, _ = record
+    by_pair = {s.pair: s for s in drawn}
+    pairs = data.draw(st.lists(st.sampled_from(list(by_pair)), max_size=5))  # any order, repeats allowed
     # hours from the first series' start: in gaps, between two pairs and past the last observation
     hours = data.draw(st.lists(st.integers(-2, 160), max_size=6))
     lags = parse_hour("2017-11-17T08") + np.array(hours, dtype=np.int64).astype("timedelta64[h]")
@@ -557,7 +569,7 @@ def test_counts_at_equals_the_per_series_reference(record, data):
             return str(exc)
         return got.dtype, got.shape, got.tolist()
 
-    series_list = [dataset.series[pair] for pair in pairs]
+    series_list = [by_pair[pair] for pair in pairs]
     assert outcome(counts_at, dataset, pairs, lags) == outcome(reference_counts_at, series_list, lags)
 
 
@@ -576,11 +588,55 @@ def test_a_dataset_holds_its_counts_once_in_sorted_columns():
     dataset = dataset_of(b, a)
     assert dataset.pairs == (a.pair, b.pair)
     assert dataset.pair_index.tolist() == [0, 0, 1, 1, 1]
+    assert dataset.edges.tolist() == [0, 2, 5]
     assert dataset.counts.tolist() == [1, 2, 3, 4, 5]
     assert dataset.timestamps.tolist() == a.timestamps.tolist() + b.timestamps.tolist()
     for pair in dataset.pairs:
         assert np.shares_memory(dataset.series[pair].counts, dataset.counts)
         assert np.shares_memory(dataset.series[pair].timestamps, dataset.timestamps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(count_records(), st.data())
+def test_a_dataset_from_its_rows_in_any_order_is_the_same(record, data):
+    dataset = record[0]
+    order = np.array(data.draw(st.permutations(range(len(dataset.counts)))), dtype=np.int64)
+    ends = np.array([(p.origin, p.destination) for p in dataset.pairs], dtype=np.int64).reshape(-1, 2)
+    origin, destination = ends[dataset.pair_index][order].T
+    again = ODDataset(dataset.locations, origin, destination, dataset.timestamps[order], dataset.counts[order])
+    assert again.pairs == dataset.pairs
+    for column in ("timestamps", "counts", "pair_index", "edges", "keys"):
+        got, want = getattr(again, column), getattr(dataset, column)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def rows_dataset(rows, labels="abc"):
+    """The dataset of (hour, origin label, destination label, count) rows, its locations `labels` by id."""
+    ids = {label: i for i, label in enumerate(labels)}
+    stamps, origins, destinations, counts = zip(*rows)
+    return ODDataset([Location(i, label) for i, label in enumerate(labels)], [ids[o] for o in origins],
+                     [ids[d] for d in destinations], [parse_hour(t) for t in stamps], counts)
+
+
+def test_a_dataset_names_a_repeated_pair_hour_as_the_loader_does(tmp_path):
+    rows = [("2017-11-17T08", "a", "b", 5), ("2017-11-17T09", "a", "c", 1), ("2017-11-17T09", "a", "c", -2),
+            ("2017-11-17T08", "a", "b", 6)]
+    p = tmp_path / "c.csv"
+    p.write_text(_csv_text([(t, o, d, str(abs(c))) for t, o, d, c in rows]))
+    with pytest.raises(ValueError) as built:
+        rows_dataset(rows)  # the repeat is named before the negative count
+    with pytest.raises(ValueError) as loaded:
+        load_od_counts(p)
+    assert str(built.value) == "duplicate observation for pair a->c at 2017-11-17T09"
+    assert str(loaded.value) == f"{p}: {built.value}"
+
+
+def test_a_dataset_rejects_a_negative_count_naming_the_first_given():
+    rows = [("2017-11-17T09", "b", "c", 1), ("2017-11-17T09", "a", "c", 2), ("2017-11-17T08", "b", "a", 0)]
+    assert rows_dataset(rows).counts.tolist() == [2, 0, 1]
+    rows += [("2017-11-17T10", "b", "c", -1), ("2017-11-17T08", "a", "c", -3)]
+    with pytest.raises(ValueError, match=re.escape("negative count for pair b->c at 2017-11-17T10")):
+        rows_dataset(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -643,13 +699,18 @@ def test_train_series_is_masking_then_train_range():
     spec = campus_2017_split()
     ts = parse_hour("2018-01-06T00") + np.arange(4 * 24).astype("timedelta64[h]")
     s = ODCountSeries(ODPair(2, 1), ts, np.arange(len(ts)))
+    other = ODCountSeries(ODPair(0, 1), ts[9:], 2 * np.arange(len(ts) - 9))  # the dataset's first pair
     masked = unmasked_lags(s, spec)
     keep = spec.in_train(masked.timestamps)
-    train = train_series(s, spec)
-    assert train.pair == ODPair(2, 1)
+    train, other_train, again = train_series(dataset_of(s, other), spec, [1, 0, 1])  # by row, in the order given
+    assert train.pair == again.pair == ODPair(2, 1)
     assert np.array_equal(train.timestamps, masked.timestamps[keep])
     assert np.array_equal(train.counts, masked.counts[keep])
     assert len(train) == 2 * 16  # Jan 6 and 7 by day; Jan 8 on is test range
+    assert np.array_equal(again.counts, train.counts)
+    assert other_train.pair == other.pair
+    assert np.array_equal(other_train.timestamps, train.timestamps[2:])  # from 09:00 on Jan 6
+    assert np.array_equal(other_train.counts, 2 * (train.counts[2:] - 9))
 
 
 def test_counts_at_returns_exact_counts():
@@ -662,7 +723,7 @@ def test_counts_at_returns_exact_counts():
 
 def test_counts_at_raises_on_a_gap_naming_pair_and_hour():
     ts = hourly("2018-01-08T07", range(6))
-    s = ODCountSeries(ODPair(3, 1), np.delete(ts, 2), [5, 0, 3, 9, 4])  # no 09:00
+    s = ODCountSeries(ODPair(3, 1), np.delete(ts, 2), np.array([5, 0, 3, 9, 4]))  # no 09:00
     dataset = dataset_of(s)
     assert counts_at(dataset, [s.pair], ts[[0, 1, 3]]).tolist() == [[5.0, 0.0, 3.0]]
     with pytest.raises(ValueError, match="pair g3>g1 at 2018-01-08T09"):
@@ -673,9 +734,9 @@ def test_counts_at_raises_on_a_gap_naming_pair_and_hour():
 
 def test_counts_at_reads_each_series_and_names_the_first_with_a_gap():
     ts = hourly("2018-01-08T07", range(6))
-    a = ODCountSeries(ODPair(0, 1), ts, [1, 2, 3, 4, 5, 6])
-    b = ODCountSeries(ODPair(1, 0), ts[2:], [30, 40, 50, 60])  # starts at 09:00
-    c = ODCountSeries(ODPair(2, 0), np.delete(ts, 4), [7, 8, 9, 10, 12])  # no 11:00
+    a = ODCountSeries(ODPair(0, 1), ts, np.array([1, 2, 3, 4, 5, 6]))
+    b = ODCountSeries(ODPair(1, 0), ts[2:], np.array([30, 40, 50, 60]))  # starts at 09:00
+    c = ODCountSeries(ODPair(2, 0), np.delete(ts, 4), np.array([7, 8, 9, 10, 12]))  # no 11:00
     dataset = dataset_of(a, b, c)
     assert counts_at(dataset, [b.pair, a.pair], ts[[5, 2]]).tolist() == [[60.0, 30.0], [6.0, 3.0]]
     # a missing hour at the start of a series is never read from the series before it

@@ -14,7 +14,7 @@ from drtopt.boosting import GBoostHyper, fit_gboost, gboost_raw_predict
 from drtopt.cli import main
 from drtopt.config import FAMILIES, SCOPES, ConfigError, parse_model
 from drtopt.data import (
-    HOUR, Location, ODCountSeries, ODDataset, ODPair, SplitSpec, adf_test, build_features, counts_at, difference,
+    HOUR, Location, ODCountSeries, ODPair, SplitSpec, adf_test, build_features, counts_at, difference,
     load_od_counts, pair_name, parse_hour, save_od_counts,
 )
 from drtopt.forecasting import (
@@ -35,6 +35,7 @@ from drtopt.forecasting import (
 from drtopt.metrics import crossings, evaluate_at
 from drtopt.qr import DEFAULT_QUANTILES, fit_seasonal_stats, seasonal_normalize, tilted_loss
 from drtopt.synth import SyntheticSpec, generate_synthetic
+from reference_data import dataset_from_series
 from reference_features import pair_series, reference_features
 from reference_qr import reference_lqr_raw_predict
 from reference_trees import reference_gboost_raw_predict, reference_raw_predict
@@ -74,7 +75,7 @@ def test_a_random_walk_pair_warns_once_naming_it(dataset):
     s = dataset.series[pair]
     counts = np.cumsum(np.cumsum(np.random.default_rng(2).choice([-1, 1], size=len(s))))
     counts -= counts.min()
-    walk = ODDataset(dataset.locations, {**dataset.series, pair: ODCountSeries(pair, s.timestamps, counts)})
+    walk = dataset_from_series(dataset.locations, {**dataset.series, pair: ODCountSeries(pair, s.timestamps, counts)})
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         train_model(walk, SPLIT, spec(), (0.5,))
@@ -111,7 +112,7 @@ def test_no_test_hour_fails_by_name_and_no_lag_predicts_nothing(dataset, family)
     for pair, s in dataset.series.items():
         keep = ~SPLIT.in_test(s.timestamps)
         series[pair] = ODCountSeries(pair, s.timestamps[keep], s.counts[keep])
-    before = ODDataset(dataset.locations, series)
+    before = dataset_from_series(dataset.locations, series)
     with pytest.raises(ValueError, match=r"no unmasked hour of the test range 2017-12-13\.\.2017-12-20"):
         evaluation_lags(before, SPLIT)
     model = train_model(before, SPLIT, spec(family=family, gboost=GBoostHyper(0.3, 2, 3)), (0.5,))
@@ -262,11 +263,11 @@ def gappy(dataset, t, gap=None, late=None):
             s = series[pair]
             keep = ~drop(s.timestamps)
             series[pair] = ODCountSeries(pair, s.timestamps[keep], s.counts[keep])
-    return ODDataset(dataset.locations, series)
+    return dataset_from_series(dataset.locations, series)
 
 
 def test_predict_on_a_gappy_record_names_the_first_failing_pair(dataset):
-    three = ODDataset(dataset.locations, {p: dataset.series[p] for p in dataset.pairs[:3]})
+    three = dataset_from_series(dataset.locations, {p: dataset.series[p] for p in dataset.pairs[:3]})
     model = train_model(three, SPLIT, spec(), (0.5,))
     a, b, c = model.pair_order
     t = np.datetime64("2017-12-14T12", "h")
@@ -292,7 +293,7 @@ def test_a_pair_missing_from_the_counts_is_named_by_its_labels(dataset, tmp_path
     message = "pair g0>g2 has no observations in the counts"
     lags = evaluation_lags(dataset, SPLIT)[:2]
     model = train_model(dataset, SPLIT, spec(), (0.5,))
-    lacking = ODDataset(dataset.locations, {p: s for p, s in dataset.series.items() if p != gone})
+    lacking = dataset_from_series(dataset.locations, {p: s for p, s in dataset.series.items() if p != gone})
     with pytest.raises(ValueError, match=re.escape(message)):
         predict_forecasts(model, lacking, SPLIT, lags)
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -376,7 +377,7 @@ def test_counts_without_a_location_name_the_models_pair_by_its_labels(dataset, l
 @pytest.mark.parametrize("mspec", [spec(), spec(seasonal_normalize=True)], ids=["linear", "seasonal"])
 def test_a_model_predicts_on_counts_with_an_extra_pair(dataset, tmp_path, mspec):
     extra = dataset.pairs[-1]
-    fewer = ODDataset(dataset.locations, {p: s for p, s in dataset.series.items() if p != extra})
+    fewer = dataset_from_series(dataset.locations, {p: s for p, s in dataset.series.items() if p != extra})
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # zero-variance seasonal cells
         model = train_model(fewer, SPLIT, mspec, (0.25, 0.75))
@@ -507,7 +508,7 @@ def test_windowed_predict_equals_the_whole_record_predict(dataset, window_models
     first = date(2017, 12, days_hours[0][0])
     days = tuple((first - timedelta(days=back), first - timedelta(days=back - length)) for back, length in masked)
     split = SplitSpec(SPLIT.train_range, SPLIT.test_range, masked_dates=days)
-    gappy = ODDataset(dataset.locations, series)
+    gappy = dataset_from_series(dataset.locations, series)
     assert outcome(predict_forecasts, model, gappy, split, lags) == outcome(whole_record_predict, model, gappy, split, lags)
 
 
@@ -533,7 +534,7 @@ def test_a_window_one_lag_short_grows(dataset, window_models, monkeypatch, hours
     s = dataset.series[pair]
     back = (lag - s.timestamps).astype(int)
     drop = (back == depth + 1) | ((back > depth + 1) & (back < depth + 100) & (back % 2 == 0))
-    gappy = ODDataset(dataset.locations, {**dataset.series, pair: ODCountSeries(pair, s.timestamps[~drop], s.counts[~drop])})
+    gappy = dataset_from_series(dataset.locations, {**dataset.series, pair: ODCountSeries(pair, s.timestamps[~drop], s.counts[~drop])})
     split = SplitSpec(SPLIT.train_range, SPLIT.test_range, masked_hours=frozenset())  # every hour a lag
     windows = []
     monkeypatch.setattr(forecasting, "difference", lambda *args: windows.append(difference(*args)) or windows[-1])
@@ -821,6 +822,9 @@ def _edit_inner(inner, edit):
     elif kind == "at-level":  # level 0.5 of a field
         field, value = rest
         inner[field]["0.5"] = value
+    elif kind == "keys":  # a field's entries under new keys: each the entry of the key it maps to
+        field, keys = rest
+        inner[field] = {key: inner[field][source] for key, source in keys.items()}
     else:  # bucket 0's field
         field, value = rest
         bucket = inner["buckets"][0]
@@ -877,6 +881,16 @@ def _edit_inner(inner, edit):
     ("linear", ("at-level", "converged", "false"), ".converged.0.5: expected true or false, got 'false'"),
     ("pooled", ("at-level", "converged", 0), ".converged.0.5: expected true or false, got 0"),
     ("linear", ("at-level", "converged", None), ".converged.0.5: expected true or false, got None"),
+    ("linear", ("keys", "coef", {"x": "0.5"}), ".coef.x: not a number: 'x'"),
+    ("linear", ("keys", "coef", {"0.25": "0.5"}), ".coef.0.25: not one of model.levels [0.5]"),
+    ("pooled", ("keys", "coef", {}), ".coef.0.5: missing required field"),
+    ("linear", ("keys", "coef", {"0.5": "0.5", "0.50": "0.5"}), ".coef.0.50: a second entry of level 0.5"),
+    ("linear", ("keys", "converged", {"0.5": "0.5", "0.9": "0.5"}), ".converged.0.9: not one of model.levels [0.5]"),
+    ("pooled", ("keys", "converged", {}), ".converged.0.5: missing required field"),
+    ("gboost", ("keys", "init", {"nan": "0.5"}), ".init.nan: not one of model.levels [0.5]"),
+    ("gboost", ("keys", "init", {"0.5": "0.5", "0.9": "0.5"}), ".init.0.9: not one of model.levels [0.5]"),
+    ("gboost", ("keys", "trees", {"0.25": "0.5"}), ".trees.0.25: not one of model.levels [0.5]"),
+    ("gboost", ("keys", "trees", {}), ".trees.0.5: missing required field"),
 ])
 def test_model_json_names_a_malformed_inner_field(model_docs, kind, edit, message):
     doc = json.loads(json.dumps(model_docs[kind]))
@@ -919,12 +933,12 @@ def test_a_label_holding_the_name_separator_round_trips(dataset, tmp_path, famil
 def test_two_pairs_of_one_name_are_refused_naming_both(dataset):
     s = dataset.series[dataset.pairs[0]]
     series = {pair: ODCountSeries(pair, s.timestamps, s.counts) for pair in (ODPair(1, 3), ODPair(0, 2))}
-    twins = ODDataset([Location(i, label) for i, label in enumerate(["a", "a>b", "b>c", "c"])], series)
+    twins = dataset_from_series([Location(i, label) for i, label in enumerate(["a", "a>b", "b>c", "c"])], series)
     model = train_model(twins, SPLIT, spec(family="hp"), (0.5,))
     message = "model.pairs: ['a', 'b>c'] and ['a>b', 'c'] are both named 'a>b>c'"
     with pytest.raises(ConfigError, match=re.escape(message)):
         model_to_json_dict(model)
-    doc = model_to_json_dict(train_model(ODDataset(twins.locations, {ODPair(0, 2): series[ODPair(0, 2)]}), SPLIT,
+    doc = model_to_json_dict(train_model(dataset_from_series(twins.locations, {ODPair(0, 2): series[ODPair(0, 2)]}), SPLIT,
                                          spec(family="hp"), (0.5,)))
     doc["pairs"].append(["a>b", "c"])  # a hand-written document with both
     with pytest.raises(ConfigError, match=re.escape(message)):
@@ -984,7 +998,7 @@ def test_seasonal_model_names_a_pair_without_cells(dataset, model_docs):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the short series' unit-root test
         with pytest.raises(ValueError, match=re.escape(f"no seasonal cells for pair {last}")):
-            train_model(ODDataset(dataset.locations, series), SPLIT, spec(seasonal_normalize=True), (0.5,))
+            train_model(dataset_from_series(dataset.locations, series), SPLIT, spec(seasonal_normalize=True), (0.5,))
 
 
 @pytest.mark.parametrize(

@@ -208,7 +208,8 @@ def hp_series(draw, pair):
     """A train series on the first four weeks' cells: cells of one row or several, with tied counts."""
     offsets = draw(st.lists(st.sampled_from(HP_CELLS[: 28 * 3]), unique=True))
     ts = HP_START + np.sort(np.array(offsets, dtype=np.int64)).astype("timedelta64[h]")
-    return ODCountSeries(pair, ts, draw(st.lists(st.integers(0, 4), min_size=len(ts), max_size=len(ts))))
+    counts = draw(st.lists(st.integers(0, 4), min_size=len(ts), max_size=len(ts)))
+    return ODCountSeries(pair, ts, np.array(counts, dtype=np.int64))
 
 
 @settings(max_examples=300, deadline=None)

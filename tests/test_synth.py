@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 from datetime import date
 
+from drtopt import synth
 from drtopt.copula import fit_correlation
+from drtopt.data import HOUR, ODCountSeries, ODDataset, ODPair
 from drtopt.synth import (
     SyntheticSpec,
     generate_synthetic,
     network_for,
 )
+from reference_data import reference_columns
 
 FLAT = dict(tod_profile=(1.0,) * 24, dow_profile=(1.0,) * 7, exam_period=None)
 
@@ -35,6 +38,21 @@ def test_deterministic_per_seed():
     pair = a.pairs[0]
     assert np.array_equal(a.series[pair].counts, b.series[pair].counts)
     assert not np.array_equal(a.series[pair].counts, c.series[pair].counts)
+
+
+def test_the_columns_are_those_of_the_per_series_construction(monkeypatch):
+    spec = SyntheticSpec(n_locations=3, end=date(2017, 11, 24), seed=4)
+    blocks = []
+    monkeypatch.setattr(synth, "ODDataset", lambda *args: blocks.append(args[-1]) or ODDataset(*args))
+    dataset = generate_synthetic(spec)
+    hours = np.arange(np.datetime64("2017-11-17T00"), np.datetime64("2017-11-25T00"), HOUR)
+    pairs = [ODPair(o, d) for o in range(3) for d in range(3) if o != d]
+    block = blocks[0].reshape(len(hours), len(pairs))  # the counts of each pair at each hour
+    want = reference_columns({pair: ODCountSeries(pair, hours, block[:, j]) for j, pair in enumerate(pairs)})
+    got = dataset.pairs, dataset.timestamps, dataset.counts, dataset.pair_index
+    assert got[0] == want[0]
+    for column, reference in zip(got[1:], want[1:]):
+        assert column.dtype == reference.dtype and np.array_equal(column, reference)
 
 
 def test_zero_dispersion_gives_rounded_means():
