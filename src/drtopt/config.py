@@ -190,7 +190,7 @@ def _parse_split(doc, path: str) -> SplitSpec:
         raise ConfigError(f"{path}.preset", f"unknown preset {doc['preset']!r}")
     train, test = (_parse_range(field(doc, f"{path}.{key}"), f"{path}.{key}") for key in ("train", "test"))
     hours = field(doc, f"{path}.masked_hours", list, sorted(DEFAULT_MASKED_HOURS))
-    if not all(isinstance(h, int) and 0 <= h <= 23 for h in hours):
+    if not all(isinstance(h, int) and not isinstance(h, bool) and 0 <= h <= 23 for h in hours):
         raise ConfigError(f"{path}.masked_hours", "hours must be integers in 0..23")
     ranges = field(doc, f"{path}.masked_date_ranges", list, [])
     ranges = tuple(_parse_range(rng, f"{path}.masked_date_ranges[{i}]") for i, rng in enumerate(ranges))
@@ -262,6 +262,8 @@ def config_from_json_dict(doc: dict, base_dir: Path) -> PipelineConfig:
     seed = field(doc, "config.seed")
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError("config.seed", "must be an integer (wall-clock seeding is not supported)")
+    if seed < 0:
+        raise ConfigError("config.seed", "must be >= 0")
     data = field(doc, "config.data", dict)
     counts = base_dir / field(data, "config.data.counts_csv", str)
 

@@ -501,20 +501,39 @@ def model_from_json_dict(doc: dict) -> TrainedDemandModel:
 
     seasonal = None
     if spec.seasonal_normalize:
-        mean, std = np.full((2, len(pair_order), 7, 24), np.nan)
-        for i, pair in enumerate(pair_order):  # a pair without cells is named by SeasonalStats
-            name = pair_name(pair, labels)
-            for j, cell in enumerate(doc.get("seasonal", {}).get(name, {}).get("cells", [])):
-                path = f"model.seasonal.{name}.cells[{j}]"
-                dow, tod, mu, sigma = (doc_field(cell, f"{path}.{k}") for k in ("dow", "tod", "mean", "std"))
-                where = f"seasonal {name}, cell (dow {dow}, hour {tod})"
-                if dow not in range(7) or tod not in range(24):
-                    raise ValueError(f"model {where}: no such weekday and hour")
-                key = (i, int(dow), int(tod))
-                mean[key] = _finite(parse_float(mu, f"{path}.mean"), where, "mean")
-                std[key] = _finite(parse_float(sigma, f"{path}.std"), where, "std")
-        seasonal = qr.SeasonalStats(pair_order, mean, std)
+        seasonal = _seasonal_from_doc(doc_field(doc, "model.seasonal", dict, {}), pair_order, labels)
     return TrainedDemandModel(spec, levels, labels, pair_order, models, seasonal)
+
+
+def _seasonal_from_doc(doc: dict, pair_order, labels) -> qr.SeasonalStats:
+    """The seasonal section: under each pair's name its cells, at least one, each (weekday, hour) once."""
+    names = _pairs_by_name(pair_order, labels)
+    for name in doc:
+        if name not in names:
+            raise ConfigError(f"model.seasonal.{name}", "names no pair of model.pairs")
+    mean, std = np.full((2, len(pair_order), 7, 24), np.nan)
+    for i, pair in enumerate(pair_order):
+        name = pair_name(pair, labels)
+        path = f"model.seasonal.{name}"
+        if name not in doc:
+            raise ConfigError(path, "missing required field")
+        cells = doc_field(json_object(doc[name], path), f"{path}.cells", list)
+        if not cells:
+            raise ConfigError(f"{path}.cells", "expected at least one cell, got []")
+        first = {}
+        for j, cell in enumerate(cells):
+            at = f"{path}.cells[{j}]"
+            json_object(cell, at)
+            dow, tod = (parse_int(doc_field(cell, f"{at}.{k}"), f"{at}.{k}", 0) for k in ("dow", "tod"))
+            mu, sigma = (doc_field(cell, f"{at}.{k}") for k in ("mean", "std"))
+            where = f"seasonal {name}, cell (dow {dow}, hour {tod})"
+            if dow > 6 or tod > 23:
+                raise ValueError(f"model {where}: no such weekday and hour")
+            if (earlier := first.setdefault((dow, tod), j)) != j:
+                raise ConfigError(at, f"repeats {path}.cells[{earlier}], (dow {dow}, hour {tod})")
+            mean[i, dow, tod] = _finite(parse_float(mu, f"{at}.mean"), where, "mean")
+            std[i, dow, tod] = _finite(parse_float(sigma, f"{at}.std"), where, "std")
+    return qr.SeasonalStats(pair_order, mean, std)
 
 
 def save_model(model: TrainedDemandModel, path) -> None:

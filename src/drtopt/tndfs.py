@@ -432,9 +432,7 @@ def _flow_bound(weights: np.ndarray, demands: np.ndarray, caps: np.ndarray) -> f
     return bound + 1e-9 * max(1.0, abs(bound))
 
 
-_CHUNK_CELLS = 1 << 16  # (pair, row, slot) cells per table chunk; bounds the transient arrays
-_TABLE_BYTES = 64 << 20  # above this the table is not cached but rebuilt per block of samples
-_CELL_BYTES = 17  # per (pair, row): float64 gain, float64 rider flag, int8 slot
+_CHUNK_CELLS = 1 << 16  # (pair, row, slot) cells per slice of the table filled at once; bounds the transient arrays
 _BLOCK_CELLS = 1 << 20  # (sample, row) cells priced at once; bounds solve_batch's transient arrays
 
 
@@ -444,7 +442,7 @@ class _Prepared:
 
     The allocation table: one row per feasible allocation in canonical-key
     order, routes ascending by candidate id, padded to nu slots by route -1
-    (nobody rides it, it never fills); see `_table_chunk` and `_price_chunk`.
+    (nobody rides it, it never fills), held whole; see `_table_chunk` and `_price`.
     """
 
     instance: NetworkInstance
@@ -455,8 +453,7 @@ class _Prepared:
     row_routes: np.ndarray  # (R, nu) candidate ids, -1 on pads
     row_buses: np.ndarray  # (R, nu) bus counts, 1 on pads
     row_caps: np.ndarray  # (R, nu) hourly capacities, inf on pads
-    chunk_rows: list[slice]  # the table's chunks, _CHUNK_CELLS cells each
-    table: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None  # None above _TABLE_BYTES
+    table: tuple[np.ndarray, np.ndarray, np.ndarray]  # (n_pairs, R) each: float64 gain, float64 rides, int8 slot
 
 
 def prepare_instance(instance: NetworkInstance) -> _Prepared:
@@ -472,11 +469,13 @@ def prepare_instance(instance: NetworkInstance) -> _Prepared:
 
     row_routes, row_buses = _allocation_rows(instance)
     row_caps = np.where(row_routes >= 0, caps[row_routes, row_buses - 1], np.inf)
+    shape = (len(pairs), len(row_routes))
+    table = np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.int8)
+    prep = _Prepared(instance, pairs, beta1, beta2, caps, row_routes, row_buses, row_caps, table)
     step = max(1, _CHUNK_CELLS // max(1, len(pairs) * instance.max_routes))
-    chunk_rows = [slice(lo, lo + step) for lo in range(0, len(row_routes), step)]
-    prep = _Prepared(instance, pairs, beta1, beta2, caps, row_routes, row_buses, row_caps, chunk_rows, None)
-    if len(pairs) * len(row_routes) * _CELL_BYTES <= _TABLE_BYTES:
-        prep.table = [_table_chunk(prep, rows) for rows in chunk_rows]
+    for lo in range(0, len(row_routes), step):
+        for whole, part in zip(table, _table_chunk(prep, slice(lo, lo + step))):
+            whole[:, lo:lo + step] = part
     return prep
 
 
@@ -558,9 +557,9 @@ def _table_chunk(prep: _Prepared, rows: slice) -> tuple[np.ndarray, np.ndarray, 
     return np.maximum(best, 0.0), rides.astype(np.float64), np.where(rides, slot, -1).astype(np.int8)
 
 
-def _price_chunk(lam: np.ndarray, chunk, caps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Uncapacitated bound and capacity feasibility of every (sample, row) of a chunk."""
-    gain, rides, slot = chunk
+def _price(lam: np.ndarray, table, caps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Uncapacitated bound and capacity feasibility of every (sample, row) of the table."""
+    gain, rides, slot = table
     bound = lam @ gain
     # no slot carries more than all riders: only rows failing that somewhere get the per-slot sums
     feasible = lam @ rides <= caps.min(axis=1)
@@ -578,10 +577,10 @@ def _row_allocation(prep: _Prepared, row: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-def _allocation_arcs(prep: _Prepared, alloc, pairs=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+def _allocation_arcs(prep: _Prepared, alloc) -> tuple[np.ndarray, np.ndarray]:
     """Net utilities (pairs x routes) and hourly capacities of an allocation (no routes: walking)."""
     cid, bus = np.array(alloc, dtype=np.intp).reshape(-1, 2).T
-    return prep.beta1[pairs][:, cid] + prep.beta2[cid, bus - 1], prep.caps[cid, bus - 1]
+    return prep.beta1[:, cid] + prep.beta2[cid, bus - 1], prep.caps[cid, bus - 1]
 
 
 def solve_batch(prep: _Prepared, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -595,9 +594,9 @@ def solve_batch(prep: _Prepared, lam: np.ndarray) -> tuple[np.ndarray, np.ndarra
     Objectives within a relative 1e-12 tie and break toward the lowest row,
     the lexicographically smallest allocation key, so zero-flow routes are
     never reported unless the exact-route-count mode forces them.  An
-    objective is the winner's flow assignment over all pairs, not its bound:
-    `allocation_values` scores each winning row on its samples, and a winner
-    whose flow assignment already ran over every pair keeps that value.
+    objective is the winner's flow assignment, not its bound:
+    `allocation_values` scores each capacity-feasible winning row on its
+    samples, and a capacity-bound winner keeps the value its search gave.
     """
     if not len(prep.row_routes):
         raise ValueError("no feasible allocation (check max_routes vs candidate count)")
@@ -616,31 +615,25 @@ def solve_batch(prep: _Prepared, lam: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _block_winners(prep: _Prepared, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Winning table row per sample, and its objective where a flow assignment over every pair gave it."""
-    chunks = prep.table if prep.table is not None else (_table_chunk(prep, rows) for rows in prep.chunk_rows)
-    bound = np.empty((len(lam), len(prep.row_routes)))
-    feasible = np.empty(bound.shape, dtype=bool)
-    for rows, chunk in zip(prep.chunk_rows, chunks):
-        bound[:, rows], feasible[:, rows] = _price_chunk(lam, chunk, prep.row_caps[rows])
-
+    """Winning table row per sample, and its objective where its flow assignment gave it."""
+    bound, feasible = _price(lam, prep.table, prep.row_caps)
     value = np.where(feasible, bound, -np.inf)
     best = value.max(axis=1)
     blocked = ~feasible & (bound >= (best - _tie_tol(best))[:, None])
     for s in np.flatnonzero(blocked.any(axis=1)):
-        active = lam[s] > 0
         candidates = np.flatnonzero(blocked[s])
         for row in candidates[np.argsort(-bound[s, candidates], kind="stable")]:
             if bound[s, row] < best[s] - _tie_tol(best[s]):
                 break  # no later row's bound reaches the incumbent either
-            w, caps = _allocation_arcs(prep, _row_allocation(prep, row), active)
-            if _flow_bound(w, lam[s, active], caps) < best[s] - _tie_tol(best[s]):
+            w, caps = _allocation_arcs(prep, _row_allocation(prep, row))
+            if _flow_bound(w, lam[s], caps) < best[s] - _tie_tol(best[s]):
                 continue  # its flows cannot reach the incumbent either
-            _, value[s, row] = assign_flows(w, lam[s, active], caps)
+            _, value[s, row] = assign_flows(w, lam[s], caps)
             best[s] = max(best[s], value[s, row])
     winners = np.argmax(value >= (best - _tie_tol(best))[:, None], axis=1)
     picked = np.arange(len(lam)), winners
-    # a capacity-bound winner had its flow assignment above; over every pair it is the one allocation_values runs
-    return winners, value[picked], ~feasible[picked] & np.all(lam > 0, axis=1)
+    # a capacity-bound winner had its flow assignment above, the one allocation_values runs
+    return winners, value[picked], ~feasible[picked]
 
 
 def allocation_values(prep: _Prepared, alloc: tuple[tuple[int, int], ...], lam: np.ndarray) -> np.ndarray:
@@ -757,6 +750,14 @@ def instance_from_json_dict(doc: dict) -> NetworkInstance:
             found.append(Location(integer(d, f"{path}.id", 0), config.field(d, f"{path}.label", str), coord))
         return found
 
+    def ride_time(n_stops: int) -> list[list[float]]:
+        rows = config.field(doc, "network.ride_time", list)
+        for i, row in enumerate(rows):
+            if len(config.json_list(row, f"network.ride_time[{i}]")) != n_stops:
+                raise config.ConfigError(f"network.ride_time[{i}]", f"expected {n_stops} entries, one per bus stop")
+        return [[config.parse_float(v, f"network.ride_time[{i}][{j}]") for j, v in enumerate(row)]
+                for i, row in enumerate(rows)]
+
     demand_nodes = locations("locations")
     for key in ("id", "label"):
         first = {}
@@ -764,11 +765,12 @@ def instance_from_json_dict(doc: dict) -> NetworkInstance:
             if (j := first.setdefault(getattr(node, key), i)) != i:
                 raise config.ConfigError(f"network.locations[{i}].{key}", f"repeats network.locations[{j}].{key}")
 
+    bus_stops = locations("bus_stops")
     fields = dict(
         demand_nodes=demand_nodes,
-        bus_stops=locations("bus_stops"),
+        bus_stops=bus_stops,
         walk_speed=number(doc, "network.walk_speed"),
-        ride_time=config.field(doc, "network.ride_time", list),
+        ride_time=ride_time(len(bus_stops)),
         fleet_size=integer(doc, "network.fleet_size", 1),
         capacity=number(doc, "network.capacity"),
         max_routes=integer(doc, "network.max_routes", 1),

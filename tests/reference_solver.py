@@ -10,7 +10,8 @@ the table sweep, so both must return the same design.
 shares no search logic with either.
 
 `reference_solve_demand` is the per-sample table sweep that
-`tndfs.solve_batch` replaced: one demand vector priced per call, and the
+`tndfs.solve_batch` replaced: one demand vector priced per call, the
+capacity-bound rows searched over the pairs with demand only, and the
 winner's objective from its own flow assignment over all pairs.
 
 `reference_optimize_lag` is the per-sample decision loop that the batched
@@ -43,7 +44,6 @@ from drtopt.tndfs import (
     _bus_splits,
     _design_for_allocation,
     _row_allocation,
-    _table_chunk,
     _tie_tol,
     assign_flows,
     evaluate_allocation,
@@ -287,9 +287,9 @@ def oracle_solve(instance, demand, grid_step=1) -> RouteDesign:
     return RouteDesign(ordered, flows1, flows2, float(best_obj))
 
 
-def _price_chunk(lam, chunk, caps):
-    """Uncapacitated bound and capacity feasibility of every row of a chunk, for one demand vector."""
-    gain, rides, slot = chunk
+def _price(lam, table, caps):
+    """Uncapacitated bound and capacity feasibility of every row of the table, for one demand vector."""
+    gain, rides, slot = table
     bound = lam @ gain
     feasible = lam @ rides <= caps.min(axis=1)
     check = np.flatnonzero(~feasible)
@@ -304,11 +304,7 @@ def reference_solve_demand(prep, lam):
     """Exact optimum for one demand vector aligned to `prep.pairs`: (table row, objective)."""
     if not len(prep.row_routes):
         raise ValueError("no feasible allocation (check max_routes vs candidate count)")
-    chunks = prep.table if prep.table is not None else (_table_chunk(prep, rows) for rows in prep.chunk_rows)
-    priced = [_price_chunk(lam, chunk, prep.row_caps[rows]) for rows, chunk in zip(prep.chunk_rows, chunks)]
-    bound = np.concatenate([b for b, _ in priced])
-    feasible = np.concatenate([f for _, f in priced])
-
+    bound, feasible = _price(lam, prep.table, prep.row_caps)
     value = np.where(feasible, bound, -np.inf)
     best = value.max()
     active = lam > 0
@@ -316,8 +312,8 @@ def reference_solve_demand(prep, lam):
     for row in blocked[np.argsort(-bound[blocked], kind="stable")]:
         if bound[row] < best - _tie_tol(best):
             break
-        w, caps = _allocation_arcs(prep, _row_allocation(prep, row), active)
-        _, value[row] = assign_flows(w, lam[active], caps)
+        w, caps = _allocation_arcs(prep, _row_allocation(prep, row))
+        _, value[row] = assign_flows(w[active], lam[active], caps)
         best = max(best, value[row])
     row = int(np.argmax(value >= best - _tie_tol(best)))
     w, caps = _allocation_arcs(prep, _row_allocation(prep, row))

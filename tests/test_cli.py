@@ -248,6 +248,8 @@ def test_config_validation_paths(tmp_path):
          r"config\.split\.masked_date_ranges\[0\]: expected \[start, end\]"),
         ({"output_dir": 5}, r"config\.output_dir: expected a string, got 5"),
         ({"network": 5}, r"config\.network: expected a string, got 5"),
+        ({"seed": -1}, r"config\.seed: must be >= 0"),
+        ({"split": {**SPLIT_DOC, "masked_hours": [3, True]}}, r"config\.split\.masked_hours: hours must be integers in 0\.\.23"),
     ):
         bad.write_text(json.dumps({"seed": 1, "data": {"counts_csv": "x"}, **extra}))
         with pytest.raises(ConfigError, match=path):

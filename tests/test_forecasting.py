@@ -690,17 +690,20 @@ def test_model_json_names_a_missing_model(model_docs, kind, rename, message):
 
 
 @pytest.mark.parametrize("field, bad, message", [
-    ("dow", -1, None),  # None: the cell is outside the week
-    ("dow", 7, None),
+    ("dow", -1, "model.seasonal.{name}.cells[0].dow: must be >= 0"),
+    ("dow", 7, None),  # None: the cell is outside the week
     ("tod", 24, None),
-    ("tod", 8.5, None),
+    ("tod", 8.5, "model.seasonal.{name}.cells[0].tod: not an integer: 8.5"),
     ("dow", "missing", "model.seasonal.{name}.cells[0].dow: missing required field"),
     ("tod", "missing", "model.seasonal.{name}.cells[0].tod: missing required field"),
     ("mean", "missing", "model.seasonal.{name}.cells[0].mean: missing required field"),
     ("std", "missing", "model.seasonal.{name}.cells[0].std: missing required field"),
     ("mean", "1.5", "model.seasonal.{name}.cells[0].mean: not a number: '1.5'"),
     ("std", True, "model.seasonal.{name}.cells[0].std: not a number: True"),
-], ids=["dow--1", "dow-7", "tod-24", "tod-8.5", "no-dow", "no-tod", "no-mean", "no-std", "string-mean", "true-std"])
+    ("dow", True, "model.seasonal.{name}.cells[0].dow: not an integer: True"),
+    ("tod", "8", "model.seasonal.{name}.cells[0].tod: not an integer: '8'"),
+], ids=["dow--1", "dow-7", "tod-24", "tod-8.5", "no-dow", "no-tod", "no-mean", "no-std", "string-mean", "true-std",
+        "true-dow", "string-tod"])
 def test_model_json_rejects_a_seasonal_cell_outside_the_week(model_docs, field, bad, message):
     # the cells fill a (weekday, hour) table: a negative index would overwrite another cell
     doc = json.loads(json.dumps(model_docs["linear"]))
@@ -714,6 +717,32 @@ def test_model_json_rejects_a_seasonal_cell_outside_the_week(model_docs, field, 
         where = f"seasonal {name}, cell (dow {cell['dow']}, hour {cell['tod']})"
         message = f"model {where}: no such weekday and hour"
     with pytest.raises(ValueError, match=re.escape(message.format(name=name))):
+        model_from_json_dict(doc)
+
+
+def _repeat_first_cell(cells):
+    cells.append(dict(cells[0], mean=cells[0]["mean"] + 1.0))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda section, name: section.update({name: []}), "model.seasonal.{name}: expected an object, got []"),
+    (lambda section, name: section.update({name: {"cells": {}}}), "model.seasonal.{name}.cells: expected a list, got {{}}"),
+    (lambda section, name: section[name].update(cells=[]), "model.seasonal.{name}.cells: expected at least one cell, got []"),
+    (lambda section, name: section[name]["cells"].__setitem__(1, 5), "model.seasonal.{name}.cells[1]: expected an object, got 5"),
+    (lambda section, name: _repeat_first_cell(section[name]["cells"]), "model.seasonal.{name}.cells[{last}]: repeats "
+     "model.seasonal.{name}.cells[0], (dow {dow}, hour {tod})"),
+    (lambda section, name: section.update({"g0>zz": section[name]}), "model.seasonal.g0>zz: names no pair of model.pairs"),
+    (lambda section, name: section.update({"g0>g0": section[name]}), "model.seasonal.g0>g0: names no pair of model.pairs"),
+], ids=["entry-not-an-object", "cells-not-a-list", "no-cells", "cell-not-an-object", "repeated-cell", "unknown-label",
+        "self-loop"])
+def test_model_json_names_a_malformed_seasonal_section(model_docs, edit, message):
+    doc = json.loads(json.dumps(model_docs["linear"]))
+    name = next(iter(doc["seasonal"]))
+    cells = doc["seasonal"][name]["cells"]
+    first = cells[0]
+    edit(doc["seasonal"], name)
+    message = message.format(name=name, last=len(cells) - 1, dow=first["dow"], tod=first["tod"])
+    with pytest.raises(ValueError, match=re.escape(message)):
         model_from_json_dict(doc)
 
 
@@ -980,16 +1009,17 @@ def test_model_json_ignores_unknown_spec_keys(model_docs):
 
 def test_seasonal_model_names_a_pair_without_cells(dataset, model_docs):
     doc = json.loads(json.dumps(model_docs["linear"]))
-    index = {label: i for i, label in enumerate(doc["labels"])}
     name = sorted(doc["seasonal"])[-1]
-    pair = ODPair(*(index[label] for label in name.split(">")))
     del doc["seasonal"][name]
-    with pytest.raises(ValueError, match=re.escape(f"no seasonal cells for pair {pair}")):
+    with pytest.raises(ValueError, match=re.escape(f"model.seasonal.{name}: missing required field")):
         model_from_json_dict(doc)
-    doc["seasonal"] = {}
-    first = ODPair(*(index[label] for label in doc["pairs"][0]))
-    with pytest.raises(ValueError, match=re.escape(f"no seasonal cells for pair {first}")):
-        model_from_json_dict(doc)
+    for section in ({}, None):  # None: the section is absent, and reads as empty
+        doc["seasonal"] = section
+        if section is None:
+            del doc["seasonal"]
+        first = ">".join(doc["pairs"][0])
+        with pytest.raises(ValueError, match=re.escape(f"model.seasonal.{first}: missing required field")):
+            model_from_json_dict(doc)
     # training: the last pair's counts start after the train range
     last = dataset.pairs[-1]
     s = dataset.series[last]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import two_node_instance
 from drtopt.copula import GaussianCopulaModel
@@ -328,16 +328,13 @@ def _case_demands(case, seed, k):
 
 
 @pytest.mark.parametrize("case", sorted(DECISION_CASES))
-@pytest.mark.parametrize("layout", ["cached", "uncached", "blocks-of-7"])
+@pytest.mark.parametrize("layout", ["cached", "blocks-of-7"])
 def test_solve_batch_equals_per_sample_reference(case, layout, monkeypatch):
     from drtopt import tndfs
     from reference_solver import reference_solve_demand
 
-    if layout == "uncached":  # every chunk built per block of samples instead
-        monkeypatch.setattr(tndfs, "_TABLE_BYTES", 0)
     inst, lam = _case_demands(case, 3, 40)
     prep = tndfs.prepare_instance(inst)
-    assert (prep.table is None) == (layout == "uncached")
     blocks = []
     if layout == "blocks-of-7":
         monkeypatch.setattr(tndfs, "_BLOCK_CELLS", 7 * len(prep.row_routes) + 3)
@@ -370,19 +367,19 @@ def test_solve_batch_skips_only_lps_the_flow_bound_rules_out(case, monkeypatch):
         assert 0 < got_lps < len(lp_calls) - got_lps
 
 
-def test_solve_batch_reuses_a_winner_lp_only_when_every_pair_has_demand(monkeypatch):
+def test_solve_batch_reuses_every_capacity_bound_winner_lp(monkeypatch):
     from drtopt import tndfs
     from reference_solver import reference_solve_demand
 
     inst, lam = _case_demands("capacity6", 1, 30)
     prep = tndfs.prepare_instance(inst)
     quiet = lam.copy()
-    quiet[:, 2] = 0.0  # the loop's flow LPs run over the other pairs only
+    quiet[:, 2] = 0.0  # a pair without demand: the search's flow LPs still run over every pair
     assert np.all(lam > 0)
     # no candidate row is ruled out by its flow bound, so the loop runs the reference's LPs and the counts show the reuse
     monkeypatch.setattr(tndfs, "_flow_bound", lambda *a: np.inf)
     lp_calls = _count_lps(monkeypatch)
-    for demands, reuses in ((lam, True), (quiet, False)):
+    for demands in (lam, quiet):
         del lp_calls[:]
         rows, objectives = tndfs.solve_batch(prep, demands)
         got_lps = len(lp_calls)
@@ -391,4 +388,22 @@ def test_solve_batch_reuses_a_winner_lp_only_when_every_pair_has_demand(monkeypa
         assert rows.tolist() == [row for row, _ in ref]
         assert objectives.tolist() == [objective for _, objective in ref]
         # the reference solves each capacity-bound winner's LP again over all pairs
-        assert (got_lps < ref_lps) if reuses else (0 < got_lps == ref_lps)
+        assert got_lps < ref_lps
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(0, 2**16), st.floats(0.0, 0.6))
+def test_solve_batch_equals_per_sample_reference_with_zero_demands_under_binding_capacity(seed, zero_share):
+    from drtopt import tndfs
+    from reference_solver import reference_solve_demand
+
+    inst, lam = _case_demands("capacity6", seed, 6)
+    lam *= 2.0  # so that capacity binds in most draws
+    lam[np.random.default_rng(seed).random(lam.shape) < zero_share] = 0.0
+    prep = tndfs.prepare_instance(inst)
+    bound, feasible = tndfs._price(lam, prep.table, prep.row_caps)
+    assume(not feasible[np.arange(len(lam)), bound.argmax(axis=1)].all())  # some sample's best bound is over capacity
+    rows, objectives = tndfs.solve_batch(prep, lam)
+    ref = [reference_solve_demand(prep, row) for row in lam]
+    assert rows.tolist() == [row for row, _ in ref]
+    assert objectives.tolist() == [objective for _, objective in ref]

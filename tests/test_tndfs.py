@@ -504,18 +504,25 @@ def _random_sweep_instance(rng):
     return instance, DemandVector(rates)
 
 
-@pytest.mark.parametrize("cached", [True, False])
-def test_table_sweep_matches_reference_search(cached, monkeypatch):
-    if not cached:
-        # rebuild every chunk per scenario, in uneven chunks
-        monkeypatch.setattr(tndfs, "_TABLE_BYTES", 0)
-        monkeypatch.setattr(tndfs, "_CHUNK_CELLS", 97)
+@pytest.mark.parametrize("one_slice", [True, False])
+def test_table_sweep_matches_reference_search(one_slice, monkeypatch):
+    # not one_slice: the table is also filled in uneven slices of 97 cells, and equals the one-slice fill
     rng = np.random.default_rng(2024)
     seen = set()
+    slices, sliced = [], False
+    table_chunk = tndfs._table_chunk
+    monkeypatch.setattr(tndfs, "_table_chunk", lambda prep, rows: slices.append(rows) or table_chunk(prep, rows))
     for _ in range(70):
         inst, demand = _random_sweep_instance(rng)
+        monkeypatch.setattr(tndfs, "_CHUNK_CELLS", 1 << 62)
         prep = tndfs.prepare_instance(inst)
-        assert (prep.table is not None) == cached
+        assert [a.dtype for a in prep.table] == [np.float64, np.float64, np.int8]
+        if not one_slice:
+            monkeypatch.setattr(tndfs, "_CHUNK_CELLS", 97)
+            del slices[:]
+            whole, prep = prep, tndfs.prepare_instance(inst)
+            assert all(np.array_equal(a, b) for a, b in zip(prep.table, whole.table))
+            sliced |= len(slices) > 1
         design = solve_instance(inst, demand, prep)
         reference = reference_solve(inst, demand, prep)
         assert design.key() == reference.key(), (inst, demand.rates)
@@ -524,6 +531,7 @@ def test_table_sweep_matches_reference_search(cached, monkeypatch):
         seen.add((inst.max_routes, inst.exact_route_count, not demand.rates))
     assert {nu for nu, _, _ in seen} == {1, 2, 3}
     assert any(exact for _, exact, _ in seen) and any(zero for _, _, zero in seen)
+    assert sliced != one_slice  # uneven slices ran
 
 
 def test_allocation_table_lists_every_allocation_in_key_order():
@@ -696,6 +704,11 @@ def test_instance_json_missing_field():
     # a repeated demand node would list its OD pairs twice and drop another node's
     pytest.param(lambda doc: doc["locations"][1].update(id=0), "locations[1].id", id="repeated-location-id"),
     pytest.param(lambda doc: doc["locations"][1].update(label="a"), "locations[1].label", id="repeated-location-label"),
+    # a ride time is read by its path: no numeric string or boolean passes as a number, no ragged row as a matrix
+    pytest.param(lambda doc: doc["ride_time"][0].__setitem__(1, "7"), "ride_time[0][1]", id="ride-time-string"),
+    pytest.param(lambda doc: doc["ride_time"][1].__setitem__(0, True), "ride_time[1][0]", id="ride-time-true"),
+    pytest.param(lambda doc: doc["ride_time"][1].append(3.0), "ride_time[1]", id="ride-time-ragged-row"),
+    pytest.param(lambda doc: doc["ride_time"].__setitem__(0, 5.0), "ride_time[0]", id="ride-time-row-not-a-list"),
 ])
 def test_instance_json_names_a_malformed_field(edit, field):
     doc = instance_to_json_dict(two_node_instance(fleet_size=3))
