@@ -19,64 +19,150 @@ from .qr import DEFAULT_QUANTILES, pinball_minimizing_constant, tilted_loss
 log = logging.getLogger(__name__)
 
 
-def _presort(keys: np.ndarray):
-    """Each feature's stable row order, and where a key in that order repeats its predecessor.
+@dataclass(frozen=True)
+class _Bins:
+    """A fit's rows binned once, for every node of every tree: each feature's dense value ranks.
 
-    keys is (features, rows): the values, or anything that orders and ties
-    the rows as the values do, such as their `_ranks`.
+    Rank 0 is a feature's least value and equal values share a rank, so a
+    stable sort of a node's ranks gives the order a stable sort of its
+    values gives; up to 2**15 rows the ranks are int16, which numpy sorts
+    stably by radix.  A node's histograms are (features, width) counts of
+    its rows over the bins `feature * width + rank`; `root` holds every
+    row's, the same at every tree's root.
     """
-    order = np.argsort(keys, axis=1, kind="stable")
-    in_order = np.take_along_axis(keys, order, axis=1)
-    return order, in_order[:, 1:] == in_order[:, :-1]
+
+    XT: np.ndarray  # (features, rows): the values
+    ranks: np.ndarray  # (features, rows)
+    keys: np.ndarray  # (features, rows): each row's bin, feature * width + rank
+    width: int
+    root: np.ndarray  # (features, width)
+
+    @classmethod
+    def of(cls, XT: np.ndarray) -> "_Bins":
+        order = np.argsort(XT, axis=1, kind="stable")
+        in_order = np.take_along_axis(XT, order, axis=1)
+        ranks = np.zeros(order.shape, dtype=np.int16 if order.shape[1] <= 2**15 else np.intp)
+        np.put_along_axis(ranks, order[:, 1:], np.cumsum(in_order[:, 1:] != in_order[:, :-1], axis=1), axis=1)
+        width = int(ranks.max(initial=0)) + 1
+        keys = ranks + width * np.arange(len(XT))[:, None]
+        root = np.bincount(keys.ravel(), minlength=len(XT) * width).reshape(len(XT), width)
+        return cls(XT, ranks, keys, width, root)
+
+    def histogram(self, rows: np.ndarray) -> np.ndarray:
+        return np.bincount(self.keys[:, rows].ravel(), minlength=self.root.size).reshape(self.root.shape)
+
+    def counts(self, rows: np.ndarray, g: np.ndarray, every: np.ndarray | None = None):
+        """The rows' histograms: of all of them (`every`, when already known) and of those whose g is q - 1.
+
+        The second is counted over whichever gradient class holds fewer of
+        the rows, the other class's count being every row's less it.
+        """
+        every = self.histogram(rows) if every is None else every
+        below = g[rows] < 0
+        if 2 * np.count_nonzero(below) <= len(rows):
+            return every, self.histogram(rows[below])
+        return every, every - self.histogram(rows[~below])
 
 
-def _ranks(presorted) -> np.ndarray:
-    """Each feature's dense value ranks, 0 for its least value, from `_presort` of the values.
+_U = 2.0**-53  # unit roundoff of float64
+_SCREENED_ROWS = 2**22  # the most rows of a node whose features `_split` screens
 
-    Equal values share a rank, so a stable sort of a node's ranks gives the
-    order a stable sort of its values gives; up to 2**15 rows the ranks are
-    int16, which numpy sorts stably by radix.
+
+def _split(bins: _Bins, rows: np.ndarray, g: np.ndarray, q: float, counts):
+    """Axis-aligned split of a node minimizing the SSE of g; None when no split helps.
+
+    `rows` are the node's rows in arrival order, g their gradient (q or
+    q - 1) in that order and `counts` their `_Bins.counts`.  The result is
+    (feature, threshold, left rows, right rows), each side in the node's
+    stable order of the feature's values: what the per-feature scan of
+    `tests/reference_trees.py` gives.  There, feature j's best gain F_j is
+    the greatest over its cuts between distinct values of
+        p**2 / k + (t - p)**2 / (m - k) - t**2 / m,
+    with k rows left of the cut, m in the node, p a float `cumsum` of g in
+    the node's stable order of j and t = `g.sum()`; the features are then
+    compared in order, and a later one takes the lead only by more than
+    1e-12.
+
+    The gradient takes two values, so a cut's exact sums follow from two
+    counts: with n rows left of the cut, c of them at q - 1, and C of the
+    m at q - 1, P = q*n - c and T = q*m - C.  Cumulative sums of the
+    node's histograms give (n, c) at every cut of every feature at once,
+    and G_j, the greatest gain over j's cuts evaluated at (P, T), screens
+    the features.
+
+    G_j is within delta = 16*m**2*u + 64*m*u of F_j, u = 2**-53, for m up
+    to `_SCREENED_ROWS`.  Both are maxima over the same cuts, so it is
+    enough that each cut's two values lie within delta of the gain at the
+    exact sums (p, t).  A float sum of k terms of magnitude at most 1 is
+    within 1.01*k**2*u of exact in any order, so p and t are within
+    1.01*m**2*u; P and T are within 2.51*m*u (one rounding each in q*n and
+    in the subtraction, and at most u/2 per row in the float q - 1).  The
+    gain's partial derivatives in p and t are at most 4.04 in magnitude
+    there (|p| <= k and |t - p| <= m - k up to those errors), and each of
+    its nine roundings errs by at most u times a magnitude of 1.03*m, the
+    one in t - p twice over once squared.  So F_j is within 8.17*m**2*u +
+    10.3*m*u of the exact gain and G_j within 30.6*m*u, which leaves more
+    than 23*m*u for the rounding of the screen's own comparisons, each at
+    most 1.1*m*u.
+
+    With the window w = 2*delta + 4e-12, the screen keeps feature s, the
+    last one whose G_s exceeds every earlier G by more than w, and each
+    later feature whose G is within w of G_s.  F_s then exceeds every
+    earlier F by more than 4e-12, so s takes the lead whatever leads before
+    it: no earlier feature wins, and none changes what follows s.  A later
+    feature j outside the window has F_j <= G_j + delta <= G_s - delta -
+    4e-12 < F_s, and the lead after s is at least F_s, so j never takes it.
+    The kept features then run the per-feature scan itself from the node's
+    rows in arrival order: a stable argsort of each one's ranks, a float
+    `cumsum` of g in that order and the same in-place gain operations, so
+    the winner, its cut and both sides' rows are the scan's.
     """
-    order, repeats = presorted
-    ranks = np.zeros(order.shape, dtype=np.int16 if order.shape[1] <= 2**15 else np.intp)
-    np.put_along_axis(ranks, order[:, 1:], np.cumsum(~repeats, axis=1), axis=1)
-    return ranks
-
-
-def _best_split(XT: np.ndarray, g: np.ndarray, presorted):
-    """Axis-aligned split minimizing SSE of g; None when no split helps.
-
-    XT holds the node's rows transposed, (features, rows).  Every feature is
-    scanned at once, in the order `presorted` (`_presort` of XT or of its
-    ranks) gives: one row-wise prefix sum (which adds in the same order as a
-    per-feature cumsum) and one argmax per feature.  The features' best
-    gains are then compared in feature order, and a later feature wins only
-    by more than 1e-12.
-    """
-    n = len(g)
-    order, repeats = presorted
+    n_every, n_below = counts
+    m = len(rows)
+    # the bins holding some of the rows, feature by feature: as each feature's bins hold all
+    # m rows and all C of those at q - 1, running sums less m or C per earlier feature give
+    # the rows at or below each bin
+    present = np.flatnonzero(n_every)
+    feature = present // bins.width
+    n = np.cumsum(n_every.ravel()[present]) - m * feature
+    C = np.count_nonzero(g < 0)
+    c = np.cumsum(n_below.ravel()[present]) - C * feature
+    last = n == m  # a feature's greatest value: no cut after it
+    P, T = q * n - c, q * m - C
+    screen = P * P / n + (T - P) ** 2 / np.maximum(m - n, 1) - T * T / m
+    screen[last] = -np.inf
+    best = np.maximum.reduceat(screen, np.flatnonzero(np.concatenate(([True], last[:-1]))))  # per feature
+    kept = np.flatnonzero(best > -np.inf)  # the features with a cut
+    if not len(kept):
+        return None
+    if m <= _SCREENED_ROWS:
+        window = 2.0 * (16.0 * m + 64.0) * m * _U + 4e-12
+        earlier = np.concatenate(([-np.inf], np.maximum.accumulate(best)[:-1]))
+        s = np.flatnonzero(best > earlier + window)[-1]
+        kept = kept[(kept >= s) & (best[kept] > best[s] - window)]
+    ranks = bins.ranks[kept[:, None], rows]
+    order = np.argsort(ranks, axis=1, kind="stable")
     total = g.sum()
-    base = total * total / n
-    prefix = np.cumsum(g[order], axis=1)[:, :-1]
-    n_left = np.arange(1, n)
-    # prefix**2 / n_left + (total - prefix)**2 / (n - n_left) - base, the same operations in place
+    prefix = np.cumsum(g[order], axis=1)[:, :-1]  # adds as a per-feature cumsum does
+    k = np.arange(1, m)
+    # prefix**2 / k + (total - prefix)**2 / (m - k) - total**2 / m, the same operations in place
     gain = np.square(prefix)
-    gain /= n_left
+    gain /= k
     right_term = total - prefix
     np.square(right_term, out=right_term)
-    right_term /= n - n_left
+    right_term /= m - k
     gain += right_term
-    gain -= base
-    np.copyto(gain, -np.inf, where=repeats)
+    gain -= total * total / m
+    in_order = np.take_along_axis(ranks, order, axis=1)
+    np.copyto(gain, -np.inf, where=in_order[:, 1:] == in_order[:, :-1])
     at = np.argmax(gain, axis=1)
-    best_gain, best = -np.inf, None
-    for j, feature_gain in enumerate(gain[np.arange(len(at)), at].tolist()):
+    best_gain, found = -np.inf, None
+    for i, feature_gain in enumerate(gain[np.arange(len(kept)), at].tolist()):
         if feature_gain > best_gain + 1e-12:
-            best_gain, best = feature_gain, j
-    if best is None:
-        return None
-    left, right = order[best, : at[best] + 1], order[best, at[best] + 1 :]
-    return best, 0.5 * (XT[best, left[-1]] + XT[best, right[0]]), left, right
+            best_gain, found = feature_gain, i
+    j, order, at = int(kept[found]), order[found], at[found]
+    left, right = rows[order[: at + 1]], rows[order[at + 1 :]]
+    return j, 0.5 * (bins.XT[j, left[-1]] + bins.XT[j, right[0]]), left, right
 
 
 @dataclass(frozen=True)
@@ -124,25 +210,32 @@ class Forest:
         return self.value.ravel()[slot]
 
 
-def _grow_tree(XT, ranks, g, residuals, q, depth, max_depth, forest: Forest, t: int, node: int = 0, presorted=None) -> None:
+def _grow_tree(bins: _Bins, g, residuals, q, max_depth, forest: Forest, t: int, rows, counts, depth=0, node=0) -> None:
     """Fill tree t of `forest` from heap node `node` down.
 
-    XT and ranks hold the node's rows transposed, the values and their
-    `_ranks`.  A child sorts its own rows: they arrive in the parent's
-    split order, so ties sort differently than in a filtered parent order
-    and the prefix sums of the gradient would differ in the last bits.
+    g and residuals are the fit's, one per row; rows are the node's in
+    arrival order (the parent's stable order of its split feature) and
+    counts their `_Bins.counts`, None below the last level that splits.
+    Of two children only the smaller is counted; the larger's counts are
+    the parent's less the smaller's.
     """
     split = None
-    if depth < max_depth and len(g) >= 2:
-        split = _best_split(XT, g, _presort(ranks) if presorted is None else presorted)
+    if depth < max_depth and len(rows) >= 2:
+        split = _split(bins, rows, g[rows], q, counts)
     if split is None:
-        forest.value[t, node] = pinball_minimizing_constant(residuals, q)
+        forest.value[t, node] = pinball_minimizing_constant(residuals[rows], q)
         return
-    j, thr, left_idx, right_idx = split
+    j, thr, left, right = split
     forest.feature[t, node] = j
     forest.threshold[t, node] = thr
-    for child, idx in ((2 * node + 1, left_idx), (2 * node + 2, right_idx)):
-        _grow_tree(XT[:, idx], ranks[:, idx], g[idx], residuals[idx], q, depth + 1, max_depth, forest, t, child)
+    sides = (None, None)
+    if depth + 1 < max_depth:
+        left_smaller = len(left) <= len(right)
+        small = bins.counts(left if left_smaller else right, g)
+        rest = tuple(whole - part for whole, part in zip(counts, small))
+        sides = (small, rest) if left_smaller else (rest, small)
+    for child, child_rows, child_counts in zip((2 * node + 1, 2 * node + 2), (left, right), sides):
+        _grow_tree(bins, g, residuals, q, max_depth, forest, t, child_rows, child_counts, depth + 1, child)
 
 
 def tree_to_doc(forest: Forest, t: int, node: int = 0) -> dict:
@@ -220,10 +313,9 @@ def fit_gboost(
             raise ValueError("the validation set has no rows: early stopping needs at least one")
         if not (np.all(np.isfinite(Xv)) and np.all(np.isfinite(yv))):
             raise ValueError("non-finite values in validation data")
-    XT =np.ascontiguousarray(X.T)
-    # every tree's root holds all rows in the same order, so one sort serves them all
-    root = _presort(XT)
-    ranks = _ranks(root)
+    # every tree's root holds all rows in the same order, so one sort bins them for the whole fit
+    bins = _Bins.of(np.ascontiguousarray(X.T))
+    rows = np.arange(len(X))
 
     init, forests, losses = {}, {}, {}
     for q in levels:
@@ -239,7 +331,7 @@ def fit_gboost(
         for t in range(hyper.n_trees):
             residuals = y - pred
             gradient = np.where(residuals > 0, q, np.where(residuals < 0, q - 1.0, q))
-            _grow_tree(XT, ranks, gradient, residuals, q, 0, hyper.max_depth, forest, t, presorted=root)
+            _grow_tree(bins, gradient, residuals, q, hyper.max_depth, forest, t, rows, bins.counts(rows, gradient, bins.root))
             stage = forest[t : t + 1]
             pred = pred + hyper.learning_rate * stage.leaf_values(X)[:, 0]
             loss_path.append(float(np.mean(tilted_loss(q, y, pred))))

@@ -502,6 +502,8 @@ def model_from_json_dict(doc: dict) -> TrainedDemandModel:
     seasonal = None
     if spec.seasonal_normalize:
         seasonal = _seasonal_from_doc(doc_field(doc, "model.seasonal", dict, {}), pair_order, labels)
+    elif doc.get("seasonal", {}) != {}:
+        raise ConfigError("model.seasonal", "expected {} for a model without seasonal normalization")
     return TrainedDemandModel(spec, levels, labels, pair_order, models, seasonal)
 
 

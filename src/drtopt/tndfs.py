@@ -752,6 +752,8 @@ def instance_from_json_dict(doc: dict) -> NetworkInstance:
 
     def ride_time(n_stops: int) -> list[list[float]]:
         rows = config.field(doc, "network.ride_time", list)
+        if len(rows) != n_stops:
+            raise config.ConfigError("network.ride_time", f"expected {n_stops} rows, one per bus stop")
         for i, row in enumerate(rows):
             if len(config.json_list(row, f"network.ride_time[{i}]")) != n_stops:
                 raise config.ConfigError(f"network.ride_time[{i}]", f"expected {n_stops} entries, one per bus stop")

@@ -10,12 +10,16 @@ A tree document is what `model.json` stores: a leaf is {"value"}, a split is
 feature is <= the threshold.  The stages are added one at a time, as the fit
 adds them.
 
-`reference_best_split` is `boosting._best_split` one feature at a time:
+`reference_best_split` is the exact split search one feature at a time:
 each feature sorts the node's rows (row-major X) on its own, and a later
-feature wins only by more than 1e-12.
+feature wins only by more than 1e-12.  `reference_grow_tree` grows a tree
+with it and the enumerated leaf rule, each node holding its own rows in
+the order its parent's split sorted them.
 """
 
 import numpy as np
+
+from reference_qr import reference_pinball_constant
 
 
 def walk(tree: dict, x) -> float:
@@ -67,3 +71,15 @@ def reference_best_split(X, g):
             best_gain = gain[i]
             best = (j, 0.5 * (xs[i] + xs[i + 1]), order[: i + 1], order[i + 1 :])
     return best
+
+
+def reference_grow_tree(X, g, residuals, q, depth, max_depth, forest, t: int, node: int = 0) -> None:
+    """Fill tree t of a `boosting.Forest` from heap node `node` down; X, g and residuals are the node's rows."""
+    split = reference_best_split(X, g) if depth < max_depth and len(g) >= 2 else None
+    if split is None:
+        forest.value[t, node] = reference_pinball_constant(residuals, q)
+        return
+    j, threshold, left, right = split
+    forest.feature[t, node], forest.threshold[t, node] = j, threshold
+    for child, idx in ((2 * node + 1, left), (2 * node + 2, right)):
+        reference_grow_tree(X[idx], g[idx], residuals[idx], q, depth + 1, max_depth, forest, t, child)

@@ -1,28 +1,28 @@
 import json
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from drtopt import boosting
+from drtopt import boosting, config
 from drtopt.boosting import (
     Forest,
     GBoostHyper,
-    _best_split,
-    _presort,
-    _ranks,
+    _Bins,
+    _split,
     fit_gboost,
     gboost_raw_predict,
     tree_from_doc,
     tree_to_doc,
 )
 from drtopt.data import SplitSpec
-from drtopt.forecasting import ModelSpec, _inner_doc, gboost_grid_search, model_to_json_dict, to_count_scale, train_model
+from drtopt.forecasting import ModelSpec, _group_rows, _inner_doc, gboost_grid_search, model_to_json_dict, to_count_scale, train_model
 from drtopt.qr import DEFAULT_QUANTILES, tilted_loss
 from drtopt.synth import SyntheticSpec, generate_synthetic
 from reference_qr import reference_pinball_constant
-from reference_trees import reference_best_split, reference_gboost_raw_predict, reference_raw_predict
+from reference_trees import reference_best_split, reference_gboost_raw_predict, reference_grow_tree, reference_raw_predict
 
 
 def raw_predict(model, X) -> dict[float, np.ndarray]:
@@ -259,16 +259,7 @@ def test_split_on_a_feature_outside_the_layout_is_rejected(feature):
 COLUMN_KINDS = ("onehot", "integer", "constant", "tied", "duplicate")
 
 
-@settings(deadline=None, max_examples=300)
-@given(
-    st.integers(2, 40),
-    st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=6),
-    st.sampled_from([0.05, 0.95]),
-    st.integers(0, 2**32 - 1),
-    st.randoms(use_true_random=False),
-)
-def test_split_search_equals_the_per_feature_reference(n, kinds, q, seed, shuffler):
-    rng = np.random.default_rng(seed)
+def _columns(rng, n: int, kinds) -> np.ndarray:
     columns = []
     for kind in kinds:
         if kind == "onehot":
@@ -281,27 +272,72 @@ def test_split_search_equals_the_per_feature_reference(n, kinds, q, seed, shuffl
             columns.append(np.round(rng.normal(size=n), 1))
         else:  # an equal column earlier in the layout: the gains tie, the first feature keeps the split
             columns.append(columns[-1].copy() if columns else np.zeros(n))
-    X = np.column_stack(columns)
+    return np.column_stack(columns)
+
+
+def _assert_split_is_the_reference(X, g, q, rows):
+    """`_split` of the node `rows` (in arrival order) of a fit binned over all of X equals the per-feature scan."""
+    bins = _Bins.of(np.ascontiguousarray(X.T))
+    ref = reference_best_split(X[rows], g[rows])
+    got = _split(bins, rows, g[rows], q, bins.counts(rows, g))
+    if ref is None:
+        assert got is None
+        return
+    assert got[0] == ref[0] and got[1] == ref[1]
+    assert np.array_equal(got[2], rows[ref[2]]) and np.array_equal(got[3], rows[ref[3]])
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.integers(2, 40),
+    st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=6),
+    st.sampled_from([0.05, 0.95]),
+    st.integers(0, 2**32 - 1),
+    st.randoms(use_true_random=False),
+)
+def test_split_search_equals_the_per_feature_reference(n, kinds, q, seed, shuffler):
+    rng = np.random.default_rng(seed)
+    X = _columns(rng, n, kinds)
     # the tilted-loss gradient: q above the fit, q - 1 below; neither is exact in binary
     g = np.where(rng.random(n) < q, q - 1.0, q)
     perm = list(range(n))
     shuffler.shuffle(perm)
     X, g = X[perm], g[perm]
-    XT = np.ascontiguousarray(X.T)
-    ref = reference_best_split(X, g)
-    # as a tree's root sorts (the values) and as a child sorts (their ranks)
-    for got in (_best_split(XT, g, _presort(XT)), _best_split(XT, g, _presort(_ranks(_presort(XT))))):
-        if ref is None:
-            assert got is None
-            continue
-        assert got[0] == ref[0] and got[1] == ref[1]
-        assert np.array_equal(got[2], ref[2]) and np.array_equal(got[3], ref[3])
+    # as at a tree's root, and at a node: some of the rows, in an order of their own
+    _assert_split_is_the_reference(X, g, q, np.arange(n))
+    node = np.array(perm[: shuffler.randint(2, n)])
+    _assert_split_is_the_reference(X, g, q, node)
+    with pytest.MonkeyPatch.context() as patch:  # every feature scanned, none screened out
+        patch.setattr(boosting, "_SCREENED_ROWS", 0)
+        _assert_split_is_the_reference(X, g, q, node)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(2, 5000),
+    st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=8),
+    st.sampled_from([0.05, 0.95, 1 / 3]),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_split_search_of_a_large_node_equals_the_per_feature_reference(n, kinds, q, share, seed):
+    # the screen's window grows with the node's rows squared: thousands of rows, and gains that
+    # tie between duplicate, constant, one-hot and tied columns, exercise it at its widest
+    rng = np.random.default_rng(seed)
+    X = _columns(rng, n, kinds)
+    g = np.where(rng.random(n) < rng.uniform(0.0, 1.0), q - 1.0, q)
+    rows = rng.permutation(n)[: max(2, int(share * n))]
+    _assert_split_is_the_reference(X, g, q, rows)
 
 
 @pytest.fixture
 def references(monkeypatch):
-    """Fit with the per-feature split search and the enumerated leaf rule."""
-    monkeypatch.setattr(boosting, "_best_split", lambda XT, g, presorted: reference_best_split(XT.T, g))
+    """Fit with trees grown by the per-feature split search and the enumerated leaf rule."""
+
+    def grow_tree(bins, g, residuals, q, max_depth, forest, t, rows, counts):
+        reference_grow_tree(bins.XT[:, rows].T, g[rows], residuals[rows], q, 0, max_depth, forest, t)
+
+    monkeypatch.setattr(boosting, "_grow_tree", grow_tree)
     monkeypatch.setattr(boosting, "pinball_minimizing_constant", reference_pinball_constant)
 
 
@@ -324,6 +360,25 @@ def test_fit_equals_a_fit_with_both_references(small_dataset, request, scope, de
     fast = _fit_doc(small_dataset, spec)
     request.getfixturevalue("references")
     assert fast == _fit_doc(small_dataset, spec)
+
+
+def test_a_demo_pair_fit_at_the_default_hyperparameters_equals_the_references(request):
+    # the CLI demo's data (synth --locations 4 --seed 7) and config, its first pair's train rows
+    doc = config.default_config_doc("counts.csv", "network.json", 1)
+    doc["model"]["family"] = "gboost"
+    cfg = config.config_from_json_dict(doc, Path("."))
+    assert cfg.model.gboost == GBoostHyper()
+    (X, y, _, pair_index), _ = _group_rows(generate_synthetic(SyntheticSpec(n_locations=4, seed=7)), cfg.split, cfg.model)
+    X, y = X[pair_index == 0], y[pair_index == 0]
+
+    def fit():
+        model = fit_gboost(X, y, (0.05, 0.95), cfg.model.gboost)
+        trees = {q: [a.tobytes() for a in (f.feature, f.threshold, f.value)] for q, f in model.trees.items()}
+        return model.init, trees, model.train_loss
+
+    fast = fit()
+    request.getfixturevalue("references")
+    assert fast == fit()
 
 
 def test_early_stopped_fits_and_grid_scores_equal_the_references(small_dataset, request, rng):

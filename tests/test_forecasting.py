@@ -746,6 +746,18 @@ def test_model_json_names_a_malformed_seasonal_section(model_docs, edit, message
         model_from_json_dict(doc)
 
 
+@pytest.mark.parametrize("section", [{"nonsense": 5}, {"g0>g1": {"cells": []}}, [], None], ids=["stray-key", "pair-entry", "list", "null"])
+@pytest.mark.parametrize("kind", ["pooled", "gboost", "hp"])
+def test_a_model_without_seasonal_normalization_rejects_a_seasonal_section(model_docs, kind, section):
+    # such a section used to load unread, whatever it held
+    doc = json.loads(json.dumps(model_docs[kind]))
+    assert doc["seasonal"] == {}  # what the writer writes, which loads
+    assert model_from_json_dict(doc).seasonal is None
+    doc["seasonal"] = section
+    with pytest.raises(ValueError, match=re.escape("model.seasonal: expected {} for a model without seasonal normalization")):
+        model_from_json_dict(doc)
+
+
 @pytest.mark.parametrize("field, bad, message", [
     ("learning_rate", 7.0, "learning_rate must be in [0, 1], got 7.0"),
     ("max_depth", 9, "max_depth must be in 0..6, got 9"),

@@ -709,6 +709,9 @@ def test_instance_json_missing_field():
     pytest.param(lambda doc: doc["ride_time"][1].__setitem__(0, True), "ride_time[1][0]", id="ride-time-true"),
     pytest.param(lambda doc: doc["ride_time"][1].append(3.0), "ride_time[1]", id="ride-time-ragged-row"),
     pytest.param(lambda doc: doc["ride_time"].__setitem__(0, 5.0), "ride_time[0]", id="ride-time-row-not-a-list"),
+    # one row per bus stop: a row too many or too few is named by the matrix's own path
+    pytest.param(lambda doc: doc["ride_time"].append([1.0, 2.0]), "ride_time", id="ride-time-extra-row"),
+    pytest.param(lambda doc: doc["ride_time"].pop(), "ride_time", id="ride-time-missing-row"),
 ])
 def test_instance_json_names_a_malformed_field(edit, field):
     doc = instance_to_json_dict(two_node_instance(fleet_size=3))
