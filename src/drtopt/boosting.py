@@ -26,16 +26,17 @@ class _Bins:
     Rank 0 is a feature's least value and equal values share a rank, so a
     stable sort of a node's ranks gives the order a stable sort of its
     values gives; up to 2**15 rows the ranks are int16, which numpy sorts
-    stably by radix.  A node's histograms are (features, width) counts of
-    its rows over the bins `feature * width + rank`; `root` holds every
-    row's, the same at every tree's root.
+    stably by radix.  A feature's bins follow those of the features before
+    it, one per rank, so a node's histograms, counts of its rows per bin,
+    hold one cell per distinct (feature, value) of the fit; `root` holds
+    every row's, the same at every tree's root.
     """
 
     XT: np.ndarray  # (features, rows): the values
     ranks: np.ndarray  # (features, rows)
-    keys: np.ndarray  # (features, rows): each row's bin, feature * width + rank
-    width: int
-    root: np.ndarray  # (features, width)
+    keys: np.ndarray  # (features, rows): each row's bin, its rank plus the earlier features' bins
+    feature: np.ndarray  # (bins,): each bin's feature
+    root: np.ndarray  # (bins,)
 
     @classmethod
     def of(cls, XT: np.ndarray) -> "_Bins":
@@ -43,13 +44,17 @@ class _Bins:
         in_order = np.take_along_axis(XT, order, axis=1)
         ranks = np.zeros(order.shape, dtype=np.int16 if order.shape[1] <= 2**15 else np.intp)
         np.put_along_axis(ranks, order[:, 1:], np.cumsum(in_order[:, 1:] != in_order[:, :-1], axis=1), axis=1)
-        width = int(ranks.max(initial=0)) + 1
-        keys = ranks + width * np.arange(len(XT))[:, None]
-        root = np.bincount(keys.ravel(), minlength=len(XT) * width).reshape(len(XT), width)
-        return cls(XT, ranks, keys, width, root)
+        sizes = ranks.max(axis=1, initial=0).astype(np.intp) + 1
+        keys = ranks + (np.cumsum(sizes) - sizes)[:, None]
+        root = np.bincount(keys.ravel(), minlength=int(sizes.sum()))
+        return cls(XT, ranks, keys, np.repeat(np.arange(len(XT)), sizes), root)
+
+    def pays(self, m: int) -> bool:
+        """Whether a node of m rows is screened by histograms: when they hold no more bins than it has (feature, row)s."""
+        return len(self.root) <= len(self.ranks) * m
 
     def histogram(self, rows: np.ndarray) -> np.ndarray:
-        return np.bincount(self.keys[:, rows].ravel(), minlength=self.root.size).reshape(self.root.shape)
+        return np.bincount(self.keys[:, rows].ravel(), minlength=len(self.root))
 
     def counts(self, rows: np.ndarray, g: np.ndarray, every: np.ndarray | None = None):
         """The rows' histograms: of all of them (`every`, when already known) and of those whose g is q - 1.
@@ -72,7 +77,8 @@ def _split(bins: _Bins, rows: np.ndarray, g: np.ndarray, q: float, counts):
     """Axis-aligned split of a node minimizing the SSE of g; None when no split helps.
 
     `rows` are the node's rows in arrival order, g their gradient (q or
-    q - 1) in that order and `counts` their `_Bins.counts`.  The result is
+    q - 1) in that order and `counts` their `_Bins.counts`, or None when
+    every feature is to run the float scan.  The result is
     (feature, threshold, left rows, right rows), each side in the node's
     stable order of the feature's values: what the per-feature scan of
     `tests/reference_trees.py` gives.  There, feature j's best gain F_j is
@@ -88,7 +94,9 @@ def _split(bins: _Bins, rows: np.ndarray, g: np.ndarray, q: float, counts):
     m at q - 1, P = q*n - c and T = q*m - C.  Cumulative sums of the
     node's histograms give (n, c) at every cut of every feature at once,
     and G_j, the greatest gain over j's cuts evaluated at (P, T), screens
-    the features.
+    the features (`_screen`).  A node whose histograms would hold more
+    bins than it has (feature, row) cells is not screened (`_Bins.pays`):
+    scanning its bins would cost more than the float scan of every feature.
 
     G_j is within delta = 16*m**2*u + 64*m*u of F_j, u = 2**-53, for m up
     to `_SCREENED_ROWS`.  Both are maxima over the same cuts, so it is
@@ -117,29 +125,12 @@ def _split(bins: _Bins, rows: np.ndarray, g: np.ndarray, q: float, counts):
     `cumsum` of g in that order and the same in-place gain operations, so
     the winner, its cut and both sides' rows are the scan's.
     """
-    n_every, n_below = counts
     m = len(rows)
-    # the bins holding some of the rows, feature by feature: as each feature's bins hold all
-    # m rows and all C of those at q - 1, running sums less m or C per earlier feature give
-    # the rows at or below each bin
-    present = np.flatnonzero(n_every)
-    feature = present // bins.width
-    n = np.cumsum(n_every.ravel()[present]) - m * feature
-    C = np.count_nonzero(g < 0)
-    c = np.cumsum(n_below.ravel()[present]) - C * feature
-    last = n == m  # a feature's greatest value: no cut after it
-    P, T = q * n - c, q * m - C
-    screen = P * P / n + (T - P) ** 2 / np.maximum(m - n, 1) - T * T / m
-    screen[last] = -np.inf
-    best = np.maximum.reduceat(screen, np.flatnonzero(np.concatenate(([True], last[:-1]))))  # per feature
-    kept = np.flatnonzero(best > -np.inf)  # the features with a cut
+    kept = np.arange(len(bins.ranks))
+    if counts is not None:
+        kept = _screen(bins, m, g, q, counts)
     if not len(kept):
         return None
-    if m <= _SCREENED_ROWS:
-        window = 2.0 * (16.0 * m + 64.0) * m * _U + 4e-12
-        earlier = np.concatenate(([-np.inf], np.maximum.accumulate(best)[:-1]))
-        s = np.flatnonzero(best > earlier + window)[-1]
-        kept = kept[(kept >= s) & (best[kept] > best[s] - window)]
     ranks = bins.ranks[kept[:, None], rows]
     order = np.argsort(ranks, axis=1, kind="stable")
     total = g.sum()
@@ -160,9 +151,36 @@ def _split(bins: _Bins, rows: np.ndarray, g: np.ndarray, q: float, counts):
     for i, feature_gain in enumerate(gain[np.arange(len(kept)), at].tolist()):
         if feature_gain > best_gain + 1e-12:
             best_gain, found = feature_gain, i
+    if found is None:  # no feature has a cut
+        return None
     j, order, at = int(kept[found]), order[found], at[found]
     left, right = rows[order[: at + 1]], rows[order[at + 1 :]]
     return j, 0.5 * (bins.XT[j, left[-1]] + bins.XT[j, right[0]]), left, right
+
+
+def _screen(bins: _Bins, m: int, g: np.ndarray, q: float, counts) -> np.ndarray:
+    """The features a node's float scan must run, by `_split`'s screen, from the node's histograms."""
+    n_every, n_below = counts
+    # the bins holding some of the rows, feature by feature: as each feature's bins hold all
+    # m rows and all C of those at q - 1, running sums less m or C per earlier feature give
+    # the rows at or below each bin
+    present = np.flatnonzero(n_every)
+    feature = bins.feature[present]
+    n = np.cumsum(n_every[present]) - m * feature
+    C = np.count_nonzero(g < 0)
+    c = np.cumsum(n_below[present]) - C * feature
+    last = n == m  # a feature's greatest value: no cut after it
+    P, T = q * n - c, q * m - C
+    screen = P * P / n + (T - P) ** 2 / np.maximum(m - n, 1) - T * T / m
+    screen[last] = -np.inf
+    best = np.maximum.reduceat(screen, np.flatnonzero(np.concatenate(([True], last[:-1]))))  # per feature
+    kept = np.flatnonzero(best > -np.inf)  # the features with a cut
+    if len(kept) and m <= _SCREENED_ROWS:
+        window = 2.0 * (16.0 * m + 64.0) * m * _U + 4e-12
+        earlier = np.concatenate(([-np.inf], np.maximum.accumulate(best)[:-1]))
+        s = np.flatnonzero(best > earlier + window)[-1]
+        kept = kept[(kept >= s) & (best[kept] > best[s] - window)]
+    return kept
 
 
 @dataclass(frozen=True)
@@ -215,9 +233,9 @@ def _grow_tree(bins: _Bins, g, residuals, q, max_depth, forest: Forest, t: int, 
 
     g and residuals are the fit's, one per row; rows are the node's in
     arrival order (the parent's stable order of its split feature) and
-    counts their `_Bins.counts`, None below the last level that splits.
-    Of two children only the smaller is counted; the larger's counts are
-    the parent's less the smaller's.
+    counts their `_Bins.counts`, None below the last level that splits and
+    where histograms do not pay.  Of two children only the smaller is
+    counted; the larger's counts are the parent's less the smaller's.
     """
     split = None
     if depth < max_depth and len(rows) >= 2:
@@ -228,12 +246,13 @@ def _grow_tree(bins: _Bins, g, residuals, q, max_depth, forest: Forest, t: int, 
     j, thr, left, right = split
     forest.feature[t, node] = j
     forest.threshold[t, node] = thr
-    sides = (None, None)
-    if depth + 1 < max_depth:
-        left_smaller = len(left) <= len(right)
-        small = bins.counts(left if left_smaller else right, g)
-        rest = tuple(whole - part for whole, part in zip(counts, small))
-        sides = (small, rest) if left_smaller else (rest, small)
+    sides = [None, None]
+    small = int(len(right) < len(left))  # the smaller side, left on a tie
+    if depth + 1 < max_depth and bins.pays(len((left, right)[1 - small])):
+        part = bins.counts((left, right)[small], g)
+        sides[1 - small] = tuple(whole - each for whole, each in zip(counts, part))
+        if bins.pays(len((left, right)[small])):
+            sides[small] = part
     for child, child_rows, child_counts in zip((2 * node + 1, 2 * node + 2), (left, right), sides):
         _grow_tree(bins, g, residuals, q, max_depth, forest, t, child_rows, child_counts, depth + 1, child)
 
@@ -301,6 +320,8 @@ def fit_gboost(
         raise ValueError(f"y must hold one value per row of X: {len(X)} rows, y of shape {y.shape}")
     if len(X) == 0:
         raise ValueError("no training rows")
+    if X.shape[1] == 0:
+        raise ValueError("X has no feature columns: a tree needs one to split on")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("non-finite values in training data")
     if val is not None:
@@ -331,7 +352,8 @@ def fit_gboost(
         for t in range(hyper.n_trees):
             residuals = y - pred
             gradient = np.where(residuals > 0, q, np.where(residuals < 0, q - 1.0, q))
-            _grow_tree(bins, gradient, residuals, q, hyper.max_depth, forest, t, rows, bins.counts(rows, gradient, bins.root))
+            counts = bins.counts(rows, gradient, bins.root) if bins.pays(len(rows)) else None
+            _grow_tree(bins, gradient, residuals, q, hyper.max_depth, forest, t, rows, counts)
             stage = forest[t : t + 1]
             pred = pred + hyper.learning_rate * stage.leaf_values(X)[:, 0]
             loss_path.append(float(np.mean(tilted_loss(q, y, pred))))

@@ -32,7 +32,11 @@ def tilted_loss(q: float, y, y_hat):
     """Pinball loss max(q*(y-y_hat), (q-1)*(y-y_hat)); vectorized."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile level must be in (0,1), got {q}")
-    err = np.asarray(y, dtype=np.float64) - np.asarray(y_hat, dtype=np.float64)
+    return _pinball(q, np.asarray(y, dtype=np.float64) - np.asarray(y_hat, dtype=np.float64))
+
+
+def _pinball(q: float, err: np.ndarray) -> np.ndarray:
+    """`tilted_loss` of the errors y - y_hat, q unchecked."""
     return np.maximum(q * err, (q - 1.0) * err)
 
 
@@ -64,8 +68,7 @@ def pinball_minimizing_constant(sample, q: float) -> float:
     n = len(s)
 
     def loss(i: int) -> float:  # np.mean(tilted_loss(q, sample, s[i])), without checking q again
-        err = sample - s[i]
-        return float(np.add.reduce(np.maximum(q * err, (q - 1.0) * err), axis=None) / n)
+        return float(np.add.reduce(_pinball(q, sample - s[i]), axis=None) / n)
 
     def first(i: int) -> int:  # index of the first copy of s[i]
         return int(np.searchsorted(s, s[i], side="left"))

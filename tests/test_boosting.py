@@ -121,6 +121,7 @@ def test_predict_postprocessing(rng):
         (np.ones((10, 2)), np.ones(9), r"y must hold one value per row of X: 10 rows, y of shape \(9,\)"),
         (np.ones((10, 2)), np.ones((10, 1)), r"y must hold one value per row of X: 10 rows, y of shape \(10, 1\)"),
         (np.ones((0, 2)), np.ones(0), "no training rows"),
+        (np.ones((10, 0)), np.ones(10), "X has no feature columns: a tree needs one to split on"),
     ],
 )
 def test_malformed_training_data_is_named(X, y, match):
@@ -276,15 +277,19 @@ def _columns(rng, n: int, kinds) -> np.ndarray:
 
 
 def _assert_split_is_the_reference(X, g, q, rows):
-    """`_split` of the node `rows` (in arrival order) of a fit binned over all of X equals the per-feature scan."""
+    """`_split` of the node `rows` (in arrival order) of a fit binned over all of X equals the per-feature scan.
+
+    Both with the node's histograms, screened, and without, every feature scanned.
+    """
     bins = _Bins.of(np.ascontiguousarray(X.T))
     ref = reference_best_split(X[rows], g[rows])
-    got = _split(bins, rows, g[rows], q, bins.counts(rows, g))
-    if ref is None:
-        assert got is None
-        return
-    assert got[0] == ref[0] and got[1] == ref[1]
-    assert np.array_equal(got[2], rows[ref[2]]) and np.array_equal(got[3], rows[ref[3]])
+    for counts in (bins.counts(rows, g), None):
+        got = _split(bins, rows, g[rows], q, counts)
+        if ref is None:
+            assert got is None
+            continue
+        assert got[0] == ref[0] and got[1] == ref[1]
+        assert np.array_equal(got[2], rows[ref[2]]) and np.array_equal(got[3], rows[ref[3]])
 
 
 @settings(deadline=None, max_examples=300)
@@ -358,6 +363,26 @@ def _fit_doc(dataset, spec) -> str:
 def test_fit_equals_a_fit_with_both_references(small_dataset, request, scope, depth):
     spec = ModelSpec(family="gboost", scope=scope, exam_period=None, gboost=GBoostHyper(0.3, depth, 3))
     fast = _fit_doc(small_dataset, spec)
+    request.getfixturevalue("references")
+    assert fast == _fit_doc(small_dataset, spec)
+
+
+@pytest.mark.filterwarnings("ignore:.*seasonal cell.*zero variance")
+@pytest.mark.parametrize("scope", ["per_pair", "pooled"])
+def test_a_fit_of_continuous_features_equals_a_fit_with_both_references(small_dataset, request, monkeypatch, scope):
+    # seasonally normalized lags take about as many values as there are rows, so the
+    # histograms hold more bins than a small node has (feature, row)s: those nodes go unscreened
+    spec = ModelSpec(family="gboost", scope=scope, exam_period=None, seasonal_normalize=True, gboost=GBoostHyper(0.3, 5, 3))
+    screened = set()
+
+    def split(bins, rows, g, q, counts):
+        screened.add(counts is not None)
+        return _split(bins, rows, g, q, counts)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(boosting, "_split", split)
+        fast = _fit_doc(small_dataset, spec)
+    assert screened == {True, False}
     request.getfixturevalue("references")
     assert fast == _fit_doc(small_dataset, spec)
 
