@@ -179,14 +179,18 @@ def _independent_columns(X: np.ndarray) -> np.ndarray:
     return np.sort(piv[:rank])
 
 
-def _step_to_boundary(v, dv, u, du) -> float:
-    """min(1, _STEP * t) for the step t at which v + t dv or u + t du first reaches zero."""
-    worst = max(float(np.max(-dv / v)), float(np.max(-du / u)))
-    return 1.0 if worst <= _STEP else _STEP / worst
+def _steps_to_boundary(v: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """Per level of the (levels, 2, n) stacks, min(1, _STEP * t) for the step t at which v + t dv first reaches zero."""
+    return _STEP / np.maximum(np.max(-dv / v, axis=(1, 2)), _STEP)
 
 
-def _interior_point(X: np.ndarray, y: np.ndarray, q: float, start: np.ndarray) -> np.ndarray:
-    """Near-optimal coefficients by a primal-dual interior-point method on the dual LP.
+def _cho_solves(chols: list, rhs: np.ndarray) -> np.ndarray:
+    """Row k of rhs solved by the k-th lower Cholesky factor."""
+    return np.array([scipy.linalg.lapack.dpotrs(c, b, lower=1)[0] for c, b in zip(chols, rhs)])
+
+
+def _interior_points(X: np.ndarray, y: np.ndarray, levels, start: np.ndarray) -> list:
+    """Near-optimal coefficients per level by a primal-dual interior-point method on the dual LP.
 
     The Frisch-Newton method of Portnoy & Koenker (1997), as in quantreg's
     rq.fit.fnb, with Mehrotra's predictor-corrector: min -y'a subject to
@@ -194,63 +198,97 @@ def _interior_point(X: np.ndarray, y: np.ndarray, q: float, start: np.ndarray) -
     loss of y - X beta is that of y_c - X (beta - start) with
     y_c = y - X start, and it is homogeneous in y_c, so the iterations run
     on y_c / max|y_c| from the dual point lam = 0 (beta = start), with the
-    dual slacks z and w strictly positive.  Each iteration factors
-    X'diag(d)X once; X must have full column rank.  Stops at relative
-    duality gap _GAP_TOL, or at _SINGULAR_GAP_TOL when X'diag(d)X is
+    dual slacks z and w strictly positive.
+
+    Every level steps in lock step: the primal (a, s = 1 - a) and the dual
+    slacks (z, w) are (levels, 2, n) stacks, and a step's elementwise work
+    and its products with X are one call for all levels.  Each level
+    factors its own X'diag(d)X (formed by dsyrk, lower triangle) once per
+    iteration; X must have full column rank.  A level stops at relative
+    duality gap _GAP_TOL, or at _SINGULAR_GAP_TOL when its X'diag(d)X is
     singular to working precision (d spans many orders of magnitude near a
-    degenerate optimum).  A division by zero, an overflow or a NaN raises
-    FloatingPointError.
+    degenerate optimum), and leaves the stacks.  Returns, aligned with
+    `levels`, each level's coefficients or the error it stopped on: a
+    FloatingPointError when its iterate turns non-finite, a LinAlgError when
+    its normal matrix fails above _SINGULAR_GAP_TOL or its gap stays above
+    _GAP_TOL for _MAX_ITER iterations.  A level that fails does not stop
+    the others.
     """
     n = len(y)
     y = y - X @ start
     scale = float(np.max(np.abs(y))) or 1.0
     y = y / scale
     XT = np.ascontiguousarray(X.T)
-    lam = np.zeros(X.shape[1])
-    a = np.full(n, 1.0 - q)
-    s = 1.0 - a
+    q = np.asarray(levels, dtype=np.float64)
+    primal = np.empty((len(q), 2, n))
+    primal[:, 0] = (1.0 - q)[:, None]
+    primal[:, 1] = 1.0 - primal[:, 0]
     z = np.maximum(-y, 0.0) + 1e-3  # rows below the start's fit
-    w = z + y  # z - w = -y: lam = 0 is dual feasible
-    with np.errstate(divide="raise", over="raise", invalid="raise"):
+    dual = np.tile(np.stack([z, z + y]), (len(q), 1, 1))  # z - w = -y: lam = 0 is dual feasible
+    lam = np.zeros((len(q), X.shape[1]))
+    live = np.arange(len(q))  # the levels still stepping, in the stacks' order
+    sign = np.array([[1.0], [-1.0]])  # the step of (a, s) is (da, -da)
+    out = [None] * len(q)
+    with np.errstate(all="ignore"):  # a non-finite level is caught below, alone
         for _ in range(_MAX_ITER):
-            gap = z @ a + w @ s
-            rel_gap = gap / (1.0 + abs(y @ a))
-            if rel_gap <= _GAP_TOL:
-                return start - lam * scale
-            za, ws = z / a, w / s
-            d = 1.0 / (za + ws)
-            r = z - w
-            chol, info = scipy.linalg.lapack.dpotrf((XT * d) @ X, lower=1, clean=0)
-            if info != 0:
-                if rel_gap <= _SINGULAR_GAP_TOL:  # as close as working precision allows
-                    return start - lam * scale
-                raise np.linalg.LinAlgError(f"normal matrix not positive definite (dpotrf info {info})")
-            rhs = XT @ (d * r)
-            dlam = scipy.linalg.lapack.dpotrs(chol, rhs, lower=1)[0]
-            da = d * (X @ dlam - r)
-            dz = -z - za * da
-            dw = -w + ws * da
-            fp = _step_to_boundary(a, da, s, -da)
-            fd = _step_to_boundary(z, dz, w, dw)
-            if fp < 1.0 or fd < 1.0:  # Mehrotra's corrector, centred at the predicted gap
-                predicted = (z + fd * dz) @ (a + fp * da) + (w + fd * dw) @ (s - fp * da)
-                mu = predicted**3 / (gap**2 * 2.0 * n)
-                dadz, dsdw = da * dz, -da * dw
-                ainv, sinv = 1.0 / a, 1.0 / s
-                xi = mu * (ainv - sinv)
-                rhs += XT @ (d * (dadz - dsdw - xi))
-                dlam = scipy.linalg.lapack.dpotrs(chol, rhs, lower=1)[0]
-                da = d * (X @ dlam + xi - r - dadz + dsdw)
-                dz = mu * ainv - z - za * da - dadz
-                dw = mu * sinv - w + ws * da - dsdw
-                fp = _step_to_boundary(a, da, s, -da)
-                fd = _step_to_boundary(z, dz, w, dw)
-            a = a + fp * da
-            s = s - fp * da
-            lam = lam + fd * dlam
-            z = z + fd * dz
-            w = w + fd * dw
-    raise np.linalg.LinAlgError(f"no duality gap below {_GAP_TOL} in {_MAX_ITER} iterations")
+            gap = np.sum(dual * primal, axis=(1, 2))
+            rel_gap = gap / (1.0 + np.abs(primal[:, 0] @ y))
+            ratio = dual / primal  # (z/a, w/s)
+            d = 1.0 / ratio.sum(axis=1)
+            root_d = np.sqrt(d)
+            stay = np.isfinite(gap) & np.isfinite(lam).all(axis=1)
+            chols = []
+            for k in range(len(live)):
+                if not stay[k]:
+                    out[live[k]] = FloatingPointError("the interior-point iterate is not finite")
+                    continue
+                if rel_gap[k] <= _GAP_TOL:
+                    out[live[k]] = start - lam[k] * scale
+                    stay[k] = False
+                    continue
+                normal = scipy.linalg.blas.dsyrk(1.0, (XT * root_d[k]).T, trans=1, lower=1)
+                chol, info = scipy.linalg.lapack.dpotrf(normal, lower=1, clean=0, overwrite_a=1)
+                if info == 0:
+                    chols.append(chol)
+                    continue
+                stay[k] = False
+                if rel_gap[k] <= _SINGULAR_GAP_TOL:  # as close as working precision allows
+                    out[live[k]] = start - lam[k] * scale
+                else:
+                    out[live[k]] = np.linalg.LinAlgError(f"normal matrix not positive definite (dpotrf info {info})")
+            if not stay.all():
+                live, primal, dual, lam, gap, ratio, d = (v[stay] for v in (live, primal, dual, lam, gap, ratio, d))
+                if not len(live):
+                    break
+            r = dual[:, 0] - dual[:, 1]
+            rhs = (d * r) @ X
+            dlam = _cho_solves(chols, rhs)
+            dprimal = sign * (d * (dlam @ XT - r))[:, None]
+            ddual = -dual - ratio * dprimal
+            fp = _steps_to_boundary(primal, dprimal)
+            fd = _steps_to_boundary(dual, ddual)
+            corrects = (fp < 1.0) | (fd < 1.0)
+            if corrects.any():  # Mehrotra's corrector, centred at the predicted gap
+                ahead = (dual + fd[:, None, None] * ddual) * (primal + fp[:, None, None] * dprimal)
+                predicted = np.sum(ahead, axis=(1, 2))
+                mu = (predicted**3 / (gap**2 * 2.0 * n))[:, None, None]
+                cross = dprimal * ddual  # (da dz, -da dw)
+                inv = 1.0 / primal
+                xi = mu[:, 0] * (inv[:, 0] - inv[:, 1])
+                shift = cross[:, 0] - cross[:, 1] - xi
+                corrected = _cho_solves(chols, rhs + (d * shift) @ X)
+                dprimal_c = sign * (d * (corrected @ XT - r - shift))[:, None]
+                dlam = np.where(corrects[:, None], corrected, dlam)
+                dprimal = np.where(corrects[:, None, None], dprimal_c, dprimal)
+                ddual = np.where(corrects[:, None, None], mu * inv - dual - ratio * dprimal_c - cross, ddual)
+                fp = _steps_to_boundary(primal, dprimal)
+                fd = _steps_to_boundary(dual, ddual)
+            primal = primal + fp[:, None, None] * dprimal
+            lam = lam + fd[:, None] * dlam
+            dual = dual + fd[:, None, None] * ddual
+    for k in live:
+        out[k] = np.linalg.LinAlgError(f"no duality gap below {_GAP_TOL} in {_MAX_ITER} iterations")
+    return out
 
 
 def _round_to_vertex(X: np.ndarray, y: np.ndarray, beta: np.ndarray, q: float, tol: float) -> np.ndarray:
@@ -262,20 +300,22 @@ def _round_to_vertex(X: np.ndarray, y: np.ndarray, beta: np.ndarray, q: float, t
     keep their residual's sign along the way, so the loss is linear there;
     on the optimal face it is constant.  The result solves X_h beta = y_h
     for r independent rows h of Z (Koenker, Quantile Regression, 2005, §2.2).
+    The column-pivoted QR of X_Z' tests the rank and picks h; the null
+    direction is the last right singular vector of X_Z.
     """
     r = X.shape[1]
     resid = y - X @ beta
     zero = np.abs(resid) <= tol
     eps = np.finfo(np.float64).eps
     while True:
-        if zero.any():
-            _, sv, vt = np.linalg.svd(X[zero])
-            rank = int(np.sum(sv > sv[0] * max(zero.sum(), r) * eps))
-        else:
-            rank, vt = 0, np.eye(r)
-        if rank == r:
-            break
-        direction = vt[-1]
+        rows = np.flatnonzero(zero)
+        if len(rows) >= r:
+            R, piv = scipy.linalg.qr(X[rows].T, mode="r", pivoting=True)
+            diag = np.abs(np.diag(R))
+            if diag[-1] > diag[0] * len(rows) * eps:
+                basis = rows[piv[:r]]
+                return np.linalg.solve(X[basis], y[basis])
+        direction = np.linalg.svd(X[rows])[2][-1] if len(rows) else np.eye(r)[-1]
         grad = (1.0 - q) * X[resid < -tol].sum(axis=0) - q * X[resid > tol].sum(axis=0)
         if grad @ direction > 0:
             direction = -direction
@@ -289,10 +329,6 @@ def _round_to_vertex(X: np.ndarray, y: np.ndarray, beta: np.ndarray, q: float, t
         resid = y - X @ beta
         zero |= np.abs(resid) <= tol
         zero[hit] = True
-    rows = np.flatnonzero(zero)
-    _, piv = scipy.linalg.qr(X[rows].T, mode="r", pivoting=True)
-    basis = rows[piv[:r]]
-    return np.linalg.solve(X[basis], y[basis])
 
 
 def _certificate_failure(X: np.ndarray, y: np.ndarray, beta: np.ndarray, q: float, tol: float) -> str | None:
@@ -324,12 +360,13 @@ def fit_lqr(X: np.ndarray, y: np.ndarray, levels=DEFAULT_QUANTILES) -> LinearQRM
     Requires at least twice as many rows as features and finite inputs.  The
     fit keeps a maximal set of linearly independent columns (one
     column-pivoted QR per fit) and gives each dropped column coefficient 0.
-    Per level an interior-point method (`_interior_point`) finds a
-    near-optimal fit, which is rounded to a basic solution interpolating
-    r = rank(X) rows (`_round_to_vertex`) and certified optimal by the
-    LP's KKT conditions (`_certificate_failure`).  A numerical failure or a
-    failed certificate logs a warning naming the level and the reason and
-    solves that level's dual LP by HiGHS instead (`_solve_pinball_lp`).
+    An interior-point method (`_interior_points`) finds a near-optimal fit
+    for every level in lock step.  Each level's fit is rounded to a basic
+    solution interpolating r = rank(X) rows (`_round_to_vertex`) and
+    certified optimal by the LP's KKT conditions (`_certificate_failure`).
+    A numerical failure or a failed certificate logs a warning naming the
+    level and the reason and solves that level's dual LP by HiGHS instead
+    (`_solve_pinball_lp`).  A level outside (0, 1) raises before any solve.
     The pinball loss of each fit is the minimum; the coefficients are one of
     the minimizers when X is rank-deficient or the optimum is degenerate.
     `converged` is True for a certified level and HiGHS's verdict for a
@@ -344,6 +381,9 @@ def fit_lqr(X: np.ndarray, y: np.ndarray, levels=DEFAULT_QUANTILES) -> LinearQRM
     if len(X) < 2 * X.shape[1]:
         raise ValueError(f"need >= {2 * X.shape[1]} rows to fit {X.shape[1]} features, got {len(X)}")
     levels = tuple(map(float, levels))
+    for q in levels:
+        if not 0.0 < q < 1.0:
+            raise ValueError(f"quantile level must be in (0,1), got {q}")
     cols = _independent_columns(X)
     if not len(cols):  # X = 0: every coefficient vector has the same loss
         return LinearQRModel(levels, {q: np.zeros(X.shape[1]) for q in levels}, {q: True for q in levels})
@@ -351,9 +391,11 @@ def fit_lqr(X: np.ndarray, y: np.ndarray, levels=DEFAULT_QUANTILES) -> LinearQRM
     start = np.linalg.lstsq(Xk, y, rcond=None)[0]
     tol = _ZERO_TOL * float(np.max(np.abs(y - Xk @ start))) + _ROUND_TOL * float(np.max(np.abs(y)))
     coef, converged = {}, {}
-    for q in levels:
+    for q, point in zip(levels, _interior_points(Xk, y, levels, start)):
         try:
-            beta = _round_to_vertex(Xk, y, _interior_point(Xk, y, q, start), q, tol)
+            if isinstance(point, Exception):
+                raise point
+            beta = _round_to_vertex(Xk, y, point, q, tol)
             failure = _certificate_failure(Xk, y, beta, q, tol)
         except (np.linalg.LinAlgError, FloatingPointError) as exc:
             failure = f"{type(exc).__name__}: {exc}"

@@ -1,3 +1,4 @@
+import itertools
 import json
 import logging
 import math
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import event, given, settings, strategies as st
 from scipy.optimize import linprog
 
@@ -30,6 +32,7 @@ from reference_features import PairSeries, record_of
 from reference_qr import (
     reference_dual_lp,
     reference_fit_hp,
+    reference_fit_lqr,
     reference_lqr_raw_predict,
     reference_pinball_constant,
     reference_pinball_lp,
@@ -305,6 +308,18 @@ def test_lqr_rejects_non_finite():
         fit_lqr(X, np.ones(30))
 
 
+@pytest.mark.parametrize("q", [0.0, 1.0, 1.5, -0.25, math.nan])
+def test_lqr_rejects_a_level_outside_0_1_before_any_solve(monkeypatch, q):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a level was solved")
+
+    monkeypatch.setattr(qr, "_interior_points", no_solve)
+    monkeypatch.setattr(qr, "linprog", no_solve)
+    X, y = lqr_fixture(0, 100, "continuous")
+    with pytest.raises(ValueError, match=re.escape(f"quantile level must be in (0,1), got {q}")):
+        fit_lqr(X, y, (0.5, q))
+
+
 def test_lqr_deterministic(rng):
     X = rng.normal(size=(80, 3))
     y = rng.normal(size=80)
@@ -394,9 +409,11 @@ def assert_exact_fit(X, y, beta, q):
     assert kkt.status == 0, f"q={q}: no dual point complementary to the fit: {kkt.message}"
 
 
-def workload_fits(n_locations):
-    """The (X, y) of every per-pair linear fit on synth seed 7 with the default config."""
-    cfg = config.config_from_json_dict(config.default_config_doc("counts.csv", "network.json", 1), Path("."))
+def workload_fits(n_locations, **model):
+    """The (X, y) of every linear fit on synth seed 7 with the default config, its model section updated by `model`."""
+    doc = config.default_config_doc("counts.csv", "network.json", 1)
+    doc["model"].update(model)
+    cfg = config.config_from_json_dict(doc, Path("."))
     dataset = generate_synthetic(SyntheticSpec(n_locations=n_locations, seed=7))
     fits = []
 
@@ -471,6 +488,41 @@ def test_fit_is_exact_when_y_has_a_large_offset():
             assert_exact_fit(X, y, model.coef[q], q)
 
 
+@pytest.mark.parametrize(
+    "model",
+    [{}, {"seasonal_normalize": True}, {"cross_lags": True}, {"scope": "pooled"}],
+    ids=["per-pair", "seasonal", "cross-lags", "pooled"],
+)
+def test_fit_equals_the_per_level_reference_on_every_demo_level(model, demo_fits):
+    # the levels step in lock step, but each rounds to the basis that its own fit picked
+    fits = workload_fits(4, **model) if model else demo_fits
+    for X, y in fits:
+        fit = fit_lqr(X, y, DEFAULT_QUANTILES)
+        coef, certified = reference_fit_lqr(X, y, DEFAULT_QUANTILES)
+        for q in DEFAULT_QUANTILES:
+            assert fit.converged[q] and certified[q]
+            assert fit.coef[q].tobytes() == coef[q].tobytes(), f"q={q}"
+
+
+def _no_highs(*args, **kwargs):
+    raise AssertionError("the fit fell back to the HiGHS dual LP")
+
+
+@settings(deadline=None, max_examples=40)
+@given(tied_onehot_designs(), st.lists(st.sampled_from(LEVELS_19), min_size=1, max_size=5, unique=True))
+def test_fit_loss_equals_the_per_level_reference_on_tied_rank_deficient_designs(design, levels):
+    # degenerate optima abound here, so the two may interpolate other rows: only the losses must agree
+    X, y = design
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qr, "linprog", _no_highs)
+        fit = fit_lqr(X, y, levels)
+    coef, certified = reference_fit_lqr(X, y, levels)
+    for q in levels:
+        assert certified[q]
+        loss = np.mean(tilted_loss(q, y, X @ fit.coef[q]))
+        assert loss == pytest.approx(np.mean(tilted_loss(q, y, X @ coef[q])), rel=1e-9, abs=1e-12)
+
+
 def test_dropped_columns_get_coefficient_zero(demo_fits):
     X, y = demo_fits[0]
     assert np.linalg.matrix_rank(X) == X.shape[1] - 1  # the hour and weekday one-hots both span the constant
@@ -480,9 +532,9 @@ def test_dropped_columns_get_coefficient_zero(demo_fits):
         assert np.count_nonzero(beta[np.setdiff1d(np.arange(X.shape[1]), kept)]) == 0
 
 
-def _fallback_fits(monkeypatch, caplog, interior_point, levels=(0.05, 0.95)):
+def _fallback_fits(monkeypatch, caplog, interior_points, levels=(0.05, 0.95)):
     X, y = lqr_fixture(3, 100, "onehot")
-    monkeypatch.setattr(qr, "_interior_point", interior_point)
+    monkeypatch.setattr(qr, "_interior_points", interior_points)
     with caplog.at_level(logging.WARNING, logger="drtopt.qr"):
         model = fit_lqr(X, y, levels)
     for q in levels:
@@ -492,8 +544,8 @@ def _fallback_fits(monkeypatch, caplog, interior_point, levels=(0.05, 0.95)):
 
 
 def test_fit_falls_back_to_highs_when_the_interior_point_fails(monkeypatch, caplog):
-    def failing(X, y, q, start):
-        raise np.linalg.LinAlgError("planted failure")
+    def failing(X, y, levels, start):
+        return [np.linalg.LinAlgError("planted failure")] * len(levels)
 
     messages = _fallback_fits(monkeypatch, caplog, failing)
     assert len(messages) == 2
@@ -503,21 +555,57 @@ def test_fit_falls_back_to_highs_when_the_interior_point_fails(monkeypatch, capl
 
 def test_fit_falls_back_to_highs_when_the_certificate_fails(monkeypatch, caplog):
     # the near-optimal point of the opposite level rounds to a vertex that is not optimal here
-    interior_point = qr._interior_point
-    messages = _fallback_fits(monkeypatch, caplog, lambda X, y, q, start: interior_point(X, y, 1.0 - q, start))
+    interior_points = qr._interior_points
+    messages = _fallback_fits(
+        monkeypatch, caplog, lambda X, y, levels, start: interior_points(X, y, [1.0 - q for q in levels], start)
+    )
     assert len(messages) == 2
     for q, message in zip((0.05, 0.95), messages):
         assert f"q={q}" in message and "not certified" in message
 
 
+def test_fit_falls_back_to_highs_when_the_iterations_run_out(monkeypatch, caplog):
+    monkeypatch.setattr(qr, "_MAX_ITER", 2)
+    messages = _fallback_fits(monkeypatch, caplog, qr._interior_points)
+    assert len(messages) == 2
+    for q, message in zip((0.05, 0.95), messages):
+        assert f"q={q}" in message and "LinAlgError: no duality gap below 1e-08 in 2 iterations" in message
+
+
+@pytest.mark.parametrize(
+    "routine, error",
+    [("dpotrf", "LinAlgError: normal matrix not positive definite"), ("dpotrs", "FloatingPointError")],
+)
+def test_a_level_that_fails_falls_back_alone(monkeypatch, caplog, demo_fits, routine, error):
+    # the first iteration factors and solves the five levels in order: the third call is q = 0.5's, and a
+    # failed factorization or a NaN step fails that level alone, while the other four step on to their optima
+    X, y = demo_fits[0]
+    coef, certified = reference_fit_lqr(X, y, DEFAULT_QUANTILES)
+    real, calls = getattr(scipy.linalg.lapack, routine), itertools.count()
+
+    def planted(*args, **kwargs):
+        out, info = real(*args, **kwargs)
+        if next(calls) != 2:
+            return out, info
+        return (out, 1) if routine == "dpotrf" else (np.full_like(out, np.nan), info)
+
+    monkeypatch.setattr(scipy.linalg.lapack, routine, planted)
+    with caplog.at_level(logging.WARNING, logger="drtopt.qr"):
+        model = fit_lqr(X, y, DEFAULT_QUANTILES)
+    monkeypatch.undo()
+    messages = [r.getMessage() for r in caplog.records if r.name == "drtopt.qr"]
+    assert len(messages) == 1 and "q=0.5:" in messages[0] and error in messages[0]
+    assert np.array_equal(model.coef[0.5], reference_dual_lp(X, y, 0.5)) and model.converged[0.5]
+    for q in (0.05, 0.25, 0.75, 0.95):
+        assert model.converged[q] and certified[q]
+        assert model.coef[q].tobytes() == coef[q].tobytes(), f"q={q}"
+
+
 def test_demo_fit_certifies_every_level_without_highs(monkeypatch, caplog):
     # guards the fast path: a regression in the certificate would fall back silently but slowly
-    def no_highs(*args, **kwargs):
-        raise AssertionError("the fit fell back to the HiGHS dual LP")
-
     cfg = config.config_from_json_dict(config.default_config_doc("counts.csv", "network.json", 1), Path("."))
     dataset = generate_synthetic(SyntheticSpec(n_locations=4, seed=7))
-    monkeypatch.setattr(qr, "linprog", no_highs)
+    monkeypatch.setattr(qr, "linprog", _no_highs)
     with caplog.at_level(logging.WARNING, logger="drtopt.qr"):
         model = forecasting.train_model(dataset, cfg.split, cfg.model, cfg.quantiles)
     converged = [ok for pair_model in model.models.values() for ok in pair_model.converged.values()]
