@@ -189,6 +189,14 @@ def _cho_solves(chols: list, rhs: np.ndarray) -> np.ndarray:
     return np.array([scipy.linalg.lapack.dpotrs(c, b, lower=1)[0] for c, b in zip(chols, rhs)])
 
 
+def _normal_cholesky(XT: np.ndarray, root_d: np.ndarray, ridge: float) -> tuple[np.ndarray, int]:
+    """dpotrf of X'diag(d)X, formed by dsyrk (lower triangle), plus ridge times its largest diagonal entry."""
+    normal = scipy.linalg.blas.dsyrk(1.0, (XT * root_d).T, trans=1, lower=1)
+    if ridge:
+        normal[np.diag_indices_from(normal)] += ridge * np.max(np.diag(normal))
+    return scipy.linalg.lapack.dpotrf(normal, lower=1, clean=0, overwrite_a=1)
+
+
 def _interior_points(X: np.ndarray, y: np.ndarray, levels, start: np.ndarray) -> list:
     """Near-optimal coefficients per level by a primal-dual interior-point method on the dual LP.
 
@@ -207,12 +215,17 @@ def _interior_points(X: np.ndarray, y: np.ndarray, levels, start: np.ndarray) ->
     iteration; X must have full column rank.  A level stops at relative
     duality gap _GAP_TOL, or at _SINGULAR_GAP_TOL when its X'diag(d)X is
     singular to working precision (d spans many orders of magnitude near a
-    degenerate optimum), and leaves the stacks.  Returns, aligned with
+    degenerate optimum), and leaves the stacks.  Above _SINGULAR_GAP_TOL a
+    singular X'diag(d)X is factored again with a ridge of n * eps times its
+    largest diagonal entry: when the optimal coefficients are not unique the
+    iterates head for the middle of the optimal face, where the rows of
+    large d do not span X's columns, and the ridge only damps the step
+    along the face, on which the loss is flat.  Returns, aligned with
     `levels`, each level's coefficients or the error it stopped on: a
     FloatingPointError when its iterate turns non-finite, a LinAlgError when
-    its normal matrix fails above _SINGULAR_GAP_TOL or its gap stays above
-    _GAP_TOL for _MAX_ITER iterations.  A level that fails does not stop
-    the others.
+    its normal matrix fails above _SINGULAR_GAP_TOL with the ridge too or
+    its gap stays above _GAP_TOL for _MAX_ITER iterations.  A level that
+    fails does not stop the others.
     """
     n = len(y)
     y = y - X @ start
@@ -246,8 +259,9 @@ def _interior_points(X: np.ndarray, y: np.ndarray, levels, start: np.ndarray) ->
                     out[live[k]] = start - lam[k] * scale
                     stay[k] = False
                     continue
-                normal = scipy.linalg.blas.dsyrk(1.0, (XT * root_d[k]).T, trans=1, lower=1)
-                chol, info = scipy.linalg.lapack.dpotrf(normal, lower=1, clean=0, overwrite_a=1)
+                chol, info = _normal_cholesky(XT, root_d[k], 0.0)
+                if info and rel_gap[k] > _SINGULAR_GAP_TOL:  # the optimal face is flat along some direction
+                    chol, info = _normal_cholesky(XT, root_d[k], n * np.finfo(np.float64).eps)
                 if info == 0:
                     chols.append(chol)
                     continue

@@ -12,8 +12,10 @@ coefficients agree only where the minimizer is unique.
 `reference_fit_lqr` is `qr.fit_lqr` as it fitted one level at a time
 before the levels stepped in lock step: `reference_interior_point` runs one
 level's Frisch-Newton iterations, forming each X'diag(d)X by a full matrix
-product, and `reference_round_to_vertex` tests X_Z's rank by an SVD at
-every step before the column-pivoted QR picks the basis.  A level that is
+product and, as the library does, factoring a singular one again with a
+ridge above `qr._SINGULAR_GAP_TOL`; `reference_round_to_vertex` tests X_Z's
+rank by an SVD at every step before the column-pivoted QR picks the
+basis.  A level that is
 not certified falls back to `reference_dual_lp`, as the library's fallback
 solves the same LP by HiGHS.  Both fits round to the same basis wherever
 the optimum is unique, so their coefficients are equal there bit for bit.
@@ -97,6 +99,10 @@ def reference_interior_point(X: np.ndarray, y: np.ndarray, q: float, start: np.n
             d = 1.0 / (za + ws)
             r = z - w
             chol, info = scipy.linalg.lapack.dpotrf((XT * d) @ X, lower=1, clean=0)
+            if info != 0 and rel_gap > qr._SINGULAR_GAP_TOL:
+                normal = (XT * d) @ X
+                normal[np.diag_indices_from(normal)] += n * np.finfo(np.float64).eps * np.max(np.diag(normal))
+                chol, info = scipy.linalg.lapack.dpotrf(normal, lower=1, clean=0)
             if info != 0:
                 if rel_gap <= qr._SINGULAR_GAP_TOL:
                     return start - lam * scale
