@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import GBoostHyper, field as doc_field, json_object, parse_float
-from .qr import DEFAULT_QUANTILES, pinball_minimizing_constant, tilted_loss
+from .qr import DEFAULT_QUANTILES, _pinball, pinball_minimizing_constant
 
 log = logging.getLogger(__name__)
 
@@ -36,67 +36,190 @@ class _Bins:
     ranks: np.ndarray  # (features, rows)
     keys: np.ndarray  # (features, rows): each row's bin, its rank plus the earlier features' bins
     feature: np.ndarray  # (bins,): each bin's feature
+    first: np.ndarray  # (features,): each feature's first bin
     root: np.ndarray  # (bins,)
+    root_at: np.ndarray  # (bins,): of all rows, those at or below each bin within its feature, as floats
+    root_last: np.ndarray  # (bins,): whether a bin holds its feature's greatest value
+    order: np.ndarray  # (features, rows): the rows in each feature's stable order, in the dtype of the ranks
+    tied: np.ndarray  # (features, rows - 1): whether the rows either side of each cut of that order tie
 
     @classmethod
     def of(cls, XT: np.ndarray) -> "_Bins":
         order = np.argsort(XT, axis=1, kind="stable")
         in_order = np.take_along_axis(XT, order, axis=1)
+        tied = in_order[:, 1:] == in_order[:, :-1]
         ranks = np.zeros(order.shape, dtype=np.int16 if order.shape[1] <= 2**15 else np.intp)
-        np.put_along_axis(ranks, order[:, 1:], np.cumsum(in_order[:, 1:] != in_order[:, :-1], axis=1), axis=1)
+        ranks[np.arange(len(XT))[:, None], order[:, 1:]] = np.cumsum(~tied, axis=1)
         sizes = ranks.max(axis=1, initial=0).astype(np.intp) + 1
-        keys = ranks + (np.cumsum(sizes) - sizes)[:, None]
+        first = np.cumsum(sizes) - sizes
+        keys = ranks + first[:, None]
         root = np.bincount(keys.ravel(), minlength=int(sizes.sum()))
-        return cls(XT, ranks, keys, np.repeat(np.arange(len(XT)), sizes), root)
+        feature = np.repeat(np.arange(len(XT)), sizes)
+        root_at = np.cumsum(root, dtype=np.float64) - XT.shape[1] * feature
+        return cls(XT, ranks, keys, feature, first, root, root_at, root_at == XT.shape[1], order.astype(ranks.dtype), tied)
 
-    def pays(self, m: int) -> bool:
+    def pays(self, m):
         """Whether a node of m rows is screened by histograms: when they hold no more bins than it has (feature, row)s."""
         return len(self.root) <= len(self.ranks) * m
 
-    def histogram(self, rows: np.ndarray) -> np.ndarray:
-        return np.bincount(self.keys[:, rows].ravel(), minlength=len(self.root))
-
-    def counts(self, rows: np.ndarray, g: np.ndarray, every: np.ndarray | None = None):
-        """The rows' histograms: of all of them (`every`, when already known) and of those whose g is q - 1.
-
-        The second is counted over whichever gradient class holds fewer of
-        the rows, the other class's count being every row's less it.
-        """
-        every = self.histogram(rows) if every is None else every
-        below = g[rows] < 0
-        if 2 * np.count_nonzero(below) <= len(rows):
-            return every, self.histogram(rows[below])
-        return every, every - self.histogram(rows[~below])
-
 
 _U = 2.0**-53  # unit roundoff of float64
-_SCREENED_ROWS = 2**22  # the most rows of a node whose features `_split` screens
+_SCREENED_ROWS = 2**22  # the most rows of a node whose features `_split_search` screens
+_CELLS = 1 << 14  # the most cells one batched step of a stage's growth gathers at a time
+_COUNTS_BYTES = 1 << 22  # bytes of histograms the levels growing together may hold at one depth, one level at least
+_PADDED_CELLS = 2048  # the most padding cells a node adds to a chunk of the float scan
 
 
-def _split(bins: _Bins, rows: np.ndarray, g: np.ndarray, q: float, counts):
-    """Axis-aligned split of a node minimizing the SSE of g; None when no split helps.
+def _chunks(cells: np.ndarray) -> list[slice]:
+    """Runs of consecutive items holding at most `_CELLS` cells together, or one item that alone holds more."""
+    bounds, held = [0], 0
+    for i, c in enumerate(cells.tolist()):
+        if held + c > _CELLS and i > bounds[-1]:
+            bounds.append(i)
+            held = 0
+        held += c
+    bounds.append(len(cells))
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
 
-    `rows` are the node's rows in arrival order, g their gradient (q or
-    q - 1) in that order and `counts` their `_Bins.counts`, or None when
-    every feature is to run the float scan.  The result is
-    (feature, threshold, left rows, right rows), each side in the node's
-    stable order of the feature's values: what the per-feature scan of
-    `tests/reference_trees.py` gives.  There, feature j's best gain F_j is
-    the greatest over its cuts between distinct values of
+
+def _below_counts(bins: _Bins, below: np.ndarray, before=None) -> np.ndarray:
+    """(levels, bins): per level, the histogram of all rows whose g is q - 1 (`below`, (levels, rows)).
+
+    `before` is (below, counts) of the same levels a stage earlier, or None;
+    then only the rows that changed gradient class are counted, else, per
+    level, whichever class holds fewer rows, the other class being every
+    row's counts less it.
+    """
+    levels, n = below.shape
+    bins_n = len(bins.root)
+    if before is not None:
+        was, counts = before
+        level, rows = np.nonzero(below != was)
+        keys = bins.keys[:, rows] + (2 * level + below[level, rows]) * bins_n
+        change = np.bincount(keys.ravel(), minlength=2 * levels * bins_n).reshape(levels, 2, bins_n)
+        return counts + change[:, 1] - change[:, 0]
+    smaller = 2 * np.count_nonzero(below, axis=1) <= n  # whether q - 1's class is counted
+    counted = below == smaller[:, None]
+    counts = np.empty((levels, bins_n), dtype=np.intp)
+    for part in _chunks(np.count_nonzero(counted, axis=1) * len(bins.ranks)):
+        level, rows = np.nonzero(counted[part])
+        keys = bins.keys[:, rows] + level * bins_n
+        counts[part] = np.bincount(keys.ravel(), minlength=(part.stop - part.start) * bins_n).reshape(-1, bins_n)
+    np.subtract(bins.root, counts, out=counts, where=~smaller[:, None])
+    return counts
+
+
+@dataclass(frozen=True)
+class _Nodes:
+    """The nodes of one depth of a stage's trees, over every level grown in the stage.
+
+    Node i belongs to level `level[i]`, a row of the stage's g and residuals,
+    at heap slot `heap[i]` of that level's tree.  Its `sizes[i]` rows are
+    the i-th run of `rows`, in arrival order: the stable order of its
+    parent's split feature, or 0..n-1 at the root.  The nodes marked
+    `screened`, those that may split and that histograms pay for, have
+    histograms, in node order: `every` of all their rows and `below` of
+    those whose g is q - 1, one (bins,) array per node.
+    """
+
+    level: np.ndarray
+    heap: np.ndarray
+    sizes: np.ndarray
+    rows: np.ndarray
+    screened: np.ndarray
+    every: list
+    below: list
+
+    @property
+    def starts(self) -> np.ndarray:
+        return np.cumsum(self.sizes) - self.sizes
+
+
+def _root(bins: _Bins, levels: int, n: int, below_counts: np.ndarray | None) -> _Nodes:
+    """Every level's root: all the rows in order, screened when `below_counts` ((levels, bins)) are given."""
+    screened = np.full(levels, below_counts is not None)
+    every = below = []
+    if below_counts is not None:
+        every, below = [bins.root] * levels, list(below_counts)
+    rows = np.tile(np.arange(n), levels)
+    return _Nodes(np.arange(levels), np.zeros(levels, dtype=np.intp), np.full(levels, n), rows, screened, every, below)
+
+
+def _children(bins: _Bins, g: np.ndarray, nodes: _Nodes, feature, cut, rows, counted: bool) -> _Nodes:
+    """The next depth: each split node's left then right child, both in the order of the split.
+
+    `rows` are the nodes' rows as `_split_search` left them.  When
+    `counted`, the children get histograms where they pay.  Of two
+    children only the smaller is counted (the left on a tie), by one
+    `np.bincount` over (child, bin) keys per chunk of children and one over
+    their rows at q - 1; the larger's are the parent's less the smaller's.
+    """
+    split = feature >= 0
+    sizes = np.column_stack((cut[split], nodes.sizes[split] - cut[split])).ravel()
+    heap = 2 * nodes.heap[split]
+    level = np.repeat(nodes.level[split], 2)
+    rows = rows[np.repeat(split, nodes.sizes)]
+    screened = np.asarray(bins.pays(sizes)) & counted
+    every = below = []
+    if screened.any():
+        bins_n = len(bins.root)
+        small = (sizes[1::2] < sizes[::2]).astype(np.intp)
+        parent = np.flatnonzero(screened[2 * np.arange(len(small)) + 1 - small])  # whose larger child is screened
+        small_child = 2 * parent + small[parent]
+        in_small = np.zeros(len(sizes), dtype=bool)
+        in_small[small_child] = True
+        small_sizes = sizes[small_child]
+        small_rows, small_starts = rows[np.repeat(in_small, sizes)], np.cumsum(small_sizes) - small_sizes
+        part_every, part_below = [], []
+        for part in _chunks(np.maximum(small_sizes * len(bins.ranks), 2 * bins_n)):
+            m = small_sizes[part]
+            at = small_rows[small_starts[part.start] : small_starts[part.start] + m.sum()]
+            keys = np.take(bins.keys, at, axis=1)
+            if len(m) > 1:
+                keys = keys + np.repeat(np.arange(len(m)) * bins_n, m)
+            part_every.extend(np.bincount(keys.ravel(), minlength=len(m) * bins_n).reshape(len(m), bins_n))
+            keys = keys[:, g[np.repeat(level[small_child[part]], m), at] < 0]
+            part_below.extend(np.bincount(keys.ravel(), minlength=len(m) * bins_n).reshape(len(m), bins_n))
+        every, below = [None] * np.count_nonzero(screened), [None] * np.count_nonzero(screened)
+        rank = (np.cumsum(screened) - 1).tolist()
+        of_parent = (np.cumsum(nodes.screened) - 1)[np.flatnonzero(split)[parent]].tolist()
+        for i, (child, p, side) in enumerate(zip(small_child.tolist(), of_parent, small[parent].tolist())):
+            large = child + 1 - 2 * side
+            every[rank[large]] = nodes.every[p] - part_every[i]
+            below[rank[large]] = nodes.below[p] - part_below[i]
+            if screened[child]:
+                every[rank[child]], below[rank[child]] = part_every[i], part_below[i]
+    heap = np.column_stack((heap + 1, heap + 2)).ravel()
+    return _Nodes(level, heap, sizes, rows, screened, every, below)
+
+
+def _split_search(bins: _Bins, q: np.ndarray, g: np.ndarray, nodes: _Nodes):
+    """Each node's axis-aligned split minimizing the SSE of its g, all nodes at once.
+
+    q holds the levels and g (levels, rows) their gradients (q or q - 1).
+    The result is (feature, threshold, cut, rows, apart): per node the
+    split's feature, -1 where no split helps or the node has fewer than 2
+    rows, its threshold, and the rows left of it; `rows` is `nodes.rows`
+    with each split node's run in the node's stable order of the split
+    feature, so that its first `cut` rows go left; `apart` is whether every
+    threshold sends the rows where the split put them (`_scan`).  That is
+    the split of the per-feature scan of `tests/reference_trees.py`.
+    There, feature j's best gain F_j is the greatest over its cuts between
+    distinct values of
         p**2 / k + (t - p)**2 / (m - k) - t**2 / m,
     with k rows left of the cut, m in the node, p a float `cumsum` of g in
-    the node's stable order of j and t = `g.sum()`; the features are then
-    compared in order, and a later one takes the lead only by more than
-    1e-12.
+    the node's stable order of j and t = `g.sum()` over the node's rows in
+    arrival order; the features are then compared in order, and a later one
+    takes the lead only by more than 1e-12.
 
     The gradient takes two values, so a cut's exact sums follow from two
     counts: with n rows left of the cut, c of them at q - 1, and C of the
-    m at q - 1, P = q*n - c and T = q*m - C.  Cumulative sums of the
-    node's histograms give (n, c) at every cut of every feature at once,
-    and G_j, the greatest gain over j's cuts evaluated at (P, T), screens
-    the features (`_screen`).  A node whose histograms would hold more
-    bins than it has (feature, row) cells is not screened (`_Bins.pays`):
-    scanning its bins would cost more than the float scan of every feature.
+    m at q - 1, P = q*n - c and T = q*m - C.  Cumulative sums of a node's
+    histograms give (n, c) at every cut of every feature at once, and G_j,
+    the greatest gain over j's cuts evaluated at (P, T), screens the
+    features (`_screen`).  A node whose histograms would hold more bins than
+    it has (feature, row) cells is not screened (`_Bins.pays`): scanning
+    its bins would cost more than the float scan of every feature.
 
     G_j is within delta = 16*m**2*u + 64*m*u of F_j, u = 2**-53, for m up
     to `_SCREENED_ROWS`.  Both are maxima over the same cuts, so it is
@@ -120,67 +243,265 @@ def _split(bins: _Bins, rows: np.ndarray, g: np.ndarray, q: float, counts):
     it: no earlier feature wins, and none changes what follows s.  A later
     feature j outside the window has F_j <= G_j + delta <= G_s - delta -
     4e-12 < F_s, and the lead after s is at least F_s, so j never takes it.
-    The kept features then run the per-feature scan itself from the node's
-    rows in arrival order: a stable argsort of each one's ranks, a float
-    `cumsum` of g in that order and the same in-place gain operations, so
-    the winner, its cut and both sides' rows are the scan's.
+
+    The kept features of all the nodes then run the per-feature scan
+    itself, together (`_scan`), in chunks of nodes of about one size.
     """
-    m = len(rows)
-    kept = np.arange(len(bins.ranks))
-    if counts is not None:
-        kept = _screen(bins, m, g, q, counts)
-    if not len(kept):
-        return None
-    ranks = bins.ranks[kept[:, None], rows]
-    order = np.argsort(ranks, axis=1, kind="stable")
-    total = g.sum()
-    prefix = np.cumsum(g[order], axis=1)[:, :-1]  # adds as a per-feature cumsum does
-    k = np.arange(1, m)
-    # prefix**2 / k + (total - prefix)**2 / (m - k) - total**2 / m, the same operations in place
+    sizes, starts = nodes.sizes, nodes.starts
+    kept = np.zeros((len(sizes), len(bins.ranks)), dtype=bool)
+    kept[~nodes.screened & (sizes >= 2)] = True
+    screened = np.flatnonzero(nodes.screened)
+    for part in _chunks(np.full(len(screened), len(bins.root))):
+        at = screened[part]
+        kept[at] = _screen(bins, q[nodes.level[at]], sizes[at], nodes.every[part], nodes.below[part])
+    kept[sizes < 2] = False
+    out = np.full(len(sizes), -1), np.zeros(len(sizes)), np.zeros(len(sizes), dtype=np.intp), nodes.rows.copy()
+    # the nodes that scan some feature, largest first: a chunk pads its rows to its first node's size
+    order = np.argsort(-sizes, kind="stable")
+    order = order[kept[order].any(axis=1)]
+    n_kept = np.count_nonzero(kept[order], axis=1).tolist()
+    n_rows = sizes[order].tolist()
+    first, apart = 0, True
+    while first < len(order):
+        width, last, held = n_rows[first], first, 0
+        while last < len(order) and (
+            last == first
+            or ((held + n_kept[last]) * width <= _CELLS and n_kept[last] * (width - n_rows[last]) <= _PADDED_CELLS)
+        ):
+            held += n_kept[last]
+            last += 1
+        apart &= _scan(bins, g, nodes, starts, kept, order[first:last], out)
+        first = last
+    return (*out, apart)
+
+
+def _scan(bins: _Bins, g: np.ndarray, nodes: _Nodes, starts, kept, chunk, out) -> bool:
+    """The per-feature float scan of the kept features of the nodes `chunk`, largest first, into `out`.
+
+    Each (node, feature) is one row of a (pairs, width) array, padded past
+    the node's own rows: pad ranks sort last, so each row's stable argsort
+    puts the node's rows in the node's stable order of the feature, and pad
+    gradients are 0, so the row-wise `cumsum` leaves every real prefix as
+    it is.  Each node's t is `g.sum()` over its own rows, reduced row-wise
+    over nodes of equal size, which adds as the 1-D reduce of each row does.
+    The gains take the per-feature scan's operations, in place, and are
+    -inf at ties and in the padding.  Returns whether every threshold lies
+    below the values right of it, so that a descent sends each row of the
+    nodes to the side the split put it on.
+    """
+    feature, threshold, cut, rows = out
+    sizes = nodes.sizes[chunk]
+    width = sizes[0]
+    column, k = np.arange(width), np.arange(1, width)
+    pair, j = np.nonzero(kept[chunk])  # node after node, each node's features in order
+    if nodes.heap[chunk[0]] == 0:  # roots: all the rows in order, whose stable order of each feature is known
+        order = bins.order[j]
+        prefix = np.cumsum(np.take(g, (nodes.level[chunk][pair] * width)[:, None] + order), axis=1)[:, :-1]
+        total = g[nodes.level[chunk]].sum(axis=1)
+        no_cut = bins.tied[j]
+        node_rows, real, padded = None, np.ones((len(chunk), width), dtype=bool), False
+    else:
+        real = column < sizes[:, None]
+        padded = sizes[-1] < width
+        if len(chunk) == 1:
+            node_rows = nodes.rows[starts[chunk[0]] : starts[chunk[0]] + width][None]
+        else:
+            node_rows = nodes.rows[np.where(real, starts[chunk][:, None] + column, 0)]
+        gv = np.take(g, (nodes.level[chunk] * g.shape[1])[:, None] + node_rows)
+        gv[~real] = 0.0
+        total = np.empty(len(chunk))
+        bounds = np.flatnonzero(sizes[1:] != sizes[:-1]) + 1
+        for a, b in zip([0, *bounds.tolist()], [*bounds.tolist(), len(chunk)]):
+            total[a:b] = gv[a:b, : sizes[a]].sum(axis=1)
+        # flat takes: a 2-D fancy index gathers several times slower
+        ranks = np.take(bins.ranks, (j * bins.ranks.shape[1])[:, None] + (node_rows[0] if len(chunk) == 1 else node_rows[pair]))
+        if padded:
+            np.copyto(ranks, np.iinfo(ranks.dtype).max, where=~real[pair])
+        order = np.argsort(ranks, axis=1, kind="stable")
+        prefix = np.cumsum(np.take(gv, order if len(chunk) == 1 else (pair * width)[:, None] + order), axis=1)[:, :-1]
+        in_order = np.take(ranks, (np.arange(len(pair)) * width)[:, None] + order)
+        no_cut = in_order[:, 1:] == in_order[:, :-1]
+        if padded:
+            no_cut |= k >= sizes[pair, None]
+    m, t = sizes[pair, None], total[pair, None]
+    # prefix**2 / k + (t - prefix)**2 / (m - k) - t**2 / m, the scan's operations in place
     gain = np.square(prefix)
     gain /= k
-    right_term = total - prefix
+    right_term = t - prefix
     np.square(right_term, out=right_term)
-    right_term /= m - k
+    right_term /= np.maximum(m - k, 1) if padded else width - k  # past a node's rows, in the padding, no cut
     gain += right_term
-    gain -= total * total / m
-    in_order = np.take_along_axis(ranks, order, axis=1)
-    np.copyto(gain, -np.inf, where=in_order[:, 1:] == in_order[:, :-1])
+    gain -= t * t / m
+    np.copyto(gain, -np.inf, where=no_cut)
     at = np.argmax(gain, axis=1)
-    best_gain, found = -np.inf, None
-    for i, feature_gain in enumerate(gain[np.arange(len(kept)), at].tolist()):
-        if feature_gain > best_gain + 1e-12:
-            best_gain, found = feature_gain, i
-    if found is None:  # no feature has a cut
+    winner, node, lead = [], -1, -np.inf  # each node's leading pair, its features in order
+    for i, (p, pair_gain) in enumerate(zip(pair.tolist(), gain[np.arange(len(pair)), at].tolist())):
+        if p != node:
+            node, lead = p, -np.inf
+            winner.append(-1)
+        if pair_gain > lead + 1e-12:
+            lead, winner[-1] = pair_gain, i
+    won = np.array([i for i in winner if i >= 0], dtype=np.intp)
+    if not len(won):  # no feature of any node has a cut
+        return True
+    node, j, left = pair[won], j[won], at[won]
+    ordered = order[won] if node_rows is None else node_rows[node[:, None], order[won]]
+    split = chunk[node]
+    low, high = (bins.XT[j, ordered[np.arange(len(won)), left + side]] for side in (0, 1))
+    feature[split] = j
+    threshold[split] = 0.5 * (low + high)
+    cut[split] = left + 1
+    rows[(starts[split][:, None] + column)[real[node]]] = ordered[real[node]]
+    return bool((threshold[split] < high).all())
+
+
+def _screen(bins: _Bins, q: np.ndarray, m: np.ndarray, every: list, below: list) -> np.ndarray:
+    """(nodes, features): the features each node's float scan must run, by `_split_search`'s screen.
+
+    The nodes hold m rows each and the histograms `every` and `below`.  As
+    each feature's bins hold all m rows and all C of them at q - 1, running
+    sums over the bins less m or C per earlier feature give the rows at or
+    below each bin.  One node is screened over the bins holding some of its
+    rows; several together over all the bins, where a bin before a
+    feature's first occupied one (no rows at or below it) has no cut and
+    any other repeats the cut of the occupied bin before it.
+    """
+    end = bins.first[1] if len(bins.first) > 1 else len(bins.root)  # the first feature's bins
+    if len(m) == 1:
+        present = np.flatnonzero(every[0])
+        feature = bins.feature[present]
+        m, C = int(m[0]), int(below[0][:end].sum())
+        n = np.cumsum(every[0][present]) - m * feature
+        c = np.cumsum(below[0][present]) - C * feature
+        P, T = q[0] * n - c, q[0] * m - C
+        screen = P * P / n + (T - P) ** 2 / np.maximum(m - n, 1) - T * T / m
+        last = n == m  # a feature's greatest value: no cut after it
+        screen[last] = -np.inf
+        best = np.maximum.reduceat(screen, np.flatnonzero(np.concatenate(([True], last[:-1]))))[None]
+        m = np.array([m])
+    else:
+        c = np.cumsum(np.stack(below), axis=1, dtype=np.float64)
+        C = c[:, end - 1]
+        c -= C[:, None] * bins.feature
+        if all(h is bins.root for h in every):  # roots, whose counts are known
+            n, no_cut = bins.root_at[None], bins.root_last[None]
+        else:
+            n = np.cumsum(np.stack(every), axis=1, dtype=np.float64)
+            n -= m[:, None] * bins.feature
+            no_cut = (n == 0) | (n == m[:, None])
+        P, T = q[:, None] * n - c, (q * m - C)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 or x/0 where a bin has no cut
+            screen = P * P / n + (T - P) ** 2 / (m[:, None] - n) - T * T / m[:, None]
+        np.copyto(screen, -np.inf, where=no_cut)
+        best = np.maximum.reduceat(screen, bins.first, axis=1)  # per feature
+    kept = best > -np.inf  # the features with a cut
+    window = (2.0 * (16.0 * m + 64.0) * m * _U + 4e-12)[:, None]
+    earlier = np.full_like(best, -np.inf)
+    np.maximum.accumulate(best[:, :-1], axis=1, out=earlier[:, 1:])
+    s = best.shape[1] - 1 - np.argmax((best > earlier + window)[:, ::-1], axis=1)
+    near = kept & (np.arange(best.shape[1]) >= s[:, None]) & (best > best[np.arange(len(m)), s][:, None] - window)
+    return np.where((m <= _SCREENED_ROWS)[:, None], near, kept)
+
+
+def _leaf_constants(q: np.ndarray, sizes: np.ndarray, samples: np.ndarray, signed_zeros: bool) -> np.ndarray:
+    """Each leaf's `pinball_minimizing_constant`: q and sizes per leaf, samples their runs of residuals.
+
+    One segmented sort gives every leaf's ceil(n*q)-th order statistic v
+    and the distinct sample values just below and above it.  A computed
+    loss, in any order of summation, is within relative (n + 4) * eps of
+    the exact one (plus underflow, far below the least normal number), and
+    the exact loss is convex in the constant.  So when v's loss is below
+    both neighbours' by more than the relative bound 8 * (n + 4) * eps, the
+    exact loss grows on both sides of v, every other value computes a
+    greater loss than v in any order, and v is what evaluating every
+    distinct value, and `pinball_minimizing_constant`, returns.  Any other
+    leaf goes to `_window_constant`.
+    """
+    starts = np.cumsum(sizes) - sizes
+    # each sample's leaf, int16 where it fits, which numpy sorts stably by radix
+    leaf = np.repeat(np.arange(len(sizes), dtype=np.int16 if len(sizes) <= 2**15 else np.intp), sizes)
+    by_value = np.argsort(samples)
+    s = samples[by_value[np.argsort(leaf[by_value], kind="stable")]]
+    # the first and the last position of each run of equal values within a leaf
+    position = np.arange(len(s))
+    new = np.ones(len(s), dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=new[1:])
+    new[starts] = True
+    first = np.maximum.accumulate(np.where(new, position, 0))
+    last = np.minimum.accumulate(np.where(np.append(new[1:], True), position, len(s))[::-1])[::-1]
+    at = starts + np.clip(np.ceil(sizes * q).astype(np.intp), 1, sizes) - 1
+    has_lower, has_upper = first[at] > starts, last[at] < starts + sizes - 1
+    near = s[np.stack((np.where(has_lower, first[at] - 1, at), at, np.where(has_upper, last[at] + 1, at)))]
+    loss = np.add.reduceat(_pinball(q[leaf], s - np.repeat(near, sizes, axis=1)), starts, axis=1) / sizes
+    bound = loss[1] * (1.0 + 8.0 * (sizes + 4) * np.finfo(np.float64).eps) + np.finfo(np.float64).tiny
+    sure = (~has_lower | (loss[0] > bound)) & (~has_upper | (loss[2] > bound))
+    if signed_zeros:  # the zero returned is the one the rule's sort puts first
+        sure &= near[1] != 0.0
+    values = near[1]
+    for i in np.flatnonzero(~sure).tolist():
+        run = slice(starts[i], starts[i] + sizes[i])
+        values[i] = _window_constant(samples[run], s[run][new[run]], values[i], float(q[i]), signed_zeros)
+    return values
+
+
+def _window_constant(sample: np.ndarray, distinct: np.ndarray, v: float, q: float, signed_zeros: bool) -> float:
+    """`pinball_minimizing_constant(sample, q)` of a leaf whose order statistic v `_leaf_constants` left open.
+
+    The distinct values from two below v to two above it take the loss
+    that rule computes, `np.add.reduce` of the errors in arrival order over
+    n, one row each (a row-wise reduce adds as the 1-D one does).  When
+    each end of that window is a sample extreme or computes a loss above
+    the window's least by more than the bound of `_leaf_constants`, no
+    value outside it computes one as low, and the first least in the
+    window is the rule's result.  Otherwise, or when that is zero and a
+    residual may be -0.0 (the zero returned is the one the rule's sort
+    puts first), the rule itself runs.
+    """
+    at = int(np.searchsorted(distinct, v))
+    lo, hi = max(at - 2, 0), min(at + 3, len(distinct))
+    window = distinct[lo:hi]
+    loss = np.add.reduce(_pinball(q, sample - window[:, None]), axis=1) / len(sample)
+    best = int(np.argmin(loss))
+    bound = loss[best] * (1.0 + 8.0 * (len(sample) + 4) * np.finfo(np.float64).eps) + np.finfo(np.float64).tiny
+    if (lo == 0 or loss[0] > bound) and (hi == len(distinct) or loss[-1] > bound):
+        if not (signed_zeros and window[best] == 0.0):
+            return float(window[best])
+    return pinball_minimizing_constant(sample, q)
+
+
+def _grow_stage(bins: _Bins, q, g, residuals, max_depth: int, forest: "Forest", trees, below_counts, signed_zeros: bool):
+    """Fill tree trees[l] of `forest` for each level q[l], whose g and residuals are row l: one depth at a time.
+
+    Each depth's nodes, over every level, run one `_split_search`; a node
+    that does not split is a leaf, and all the stage's leaves take their
+    values in one `_leaf_constants`.  `below_counts` are the roots'
+    `_below_counts`, None where the roots are not screened.  Returns each
+    row's leaf value in each tree, (levels, rows), when every threshold
+    sends the rows where the split put them, else None.
+    """
+    nodes = _root(bins, len(q), g.shape[1], below_counts)
+    leaves = []  # each depth's leaves: level, heap slot, sizes, rows
+    apart = True
+    for depth in range(max_depth):
+        if not len(nodes.sizes):
+            break
+        feature, threshold, cut, rows, depth_apart = _split_search(bins, q, g, nodes)
+        apart &= depth_apart
+        split = feature >= 0
+        forest.feature[trees[nodes.level[split]], nodes.heap[split]] = feature[split]
+        forest.threshold[trees[nodes.level[split]], nodes.heap[split]] = threshold[split]
+        leaves.append((nodes.level[~split], nodes.heap[~split], nodes.sizes[~split], rows[np.repeat(~split, nodes.sizes)]))
+        nodes = _children(bins, g, nodes, feature, cut, rows, depth + 1 < max_depth)
+    leaves.append((nodes.level, nodes.heap, nodes.sizes, nodes.rows))
+    level, heap, sizes, rows = (np.concatenate(part) for part in zip(*leaves))
+    level_of_row = np.repeat(level, sizes)
+    values = _leaf_constants(q[level], sizes, residuals[level_of_row, rows], signed_zeros)
+    forest.value[trees[level], heap] = values
+    if not apart:
         return None
-    j, order, at = int(kept[found]), order[found], at[found]
-    left, right = rows[order[: at + 1]], rows[order[at + 1 :]]
-    return j, 0.5 * (bins.XT[j, left[-1]] + bins.XT[j, right[0]]), left, right
-
-
-def _screen(bins: _Bins, m: int, g: np.ndarray, q: float, counts) -> np.ndarray:
-    """The features a node's float scan must run, by `_split`'s screen, from the node's histograms."""
-    n_every, n_below = counts
-    # the bins holding some of the rows, feature by feature: as each feature's bins hold all
-    # m rows and all C of those at q - 1, running sums less m or C per earlier feature give
-    # the rows at or below each bin
-    present = np.flatnonzero(n_every)
-    feature = bins.feature[present]
-    n = np.cumsum(n_every[present]) - m * feature
-    C = np.count_nonzero(g < 0)
-    c = np.cumsum(n_below[present]) - C * feature
-    last = n == m  # a feature's greatest value: no cut after it
-    P, T = q * n - c, q * m - C
-    screen = P * P / n + (T - P) ** 2 / np.maximum(m - n, 1) - T * T / m
-    screen[last] = -np.inf
-    best = np.maximum.reduceat(screen, np.flatnonzero(np.concatenate(([True], last[:-1]))))  # per feature
-    kept = np.flatnonzero(best > -np.inf)  # the features with a cut
-    if len(kept) and m <= _SCREENED_ROWS:
-        window = 2.0 * (16.0 * m + 64.0) * m * _U + 4e-12
-        earlier = np.concatenate(([-np.inf], np.maximum.accumulate(best)[:-1]))
-        s = np.flatnonzero(best > earlier + window)[-1]
-        kept = kept[(kept >= s) & (best[kept] > best[s] - window)]
-    return kept
+    stage = np.empty(g.shape)
+    stage[level_of_row, rows] = np.repeat(values, sizes)
+    return stage
 
 
 @dataclass(frozen=True)
@@ -226,35 +547,6 @@ class Forest:
             right = ~(X[rows, j] <= threshold[slot])
             slot = np.where(j >= 0, 2 * slot - root + 1 + right, slot)
         return self.value.ravel()[slot]
-
-
-def _grow_tree(bins: _Bins, g, residuals, q, max_depth, forest: Forest, t: int, rows, counts, depth=0, node=0) -> None:
-    """Fill tree t of `forest` from heap node `node` down.
-
-    g and residuals are the fit's, one per row; rows are the node's in
-    arrival order (the parent's stable order of its split feature) and
-    counts their `_Bins.counts`, None below the last level that splits and
-    where histograms do not pay.  Of two children only the smaller is
-    counted; the larger's counts are the parent's less the smaller's.
-    """
-    split = None
-    if depth < max_depth and len(rows) >= 2:
-        split = _split(bins, rows, g[rows], q, counts)
-    if split is None:
-        forest.value[t, node] = pinball_minimizing_constant(residuals[rows], q)
-        return
-    j, thr, left, right = split
-    forest.feature[t, node] = j
-    forest.threshold[t, node] = thr
-    sides = [None, None]
-    small = int(len(right) < len(left))  # the smaller side, left on a tie
-    if depth + 1 < max_depth and bins.pays(len((left, right)[1 - small])):
-        part = bins.counts((left, right)[small], g)
-        sides[1 - small] = tuple(whole - each for whole, each in zip(counts, part))
-        if bins.pays(len((left, right)[small])):
-            sides[small] = part
-    for child, child_rows, child_counts in zip((2 * node + 1, 2 * node + 2), (left, right), sides):
-        _grow_tree(bins, g, residuals, q, max_depth, forest, t, child_rows, child_counts, depth + 1, child)
 
 
 def tree_to_doc(forest: Forest, t: int, node: int = 0) -> dict:
@@ -305,13 +597,19 @@ def fit_gboost(
     val: tuple[np.ndarray, np.ndarray] | None = None,
     patience: int = 10,
 ) -> GBoostQRModel:
-    """Boost one tree ensemble per quantile level.
+    """Boost one tree ensemble per quantile level, every level's stage t at once.
 
-    When a validation set is supplied, boosting stops once validation loss
-    has not improved for `patience` stages and the ensemble is truncated to
-    its best stage.
+    When a validation set is supplied, a level stops boosting once its
+    validation loss has not improved for `patience` stages, and its
+    ensemble is truncated to its best stage; the other levels go on.
     """
     hyper.validate()
+    levels = tuple(float(q) for q in levels)
+    for q in levels:
+        if not 0.0 < q < 1.0:
+            raise ValueError(f"quantile level must be in (0,1), got {q}")
+    if patience < 1:
+        raise ValueError(f"patience must be at least 1, got {patience}")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2:
@@ -336,43 +634,78 @@ def fit_gboost(
             raise ValueError("non-finite values in validation data")
     # every tree's root holds all rows in the same order, so one sort bins them for the whole fit
     bins = _Bins.of(np.ascontiguousarray(X.T))
-    rows = np.arange(len(X))
+    # a residual is -0.0 only where y is -0.0
+    signed_zeros = bool(np.signbit(y[y == 0.0]).any())
 
-    init, forests, losses = {}, {}, {}
-    for q in levels:
-        q = float(q)
-        f0 = pinball_minimizing_constant(y, q)
-        pred = np.full(len(y), f0)
-        forest = Forest.empty(hyper.n_trees, hyper.max_depth)
-        loss_path = [float(np.mean(tilted_loss(q, y, pred)))]
+    qs = np.array(list(dict.fromkeys(levels)))
+    n_trees = hyper.n_trees
+    init = np.array([pinball_minimizing_constant(y, q) for q in qs.tolist()])
+    forest = Forest.empty(len(qs) * n_trees, hyper.max_depth)  # level l's trees are l*n_trees onwards
+    pred = np.repeat(init[:, None], len(y), axis=1)
+    losses = [[loss] for loss in np.mean(_pinball(qs[:, None], y - pred), axis=1).tolist()]
+    kept = [n_trees] * len(qs)
+    if val is not None:
+        val_pred = np.repeat(init[:, None], len(yv), axis=1)
+        best_val = np.mean(_pinball(qs[:, None], yv - val_pred), axis=1).tolist()
+        since_best = [0] * len(qs)
+        kept = [0] * len(qs)
+    live = np.arange(len(qs))
+    screened, before = hyper.max_depth > 0 and bins.pays(len(y)), None
+    # the stage's levels grow together, in groups whose histograms stay within _COUNTS_BYTES: a level's
+    # screened nodes at one depth are at most 2**(depth) and hold at least bins/features rows each
+    per_level = 16 * min(len(bins.root) << max(hyper.max_depth - 1, 0), bins.keys.size)
+    group = max(1, _COUNTS_BYTES // per_level)
+    # the roots' counts are updated from the last stage's when they are small
+    updated = len(qs) * len(bins.root) <= _CELLS
+    for t in range(n_trees):
+        if not len(live):
+            break
+        q = qs[live]
+        residuals = y - pred[live]
+        below = residuals < 0
+        gradient = np.where(below, q[:, None] - 1.0, q[:, None])  # q where the residual is 0 or more
+        trees = live * n_trees + t
+        stage, counted = np.empty_like(residuals), []
+        for a in range(0, len(live), group):
+            part = slice(a, a + group)
+            counts = None
+            if screened:
+                counts = _below_counts(bins, below[part], None if before is None else (before[0][part], before[1][part]))
+                if updated:
+                    counted.append(counts)
+            values = _grow_stage(
+                bins, q[part], gradient[part], residuals[part], hyper.max_depth, forest, trees[part], counts, signed_zeros
+            )
+            if stage is not None and values is not None:
+                stage[part] = values
+            else:
+                stage = None
+        if screened and updated:
+            before = below, np.concatenate(counted)
+        if stage is None:
+            stage = forest.leaf_values(X, trees[None, :]).T
+        pred[live] = pred[live] + hyper.learning_rate * stage
+        for level, loss in zip(live.tolist(), np.mean(_pinball(q[:, None], y - pred[live]), axis=1).tolist()):
+            losses[level].append(loss)
         if val is not None:
-            val_pred = np.full(len(val[1]), f0)
-            best_val = float(np.mean(tilted_loss(q, val[1], val_pred)))
-            best_stage, since_best = 0, 0
-        for t in range(hyper.n_trees):
-            residuals = y - pred
-            gradient = np.where(residuals > 0, q, np.where(residuals < 0, q - 1.0, q))
-            counts = bins.counts(rows, gradient, bins.root) if bins.pays(len(rows)) else None
-            _grow_tree(bins, gradient, residuals, q, hyper.max_depth, forest, t, rows, counts)
-            stage = forest[t : t + 1]
-            pred = pred + hyper.learning_rate * stage.leaf_values(X)[:, 0]
-            loss_path.append(float(np.mean(tilted_loss(q, y, pred))))
-            if val is not None:
-                val_pred = val_pred + hyper.learning_rate * stage.leaf_values(val[0])[:, 0]
-                vloss = float(np.mean(tilted_loss(q, val[1], val_pred)))
-                if vloss < best_val - 1e-12:
-                    best_val, best_stage, since_best = vloss, t + 1, 0
+            val_pred[live] = val_pred[live] + hyper.learning_rate * forest.leaf_values(Xv, trees[None, :]).T
+            going = []
+            for level, vloss in zip(live.tolist(), np.mean(_pinball(q[:, None], yv - val_pred[live]), axis=1).tolist()):
+                if vloss < best_val[level] - 1e-12:
+                    best_val[level], kept[level], since_best[level] = vloss, t + 1, 0
                 else:
-                    since_best += 1
-                    if since_best >= patience:
-                        break
-        if val is not None:
-            forest = forest[:best_stage]
-            loss_path = loss_path[: best_stage + 1]
-        init[q] = f0
-        forests[q] = forest
-        losses[q] = loss_path
-    return GBoostQRModel(tuple(float(q) for q in levels), hyper, init, forests, losses)
+                    since_best[level] += 1
+                    if since_best[level] >= patience:
+                        continue
+                going.append(level)
+            if before is not None:
+                before = tuple(part[np.isin(live, going)] for part in before)
+            live = np.array(going, dtype=np.intp)
+    index = {q: i for i, q in enumerate(qs.tolist())}
+    init_of = {q: float(init[index[q]]) for q in levels}
+    trees_of = {q: forest[index[q] * n_trees : index[q] * n_trees + kept[index[q]]] for q in levels}
+    loss_of = {q: losses[index[q]][: kept[index[q]] + 1] for q in levels}
+    return GBoostQRModel(levels, hyper, init_of, trees_of, loss_of)
 
 
 @dataclass(frozen=True)

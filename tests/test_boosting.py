@@ -4,14 +4,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from drtopt import boosting, config
 from drtopt.boosting import (
     Forest,
     GBoostHyper,
     _Bins,
-    _split,
+    _leaf_constants,
+    _Nodes,
+    _split_search,
     fit_gboost,
     gboost_raw_predict,
     tree_from_doc,
@@ -19,10 +21,17 @@ from drtopt.boosting import (
 )
 from drtopt.data import SplitSpec
 from drtopt.forecasting import ModelSpec, _group_rows, _inner_doc, gboost_grid_search, model_to_json_dict, to_count_scale, train_model
-from drtopt.qr import DEFAULT_QUANTILES, tilted_loss
+from drtopt.qr import DEFAULT_QUANTILES, pinball_minimizing_constant, tilted_loss
 from drtopt.synth import SyntheticSpec, generate_synthetic
 from reference_qr import reference_pinball_constant
-from reference_trees import reference_best_split, reference_gboost_raw_predict, reference_grow_tree, reference_raw_predict
+from reference_trees import (
+    counts,
+    per_level_grow_stage,
+    reference_best_split,
+    reference_gboost_raw_predict,
+    reference_grow_stage,
+    reference_raw_predict,
+)
 
 
 def raw_predict(model, X) -> dict[float, np.ndarray]:
@@ -276,20 +285,38 @@ def _columns(rng, n: int, kinds) -> np.ndarray:
     return np.column_stack(columns)
 
 
-def _assert_split_is_the_reference(X, g, q, rows):
-    """`_split` of the node `rows` (in arrival order) of a fit binned over all of X equals the per-feature scan.
+def _one_depth(bins, g, parts, screened: bool, root: bool = False) -> _Nodes:
+    """One depth's nodes for `_split_search`: node i holds rows parts[i], in arrival order, of level i (gradients g[i]).
 
-    Both with the node's histograms, screened, and without, every feature scanned.
+    Roots hold every row in order; a screened node has its histograms.
+    """
+    every = below = []
+    if screened:
+        every, below = (list(h) for h in zip(*(counts(bins, part, g[i]) for i, part in enumerate(parts))))
+    level = np.arange(len(parts))
+    sizes = np.array([len(part) for part in parts])
+    heap = np.zeros(len(parts), dtype=np.intp) if root else 1 + level
+    return _Nodes(level, heap, sizes, np.concatenate(parts), np.full(len(parts), screened), every, below)
+
+
+def _assert_splits_are_the_reference(X, g, q, parts, root=False):
+    """`_split_search` of the nodes `parts` (each in arrival order; node i of level q[i], gradients g[i]), all at once,
+    of a fit binned over all of X equals the per-feature scan of each node.
+
+    Both with the nodes' histograms, screened, and without, every feature scanned.
     """
     bins = _Bins.of(np.ascontiguousarray(X.T))
-    ref = reference_best_split(X[rows], g[rows])
-    for counts in (bins.counts(rows, g), None):
-        got = _split(bins, rows, g[rows], q, counts)
-        if ref is None:
-            assert got is None
-            continue
-        assert got[0] == ref[0] and got[1] == ref[1]
-        assert np.array_equal(got[2], rows[ref[2]]) and np.array_equal(got[3], rows[ref[3]])
+    for screened in (True, False):
+        nodes = _one_depth(bins, g, parts, screened, root)
+        feature, threshold, cut, rows, _ = _split_search(bins, np.asarray(q, dtype=np.float64), g, nodes)
+        for i, (part, start) in enumerate(zip(parts, nodes.starts.tolist())):
+            ref = reference_best_split(X[part], g[i, part])
+            if ref is None:
+                assert feature[i] == -1
+                continue
+            assert feature[i] == ref[0] and threshold[i] == ref[1]
+            run = rows[start : start + len(part)]
+            assert np.array_equal(run[: cut[i]], part[ref[2]]) and np.array_equal(run[cut[i] :], part[ref[3]])
 
 
 @settings(deadline=None, max_examples=300)
@@ -308,13 +335,16 @@ def test_split_search_equals_the_per_feature_reference(n, kinds, q, seed, shuffl
     perm = list(range(n))
     shuffler.shuffle(perm)
     X, g = X[perm], g[perm]
-    # as at a tree's root, and at a node: some of the rows, in an order of their own
-    _assert_split_is_the_reference(X, g, q, np.arange(n))
+    # a second level's gradient, as in a stage that grows two levels
+    other = np.where(rng.random(n) < 1 - q, (1 - q) - 1.0, 1 - q)
+    # as at two trees' roots, and at two nodes: some of the rows, in an order of their own, and the rest
+    _assert_splits_are_the_reference(X, np.stack([g, other]), [q, 1 - q], [np.arange(n)] * 2, root=True)
     node = np.array(perm[: shuffler.randint(2, n)])
-    _assert_split_is_the_reference(X, g, q, node)
+    parts = [node, np.setdiff1d(np.arange(n), node)[::-1]] if len(node) < n else [node, node[::-1]]
+    _assert_splits_are_the_reference(X, np.stack([g, other]), [q, 1 - q], parts)
     with pytest.MonkeyPatch.context() as patch:  # every feature scanned, none screened out
         patch.setattr(boosting, "_SCREENED_ROWS", 0)
-        _assert_split_is_the_reference(X, g, q, node)
+        _assert_splits_are_the_reference(X, np.stack([g, other]), [q, 1 - q], parts)
 
 
 @settings(deadline=None, max_examples=40)
@@ -332,18 +362,26 @@ def test_split_search_of_a_large_node_equals_the_per_feature_reference(n, kinds,
     X = _columns(rng, n, kinds)
     g = np.where(rng.random(n) < rng.uniform(0.0, 1.0), q - 1.0, q)
     rows = rng.permutation(n)[: max(2, int(share * n))]
-    _assert_split_is_the_reference(X, g, q, rows)
+    _assert_splits_are_the_reference(X, g[None], [q], [rows])
 
 
 @pytest.fixture
 def references(monkeypatch):
     """Fit with trees grown by the per-feature split search and the enumerated leaf rule."""
-
-    def grow_tree(bins, g, residuals, q, max_depth, forest, t, rows, counts):
-        reference_grow_tree(bins.XT[:, rows].T, g[rows], residuals[rows], q, 0, max_depth, forest, t)
-
-    monkeypatch.setattr(boosting, "_grow_tree", grow_tree)
+    monkeypatch.setattr(boosting, "_grow_stage", reference_grow_stage)
     monkeypatch.setattr(boosting, "pinball_minimizing_constant", reference_pinball_constant)
+
+
+@pytest.fixture
+def per_level(monkeypatch):
+    """Fit with each level's trees grown alone, node by node, as the library grew them before."""
+    monkeypatch.setattr(boosting, "_grow_stage", per_level_grow_stage)
+
+
+def _fields(model):
+    """A model's initial constants, forest bytes and loss paths, by level."""
+    trees = {q: [a.tobytes() for a in (f.feature, f.threshold, f.value)] for q, f in model.trees.items()}
+    return model.init, trees, model.train_loss
 
 
 SMALL_SPLIT = SplitSpec((date(2017, 11, 17), date(2017, 12, 5)), (date(2017, 12, 6), date(2017, 12, 12)))
@@ -363,6 +401,8 @@ def _fit_doc(dataset, spec) -> str:
 def test_fit_equals_a_fit_with_both_references(small_dataset, request, scope, depth):
     spec = ModelSpec(family="gboost", scope=scope, exam_period=None, gboost=GBoostHyper(0.3, depth, 3))
     fast = _fit_doc(small_dataset, spec)
+    request.getfixturevalue("per_level")
+    assert fast == _fit_doc(small_dataset, spec)
     request.getfixturevalue("references")
     assert fast == _fit_doc(small_dataset, spec)
 
@@ -375,14 +415,16 @@ def test_a_fit_of_continuous_features_equals_a_fit_with_both_references(small_da
     spec = ModelSpec(family="gboost", scope=scope, exam_period=None, seasonal_normalize=True, gboost=GBoostHyper(0.3, 5, 3))
     screened = set()
 
-    def split(bins, rows, g, q, counts):
-        screened.add(counts is not None)
-        return _split(bins, rows, g, q, counts)
+    def split_search(bins, q, g, nodes):
+        screened.update(nodes.screened[nodes.sizes >= 2].tolist())
+        return _split_search(bins, q, g, nodes)
 
     with monkeypatch.context() as patch:
-        patch.setattr(boosting, "_split", split)
+        patch.setattr(boosting, "_split_search", split_search)
         fast = _fit_doc(small_dataset, spec)
     assert screened == {True, False}
+    request.getfixturevalue("per_level")
+    assert fast == _fit_doc(small_dataset, spec)
     request.getfixturevalue("references")
     assert fast == _fit_doc(small_dataset, spec)
 
@@ -397,11 +439,11 @@ def test_a_demo_pair_fit_at_the_default_hyperparameters_equals_the_references(re
     X, y = X[pair_index == 0], y[pair_index == 0]
 
     def fit():
-        model = fit_gboost(X, y, (0.05, 0.95), cfg.model.gboost)
-        trees = {q: [a.tobytes() for a in (f.feature, f.threshold, f.value)] for q, f in model.trees.items()}
-        return model.init, trees, model.train_loss
+        return _fields(fit_gboost(X, y, (0.05, 0.95), cfg.model.gboost))
 
     fast = fit()
+    request.getfixturevalue("per_level")
+    assert fast == fit()
     request.getfixturevalue("references")
     assert fast == fit()
 
@@ -419,6 +461,8 @@ def test_early_stopped_fits_and_grid_scores_equal_the_references(small_dataset, 
         return json.dumps(_inner_doc("gboost", model)), gboost_grid_search(small_dataset, SMALL_SPLIT, spec, grid, (0.05, 0.95))
 
     fast = run()
+    request.getfixturevalue("per_level")
+    assert fast == run()
     request.getfixturevalue("references")
     ref = run()
     assert fast == ref
@@ -432,3 +476,130 @@ def test_grid_search_names_the_group_without_validation_rows(small_dataset, scop
     spec = ModelSpec(family="gboost", scope=scope, exam_period=None)
     with pytest.raises(ValueError, match=rf"{group} has no rows in the tuning-validation range 2017-11-24\.\.2017-11-30"):
         gboost_grid_search(small_dataset, split, spec, [GBoostHyper(0.3, 2, 4)], (0.5,))
+
+
+@pytest.mark.parametrize("levels", [(0.5, 1.5), (0.25, float("nan")), (0.0, 0.5), (0.5, 1.0), (-0.25,)])
+def test_a_level_outside_0_1_is_rejected_before_any_tree(rng, monkeypatch, levels):
+    # a bad level used to raise only once every level before it had grown all its trees
+    grown = []
+    monkeypatch.setattr(boosting, "_grow_stage", lambda *args: grown.append("tree"))
+    monkeypatch.setattr(boosting, "pinball_minimizing_constant", lambda *args: grown.append("constant"))
+    with pytest.raises(ValueError, match=r"quantile level must be in \(0,1\), got "):
+        fit_gboost(rng.normal(size=(40, 2)), rng.normal(size=40), levels, GBoostHyper(0.3, 2, 5))
+    assert grown == []
+
+
+@pytest.mark.parametrize("patience", [0, -3])
+def test_patience_below_1_is_rejected(rng, patience):
+    # 0 and -3 used to act as 1
+    X, y = rng.normal(size=(40, 2)), rng.normal(size=40)
+    with pytest.raises(ValueError, match=rf"patience must be at least 1, got {patience}"):
+        fit_gboost(X, y, (0.5,), GBoostHyper(0.3, 2, 5), val=(X[:10], y[:10]), patience=patience)
+
+
+LEVELS = (0.05, 0.1, 0.25, 1 / 3, 0.5, 0.75, 0.9, 0.95)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(1, 80),
+    st.lists(st.sampled_from(COLUMN_KINDS + ("continuous",)), min_size=1, max_size=5),
+    st.integers(0, 5),
+    st.lists(st.sampled_from(LEVELS), min_size=1, max_size=5, unique=True),
+    st.sampled_from([None, 1, 2, 4]),
+    st.integers(0, 2**32 - 1),
+)
+@example(40, ["integer", "onehot", "continuous"], 3, [0.05, 0.25, 0.5, 0.75, 0.95], 1, 7)
+@example(60, ["continuous", "tied", "integer"], 5, [0.95, 0.05, 0.5], 2, 11)
+def test_stage_growth_equals_the_per_level_reference(n, kinds, depth, levels, patience, seed):
+    # rows whose count n makes n*q an integer put the leaf rule's order statistic on a flat stretch
+    # of the loss; integer targets (some -0.0) tie residuals; early stopping drops levels at
+    # different stages, so a stage grows fewer levels than the one before it
+    rng = np.random.default_rng(seed)
+
+    def columns(rows):
+        return np.column_stack(
+            [rng.normal(size=rows) if kind == "continuous" else _columns(rng, rows, [kind])[:, 0] for kind in kinds]
+        )
+
+    X = columns(n)
+    y = rng.integers(-2, 5, size=n) + np.round(X[:, 0], 1)
+    y[rng.random(n) < 0.1] = -0.0
+    val = None
+    if patience is not None:
+        val = columns(15), rng.integers(-2, 5, size=15).astype(np.float64)
+    hyper = GBoostHyper(0.5, depth, 8)
+
+    def fit():
+        return _fields(fit_gboost(X, y, levels, hyper, val=val, patience=patience or 10))
+
+    fast = fit()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(boosting, "_grow_stage", per_level_grow_stage)
+        assert fast == fit()
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(1, 40), st.sampled_from(LEVELS), st.sampled_from(["integer", "zeros", "one", "continuous", "outlier"])
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    st.integers(0, 2**32 - 1),
+)
+@example([(20, 0.05, "integer"), (40, 0.25, "zeros"), (3, 0.5, "one"), (7, 0.95, "continuous"), (31, 0.5, "outlier")], 3)
+def test_the_batched_leaf_rule_equals_the_scalar_rule_on_tied_samples(leaves, seed):
+    rng = np.random.default_rng(seed)
+    samples = []
+    for size, _, kind in leaves:
+        if kind == "integer":
+            samples.append(rng.integers(-3, 4, size=size).astype(np.float64))
+        elif kind == "zeros":  # both zeros, and values either side
+            samples.append(rng.choice([0.0, -0.0, 1.0, -1.0], size=size))
+        elif kind == "one":  # one value, -0.0 among them
+            samples.append(np.full(size, rng.choice([0.0, -0.0, 2.5])))
+        elif kind == "outlier":  # its error swamps the others': many values compute the same least loss
+            samples.append(np.append(rng.integers(0, 30, size=size - 1), 1e20).astype(np.float64))
+        else:
+            samples.append(rng.normal(size=size))
+    flat = np.concatenate(samples)
+    signed_zeros = bool(np.signbit(flat[flat == 0.0]).any())
+    q = np.array([level for _, level, _ in leaves])
+    got = _leaf_constants(q, np.array([len(sample) for sample in samples]), flat, signed_zeros)
+    for value, sample, level in zip(got.tolist(), samples, q.tolist()):
+        want = pinball_minimizing_constant(sample, level)
+        assert value == want and np.signbit(value) == np.signbit(want)
+
+
+def test_the_batched_leaf_rule_settles_distinct_samples_without_the_scalar_rule(rng, monkeypatch):
+    # a leaf of distinct values whose n*q is a whole number has a loss flat between two order
+    # statistics up to rounding: the window of losses computed as the scalar rule computes them settles it
+    calls = []
+    monkeypatch.setattr(boosting, "pinball_minimizing_constant", lambda *args: calls.append(args))
+    sizes = rng.integers(1, 60, size=40)
+    sizes[:8] = 20  # n*q = 1, 5, 10, 15 and 19 at the levels 0.05, 0.25, 0.5, 0.75 and 0.95
+    q = rng.choice(np.array(LEVELS), size=40)
+    samples = rng.normal(size=sizes.sum())
+    got = _leaf_constants(q, sizes, samples, False)
+    assert calls == []
+    for value, sample, level in zip(got.tolist(), np.split(samples, np.cumsum(sizes)[:-1]), q.tolist()):
+        assert value == pinball_minimizing_constant(sample, level)
+
+
+def test_a_threshold_that_rounds_onto_the_value_right_of_it_sends_rows_as_the_descent_does():
+    # 0.9999999999999999 + 1.0 rounds to 2.0, so the midpoint threshold is 1.0 itself: a row at 1.0
+    # was put right of the split but descends left, and the stage update must follow the descent
+    below_one = np.nextafter(1.0, 0.0)
+    X = np.repeat([[below_one], [1.0], [3.0]], [10, 10, 10], axis=0)
+    y = np.repeat([0.0, 5.0, 9.0], 10)
+    hyper = GBoostHyper(0.5, 2, 4)
+    model = fit_gboost(X, y, (0.5,), hyper)
+    assert model.trees[0.5].threshold[0, 0] == 1.0 or model.trees[0.5].threshold[0, 1] == 1.0
+    raw = raw_predict(model, X)[0.5]
+    assert float(np.mean(tilted_loss(0.5, y, raw))) == model.train_loss[0.5][-1]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(boosting, "_grow_stage", per_level_grow_stage)
+        assert _fields(fit_gboost(X, y, (0.5,), hyper)) == _fields(model)
