@@ -197,15 +197,13 @@ def _split_search(bins: _Bins, q: np.ndarray, g: np.ndarray, nodes: _Nodes):
     """Each node's axis-aligned split minimizing the SSE of its g, all nodes at once.
 
     q holds the levels and g (levels, rows) their gradients (q or q - 1).
-    The result is (feature, threshold, cut, rows, apart): per node the
-    split's feature, -1 where no split helps or the node has fewer than 2
-    rows, its threshold, and the rows left of it; `rows` is `nodes.rows`
-    with each split node's run in the node's stable order of the split
-    feature, so that its first `cut` rows go left; `apart` is whether every
-    threshold sends the rows where the split put them (`_scan`).  That is
-    the split of the per-feature scan of `tests/reference_trees.py`.
-    There, feature j's best gain F_j is the greatest over its cuts between
-    distinct values of
+    The result is (feature, threshold, cut, rows): per node the split's
+    feature, -1 where no split helps or the node has fewer than 2 rows, its
+    threshold, and the rows left of it; `rows` is `nodes.rows` with each
+    split node's run in the node's stable order of the split feature, so
+    that its first `cut` rows go left.  That is the split of the
+    per-feature scan of `tests/reference_trees.py`.  There, feature j's
+    best gain F_j is the greatest over its cuts between distinct values of
         p**2 / k + (t - p)**2 / (m - k) - t**2 / m,
     with k rows left of the cut, m in the node, p a float `cumsum` of g in
     the node's stable order of j and t = `g.sum()` over the node's rows in
@@ -261,7 +259,7 @@ def _split_search(bins: _Bins, q: np.ndarray, g: np.ndarray, nodes: _Nodes):
     order = order[kept[order].any(axis=1)]
     n_kept = np.count_nonzero(kept[order], axis=1).tolist()
     n_rows = sizes[order].tolist()
-    first, apart = 0, True
+    first = 0
     while first < len(order):
         width, last, held = n_rows[first], first, 0
         while last < len(order) and (
@@ -270,12 +268,12 @@ def _split_search(bins: _Bins, q: np.ndarray, g: np.ndarray, nodes: _Nodes):
         ):
             held += n_kept[last]
             last += 1
-        apart &= _scan(bins, g, nodes, starts, kept, order[first:last], out)
+        _scan(bins, g, nodes, starts, kept, order[first:last], out)
         first = last
-    return (*out, apart)
+    return out
 
 
-def _scan(bins: _Bins, g: np.ndarray, nodes: _Nodes, starts, kept, chunk, out) -> bool:
+def _scan(bins: _Bins, g: np.ndarray, nodes: _Nodes, starts, kept, chunk, out):
     """The per-feature float scan of the kept features of the nodes `chunk`, largest first, into `out`.
 
     Each (node, feature) is one row of a (pairs, width) array, padded past
@@ -285,9 +283,7 @@ def _scan(bins: _Bins, g: np.ndarray, nodes: _Nodes, starts, kept, chunk, out) -
     it is.  Each node's t is `g.sum()` over its own rows, reduced row-wise
     over nodes of equal size, which adds as the 1-D reduce of each row does.
     The gains take the per-feature scan's operations, in place, and are
-    -inf at ties and in the padding.  Returns whether every threshold lies
-    below the values right of it, so that a descent sends each row of the
-    nodes to the side the split put it on.
+    -inf at ties and in the padding.
     """
     feature, threshold, cut, rows = out
     sizes = nodes.sizes[chunk]
@@ -303,10 +299,7 @@ def _scan(bins: _Bins, g: np.ndarray, nodes: _Nodes, starts, kept, chunk, out) -
     else:
         real = column < sizes[:, None]
         padded = sizes[-1] < width
-        if len(chunk) == 1:
-            node_rows = nodes.rows[starts[chunk[0]] : starts[chunk[0]] + width][None]
-        else:
-            node_rows = nodes.rows[np.where(real, starts[chunk][:, None] + column, 0)]
+        node_rows = nodes.rows[np.where(real, starts[chunk][:, None] + column, 0)]
         gv = np.take(g, (nodes.level[chunk] * g.shape[1])[:, None] + node_rows)
         gv[~real] = 0.0
         total = np.empty(len(chunk))
@@ -314,11 +307,11 @@ def _scan(bins: _Bins, g: np.ndarray, nodes: _Nodes, starts, kept, chunk, out) -
         for a, b in zip([0, *bounds.tolist()], [*bounds.tolist(), len(chunk)]):
             total[a:b] = gv[a:b, : sizes[a]].sum(axis=1)
         # flat takes: a 2-D fancy index gathers several times slower
-        ranks = np.take(bins.ranks, (j * bins.ranks.shape[1])[:, None] + (node_rows[0] if len(chunk) == 1 else node_rows[pair]))
+        ranks = np.take(bins.ranks, (j * bins.ranks.shape[1])[:, None] + node_rows[pair])
         if padded:
             np.copyto(ranks, np.iinfo(ranks.dtype).max, where=~real[pair])
         order = np.argsort(ranks, axis=1, kind="stable")
-        prefix = np.cumsum(np.take(gv, order if len(chunk) == 1 else (pair * width)[:, None] + order), axis=1)[:, :-1]
+        prefix = np.cumsum(np.take(gv, (pair * width)[:, None] + order), axis=1)[:, :-1]
         in_order = np.take(ranks, (np.arange(len(pair)) * width)[:, None] + order)
         no_cut = in_order[:, 1:] == in_order[:, :-1]
         if padded:
@@ -343,7 +336,7 @@ def _scan(bins: _Bins, g: np.ndarray, nodes: _Nodes, starts, kept, chunk, out) -
             lead, winner[-1] = pair_gain, i
     won = np.array([i for i in winner if i >= 0], dtype=np.intp)
     if not len(won):  # no feature of any node has a cut
-        return True
+        return
     node, j, left = pair[won], j[won], at[won]
     ordered = order[won] if node_rows is None else node_rows[node[:, None], order[won]]
     split = chunk[node]
@@ -352,7 +345,6 @@ def _scan(bins: _Bins, g: np.ndarray, nodes: _Nodes, starts, kept, chunk, out) -
     threshold[split] = 0.5 * (low + high)
     cut[split] = left + 1
     rows[(starts[split][:, None] + column)[real[node]]] = ordered[real[node]]
-    return bool((threshold[split] < high).all())
 
 
 def _screen(bins: _Bins, q: np.ndarray, m: np.ndarray, every: list, below: list) -> np.ndarray:
@@ -361,39 +353,26 @@ def _screen(bins: _Bins, q: np.ndarray, m: np.ndarray, every: list, below: list)
     The nodes hold m rows each and the histograms `every` and `below`.  As
     each feature's bins hold all m rows and all C of them at q - 1, running
     sums over the bins less m or C per earlier feature give the rows at or
-    below each bin.  One node is screened over the bins holding some of its
-    rows; several together over all the bins, where a bin before a
-    feature's first occupied one (no rows at or below it) has no cut and
-    any other repeats the cut of the occupied bin before it.
+    below each bin.  The nodes are screened together over all the bins,
+    where a bin before a feature's first occupied one (no rows at or below
+    it) has no cut and any other repeats the cut of the occupied bin before
+    it.
     """
     end = bins.first[1] if len(bins.first) > 1 else len(bins.root)  # the first feature's bins
-    if len(m) == 1:
-        present = np.flatnonzero(every[0])
-        feature = bins.feature[present]
-        m, C = int(m[0]), int(below[0][:end].sum())
-        n = np.cumsum(every[0][present]) - m * feature
-        c = np.cumsum(below[0][present]) - C * feature
-        P, T = q[0] * n - c, q[0] * m - C
-        screen = P * P / n + (T - P) ** 2 / np.maximum(m - n, 1) - T * T / m
-        last = n == m  # a feature's greatest value: no cut after it
-        screen[last] = -np.inf
-        best = np.maximum.reduceat(screen, np.flatnonzero(np.concatenate(([True], last[:-1]))))[None]
-        m = np.array([m])
+    c = np.cumsum(np.stack(below), axis=1, dtype=np.float64)
+    C = c[:, end - 1]
+    c -= C[:, None] * bins.feature
+    if all(h is bins.root for h in every):  # roots, whose counts are known
+        n, no_cut = bins.root_at[None], bins.root_last[None]
     else:
-        c = np.cumsum(np.stack(below), axis=1, dtype=np.float64)
-        C = c[:, end - 1]
-        c -= C[:, None] * bins.feature
-        if all(h is bins.root for h in every):  # roots, whose counts are known
-            n, no_cut = bins.root_at[None], bins.root_last[None]
-        else:
-            n = np.cumsum(np.stack(every), axis=1, dtype=np.float64)
-            n -= m[:, None] * bins.feature
-            no_cut = (n == 0) | (n == m[:, None])
-        P, T = q[:, None] * n - c, (q * m - C)[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 or x/0 where a bin has no cut
-            screen = P * P / n + (T - P) ** 2 / (m[:, None] - n) - T * T / m[:, None]
-        np.copyto(screen, -np.inf, where=no_cut)
-        best = np.maximum.reduceat(screen, bins.first, axis=1)  # per feature
+        n = np.cumsum(np.stack(every), axis=1, dtype=np.float64)
+        n -= m[:, None] * bins.feature
+        no_cut = (n == 0) | (n == m[:, None])
+    P, T = q[:, None] * n - c, (q * m - C)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 or x/0 where a bin has no cut
+        screen = P * P / n + (T - P) ** 2 / (m[:, None] - n) - T * T / m[:, None]
+    np.copyto(screen, -np.inf, where=no_cut)
+    best = np.maximum.reduceat(screen, bins.first, axis=1)  # per feature
     kept = best > -np.inf  # the features with a cut
     window = (2.0 * (16.0 * m + 64.0) * m * _U + 4e-12)[:, None]
     earlier = np.full_like(best, -np.inf)
@@ -415,7 +394,8 @@ def _leaf_constants(q: np.ndarray, sizes: np.ndarray, samples: np.ndarray, signe
     exact loss grows on both sides of v, every other value computes a
     greater loss than v in any order, and v is what evaluating every
     distinct value, and `pinball_minimizing_constant`, returns.  Any other
-    leaf goes to `_window_constant`.
+    leaf, and a zero when a residual may be -0.0 (the zero returned is the
+    one the rule's sort puts first), goes to `pinball_minimizing_constant`.
     """
     starts = np.cumsum(sizes) - sizes
     # each sample's leaf, int16 where it fits, which numpy sorts stably by radix
@@ -435,38 +415,12 @@ def _leaf_constants(q: np.ndarray, sizes: np.ndarray, samples: np.ndarray, signe
     loss = np.add.reduceat(_pinball(q[leaf], s - np.repeat(near, sizes, axis=1)), starts, axis=1) / sizes
     bound = loss[1] * (1.0 + 8.0 * (sizes + 4) * np.finfo(np.float64).eps) + np.finfo(np.float64).tiny
     sure = (~has_lower | (loss[0] > bound)) & (~has_upper | (loss[2] > bound))
-    if signed_zeros:  # the zero returned is the one the rule's sort puts first
+    if signed_zeros:
         sure &= near[1] != 0.0
     values = near[1]
     for i in np.flatnonzero(~sure).tolist():
-        run = slice(starts[i], starts[i] + sizes[i])
-        values[i] = _window_constant(samples[run], s[run][new[run]], values[i], float(q[i]), signed_zeros)
+        values[i] = pinball_minimizing_constant(samples[starts[i] : starts[i] + sizes[i]], float(q[i]))
     return values
-
-
-def _window_constant(sample: np.ndarray, distinct: np.ndarray, v: float, q: float, signed_zeros: bool) -> float:
-    """`pinball_minimizing_constant(sample, q)` of a leaf whose order statistic v `_leaf_constants` left open.
-
-    The distinct values from two below v to two above it take the loss
-    that rule computes, `np.add.reduce` of the errors in arrival order over
-    n, one row each (a row-wise reduce adds as the 1-D one does).  When
-    each end of that window is a sample extreme or computes a loss above
-    the window's least by more than the bound of `_leaf_constants`, no
-    value outside it computes one as low, and the first least in the
-    window is the rule's result.  Otherwise, or when that is zero and a
-    residual may be -0.0 (the zero returned is the one the rule's sort
-    puts first), the rule itself runs.
-    """
-    at = int(np.searchsorted(distinct, v))
-    lo, hi = max(at - 2, 0), min(at + 3, len(distinct))
-    window = distinct[lo:hi]
-    loss = np.add.reduce(_pinball(q, sample - window[:, None]), axis=1) / len(sample)
-    best = int(np.argmin(loss))
-    bound = loss[best] * (1.0 + 8.0 * (len(sample) + 4) * np.finfo(np.float64).eps) + np.finfo(np.float64).tiny
-    if (lo == 0 or loss[0] > bound) and (hi == len(distinct) or loss[-1] > bound):
-        if not (signed_zeros and window[best] == 0.0):
-            return float(window[best])
-    return pinball_minimizing_constant(sample, q)
 
 
 def _grow_stage(bins: _Bins, q, g, residuals, max_depth: int, forest: "Forest", trees, below_counts, signed_zeros: bool):
@@ -475,18 +429,14 @@ def _grow_stage(bins: _Bins, q, g, residuals, max_depth: int, forest: "Forest", 
     Each depth's nodes, over every level, run one `_split_search`; a node
     that does not split is a leaf, and all the stage's leaves take their
     values in one `_leaf_constants`.  `below_counts` are the roots'
-    `_below_counts`, None where the roots are not screened.  Returns each
-    row's leaf value in each tree, (levels, rows), when every threshold
-    sends the rows where the split put them, else None.
+    `_below_counts`, None where the roots are not screened.
     """
     nodes = _root(bins, len(q), g.shape[1], below_counts)
     leaves = []  # each depth's leaves: level, heap slot, sizes, rows
-    apart = True
     for depth in range(max_depth):
         if not len(nodes.sizes):
             break
-        feature, threshold, cut, rows, depth_apart = _split_search(bins, q, g, nodes)
-        apart &= depth_apart
+        feature, threshold, cut, rows = _split_search(bins, q, g, nodes)
         split = feature >= 0
         forest.feature[trees[nodes.level[split]], nodes.heap[split]] = feature[split]
         forest.threshold[trees[nodes.level[split]], nodes.heap[split]] = threshold[split]
@@ -494,14 +444,8 @@ def _grow_stage(bins: _Bins, q, g, residuals, max_depth: int, forest: "Forest", 
         nodes = _children(bins, g, nodes, feature, cut, rows, depth + 1 < max_depth)
     leaves.append((nodes.level, nodes.heap, nodes.sizes, nodes.rows))
     level, heap, sizes, rows = (np.concatenate(part) for part in zip(*leaves))
-    level_of_row = np.repeat(level, sizes)
-    values = _leaf_constants(q[level], sizes, residuals[level_of_row, rows], signed_zeros)
+    values = _leaf_constants(q[level], sizes, residuals[np.repeat(level, sizes), rows], signed_zeros)
     forest.value[trees[level], heap] = values
-    if not apart:
-        return None
-    stage = np.empty(g.shape)
-    stage[level_of_row, rows] = np.repeat(values, sizes)
-    return stage
 
 
 @dataclass(frozen=True)
@@ -655,8 +599,6 @@ def fit_gboost(
     # screened nodes at one depth are at most 2**(depth) and hold at least bins/features rows each
     per_level = 16 * min(len(bins.root) << max(hyper.max_depth - 1, 0), bins.keys.size)
     group = max(1, _COUNTS_BYTES // per_level)
-    # the roots' counts are updated from the last stage's when they are small
-    updated = len(qs) * len(bins.root) <= _CELLS
     for t in range(n_trees):
         if not len(live):
             break
@@ -665,26 +607,17 @@ def fit_gboost(
         below = residuals < 0
         gradient = np.where(below, q[:, None] - 1.0, q[:, None])  # q where the residual is 0 or more
         trees = live * n_trees + t
-        stage, counted = np.empty_like(residuals), []
         for a in range(0, len(live), group):
             part = slice(a, a + group)
             counts = None
             if screened:
-                counts = _below_counts(bins, below[part], None if before is None else (before[0][part], before[1][part]))
-                if updated:
-                    counted.append(counts)
-            values = _grow_stage(
+                counts = _below_counts(bins, below[part], before)
+                if group >= len(live):  # one group: the next stage updates these counts
+                    before = below, counts
+            _grow_stage(
                 bins, q[part], gradient[part], residuals[part], hyper.max_depth, forest, trees[part], counts, signed_zeros
             )
-            if stage is not None and values is not None:
-                stage[part] = values
-            else:
-                stage = None
-        if screened and updated:
-            before = below, np.concatenate(counted)
-        if stage is None:
-            stage = forest.leaf_values(X, trees[None, :]).T
-        pred[live] = pred[live] + hyper.learning_rate * stage
+        pred[live] = pred[live] + hyper.learning_rate * forest.leaf_values(X, trees[None, :]).T
         for level, loss in zip(live.tolist(), np.mean(_pinball(q[:, None], y - pred[live]), axis=1).tolist()):
             losses[level].append(loss)
         if val is not None:

@@ -197,17 +197,15 @@ def per_level_grow_tree(bins, g, residuals, q, max_depth, forest, t, rows, node_
 
 
 def per_level_grow_stage(bins, q, g, residuals, max_depth, forest, trees, below_counts, signed_zeros):
-    """`boosting._grow_stage` a level at a time by `per_level_grow_tree`; None: the fit descends the new trees."""
+    """`boosting._grow_stage` a level at a time by `per_level_grow_tree`."""
     rows = np.arange(g.shape[1])
     for level, (q_level, t) in enumerate(zip(q.tolist(), trees.tolist())):
         root = counts(bins, rows, g[level], bins.root) if bins.pays(len(rows)) else None
         per_level_grow_tree(bins, g[level], residuals[level], q_level, max_depth, forest, t, rows, root)
-    return None
 
 
 def reference_grow_stage(bins, q, g, residuals, max_depth, forest, trees, below_counts, signed_zeros):
-    """`boosting._grow_stage` a level at a time by `reference_grow_tree`; None: the fit descends the new trees."""
+    """`boosting._grow_stage` a level at a time by `reference_grow_tree`."""
     X = bins.XT.T
     for level, (q_level, t) in enumerate(zip(q.tolist(), trees.tolist())):
         reference_grow_tree(X, g[level], residuals[level], q_level, 0, max_depth, forest, t)
-    return None

@@ -308,7 +308,7 @@ def _assert_splits_are_the_reference(X, g, q, parts, root=False):
     bins = _Bins.of(np.ascontiguousarray(X.T))
     for screened in (True, False):
         nodes = _one_depth(bins, g, parts, screened, root)
-        feature, threshold, cut, rows, _ = _split_search(bins, np.asarray(q, dtype=np.float64), g, nodes)
+        feature, threshold, cut, rows = _split_search(bins, np.asarray(q, dtype=np.float64), g, nodes)
         for i, (part, start) in enumerate(zip(parts, nodes.starts.tolist())):
             ref = reference_best_split(X[part], g[i, part])
             if ref is None:
@@ -574,30 +574,23 @@ def test_the_batched_leaf_rule_equals_the_scalar_rule_on_tied_samples(leaves, se
         assert value == want and np.signbit(value) == np.signbit(want)
 
 
-def test_the_batched_leaf_rule_settles_distinct_samples_without_the_scalar_rule(rng, monkeypatch):
-    # a leaf of distinct values whose n*q is a whole number has a loss flat between two order
-    # statistics up to rounding: the window of losses computed as the scalar rule computes them settles it
-    calls = []
-    monkeypatch.setattr(boosting, "pinball_minimizing_constant", lambda *args: calls.append(args))
-    sizes = rng.integers(1, 60, size=40)
-    sizes[:8] = 20  # n*q = 1, 5, 10, 15 and 19 at the levels 0.05, 0.25, 0.5, 0.75 and 0.95
-    q = rng.choice(np.array(LEVELS), size=40)
-    samples = rng.normal(size=sizes.sum())
-    got = _leaf_constants(q, sizes, samples, False)
-    assert calls == []
-    for value, sample, level in zip(got.tolist(), np.split(samples, np.cumsum(sizes)[:-1]), q.tolist()):
-        assert value == pinball_minimizing_constant(sample, level)
-
-
-def test_a_threshold_that_rounds_onto_the_value_right_of_it_sends_rows_as_the_descent_does():
-    # 0.9999999999999999 + 1.0 rounds to 2.0, so the midpoint threshold is 1.0 itself: a row at 1.0
-    # was put right of the split but descends left, and the stage update must follow the descent
-    below_one = np.nextafter(1.0, 0.0)
-    X = np.repeat([[below_one], [1.0], [3.0]], [10, 10, 10], axis=0)
+@pytest.mark.parametrize(
+    "low, high, threshold",
+    [
+        # 0.9999999999999999 + 1.0 rounds to 2.0: the midpoint is 1.0 itself, and a row at 1.0 descends left
+        (np.nextafter(1.0, 0.0), 1.0, 1.0),
+        # -1.5e308 + -1.0e308 overflows: the midpoint is -inf, and a row at -1.5e308 descends right
+        (-1.5e308, -1.0e308, -np.inf),
+    ],
+)
+def test_a_threshold_that_does_not_part_the_rows_sends_them_as_the_descent_does(low, high, threshold):
+    # the rows at one value were put on the other side of the split than they descend to,
+    # and the stage update must follow the descent
+    X = np.repeat([[low], [high], [3.0]], [10, 10, 10], axis=0)
     y = np.repeat([0.0, 5.0, 9.0], 10)
     hyper = GBoostHyper(0.5, 2, 4)
     model = fit_gboost(X, y, (0.5,), hyper)
-    assert model.trees[0.5].threshold[0, 0] == 1.0 or model.trees[0.5].threshold[0, 1] == 1.0
+    assert threshold in model.trees[0.5].threshold[:, :3]
     raw = raw_predict(model, X)[0.5]
     assert float(np.mean(tilted_loss(0.5, y, raw))) == model.train_loss[0.5][-1]
     with pytest.MonkeyPatch.context() as patch:
