@@ -160,6 +160,12 @@ def cmd_evaluate(args) -> int:
         raise ValueError(
             f"config.quantiles: levels {missing} are not in model {args.model} (trained on {list(model.levels)})"
         )
+    missing = [q for q in metrics.BAND if q not in model.levels]
+    if missing:
+        raise ValueError(
+            f"model {args.model} lacks the band levels {missing} that ICP and MIL score "
+            f"(trained on {list(model.levels)})"
+        )
     lags = forecasting.evaluation_lags(dataset, cfg.split)
     forecasts = forecasting.predict_forecasts(model, dataset, cfg.split, lags)
     report = metrics.evaluate_at(forecasts, dataset, model.pair_order, lags, cfg.quantiles, model.labels)
@@ -216,6 +222,12 @@ def cmd_pipeline(args) -> int:
     model_forecasts = {}
     for path in args.model:
         model = forecasting.load_model(path)
+        for strategy, level in (("median (M)", pipeline.MEDIAN_LEVEL), ("upper-quantile (R)", pipeline.ROBUST_LEVEL)):
+            if level not in model.levels:
+                raise ValueError(
+                    f"model {path} lacks level {level}, which the {strategy} strategy solves at "
+                    f"(trained on {list(model.levels)})"
+                )
         name = f"{model.spec.family}/{model.spec.scope}"
         if name in model_forecasts:
             name = f"{name}#{len(model_forecasts)}"

@@ -122,6 +122,8 @@ class NetworkInstance:
             raise ValueError("max_routes must satisfy 1 <= nu <= K")
         if self.walk_speed <= 0:
             raise ValueError("walk speed must be positive")
+        if self.dwell_time < 0:
+            raise ValueError(f"dwell_time must be >= 0, got {self.dwell_time}")
         if self.ride_time.shape != (len(self.bus_stops), len(self.bus_stops)):
             raise ValueError("ride_time must be square over bus stops")
         if np.any(self.ride_time <= 0):

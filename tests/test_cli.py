@@ -102,6 +102,41 @@ def test_evaluate_rejects_levels_the_model_lacks(tmp_path, capsys, caplog):
     assert run("evaluate", "--config", cfg_path, "--model", model) == 2
     assert "levels [0.1, 0.9] are not in model" in caplog.text
     assert str(model) in caplog.text
+    # the config's levels are all trained, but not the band that ICP and MIL score
+    doc["quantiles"] = [0.25, 0.5, 0.75]
+    cfg_path.write_text(json.dumps(doc))
+    narrow = out / "out" / "narrow.json"
+    assert run("train", "--config", cfg_path, "--model-out", narrow) == 0
+    caplog.clear()
+    assert run("evaluate", "--config", cfg_path, "--model", narrow) == 2
+    assert f"model {narrow} lacks the band levels [0.05, 0.95] that ICP and MIL score" in caplog.text
+
+
+@pytest.mark.parametrize(
+    "levels, missing, strategy",
+    [([0.25, 0.5, 0.75], 0.95, "upper-quantile (R)"), ([0.05, 0.9, 0.95], 0.5, "median (M)")],
+)
+def test_pipeline_rejects_a_model_without_a_point_strategy_level_before_any_solve(
+    tmp_path, caplog, monkeypatch, levels, missing, strategy
+):
+    from drtopt import pipeline
+
+    out = make_workspace(tmp_path, locations=2)
+    cfg_path = out / "config.json"
+    assert run("train", "--config", cfg_path) == 0
+    doc = json.loads(cfg_path.read_text())
+    doc["quantiles"] = levels
+    cfg_path.write_text(json.dumps(doc))
+    lacking = out / "out" / "lacking.json"
+    assert run("train", "--config", cfg_path, "--model-out", lacking) == 0
+
+    def solve(*args):
+        raise AssertionError("a solve ran before the models' levels were checked")
+
+    monkeypatch.setattr(pipeline, "solve_instance", solve)
+    caplog.clear()
+    assert run("pipeline", "--config", cfg_path, "--model", out / "out" / "model.json", "--model", lacking) == 2
+    assert f"model {lacking} lacks level {missing}, which the {strategy} strategy solves at" in caplog.text
 
 
 def test_optimize_prepares_the_instance_once(tmp_path, monkeypatch):

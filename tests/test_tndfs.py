@@ -737,6 +737,15 @@ def test_instance_rejects_non_finite_fields(field, value, message):
         instance_from_json_dict(doc)
 
 
+@pytest.mark.parametrize("dwell", [-2.0, -4.0, -1e-12])
+def test_instance_rejects_a_negative_dwell_time(dwell):
+    # -2 gave the demo's single-stop loops a cycle time of 0, and -4 every route a negative one
+    doc = instance_to_json_dict(two_node_instance())
+    doc["dwell_time"] = dwell
+    with pytest.raises(ValueError, match=re.escape(f"network: dwell_time must be >= 0, got {dwell}")):
+        instance_from_json_dict(doc)
+
+
 def test_design_json_dict():
     inst = two_node_instance()
     design = solve_instance(inst, DemandVector({ODPair(0, 1): 5.0}))
