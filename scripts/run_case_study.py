@@ -86,13 +86,12 @@ def main(argv=None) -> int:
     copula_model = fit_correlation({s.pair: s.values for s in train_series(dataset, split, range(len(dataset.pairs)))})
     export_correlation(copula_model, out / "correlation.csv", dataset.labels)
 
-    observed = dict(zip(dataset.pairs, counts_at(dataset, dataset.pairs, lags)))
-    truths_at = {lag: {p: float(c[i]) for p, c in observed.items()} for i, lag in enumerate(lags)}
+    observed = counts_at(dataset, instance.od_pairs(), lags)
 
     print(f"\ncomparing strategies over {len(lags)} lags with k={k} samples")
     t0 = time.time()
     rows = pipeline.compare_strategies(
-        lags, model_forecasts, truths_at, instance, copula_model, k=k, seed=args.seed
+        lags, model_forecasts, observed, instance, copula_model, k=k, seed=args.seed
     )
     pipeline.comparison_to_csv(rows, out / "comparison.csv")
     table = pipeline.comparison_table(rows)

@@ -192,7 +192,7 @@ def cmd_optimize(args) -> int:
     export_correlation(copula_model, cfg.output_dir / "correlation.csv")
     prep = prepare_instance(instance)
     for i, lag in enumerate(lags):
-        seed = int(np.random.SeedSequence(cfg.seed, spawn_key=(i, 0)).generate_state(1)[0])
+        seed = pipeline.scenario_seed(cfg.seed, i)
         result = pipeline.optimize_lag(copula_model, forecasts[lag], instance, cfg.k, seed, prepared=prep)
         if args.dump_samples:
             samples = sample_joint(copula_model, forecasts[lag], cfg.k, seed)
@@ -233,9 +233,8 @@ def cmd_pipeline(args) -> int:
             name = f"{name}#{len(model_forecasts)}"
         model_forecasts[name] = _network_forecasts(model, dataset, cfg.split, lags, pairs, rows)
 
-    observed = dict(zip(pairs, counts_at(dataset, pairs, lags, labels)))
-    truths = {lag: {p: float(c[i]) for p, c in observed.items()} for i, lag in enumerate(lags)}
-    comparison = pipeline.compare_strategies(lags, model_forecasts, truths, instance, copula_model, cfg.k, cfg.seed)
+    observed = counts_at(dataset, pairs, lags, labels)
+    comparison = pipeline.compare_strategies(lags, model_forecasts, observed, instance, copula_model, cfg.k, cfg.seed)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     pipeline.comparison_to_csv(comparison, cfg.output_dir / "comparison.csv")
     table = pipeline.comparison_table(comparison)
@@ -290,14 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="scenario-optimize each configured lag")
     p.add_argument("--config", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--threads", type=int, help="kept for compatibility; has no effect")
     p.add_argument("--dump-samples", action="store_true", help="write per-lag sample CSVs for audit")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("pipeline", help="full comparison: sampling vs point estimates vs ground truth")
     p.add_argument("--config", required=True)
     p.add_argument("--model", action="append", required=True, help="trained model JSON (repeatable)")
-    p.add_argument("--threads", type=int, help="kept for compatibility; has no effect")
     p.set_defaults(func=cmd_pipeline)
     return parser
 

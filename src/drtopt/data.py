@@ -170,9 +170,9 @@ class ODDataset:
 INT64_MAX = np.iinfo(np.int64).max
 
 
-def _check_record(path, lineno: int, row: list[str]) -> None:
-    """Raise for the first check a non-blank CSV record fails, in this order:
-    field count, timestamp, self-loop, integer count, sign, int64 range."""
+def _check_record(path, lineno: int, row: list[str]) -> tuple[str, str, str, int]:
+    """The stripped timestamp text, labels and count of a non-blank CSV record, or a raise for the first check
+    it fails, in this order: field count, timestamp, self-loop, integer count, sign, int64 range."""
     if len(row) != 4:
         raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
     ts_text, origin, destination, count_text = (f.strip() for f in row)
@@ -190,6 +190,7 @@ def _check_record(path, lineno: int, row: list[str]) -> None:
         raise ValueError(f"{path}:{lineno}: negative count {count}")
     if count > INT64_MAX:
         raise ValueError(f"{path}:{lineno}: count {count} beyond the int64 range")
+    return ts_text, origin, destination, count
 
 
 def load_od_counts(path) -> ODDataset:
@@ -283,8 +284,8 @@ def _canonical_columns(raw: bytes):
 def _record_columns(path, raw: bytes):
     """The labels and file-order columns of a counts file, read by `csv.reader` from its decoded text.
 
-    Raises for a missing or malformed header, and for the first malformed
-    record by the first check of `_check_record` it fails.
+    After the header, every record is read before any is checked, so that a file that is not UTF-8 fails on its
+    first undecodable byte; then each non-blank record passes `_check_record` once.
     """
     try:
         fh = io.StringIO(raw.decode("utf-8"), newline="")
@@ -297,31 +298,14 @@ def _record_columns(path, raw: bytes):
             raise ValueError(f"{path}: expected header {','.join(CSV_HEADER)}")
         records = list(reader)  # records[i] is on line i + 2
 
-    n_fields = np.fromiter(map(len, records), np.int64, len(records))
-    bad = (n_fields != 4) & (n_fields != 0)
-    single = np.flatnonzero(n_fields == 1)
-    bad[single] = [bool(records[i][0].strip()) for i in single]  # a whitespace-only record is blank
-    rows = np.flatnonzero(n_fields == 4)
-    quads = records if len(rows) == len(records) else [records[i] for i in rows]
-    ts_texts, origins, destinations, count_texts = ([f[k].strip() for f in quads] for k in range(4))
-
+    nonblank = ((i, row) for i, row in enumerate(records, 2) if len(row) > 1 or row and row[0].strip())
+    checked = [_check_record(path, lineno, row) for lineno, row in nonblank]
+    ts_texts, origins, destinations, counts = ([record[k] for record in checked] for k in range(4))
     labels = sorted(set(origins).union(destinations))
     index = {lab: i for i, lab in enumerate(labels)}
-    origin = np.fromiter(map(index.__getitem__, origins), np.int64, len(quads))
-    destination = np.fromiter(map(index.__getitem__, destinations), np.int64, len(quads))
-    try:
-        if set(map(len, ts_texts)) - {len("2017-11-17T08")}:
-            raise ValueError("a timestamp without the length of an hour")
-        stamps = np.array(ts_texts, dtype="datetime64[h]")  # the parser that `parse_hour` calls
-        counts = np.fromiter(map(int, count_texts), np.int64, len(quads))
-    except (ValueError, OverflowError):  # a field that does not convert: the first record to fail raises
-        for i in np.flatnonzero(bad | (n_fields == 4)).tolist():
-            _check_record(path, i + 2, records[i])
-    bad[rows] |= np.isnat(stamps) | (origin == destination) | (counts < 0)
-    if bad.any():
-        first = int(np.flatnonzero(bad)[0])
-        _check_record(path, first + 2, records[first])  # raises: the masks are the checks
-    return labels, origin, destination, stamps, counts
+    origin, destination = (np.fromiter(map(index.__getitem__, e), np.int64, len(e)) for e in (origins, destinations))
+    stamps = np.array(ts_texts, dtype="datetime64[h]")  # the parser that `parse_hour` calls
+    return labels, origin, destination, stamps, np.array(counts, dtype=np.int64)
 
 
 def save_od_counts(path, dataset: ODDataset) -> None:

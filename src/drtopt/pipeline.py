@@ -57,6 +57,11 @@ def pick_mode(rows: np.ndarray, objectives: np.ndarray) -> int:
     return int(top[np.argmax([np.mean(objectives[rows == row]) for row in top])])
 
 
+def scenario_seed(seed: int, hour: int, model: int = 0) -> int:
+    """The sampling seed of the `hour`-th optimized lag of the `model`-th model (in name order) under `seed`."""
+    return int(np.random.SeedSequence(seed, spawn_key=(hour, model)).generate_state(1)[0])
+
+
 def optimize_lag(
     copula_model: GaussianCopulaModel,
     forecasts: dict[ODPair, QuantileForecast],
@@ -151,24 +156,29 @@ class ComparisonRow:
 def compare_strategies(
     lags,
     model_forecasts: dict[str, dict[np.datetime64, dict[ODPair, QuantileForecast]]],
-    truths: dict[np.datetime64, dict[ODPair, float]],
+    observed: np.ndarray,
     instance: NetworkInstance,
     copula_model: GaussianCopulaModel,
     k: int = 100,
     seed: int = 0,
 ) -> list[ComparisonRow]:
-    """Hindsight vs sampling/median/upper-quantile designs, one row per (lag, model)."""
+    """Hindsight vs sampling/median/upper-quantile designs, one row per (lag, model).
+
+    `observed` is the hindsight demand, `instance.od_pairs()` by `lags`, as `data.counts_at` returns it.
+    """
     prep = prepare_instance(instance)
+    pairs = instance.od_pairs()
+    observed = np.asarray(observed, dtype=np.float64)
+    if observed.shape != (len(pairs), len(lags)):
+        raise ValueError(f"observed demand of shape {observed.shape}, not (pairs, lags) = {(len(pairs), len(lags))}")
     rows = []
     model_names = sorted(model_forecasts)
     for lag_idx, lag in enumerate(lags):
         lag = np.datetime64(lag, "h")
-        gt = optimize_ground_truth(truths[lag], instance, prep)
+        gt = optimize_ground_truth(dict(zip(pairs, observed[:, lag_idx].tolist())), instance, prep)
         for model_idx, name in enumerate(model_names):
             forecasts = model_forecasts[name][lag]
-            lag_seed = int(
-                np.random.SeedSequence(seed, spawn_key=(lag_idx, model_idx)).generate_state(1)[0]
-            )
+            lag_seed = scenario_seed(seed, lag_idx, model_idx)
             scenario = optimize_lag(copula_model, forecasts, instance, k, lag_seed, prepared=prep, lag=lag)
             median = optimize_point(forecasts, MEDIAN_LEVEL, instance, prep)
             robust = optimize_point(forecasts, ROBUST_LEVEL, instance, prep)

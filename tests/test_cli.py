@@ -62,6 +62,24 @@ def test_full_pipeline_smoke(tmp_path, capsys):
     assert (out / "out" / "comparison.txt").exists()
 
 
+def test_optimize_and_pipeline_sample_each_hour_alike(tmp_path):
+    hours = ("2018-01-08T08", "2018-01-08T12", "2018-01-09T17")
+    out = make_workspace(tmp_path, k=20, lags=hours)
+    cfg, model = out / "config.json", out / "out" / "model.json"
+    assert run("train", "--config", cfg) == 0
+    assert run("optimize", "--config", cfg, "--model", model) == 0
+    assert run("pipeline", "--config", cfg, "--model", model) == 0
+    with open(out / "out" / "comparison.csv", newline="", encoding="utf-8") as fh:
+        sampled = {row["lag"]: row for row in csv.DictReader(fh) if row["strategy"] == "P"}
+    assert sorted(sampled) == sorted(hours)
+    for hour in hours:
+        doc = json.loads((out / "out" / f"scenario_{hour}.json").read_text())
+        chosen = [{"stops": a["stops"], "buses": a["buses"]} for a in doc["chosen"]["allocation"]]
+        count = next(h["count"] for h in doc["histogram"] if h["allocation"] == chosen)
+        got = (doc["chosen"]["itinerary"], str(count), f"{doc['mean_time_savings']:.6f}")
+        assert got == (sampled[hour]["itinerary"], sampled[hour]["occurrences"], sampled[hour]["mean_time_savings"])
+
+
 def test_rerun_is_byte_identical(tmp_path):
     out = make_workspace(tmp_path)
     cfg = out / "config.json"
@@ -369,7 +387,7 @@ def test_optimize_dump_samples(tmp_path):
     cfg = out / "config.json"
     assert run("train", "--config", cfg) == 0
     model = out / "out" / "model.json"
-    assert run("optimize", "--config", cfg, "--model", model, "--dump-samples", "--threads", "2") == 0
+    assert run("optimize", "--config", cfg, "--model", model, "--dump-samples") == 0
     samples = out / "out" / "samples_2018-01-08T08.csv"
     lines = samples.read_text().splitlines()
     assert len(lines) == 8  # header + k rows

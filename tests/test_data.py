@@ -364,6 +364,17 @@ def test_a_file_that_is_not_utf8_fails_as_the_text_reader_does(tmp_path):
     assert str(got.value) == str(want.value)
 
 
+def test_a_file_that_is_not_utf8_fails_on_its_byte_before_a_malformed_record_is_named(tmp_path):
+    path = tmp_path / "counts.csv"
+    head = CANONICAL.replace("g1,g0", "g1,g1").encode()  # a self-loop on line 3
+    path.write_bytes(head + b"2017-11-17T09,g0,g1,1\n" * 1000 + b"2017-11-17T10,\xff,g1,1\n")
+    with open(path, newline="", encoding="utf-8") as fh, pytest.raises(UnicodeDecodeError) as want:
+        list(csv.reader(fh))
+    with pytest.raises(UnicodeDecodeError) as got:
+        load_od_counts(path)
+    assert str(got.value) == str(want.value)
+
+
 def test_save_load_round_trip(tmp_path):
     from drtopt.synth import SyntheticSpec, generate_synthetic
 

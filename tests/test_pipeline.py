@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -167,13 +169,11 @@ def test_chosen_expected_savings_reported():
 def test_compare_strategies_table(tmp_path):
     inst = two_node_instance(fleet_size=2, max_routes=2)
     lags = [T0, T0 + np.timedelta64(1, "h")]
-    truths = {}
-    model_forecasts = {"m": {}}
-    for lag in lags:
-        truth = {PAIRS[0]: 6.0, PAIRS[1]: 1.0}
-        truths[lag] = truth
-        model_forecasts["m"][lag] = {p: point_mass(truth[p], p, lag) for p in PAIRS}
-    rows = compare_strategies(lags, model_forecasts, truths, inst, copula_for(), k=8, seed=0)
+    assert tuple(inst.od_pairs()) == PAIRS
+    truth = {PAIRS[0]: 6.0, PAIRS[1]: 1.0}
+    observed = np.array([[truth[p]] * len(lags) for p in PAIRS])
+    model_forecasts = {"m": {lag: {p: point_mass(truth[p], p, lag) for p in PAIRS} for lag in lags}}
+    rows = compare_strategies(lags, model_forecasts, observed, inst, copula_for(), k=8, seed=0)
     assert len(rows) == len(lags) * 1
     assert all(all(row.matches[s] for s in ("P", "M", "R")) for row in rows)
 
@@ -183,6 +183,14 @@ def test_compare_strategies_table(tmp_path):
     assert "matches_gt" in text and "GT" in text
     table = comparison_table(rows)
     assert "*" in table
+
+
+def test_compare_strategies_rejects_observed_demand_not_pairs_by_lags():
+    inst = two_node_instance()
+    lags = [T0, T0 + np.timedelta64(1, "h")]
+    model_forecasts = {"m": {lag: {p: point_mass(1.0, p, lag) for p in PAIRS} for lag in lags}}
+    with pytest.raises(ValueError, match=re.escape("observed demand of shape (1, 2), not (pairs, lags) = (2, 2)")):
+        compare_strategies(lags, model_forecasts, np.ones((1, 2)), inst, copula_for(), k=4)
 
 
 def test_capacity_cliff_splits_median_from_worst_case():
@@ -216,8 +224,8 @@ def test_capacity_cliff_splits_median_from_worst_case():
         assert mine.objective == pytest.approx(reference.objective, abs=1e-9)
         assert mine.key() == reference.key()
 
-    truths = {T0: {pair: 5.0}}
-    rows = compare_strategies([T0], {"m": {T0: forecasts}}, truths, inst, copula_for((pair,)), k=30, seed=2)
+    observed = np.array([[5.0], [0.0]])  # inst.od_pairs(): the pair, then its reverse
+    rows = compare_strategies([T0], {"m": {T0: forecasts}}, observed, inst, copula_for((pair,)), k=30, seed=2)
     row = rows[0]
     assert row.matches["M"] and not row.matches["R"]
 
