@@ -69,14 +69,18 @@ drtopt "$out/capacity6/demo" "$out/capacity6/logs/optimize" optimize --dump-samp
 drtopt "$out/capacity6/demo" "$out/capacity6/logs/pipeline" pipeline --config config.json --model out/model.json
 
 # one fit over every pair's rows: the boosted trees' largest nodes, where the split search's
-# screening window is widest, and the demo's largest quantile LP (7,776 x 60)
-for family in gboost linear; do
-    variant "$family-pooled" "$family" 'd["model"]["scope"] = "pooled"'
-    rm -rf "$out/$family-pooled/demo/out"
-    drtopt "$out/$family-pooled/demo" "$out/$family-pooled/logs/train" train --config config.json
-    expect "$out/$family-pooled/demo/out/model.json" '"scope": "pooled"' "the demo did not train a pooled model"
-    drtopt "$out/$family-pooled/demo" "$out/$family-pooled/logs/predict" predict --config config.json --model out/model.json
+# screening window is widest, and the demo's largest quantile LP (7,776 x 60); pooled and seasonally
+# normalized, the one fit whose levels grow in several groups of histograms (one level each), with
+# many of its nodes unscreened
+for run in "gboost-pooled gboost" "linear-pooled linear" "gboost-pooled-seasonal gboost-seasonal"; do
+    set -- $run
+    variant "$1" "$2" 'd["model"]["scope"] = "pooled"'
+    rm -rf "$out/$1/demo/out"
+    drtopt "$out/$1/demo" "$out/$1/logs/train" train --config config.json
+    expect "$out/$1/demo/out/model.json" '"scope": "pooled"' "the demo did not train a pooled model"
+    drtopt "$out/$1/demo" "$out/$1/logs/predict" predict --config config.json --model out/model.json
 done
+expect "$out/gboost-pooled-seasonal/demo/out/model.json" '"seasonal_normalize": true' "the demo did not train a seasonally normalized model"
 
 # the checkout's own script; its stdout is not kept, as it prints wall times
 (cd "$out" && PYTHONPATH="$root/src" python3 "$root/scripts/run_case_study.py" --quick --seed 7 --out-dir case >/dev/null)

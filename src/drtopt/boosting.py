@@ -38,8 +38,6 @@ class _Bins:
     feature: np.ndarray  # (bins,): each bin's feature
     first: np.ndarray  # (features,): each feature's first bin
     root: np.ndarray  # (bins,)
-    root_at: np.ndarray  # (bins,): of all rows, those at or below each bin within its feature, as floats
-    root_last: np.ndarray  # (bins,): whether a bin holds its feature's greatest value
     order: np.ndarray  # (features, rows): the rows in each feature's stable order, in the dtype of the ranks
     tied: np.ndarray  # (features, rows - 1): whether the rows either side of each cut of that order tie
 
@@ -55,8 +53,7 @@ class _Bins:
         keys = ranks + first[:, None]
         root = np.bincount(keys.ravel(), minlength=int(sizes.sum()))
         feature = np.repeat(np.arange(len(XT)), sizes)
-        root_at = np.cumsum(root, dtype=np.float64) - XT.shape[1] * feature
-        return cls(XT, ranks, keys, feature, first, root, root_at, root_at == XT.shape[1], order.astype(ranks.dtype), tied)
+        return cls(XT, ranks, keys, feature, first, root, order.astype(ranks.dtype), tied)
 
     def pays(self, m):
         """Whether a node of m rows is screened by histograms: when they hold no more bins than it has (feature, row)s."""
@@ -118,8 +115,8 @@ class _Nodes:
     the i-th run of `rows`, in arrival order: the stable order of its
     parent's split feature, or 0..n-1 at the root.  The nodes marked
     `screened`, those that may split and that histograms pay for, have
-    histograms, in node order: `every` of all their rows and `below` of
-    those whose g is q - 1, one (bins,) array per node.
+    histograms, (screened nodes, bins) arrays in node order: `every` of all
+    their rows and `below` of those whose g is q - 1.
     """
 
     level: np.ndarray
@@ -127,8 +124,8 @@ class _Nodes:
     sizes: np.ndarray
     rows: np.ndarray
     screened: np.ndarray
-    every: list
-    below: list
+    every: np.ndarray
+    below: np.ndarray
 
     @property
     def starts(self) -> np.ndarray:
@@ -138,9 +135,9 @@ class _Nodes:
 def _root(bins: _Bins, levels: int, n: int, below_counts: np.ndarray | None) -> _Nodes:
     """Every level's root: all the rows in order, screened when `below_counts` ((levels, bins)) are given."""
     screened = np.full(levels, below_counts is not None)
-    every = below = []
+    every = below = np.empty((0, len(bins.root)), dtype=np.intp)
     if below_counts is not None:
-        every, below = [bins.root] * levels, list(below_counts)
+        every, below = np.broadcast_to(bins.root, below_counts.shape), below_counts
     rows = np.tile(np.arange(n), levels)
     return _Nodes(np.arange(levels), np.zeros(levels, dtype=np.intp), np.full(levels, n), rows, screened, every, below)
 
@@ -160,9 +157,9 @@ def _children(bins: _Bins, g: np.ndarray, nodes: _Nodes, feature, cut, rows, cou
     level = np.repeat(nodes.level[split], 2)
     rows = rows[np.repeat(split, nodes.sizes)]
     screened = np.asarray(bins.pays(sizes)) & counted
-    every = below = []
+    bins_n = len(bins.root)
+    every, below = (np.empty((np.count_nonzero(screened), bins_n), dtype=np.intp) for _ in range(2))
     if screened.any():
-        bins_n = len(bins.root)
         small = (sizes[1::2] < sizes[::2]).astype(np.intp)
         parent = np.flatnonzero(screened[2 * np.arange(len(small)) + 1 - small])  # whose larger child is screened
         small_child = 2 * parent + small[parent]
@@ -170,25 +167,22 @@ def _children(bins: _Bins, g: np.ndarray, nodes: _Nodes, feature, cut, rows, cou
         in_small[small_child] = True
         small_sizes = sizes[small_child]
         small_rows, small_starts = rows[np.repeat(in_small, sizes)], np.cumsum(small_sizes) - small_sizes
-        part_every, part_below = [], []
+        small_every, small_below = (np.empty((len(small_child), bins_n), dtype=np.intp) for _ in range(2))
         for part in _chunks(np.maximum(small_sizes * len(bins.ranks), 2 * bins_n)):
             m = small_sizes[part]
             at = small_rows[small_starts[part.start] : small_starts[part.start] + m.sum()]
             keys = np.take(bins.keys, at, axis=1)
             if len(m) > 1:
                 keys = keys + np.repeat(np.arange(len(m)) * bins_n, m)
-            part_every.extend(np.bincount(keys.ravel(), minlength=len(m) * bins_n).reshape(len(m), bins_n))
+            small_every[part] = np.bincount(keys.ravel(), minlength=len(m) * bins_n).reshape(len(m), bins_n)
             keys = keys[:, g[np.repeat(level[small_child[part]], m), at] < 0]
-            part_below.extend(np.bincount(keys.ravel(), minlength=len(m) * bins_n).reshape(len(m), bins_n))
-        every, below = [None] * np.count_nonzero(screened), [None] * np.count_nonzero(screened)
-        rank = (np.cumsum(screened) - 1).tolist()
-        of_parent = (np.cumsum(nodes.screened) - 1)[np.flatnonzero(split)[parent]].tolist()
-        for i, (child, p, side) in enumerate(zip(small_child.tolist(), of_parent, small[parent].tolist())):
-            large = child + 1 - 2 * side
-            every[rank[large]] = nodes.every[p] - part_every[i]
-            below[rank[large]] = nodes.below[p] - part_below[i]
-            if screened[child]:
-                every[rank[child]], below[rank[child]] = part_every[i], part_below[i]
+            small_below[part] = np.bincount(keys.ravel(), minlength=len(m) * bins_n).reshape(len(m), bins_n)
+        rank = np.cumsum(screened) - 1
+        of_parent = (np.cumsum(nodes.screened) - 1)[np.flatnonzero(split)[parent]]
+        large = rank[small_child + 1 - 2 * small[parent]]
+        every[large], below[large] = nodes.every[of_parent] - small_every, nodes.below[of_parent] - small_below
+        own = screened[small_child]
+        every[rank[small_child[own]]], below[rank[small_child[own]]] = small_every[own], small_below[own]
     heap = np.column_stack((heap + 1, heap + 2)).ravel()
     return _Nodes(level, heap, sizes, rows, screened, every, below)
 
@@ -347,7 +341,7 @@ def _scan(bins: _Bins, g: np.ndarray, nodes: _Nodes, starts, kept, chunk, out):
     rows[(starts[split][:, None] + column)[real[node]]] = ordered[real[node]]
 
 
-def _screen(bins: _Bins, q: np.ndarray, m: np.ndarray, every: list, below: list) -> np.ndarray:
+def _screen(bins: _Bins, q: np.ndarray, m: np.ndarray, every: np.ndarray, below: np.ndarray) -> np.ndarray:
     """(nodes, features): the features each node's float scan must run, by `_split_search`'s screen.
 
     The nodes hold m rows each and the histograms `every` and `below`.  As
@@ -359,15 +353,12 @@ def _screen(bins: _Bins, q: np.ndarray, m: np.ndarray, every: list, below: list)
     it.
     """
     end = bins.first[1] if len(bins.first) > 1 else len(bins.root)  # the first feature's bins
-    c = np.cumsum(np.stack(below), axis=1, dtype=np.float64)
+    c = np.cumsum(below, axis=1, dtype=np.float64)
     C = c[:, end - 1]
     c -= C[:, None] * bins.feature
-    if all(h is bins.root for h in every):  # roots, whose counts are known
-        n, no_cut = bins.root_at[None], bins.root_last[None]
-    else:
-        n = np.cumsum(np.stack(every), axis=1, dtype=np.float64)
-        n -= m[:, None] * bins.feature
-        no_cut = (n == 0) | (n == m[:, None])
+    n = np.cumsum(every, axis=1, dtype=np.float64)
+    n -= m[:, None] * bins.feature
+    no_cut = (n == 0) | (n == m[:, None])
     P, T = q[:, None] * n - c, (q * m - C)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 or x/0 where a bin has no cut
         screen = P * P / n + (T - P) ** 2 / (m[:, None] - n) - T * T / m[:, None]
@@ -586,13 +577,13 @@ def fit_gboost(
     init = np.array([pinball_minimizing_constant(y, q) for q in qs.tolist()])
     forest = Forest.empty(len(qs) * n_trees, hyper.max_depth)  # level l's trees are l*n_trees onwards
     pred = np.repeat(init[:, None], len(y), axis=1)
-    losses = [[loss] for loss in np.mean(_pinball(qs[:, None], y - pred), axis=1).tolist()]
-    kept = [n_trees] * len(qs)
+    losses = np.full((len(qs), n_trees + 1), np.nan)  # per level, the loss before and after each stage
+    losses[:, 0] = np.mean(_pinball(qs[:, None], y - pred), axis=1)
+    kept = np.full(len(qs), n_trees)
     if val is not None:
         val_pred = np.repeat(init[:, None], len(yv), axis=1)
-        best_val = np.mean(_pinball(qs[:, None], yv - val_pred), axis=1).tolist()
-        since_best = [0] * len(qs)
-        kept = [0] * len(qs)
+        best_val = np.mean(_pinball(qs[:, None], yv - val_pred), axis=1)
+        since_best, kept = np.zeros(len(qs), dtype=np.intp), np.zeros(len(qs), dtype=np.intp)
     live = np.arange(len(qs))
     screened, before = hyper.max_depth > 0 and bins.pays(len(y)), None
     # the stage's levels grow together, in groups whose histograms stay within _COUNTS_BYTES: a level's
@@ -618,26 +609,21 @@ def fit_gboost(
                 bins, q[part], gradient[part], residuals[part], hyper.max_depth, forest, trees[part], counts, signed_zeros
             )
         pred[live] = pred[live] + hyper.learning_rate * forest.leaf_values(X, trees[None, :]).T
-        for level, loss in zip(live.tolist(), np.mean(_pinball(q[:, None], y - pred[live]), axis=1).tolist()):
-            losses[level].append(loss)
+        losses[live, t + 1] = np.mean(_pinball(q[:, None], y - pred[live]), axis=1)
         if val is not None:
             val_pred[live] = val_pred[live] + hyper.learning_rate * forest.leaf_values(Xv, trees[None, :]).T
-            going = []
-            for level, vloss in zip(live.tolist(), np.mean(_pinball(q[:, None], yv - val_pred[live]), axis=1).tolist()):
-                if vloss < best_val[level] - 1e-12:
-                    best_val[level], kept[level], since_best[level] = vloss, t + 1, 0
-                else:
-                    since_best[level] += 1
-                    if since_best[level] >= patience:
-                        continue
-                going.append(level)
+            vloss = np.mean(_pinball(q[:, None], yv - val_pred[live]), axis=1)
+            better = vloss < best_val[live] - 1e-12
+            best_val[live[better]], kept[live[better]] = vloss[better], t + 1
+            since_best[live] = np.where(better, 0, since_best[live] + 1)
+            going = since_best[live] < patience
             if before is not None:
-                before = tuple(part[np.isin(live, going)] for part in before)
-            live = np.array(going, dtype=np.intp)
+                before = tuple(part[going] for part in before)
+            live = live[going]
     index = {q: i for i, q in enumerate(qs.tolist())}
     init_of = {q: float(init[index[q]]) for q in levels}
     trees_of = {q: forest[index[q] * n_trees : index[q] * n_trees + kept[index[q]]] for q in levels}
-    loss_of = {q: losses[index[q]][: kept[index[q]] + 1] for q in levels}
+    loss_of = {q: losses[index[q], : kept[index[q]] + 1].tolist() for q in levels}
     return GBoostQRModel(levels, hyper, init_of, trees_of, loss_of)
 
 

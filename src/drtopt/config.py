@@ -76,6 +76,8 @@ class ModelSpec:
             raise ValueError("historical percentiles are fit per pair only")
         if self.family == "hp" and self.seasonal_normalize:
             raise ValueError("historical percentiles are fit without seasonal normalization")
+        if self.exam_period is not None and self.exam_period[0] > self.exam_period[1]:
+            raise ValueError(f"exam_period: start {self.exam_period[0]} is after end {self.exam_period[1]}")
 
     def feature_config(self) -> FeatureConfig:
         return FeatureConfig(
@@ -180,7 +182,10 @@ def _parse_date(text, path: str) -> date:
 def _parse_range(rng, path: str, expected: str = "[start, end]") -> tuple[date, date]:
     if not (isinstance(rng, list) and len(rng) == 2):
         raise ConfigError(path, f"expected {expected}")
-    return tuple(_parse_date(d, path) for d in rng)
+    start, end = (_parse_date(d, path) for d in rng)
+    if start > end:
+        raise ConfigError(path, f"start {start} is after end {end}")
+    return start, end
 
 
 def _parse_split(doc, path: str) -> SplitSpec:

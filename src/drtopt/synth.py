@@ -54,8 +54,9 @@ class SyntheticSpec:
             raise ValueError("intensity profiles must be non-negative")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho={self.rho} is not a valid equicorrelation")
-        if self.dispersion < 0:
-            raise ValueError("noise dispersion must be non-negative")
+        for name, value in (("base_scale", self.base_scale), ("dispersion", self.dispersion)):
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name}={value} must be finite and non-negative")
         if self.end < self.start:
             raise ValueError("date range is empty")
 

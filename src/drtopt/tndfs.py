@@ -66,8 +66,6 @@ def canonical_rotation(stops: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def route_cycle_time(stops: tuple[int, ...], ride_time: np.ndarray, dwell: float = 0.0) -> float:
-    if len(stops) == 1:
-        return float(ride_time[stops[0], stops[0]]) + dwell
     legs = sum(ride_time[a, b] for a, b in zip(stops, stops[1:] + (stops[0],)))
     return float(legs) + dwell * len(stops)
 

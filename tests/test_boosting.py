@@ -10,9 +10,12 @@ from drtopt import boosting, config
 from drtopt.boosting import (
     Forest,
     GBoostHyper,
+    _below_counts,
     _Bins,
+    _children,
     _leaf_constants,
     _Nodes,
+    _root,
     _split_search,
     fit_gboost,
     gboost_raw_predict,
@@ -288,15 +291,16 @@ def _columns(rng, n: int, kinds) -> np.ndarray:
 def _one_depth(bins, g, parts, screened: bool, root: bool = False) -> _Nodes:
     """One depth's nodes for `_split_search`: node i holds rows parts[i], in arrival order, of level i (gradients g[i]).
 
-    Roots hold every row in order; a screened node has its histograms.
+    Roots hold every row in order and are built as the fit builds them; a screened node has its histograms.
     """
-    every = below = []
+    every = below = np.empty((0, len(bins.root)), dtype=np.intp)
     if screened:
-        every, below = (list(h) for h in zip(*(counts(bins, part, g[i]) for i, part in enumerate(parts))))
+        every, below = (np.array(h) for h in zip(*(counts(bins, part, g[i]) for i, part in enumerate(parts))))
+    if root:
+        return _root(bins, len(parts), len(parts[0]), below if screened else None)
     level = np.arange(len(parts))
     sizes = np.array([len(part) for part in parts])
-    heap = np.zeros(len(parts), dtype=np.intp) if root else 1 + level
-    return _Nodes(level, heap, sizes, np.concatenate(parts), np.full(len(parts), screened), every, below)
+    return _Nodes(level, 1 + level, sizes, np.concatenate(parts), np.full(len(parts), screened), every, below)
 
 
 def _assert_splits_are_the_reference(X, g, q, parts, root=False):
@@ -363,6 +367,38 @@ def test_split_search_of_a_large_node_equals_the_per_feature_reference(n, kinds,
     g = np.where(rng.random(n) < rng.uniform(0.0, 1.0), q - 1.0, q)
     rows = rng.permutation(n)[: max(2, int(share * n))]
     _assert_splits_are_the_reference(X, g[None], [q], [rows])
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.integers(2, 60),
+    st.lists(st.sampled_from(("onehot", "integer", "constant", "tied")), min_size=1, max_size=4),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.sampled_from([64, 1 << 14]),
+    st.integers(0, 2**32 - 1),
+)
+def test_each_screened_childs_histograms_are_the_counts_of_its_rows(n, kinds, levels, depths, cells, seed):
+    # `levels` trees grown `depths` depths down by random splits: each node either stays a leaf or sends
+    # a random share of its rows, in an order of their own, left; at _CELLS 64 the children count in many chunks
+    rng = np.random.default_rng(seed)
+    bins = _Bins.of(np.ascontiguousarray(_columns(rng, n, kinds).T))
+    g = np.where(rng.random((levels, n)) < rng.random((levels, 1)), -0.5, 0.5)
+    nodes = _root(bins, levels, n, _below_counts(bins, g < 0) if bins.pays(n) else None)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(boosting, "_CELLS", cells)
+        for _ in range(depths):
+            sizes = nodes.sizes
+            feature = np.where((sizes >= 2) & (rng.random(len(sizes)) < 0.8), 0, -1)
+            cut = rng.integers(1, np.maximum(sizes, 2))
+            rows = nodes.rows[np.lexsort((rng.random(len(nodes.rows)), np.repeat(np.arange(len(sizes)), sizes)))]
+            nodes = _children(bins, g, nodes, feature, cut, rows, True)
+            assert np.array_equal(nodes.screened, bins.pays(nodes.sizes) & bins.pays(n))
+            screened = np.flatnonzero(nodes.screened)
+            assert nodes.every.shape == nodes.below.shape == (len(screened), len(bins.root))
+            for i, (start, size, level) in enumerate(zip(*(a[screened] for a in (nodes.starts, nodes.sizes, nodes.level)))):
+                every, below = counts(bins, nodes.rows[start : start + size], g[level])
+                assert np.array_equal(nodes.every[i], every) and np.array_equal(nodes.below[i], below)
 
 
 @pytest.fixture

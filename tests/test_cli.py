@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -93,6 +94,14 @@ def test_rerun_is_byte_identical(tmp_path):
     assert run("predict", "--config", cfg, "--model", model) == 0
     assert run("pipeline", "--config", cfg, "--model", model) == 0
     assert tree_bytes(out / "out") == first
+
+
+@pytest.mark.parametrize("flag, name", [("--scale", "base_scale"), ("--dispersion", "dispersion")])
+@pytest.mark.parametrize("value", ["nan", "inf", "-5"])
+def test_synth_rejects_a_non_finite_or_negative_scale_naming_the_field(tmp_path, caplog, flag, name, value):
+    assert run("synth", "--out-dir", tmp_path / "ws", flag, value) == 2
+    assert f"{name}={float(value)} must be finite and non-negative" in caplog.text
+    assert not (tmp_path / "ws" / "counts.csv").exists()
 
 
 def test_unknown_command_exits_nonzero(capsys):
@@ -236,6 +245,22 @@ def test_optimize_on_counts_with_a_new_location_writes_the_same_scenarios(tmp_pa
 
 
 SPLIT_DOC = {"train": ["2017-11-17", "2018-01-07"], "test": ["2018-01-08", "2018-01-14"]}
+
+
+REVERSED = ["2017-12-22", "2017-12-08"]
+
+
+@pytest.mark.parametrize("extra, path", [
+    ({"split": {**SPLIT_DOC, "train": REVERSED}}, "config.split.train"),
+    ({"split": {**SPLIT_DOC, "test": REVERSED}}, "config.split.test"),
+    ({"split": {**SPLIT_DOC, "masked_date_ranges": [["2017-12-23", "2018-01-01"], REVERSED]}},
+     "config.split.masked_date_ranges[1]"),
+    ({"model": {"exam_period": REVERSED}}, "config.model.exam_period"),
+])
+def test_a_reversed_date_range_is_rejected_naming_the_field(tmp_path, extra, path):
+    (tmp_path / "config.json").write_text(json.dumps({"seed": 1, "data": {"counts_csv": "x"}, **extra}))
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: start 2017-12-22 is after end 2017-12-08")):
+        load_config(tmp_path / "config.json")
 
 
 def test_config_validation_paths(tmp_path):

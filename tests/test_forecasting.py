@@ -60,6 +60,9 @@ def test_model_spec_validation():
         ModelSpec(scope="nope")
     with pytest.raises(ValueError, match="exclusive"):
         ModelSpec(cross_lags=True, scope="pooled")
+    # a reversed exam period would flag no hour, and its model.json would not read back
+    with pytest.raises(ValueError, match="exam_period: start 2017-12-22 is after end 2017-12-08"):
+        ModelSpec(exam_period=(date(2017, 12, 22), date(2017, 12, 8)))
 
 
 def test_hp_with_seasonal_normalization_is_rejected_in_model_json(dataset):
@@ -938,6 +941,13 @@ def test_model_json_names_a_malformed_inner_field(model_docs, kind, edit, messag
     name = next(iter(doc["models"]))
     doc["models"][name] = _edit_inner(doc["models"][name], edit)
     with pytest.raises(ConfigError, match=re.escape(f"model.models.{name}{message}")):
+        model_from_json_dict(doc)
+
+
+def test_model_json_with_a_reversed_exam_period_is_rejected(model_docs):
+    doc = json.loads(json.dumps(model_docs["linear"]))
+    doc["spec"]["exam_period"] = ["2017-12-22", "2017-12-08"]
+    with pytest.raises(ConfigError, match=re.escape("model spec.exam_period: start 2017-12-22 is after end 2017-12-08")):
         model_from_json_dict(doc)
 
 

@@ -31,6 +31,15 @@ def test_spec_validation():
         SyntheticSpec(tod_profile=(1.0,) * 10)
 
 
+@pytest.mark.parametrize(
+    "name, value", [("base_scale", float("nan")), ("base_scale", float("inf")), ("base_scale", -5.0),
+                    ("dispersion", float("nan")), ("dispersion", float("inf")), ("dispersion", -1.0)]
+)
+def test_a_non_finite_or_negative_scale_is_rejected_naming_the_field(name, value):
+    with pytest.raises(ValueError, match=f"{name}={value} must be finite and non-negative"):
+        SyntheticSpec(**{name: value})
+
+
 def test_deterministic_per_seed():
     a = generate_synthetic(SyntheticSpec(n_locations=2, end=date(2017, 11, 24), seed=5))
     b = generate_synthetic(SyntheticSpec(n_locations=2, end=date(2017, 11, 24), seed=5))
