@@ -62,11 +62,16 @@ for run in "two --locations 2" "five-flat --locations 5 --flat-profile" "six-see
 done
 
 # the demo's capacity 40 never binds: at capacity 6 the flow assignments' objectives reach the
-# samples and scenario files at full precision
-variant capacity6 linear 'd["capacity"] = 6.0' network.json
-rm -f "$out"/capacity6/demo/out/{scenario_,samples_,comparison.}*
-drtopt "$out/capacity6/demo" "$out/capacity6/logs/optimize" optimize --dump-samples --config config.json --model out/model.json
-drtopt "$out/capacity6/demo" "$out/capacity6/logs/pipeline" pipeline --config config.json --model out/model.json
+# samples and scenario files at full precision; at capacity 10 with three buses and up to three
+# routes, route sets of size 3 are priced under binding capacity
+for run in "capacity6 d['capacity'] = 6.0" "capacity10-nu3 d.update(fleet_size=3, max_routes=3, capacity=10.0)"; do
+    v=${run%% *}
+    variant "$v" linear "${run#* }" network.json
+    rm -f "$out/$v"/demo/out/{scenario_,samples_,comparison.}*
+    drtopt "$out/$v/demo" "$out/$v/logs/optimize" optimize --dump-samples --config config.json --model out/model.json
+    drtopt "$out/$v/demo" "$out/$v/logs/pipeline" pipeline --config config.json --model out/model.json
+done
+expect "$out/capacity10-nu3/demo/network.json" '"max_routes": 3' "the variant did not allow three routes"
 
 # one fit over every pair's rows: the boosted trees' largest nodes, where the split search's
 # screening window is widest, and the demo's largest quantile LP (7,776 x 60); pooled and seasonally

@@ -397,6 +397,13 @@ class SplitSpec:
     masked_dates: tuple[tuple[date, date], ...] = ()
 
     def __post_init__(self):
+        named = [("train_range", self.train_range), ("test_range", self.test_range)]
+        for name, (start, end) in named + [(f"masked_dates[{i}]", days) for i, days in enumerate(self.masked_dates)]:
+            if start > end:
+                raise ValueError(f"{name}: start {start} is after end {end}")
+        outside = sorted(h for h in self.masked_hours if h not in range(24))
+        if outside:
+            raise ValueError(f"masked_hours: hour {outside[0]} is outside 0..23")
         if self.train_range[1] >= self.test_range[0]:
             raise ValueError("train range must precede test range")
 

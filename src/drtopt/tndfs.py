@@ -18,6 +18,7 @@ exact optimum without an LP solver.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import logging
@@ -557,18 +558,29 @@ def _table_chunk(prep: _Prepared, rows: slice) -> tuple[np.ndarray, np.ndarray, 
     return np.maximum(best, 0.0), rides.astype(np.float64), np.where(rides, slot, -1).astype(np.int8)
 
 
-def _price(lam: np.ndarray, table, caps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Uncapacitated bound and capacity feasibility of every (sample, row) of the table."""
+def _price(lam: np.ndarray, table, caps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Price every (sample, row) of the table: (bound, feasible, lower, check).
+
+    `bound` is each row's uncapacitated bound and `feasible` its capacity
+    feasibility.  The screen: no slot carries more than all riders, so a row
+    whose riders fit its smallest capacity fits.  A sample's optimum is at
+    least `lower`, its best bound among the rows that pass, and
+    x - _tie_tol(x) does not decrease, so a row whose bound falls short of
+    lower - _tie_tol(lower) can neither win, tie nor enter the flow search.
+    Only the rows that fail the screen and reach that mark in some sample,
+    `check`, get the per-slot sums, in every sample; any other row's
+    feasibility is the screen's.
+    """
     gain, rides, slot = table
     bound = lam @ gain
-    # no slot carries more than all riders: only rows failing that somewhere get the per-slot sums
-    feasible = lam @ rides <= caps.min(axis=1)
-    check = np.flatnonzero(~feasible.all(axis=0))
+    feasible = lam @ rides <= functools.reduce(np.minimum, caps.T)  # column by column: faster than min(axis=1) over nu columns
+    lower = np.where(feasible, bound, -np.inf).max(axis=1)
+    check = np.flatnonzero((~feasible & (bound >= (lower - _tie_tol(lower))[:, None])).any(axis=0))
     if len(check):
         taken = slot[:, check]
         fits = np.all([lam @ (taken == j) <= caps[check, j] for j in range(caps.shape[1])], axis=0)
         feasible[:, check] |= fits
-    return bound, feasible
+    return bound, feasible, lower, check
 
 
 def _row_allocation(prep: _Prepared, row: int) -> tuple[tuple[int, int], ...]:
@@ -587,16 +599,17 @@ def solve_batch(prep: _Prepared, lam: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """Exact optimum for each row of demands `lam` (samples x `prep.pairs`): (table rows, objectives).
 
     Every row of the allocation table is priced for a block of samples at
-    once: a capacity-feasible row is worth its uncapacitated bound, and for
-    each sample every capacity-bound row whose bound can still beat that
-    sample's incumbent gets the exact flow assignment, best bound first,
-    unless a dual bound on its flows (`_flow_bound`) already falls short.
-    Objectives within a relative 1e-12 tie and break toward the lowest row,
-    the lexicographically smallest allocation key, so zero-flow routes are
-    never reported unless the exact-route-count mode forces them.  An
-    objective is the winner's flow assignment, not its bound:
-    `allocation_values` scores each capacity-feasible winning row on its
-    samples, and a capacity-bound winner keeps the value its search gave.
+    once (`_price`): a capacity-feasible row is worth its uncapacitated
+    bound, and for each sample every capacity-bound row whose bound can still
+    beat that sample's incumbent gets the exact flow assignment, best bound
+    first, unless a dual bound on its flows (`_flow_bound`) already falls
+    short.  Objectives within a relative 1e-12 tie and break toward the
+    lowest row, the lexicographically smallest allocation key, so zero-flow
+    routes are never reported unless the exact-route-count mode forces them.
+    An objective is the winner's flow assignment, not its bound: a
+    capacity-feasible winner is scored from its table row as
+    `allocation_values` scores it, and a capacity-bound winner keeps the
+    value its search gave.
     """
     if not len(prep.row_routes):
         raise ValueError("no feasible allocation (check max_routes vs candidate count)")
@@ -608,20 +621,26 @@ def solve_batch(prep: _Prepared, lam: np.ndarray) -> tuple[np.ndarray, np.ndarra
     for lo in range(0, len(lam), step):
         block = slice(lo, lo + step)
         rows[block], objectives[block], scored[block] = _block_winners(prep, lam[block])
-    for row in np.unique(rows[~scored]):
-        at = np.flatnonzero((rows == row) & ~scored)
-        objectives[at] = allocation_values(prep, _row_allocation(prep, row), lam[at])
+    gain, _, slot = prep.table
+    at = np.flatnonzero(~scored)
+    won = rows[at]
+    objectives[at], over = _best_route_values(lam[at], slot[:, won].T, gain[:, won].T, prep.row_caps[won])
+    for s in at[over]:
+        w, caps = _allocation_arcs(prep, _row_allocation(prep, rows[s]))
+        objectives[s] = assign_flows(w, lam[s], caps)[1]
     return rows, objectives
 
 
 def _block_winners(prep: _Prepared, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Winning table row per sample, and its objective where its flow assignment gave it."""
-    bound, feasible = _price(lam, prep.table, prep.row_caps)
+    bound, feasible, lower, check = _price(lam, prep.table, prep.row_caps)
     value = np.where(feasible, bound, -np.inf)
-    best = value.max(axis=1)
-    blocked = ~feasible & (bound >= (best - _tie_tol(best))[:, None])
+    # a row left unchecked is worth at most lower (it passed the screen) or nothing (it failed it)
+    best = np.maximum(lower, value[:, check].max(axis=1, initial=-np.inf))
+    # every capacity-bound row that can still win was checked; the search stops at the first that cannot
+    blocked = ~feasible[:, check]
     for s in np.flatnonzero(blocked.any(axis=1)):
-        candidates = np.flatnonzero(blocked[s])
+        candidates = check[blocked[s]]
         for row in candidates[np.argsort(-bound[s, candidates], kind="stable")]:
             if bound[s, row] < best[s] - _tie_tol(best[s]):
                 break  # no later row's bound reaches the incumbent either
@@ -639,24 +658,46 @@ def _block_winners(prep: _Prepared, lam: np.ndarray) -> tuple[np.ndarray, np.nda
 def allocation_values(prep: _Prepared, alloc: tuple[tuple[int, int], ...], lam: np.ndarray) -> np.ndarray:
     """Objective of the optimal flows for a fixed allocation of (route id, buses), per row of `lam`.
 
-    Each value is `assign_flows` on that row, bit for bit.  Rows where every
-    pair's best route fits are scored at once: inflows summed in pair order
-    as `x.sum(axis=0)` does, and objectives summed over C-contiguous rows as
-    `np.sum` does over one.  Only capacity-bound rows call `assign_flows`.
+    Each value is `assign_flows` on that row, bit for bit (see
+    `_best_route_values`); only capacity-bound rows call `assign_flows`.
     """
     w, caps = _allocation_arcs(prep, alloc)
     lam = np.asarray(lam, dtype=np.float64)
     if not w.size:
         return np.zeros(len(lam))
     best = np.argmax(w, axis=1)
-    riders = np.flatnonzero(w[np.arange(len(w)), best] > 0)
-    best_w = w[riders, best[riders]]
-    x = np.zeros((len(lam), *w.shape))
-    x[:, riders, best[riders]] = lam[:, riders]
-    values = np.ascontiguousarray(lam[:, riders] * best_w).sum(axis=1)
-    for s in np.flatnonzero(~np.all(x.sum(axis=1) <= caps, axis=1)):
+    best_w = w[np.arange(len(w)), best]
+    values, over = _best_route_values(lam, np.where(best_w > 0, best, -1), best_w, caps)
+    for s in over:
         values[s] = assign_flows(w, lam[s], caps)[1]
     return values
+
+
+def _best_route_values(lam: np.ndarray, best: np.ndarray, best_w: np.ndarray, caps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Objective of every pair on its best route, per row of `lam`, and the rows where that overloads a route.
+
+    In row s, pair i rides route best[s, i] (a column of caps[s], whose pads
+    are inf; -1: it walks) for best_w[s, i] > 0.  Values and loads are
+    `assign_flows`' first check, bit for bit: an objective sums over the
+    riders alone as `np.sum` does, and a route's load over every pair as
+    `x.sum(axis=0)` does, pairwise for a lone route and pair by pair for
+    several.
+    """
+    lam, best, best_w = np.broadcast_arrays(lam, best, best_w)
+    caps = np.broadcast_to(caps, (len(lam), caps.shape[-1]))
+    x = np.zeros((lam.shape[1], caps.shape[1], len(lam)))  # C order, pairs outermost: summed pair by pair
+    np.copyto(x, lam.T[:, None], where=best.T[:, None] == np.arange(caps.shape[1])[:, None])
+    loads = x.sum(axis=0).T
+    lone = np.count_nonzero(np.isfinite(caps), axis=1) == 1
+    loads[lone, 0] = np.ascontiguousarray(x[:, 0, lone].T).sum(axis=1)  # pairwise, as one route's column sums
+    riders = best >= 0
+    count = np.count_nonzero(riders, axis=1)
+    products = lam * best_w
+    values = np.empty(len(lam))
+    for n in np.unique(count):  # the rows with n riders each, their products contiguous: summed as np.sum sums n
+        rows = np.flatnonzero(count == n)
+        values[rows] = products[rows][riders[rows]].reshape(len(rows), n).sum(axis=1)
+    return values, np.flatnonzero(~np.all(loads <= caps, axis=1))
 
 
 def row_key(prep: _Prepared, row: int) -> tuple[tuple[tuple[int, ...], int], ...]:

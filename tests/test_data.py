@@ -774,6 +774,26 @@ def test_split_requires_order():
         SplitSpec((date(2018, 1, 1), date(2018, 2, 1)), (date(2018, 1, 15), date(2018, 2, 15)))
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"train_range": (date(2017, 12, 5), date(2017, 11, 17))}, "train_range: start 2017-12-05 is after end 2017-11-17"),
+        ({"test_range": (date(2017, 12, 12), date(2017, 12, 6))}, "test_range: start 2017-12-12 is after end 2017-12-06"),
+        (
+            {"masked_dates": ((date(2017, 11, 20), date(2017, 11, 21)), (date(2017, 12, 1), date(2017, 11, 25)))},
+            r"masked_dates\[1\]: start 2017-12-01 is after end 2017-11-25",
+        ),
+        ({"masked_hours": frozenset({-1})}, "masked_hours: hour -1 is outside 0..23"),
+        ({"masked_hours": frozenset({3, 24, 25})}, "masked_hours: hour 24 is outside 0..23"),
+    ],
+)
+def test_split_rejects_a_reversed_range_or_an_hour_outside_the_day(fields, message):
+    # built in the library, not read from a config: a reversed range would hold no hour, and hour -1 would mask 23
+    days = {"train_range": (date(2017, 11, 17), date(2017, 12, 5)), "test_range": (date(2017, 12, 6), date(2017, 12, 12))}
+    with pytest.raises(ValueError, match=message):
+        SplitSpec(**{**days, **fields})
+
+
 # ---------------------------------------------------------------------------
 # ADF
 # ---------------------------------------------------------------------------

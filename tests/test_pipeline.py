@@ -281,6 +281,7 @@ DECISION_CASES = {
     "capacity6": dict(max_routes=3, capacity=6.0),
     "exact-route-count": dict(max_routes=2, exact=True),
     "symmetric-ties": dict(max_routes=2, symmetric=True),
+    "symmetric-capacity6": dict(max_routes=2, symmetric=True, capacity=6.0),
     "all-zero": dict(max_routes=2, zero=True),
     "copula-lacks-a-pair": dict(max_routes=2, drop_pair=True),
 }
@@ -403,15 +404,89 @@ def test_solve_batch_reuses_every_capacity_bound_winner_lp(monkeypatch):
 @given(st.integers(0, 2**16), st.floats(0.0, 0.6))
 def test_solve_batch_equals_per_sample_reference_with_zero_demands_under_binding_capacity(seed, zero_share):
     from drtopt import tndfs
-    from reference_solver import reference_solve_demand
+    from reference_solver import _price as reference_price, reference_solve_demand
 
     inst, lam = _case_demands("capacity6", seed, 6)
     lam *= 2.0  # so that capacity binds in most draws
     lam[np.random.default_rng(seed).random(lam.shape) < zero_share] = 0.0
     prep = tndfs.prepare_instance(inst)
-    bound, feasible = tndfs._price(lam, prep.table, prep.row_caps)
-    assume(not feasible[np.arange(len(lam)), bound.argmax(axis=1)].all())  # some sample's best bound is over capacity
+    priced = [reference_price(row, prep.table, prep.row_caps) for row in lam]
+    assume(not all(feasible[bound.argmax()] for bound, feasible in priced))  # some sample's best bound is over capacity
     rows, objectives = tndfs.solve_batch(prep, lam)
     ref = [reference_solve_demand(prep, row) for row in lam]
     assert rows.tolist() == [row for row, _ in ref]
     assert objectives.tolist() == [objective for _, objective in ref]
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from(["capacity6", "nu3", "symmetric-capacity6"]), st.integers(0, 2**16), st.floats(0.25, 4.0))
+@example("symmetric-capacity6", 1, 1.0)  # mirrored allocations: a screen-failing row's bound within the tolerance below lower
+@example("symmetric-capacity6", 5, 0.75)
+def test_price_checks_capacity_wherever_a_row_can_still_win_or_tie(case, seed, scale):
+    from drtopt import tndfs
+    from reference_solver import _price as reference_price
+
+    inst, lam = _case_demands(case, seed, 6)
+    lam *= scale
+    prep = tndfs.prepare_instance(inst)
+    bound, feasible, lower, _ = tndfs._price(lam, prep.table, prep.row_caps)
+    screened = lam @ prep.table[1] <= prep.row_caps.min(axis=1)  # all riders fit the smallest route
+    assert lower.tolist() == np.max(bound, axis=1, where=screened, initial=-np.inf).tolist()
+    for s, demands in enumerate(lam):
+        # a row short of this mark can neither win nor tie: its feasibility may stay the screen's
+        reach = bound[s] >= lower[s] - tndfs._tie_tol(lower[s])
+        assert feasible[s, reach].tolist() == reference_price(demands, prep.table, prep.row_caps)[1][reach].tolist()
+
+
+def _screenless_case(seed, k):
+    """Four sites, slow walkers, and exactly five one-bus routes out of ten, so each allocation has a
+    two-stop loop, which riders usually take: under small buses no row need pass the screen."""
+    from drtopt.data import Location
+    from drtopt.tndfs import NetworkInstance, prepare_instance
+
+    rng = np.random.default_rng(seed)
+    sites = [Location(i, f"s{i}", (float(x), float(y))) for i, (x, y) in enumerate(rng.integers(0, 13, (4, 2)) * 100)]
+    ride = rng.uniform(1.0, 3.0, size=(4, 4))
+    np.fill_diagonal(ride, 1.0)
+    inst = NetworkInstance(sites, sites, 30.0, ride, fleet_size=5, capacity=2.0, max_routes=5, max_route_stops=2,
+                           exact_route_count=True)
+    return prepare_instance(inst), rng.uniform(0.0, 20.0, (k, len(inst.od_pairs())))
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(0, 2**16))
+def test_solve_batch_equals_per_sample_reference_when_no_row_passes_the_screen(seed):
+    from drtopt import tndfs
+    from reference_solver import reference_solve_demand
+
+    prep, lam = _screenless_case(seed, 6)
+    assume(np.isneginf(tndfs._price(lam, prep.table, prep.row_caps)[2]).any())  # lower = -inf: every row is checked
+    rows, objectives = tndfs.solve_batch(prep, lam)
+    assert list(zip(rows.tolist(), objectives.tolist())) == [reference_solve_demand(prep, row) for row in lam]
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.sampled_from(["nu1", "nu3", "capacity6", "exact-route-count"]), st.integers(0, 2**16), st.integers(-2, 2))
+@example("nu1", 3, 0)  # a winner whose loads fit by the matrix product but exceed its capacity as assign_flows sums them
+@example("capacity6", 1, 0)
+@example("exact-route-count", 2, 0)
+def test_solve_batch_equals_per_sample_reference_at_capacity_ties(case, seed, ulps):
+    from drtopt import tndfs
+    from reference_solver import reference_solve_demand
+
+    inst, lam = _case_demands(case, seed, 4)
+    prep = tndfs.prepare_instance(inst)
+    _, rides, slot = prep.table
+    for s, demands in enumerate(lam):  # scaled so the winner's fullest route meets its capacity, up to rounding
+        row = reference_solve_demand(prep, demands)[0]
+        riders = rides[:, row] > 0
+        loads = np.bincount(slot[riders, row], demands[riders], prep.row_caps.shape[1])
+        with np.errstate(divide="ignore"):
+            scale = np.min(prep.row_caps[row] / loads)
+        if np.isfinite(scale):
+            lam[s] *= scale * (1.0 + ulps * 2.0**-52)
+    ref = [reference_solve_demand(prep, row) for row in lam]
+    rows, objectives = tndfs.solve_batch(prep, lam)
+    assert list(zip(rows.tolist(), objectives.tolist())) == ref
+    # one sample at a time, as solve_instance solves: a vector-matrix product may sum in another order
+    assert [(int(r[0]), float(o[0])) for r, o in (tndfs.solve_batch(prep, row[None]) for row in lam)] == ref

@@ -356,6 +356,32 @@ def test_allocation_values_equal_assign_flows_on_every_row(monkeypatch):
     assert tndfs.allocation_values(prep, (), lam).tolist() == [0.0] * len(lam)  # walking only
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_best_route_values_find_what_assign_flows_first_check_finds(seed, fortran):
+    """Many rows of best routes at once, each route's load at its capacity up to rounding, and pads."""
+    rng = np.random.default_rng(seed)
+    k, m, nu = (int(v) for v in rng.integers(1, [6, 30, 4], endpoint=True))
+    lam = rng.uniform(0.0, 1.0, (k, m)) * rng.choice([1e-3, 1.0, 1e3], (k, m)) * (rng.random((k, m)) < 0.8)
+    routes = rng.integers(0, nu, k, endpoint=True)  # each row's real routes; the rest are pads
+    best = np.where(rng.random((k, m)) < 0.8, rng.integers(0, np.maximum(routes, 1)[:, None], (k, m)), -1)
+    best[routes == 0] = -1
+    best_w = np.where(best >= 0, rng.uniform(0.1, 10.0, (k, m)), 0.0)
+    caps = np.full((k, nu), np.inf)
+    for s, r in enumerate(routes):
+        caps[s, :r] = np.bincount(best[s][best[s] >= 0], lam[s][best[s] >= 0], r) * (1 + rng.integers(-2, 3, r) * 2.0**-52)
+    values, over = tndfs._best_route_values(np.asfortranarray(lam) if fortran else lam, best, best_w, caps)
+    for s, r in enumerate(routes):
+        riders = best[s] >= 0
+        x = np.zeros((m, r))  # assign_flows' best-route flows and its check
+        x[riders, best[s][riders]] = lam[s][riders]
+        assert (s in over) == (not np.all(x.sum(axis=0) <= caps[s, :r]))
+        assert values[s] == np.sum(lam[s][riders] * best_w[s][riders])
+        if s not in over and r:
+            w = np.where(best[s][:, None] == np.arange(r), best_w[s][:, None], -1.0)
+            assert values[s] == assign_flows(w, lam[s], caps[s, :r])[1]
+
+
 # ---------------------------------------------------------------------------
 # full solver: hand examples
 # ---------------------------------------------------------------------------
