@@ -73,6 +73,17 @@ for run in "capacity6 d['capacity'] = 6.0" "capacity10-nu3 d.update(fleet_size=3
 done
 expect "$out/capacity10-nu3/demo/network.json" '"max_routes": 3' "the variant did not allow three routes"
 
+# lags of every pair in place of each pair's own, and no exam column: the layout the feature builder
+# reads from the spec
+variant cross-lags linear 'd["model"].update(cross_lags=True, cross_order=2, exam_period=None)'
+rm -rf "$out/cross-lags/demo/out"
+drtopt "$out/cross-lags/demo" "$out/cross-lags/logs/train" train --config config.json
+expect "$out/cross-lags/demo/out/model.json" '"cross_lags": true' "the demo did not train a cross-lag model"
+expect "$out/cross-lags/demo/out/model.json" '"exam_period": null' "the demo trained an exam column"
+for command in predict evaluate; do
+    drtopt "$out/cross-lags/demo" "$out/cross-lags/logs/$command" $command --config config.json --model out/model.json
+done
+
 # one fit over every pair's rows: the boosted trees' largest nodes, where the split search's
 # screening window is widest, and the demo's largest quantile LP (7,776 x 60); pooled and seasonally
 # normalized, the one fit whose levels grow in several groups of histograms (one level each), with

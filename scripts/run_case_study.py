@@ -19,7 +19,7 @@ import numpy as np
 from drtopt import forecasting, metrics, pipeline, synth
 from drtopt.boosting import GBoostHyper
 from drtopt.copula import export_correlation, fit_correlation
-from drtopt.data import CAMPUS_2017_EXAMS, campus_2017_split, counts_at, save_od_counts, train_series
+from drtopt.data import CAMPUS_2017_EXAMS, aligned_train_series, campus_2017_split, counts_at, save_od_counts
 from drtopt.forecasting import ModelSpec
 from drtopt.tndfs import save_instance
 
@@ -83,10 +83,11 @@ def main(argv=None) -> int:
             np.datetime64(t, "h"): forecasts[np.datetime64(t, "h")] for t in lags
         }
 
-    copula_model = fit_correlation({s.pair: s.values for s in train_series(dataset, split, range(len(dataset.pairs)))})
+    history = aligned_train_series(dataset, split, range(len(dataset.pairs)))
+    copula_model = fit_correlation({s.pair: s.values for s in history})
     export_correlation(copula_model, out / "correlation.csv", dataset.labels)
 
-    observed = counts_at(dataset, instance.od_pairs(), lags)
+    observed = counts_at(dataset, dataset.rows_of(instance.od_pairs()), lags)
 
     print(f"\ncomparing strategies over {len(lags)} lags with k={k} samples")
     t0 = time.time()

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__, config as config_mod, forecasting, metrics, pipeline, synth
 from .config import CONFIG_SCHEMA_VERSION, PipelineConfig, load_config
 from .copula import export_correlation, export_samples, fit_correlation, sample_joint
-from .data import counts_at, format_hour, load_od_counts, parse_hour, save_od_counts, train_series
+from .data import aligned_train_series, counts_at, format_hour, load_od_counts, parse_hour, save_od_counts
 from .forecasting import MODEL_SCHEMA_VERSION
 from .tndfs import INSTANCE_SCHEMA_VERSION, load_instance, prepare_instance, save_instance
 
@@ -48,7 +48,7 @@ def _version_text() -> str:
 
 
 def _instance_pair_map(dataset, instance):
-    """The network's OD pairs, their labels by demand-node id, and each pair's counts row, matched by label.
+    """The network's OD pairs and each pair's counts row, matched by the labels of its demand nodes.
 
     Every demand node must match a data location: a node that matched none
     would read zero demand in every scenario.  A pair without counts is
@@ -61,7 +61,7 @@ def _instance_pair_map(dataset, instance):
     pairs = [] if unmatched else instance.od_pairs()
     if not pairs:
         raise ValueError("no demand-node labels in the network match the data locations")
-    return pairs, labels, dataset.rows_of(pairs, labels)
+    return pairs, dataset.rows_of(pairs, labels)
 
 
 def _network_forecasts(model, dataset, split, lags, pairs, rows):
@@ -81,7 +81,7 @@ def _optimization_lags(cfg: PipelineConfig, dataset) -> np.ndarray:
 
 
 def _fit_copula_mapped(cfg: PipelineConfig, dataset, pairs, rows):
-    series = train_series(dataset, cfg.split, rows)
+    series = aligned_train_series(dataset, cfg.split, rows)
     return fit_correlation({p: s.values for p, s in zip(pairs, series)}, cfg.copula_min_lags)
 
 
@@ -183,7 +183,7 @@ def cmd_optimize(args) -> int:
     dataset = load_od_counts(cfg.counts_csv)
     model = forecasting.load_model(args.model)
     instance = load_instance(cfg.network)
-    pairs, _, rows = _instance_pair_map(dataset, instance)
+    pairs, rows = _instance_pair_map(dataset, instance)
     lags = _optimization_lags(cfg, dataset)
 
     copula_model = _fit_copula_mapped(cfg, dataset, pairs, rows)
@@ -215,7 +215,7 @@ def cmd_pipeline(args) -> int:
         raise ValueError("config.network: required for the comparison pipeline")
     dataset = load_od_counts(cfg.counts_csv)
     instance = load_instance(cfg.network)
-    pairs, labels, rows = _instance_pair_map(dataset, instance)
+    pairs, rows = _instance_pair_map(dataset, instance)
     lags = _optimization_lags(cfg, dataset)
     copula_model = _fit_copula_mapped(cfg, dataset, pairs, rows)
 
@@ -233,7 +233,7 @@ def cmd_pipeline(args) -> int:
             name = f"{name}#{len(model_forecasts)}"
         model_forecasts[name] = _network_forecasts(model, dataset, cfg.split, lags, pairs, rows)
 
-    observed = counts_at(dataset, pairs, lags, labels)
+    observed = counts_at(dataset, rows, lags)
     comparison = pipeline.compare_strategies(lags, model_forecasts, observed, instance, copula_model, cfg.k, cfg.seed)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     pipeline.comparison_to_csv(comparison, cfg.output_dir / "comparison.csv")

@@ -15,7 +15,6 @@ from pathlib import Path
 from .data import (
     DEFAULT_MASKED_HOURS,
     CAMPUS_2017_EXAMS,
-    FeatureConfig,
     SplitSpec,
     campus_2017_split,
     parse_hour,
@@ -78,15 +77,6 @@ class ModelSpec:
             raise ValueError("historical percentiles are fit without seasonal normalization")
         if self.exam_period is not None and self.exam_period[0] > self.exam_period[1]:
             raise ValueError(f"exam_period: start {self.exam_period[0]} is after end {self.exam_period[1]}")
-
-    def feature_config(self) -> FeatureConfig:
-        return FeatureConfig(
-            exam_period=self.exam_period,
-            ar_order=self.ar_order,
-            cross_lags=self.cross_lags,
-            cross_order=self.cross_order,
-            od_onehot=self.scope == "pooled",
-        )
 
 
 @dataclass

@@ -16,8 +16,12 @@ import warnings
 from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .config import ModelSpec
 
 log = logging.getLogger(__name__)
 
@@ -344,25 +348,24 @@ class WorkingRecord:
         return WorkingRecord(self.pairs, self.timestamps[keep], self.values[keep], self.pair_index[keep])
 
 
-def difference(dataset: ODDataset, bounds=None, pairs=None, labels=None) -> WorkingRecord:
-    """First differences y'_t = y_t - y_{t-1} of the counts of `pairs`, in one record in their order.
+def difference(dataset: ODDataset, rows=None, bounds=None) -> WorkingRecord:
+    """First differences y'_t = y_t - y_{t-1} of the counts of `dataset.pairs[rows]`, in one record in their order.
 
-    `pairs` (the counts' own by default) are matched by `ODDataset.rows_of`.
-    Only one-hour steps within a pair are differenced, so that no difference
-    spans a gap or the boundary between two pairs.  `bounds` holds arrays
-    (starts, stops) of each pair's first and past-last rows in the dataset's
+    `rows` index the counts' pairs, all of them by default.  Only one-hour
+    steps within a pair are differenced, so that no difference spans a gap
+    or the boundary between two pairs.  `bounds` holds arrays (starts,
+    stops) of each pair's first and past-last rows in the dataset's
     columns, all its rows by default; only those are read, so the row at
     start is dropped too.  Whether a series is too short, or has no
     contiguous run, is decided on the whole series.
     """
-    pairs = dataset.pairs if pairs is None else tuple(pairs)
-    if not pairs:
+    rows = np.arange(len(dataset.pairs)) if rows is None else np.asarray(rows, dtype=np.int64)
+    if not len(rows):
         raise ValueError("the counts hold no OD pair")
-    labels = dataset.labels if labels is None else labels
-    rows = dataset.rows_of(pairs, labels)
+    pairs = tuple(dataset.pairs[r] for r in rows.tolist())
     lengths = dataset.edges[rows + 1] - dataset.edges[rows]
     if lengths.min() < 2:
-        name = pair_name(pairs[np.argmin(lengths)], labels)
+        name = pair_name(pairs[np.argmin(lengths)], dataset.labels)
         raise ValueError(f"series of pair {name} too short to difference (need >= 2 lags)")
     starts, stops = (dataset.edges[rows], dataset.edges[rows + 1]) if bounds is None else bounds
     sizes = stops - starts
@@ -373,9 +376,9 @@ def difference(dataset: ODDataset, bounds=None, pairs=None, labels=None) -> Work
     pair_index = pair_index[1:][keep]
     lost = np.bincount(pair_index, minlength=len(pairs)) == 0
     if lost.any() and bounds is not None:
-        difference(dataset, None, pairs, labels)  # the whole series decide: raises for the first without a run
+        difference(dataset, rows)  # the whole series decide: raises for the first without a run
     elif lost.any():
-        name = pair_name(pairs[np.argmax(lost)], labels)
+        name = pair_name(pairs[np.argmax(lost)], dataset.labels)
         raise ValueError(f"no contiguous run of >= 2 hourly lags to difference for pair {name}")
     values = np.diff(dataset.counts[read].astype(np.float64))[keep]
     return WorkingRecord(pairs, timestamps[1:][keep], values, pair_index)
@@ -446,22 +449,39 @@ def train_series(dataset: ODDataset, spec: SplitSpec, rows) -> list[ODCountSerie
     return [ODCountSeries(dataset.pairs[r], stamps[cut[r] : cut[r + 1]], counts[cut[r] : cut[r + 1]]) for r in rows]
 
 
-def counts_at(dataset: ODDataset, pairs, lags, labels=None) -> np.ndarray:
-    """Observed counts of the given pairs at the given hours (pairs x lags, float64).
+def aligned_train_series(dataset: ODDataset, spec: SplitSpec, rows) -> list[ODCountSeries]:
+    """`train_series` of `rows`, which must all hold the same hours: the copula correlates them hour by hour.
 
-    The pairs are matched by `ODDataset.rows_of(pairs, labels)`; raises naming
-    the first, in the order given, with no observation at one of the hours,
-    and its first such hour, so a gap is never read as the next hour's count.
+    Raises naming the first pair whose hours differ from the first pair's,
+    and the first hour that one of the two holds and the other lacks.
+    """
+    series = train_series(dataset, spec, rows)
+    for other in series[1:]:
+        if not np.array_equal(other.timestamps, series[0].timestamps):
+            t = np.setxor1d(series[0].timestamps, other.timestamps)[0]
+            has, lacks = (series[0], other) if t in series[0].timestamps else (other, series[0])
+            has, lacks = (pair_name(s.pair, dataset.labels) for s in (has, lacks))
+            raise ValueError(f"train series not aligned: pair {has} has {format_hour(t)}, pair {lacks} lacks it")
+    return series
+
+
+def counts_at(dataset: ODDataset, rows, lags) -> np.ndarray:
+    """Observed counts of the pairs `dataset.pairs[rows]` at the given hours (pairs x lags, float64).
+
+    Raises naming the first pair, in the order given, with no observation
+    at one of the hours, and its first such hour, so a gap is never read as
+    the next hour's count.
     """
     lags = np.asarray(lags, dtype="datetime64[h]")
-    wanted = pair_hour_keys(dataset.rows_of(pairs, labels)[:, None], lags)
-    rows = np.searchsorted(dataset.keys, wanted)
-    missing = np.searchsorted(dataset.keys, wanted, side="right") == rows
+    rows = np.asarray(rows, dtype=np.int64)
+    wanted = pair_hour_keys(rows[:, None], lags)
+    at = np.searchsorted(dataset.keys, wanted)
+    missing = np.searchsorted(dataset.keys, wanted, side="right") == at
     if missing.any():
         i = int(np.argmax(missing.any(axis=1)))
-        name = pair_name(pairs[i], dataset.labels if labels is None else labels)
+        name = pair_name(dataset.pairs[rows[i]], dataset.labels)
         raise ValueError(f"no observation for pair {name} at {format_hour(lags[missing[i]][0])}")
-    return dataset.counts[rows].astype(np.float64)
+    return dataset.counts[at].astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -546,60 +566,45 @@ def check_stationarity(name: str, values, max_lag: int | None = None) -> AdfResu
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FeatureConfig:
-    """Which blocks go into the regression feature vector.
+def lag_depth(spec: ModelSpec) -> int:
+    """How many retained lags back a spec's features read: of every pair with cross lags, else of the pair's own."""
+    return spec.cross_order if spec.cross_lags else spec.ar_order
 
-    The layout is fixed: time-of-day one-hot (16), day-of-week one-hot (7),
-    optional exam flag, then either ``ar_order`` own-series lags or
-    ``cross_order`` lags of every pair, then an optional pair one-hot; the
-    pairs are those of the record the features are built from, in its order.
-    """
 
-    exam_period: tuple[date, date] | None = None
-    ar_order: int = 24
-    cross_lags: bool = False
-    cross_order: int = 1
-    od_onehot: bool = False
-
-    def n_features(self, n_pairs: int) -> int:
-        n = len(TOD_HOURS) + 7
-        if self.exam_period is not None:
-            n += 1
-        n += self.cross_order * n_pairs if self.cross_lags else self.ar_order
-        if self.od_onehot:
-            n += n_pairs
-        return n
+def n_features(spec: ModelSpec, n_pairs: int) -> int:
+    """The width of a spec's feature vector over `n_pairs` pairs, laid out as `build_features` fills it."""
+    lags = lag_depth(spec) * (n_pairs if spec.cross_lags else 1)
+    return len(TOD_HOURS) + 7 + (spec.exam_period is not None) + lags + (n_pairs if spec.scope == "pooled" else 0)
 
 
 def build_features(
     record: WorkingRecord,
     pair_index: np.ndarray,
     stamps: np.ndarray,
-    cfg: FeatureConfig,
+    spec: ModelSpec,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Feature matrix for predicting demand of `record.pairs[pair_index[i]]` at `stamps[i]`.
 
-    One row per (pair, stamp) query, for any mix of pairs.  Autoregressive
-    blocks use the previous retained lags of the working-scale record
-    (masked hours simply do not appear in it), newest first.  `usable` is
-    False where a lag's hour is outside TOD_HOURS or a series lacks the
-    history its lags need; those rows are not filled in.
+    One row per (pair, stamp) query, for any mix of pairs.  The layout is
+    fixed: time-of-day one-hot (16), day-of-week one-hot (7), the exam flag
+    when the spec has an exam period, then either `ar_order` own-series
+    lags or `cross_order` lags of every pair, then a pair one-hot when the
+    spec is pooled; the pairs are the record's, in its order.
+    Autoregressive blocks use the previous retained lags of the
+    working-scale record (masked hours simply do not appear in it), newest
+    first.  `usable` is False where a lag's hour is outside TOD_HOURS or a
+    series lacks the history its lags need; those rows are not filled in.
     """
     pair_index = np.asarray(pair_index, dtype=np.int64)
     stamps = np.asarray(stamps, dtype="datetime64[h]")
     hours = hour_of(stamps)
     usable = (hours >= TOD_HOURS[0]) & (hours <= TOD_HOURS[-1])
     n_pairs = len(record.pairs)
-    ar_col = len(TOD_HOURS) + 7 + (cfg.exam_period is not None)
+    ar_col = len(TOD_HOURS) + 7 + (spec.exam_period is not None)
     # the source series of each query's lags 1..depth: laid out lag-major
     # across the record's pairs for cross lags, newest first for own lags
-    if cfg.cross_lags:
-        depth = cfg.cross_order
-        sources = np.arange(n_pairs)[None, :]
-    else:
-        depth = cfg.ar_order
-        sources = pair_index[:, None]
+    depth = lag_depth(spec)
+    sources = np.arange(n_pairs)[None, :] if spec.cross_lags else pair_index[:, None]
     # how many lags of each source precede the stamp
     keys = pair_hour_keys(record.pair_index, record.timestamps)
     before = np.searchsorted(keys, pair_hour_keys(sources, stamps[:, None]))
@@ -607,14 +612,14 @@ def build_features(
     usable &= (before - first >= depth).all(axis=1)
 
     rows = np.flatnonzero(usable)
-    X = np.zeros((len(stamps), cfg.n_features(n_pairs)))
+    X = np.zeros((len(stamps), n_features(spec, n_pairs)))
     X[rows, hours[rows] - TOD_HOURS[0]] = 1.0
     X[rows, len(TOD_HOURS) + weekday_of(stamps[rows])] = 1.0
-    if cfg.exam_period is not None:
-        X[rows, ar_col - 1] = in_days(stamps[rows], cfg.exam_period)
+    if spec.exam_period is not None:
+        X[rows, ar_col - 1] = in_days(stamps[rows], spec.exam_period)
     lags = np.arange(1, depth + 1)[None, :, None]
     width = depth * sources.shape[1]
     X[rows, ar_col : ar_col + width] = record.values[before[rows][:, None, :] - lags].reshape(len(rows), width)
-    if cfg.od_onehot:
+    if spec.scope == "pooled":
         X[rows, X.shape[1] - n_pairs + pair_index[rows]] = 1.0
     return X, usable

@@ -21,7 +21,6 @@ from .config import (ConfigError, ModelSpec, field as doc_field, json_list, json
 from .data import (
     HOUR,
     TOD_HOURS,
-    FeatureConfig,
     ODCountSeries,
     ODDataset,
     ODPair,
@@ -34,6 +33,8 @@ from .data import (
     format_hour,
     hour_of,
     in_days,
+    lag_depth,
+    n_features,
     pair_hour_keys,
     pair_name,
     train_series,
@@ -62,10 +63,6 @@ class TrainedDemandModel:
         stack = {"linear": qr.stack_lqr, "gboost": boosting.stack_gboost}.get(self.spec.family)
         self.stack = stack(models, self.levels) if stack else None
 
-    @property
-    def feature_cfg(self) -> FeatureConfig:
-        return self.spec.feature_config()
-
 
 def working_record(dataset: ODDataset, split: SplitSpec, check_unit_root: bool = False) -> WorkingRecord:
     """Every pair's differenced-and-masked series in one record (the model fitting scale)."""
@@ -77,8 +74,8 @@ def working_record(dataset: ODDataset, split: SplitSpec, check_unit_root: bool =
     return record.select(~split.mask_array(record.timestamps))
 
 
-def recent_record(dataset: ODDataset, split: SplitSpec, lags: np.ndarray, depth: int, pairs, labels) -> WorkingRecord:
-    """The rows of the working record of `pairs` (by `labels`) that features at `lags` read, `depth` retained lags back.
+def recent_record(dataset: ODDataset, split: SplitSpec, lags: np.ndarray, depth: int, rows) -> WorkingRecord:
+    """The rows of the working record of `dataset.pairs[rows]` that features at `lags` read, `depth` retained lags back.
 
     Each pair's window holds its counts before the last lag, from the first
     lag back until `depth` rows before it are retained: a window's first
@@ -86,16 +83,13 @@ def recent_record(dataset: ODDataset, split: SplitSpec, lags: np.ndarray, depth:
     lags, so a window that falls short is doubled, up to the series start.
     Differencing and masking are local, so every row is the whole record's.
     """
-    rows = dataset.rows_of(pairs, labels)
     first = dataset.edges[rows]
-    if not len(lags):
-        return difference(dataset, (first, first), pairs, labels)
     ahead, stop = np.searchsorted(dataset.keys, pair_hour_keys(rows[:, None], [lags.min(), lags.max()])).T
     # twice the lags and a day: room for a night's masked hours and the dropped first row
     span = np.full(len(rows), 2 * depth + 24)
     while True:
         start = np.maximum(ahead - span, first)
-        record = difference(dataset, (start, stop), pairs, labels)
+        record = difference(dataset, rows, (start, stop))
         record = record.select(~split.mask_array(record.timestamps))
         have = np.bincount(record.pair_index[record.timestamps < lags.min()], minlength=len(rows))
         short = (have < depth) & (start > first)
@@ -120,7 +114,7 @@ def _group_rows(
         seasonal = qr.fit_seasonal_stats(record.select(in_train))
         record = qr.seasonal_normalize(record, seasonal)
     train = record.select(in_train)
-    X, usable = build_features(record, train.pair_index, train.timestamps, spec.feature_config())
+    X, usable = build_features(record, train.pair_index, train.timestamps, spec)
     train = train.select(usable)
     have = np.bincount(train.pair_index, minlength=len(record.pairs))
     if not have.all():
@@ -224,23 +218,21 @@ def _quantiles(model: TrainedDemandModel, dataset: ODDataset, split: SplitSpec, 
     if model.spec.family == "hp":  # from each pair's train series; the counts are not read
         values = [qr.predict_hp(model.models[p], model.levels, lags, model.labels) for p in model.pair_order]
         return np.array(values).reshape(len(values), len(lags), len(model.levels))
-    cfg = model.feature_cfg
     order, n = model.pair_order, len(lags)
-    depth = cfg.cross_order if cfg.cross_lags else cfg.ar_order
     # the model's pairs only, matched to the counts by label, in the model's order
-    record = recent_record(dataset, split, lags, depth, order, model.labels)
+    rows = dataset.rows_of(order, model.labels)
+    record = recent_record(dataset, split, lags, lag_depth(model.spec), rows)
     if model.spec.seasonal_normalize:
         record = qr.seasonal_normalize(record, model.seasonal)
     # one query per (pair, lag), pair after pair
     which = np.repeat(np.arange(len(order)), n)
     stamps = np.tile(lags, len(order))
-    X, usable = build_features(record, which, stamps, cfg)
+    X, usable = build_features(record, which, stamps, model.spec)
     # the first pair in order with a missing previous count or an unusable
     # lag is named, its previous count checked first
     usable = usable.reshape(len(order), n)
     bad = np.flatnonzero(~usable.all(axis=1))
-    checked = order if not len(bad) else order[: bad[0] + 1]
-    prev = counts_at(dataset, checked, lags - HOUR, model.labels)
+    prev = counts_at(dataset, rows if not len(bad) else rows[: bad[0] + 1], lags - HOUR)
     if len(bad):
         t = lags[~usable[bad[0]]][0]
         hour = int(hour_of(t))
@@ -423,7 +415,7 @@ def _by_level(doc: dict, path: str, levels) -> list[tuple[float, str, object]]:
     return [(q, *entries[q]) for q in levels]
 
 
-def _inner_from_doc(family: str, doc, name: str, pair, levels, spec: ModelSpec, n_features: int):
+def _inner_from_doc(family: str, doc, name: str, pair, levels, spec: ModelSpec, width: int):
     path = f"model.models.{name}"
     json_object(doc, path)
     if family == "hp":
@@ -433,8 +425,8 @@ def _inner_from_doc(family: str, doc, name: str, pair, levels, spec: ModelSpec, 
         for q, at, values in _by_level(doc, f"{path}.coef", levels):
             beta = np.array([parse_float(v, f"{at}[{i}]") for i, v in enumerate(json_list(values, at))])
             coef[q] = _finite(beta, f"{name}, level {q}", "coef")
-            if len(beta) != n_features:
-                raise ValueError(f"model {name}, level {q}: {len(beta)} coefficients for {n_features} features")
+            if len(beta) != width:
+                raise ValueError(f"model {name}, level {q}: {len(beta)} coefficients for {width} features")
         for q, at, flag in _by_level(doc, f"{path}.converged", levels):
             if not isinstance(flag, bool):
                 raise ConfigError(at, f"expected true or false, got {flag!r}")
@@ -447,7 +439,7 @@ def _inner_from_doc(family: str, doc, name: str, pair, levels, spec: ModelSpec, 
         owner = f"{name}, level {q}"
         forest = trees[q] = boosting.Forest.empty(len(json_list(docs, at)), spec.gboost.max_depth)
         for t, tree in enumerate(docs):
-            boosting.tree_from_doc(tree, forest, t, owner, n_features, f"{at}[{t}]")
+            boosting.tree_from_doc(tree, forest, t, owner, width, f"{at}[{t}]")
         _finite(forest.threshold, owner, "tree threshold")
         _finite(forest.value, owner, "tree value")
     return boosting.GBoostQRModel(levels, spec.gboost, init, trees)
@@ -488,13 +480,13 @@ def model_from_json_dict(doc: dict) -> TrainedDemandModel:
     if not pairs:
         raise ConfigError("model.pairs", "expected at least one pair, got []")
     pair_order = tuple(_pair_from_doc(p, index, f"model.pairs[{i}]") for i, p in enumerate(pairs))
-    n_features = spec.feature_config().n_features(len(pair_order))
+    width = n_features(spec, len(pair_order))
 
     keys = {"pooled": None, **_pairs_by_name(pair_order, labels)}
     models: dict[ODPair | None, object] = {}
     for name, inner_doc in doc_field(doc, "model.models", dict).items():
         key = keys[name] if name in keys else _pair_from_doc(name.split(">"), index, f"model.models.{name}")
-        models[key] = _inner_from_doc(spec.family, inner_doc, name, key, levels, spec, n_features)
+        models[key] = _inner_from_doc(spec.family, inner_doc, name, key, levels, spec, width)
     for key in [None] if spec.scope == "pooled" else pair_order:
         if key not in models:
             raise ValueError(f"model {'pooled' if key is None else pair_name(key, labels)}: missing")

@@ -122,7 +122,7 @@ def evaluate(forecasts_by_pair: dict[ODPair, list[QuantileForecast]], truths_by_
 def evaluate_at(forecasts, dataset: ODDataset, pairs, lags, levels, labels) -> EvalReport:
     """Score per-lag forecasts of `pairs`, whose ids index `labels`, against the counts observed at `lags`."""
     per_pair = [[forecasts[np.datetime64(t, "h")][p] for t in lags] for p in pairs]
-    return _report(list(pairs), per_pair, counts_at(dataset, pairs, lags, labels), levels)
+    return _report(list(pairs), per_pair, counts_at(dataset, dataset.rows_of(pairs, labels), lags), levels)
 
 
 def report_csv(report: EvalReport, path, labels=None) -> None:

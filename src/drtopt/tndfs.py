@@ -558,29 +558,32 @@ def _table_chunk(prep: _Prepared, rows: slice) -> tuple[np.ndarray, np.ndarray, 
     return np.maximum(best, 0.0), rides.astype(np.float64), np.where(rides, slot, -1).astype(np.int8)
 
 
-def _price(lam: np.ndarray, table, caps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Price every (sample, row) of the table: (bound, feasible, lower, check).
+def _price(lam: np.ndarray, table, caps: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Price every (sample, row) of the table: (bound, feasible, lower, check, value).
 
-    `bound` is each row's uncapacitated bound and `feasible` its capacity
-    feasibility.  The screen: no slot carries more than all riders, so a row
-    whose riders fit its smallest capacity fits.  A sample's optimum is at
-    least `lower`, its best bound among the rows that pass, and
-    x - _tie_tol(x) does not decrease, so a row whose bound falls short of
-    lower - _tie_tol(lower) can neither win, tie nor enter the flow search.
-    Only the rows that fail the screen and reach that mark in some sample,
-    `check`, get the per-slot sums, in every sample; any other row's
-    feasibility is the screen's.
+    `bound` is each row's uncapacitated bound, `feasible` its capacity
+    feasibility, and `value` its bound where feasible, else -inf.  The
+    screen: no slot carries more than all riders, so a row whose riders fit
+    its smallest capacity fits.  A sample's optimum is at least `lower`,
+    its best bound among the rows that pass, and x - _tie_tol(x) does not
+    decrease, so a row whose bound falls short of lower - _tie_tol(lower)
+    can neither win, tie nor enter the flow search.  Only the rows that
+    fail the screen and reach that mark in some sample, `check`, get the
+    per-slot sums, in every sample; any other row's feasibility is the
+    screen's.
     """
     gain, rides, slot = table
     bound = lam @ gain
     feasible = lam @ rides <= functools.reduce(np.minimum, caps.T)  # column by column: faster than min(axis=1) over nu columns
-    lower = np.where(feasible, bound, -np.inf).max(axis=1)
+    value = np.where(feasible, bound, -np.inf)
+    lower = value.max(axis=1)
     check = np.flatnonzero((~feasible & (bound >= (lower - _tie_tol(lower))[:, None])).any(axis=0))
     if len(check):
         taken = slot[:, check]
         fits = np.all([lam @ (taken == j) <= caps[check, j] for j in range(caps.shape[1])], axis=0)
         feasible[:, check] |= fits
-    return bound, feasible, lower, check
+        value[:, check] = np.where(feasible[:, check], bound[:, check], -np.inf)
+    return bound, feasible, lower, check, value
 
 
 def _row_allocation(prep: _Prepared, row: int) -> tuple[tuple[int, int], ...]:
@@ -633,8 +636,7 @@ def solve_batch(prep: _Prepared, lam: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def _block_winners(prep: _Prepared, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Winning table row per sample, and its objective where its flow assignment gave it."""
-    bound, feasible, lower, check = _price(lam, prep.table, prep.row_caps)
-    value = np.where(feasible, bound, -np.inf)
+    bound, feasible, lower, check, value = _price(lam, prep.table, prep.row_caps)
     # a row left unchecked is worth at most lower (it passed the screen) or nothing (it failed it)
     best = np.maximum(lower, value[:, check].max(axis=1, initial=-np.inf))
     # every capacity-bound row that can still win was checked; the search stops at the first that cannot

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from drtopt.data import TOD_HOURS, FeatureConfig, ODPair, WorkingRecord, format_hour, hour_of, weekday_of
+from drtopt.config import ModelSpec
+from drtopt.data import TOD_HOURS, ODPair, WorkingRecord, format_hour, hour_of, weekday_of
 
 
 @dataclass
@@ -60,7 +61,7 @@ def reference_features(
     history: dict[ODPair, PairSeries],
     t: np.datetime64,
     pair: ODPair,
-    cfg: FeatureConfig,
+    spec: ModelSpec,
 ) -> np.ndarray:
     t = np.datetime64(t, "h")
     order = tuple(sorted(history))  # the pairs of `record_of(history)`, in its order
@@ -73,22 +74,22 @@ def reference_features(
     dow[int(weekday_of(t))] = 1.0
     parts = [tod, dow]
 
-    if cfg.exam_period is not None:
-        a, b = cfg.exam_period
+    if spec.exam_period is not None:
+        a, b = spec.exam_period
         day = t.astype("datetime64[D]").item()
         parts.append([float(a <= day <= b)])
 
-    if cfg.cross_lags:
+    if spec.cross_lags:
         blocks = []
-        for k in range(1, cfg.cross_order + 1):
+        for k in range(1, spec.cross_order + 1):
             for p in order:
                 blocks.append(_recent_values(history[p], t, k)[0])
         parts.append(np.asarray(blocks, dtype=np.float64))
     else:
         # newest-first: position j holds the (j+1)-lagged value
-        parts.append(_recent_values(history[pair], t, cfg.ar_order)[::-1].copy())
+        parts.append(_recent_values(history[pair], t, spec.ar_order)[::-1].copy())
 
-    if cfg.od_onehot:
+    if spec.scope == "pooled":
         onehot = np.zeros(len(order))
         onehot[order.index(pair)] = 1.0
         parts.append(onehot)

@@ -450,3 +450,26 @@ def test_the_cli_imports_without_scipy_stats():
     code = "import sys, drtopt.cli; print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
     assert out.stdout == "[]\n"
+
+
+def test_the_copula_fit_rejects_train_series_at_different_hours():
+    from types import SimpleNamespace
+
+    from drtopt.cli import _fit_copula_mapped
+    from drtopt.data import HOUR, ODCountSeries, campus_2017_split, pair_name, parse_hour
+    from drtopt.synth import SyntheticSpec, generate_synthetic
+    from reference_data import dataset_from_series
+
+    dataset = generate_synthetic(SyntheticSpec(n_locations=3, seed=3))
+    cfg = SimpleNamespace(split=campus_2017_split(), copula_min_lags=30)
+    rows = range(len(dataset.pairs))
+    assert _fit_copula_mapped(cfg, dataset, dataset.pairs, rows).pair_order == dataset.pairs
+    # pair i lacks hour 10 + i of Nov 20: each keeps as many train hours as the others, at other hours
+    series = {}
+    for i, (pair, s) in enumerate(dataset.series.items()):
+        keep = s.timestamps != parse_hour("2017-11-20T10") + i * HOUR
+        series[pair] = ODCountSeries(pair, s.timestamps[keep], s.counts[keep])
+    gappy = dataset_from_series(dataset.locations, series)
+    first, second = (pair_name(p, gappy.labels) for p in gappy.pairs[:2])
+    with pytest.raises(ValueError, match=f"pair {second} has 2017-11-20T10, pair {first} lacks it"):
+        _fit_copula_mapped(cfg, gappy, gappy.pairs, rows)

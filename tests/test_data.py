@@ -7,21 +7,23 @@ import pytest
 from datetime import date
 from hypothesis import example, given, settings, strategies as st
 
+from drtopt.config import SCOPES, ModelSpec
 from drtopt.data import (
     INT64_MAX,
-    FeatureConfig,
     Location,
     ODCountSeries,
     ODDataset,
     ODPair,
     SplitSpec,
     adf_test,
+    aligned_train_series,
     build_features,
     campus_2017_split,
     counts_at,
     difference,
     format_hour,
     load_od_counts,
+    n_features,
     parse_hour,
     pair_name,
     save_od_counts,
@@ -488,9 +490,9 @@ def test_difference_of_windows_is_the_whole_difference_after_each_first_row(reco
     except ValueError as exc:
         # the whole series decides: no window of it has a contiguous run either
         with pytest.raises(ValueError, match=re.escape(str(exc))):
-            difference(dataset, rows)
+            difference(dataset, bounds=rows)
         return
-    windowed = difference(dataset, rows)
+    windowed = difference(dataset, bounds=rows)
     for s in series_list:
         a, b = bounds[s.pair]
         d = pair_series(whole, s.pair)
@@ -560,7 +562,8 @@ def test_difference_equals_the_per_series_reference(record):
     assert list(dataset.series) == list(dataset.pairs) == [s.pair for s in series_list if len(s)]
     rows = None if bounds is None else windows(dataset, bounds)
     spans = None if bounds is None else [bounds[s.pair] for s in series_list]
-    assert _record_or_error(difference, dataset, rows) == _record_or_error(reference_difference, series_list, spans)
+    got = _record_or_error(difference, dataset, None, rows)
+    assert got == _record_or_error(reference_difference, series_list, spans)
 
 
 @settings(max_examples=300, deadline=None)
@@ -573,24 +576,25 @@ def test_counts_at_equals_the_per_series_reference(record, data):
     hours = data.draw(st.lists(st.integers(-2, 160), max_size=6))
     lags = parse_hour("2017-11-17T08") + np.array(hours, dtype=np.int64).astype("timedelta64[h]")
 
-    def outcome(counts_at, *args):
+    def outcome(read):
         try:
-            got = counts_at(*args)
+            got = read()
         except ValueError as exc:
             return str(exc)
         return got.dtype, got.shape, got.tolist()
 
     series_list = [by_pair[pair] for pair in pairs]
-    assert outcome(counts_at, dataset, pairs, lags) == outcome(reference_counts_at, series_list, lags)
+    got = outcome(lambda: counts_at(dataset, dataset.rows_of(pairs), lags))
+    assert got == outcome(lambda: reference_counts_at(series_list, lags))
 
 
 def test_counts_at_names_a_pair_without_observations_by_its_labels():
     dataset = dataset_of(series("2018-01-08T07", [1, 2]), series("2018-01-08T07", [3, 4], ODPair(2, 1)))
     with pytest.raises(ValueError, match=re.escape("pair g1>g0 has no observations in the counts")):
-        counts_at(dataset, [ODPair(2, 1), ODPair(1, 0), ODPair(0, 2)], [parse_hour("2018-01-08T07")])
+        counts_at(dataset, dataset.rows_of([ODPair(2, 1), ODPair(1, 0), ODPair(0, 2)]), [parse_hour("2018-01-08T07")])
     # a location the counts lack altogether has no label: the pair is named by its ids
     with pytest.raises(ValueError, match=re.escape("pair 0>5 has no observations in the counts")):
-        counts_at(dataset, [ODPair(0, 5)], [parse_hour("2018-01-08T07")])
+        counts_at(dataset, dataset.rows_of([ODPair(0, 5)]), [parse_hour("2018-01-08T07")])
 
 
 def test_a_dataset_holds_its_counts_once_in_sorted_columns():
@@ -724,10 +728,28 @@ def test_train_series_is_masking_then_train_range():
     assert np.array_equal(other_train.counts, 2 * (train.counts[2:] - 9))
 
 
+def test_aligned_train_series_names_the_first_hour_one_pair_lacks():
+    spec = campus_2017_split()
+    ts = parse_hour("2018-01-06T00") + np.arange(4 * 24).astype("timedelta64[h]")
+    s = ODCountSeries(ODPair(2, 1), ts, np.arange(len(ts)))
+    dataset = dataset_of(s, ODCountSeries(ODPair(0, 1), ts, np.arange(len(ts))))
+    assert [a.timestamps.tolist() for a in aligned_train_series(dataset, spec, [1, 0])] == \
+        [b.timestamps.tolist() for b in train_series(dataset, spec, [1, 0])]
+    # the first pair starts at 09:00 on Jan 6: the second has 07:00 and 08:00, which it lacks
+    late = dataset_of(s, ODCountSeries(ODPair(0, 1), ts[9:], np.arange(len(ts) - 9)))
+    with pytest.raises(ValueError, match="pair g2>g1 has 2018-01-06T07, pair g0>g1 lacks it"):
+        aligned_train_series(late, spec, [0, 1])
+    # equally long at other hours: 10:00 of Jan 7 missing from one, 11:00 from the other
+    gaps = [ODCountSeries(pair, np.delete(ts, k), np.arange(len(ts) - 1))
+            for pair, k in ((ODPair(2, 1), 34), (ODPair(0, 1), 35))]
+    with pytest.raises(ValueError, match="pair g0>g1 has 2018-01-07T10, pair g2>g1 lacks it"):
+        aligned_train_series(dataset_of(*gaps), spec, [1, 0])
+
+
 def test_counts_at_returns_exact_counts():
     s = series("2018-01-08T07", [5, 0, 12, 3, 9])
     lags = parse_hour("2018-01-08T07") + np.array([3, 0, 4, 2]).astype("timedelta64[h]")
-    got = counts_at(dataset_of(s), [s.pair], lags)
+    got = counts_at(dataset_of(s), [0], lags)
     assert got.dtype == np.float64
     assert got.tolist() == [[3.0, 5.0, 9.0, 12.0]]
 
@@ -736,11 +758,11 @@ def test_counts_at_raises_on_a_gap_naming_pair_and_hour():
     ts = hourly("2018-01-08T07", range(6))
     s = ODCountSeries(ODPair(3, 1), np.delete(ts, 2), np.array([5, 0, 3, 9, 4]))  # no 09:00
     dataset = dataset_of(s)
-    assert counts_at(dataset, [s.pair], ts[[0, 1, 3]]).tolist() == [[5.0, 0.0, 3.0]]
+    assert counts_at(dataset, [0], ts[[0, 1, 3]]).tolist() == [[5.0, 0.0, 3.0]]
     with pytest.raises(ValueError, match="pair g3>g1 at 2018-01-08T09"):
-        counts_at(dataset, [s.pair], ts[1:4])
+        counts_at(dataset, [0], ts[1:4])
     with pytest.raises(ValueError, match="2018-01-08T13"):
-        counts_at(dataset, [s.pair], [parse_hour("2018-01-08T13")])  # after the last observation
+        counts_at(dataset, [0], [parse_hour("2018-01-08T13")])  # after the last observation
 
 
 def test_counts_at_reads_each_series_and_names_the_first_with_a_gap():
@@ -749,12 +771,12 @@ def test_counts_at_reads_each_series_and_names_the_first_with_a_gap():
     b = ODCountSeries(ODPair(1, 0), ts[2:], np.array([30, 40, 50, 60]))  # starts at 09:00
     c = ODCountSeries(ODPair(2, 0), np.delete(ts, 4), np.array([7, 8, 9, 10, 12]))  # no 11:00
     dataset = dataset_of(a, b, c)
-    assert counts_at(dataset, [b.pair, a.pair], ts[[5, 2]]).tolist() == [[60.0, 30.0], [6.0, 3.0]]
+    assert counts_at(dataset, dataset.rows_of([b.pair, a.pair]), ts[[5, 2]]).tolist() == [[60.0, 30.0], [6.0, 3.0]]
     # a missing hour at the start of a series is never read from the series before it
     with pytest.raises(ValueError, match="pair g1>g0 at 2018-01-08T08"):
-        counts_at(dataset, [a.pair, b.pair, c.pair], ts[[4, 1]])
+        counts_at(dataset, dataset.rows_of([a.pair, b.pair, c.pair]), ts[[4, 1]])
     with pytest.raises(ValueError, match="pair g2>g0 at 2018-01-08T11"):
-        counts_at(dataset, [a.pair, c.pair, b.pair], ts[[4, 5]])
+        counts_at(dataset, dataset.rows_of([a.pair, c.pair, b.pair]), ts[[4, 5]])
 
 
 def test_pair_name_by_id_and_by_label():
@@ -836,22 +858,22 @@ def make_history(pair=ODPair(0, 1), n=60, start="2017-11-13T07", values=None):
     return {pair: PairSeries(pair, ts, vals)}
 
 
-def pair_features(history, stamps, pair, cfg):
+def pair_features(history, stamps, pair, spec):
     """build_features for one pair's queries."""
     record = record_of(history)
     stamps = np.asarray(stamps, dtype="datetime64[h]")
-    return build_features(record, np.full(len(stamps), record.pairs.index(pair)), stamps, cfg)
+    return build_features(record, np.full(len(stamps), record.pairs.index(pair)), stamps, spec)
 
 
-def feature_row(history, t, pair, cfg):
-    X, usable = pair_features(history, [t], pair, cfg)
+def feature_row(history, t, pair, spec):
+    X, usable = pair_features(history, [t], pair, spec)
     return X[0], bool(usable[0])
 
 
 def test_features_monday_eight():
     history = make_history()
     t = parse_hour("2017-11-20T08")  # a Monday
-    x, usable = feature_row(history, t, ODPair(0, 1), FeatureConfig())
+    x, usable = feature_row(history, t, ODPair(0, 1), ModelSpec())
     assert usable
     tod, dow = x[:16], x[16:23]
     assert dow[0] == 1.0 and dow.sum() == 1.0
@@ -861,9 +883,9 @@ def test_features_monday_eight():
 
 def test_features_exam_flag():
     history = make_history(n=800, start="2017-11-13T07")
-    cfg = FeatureConfig(exam_period=(date(2017, 12, 8), date(2017, 12, 22)))
+    spec = ModelSpec(exam_period=(date(2017, 12, 8), date(2017, 12, 22)))
     stamps = np.array([parse_hour("2017-12-11T10"), parse_hour("2017-12-01T10")])
-    X, usable = pair_features(history, stamps, ODPair(0, 1), cfg)
+    X, usable = pair_features(history, stamps, ODPair(0, 1), spec)
     assert usable.all()
     assert X.shape == (2, 16 + 7 + 1 + 24)
     assert X[:, 23].tolist() == [1.0, 0.0]
@@ -874,8 +896,8 @@ def test_features_cross_lag_block_length():
     history = {}
     for i, p in enumerate(pairs):
         history.update(make_history(p, n=10, values=np.full(10, float(i))))
-    cfg = FeatureConfig(cross_lags=True, cross_order=1)
-    x, usable = feature_row(history, parse_hour("2017-11-13T17"), pairs[0], cfg)
+    spec = ModelSpec(cross_lags=True, cross_order=1)
+    x, usable = feature_row(history, parse_hour("2017-11-13T17"), pairs[0], spec)
     assert usable and len(x) == 16 + 7 + 30
     # ordering matches sorted pair order
     assert x[23:].tolist() == [float(i) for i in range(30)]
@@ -884,14 +906,14 @@ def test_features_cross_lag_block_length():
 def test_features_newest_lag_first():
     history = make_history()
     t = history[ODPair(0, 1)].timestamps[30]
-    x, _ = feature_row(history, t, ODPair(0, 1), FeatureConfig())
+    x, _ = feature_row(history, t, ODPair(0, 1), ModelSpec())
     assert x[23] == 29.0 and x[23 + 23] == 6.0
 
 
 def test_features_insufficient_history():
     history = make_history(n=10)
     stamps = hourly("2017-11-13T12", range(3))
-    X, usable = pair_features(history, stamps, ODPair(0, 1), FeatureConfig())
+    X, usable = pair_features(history, stamps, ODPair(0, 1), ModelSpec())
     assert not usable.any()
     assert not X.any()  # unusable rows are left unfilled
 
@@ -899,8 +921,8 @@ def test_features_insufficient_history():
 def test_features_deterministic():
     history = make_history()
     stamps = history[ODPair(0, 1)].timestamps
-    a = pair_features(history, stamps, ODPair(0, 1), FeatureConfig())
-    b = pair_features(history, stamps, ODPair(0, 1), FeatureConfig())
+    a = pair_features(history, stamps, ODPair(0, 1), ModelSpec())
+    b = pair_features(history, stamps, ODPair(0, 1), ModelSpec())
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
@@ -926,30 +948,54 @@ def feature_history(late=None, gap=None) -> dict[ODPair, PairSeries]:
 
 
 @pytest.mark.parametrize(
-    "cfg, history",
+    "spec, history",
     [
-        (FeatureConfig(), feature_history()),
-        (FeatureConfig(exam_period=(date(2017, 12, 8), date(2017, 12, 12))), feature_history()),
-        (FeatureConfig(cross_lags=True, cross_order=1), feature_history(late=FEATURE_PAIRS[2])),
-        (FeatureConfig(cross_lags=True, cross_order=2), feature_history(late=FEATURE_PAIRS[2])),
-        (FeatureConfig(od_onehot=True), feature_history()),
-        (FeatureConfig(ar_order=5), feature_history(gap=FEATURE_PAIRS[0])),
+        (ModelSpec(), feature_history()),
+        (ModelSpec(exam_period=(date(2017, 12, 8), date(2017, 12, 12))), feature_history()),
+        (ModelSpec(cross_lags=True, cross_order=1), feature_history(late=FEATURE_PAIRS[2])),
+        (ModelSpec(cross_lags=True, cross_order=2), feature_history(late=FEATURE_PAIRS[2])),
+        (ModelSpec(scope="pooled"), feature_history()),
+        (ModelSpec(ar_order=5), feature_history(gap=FEATURE_PAIRS[0])),
     ],
     ids=["own", "own-exam", "cross1-late", "cross2-late", "pooled-onehot", "own-gap"],
 )
-def test_feature_matrix_rows_equal_per_lag_reference(cfg, history):
+def test_feature_matrix_rows_equal_per_lag_reference(spec, history):
+    assert_features_equal_reference(spec, history)
+
+
+@st.composite
+def feature_specs(draw) -> ModelSpec:
+    """Either scope; cross lags of order 1 to 3 (per pair only) or 0 to 6 own lags; with or without the exam flag."""
+    scope = draw(st.sampled_from(SCOPES))
+    cross = scope == "per_pair" and draw(st.booleans())
+    exam = draw(st.sampled_from([None, (date(2017, 12, 8), date(2017, 12, 12))]))
+    return ModelSpec(scope=scope, exam_period=exam, cross_lags=cross, cross_order=draw(st.integers(1, 3)),
+                     ar_order=draw(st.integers(0, 6)))
+
+
+FEATURE_HISTORIES = (feature_history(), feature_history(late=FEATURE_PAIRS[2]), feature_history(gap=FEATURE_PAIRS[0]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(feature_specs(), st.sampled_from(range(len(FEATURE_HISTORIES))))
+def test_feature_matrix_rows_equal_per_lag_reference_for_any_spec(spec, which):
+    assert_features_equal_reference(spec, FEATURE_HISTORIES[which])
+
+
+def assert_features_equal_reference(spec, history):
+    """`build_features` equals the per-lag reference row for row, unusable exactly where it raises, at its width."""
     # every hour of the day, from before the history starts to after it ends,
     # for every pair in one call
     stamps = parse_hour("2017-11-30T00") + np.arange(22 * 24).astype("timedelta64[h]")
     record = record_of(history)
     pair_index = np.repeat(np.arange(len(record.pairs)), len(stamps))
-    X, usable = build_features(record, pair_index, np.tile(stamps, len(record.pairs)), cfg)
-    assert X.shape == (len(FEATURE_PAIRS) * len(stamps), cfg.n_features(len(FEATURE_PAIRS)))
+    X, usable = build_features(record, pair_index, np.tile(stamps, len(record.pairs)), spec)
+    assert X.shape == (len(FEATURE_PAIRS) * len(stamps), n_features(spec, len(FEATURE_PAIRS)))
     for i, pair in enumerate(record.pairs):
         rows = slice(i * len(stamps), (i + 1) * len(stamps))
         for t, x, ok in zip(stamps, X[rows], usable[rows]):
             try:
-                ref = reference_features(history, t, pair, cfg)
+                ref = reference_features(history, t, pair, spec)
             except ValueError:
                 assert not ok, format_hour(t)
                 continue

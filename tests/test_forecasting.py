@@ -14,8 +14,8 @@ from drtopt.boosting import GBoostHyper, fit_gboost, gboost_raw_predict
 from drtopt.cli import main
 from drtopt.config import FAMILIES, SCOPES, ConfigError, parse_model
 from drtopt.data import (
-    HOUR, Location, ODCountSeries, ODPair, SplitSpec, adf_test, build_features, counts_at, difference,
-    load_od_counts, pair_name, parse_hour, save_od_counts,
+    HOUR, Location, ODCountSeries, ODDataset, ODPair, SplitSpec, adf_test, build_features, counts_at, difference,
+    load_od_counts, n_features, pair_name, parse_hour, save_od_counts,
 )
 from drtopt.forecasting import (
     ModelSpec,
@@ -132,7 +132,7 @@ def test_evaluate_at_equals_the_per_forecast_reference(dataset, family):
     lags = evaluation_lags(dataset, SPLIT)
     forecasts = predict_forecasts(model, dataset, SPLIT, lags)
     by_pair = {p: [forecasts[t][p] for t in lags] for p in model.pair_order}
-    truths = dict(zip(model.pair_order, counts_at(dataset, model.pair_order, lags)))
+    truths = dict(zip(model.pair_order, counts_at(dataset, dataset.rows_of(model.pair_order), lags)))
     report = evaluate_at(forecasts, dataset, model.pair_order, lags, DEFAULT_QUANTILES, model.labels)
     assert report == reference_evaluate(by_pair, truths, DEFAULT_QUANTILES)
 
@@ -224,7 +224,6 @@ def test_lag_outside_modeled_hours_is_skipped_in_training_and_raises_in_predict(
     record = working_record(dataset, split)
     histories = {p: pair_series(record, p) for p in record.pairs}
     pair = dataset.pairs[0]
-    cfg = spec().feature_config()
     (X, y, stamps, pair_index), _ = forecasting._group_rows(dataset, split, spec())
     X, stamps = X[pair_index == 0], stamps[pair_index == 0]
     series = histories[pair]
@@ -232,7 +231,7 @@ def test_lag_outside_modeled_hours_is_skipped_in_training_and_raises_in_predict(
     expected = []
     for t in in_train:
         try:
-            expected.append(reference_features(histories, t, pair, cfg))
+            expected.append(reference_features(histories, t, pair, spec()))
         except ValueError:
             continue
     assert len(expected) == len(X) < len(in_train)
@@ -291,6 +290,15 @@ def test_predict_on_a_gappy_record_names_the_first_failing_pair(dataset):
             predict_forecasts(model, gappy(three, t, **defects), SPLIT, np.array([t]))
 
 
+@pytest.mark.parametrize("family", ["linear", "gboost"])
+def test_a_predict_matches_the_models_pairs_to_the_counts_once(dataset, monkeypatch, family):
+    model = train_model(dataset, SPLIT, spec(family=family, gboost=GBoostHyper(0.3, 2, 3)), (0.5,))
+    rows_of, calls = ODDataset.rows_of, []
+    monkeypatch.setattr(ODDataset, "rows_of", lambda self, *args: calls.append(args) or rows_of(self, *args))
+    predict_forecasts(model, dataset, SPLIT, evaluation_lags(dataset, SPLIT)[:1])
+    assert calls == [(model.pair_order, model.labels)]
+
+
 def test_a_pair_missing_from_the_counts_is_named_by_its_labels(dataset, tmp_path, caplog):
     gone = ODPair(0, 2)
     message = "pair g0>g2 has no observations in the counts"
@@ -300,7 +308,7 @@ def test_a_pair_missing_from_the_counts_is_named_by_its_labels(dataset, tmp_path
     with pytest.raises(ValueError, match=re.escape(message)):
         predict_forecasts(model, lacking, SPLIT, lags)
     with pytest.raises(ValueError, match=re.escape(message)):
-        counts_at(lacking, model.pair_order, lags)
+        counts_at(lacking, lacking.rows_of(model.pair_order), lags)
 
     out = tmp_path / "ws"
     assert main(["synth", "--out-dir", str(out), "--locations", "3", "--seed", "5"]) == 0
@@ -374,7 +382,7 @@ def test_counts_without_a_location_name_the_models_pair_by_its_labels(dataset, l
             evaluate_at(forecasts, lacking, model.pair_order, lags, model.levels, model.labels)
     model = lookup_models[0]
     with pytest.raises(ValueError, match=re.escape(message)):
-        counts_at(lacking, model.pair_order, lags, model.labels)
+        counts_at(lacking, lacking.rows_of(model.pair_order, model.labels), lags)
 
 
 @pytest.mark.parametrize("mspec", [spec(), spec(seasonal_normalize=True)], ids=["linear", "seasonal"])
@@ -403,13 +411,13 @@ def per_pair_forecasts(model, dataset, split, lags) -> dict:
     reference = reference_lqr_raw_predict if model.spec.family == "linear" else reference_gboost_raw_predict
     out = {}
     for pair in model.pair_order:
-        X, usable = build_features(record, np.full(len(lags), record.pairs.index(pair)), lags, model.feature_cfg)
+        X, usable = build_features(record, np.full(len(lags), record.pairs.index(pair)), lags, model.spec)
         assert usable.all()
         ref = reference(model.models[None if model.spec.scope == "pooled" else pair], X)
         scales = None
         if model.spec.seasonal_normalize:
             scales = model.seasonal.scales_at(np.full(len(lags), model.pair_order.index(pair)), lags)
-        prev = counts_at(dataset, [pair], lags - HOUR)[0]
+        prev = counts_at(dataset, dataset.rows_of([pair]), lags - HOUR)[0]
         out[pair] = to_count_scale(np.column_stack([ref[q] for q in model.levels]), prev, scales, model.spec.sort_quantiles)
     return out
 
@@ -456,7 +464,7 @@ def window_models(dataset):
 def whole_record_predict(model, dataset, split, lags):
     """`predict_forecasts` with every pair's whole working record in place of the window."""
     windowed = forecasting.recent_record
-    forecasting.recent_record = lambda dataset, split, lags, depth, pairs, labels: working_record(dataset, split)
+    forecasting.recent_record = lambda dataset, split, lags, depth, rows: working_record(dataset, split)
     try:
         return predict_forecasts(model, dataset, split, lags)
     finally:
@@ -562,8 +570,8 @@ def test_unsorted_spec_keeps_each_level_in_place(dataset):
 def test_exam_flag_requires_period(dataset):
     mspec = ModelSpec(exam_period=(date(2017, 11, 20), date(2017, 11, 24)))
     model = train_model(dataset, SPLIT, mspec, (0.5,))
-    assert model.feature_cfg.exam_period is not None
-    n_feats = model.feature_cfg.n_features(len(dataset.pairs))
+    assert model.spec.exam_period is not None
+    n_feats = n_features(model.spec, len(dataset.pairs))
     assert len(model.models[dataset.pairs[0]].coef[0.5]) == n_feats == 16 + 7 + 1 + 24
 
 
@@ -1106,10 +1114,10 @@ def test_tree_deeper_than_max_depth_names_model_and_level(model_docs):
 def test_split_feature_outside_the_layout_names_model_and_level(model_docs, feature):
     doc = json.loads(json.dumps(model_docs["gboost"]))
     name = next(iter(doc["models"]))
-    n_features = model_from_json_dict(model_docs["gboost"]).feature_cfg.n_features(len(doc["pairs"]))
+    width = n_features(model_from_json_dict(model_docs["gboost"]).spec, len(doc["pairs"]))
     leaf = {"value": 0.0}
     doc["models"][name]["trees"]["0.5"][1] = {"feature": feature, "threshold": 0.5, "left": leaf, "right": leaf}
-    message = f"model {name}, level 0.5: tree 1 splits on feature {feature}, outside 0..{n_features - 1}"
+    message = f"model {name}, level 0.5: tree 1 splits on feature {feature}, outside 0..{width - 1}"
     with pytest.raises(ValueError, match=re.escape(message)):
         model_from_json_dict(doc)
 
@@ -1123,7 +1131,7 @@ def test_pooled_gboost_predict_equals_walking_its_json_trees(dataset):
     record = working_record(dataset, SPLIT)
     lags = evaluation_lags(dataset, SPLIT)
     for i, pair in enumerate(record.pairs):
-        X, usable = build_features(record, np.full(len(lags), i), lags, model.feature_cfg)
+        X, usable = build_features(record, np.full(len(lags), i), lags, model.spec)
         ref = reference_raw_predict(doc["models"]["pooled"], hyper.learning_rate, X[usable])
         for trained in (model, loaded):
             raw = gboost_raw_predict(trained.stack, np.zeros(usable.sum(), dtype=int), X[usable])
@@ -1183,12 +1191,11 @@ def test_grid_search_scores_the_seasonally_normalized_rows(dataset):
         record = working_record(dataset, SPLIT)
         record = seasonal_normalize(record, fit_seasonal_stats(record.select(SPLIT.in_train(record.timestamps))))
     test_range, val_range, train_range = tuning_ranges(SPLIT)
-    cfg = mspec.feature_config()
     total = 0.0
     for i, pair in enumerate(record.pairs):
         s = pair_series(record, pair)
         train = SPLIT.in_train(s.timestamps)
-        X, usable = build_features(record, np.full(train.sum(), i), s.timestamps[train], cfg)
+        X, usable = build_features(record, np.full(train.sum(), i), s.timestamps[train], mspec)
         X, y, days = X[usable], s.values[train][usable], s.timestamps[train][usable].astype("datetime64[D]")
         part = {rng: (days >= np.datetime64(rng[0])) & (days <= np.datetime64(rng[1]))
                 for rng in (test_range, val_range, train_range)}
@@ -1208,12 +1215,11 @@ def test_grid_search_scores_equal_each_pairs_tilted_loss(dataset, scope):
     mspec = spec(family="gboost", scope=scope)
     best, scores = gboost_grid_search(dataset, SPLIT, mspec, grid, levels)
     record = working_record(dataset, SPLIT)
-    cfg = mspec.feature_config()
     rows = {}
     for i, pair in enumerate(record.pairs):
         s = pair_series(record, pair)
         train = SPLIT.in_train(s.timestamps)
-        X, usable = build_features(record, np.full(train.sum(), i), s.timestamps[train], cfg)
+        X, usable = build_features(record, np.full(train.sum(), i), s.timestamps[train], mspec)
         days = s.timestamps[train][usable].astype("datetime64[D]")
         part = [(days >= np.datetime64(a)) & (days <= np.datetime64(b)) for a, b in tuning_ranges(SPLIT)]
         rows[pair] = X[usable], s.values[train][usable], *part  # tuning test, val and train rows
@@ -1251,7 +1257,7 @@ def test_grid_search_rejects_other_families(dataset):
 
 def test_cross_order_two_dimensions(dataset):
     model = train_model(dataset, SPLIT, spec(cross_lags=True, cross_order=2), (0.5,))
-    n_feats = model.feature_cfg.n_features(len(dataset.pairs))
+    n_feats = n_features(model.spec, len(dataset.pairs))
     assert n_feats == 16 + 7 + 2 * 6  # two lags of every pair
     assert len(model.models[dataset.pairs[0]].coef[0.5]) == n_feats
 

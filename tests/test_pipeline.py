@@ -429,7 +429,7 @@ def test_price_checks_capacity_wherever_a_row_can_still_win_or_tie(case, seed, s
     inst, lam = _case_demands(case, seed, 6)
     lam *= scale
     prep = tndfs.prepare_instance(inst)
-    bound, feasible, lower, _ = tndfs._price(lam, prep.table, prep.row_caps)
+    bound, feasible, lower, _, _ = tndfs._price(lam, prep.table, prep.row_caps)
     screened = lam @ prep.table[1] <= prep.row_caps.min(axis=1)  # all riders fit the smallest route
     assert lower.tolist() == np.max(bound, axis=1, where=screened, initial=-np.inf).tolist()
     for s, demands in enumerate(lam):
